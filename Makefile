@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test lint race ci bench
+.PHONY: all build test benchmark-test lint race ci bench
 
 all: build
 
@@ -11,6 +11,11 @@ build:
 
 test:
 	$(GO) test ./...
+
+# The end-to-end benchmark is its own module (benchmark/go.mod), which
+# `go test ./...` at the root does not reach.
+benchmark-test:
+	cd benchmark && $(GO) test .
 
 # lint runs the standard vet suite plus Kimbap's own analyzers
 # (DESIGN.md §7 "Checked invariants"). kimbapvet must run from the module
@@ -33,10 +38,13 @@ race:
 		./internal/kvstore/...
 	$(GO) test -race ./internal/algorithms
 
-ci: build test lint race
+ci: build test benchmark-test lint race
 
-# bench regenerates BENCH_kimbap.json, the repo's perf-trajectory record.
-# The previous file's wall times are carried into prev_ns_per_op, so the
-# committed file always shows before/after for the sync-path suite.
+# bench runs the wall-clock gates (internal/bench/perf_wall_test.go, kept
+# out of `go test ./...` by the wallgates build tag), then regenerates
+# BENCH_kimbap.json, the repo's perf-trajectory record. The previous file's
+# wall times are carried into prev_ns_per_op, so the committed file always
+# shows before/after for the sync-path suite.
 bench:
+	$(GO) test -tags wallgates -run 'Gate$$' -v ./internal/bench
 	$(GO) run ./cmd/kimbap-bench -exp perf -scale full -reps 3 -json BENCH_kimbap.json

@@ -3,6 +3,7 @@ package algorithms
 import (
 	"kimbap/internal/graph"
 	"kimbap/internal/npm"
+	"kimbap/internal/par"
 	"kimbap/internal/runtime"
 )
 
@@ -20,14 +21,14 @@ type engine struct {
 	// pend is the shortcut phase's unresolved-remote set (see ccShortcut),
 	// kept here so repeated phases reuse one allocation. Sized like the
 	// frontier so drains over it share the scheduler state.
-	pend                     *runtime.Bitset
+	pend                     *par.Bitset
 	prevApplied, prevRetries int64
 }
 
 // pendSet returns the engine's cleared pending-vertex scratch set.
-func (e *engine) pendSet() *runtime.Bitset {
+func (e *engine) pendSet() *par.Bitset {
 	if e.pend == nil {
-		e.pend = runtime.NewBitset(e.h.HP.NumLocal())
+		e.pend = par.NewBitset(e.h.HP.NumLocal())
 	} else {
 		e.pend.Clear()
 	}

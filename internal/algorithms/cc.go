@@ -3,6 +3,7 @@ package algorithms
 import (
 	"kimbap/internal/graph"
 	"kimbap/internal/npm"
+	"kimbap/internal/par"
 	"kimbap/internal/runtime"
 )
 
@@ -56,9 +57,9 @@ func CCSV(h *runtime.Host, cfg Config, out []graph.NodeID) CCStats {
 	// outer round's hook phase can start from the changed set instead of a
 	// full re-activation (the first hook phase has no prior change record
 	// and starts dense: seed is nil until a shortcut phase has run).
-	var acc, seed *runtime.Bitset
+	var acc, seed *par.Bitset
 	if fr != nil {
-		acc = runtime.NewBitset(h.HP.NumLocal())
+		acc = par.NewBitset(h.HP.NumLocal())
 	}
 	var workDone runtime.BoolReducer
 	for {
@@ -117,7 +118,7 @@ func CCSV(h *runtime.Host, cfg Config, out []graph.NodeID) CCStats {
 // the direction choice is global (see direction.go), so hosts still
 // agree on every round's collective sequence.
 func ccHook(h *runtime.Host, cfg Config, parent npm.Map[graph.NodeID],
-	workDone *runtime.BoolReducer, fr *runtime.Frontier, seed *runtime.Bitset,
+	workDone *runtime.BoolReducer, fr *runtime.Frontier, seed *par.Bitset,
 	rl *roundLogger, eng *engine, de *dirEngine) int {
 
 	// Reset before pinning: PinMirrors refreshes mirrors from masters and
@@ -283,7 +284,7 @@ func ccHookDrain(h *runtime.Host, eng *engine, workDone *runtime.BoolReducer,
 // local chain of BSP rounds; cross-host chains still advance one request
 // round at a time, exactly like BSP.
 func ccShortcut(h *runtime.Host, cfg Config, parent npm.Map[graph.NodeID],
-	fr *runtime.Frontier, acc *runtime.Bitset, rl *roundLogger, eng *engine) int {
+	fr *runtime.Frontier, acc *par.Bitset, rl *roundLogger, eng *engine) int {
 
 	if fr != nil {
 		// Reset discards stale activations (e.g. mirror bits from a prior
@@ -375,7 +376,7 @@ func ccShortcut(h *runtime.Host, cfg Config, parent npm.Map[graph.NodeID],
 // the BSP path gets from applyToMaster, which keeps acc seeding and
 // round-narrowing behavior identical across modes.
 func ccChaseBody(h *runtime.Host, eng *engine, parent npm.Map[graph.NodeID],
-	fr *runtime.Frontier, pend *runtime.Bitset, requestMissing bool,
+	fr *runtime.Frontier, pend *par.Bitset, requestMissing bool,
 ) func(tid int, n graph.NodeID, cx *runtime.AsyncCtx) {
 
 	ah := eng.ah

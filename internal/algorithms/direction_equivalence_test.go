@@ -3,7 +3,6 @@ package algorithms
 import (
 	"testing"
 
-	"kimbap/internal/comm"
 	"kimbap/internal/gen"
 	"kimbap/internal/graph"
 	"kimbap/internal/partition"
@@ -37,34 +36,31 @@ func runCCDir(t *testing.T, g *graph.Graph, rc runtime.Config, acfg Config,
 }
 
 // TestDirectionEquivalenceCCSVFullMatrix pins CC-SV labels across
-// {push, pull, adaptive} × {dense, sparse} × {v1, v2} × {in-memory, TCP}
-// × {2, 4, 8} hosts on an IEC partition. The v2 runs' reduce payloads use
-// the v2s frames, so all three wire forms are exercised.
+// {push, pull, adaptive} × {dense, sparse} × {in-memory, TCP} × {2, 4, 8}
+// hosts on an IEC partition. Dense and sparse rounds exercise both reduce
+// section body forms.
 func TestDirectionEquivalenceCCSVFullMatrix(t *testing.T) {
 	g := gen.RMAT(8, 6, false, 2)
 	want := graph.ReferenceComponents(g)
 	for _, tcp := range []bool{false, true} {
-		for _, wire := range []comm.WireFormat{comm.WireV1, comm.WireV2} {
-			for _, dense := range []bool{false, true} {
-				for _, hosts := range []int{2, 4, 8} {
-					rc := runtime.Config{
-						NumHosts: hosts, ThreadsPerHost: 3, Policy: partition.IEC,
-						UseTCP: tcp, Wire: wire,
+		for _, dense := range []bool{false, true} {
+			for _, hosts := range []int{2, 4, 8} {
+				rc := runtime.Config{
+					NumHosts: hosts, ThreadsPerHost: 3, Policy: partition.IEC, UseTCP: tcp,
+				}
+				base, _ := runCCDir(t, g, rc, Config{Dense: dense}, CCSV)
+				for i := range base {
+					if base[i] != want[i] {
+						t.Fatalf("tcp=%v/dense=%v/%dh: push node %d labeled %d, reference %d",
+							tcp, dense, hosts, i, base[i], want[i])
 					}
-					base, _ := runCCDir(t, g, rc, Config{Dense: dense}, CCSV)
+				}
+				for _, dir := range []Direction{DirPull, DirAdaptive} {
+					got, _ := runCCDir(t, g, rc, Config{Dense: dense, Direction: dir}, CCSV)
 					for i := range base {
-						if base[i] != want[i] {
-							t.Fatalf("tcp=%v/wire=%d/dense=%v/%dh: push node %d labeled %d, reference %d",
-								tcp, wire, dense, hosts, i, base[i], want[i])
-						}
-					}
-					for _, dir := range []Direction{DirPull, DirAdaptive} {
-						got, _ := runCCDir(t, g, rc, Config{Dense: dense, Direction: dir}, CCSV)
-						for i := range base {
-							if got[i] != base[i] {
-								t.Fatalf("tcp=%v/wire=%d/dense=%v/%dh/%s: node %d labeled %d, push labeled %d",
-									tcp, wire, dense, hosts, dir, i, got[i], base[i])
-							}
+						if got[i] != base[i] {
+							t.Fatalf("tcp=%v/dense=%v/%dh/%s: node %d labeled %d, push labeled %d",
+								tcp, dense, hosts, dir, i, got[i], base[i])
 						}
 					}
 				}

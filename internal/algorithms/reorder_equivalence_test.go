@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"kimbap/internal/comm"
 	"kimbap/internal/gen"
 	"kimbap/internal/graph"
 	"kimbap/internal/partition"
@@ -16,9 +15,8 @@ import (
 // original IDs; only value-as-address sites translate), so every
 // algorithm's collected output — indexed by original ID — must be
 // bit-identical with reordering on or off, for every policy, across the
-// full execution matrix: dense and sparse rounds, both wire formats (the
-// sparse runs also exercise the v2s reduce payloads), both transports,
-// and every host count the partitioner supports.
+// full execution matrix: dense and sparse rounds, both transports, and
+// every host count the partitioner supports.
 
 func reorderPolicies() []graph.ReorderPolicy {
 	return []graph.ReorderPolicy{graph.ReorderDegree, graph.ReorderBlockedDegree}
@@ -38,38 +36,35 @@ func runCCReorder(t *testing.T, g *graph.Graph, rc runtime.Config, acfg Config,
 }
 
 // TestReorderEquivalenceCCSVFullMatrix pins CC-SV outputs across
-// {off, degree, blocked-degree} × {dense, sparse} × {v1, v2} × {in-memory,
-// TCP} × {2, 4, 8} hosts. CC-SV exercises both trans-vertex addressing
+// {off, degree, blocked-degree} × {dense, sparse} × {in-memory, TCP} ×
+// {2, 4, 8} hosts. CC-SV exercises both trans-vertex addressing
 // paths (hook targets and shortcut grandparent reads), so it is the
 // matrix workhorse; the other algorithms get the policy sweep below.
 func TestReorderEquivalenceCCSVFullMatrix(t *testing.T) {
 	g := gen.RMAT(8, 6, false, 2)
 	want := graph.ReferenceComponents(g)
 	for _, tcp := range []bool{false, true} {
-		for _, wire := range []comm.WireFormat{comm.WireV1, comm.WireV2} {
-			for _, dense := range []bool{false, true} {
-				for _, hosts := range []int{2, 4, 8} {
-					rc := runtime.Config{
-						NumHosts: hosts, ThreadsPerHost: 3, Policy: partition.CVC,
-						UseTCP: tcp, Wire: wire,
+		for _, dense := range []bool{false, true} {
+			for _, hosts := range []int{2, 4, 8} {
+				rc := runtime.Config{
+					NumHosts: hosts, ThreadsPerHost: 3, Policy: partition.CVC, UseTCP: tcp,
+				}
+				acfg := Config{Dense: dense}
+				base := runCCReorder(t, g, rc, acfg, CCSV)
+				for i := range base {
+					if base[i] != want[i] {
+						t.Fatalf("tcp=%v/dense=%v/%dh: baseline node %d labeled %d, reference %d",
+							tcp, dense, hosts, i, base[i], want[i])
 					}
-					acfg := Config{Dense: dense}
-					base := runCCReorder(t, g, rc, acfg, CCSV)
+				}
+				for _, pol := range reorderPolicies() {
+					rrc := rc
+					rrc.Reorder = pol
+					got := runCCReorder(t, g, rrc, acfg, CCSV)
 					for i := range base {
-						if base[i] != want[i] {
-							t.Fatalf("tcp=%v/wire=%d/dense=%v/%dh: baseline node %d labeled %d, reference %d",
-								tcp, wire, dense, hosts, i, base[i], want[i])
-						}
-					}
-					for _, pol := range reorderPolicies() {
-						rrc := rc
-						rrc.Reorder = pol
-						got := runCCReorder(t, g, rrc, acfg, CCSV)
-						for i := range base {
-							if got[i] != base[i] {
-								t.Fatalf("tcp=%v/wire=%d/dense=%v/%dh/%s: node %d labeled %d, unreordered labeled %d",
-									tcp, wire, dense, hosts, pol, i, got[i], base[i])
-							}
+						if got[i] != base[i] {
+							t.Fatalf("tcp=%v/dense=%v/%dh/%s: node %d labeled %d, unreordered labeled %d",
+								tcp, dense, hosts, pol, i, got[i], base[i])
 						}
 					}
 				}

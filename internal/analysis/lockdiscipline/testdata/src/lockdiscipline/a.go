@@ -157,7 +157,7 @@ func asyncDrainWhileLocked(sh *shard, h *runtime.Host, fr *runtime.Frontier) {
 	sh.mu.Unlock()
 }
 
-func asyncDrainBitsWhileDeferLocked(sh *shard, h *runtime.Host, b *runtime.Bitset) {
+func asyncDrainBitsWhileDeferLocked(sh *shard, h *runtime.Host, b *par.Bitset) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	h.AsyncDrainBits(b, runtime.AsyncOpts{}, func(tid int, node graph.NodeID, cx *runtime.AsyncCtx) {}) // want `runtime.AsyncDrainBits call while holding sh.mu`

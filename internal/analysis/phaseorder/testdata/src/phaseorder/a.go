@@ -8,6 +8,7 @@ import (
 	"kimbap/internal/comm"
 	"kimbap/internal/graph"
 	"kimbap/internal/npm"
+	"kimbap/internal/par"
 	"kimbap/internal/runtime"
 )
 
@@ -101,7 +102,7 @@ func activateFromOperator(h *runtime.Host, fr *runtime.Frontier) {
 // AsyncDrain/AsyncDrainBits, and — because only the drain scheduler can
 // construct an *AsyncCtx — any closure or function taking one, however
 // it reaches the drain (the operator-body-factory idiom).
-func activateFromDrainBody(h *runtime.Host, fr *runtime.Frontier, b *runtime.Bitset) {
+func activateFromDrainBody(h *runtime.Host, fr *runtime.Frontier, b *par.Bitset) {
 	h.AsyncDrain(fr, runtime.AsyncOpts{}, func(tid int, src graph.NodeID, cx *runtime.AsyncCtx) {
 		fr.Activate(int(src))
 	})

@@ -101,14 +101,16 @@ func dispatchOps(b byte) int {
 // isGet compares rather than emits: no Finish finding for opPut.
 func isPut(b byte) bool { return b == opPut }
 
-// pickFormat switches over an upstream group: membership travels as
-// facts from the comm package.
-func pickFormat(f comm.WireFormat) int {
-	switch f { // want `switch over wire group WireFormat does not handle WireAuto`
-	case comm.WireV1:
+// tagCost switches over an upstream group: membership travels as facts
+// from the comm package.
+func tagCost(tag comm.Tag) int {
+	switch tag { // want `switch over wire group Tag does not handle TagApp`
+	case comm.TagBarrier:
+		return 0
+	case comm.TagRequest, comm.TagResponse:
 		return 1
-	case comm.WireV2:
+	case comm.TagReduce, comm.TagBroadcast:
 		return 2
 	}
-	return 0
+	return 3
 }

@@ -3,8 +3,8 @@
 //
 //	//kimbap:wiregroup <name>
 //
-// declares a closed set of wire tags (the npm section tags v1/v2/v2s,
-// the comm message tags, the encoding selector). Every switch whose case
+// declares a closed set of wire tags (the comm message tags, the npm
+// section body forms). Every switch whose case
 // labels name a member of a group must then handle the whole group — a
 // default arm does not count, because "panic on the tag we forgot to
 // decode" is exactly the near-miss this analyzer exists for (PR 3
@@ -13,7 +13,7 @@
 // are not members.
 //
 // Group membership travels as object facts, so a switch in a downstream
-// package over an upstream group (npm switching over comm.WireFormat) is
+// package over an upstream group (a switch over comm.Tag) is
 // checked with the full member list. A Finish pass then reports tags
 // that are emitted — used as values outside case labels and equality
 // comparisons — but handled by no switch anywhere in the program; groups

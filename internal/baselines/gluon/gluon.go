@@ -20,6 +20,7 @@ import (
 
 	"kimbap/internal/comm"
 	"kimbap/internal/graph"
+	"kimbap/internal/par"
 	"kimbap/internal/runtime"
 )
 
@@ -52,7 +53,7 @@ func ccLP(h *runtime.Host, out []graph.NodeID) int {
 	// Proxy labels, updated in place with atomics during compute — the
 	// Gluon execution model (no thread-local maps, no requests).
 	label := make([]atomic.Uint32, n)
-	dirty := runtime.NewBitset(n)
+	dirty := par.NewBitset(n)
 	for l := 0; l < n; l++ {
 		label[l].Store(uint32(hp.GlobalID(graph.NodeID(l))))
 	}

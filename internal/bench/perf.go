@@ -95,8 +95,8 @@ func (c Config) PerfTo(w io.Writer, jsonPath string) error {
 		c.ccPerf("cc_sv_full_sparse", npm.Full, 8, false),
 		// The §14 reorder ablation pair: dense CC-SV on the cache-spilling
 		// locality workload, unreordered vs blocked-degree, same 4-host
-		// split. The live gate (perf_regression_test.go) holds the reordered
-		// run to 95% of the baseline.
+		// split. The wall gate (perf_wall_test.go) holds the reordered run
+		// to 95% of the baseline.
 		c.ccReorderPerf("cc_sv_locality", 4, ""),
 		c.ccReorderPerf("cc_sv_full_reordered", 4, graph.ReorderBlockedDegree),
 		// Execution-mode trio on the skewed-convergence workload (a long
@@ -112,8 +112,8 @@ func (c Config) PerfTo(w io.Writer, jsonPath string) error {
 		// IEC partition, dense rounds: the push baseline, static pull (every
 		// hook round bottom-up over the in-edge CSR, broadcast-only round
 		// ends — its round_reduce_bytes column is all zeros), and the
-		// globally-reduced adaptive rule. The live gate
-		// (perf_regression_test.go TestDirectionGate) holds pull under the
+		// globally-reduced adaptive rule. The wall gate
+		// (perf_wall_test.go TestDirectionWallGate) holds pull under the
 		// push wall and adaptive near the best static direction.
 		c.ccDirPerf("cc_sv_push", 4, algorithms.DirPush),
 		c.ccDirPerf("cc_sv_pull", 4, algorithms.DirPull),
@@ -245,19 +245,8 @@ func (c Config) perfGraph() (*graph.Graph, int) {
 // mallocs, and the conflict counter around the measured window. Reps
 // windows are run and the fastest kept.
 func (c Config) syncPerf(name string, variant npm.Variant, hosts int, pin bool) PerfRecord {
-	return c.syncPerfWire(name, variant, hosts, pin, comm.WireAuto)
-}
-
-// syncPerfWire is syncPerf with an explicit wire format, letting the
-// regression gate measure the v1 baseline live on the current workload
-// instead of trusting a recorded constant.
-func (c Config) syncPerfWire(name string, variant npm.Variant, hosts int, pin bool,
-	wire comm.WireFormat) PerfRecord {
-
 	g, iters := c.perfGraph()
-	cluster, err := runtime.NewCluster(g, runtime.Config{
-		NumHosts: hosts, ThreadsPerHost: c.Threads, Wire: wire,
-	})
+	cluster, err := runtime.NewCluster(g, runtime.Config{NumHosts: hosts, ThreadsPerHost: c.Threads})
 	if err != nil {
 		panic(err)
 	}

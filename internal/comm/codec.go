@@ -40,8 +40,8 @@ func ReadFloat64(b []byte) (float64, []byte) {
 	return math.Float64frombits(u), rest
 }
 
-// AppendUvarint appends v in LEB128 variable-length encoding (the v2 wire
-// format's key representation: section-relative key deltas are small, so
+// AppendUvarint appends v in LEB128 variable-length encoding (the npm
+// payloads' key representation: section-relative key deltas are small, so
 // most keys take one byte instead of four). The single-byte case is inlined
 // — it dominates every delta stream the npm sync phases produce.
 func AppendUvarint(b []byte, v uint64) []byte {

@@ -80,24 +80,6 @@ func (t Tag) String() string {
 	return fmt.Sprintf("tag%d", uint8(t))
 }
 
-// WireFormat selects the payload encoding the npm sync phases put on the
-// wire. It lives here, next to the transports, so the runtime can plumb a
-// cluster-wide choice without importing the property-map package.
-type WireFormat uint8
-
-//kimbap:wiregroup WireFormat
-const (
-	// WireAuto picks the package default (currently WireV2).
-	WireAuto WireFormat = iota
-	// WireV1 is the original raw encoding: fixed-width uint32 keys and
-	// section lengths. Kept as a fallback and differential-testing target.
-	WireV1
-	// WireV2 is the compact encoding: delta-varint keys (relative to the
-	// section's key-range base) and varint section lengths, negotiated
-	// per-payload by a one-byte format tag.
-	WireV2
-)
-
 // Endpoint is one host's connection to the cluster fabric.
 type Endpoint interface {
 	// Rank returns this host's index in [0, NumHosts).

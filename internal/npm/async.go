@@ -4,7 +4,7 @@ import (
 	"sync/atomic"
 
 	"kimbap/internal/graph"
-	"kimbap/internal/runtime"
+	"kimbap/internal/par"
 )
 
 // The asynchronous apply path. During a runtime.AsyncDrain, operator
@@ -48,7 +48,7 @@ func AsyncNode(m Map[graph.NodeID]) (*AsyncNodeHandle, bool) {
 		return nil, false
 	}
 	if fm.mirrorDirty == nil {
-		fm.mirrorDirty = runtime.NewBitset(fm.hp.NumMirrors())
+		fm.mirrorDirty = par.NewBitset(fm.hp.NumMirrors())
 	}
 	return &AsyncNodeHandle{m: fm}, true
 }

@@ -31,8 +31,8 @@ func rangeBucket(k graph.NodeID, buckets, n uint64) int {
 }
 
 // sectionLo returns where range bucket t starts over [0, n):
-// lo(t) = t*n/buckets, the split rangeBucket inverts. The v2 wire format
-// encodes each section's keys as varint deltas from this base.
+// lo(t) = t*n/buckets, the split rangeBucket inverts. Reduce payloads
+// encode each section's keys as varint deltas from this base.
 func sectionLo(t int, buckets, n uint64) uint64 {
 	return uint64(t) * n / buckets
 }

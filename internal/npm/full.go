@@ -2,11 +2,11 @@ package npm
 
 import (
 	"fmt"
-	"math/bits"
 	"sync/atomic"
 
 	"kimbap/internal/comm"
 	"kimbap/internal/graph"
+	"kimbap/internal/par"
 	"kimbap/internal/partition"
 	"kimbap/internal/runtime"
 )
@@ -33,14 +33,13 @@ type fullMap[V comparable] struct {
 	hp    *partition.HostPartition
 	op    ReduceOp[V]
 	codec Codec[V]
-	wire  comm.WireFormat // payload encoding (see wire.go)
 
 	masterLo graph.NodeID
 	masterHi graph.NodeID
 	masters  []V
 	// masterDirty tracks masters changed since the last broadcast, indexed
 	// by master-local ID.
-	masterDirty *runtime.Bitset
+	masterDirty *par.Bitset
 
 	pinned  bool
 	mirrors []V // indexed by (local - NumMasters) when pinned
@@ -61,12 +60,12 @@ type fullMap[V comparable] struct {
 	// owners as whole-value partials (sound only for idempotent ops,
 	// which the handle enforces). The counters are the policy engine's
 	// contention telemetry.
-	mirrorDirty *runtime.Bitset
+	mirrorDirty *par.Bitset
 	casApplied  atomic.Int64
 	casRetries  atomic.Int64
 
-	reqBits   *runtime.Bitset // global IDs requested this round
-	cacheKeys []graph.NodeID  // sorted requested remote IDs
+	reqBits   *par.Bitset    // global IDs requested this round
+	cacheKeys []graph.NodeID // sorted requested remote IDs
 	cacheVals []V
 	// cacheSlot is the dense global→cache translation table (DESIGN.md
 	// §14): cacheSlot[g] = index into cacheVals + 1, 0 for uncached. It
@@ -82,20 +81,12 @@ type fullMap[V comparable] struct {
 
 	// Persistent sync-phase buffers, reused across BSP rounds so warm
 	// ReduceSync/BroadcastSync rounds allocate nothing (see the comm
-	// package's buffer-ownership contract).
-	cells     [][][][]byte // [tid][dest][receiver gather thread] encoded entries
-	cellN     [][][]int    // [tid][dest][rt] entry counts, for the v2s form choice
-	sendBufs  [2][][]byte  // per-dest reduce payloads, double-buffered
-	sendGen   int
+	// package's buffer-ownership contract). The reduce frame's sections
+	// cover each destination's master range.
+	rf        *reduceFrame[V]
 	bcastBufs [2][][]byte // per-dest broadcast payloads, double-buffered
 	bcastGen  int
 	recvIn    [][]byte // receive slice for the exchanges (one round at a time)
-
-	// Scratch for assembling one v2s dense-form section at a time
-	// (reducePayload runs destinations sequentially): a bitmap over the
-	// section's key range and value slots indexed by base-relative key.
-	denseMask []byte
-	denseVals []byte
 
 	// frontier, when attached via SetFrontier, receives next-round
 	// activations for every local proxy whose value changes during a sync
@@ -103,23 +94,13 @@ type fullMap[V comparable] struct {
 	// decode. Activation is one atomic bit set (conflict free).
 	frontier *runtime.Frontier
 
-	// Encode state for the overlapped scatter (comm.ExchangeFunc): the
-	// closures are bound once at construction so hot rounds allocate
-	// nothing; the *Out fields point them at the current round's
+	// Broadcast encode state for the overlapped scatter
+	// (comm.ExchangeFunc): the closure is bound once at construction so hot
+	// rounds allocate nothing; bcastOut points it at the current round's
 	// double-buffer generation.
-	encodeReduce func(to int) []byte
-	encodeBcast  func(to int) []byte
-	reduceOut    [][]byte
-	bcastOut     [][]byte
-	bcastFull    bool
-
-	destLo []graph.NodeID // per-host global master-range start
-	destN  []uint64       // per-host master count
-	// secBase[o][rt] = sectionLo(rt, threads, destN[o]), the v2 key base of
-	// host o's gather-thread-rt section. Precomputed because the combine
-	// pass needs it per surviving entry and sectionLo costs a 64-bit
-	// divide.
-	secBase [][]uint64
+	encodeBcast func(to int) []byte
+	bcastOut    [][]byte
+	bcastFull   bool
 
 	updated       atomic.Bool
 	updatedGlobal bool
@@ -140,13 +121,11 @@ func newFullMap[V comparable](opts Options[V]) *fullMap[V] {
 		masterLo:    lo,
 		masterHi:    hi,
 		masters:     make([]V, hi-lo),
-		masterDirty: runtime.NewBitset(int(hi - lo)),
-		reqBits:     runtime.NewBitset(h.HP.NumGlobalNodes()),
+		masterDirty: par.NewBitset(int(hi - lo)),
+		reqBits:     par.NewBitset(h.HP.NumGlobalNodes()),
 		tl:          make([]*bucketedMap[V], h.Threads),
 		combined:    make([]*localMap[V], h.Threads),
 	}
-	m.wire = resolveWire(opts.Wire, h.Wire)
-	m.encodeReduce = m.reducePayload
 	m.encodeBcast = m.bcastPayload
 	m.trackReads = opts.TrackReads
 	numGlobal := h.HP.NumGlobalNodes()
@@ -155,45 +134,15 @@ func newFullMap[V comparable](opts Options[V]) *fullMap[V] {
 		m.combined[t] = newLocalMap[V]()
 	}
 	numHosts := h.HP.NumHosts()
-	m.cells = make([][][][]byte, h.Threads)
-	m.cellN = make([][][]int, h.Threads)
-	for t := range m.cells {
-		m.cells[t] = make([][][]byte, numHosts)
-		m.cellN[t] = make([][]int, numHosts)
-		for o := range m.cells[t] {
-			m.cells[t][o] = make([][]byte, h.Threads)
-			m.cellN[t][o] = make([]int, h.Threads)
-		}
-	}
-	for g := range m.sendBufs {
-		m.sendBufs[g] = make([][]byte, numHosts)
+	m.rf = newReduceFrame(m.codec, h.Rank, h.Threads, numHosts,
+		func(o int) (graph.NodeID, uint64) {
+			olo, ohi := h.HP.MasterRangeOf(o)
+			return olo, uint64(ohi - olo)
+		})
+	for g := range m.bcastBufs {
 		m.bcastBufs[g] = make([][]byte, numHosts)
 	}
 	m.recvIn = make([][]byte, numHosts)
-	m.destLo = make([]graph.NodeID, numHosts)
-	m.destN = make([]uint64, numHosts)
-	m.secBase = make([][]uint64, numHosts)
-	maxRange := uint64(0)
-	for o := 0; o < numHosts; o++ {
-		olo, ohi := h.HP.MasterRangeOf(o)
-		m.destLo[o] = olo
-		m.destN[o] = uint64(ohi - olo)
-		m.secBase[o] = make([]uint64, h.Threads)
-		for rt := range m.secBase[o] {
-			m.secBase[o][rt] = sectionLo(rt, uint64(h.Threads), m.destN[o])
-		}
-		for rt := 0; rt < h.Threads; rt++ {
-			end := m.destN[o]
-			if rt+1 < h.Threads {
-				end = m.secBase[o][rt+1]
-			}
-			if r := end - m.secBase[o][rt]; r > maxRange {
-				maxRange = r
-			}
-		}
-	}
-	m.denseMask = make([]byte, (maxRange+7)/8)
-	m.denseVals = make([]byte, maxRange*uint64(m.codec.Size()))
 	return m
 }
 
@@ -286,14 +235,14 @@ func (m *fullMap[V]) RequestSync() {
 		})
 		m.reqBits.Clear()
 
-		// One request message per peer: the ID list, tagged and (under v2)
-		// delta-varint encoded — the lists are sorted, so deltas are small.
+		// One request message per peer: the ID list, delta-varint encoded
+		// — the lists are sorted, so deltas are small.
 		out := make([][]byte, numHosts)
 		for o, ids := range reqIDs {
 			if o == self || len(ids) == 0 {
 				continue
 			}
-			out[o] = appendIDList(make([]byte, 0, 1+4*len(ids)), m.wire, ids)
+			out[o] = appendIDList(make([]byte, 0, 4*len(ids)), ids)
 		}
 		in := comm.Exchange(m.h.EP, comm.TagRequest, out)
 
@@ -305,7 +254,7 @@ func (m *fullMap[V]) RequestSync() {
 				continue
 			}
 			buf := make([]byte, 0, len(in[o])/4*m.codec.Size())
-			dec := decodeIDList(in[o])
+			dec := idListDecoder{b: in[o]}
 			for id, ok := dec.next(); ok; id, ok = dec.next() {
 				buf = m.codec.Append(buf, m.masters[id-m.masterLo])
 			}
@@ -407,7 +356,6 @@ func (m *fullMap[V]) rebuildCacheSlots() {
 //kimbap:conflictfree
 func (m *fullMap[V]) ReduceSync() {
 	m.h.TimeComm(func() {
-		numHosts := m.hp.NumHosts()
 		self := m.h.Rank
 		threads := m.h.Threads
 
@@ -429,14 +377,7 @@ func (m *fullMap[V]) ReduceSync() {
 					out.Reduce(k, v, m.op.Combine)
 				})
 			}
-			cells := m.cells[t]
-			counts := m.cellN[t]
-			for o := range cells {
-				for rt := range cells[o] {
-					cells[o][rt] = cells[o][rt][:0]
-					counts[o][rt] = 0
-				}
-			}
+			m.rf.resetCells(t)
 			// Async drains CAS pinned mirrors in place instead of
 			// buffering reduces; flush those values to their owners here,
 			// folded into this thread's combine output so they ride the
@@ -452,26 +393,12 @@ func (m *fullMap[V]) ReduceSync() {
 					out.Reduce(k, m.mirrors[slot], m.op.Combine)
 				})
 			}
-			wireV2 := m.wire == comm.WireV2
-			destLo, destN, secBase := m.destLo, m.destN, m.secBase
 			out.ForEach(func(k graph.NodeID, v V) {
-				o := m.hp.Owner(k)
-				if o == self {
-					m.applyToMaster(k, v)
-					return
-				}
-				rel := uint64(k - destLo[o])
-				rt := rangeBucket(graph.NodeID(rel), uint64(threads), destN[o])
-				var buf []byte
-				if wireV2 {
-					// v2: key relative to the section's range base — one
-					// byte for typical per-host master ranges.
-					buf = comm.AppendUvarint(cells[o][rt], rel-secBase[o][rt])
+				if o := m.hp.Owner(k); o != self {
+					m.rf.add(t, o, k, v)
 				} else {
-					buf = comm.AppendUint32(cells[o][rt], uint32(k))
+					m.applyToMaster(k, v)
 				}
-				cells[o][rt] = m.codec.Append(buf, v)
-				counts[o][rt]++
 			})
 		})
 		for _, t := range m.tl {
@@ -485,45 +412,17 @@ func (m *fullMap[V]) ReduceSync() {
 		// ExchangeFunc assembles destination o's payload and hands it to
 		// Send before destination o+1's encode starts, so each frame is in
 		// flight while the next is still being built. The payload framing
-		// (tag, section lengths, sections in the receiver's gather-thread
-		// order) lives in reducePayload; send buffers are double-buffered
-		// per the comm buffer-ownership contract.
-		m.reduceOut = m.sendBufs[m.sendGen]
-		m.sendGen ^= 1
-		in := comm.ExchangeFunc(m.h.EP, comm.TagReduce, m.encodeReduce, m.recvIn)
+		// lives in the reduce frame (wire.go).
+		in := m.rf.exchange(m.h.EP, m.recvIn)
 
 		// Gather-reduce: gather thread t decodes exactly the sections the
 		// senders addressed to its master range — each received byte is
-		// decoded once, by one thread, with no range filtering. The format
-		// tag on each payload says how its keys decode, so v1 and v2
-		// senders can coexist in one cluster.
+		// decoded once, by one thread, with no range filtering.
 		m.h.ParFor(threads, func(_, t int) {
-			base := m.masterLo + graph.NodeID(
-				sectionLo(t, uint64(threads), uint64(m.masterHi-m.masterLo)))
-			for o := 0; o < numHosts; o++ {
-				if o == self || len(in[o]) == 0 {
-					continue
-				}
-				sec, kind := reduceSection(in[o], t, threads)
-				switch kind {
-				case secV2S:
-					m.decodeSectionV2S(sec, base)
-				case secV2:
-					for len(sec) > 0 {
-						var d uint64
-						d, sec = comm.ReadUvarint(sec)
-						var v V
-						v, sec = m.codec.Read(sec)
-						m.applyToMaster(base+graph.NodeID(d), v)
-					}
-				case secV1:
-					for len(sec) > 0 {
-						var id uint32
-						id, sec = comm.ReadUint32(sec)
-						var v V
-						v, sec = m.codec.Read(sec)
-						m.applyToMaster(graph.NodeID(id), v)
-					}
+			for _, payload := range in {
+				r := m.rf.section(payload, t)
+				for k, v, ok := r.next(); ok; k, v, ok = r.next() {
+					m.applyToMaster(k, v)
 				}
 			}
 		})
@@ -543,175 +442,6 @@ func (m *fullMap[V]) ReduceSync() {
 		// the next broadcast, so pull rounds are off the table (pull.go).
 		m.mirrorsFresh = false
 	})
-}
-
-// reducePayload assembles the reduce payload for destination o from the
-// combine threads' cells. v1 frames a 1-byte tag, `threads` uint32 section
-// lengths, then the sections in the receiver's gather-thread order (each
-// section concatenates the combine threads' cells for that gather thread).
-// v2-configured maps emit the v2s frame instead (see wire.go): a present
-// bitmap skips empty sections, and each present section picks the smaller
-// of the sparse and dense body forms. A round with nothing for o returns an
-// empty payload, eliding tag and header. Called by ExchangeFunc once per
-// destination, immediately before that destination's Send.
-func (m *fullMap[V]) reducePayload(o int) []byte {
-	threads := m.h.Threads
-	out := m.reduceOut
-	buf := out[o][:0]
-	total := 0
-	for rt := 0; rt < threads; rt++ {
-		for t := 0; t < threads; t++ {
-			total += len(m.cells[t][o][rt])
-		}
-	}
-	if total == 0 {
-		out[o] = buf
-		return buf
-	}
-	if m.wire != comm.WireV2 {
-		buf = append(buf, wireV1)
-		for rt := 0; rt < threads; rt++ {
-			sec := 0
-			for t := 0; t < threads; t++ {
-				sec += len(m.cells[t][o][rt])
-			}
-			buf = comm.AppendUint32(buf, uint32(sec))
-		}
-		for rt := 0; rt < threads; rt++ {
-			for t := 0; t < threads; t++ {
-				buf = append(buf, m.cells[t][o][rt]...)
-			}
-		}
-		out[o] = buf
-		return buf
-	}
-
-	// v2s. Header first: the present bitmap, then one uvarint body length
-	// per present section in ascending rt order. Both the length and the
-	// sparse/dense choice are recomputed identically in the body loop; both
-	// are deterministic functions of the (order-independent) per-section
-	// entry count and byte size, so payload sizes are stable across runs.
-	vs := m.codec.Size()
-	buf = append(buf, wireV2S)
-	pm := len(buf)
-	for i := 0; i < (threads+7)/8; i++ {
-		buf = append(buf, 0)
-	}
-	for rt := 0; rt < threads; rt++ {
-		n, secBytes := 0, 0
-		for t := 0; t < threads; t++ {
-			n += m.cellN[t][o][rt]
-			secBytes += len(m.cells[t][o][rt])
-		}
-		if n == 0 {
-			continue
-		}
-		buf[pm+rt/8] |= 1 << (uint(rt) % 8)
-		sparseLen, denseLen, _ := m.sectionForms(o, rt, n, secBytes, vs)
-		body := sparseLen
-		if denseLen < sparseLen {
-			body = denseLen
-		}
-		buf = comm.AppendUvarint(buf, uint64(1+body))
-	}
-	for rt := 0; rt < threads; rt++ {
-		n, secBytes := 0, 0
-		for t := 0; t < threads; t++ {
-			n += m.cellN[t][o][rt]
-			secBytes += len(m.cells[t][o][rt])
-		}
-		if n == 0 {
-			continue
-		}
-		sparseLen, denseLen, mb := m.sectionForms(o, rt, n, secBytes, vs)
-		if sparseLen <= denseLen {
-			buf = append(buf, sectionSparse)
-			buf = comm.AppendUvarint(buf, uint64(n))
-			for t := 0; t < threads; t++ {
-				buf = append(buf, m.cells[t][o][rt]...)
-			}
-			continue
-		}
-		// Dense: scatter the unsorted cells into value slots indexed by
-		// base-relative key, then emit the bitmap and the occupied slots in
-		// ascending key order.
-		buf = append(buf, sectionDense)
-		buf = comm.AppendUvarint(buf, uint64(mb))
-		mask := m.denseMask[:mb]
-		for i := range mask {
-			mask[i] = 0
-		}
-		for t := 0; t < threads; t++ {
-			sec := m.cells[t][o][rt]
-			for len(sec) > 0 {
-				var d uint64
-				d, sec = comm.ReadUvarint(sec)
-				copy(m.denseVals[int(d)*vs:], sec[:vs])
-				sec = sec[vs:]
-				mask[d/8] |= 1 << (uint(d) % 8)
-			}
-		}
-		buf = append(buf, mask...)
-		for bi, mbyte := range mask {
-			for mbyte != 0 {
-				d := bi*8 + bits.TrailingZeros8(mbyte)
-				mbyte &= mbyte - 1
-				buf = append(buf, m.denseVals[d*vs:(d+1)*vs]...)
-			}
-		}
-	}
-	out[o] = buf
-	return buf
-}
-
-// sectionForms returns the encoded body sizes (excluding the form byte) of
-// the sparse and dense forms for section (o, rt), plus the dense bitmap
-// length. n is the entry count, secBytes the total cell bytes (uvarint keys
-// + values), vs the value width.
-func (m *fullMap[V]) sectionForms(o, rt, n, secBytes, vs int) (sparseLen, denseLen, mb int) {
-	end := m.destN[o]
-	if rt+1 < m.h.Threads {
-		end = m.secBase[o][rt+1]
-	}
-	mb = int(end-m.secBase[o][rt]+7) / 8
-	sparseLen = uvLen(uint64(n)) + secBytes
-	denseLen = uvLen(uint64(mb)) + mb + n*vs
-	return sparseLen, denseLen, mb
-}
-
-// decodeSectionV2S decodes one v2s section addressed to this gather thread
-// and applies its entries to the master range starting at base.
-func (m *fullMap[V]) decodeSectionV2S(sec []byte, base graph.NodeID) {
-	if len(sec) == 0 {
-		return
-	}
-	form := sec[0]
-	sec = sec[1:]
-	if form == sectionSparse {
-		var n uint64
-		n, sec = comm.ReadUvarint(sec)
-		for i := uint64(0); i < n; i++ {
-			var d uint64
-			d, sec = comm.ReadUvarint(sec)
-			var v V
-			v, sec = m.codec.Read(sec)
-			m.applyToMaster(base+graph.NodeID(d), v)
-		}
-		return
-	}
-	var mb uint64
-	mb, sec = comm.ReadUvarint(sec)
-	mask := sec[:mb]
-	sec = sec[mb:]
-	for bi, mbyte := range mask {
-		for mbyte != 0 {
-			d := bi*8 + bits.TrailingZeros8(mbyte)
-			mbyte &= mbyte - 1
-			var v V
-			v, sec = m.codec.Read(sec)
-			m.applyToMaster(base+graph.NodeID(d), v)
-		}
-	}
 }
 
 // applyToMaster merges v into the canonical master value, tracking change
@@ -819,9 +549,8 @@ func (m *fullMap[V]) setMirror(local graph.NodeID, v V) {
 // MasterSendTo[o] followed by the changed values in list order) or, when it
 // encodes smaller, the sparse form (uvarint count, then delta-varint list
 // indices each followed by its value). A round with nothing dirty for o
-// returns an empty payload. The form choice is positional metadata only —
-// the same in v1 and v2 — and each payload is self-describing, so mixed
-// rounds interoperate. Called by ExchangeFunc once per destination.
+// returns an empty payload. Each payload's form byte makes it
+// self-describing. Called by ExchangeFunc once per destination.
 func (m *fullMap[V]) bcastPayload(o int) []byte {
 	list := m.hp.MasterSendTo[o]
 	maskLen := (len(list) + 7) / 8
@@ -834,7 +563,7 @@ func (m *fullMap[V]) bcastPayload(o int) []byte {
 	} else {
 		for i, local := range list {
 			if m.masterDirty.Test(int(local)) {
-				idxBytes += uvLen(uint64(i - prev))
+				idxBytes += comm.UvarintLen(uint64(i - prev))
 				prev = i
 				n++
 			}
@@ -844,7 +573,7 @@ func (m *fullMap[V]) bcastPayload(o int) []byte {
 		out[o] = buf
 		return buf
 	}
-	if !m.bcastFull && uvLen(uint64(n))+idxBytes < maskLen {
+	if !m.bcastFull && comm.UvarintLen(uint64(n))+idxBytes < maskLen {
 		buf = append(buf, sectionSparse)
 		buf = comm.AppendUvarint(buf, uint64(n))
 		prev = 0

@@ -8,6 +8,7 @@ import (
 
 	"kimbap/internal/comm"
 	"kimbap/internal/graph"
+	"kimbap/internal/par"
 	"kimbap/internal/partition"
 	"kimbap/internal/runtime"
 )
@@ -26,12 +27,11 @@ type hashMap[V comparable] struct {
 	hp     *partition.HostPartition
 	op     ReduceOp[V]
 	codec  Codec[V]
-	wire   comm.WireFormat // payload encoding (see wire.go)
 	shared bool
 
 	owned *shardedMap[V] // canonical values for hash-owned nodes
 
-	reqBits *runtime.Bitset
+	reqBits *par.Bitset
 	cache   *localMap[V] // written only in collectives, read-only in compute
 
 	pinned    bool
@@ -42,30 +42,21 @@ type hashMap[V comparable] struct {
 	sharedPartial *shardedMap[V] // SGR-only reduce map
 
 	// Persistent sync-phase buffers, reused across BSP rounds (see the
-	// comm package's buffer-ownership contract). Reduce payloads are
-	// framed as `threads` uint32 section byte-lengths followed by the
-	// sections in global key-range order, so each receiving gather thread
-	// decodes exactly one section per payload.
-	cells       [][][]byte // CF: [tid][dest] section bytes (section = tid's range)
-	sharedCells [][][]byte // SGR-only: [dest][range] section bytes
-	sendBufs    [2][][]byte
-	sendGen     int
-	reqBufs     [2][][]byte // fetch request payloads
-	respBufs    [2][][]byte // fetch response payloads
-	fetchGen    int
-	recvIn      [][]byte         // receive slice for the exchanges
-	byOwner     [][]graph.NodeID // fetch scratch: requested IDs per owner
-	// secBase[rt] = sectionLo(rt, threads, numGlobal), the v2 key base of
-	// global range bucket rt. Precomputed because the encode passes need it
-	// per surviving entry and sectionLo costs a 64-bit divide.
-	secBase []uint64
+	// comm package's buffer-ownership contract). The reduce frame is the
+	// one Full uses, with every destination's sections covering the global
+	// ID space: section rt is global range bucket rt, so each receiving
+	// gather thread decodes exactly one section per payload.
+	rf       *reduceFrame[V]
+	reqBufs  [2][][]byte // fetch request payloads
+	respBufs [2][][]byte // fetch response payloads
+	fetchGen int
+	recvIn   [][]byte         // receive slice for the exchanges
+	byOwner  [][]graph.NodeID // fetch scratch: requested IDs per owner
 
-	// Encode state for the overlapped scatter (comm.ExchangeFunc), bound
-	// once at construction so hot rounds allocate nothing; the *Out fields
-	// select the current double-buffer generation.
-	encodeReduce   func(to int) []byte
+	// Fetch-request encoder for the overlapped scatter (comm.ExchangeFunc),
+	// bound once at construction so hot rounds allocate nothing;
+	// fetchReqOut selects the current double-buffer generation.
 	encodeFetchReq func(to int) []byte
-	reduceOut      [][]byte
 	fetchReqOut    [][]byte
 
 	pendingMu   sync.Mutex
@@ -93,25 +84,17 @@ func newHashMapVariant[V comparable](opts Options[V], shared bool, partialShards
 		codec:   opts.Codec,
 		shared:  shared,
 		owned:   newShardedMap[V](),
-		reqBits: runtime.NewBitset(h.HP.NumGlobalNodes()),
+		reqBits: par.NewBitset(h.HP.NumGlobalNodes()),
 		cache:   newLocalMap[V](),
 	}
-	m.wire = resolveWire(opts.Wire, h.Wire)
-	m.encodeReduce = m.reducePayload
 	m.encodeFetchReq = m.fetchReqPayload
 	m.trackReads = opts.TrackReads
 	numHosts := h.HP.NumHosts()
 	numGlobal := h.HP.NumGlobalNodes()
-	m.secBase = make([]uint64, h.Threads)
-	for rt := range m.secBase {
-		m.secBase[rt] = sectionLo(rt, uint64(h.Threads), uint64(numGlobal))
-	}
+	m.rf = newReduceFrame(m.codec, h.Rank, h.Threads, numHosts,
+		func(int) (graph.NodeID, uint64) { return 0, uint64(numGlobal) })
 	if shared {
 		m.sharedPartial = newShardedMapN[V](partialShards)
-		m.sharedCells = make([][][]byte, numHosts)
-		for o := range m.sharedCells {
-			m.sharedCells[o] = make([][]byte, h.Threads)
-		}
 	} else {
 		m.tl = make([]*bucketedMap[V], h.Threads)
 		m.combined = make([]*localMap[V], h.Threads)
@@ -119,13 +102,8 @@ func newHashMapVariant[V comparable](opts Options[V], shared bool, partialShards
 			m.tl[t] = newBucketedMap[V](h.Threads, numGlobal)
 			m.combined[t] = newLocalMap[V]()
 		}
-		m.cells = make([][][]byte, h.Threads)
-		for t := range m.cells {
-			m.cells[t] = make([][]byte, numHosts)
-		}
 	}
-	for g := range m.sendBufs {
-		m.sendBufs[g] = make([][]byte, numHosts)
+	for g := range m.reqBufs {
 		m.reqBufs[g] = make([][]byte, numHosts)
 		m.respBufs[g] = make([][]byte, numHosts)
 	}
@@ -269,8 +247,8 @@ func (m *hashMap[V]) fetch(ids []graph.NodeID) {
 	}
 	gen := m.fetchGen
 	m.fetchGen ^= 1
-	// Overlapped request scatter: destination o's (delta-varint under v2)
-	// ID list goes on the wire while o+1's is still being encoded.
+	// Overlapped request scatter: destination o's delta-varint ID list
+	// goes on the wire while o+1's is still being encoded.
 	m.fetchReqOut = m.reqBufs[gen]
 	in := comm.ExchangeFunc(m.h.EP, comm.TagRequest, m.encodeFetchReq, m.recvIn)
 
@@ -280,7 +258,7 @@ func (m *hashMap[V]) fetch(ids []graph.NodeID) {
 			continue
 		}
 		buf := resp[o][:0]
-		dec := decodeIDList(in[o])
+		dec := idListDecoder{b: in[o]}
 		for id, ok := dec.next(); ok; id, ok = dec.next() {
 			v, ok := m.owned.Get(id)
 			if !ok {
@@ -312,41 +290,16 @@ func (m *hashMap[V]) fetch(ids []graph.NodeID) {
 
 // ReduceSync implements Map. Payload sections are keyed by global
 // key-range bucket, so receivers fan the decode out across gather threads
-// with each byte decoded exactly once (the same framing Full uses).
+// with each byte decoded exactly once (the reduce frame Full uses).
 func (m *hashMap[V]) ReduceSync() {
 	m.h.TimeComm(func() {
-		numHosts := m.hp.NumHosts()
-		self := m.h.Rank
 		threads := m.h.Threads
-		numGlobal := uint64(m.hp.NumGlobalNodes())
-
 		if m.shared {
 			// SGR-only: drain the shared partial map single-threaded (its
-			// combining happened, with contention, during compute),
-			// sectioning remote entries by global key-range bucket.
-			for o := range m.sharedCells {
-				for rt := range m.sharedCells[o] {
-					m.sharedCells[o][rt] = m.sharedCells[o][rt][:0]
-				}
-			}
-			wireV2 := m.wire == comm.WireV2
-			secBase := m.secBase
-			m.sharedPartial.ForEach(func(k graph.NodeID, v V) {
-				o := m.hashOwner(k)
-				if o == self {
-					m.applyToOwned(k, v)
-					return
-				}
-				rt := rangeBucket(k, uint64(threads), numGlobal)
-				var buf []byte
-				if wireV2 {
-					buf = comm.AppendUvarint(m.sharedCells[o][rt],
-						uint64(k)-secBase[rt])
-				} else {
-					buf = comm.AppendUint32(m.sharedCells[o][rt], uint32(k))
-				}
-				m.sharedCells[o][rt] = m.codec.Append(buf, v)
-			})
+			// combining happened, with contention, during compute) into
+			// combine thread 0's cells.
+			m.rf.resetCells(0)
+			m.sharedPartial.ForEach(func(k graph.NodeID, v V) { m.scatter(0, k, v) })
 			m.sharedPartial.Reset()
 		} else {
 			// SGR+CF: work-linear combine, exactly as in Full — combine
@@ -361,69 +314,24 @@ func (m *hashMap[V]) ReduceSync() {
 						cm.Reduce(k, v, m.op.Combine)
 					})
 				}
-				cells := m.cells[t]
-				for o := range cells {
-					cells[o] = cells[o][:0]
-				}
-				wireV2 := m.wire == comm.WireV2
-				base := m.secBase[t]
-				cm.ForEach(func(k graph.NodeID, v V) {
-					o := m.hashOwner(k)
-					if o == self {
-						m.applyToOwned(k, v)
-						return
-					}
-					var buf []byte
-					if wireV2 {
-						// Thread t's surviving entries are exactly global
-						// range bucket t: section t of every payload.
-						buf = comm.AppendUvarint(cells[o], uint64(k)-base)
-					} else {
-						buf = comm.AppendUint32(cells[o], uint32(k))
-					}
-					cells[o] = m.codec.Append(buf, v)
-				})
+				m.rf.resetCells(t)
+				cm.ForEach(func(k graph.NodeID, v V) { m.scatter(t, k, v) })
 			})
 			for _, t := range m.tl {
 				t.Reset()
 			}
 		}
 
-		// Scatter with compute/comm overlap: ExchangeFunc assembles and
-		// sends each destination's payload (tag, section lengths, sections
-		// in key-range order — see reducePayload) before the next
-		// destination's encode starts. Double-buffered.
-		m.reduceOut = m.sendBufs[m.sendGen]
-		m.sendGen ^= 1
-		in := comm.ExchangeFunc(m.h.EP, comm.TagReduce, m.encodeReduce, m.recvIn)
-
-		// Gather: thread t decodes section t of every payload — disjoint
-		// key ranges, each byte decoded once; the payload's format tag says
-		// how its keys decode. The owned map's shard locks make the
-		// concurrent applies safe.
+		// Scatter with compute/comm overlap (see the reduce frame), then
+		// gather: thread t decodes section t of every payload — disjoint
+		// key ranges, each byte decoded once. The owned map's shard locks
+		// make the concurrent applies safe.
+		in := m.rf.exchange(m.h.EP, m.recvIn)
 		m.h.ParFor(threads, func(_, t int) {
-			base := graph.NodeID(sectionLo(t, uint64(threads), numGlobal))
-			for o := 0; o < numHosts; o++ {
-				if o == self || len(in[o]) == 0 {
-					continue
-				}
-				sec, kind := reduceSection(in[o], t, threads)
-				if kind == secV2 {
-					for len(sec) > 0 {
-						var d uint64
-						d, sec = comm.ReadUvarint(sec)
-						var v V
-						v, sec = m.codec.Read(sec)
-						m.applyToOwned(base+graph.NodeID(d), v)
-					}
-				} else {
-					for len(sec) > 0 {
-						var id uint32
-						id, sec = comm.ReadUint32(sec)
-						var v V
-						v, sec = m.codec.Read(sec)
-						m.applyToOwned(graph.NodeID(id), v)
-					}
+			for _, payload := range in {
+				r := m.rf.section(payload, t)
+				for k, v, ok := r.next(); ok; k, v, ok = r.next() {
+					m.applyToOwned(k, v)
 				}
 			}
 		})
@@ -435,55 +343,22 @@ func (m *hashMap[V]) ReduceSync() {
 	})
 }
 
-// section returns the encoded bytes destined for host o's range bucket rt.
-func (m *hashMap[V]) section(o, rt int) []byte {
-	if m.shared {
-		return m.sharedCells[o][rt]
-	}
-	return m.cells[rt][o]
-}
-
-// reducePayload assembles the reduce payload for destination o: a 1-byte
-// wire tag, `threads` section byte-lengths (uint32 in v1, uvarint in v2),
-// then the sections in global key-range order. Empty rounds return an
-// empty payload with tag and header elided. Called by ExchangeFunc once
-// per destination, immediately before that destination's Send.
-func (m *hashMap[V]) reducePayload(o int) []byte {
-	threads := m.h.Threads
-	out := m.reduceOut
-	buf := out[o][:0]
-	total := 0
-	for rt := 0; rt < threads; rt++ {
-		total += len(m.section(o, rt))
-	}
-	if total == 0 {
-		out[o] = buf
-		return buf
-	}
-	if m.wire == comm.WireV2 {
-		buf = append(buf, wireV2)
-		for rt := 0; rt < threads; rt++ {
-			buf = comm.AppendUvarint(buf, uint64(len(m.section(o, rt))))
-		}
+// scatter routes one combined partial from combine thread t: applied here
+// when this host owns k, otherwise encoded for k's hash owner.
+func (m *hashMap[V]) scatter(t int, k graph.NodeID, v V) {
+	if o := m.hashOwner(k); o != m.h.Rank {
+		m.rf.add(t, o, k, v)
 	} else {
-		buf = append(buf, wireV1)
-		for rt := 0; rt < threads; rt++ {
-			buf = comm.AppendUint32(buf, uint32(len(m.section(o, rt))))
-		}
+		m.applyToOwned(k, v)
 	}
-	for rt := 0; rt < threads; rt++ {
-		buf = append(buf, m.section(o, rt)...)
-	}
-	out[o] = buf
-	return buf
 }
 
 // fetchReqPayload encodes the fetch request for host o: its byOwner ID
-// list behind a format tag (delta-varint under v2; the lists are sorted).
-// Called by ExchangeFunc once per destination.
+// list, delta-varint (the lists are sorted). Called by ExchangeFunc once
+// per destination.
 func (m *hashMap[V]) fetchReqPayload(o int) []byte {
 	out := m.fetchReqOut
-	out[o] = appendIDList(out[o][:0], m.wire, m.byOwner[o])
+	out[o] = appendIDList(out[o][:0], m.byOwner[o])
 	return out[o]
 }
 

@@ -9,6 +9,7 @@ import (
 	"kimbap/internal/comm"
 	"kimbap/internal/graph"
 	"kimbap/internal/kvstore"
+	"kimbap/internal/par"
 	"kimbap/internal/partition"
 	"kimbap/internal/runtime"
 )
@@ -36,7 +37,7 @@ type mcMap[V comparable] struct {
 	store  MCStore
 	prefix string
 
-	reqBits *runtime.Bitset
+	reqBits *par.Bitset
 	cache   *localMap[V]
 
 	pinned    bool
@@ -62,7 +63,7 @@ func newMCMap[V comparable](opts Options[V]) *mcMap[V] {
 		codec:      opts.Codec,
 		store:      opts.Store,
 		prefix:     "m" + strconv.FormatInt(h.NextMapID(), 10) + ":",
-		reqBits:    runtime.NewBitset(h.HP.NumGlobalNodes()),
+		reqBits:    par.NewBitset(h.HP.NumGlobalNodes()),
 		cache:      newLocalMap[V](),
 		trackReads: opts.TrackReads,
 	}

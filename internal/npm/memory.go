@@ -64,30 +64,14 @@ func (m *fullMap[V]) MemoryFootprint() int64 {
 		total += t.footprint(vs)
 	}
 	// Persistent sync-phase buffers (reused across rounds).
-	for _, perTid := range m.cells {
-		for _, perDest := range perTid {
-			for _, b := range perDest {
-				total += int64(cap(b))
-			}
-		}
-	}
-	for g := range m.sendBufs {
-		for _, b := range m.sendBufs[g] {
-			total += int64(cap(b))
-		}
+	total += m.rf.footprint()
+	for g := range m.bcastBufs {
 		for _, b := range m.bcastBufs[g] {
 			total += int64(cap(b))
 		}
 	}
-	// Frontier bitsets and the v2s sparse/dense section scratch.
 	if m.frontier != nil {
 		total += m.frontier.MemoryFootprint()
-	}
-	total += int64(cap(m.denseMask)) + int64(cap(m.denseVals))
-	for _, perTid := range m.cellN {
-		for _, perDest := range perTid {
-			total += int64(len(perDest)) * 8
-		}
 	}
 	return total
 }
@@ -109,20 +93,8 @@ func (m *hashMap[V]) MemoryFootprint() int64 {
 		total += m.sharedPartial.footprint(vs)
 	}
 	// Persistent sync-phase buffers (reused across rounds).
-	for _, perDest := range m.cells {
-		for _, b := range perDest {
-			total += int64(cap(b))
-		}
-	}
-	for _, perDest := range m.sharedCells {
-		for _, b := range perDest {
-			total += int64(cap(b))
-		}
-	}
-	for g := range m.sendBufs {
-		for _, b := range m.sendBufs[g] {
-			total += int64(cap(b))
-		}
+	total += m.rf.footprint()
+	for g := range m.reqBufs {
 		for _, b := range m.reqBufs[g] {
 			total += int64(cap(b))
 		}

@@ -33,7 +33,6 @@ package npm
 import (
 	"fmt"
 
-	"kimbap/internal/comm"
 	"kimbap/internal/graph"
 	"kimbap/internal/runtime"
 )
@@ -149,12 +148,6 @@ type Options[V comparable] struct {
 	Codec Codec[V]
 	// Variant selects the implementation; zero value means Full.
 	Variant Variant
-	// Wire selects the sync-payload encoding (see wire.go): WireV1 is the
-	// raw fixed-width format, WireV2 the compact delta-varint one. The zero
-	// value (WireAuto) defers to the host's cluster-wide setting, then to
-	// WireV2. Receivers decode by per-payload format tag, so maps with
-	// different Wire settings interoperate.
-	Wire comm.WireFormat
 	// Store supplies the external key-value cluster; required for MC.
 	Store MCStore
 	// TrackReads enables the §4.2 read-locality counters. Off by default:

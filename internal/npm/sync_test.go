@@ -31,10 +31,12 @@ func (c countingCodec) Size() int { return 4 }
 // entry is decoded exactly once — not once per gather thread. Every host
 // reduces every global key, so after per-host combining each host sends one
 // entry per key it does not own: (hosts-1) x numGlobal entries cross the
-// wire cluster-wide, and the decode count must equal it exactly.
+// wire cluster-wide, and the decode count must equal it exactly. All four
+// SGR variants share one reduce frame, so all four must hold it — SGR-only
+// and Vite drain their shared partial map into one combine thread's cells.
 func TestReduceSyncDecodesEachEntryOnce(t *testing.T) {
 	const hosts, threads = 4, 3
-	for _, variant := range []Variant{Full, SGRCF} {
+	for _, variant := range []Variant{Full, SGRCF, SGROnly, Vite} {
 		t.Run(string(variant), func(t *testing.T) {
 			g := gen.Grid(12, 12, false, 1)
 			c, err := runtime.NewCluster(g, runtime.Config{NumHosts: hosts, ThreadsPerHost: threads})

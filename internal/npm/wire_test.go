@@ -2,48 +2,24 @@ package npm
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"kimbap/internal/comm"
 	"kimbap/internal/graph"
 )
 
-// buildReducePayload assembles a tagged reduce payload from explicit
-// sections, the same framing reducePayload produces, for codec-level tests.
-func buildReducePayload(wire comm.WireFormat, sections [][]byte) []byte {
-	var buf []byte
-	if wire == comm.WireV2 {
-		buf = append(buf, wireV2)
-		for _, sec := range sections {
-			buf = comm.AppendUvarint(buf, uint64(len(sec)))
-		}
-	} else {
-		buf = append(buf, wireV1)
-		for _, sec := range sections {
-			buf = comm.AppendUint32(buf, uint32(len(sec)))
-		}
-	}
-	for _, sec := range sections {
-		buf = append(buf, sec...)
-	}
-	return buf
-}
-
-// buildReducePayloadV2S frames section bodies (form byte included, empty
-// slice = absent) the way reducePayload's v2s path does.
-func buildReducePayloadV2S(sections [][]byte) []byte {
-	buf := []byte{wireV2S}
-	maskLen := (len(sections) + 7) / 8
-	pm := len(buf)
-	for i := 0; i < maskLen; i++ {
-		buf = append(buf, 0)
-	}
+// buildReducePayload frames section bodies (form byte included, empty
+// slice = absent) the way reduceFrame.payload does, for codec-level tests.
+func buildReducePayload(sections [][]byte) []byte {
+	buf := make([]byte, (len(sections)+7)/8)
 	for i, sec := range sections {
 		if len(sec) == 0 {
 			continue
 		}
-		buf[pm+i/8] |= 1 << (uint(i) % 8)
+		buf[i/8] |= 1 << (uint(i) % 8)
 		buf = comm.AppendUvarint(buf, uint64(len(sec)))
 	}
 	for _, sec := range sections {
@@ -52,79 +28,144 @@ func buildReducePayloadV2S(sections [][]byte) []byte {
 	return buf
 }
 
+// hashGeometryPayload encodes, with the real frame encoder, what a
+// hash-distributed map on host 0 of 2 (2 threads, 32 global IDs) sends host
+// 1: the odd keys, so each section's keys are spread over the global ID
+// space rather than packed into a master range. Section 0 has enough
+// entries to take the dense form, section 1 a single sparse entry.
+func hashGeometryPayload() []byte {
+	f := newReduceFrame[graph.NodeID](NodeIDCodec{}, 0, 2, 2,
+		func(int) (graph.NodeID, uint64) { return 0, 32 })
+	for k := graph.NodeID(1); k < 16; k += 2 {
+		f.add(0, 1, k, k)
+	}
+	f.add(1, 1, 17, 17)
+	f.out = f.sendBufs[0]
+	return f.payload(1)
+}
+
 func TestReduceSectionRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for _, wire := range []comm.WireFormat{comm.WireV1, comm.WireV2} {
-		for _, threads := range []int{1, 2, 4, 7} {
+	// Section bodies as the encoder emits them: a form byte then a
+	// self-delimiting sparse or dense body.
+	sparse := []byte{sectionSparse, 2, 0x03, 0xaa, 0xbb, 0x05, 0xcc, 0xdd}
+	dense := []byte{sectionDense, 1, 0b101, 0x10, 0x11, 0x20, 0x21}
+	for _, threads := range []int{1, 2, 4, 7, 9} {
+		for _, structured := range []bool{false, true} {
 			sections := make([][]byte, threads)
 			for i := range sections {
-				sec := make([]byte, rng.Intn(40))
-				rng.Read(sec)
-				if rng.Intn(4) == 0 {
-					sec = nil // empty sections must survive the framing
+				switch {
+				case structured && i%3 == 0:
+					sections[i] = sparse
+				case structured && i%3 == 2:
+					sections[i] = dense
+				case !structured && rng.Intn(4) != 0:
+					sections[i] = make([]byte, 1+rng.Intn(40))
+					rng.Read(sections[i])
 				}
-				sections[i] = sec
+				// Everything else stays nil: a skipped section.
 			}
-			payload := buildReducePayload(wire, sections)
-			wantKind := secV1
-			if wire == comm.WireV2 {
-				wantKind = secV2
-			}
+			payload := buildReducePayload(sections)
 			for ti := 0; ti < threads; ti++ {
-				sec, kind := reduceSection(payload, ti, threads)
-				if kind != wantKind {
-					t.Fatalf("wire %d: kind = %v, want %v", wire, kind, wantKind)
-				}
+				sec := reduceSection(payload, ti, threads)
 				if !bytes.Equal(sec, sections[ti]) {
-					t.Fatalf("wire %d threads %d: section %d mismatch", wire, threads, ti)
+					t.Fatalf("threads %d: section %d mismatch: %x vs %x", threads, ti, sec, sections[ti])
 				}
-				csec, ckind, ok := reduceSectionChecked(payload, ti, threads)
-				if !ok || ckind != kind || !bytes.Equal(csec, sec) {
-					t.Fatalf("wire %d: checked decoder disagrees (ok=%v)", wire, ok)
+				csec, ok := reduceSectionChecked(payload, ti, threads)
+				if !ok || !bytes.Equal(csec, sec) {
+					t.Fatalf("threads %d: checked decoder disagrees (ok=%v)", threads, ok)
+				}
+				if structured && !validSectionEntries(sec, 2) {
+					t.Fatalf("threads %d: section %d rejected by entry validation", threads, ti)
 				}
 			}
 		}
 	}
 }
 
-func TestReduceSectionV2SRoundTrip(t *testing.T) {
-	// Section bodies as reducePayload emits them: a form byte then a
-	// self-delimiting sparse or dense body; absent sections decode empty.
-	sparse := append([]byte{sectionSparse, 2}, 0x03, 0xaa, 0xbb, 0x05, 0xcc, 0xdd)
-	dense := append([]byte{sectionDense, 1, 0b101}, 0x10, 0x11, 0x20, 0x21)
-	for _, threads := range []int{1, 2, 4, 7, 9} {
-		sections := make([][]byte, threads)
-		for i := range sections {
-			switch i % 3 {
-			case 0:
-				sections[i] = sparse
-			case 1:
-				sections[i] = nil // skipped section
-			default:
-				sections[i] = dense
-			}
-		}
-		payload := buildReducePayloadV2S(sections)
-		for ti := 0; ti < threads; ti++ {
-			sec, kind := reduceSection(payload, ti, threads)
-			if kind != secV2S {
-				t.Fatalf("threads %d: kind = %v, want secV2S", threads, kind)
-			}
-			if !bytes.Equal(sec, sections[ti]) {
-				t.Fatalf("threads %d: section %d mismatch: %x vs %x", threads, ti, sec, sections[ti])
-			}
-			csec, ckind, ok := reduceSectionChecked(payload, ti, threads)
-			if !ok || ckind != secV2S || !bytes.Equal(csec, sec) {
-				t.Fatalf("threads %d: checked decoder disagrees (ok=%v)", threads, ok)
-			}
-			if !validSectionEntries(sec, secV2S, 2) {
-				t.Fatalf("threads %d: section %d rejected by entry validation", threads, ti)
-			}
+// TestReduceFrameRoundTrip drives the shared frame end to end, encoder to
+// section reader, in both geometries: Full's per-host master ranges and the
+// hash variants' global ID space. Random keys land in random combine
+// threads' cells (as SGR-only's thread-0 drain and SGR+CF's per-range
+// threads both do), and every receiver gather thread must read back
+// exactly the entries addressed to it, whichever body form was chosen. Each
+// case seeds its own generator, so its keys are the same on every run.
+func TestReduceFrameRoundTrip(t *testing.T) {
+	const hosts, threads, numGlobal = 3, 4, 500
+	ranges := []graph.NodeID{0, 120, 310, numGlobal}
+	geometries := []struct {
+		name  string
+		space func(o int) (graph.NodeID, uint64)
+		owner func(k graph.NodeID) int
+	}{
+		{
+			name: "master-range",
+			space: func(o int) (graph.NodeID, uint64) {
+				return ranges[o], uint64(ranges[o+1] - ranges[o])
+			},
+			owner: func(k graph.NodeID) int {
+				o := 0
+				for k >= ranges[o+1] {
+					o++
+				}
+				return o
+			},
+		},
+		{
+			name:  "global",
+			space: func(int) (graph.NodeID, uint64) { return 0, numGlobal },
+			owner: func(k graph.NodeID) int { return int(k) % hosts },
+		},
+	}
+	for _, geo := range geometries {
+		for _, density := range []int{3, 50, 450} { // sparse, mixed, dense sections
+			t.Run(fmt.Sprintf("%s/%d", geo.name, density), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(int64(density)))
+				send := newReduceFrame[graph.NodeID](NodeIDCodec{}, 0, threads, hosts, geo.space)
+				want := make([][]graph.NodeID, hosts)
+				for _, k := range rng.Perm(numGlobal)[:density] {
+					o := geo.owner(graph.NodeID(k))
+					if o == 0 {
+						continue
+					}
+					send.add(rng.Intn(threads), o, graph.NodeID(k), graph.NodeID(k)*7)
+					want[o] = append(want[o], graph.NodeID(k))
+				}
+				send.out = send.sendBufs[0]
+				for o := 1; o < hosts; o++ {
+					payload := send.payload(o)
+					if len(want[o]) == 0 && len(payload) != 0 {
+						t.Fatalf("empty round for host %d encoded %d bytes", o, len(payload))
+					}
+					recv := newReduceFrame[graph.NodeID](NodeIDCodec{}, o, threads, hosts, geo.space)
+					var got []graph.NodeID
+					for rt := 0; rt < threads; rt++ {
+						lo, _ := geo.space(o)
+						secLo := lo + graph.NodeID(recv.secBase[o][rt])
+						secHi := lo + graph.NodeID(recv.sectionEnd(o, rt))
+						r := recv.section(payload, rt)
+						for k, v, ok := r.next(); ok; k, v, ok = r.next() {
+							if k < secLo || k >= secHi {
+								t.Fatalf("gather thread %d read key %d outside [%d, %d)", rt, k, secLo, secHi)
+							}
+							if v != k*7 {
+								t.Fatalf("key %d carried value %d, want %d", k, v, k*7)
+							}
+							got = append(got, k)
+						}
+					}
+					slices.Sort(got)
+					slices.Sort(want[o])
+					if !slices.Equal(got, want[o]) {
+						t.Fatalf("host %d read %v, want %v", o, got, want[o])
+					}
+				}
+			})
 		}
 	}
 }
 
-func TestValidSectionV2S(t *testing.T) {
+func TestValidSectionEntries(t *testing.T) {
 	cases := map[string]struct {
 		sec     []byte
 		valSize int
@@ -141,120 +182,120 @@ func TestValidSectionV2S(t *testing.T) {
 		"unknown form":       {[]byte{7, 0}, 2, false},
 	}
 	for name, c := range cases {
-		if got := validSectionEntries(c.sec, secV2S, c.valSize); got != c.want {
+		if got := validSectionEntries(c.sec, c.valSize); got != c.want {
 			t.Errorf("%s: valid = %v, want %v", name, got, c.want)
 		}
 	}
 }
 
 func TestReduceSectionCheckedRejectsMalformed(t *testing.T) {
-	good := buildReducePayload(comm.WireV2, [][]byte{{1, 2, 3}, {4, 5}})
+	good := buildReducePayload([][]byte{{sectionSparse, 0}, {sectionSparse, 1, 5, 0xaa}})
 	cases := map[string]struct {
 		payload []byte
 		t       int
+		threads int
 	}{
-		"empty":        {[]byte{}, 0},
-		"unknown tag":  {append([]byte{0x7f}, good[1:]...), 0},
-		"truncated":    {good[:len(good)-1], 1}, // section 1 now ends past the payload
-		"header only":  {good[:2], 0},
-		"length past":  {[]byte{wireV2, 0x10, 0x00, 1, 2}, 0},
-		"v1 short hdr": {[]byte{wireV1, 0x01, 0x00}, 0},
-		"bad t":        {good, 2},
+		"truncated":     {good[:len(good)-1], 1, 2}, // section 1 now ends past the payload
+		"header only":   {good[:2], 0, 2},           // second length missing
+		"length past":   {[]byte{0b01, 0x10, sectionSparse, 0}, 0, 2},
+		"absent, past":  {[]byte{0b01, 0x10, sectionSparse, 0}, 1, 2}, // t absent, still rejected
+		"mask short":    {[]byte{0xff}, 0, 9},
+		"overlong len":  {[]byte{0b1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}, 0, 1},
+		"bad t":         {good, 2, 2},
+		"negative t":    {good, -1, 2},
+		"present, none": {[]byte{0b10}, 1, 2},
 	}
 	for name, c := range cases {
-		if _, _, ok := reduceSectionChecked(c.payload, c.t, 2); ok {
+		if _, ok := reduceSectionChecked(c.payload, c.t, c.threads); ok {
 			t.Errorf("%s: checked decoder accepted malformed payload", name)
 		}
 	}
-	// And the original stays decodable.
-	if _, _, ok := reduceSectionChecked(good, 1, 2); !ok {
+	// The original stays decodable, and an empty payload is a valid
+	// all-absent one.
+	if sec, ok := reduceSectionChecked(good, 1, 2); !ok || !validSectionEntries(sec, 1) {
 		t.Fatal("checked decoder rejected a well-formed payload")
+	}
+	if sec, ok := reduceSectionChecked(nil, 0, 2); !ok || sec != nil {
+		t.Fatal("checked decoder rejected an empty payload")
 	}
 }
 
 func TestIDListRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	for _, wire := range []comm.WireFormat{comm.WireV1, comm.WireV2} {
-		for trial := 0; trial < 20; trial++ {
-			n := rng.Intn(50)
-			ids := make([]graph.NodeID, 0, n)
-			next := graph.NodeID(rng.Intn(10))
-			for i := 0; i < n; i++ {
-				ids = append(ids, next)
-				next += graph.NodeID(1 + rng.Intn(1000)) // sorted, gappy
-			}
-			payload := appendIDList(nil, wire, ids)
-			if n == 0 && payload != nil {
-				t.Fatalf("wire %d: empty list encoded to %d bytes", wire, len(payload))
-			}
-			var got []graph.NodeID
-			dec := decodeIDList(payload)
-			for id, ok := dec.next(); ok; id, ok = dec.next() {
-				got = append(got, id)
-			}
-			if len(got) != len(ids) {
-				t.Fatalf("wire %d: decoded %d ids, want %d", wire, len(got), len(ids))
-			}
-			for i := range ids {
-				if got[i] != ids[i] {
-					t.Fatalf("wire %d: id %d = %d, want %d", wire, i, got[i], ids[i])
-				}
-			}
+	for trial := 0; trial < 20; trial++ {
+		n := rng.Intn(50)
+		ids := make([]graph.NodeID, 0, n)
+		next := graph.NodeID(rng.Intn(10))
+		for i := 0; i < n; i++ {
+			ids = append(ids, next)
+			next += graph.NodeID(1 + rng.Intn(1000)) // sorted, gappy
+		}
+		payload := appendIDList(nil, ids)
+		if n == 0 && payload != nil {
+			t.Fatalf("empty list encoded to %d bytes", len(payload))
+		}
+		var got []graph.NodeID
+		dec := idListDecoder{b: payload}
+		for id, ok := dec.next(); ok; id, ok = dec.next() {
+			got = append(got, id)
+		}
+		if !slices.Equal(got, ids) {
+			t.Fatalf("decoded %v, want %v", got, ids)
 		}
 	}
 }
 
 // Dense consecutive ID lists — the common request pattern — must get the
 // promised compression: one byte per ID after the first.
-func TestIDListV2Compression(t *testing.T) {
+func TestIDListCompression(t *testing.T) {
 	ids := make([]graph.NodeID, 128)
 	for i := range ids {
 		ids[i] = graph.NodeID(100000 + i)
 	}
-	v1 := appendIDList(nil, comm.WireV1, ids)
-	v2 := appendIDList(nil, comm.WireV2, ids)
-	if len(v1) != 1+4*len(ids) {
-		t.Fatalf("v1 size = %d", len(v1))
-	}
-	// tag + 3-byte first delta + 1 byte per subsequent ID
-	if want := 1 + 3 + (len(ids) - 1); len(v2) != want {
-		t.Fatalf("v2 size = %d, want %d", len(v2), want)
+	// 3-byte first delta + 1 byte per subsequent ID
+	if got, want := len(appendIDList(nil, ids)), 3+(len(ids)-1); got != want {
+		t.Fatalf("size = %d, want %d", got, want)
 	}
 }
 
-// FuzzDecodeSection drives the checked v1/v2/v2s payload decoder with
+// FuzzDecodeSection drives the checked reduce-payload decoder with
 // arbitrary bytes: it must never panic or read out of bounds, and whenever
 // it accepts a payload the trusted (panicking) decoder must agree with it
 // byte for byte.
 func FuzzDecodeSection(f *testing.F) {
-	f.Add(buildReducePayload(comm.WireV2, [][]byte{{5, 0xaa, 0xbb}, {}}), uint8(2), uint8(0), uint8(2))
-	f.Add(buildReducePayload(comm.WireV1, [][]byte{{1, 0, 0, 0, 9, 9, 9, 9}, {2, 0, 0, 0, 8, 8, 8, 8}}), uint8(2), uint8(1), uint8(4))
-	f.Add(buildReducePayload(comm.WireV2, [][]byte{nil, nil, nil, nil}), uint8(4), uint8(3), uint8(8))
-	f.Add([]byte{wireV2, 0xff, 0xff, 0xff, 0xff, 0xff}, uint8(1), uint8(0), uint8(4))
-	f.Add([]byte{}, uint8(1), uint8(0), uint8(4))
-	// v2s seeds: sparse + absent sections, dense bitmap form, and a payload
-	// whose present bitmap promises a section the length header omits.
-	f.Add(buildReducePayloadV2S([][]byte{
+	// Sparse + absent sections, dense bitmap form, a payload whose present
+	// bitmap promises a section the length header omits, and the
+	// hash-variant geometry (sections over the global ID space).
+	f.Add(buildReducePayload([][]byte{
 		{sectionSparse, 2, 0x01, 0xaa, 0xbb, 0x04, 0xcc, 0xdd}, nil,
 	}), uint8(2), uint8(0), uint8(2))
-	f.Add(buildReducePayloadV2S([][]byte{
+	f.Add(buildReducePayload([][]byte{
 		nil, {sectionDense, 1, 0b1001, 1, 2, 3, 4}, nil, nil,
 	}), uint8(4), uint8(1), uint8(2))
-	f.Add([]byte{wireV2S, 0b11, 0x05, 0x01}, uint8(2), uint8(1), uint8(4))
+	f.Add([]byte{0b11, 0x05, 0x01}, uint8(2), uint8(1), uint8(4))
+	f.Add(hashGeometryPayload(), uint8(2), uint8(0), uint8(4))
+	f.Add([]byte{}, uint8(1), uint8(0), uint8(4))
+	// Every section present with 4-byte values, an explicit all-absent
+	// bitmap (valid, though the encoder sends an empty payload instead), and
+	// a section length varint that never terminates.
+	f.Add(buildReducePayload([][]byte{
+		{sectionSparse, 1, 0x00, 9, 9, 9, 9}, {sectionSparse, 1, 0x02, 8, 8, 8, 8},
+	}), uint8(2), uint8(1), uint8(4))
+	f.Add(buildReducePayload([][]byte{nil, nil, nil, nil}), uint8(4), uint8(3), uint8(8))
+	f.Add([]byte{0b1, 0xff, 0xff, 0xff, 0xff, 0xff}, uint8(1), uint8(0), uint8(4))
 	f.Fuzz(func(t *testing.T, payload []byte, threads, tid, valSize uint8) {
 		th := int(threads)%8 + 1
 		ti := int(tid) % th
 		vs := int(valSize) % 17
-		sec, kind, ok := reduceSectionChecked(payload, ti, th)
+		sec, ok := reduceSectionChecked(payload, ti, th)
 		if !ok {
 			return
 		}
-		tsec, tkind := reduceSection(payload, ti, th)
-		if tkind != kind || !bytes.Equal(tsec, sec) {
-			t.Fatalf("trusted and checked decoders disagree: %v/%v", kind, tkind)
+		if tsec := reduceSection(payload, ti, th); !bytes.Equal(tsec, sec) {
+			t.Fatalf("trusted and checked decoders disagree: %x vs %x", tsec, sec)
 		}
 		// Entry validation over the section must terminate without panics
 		// whatever it decides.
-		validSectionEntries(sec, kind, vs)
+		validSectionEntries(sec, vs)
 	})
 }

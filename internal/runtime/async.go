@@ -99,13 +99,13 @@ type asyncSched struct {
 	deques  [][]*par.Deque // [worker][level]
 	// queued marks vertices currently enqueued (dedup); cleared before the
 	// body runs so an activation racing the body re-enqueues.
-	queued *Bitset
+	queued *par.Bitset
 	// spill parks enqueues that found their deque full; idle workers claim
 	// from it. spillCount lets the common no-spill case skip the scan, and
 	// spillHint rotates the scan's starting word so consecutive claims
 	// don't re-walk the already-drained prefix (the scan wraps the whole
 	// set, so a stale hint costs time, never correctness).
-	spill      *Bitset
+	spill      *par.Bitset
 	spillCount atomic.Int64
 	spillHint  atomic.Int64
 	// pending counts enqueued-but-unprocessed vertices; zero is the
@@ -130,8 +130,8 @@ func newAsyncSched(threads, size int) *asyncSched {
 		threads:  threads,
 		levels:   maxAsyncLevels,
 		deques:   make([][]*par.Deque, threads),
-		queued:   NewBitset(size),
-		spill:    NewBitset(size),
+		queued:   par.NewBitset(size),
+		spill:    par.NewBitset(size),
 		counters: make([]drainCounters, threads),
 	}
 	for w := range s.deques {
@@ -274,11 +274,11 @@ func (h *Host) AsyncDrain(f *Frontier, opts AsyncOpts, body func(tid int, node g
 
 // AsyncDrainBits is AsyncDrain over an explicit seed bitset (phases that
 // track their own pending sets, e.g. CC shortcut's unresolved-remote set).
-func (h *Host) AsyncDrainBits(b *Bitset, opts AsyncOpts, body func(tid int, node graph.NodeID, cx *AsyncCtx)) DrainStats {
+func (h *Host) AsyncDrainBits(b *par.Bitset, opts AsyncOpts, body func(tid int, node graph.NodeID, cx *AsyncCtx)) DrainStats {
 	return h.asyncDrain(b, b.Count(), opts, body)
 }
 
-func (h *Host) asyncDrain(seed *Bitset, count int, opts AsyncOpts, body func(tid int, node graph.NodeID, cx *AsyncCtx)) DrainStats {
+func (h *Host) asyncDrain(seed *par.Bitset, count int, opts AsyncOpts, body func(tid int, node graph.NodeID, cx *AsyncCtx)) DrainStats {
 	if count == 0 {
 		return DrainStats{}
 	}

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"kimbap/internal/par"
 	"sync/atomic"
 	"testing"
 
@@ -137,7 +138,9 @@ func TestAsyncDrainPriorityOrder(t *testing.T) {
 }
 
 // A body that floods its own worker's deque must overflow into the spill
-// set without losing work.
+// set without losing work. Thieves park in the body until the flood ends,
+// so each relieves the flooding worker of at most one vertex and the
+// overflow is certain rather than a race against their stealing rate.
 func TestAsyncDrainSpillOverflow(t *testing.T) {
 	const n = 20000 // per-worker deque cap is n/threads+1, far below n
 	h := testHost(4)
@@ -146,13 +149,17 @@ func TestAsyncDrainSpillOverflow(t *testing.T) {
 	f.Activate(0)
 	f.Advance()
 	var visits [n]atomic.Int32
+	flooded := make(chan struct{})
 	stats := h.AsyncDrain(f, AsyncOpts{}, func(_ int, node graph.NodeID, cx *AsyncCtx) {
 		visits[node].Add(1)
-		if node == 0 {
-			for i := 1; i < n; i++ {
-				cx.Enqueue(graph.NodeID(i))
-			}
+		if node != 0 {
+			<-flooded
+			return
 		}
+		for i := 1; i < n; i++ {
+			cx.Enqueue(graph.NodeID(i))
+		}
+		close(flooded)
 	})
 	for i := range visits {
 		if visits[i].Load() == 0 {
@@ -170,7 +177,7 @@ func TestAsyncDrainBits(t *testing.T) {
 	const n = 300
 	h := testHost(3)
 	defer h.pool.close()
-	b := NewBitset(n)
+	b := par.NewBitset(n)
 	for _, i := range []int{0, 7, 63, 64, 299} {
 		b.Set(i)
 	}

@@ -1,5 +1,7 @@
 package runtime
 
+import "kimbap/internal/par"
+
 // Frontier is a double-buffered active-vertex set for frontier-driven BSP
 // rounds. Late CC/MIS/MSF rounds change fewer than 1% of vertices, yet a
 // dense round still visits all of them; a Frontier makes round cost
@@ -9,11 +11,11 @@ package runtime
 // Protocol per BSP round: the compute phase iterates the *current* set
 // (Host.ParForActive) while reduce and broadcast callbacks Activate bits in
 // the *next* set; Advance then swaps the buffers between rounds. Activate
-// is a single atomic fetch-or on the underlying Bitset, so activation from
-// conflict-free reduce paths needs no locks and no per-thread buffers —
+// is a single atomic fetch-or on the underlying par.Bitset, so activation
+// from conflict-free reduce paths needs no locks and no per-thread buffers —
 // the //kimbap:conflictfree annotation is checked by kimbapvet.
 type Frontier struct {
-	cur, next *Bitset
+	cur, next *par.Bitset
 	count     int // set bits in cur, computed by Advance
 	// idx is the compacted list of cur's set bits, built lazily per round
 	// for sparse iteration and reused across rounds.
@@ -23,7 +25,7 @@ type Frontier struct {
 
 // NewFrontier creates a frontier over [0, size) with both sets empty.
 func NewFrontier(size int) *Frontier {
-	return &Frontier{cur: NewBitset(size), next: NewBitset(size)}
+	return &Frontier{cur: par.NewBitset(size), next: par.NewBitset(size)}
 }
 
 // Size returns the vertex-space size.
@@ -41,7 +43,7 @@ func (f *Frontier) IsActive(i int) bool { return f.cur.Test(i) }
 
 // Activate adds vertex i to the next set. Safe for concurrent use from
 // worker threads and from reduce/broadcast decode callbacks: the
-// underlying Bitset.Set is one atomic Or, no locks.
+// underlying par.Bitset.Set is one atomic Or, no locks.
 //
 //kimbap:conflictfree
 func (f *Frontier) Activate(i int) { f.next.Set(i) }
@@ -56,12 +58,12 @@ func (f *Frontier) ActivateAll() { f.next.SetRange(0, f.next.Size()) }
 
 // ActivateSet adds every vertex in b to the next set; used to seed a phase
 // from an accumulated change set instead of a full activation.
-func (f *Frontier) ActivateSet(b *Bitset) { b.OrInto(f.next) }
+func (f *Frontier) ActivateSet(b *par.Bitset) { b.OrInto(f.next) }
 
 // OrCurrentInto ors the current set into dst (same size). A phase that
 // narrows its frontier round by round calls this after each Advance to
 // accumulate every round's changed set for the next phase's seed.
-func (f *Frontier) OrCurrentInto(dst *Bitset) { f.cur.OrInto(dst) }
+func (f *Frontier) OrCurrentInto(dst *par.Bitset) { f.cur.OrInto(dst) }
 
 // Advance makes the next set current, clears the new next set, and returns
 // the new current count. Call between BSP rounds, after all activations

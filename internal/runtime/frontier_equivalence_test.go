@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"kimbap/internal/algorithms"
-	"kimbap/internal/comm"
 	"kimbap/internal/gen"
 	"kimbap/internal/graph"
 	"kimbap/internal/partition"
@@ -13,10 +12,9 @@ import (
 )
 
 // Dense-vs-frontier equivalence: frontier-driven execution changes which
-// vertices a round visits and how reduce payloads are encoded (the v2s
-// sparse sections), so CC, MIS, and MSF must produce bit-identical outputs
-// with the frontier on and off, for every {v1, v2} × {local, TCP} ×
-// {2, 4, 8} host combination. MSF's forest weight is a float sum whose
+// vertices a round visits and how reduce payloads are encoded (sparse
+// sections), so CC, MIS, and MSF must produce bit-identical outputs with the
+// frontier on and off, for every {local, TCP} × {2, 4, 8} host combination. MSF's forest weight is a float sum whose
 // per-thread addition order varies, so it only agrees to round-off; labels,
 // set membership, and edge counts match exactly.
 
@@ -24,12 +22,9 @@ func frontierConfigs() []runtime.Config {
 	var out []runtime.Config
 	for _, hosts := range []int{2, 4, 8} {
 		for _, tcp := range []bool{false, true} {
-			for _, wire := range []comm.WireFormat{comm.WireV1, comm.WireV2} {
-				out = append(out, runtime.Config{
-					NumHosts: hosts, ThreadsPerHost: 2, UseTCP: tcp, Wire: wire,
-					Policy: partition.CVC,
-				})
-			}
+			out = append(out, runtime.Config{
+				NumHosts: hosts, ThreadsPerHost: 2, UseTCP: tcp, Policy: partition.CVC,
+			})
 		}
 	}
 	return out
@@ -108,14 +103,14 @@ func TestFrontierEquivalence(t *testing.T) {
 // the phase quiesces. The frontier run revisits only proxies whose parent
 // changed, so its reduce-sync bytes in the late rounds of a hook phase must
 // be strictly lower than the dense run's. This is the end-to-end guard on
-// the whole sparse path: activation tracking, v2s sparse sections, and
+// the whole sparse path: activation tracking, sparse sections, and
 // empty-section skipping together.
 //
 // Only the first hook phase is compared: shortcut reduces always target the
 // sending host's own masters (zero wire bytes either way), and later outer
 // rounds are quiescence checks with no traffic in either mode. CVC scatters
 // edges across hosts so hook targets are remote. Everything is
-// deterministic — fixed seed, hashed partition, and order-independent v2s
+// deterministic — fixed seed, hashed partition, and order-independent
 // section sizes — so exact byte comparisons are stable.
 func TestFrontierLateRoundReduceBytesLower(t *testing.T) {
 	g := gen.RMAT(10, 8, false, 5)

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"kimbap/internal/par"
 	"math/rand"
 	"sync/atomic"
 	"testing"
@@ -9,7 +10,7 @@ import (
 )
 
 func TestBitsetForEachSetFrom(t *testing.T) {
-	b := NewBitset(200)
+	b := par.NewBitset(200)
 	set := []int{0, 1, 63, 64, 65, 127, 128, 199}
 	for _, i := range set {
 		b.Set(i)
@@ -38,7 +39,7 @@ func TestQuickBitsetRangeOps(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 200; trial++ {
 		size := 1 + rng.Intn(300)
-		b := NewBitset(size)
+		b := par.NewBitset(size)
 		ref := make([]bool, size)
 		for k := 0; k < 3; k++ {
 			lo := rng.Intn(size + 1)
@@ -74,7 +75,7 @@ func TestQuickBitsetRangeOps(t *testing.T) {
 }
 
 func TestBitsetOrInto(t *testing.T) {
-	a, b := NewBitset(130), NewBitset(130)
+	a, b := par.NewBitset(130), par.NewBitset(130)
 	a.Set(0)
 	a.Set(64)
 	a.Set(129)
@@ -94,7 +95,7 @@ func TestBitsetOrInto(t *testing.T) {
 			t.Fatal("OrInto with mismatched sizes did not panic")
 		}
 	}()
-	NewBitset(10).OrInto(NewBitset(11))
+	par.NewBitset(10).OrInto(par.NewBitset(11))
 }
 
 func TestFrontierDoubleBuffering(t *testing.T) {

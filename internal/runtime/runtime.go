@@ -7,9 +7,9 @@
 //
 // The package also provides the BSP building blocks the generated code in
 // the paper relies on: parallel-for over local nodes with per-thread
-// contexts (for conflict-free thread-local maps), a concurrent bitset (for
-// request de-duplication), distributed reducers, and per-phase time
-// accounting that separates computation from communication.
+// contexts (for conflict-free thread-local maps), frontiers over par's
+// concurrent bitsets, distributed reducers, and per-phase time accounting
+// that separates computation from communication.
 package runtime
 
 import (
@@ -36,10 +36,6 @@ type Config struct {
 	// UseTCP selects the real-socket transport instead of the in-memory
 	// channel transport.
 	UseTCP bool
-	// Wire is the cluster-wide default for the property-map payload
-	// encoding; maps can override it per instance. The zero value
-	// (comm.WireAuto) means the npm package default (v2).
-	Wire comm.WireFormat
 	// FrontierDenseDivisor sets ParForActive's dense/sparse switch: the
 	// frontier iterates densely (parallel masked word scan) when
 	// |active| >= |V|/divisor, sparsely (compacted index list) below.
@@ -94,7 +90,6 @@ type Host struct {
 	HP      *partition.HostPartition
 	EP      comm.Endpoint
 	Threads int
-	Wire    comm.WireFormat
 	Timers  Timers
 
 	pool   *workerPool
@@ -157,7 +152,6 @@ func NewCluster(g *graph.Graph, cfg Config) (*Cluster, error) {
 			HP:      part.Hosts[i],
 			EP:      eps[i],
 			Threads: cfg.ThreadsPerHost,
-			Wire:    cfg.Wire,
 			pool:    newWorkerPool(cfg.ThreadsPerHost),
 		}
 		h.SetFrontierThresholds(cfg.FrontierDenseDivisor, cfg.FrontierSerialCutoff)

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"kimbap/internal/par"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -209,7 +210,7 @@ func TestCommStats(t *testing.T) {
 }
 
 func TestBitsetBasics(t *testing.T) {
-	b := NewBitset(130)
+	b := par.NewBitset(130)
 	if b.Size() != 130 {
 		t.Fatalf("Size = %d", b.Size())
 	}
@@ -237,7 +238,7 @@ func TestBitsetBasics(t *testing.T) {
 }
 
 func TestBitsetConcurrentSet(t *testing.T) {
-	b := NewBitset(4096)
+	b := par.NewBitset(4096)
 	var newly atomic.Int64
 	var wg sync.WaitGroup
 	for t := 0; t < 8; t++ {
@@ -261,7 +262,7 @@ func TestBitsetConcurrentSet(t *testing.T) {
 // Property: Count equals the number of distinct set indices.
 func TestQuickBitsetCount(t *testing.T) {
 	f := func(idxs []uint16) bool {
-		b := NewBitset(1 << 16)
+		b := par.NewBitset(1 << 16)
 		seen := map[uint16]bool{}
 		for _, i := range idxs {
 			b.Set(int(i))
