@@ -78,6 +78,12 @@ func leidenRefine(h *runtime.Host, cfg Config, opts CDOptions,
 	initOwn(h, sub)
 	sub.PinMirrors()
 
+	// Map 4: subcommunity totals. Map 5: subcommunity sizes. Both are
+	// keyed by subcommunity representative and re-Set to 0 every round,
+	// so one pair of maps serves the whole refinement.
+	subtot := cfg.newFloatMap(h, npm.SumFloat64())
+	subsize := cfg.newFloatMap(h, npm.SumFloat64())
+
 	const refineRounds = 4
 	for round := 0; round < refineRounds; round++ {
 		if cfg.requestActive() {
@@ -85,10 +91,6 @@ func leidenRefine(h *runtime.Host, cfg Config, opts CDOptions,
 			requestLocalProxies(h, sub)
 		}
 
-		// Map 4: subcommunity totals. Map 5: subcommunity sizes. Both are
-		// rebuilt each round, keyed by subcommunity representative.
-		subtot := cfg.newFloatMap(h, npm.SumFloat64())
-		subsize := cfg.newFloatMap(h, npm.SumFloat64())
 		h.ParForMasters(func(_ int, n graph.NodeID) {
 			gid := h.HP.GlobalID(n)
 			subtot.Set(gid, 0)

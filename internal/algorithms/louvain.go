@@ -242,6 +242,12 @@ func refineLevel(h *runtime.Host, cfg Config, opts CDOptions,
 		stable = make([]uint8, h.HP.NumMasters)
 	}
 
+	// Community totals and sizes, keyed by representative node. Every
+	// round re-Sets them to 0 before reducing, so one pair of maps serves
+	// the whole level.
+	ctot := cfg.newFloatMap(h, npm.SumFloat64())
+	csize := cfg.newFloatMap(h, npm.SumFloat64())
+
 	prevQ := -1.0
 	for rounds = 0; rounds < opts.MaxIters; rounds++ {
 		if cfg.requestActive() {
@@ -249,10 +255,6 @@ func refineLevel(h *runtime.Host, cfg Config, opts CDOptions,
 			requestLocalProxies(h, wdeg)
 		}
 
-		// Community totals and sizes for this round, keyed by
-		// representative node.
-		ctot := cfg.newFloatMap(h, npm.SumFloat64())
-		csize := cfg.newFloatMap(h, npm.SumFloat64())
 		h.ParForMasters(func(_ int, n graph.NodeID) {
 			gid := h.HP.GlobalID(n)
 			ctot.Set(gid, 0)
@@ -383,8 +385,6 @@ func refineLevel(h *runtime.Host, cfg Config, opts CDOptions,
 		})
 		cm.ReduceSync()
 		cm.BroadcastSync()
-		cfg.recordStats(ctot)
-		cfg.recordStats(csize)
 		moved.Sync(h.EP)
 		totalMoved += moved.Read() // global count, identical on all hosts
 		if moved.Read() == 0 {
@@ -398,6 +398,8 @@ func refineLevel(h *runtime.Host, cfg Config, opts CDOptions,
 	CollectNodeValues(h, cm, assign)
 	cfg.recordStats(cm)
 	cfg.recordStats(wdeg)
+	cfg.recordStats(ctot)
+	cfg.recordStats(csize)
 	return rounds, totalMoved
 }
 

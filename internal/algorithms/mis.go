@@ -19,7 +19,8 @@ import (
 // reduction: every edge location min-reduces the undecided neighbor's
 // priority onto the node, and the master compares against its own
 // priority. The paper's MIS uses two node-property maps (priority and
-// state); the per-round minimum-neighbor-priority map makes a third here.
+// state); the minimum-neighbor-priority map, re-initialized every round,
+// makes a third here.
 
 // Node states, ordered so the max reduction only moves a node forward:
 // undecided -> out -> in. Adjacent nodes can never both enter in one round
@@ -123,6 +124,15 @@ func MIS(h *runtime.Host, cfg Config, out []bool) MISStats {
 		misOpts = runtime.AsyncOpts{Levels: 2, Priority: degreePriority(local, avg)}
 	}
 
+	// Minimum priority among each node's undecided neighbors, accumulated
+	// from every edge location — except in a pull round, where each
+	// undecided master computes the complete minimum from its in-edges (all
+	// present under a pull-complete partition) and the collective is
+	// skipped entirely. One map serves every round: each round re-Sets the
+	// masters to +Inf, which every variant overwrites in place, so the
+	// master vector and reduce buffers are reused instead of rebuilt.
+	minNbr := cfg.newFloatMap(h, npm.MinFloat64())
+
 	var stats MISStats
 	var remaining runtime.CountReducer
 	// Globally-synced undecided-master count driving the direction rule;
@@ -141,12 +151,6 @@ func MIS(h *runtime.Host, cfg Config, out []bool) MISStats {
 		}
 		dir := de.directionFromGlobalActive(undecided)
 
-		// Per-round map: minimum priority among each node's undecided
-		// neighbors, accumulated from every edge location — except in a
-		// pull round, where each undecided master computes the complete
-		// minimum from its in-edges (all present under a pull-complete
-		// partition) and the collective is skipped entirely.
-		minNbr := cfg.newFloatMap(h, npm.MinFloat64())
 		h.ParForMasters(func(_ int, n graph.NodeID) {
 			minNbr.Set(h.HP.GlobalID(n), math.Inf(1))
 		})

@@ -118,16 +118,19 @@ func MSF(h *runtime.Host, cfg Config, comp []graph.NodeID) MSFStats {
 		frProp.Advance()
 	}
 
+	// Each root's cheapest crossing edge. One map serves every round: each
+	// round re-Sets the masters to the identity before reducing.
+	cand := npm.New(npm.Options[MinEdge]{
+		Host: h, Op: MinEdgeOp(), Codec: MinEdgeCodec{},
+		Variant: cfg.Variant, Store: cfg.Store,
+	})
+
 	for {
 		stats.Rounds++
 		// 1. Collapse parent chains so parents are component roots.
 		ccShortcut(h, cfg, parent, frP, nil, nil, nil)
 
-		// 2. Fresh candidate map, masters initialized to the identity.
-		cand := npm.New(npm.Options[MinEdge]{
-			Host: h, Op: MinEdgeOp(), Codec: MinEdgeCodec{},
-			Variant: cfg.Variant, Store: cfg.Store,
-		})
+		// 2. Reset the candidates: masters back to the identity.
 		h.ParForMasters(func(_ int, local graph.NodeID) {
 			cand.Set(h.HP.GlobalID(local), infEdge())
 		})
@@ -249,7 +252,6 @@ func MSF(h *runtime.Host, cfg Config, comp []graph.NodeID) MSFStats {
 		})
 		parent.ReduceSync()
 		parent.UnpinMirrors()
-		cfg.recordStats(cand)
 
 		workDone.Sync(h.EP)
 		if !workDone.Read() || stats.Rounds >= cfg.maxRounds() {
@@ -265,5 +267,6 @@ func MSF(h *runtime.Host, cfg Config, comp []graph.NodeID) MSFStats {
 	stats.ForestEdges = edges.Read()
 	CollectNodeValues(h, parent, comp)
 	cfg.recordStats(parent)
+	cfg.recordStats(cand)
 	return stats
 }

@@ -62,9 +62,9 @@ func (s *store) applySync(u int, x float64) {
 	s.reduceLocked(u, x)
 }
 
-// Frontier activation from a reduce path: runtime.Frontier.Activate is one
-// atomic fetch-or, and the analyzer proves it (chasing the real call chain
-// through Bitset.Set into sync/atomic, which is assumed clean).
+// Frontier activation from a reduce path: runtime.Frontier.Activate is an
+// atomic load/CAS loop, and the analyzer proves it (chasing the real call
+// chain through Bitset.Set into sync/atomic, which is assumed clean).
 //
 //kimbap:conflictfree
 func reduceAndActivate(s *store, fr *runtime.Frontier, u int, x float64) {
@@ -179,4 +179,55 @@ func gatherLocked(s *store, n int) {
 func misplacedAnnotation(s *store) {
 	//kimbap:conflictfree
 	s.reduceClean(0, 1) // want `//kimbap:conflictfree on a statement must annotate a par.Do/Static/Dynamic dispatch`
+}
+
+// The dense reduce buffer idiom: values indexed by local ID, a plain seen
+// bitset, and first-touch lists per 64-aligned combine range. Combine
+// thread r owns range r's whole seen words, so its plain word stores need
+// no atomics and no lock, and the fold's call tree proves clean.
+type denseBuf struct {
+	vals    []float64
+	seen    []uint64
+	touched [][]int32
+}
+
+//kimbap:conflictfree
+func (b *denseBuf) reduce(r int, l int32, x float64) {
+	if b.seen[l/64]&(1<<(l%64)) != 0 {
+		b.vals[l] += x
+		return
+	}
+	b.seen[l/64] |= 1 << (l % 64)
+	b.vals[l] = x
+	b.touched[r] = append(b.touched[r], l)
+}
+
+//kimbap:conflictfree
+func (b *denseBuf) foldRange(src *denseBuf, r int) {
+	for _, l := range src.touched[r] {
+		src.seen[l/64] = 0
+		b.reduce(r, l, src.vals[l])
+	}
+	src.touched[r] = src.touched[r][:0]
+}
+
+// Guarding the seen words with a shared lock instead of range ownership is
+// exactly the conflict CF removes.
+type lockedDenseBuf struct {
+	mu sync.Mutex
+	denseBuf
+}
+
+func (b *lockedDenseBuf) reduceLocked(r int, l int32, x float64) {
+	b.mu.Lock()
+	b.reduce(r, l, x)
+	b.mu.Unlock()
+}
+
+//kimbap:conflictfree
+func (b *lockedDenseBuf) foldRangeLocked(src *denseBuf, r int) { // want `lockedDenseBuf.foldRangeLocked -> lockedDenseBuf.reduceLocked -> Mutex.Lock`
+	for _, l := range src.touched[r] {
+		src.seen[l/64] = 0
+		b.reduceLocked(r, l, src.vals[l])
+	}
 }

@@ -180,7 +180,7 @@ func enqueueWhileLocked(sh *shard, cx *runtime.AsyncCtx, node graph.NodeID, k, v
 	sh.mu.Unlock()
 }
 
-// Frontier activation is one atomic fetch-or: it never blocks, so marking
+// Frontier activation is an atomic load/CAS loop: it never blocks, so marking
 // a vertex active inside a locked region is fine.
 func activateWhileLocked(sh *shard, fr *runtime.Frontier, k, v int) {
 	sh.mu.Lock()

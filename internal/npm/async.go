@@ -102,7 +102,7 @@ func (a *AsyncNodeHandle) ReduceAsync(tid int, n, v graph.NodeID) (local graph.N
 	m := a.m
 	p, local, mirror, isLocal := a.nodeSlot(n)
 	if !isLocal {
-		m.tl[tid].Reduce(n, v, m.op.Combine)
+		m.Reduce(tid, n, v)
 		return 0, false, false
 	}
 	for {

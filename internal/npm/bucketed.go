@@ -3,8 +3,9 @@ package npm
 import "kimbap/internal/graph"
 
 // bucketedMap is the thread-private reduce map of the CF compute phase
-// (Figure 7), internally partitioned into one localMap per combine thread's
-// key range. Bucketing at Reduce time makes ReduceSync's combine pass
+// (Figure 7) for keys without a local dense slot — every key of SGR+CF, and
+// the Full map's keys that are not local proxies (dense.go takes the rest)
+// — internally partitioned into one localMap per combine thread's key range. Bucketing at Reduce time makes ReduceSync's combine pass
 // work-linear: combine thread t drains exactly bucket t of every thread's
 // map, instead of scanning all T maps and filtering by key range (which
 // costs O(T x entries) total). Buckets cover disjoint key ranges, so the

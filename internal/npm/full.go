@@ -15,11 +15,12 @@ import (
 // optimizations from §4.2:
 //
 //   - GAR: master properties live in a dense vector indexed by
-//     (global - masterLo); requested remote properties live in parallel
-//     sorted arrays read by binary search (Figure 6).
-//   - CF: Reduce goes to per-thread maps; ReduceSync combines them with a
-//     disjoint key-range pass per thread, so no locks or CAS are ever
-//     needed (Figure 7).
+//     (global - masterLo); requested remote properties are read through
+//     the dense cacheSlot table, one index per Read (Figure 6).
+//   - CF: Reduce goes to per-thread buffers — dense over local proxy IDs
+//     (dense.go), hash maps only for keys that are not local proxies;
+//     ReduceSync combines them with a disjoint key-range pass per thread,
+//     so no locks or CAS are ever needed (Figure 7).
 //   - SGR: one partial-aggregate message per host pair per round; partial
 //     values are gathered and reduced onto master values by key-range
 //     parallel loops.
@@ -76,8 +77,14 @@ type fullMap[V comparable] struct {
 	// slots, O(cache) not O(n).
 	cacheSlot []int32
 
-	tl       []*bucketedMap[V] // per-thread reduce maps, bucketed by combine range
-	combined []*localMap[V]    // per-thread combine outputs (reused)
+	// Per-thread reduce buffers. dense[t] takes thread t's reduces to local
+	// proxies and is allocated on that thread's first such reduce, so maps
+	// that only Set and Read pay nothing for it. tl[t] takes the keys that
+	// are not local proxies here — all owned by other hosts — bucketed by
+	// global combine range; combined[t] is combine thread t's merge of them.
+	dense    []*denseReduce[V]
+	tl       []*bucketedMap[V]
+	combined []*localMap[V]
 
 	// Persistent sync-phase buffers, reused across BSP rounds so warm
 	// ReduceSync/BroadcastSync rounds allocate nothing (see the comm
@@ -123,6 +130,7 @@ func newFullMap[V comparable](opts Options[V]) *fullMap[V] {
 		masters:     make([]V, hi-lo),
 		masterDirty: par.NewBitset(int(hi - lo)),
 		reqBits:     par.NewBitset(h.HP.NumGlobalNodes()),
+		dense:       make([]*denseReduce[V], h.Threads),
 		tl:          make([]*bucketedMap[V], h.Threads),
 		combined:    make([]*localMap[V], h.Threads),
 	}
@@ -181,11 +189,25 @@ func (m *fullMap[V]) Read(n graph.NodeID) V {
 }
 
 // Reduce implements Map: the CF compute-phase reduce into the calling
-// thread's private map (Figure 7 left side).
+// thread's private buffer (Figure 7 left side) — the dense one when n is a
+// local proxy, the hash map otherwise.
 //
 //kimbap:conflictfree
 func (m *fullMap[V]) Reduce(tid int, n graph.NodeID, v V) {
-	m.tl[tid].Reduce(n, v, m.op.Combine)
+	l := n - m.masterLo
+	if n < m.masterLo || n >= m.masterHi {
+		var ok bool
+		if l, ok = m.hp.LocalID(n); !ok {
+			m.tl[tid].Reduce(n, v, m.op.Combine)
+			return
+		}
+	}
+	b := m.dense[tid]
+	if b == nil {
+		b = newDenseReduce[V](m.hp.NumLocal(), m.h.Threads)
+		m.dense[tid] = b
+	}
+	b.reduce(l, v, m.op.Combine)
 }
 
 // Set implements Map.
@@ -356,20 +378,23 @@ func (m *fullMap[V]) rebuildCacheSlots() {
 //kimbap:conflictfree
 func (m *fullMap[V]) ReduceSync() {
 	m.h.TimeComm(func() {
-		self := m.h.Rank
 		threads := m.h.Threads
+		acc := m.accumulator()
 
-		// Combine pass: thread t owns global key range [t*N/T, (t+1)*N/T),
-		// which is exactly bucket t of every thread-local map — it drains
-		// those buckets without scanning or filtering the rest. Ranges are
-		// disjoint, so no two threads touch the same key: conflict free by
-		// construction. Entries owned by this host are applied to the
-		// master vector directly (also conflict free, since a master key
-		// lives in exactly one range). Surviving entries are encoded once,
-		// into the cell addressed by (owner host, owner's gather-thread
-		// range), so receivers can hand each section to exactly one gather
-		// thread.
+		// Combine pass (conflict free by construction: thread t owns range
+		// t of both key spaces, and no two threads touch the same key).
+		// Each surviving entry not owned here is encoded once, into the
+		// cell addressed by (owner host, owner's gather-thread range), so
+		// receivers hand each section to exactly one gather thread.
 		m.h.ParFor(threads, func(_, t int) {
+			m.rf.resetCells(t)
+			if acc != nil {
+				m.combineDense(acc, t)
+			}
+			// Keys that are not local proxies: thread t owns global key
+			// range [t*N/T, (t+1)*N/T), exactly bucket t of every hash
+			// map, so it drains those buckets without scanning the rest.
+			// None is owned here (a master is a local proxy).
 			out := m.combined[t]
 			out.Reset()
 			for _, src := range m.tl {
@@ -377,28 +402,8 @@ func (m *fullMap[V]) ReduceSync() {
 					out.Reduce(k, v, m.op.Combine)
 				})
 			}
-			m.rf.resetCells(t)
-			// Async drains CAS pinned mirrors in place instead of
-			// buffering reduces; flush those values to their owners here,
-			// folded into this thread's combine output so they ride the
-			// normal cells path. Each dirty mirror belongs to exactly one
-			// thread's key range, so the pass stays conflict free.
-			if m.mirrorDirty != nil {
-				numGlobal := uint64(m.hp.NumGlobalNodes())
-				m.mirrorDirty.ForEachSet(func(slot int) {
-					k := m.hp.GlobalID(graph.NodeID(slot + m.hp.NumMasters))
-					if rangeBucket(k, uint64(threads), numGlobal) != t {
-						return
-					}
-					out.Reduce(k, m.mirrors[slot], m.op.Combine)
-				})
-			}
 			out.ForEach(func(k graph.NodeID, v V) {
-				if o := m.hp.Owner(k); o != self {
-					m.rf.add(t, o, k, v)
-				} else {
-					m.applyToMaster(k, v)
-				}
+				m.rf.add(t, m.hp.Owner(k), k, v)
 			})
 		})
 		for _, t := range m.tl {
@@ -441,6 +446,57 @@ func (m *fullMap[V]) ReduceSync() {
 		// Masters just moved; pinned mirrors no longer reflect them until
 		// the next broadcast, so pull rounds are off the table (pull.go).
 		m.mirrorsFresh = false
+	})
+}
+
+// accumulator returns thread 0's dense buffer, the one every thread's dense
+// partials fold into. It is allocated here when thread 0 never reduced to a
+// local proxy but another thread did, or an async handle may flush mirrors;
+// nil means no dense partial exists this round.
+func (m *fullMap[V]) accumulator() *denseReduce[V] {
+	if m.dense[0] != nil {
+		return m.dense[0]
+	}
+	need := m.mirrorDirty != nil
+	for _, b := range m.dense[1:] {
+		need = need || b != nil
+	}
+	if need {
+		m.dense[0] = newDenseReduce[V](m.hp.NumLocal(), m.h.Threads)
+	}
+	return m.dense[0]
+}
+
+// combineDense is combine thread t's pass over dense range t. It folds
+// threads 1..T-1's partials into acc in ascending thread order, the order
+// the hash combine folds in, so float sums match it bit for bit. It then
+// adds the async path's dirty mirrors, applies masters in place and encodes
+// mirrors for their owners.
+//
+//kimbap:conflictfree
+func (m *fullMap[V]) combineDense(acc *denseReduce[V], t int) {
+	for _, src := range m.dense[1:] {
+		if src != nil {
+			acc.foldRange(src, t, m.op.Combine)
+		}
+	}
+	nm := m.hp.NumMasters
+	if m.mirrorDirty != nil {
+		// Async drains CAS pinned mirrors in place instead of buffering
+		// reduces; their values flush to the owners here, as whole-value
+		// partials riding the normal cells path.
+		lo, hi := acc.localRange(t)
+		m.mirrorDirty.ForEachSetIn(lo-nm, hi-nm, func(slot int) {
+			acc.reduce(graph.NodeID(nm+slot), m.mirrors[slot], m.op.Combine)
+		})
+	}
+	acc.drainRange(t, func(l graph.NodeID, v V) {
+		if int(l) < nm {
+			m.applyToMaster(m.masterLo+l, v)
+			return
+		}
+		k := m.hp.GlobalID(l)
+		m.rf.add(t, m.hp.Owner(k), k, v)
 	})
 }
 

@@ -302,10 +302,11 @@ func (m *hashMap[V]) ReduceSync() {
 			m.sharedPartial.ForEach(func(k graph.NodeID, v V) { m.scatter(0, k, v) })
 			m.sharedPartial.Reset()
 		} else {
-			// SGR+CF: work-linear combine, exactly as in Full — combine
-			// thread t drains bucket t of every thread-local map, so its
-			// surviving entries are precisely global key-range bucket t and
-			// form section t of every outgoing payload.
+			// SGR+CF: work-linear combine, exactly as Full's path for keys
+			// that are not local proxies — combine thread t drains bucket t
+			// of every thread-local map, so its surviving entries are
+			// precisely global key-range bucket t and form section t of
+			// every outgoing payload.
 			m.h.ParFor(threads, func(_, t int) {
 				cm := m.combined[t]
 				cm.Reset()

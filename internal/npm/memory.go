@@ -57,6 +57,11 @@ func (m *fullMap[V]) MemoryFootprint() int64 {
 	// plus (on host 0) the shared reorder permutation arrays. Charged to
 	// the Full variant, which is the one whose hot paths index them.
 	total += m.hp.TranslationFootprint()
+	for _, b := range m.dense {
+		if b != nil {
+			total += b.footprint(vs)
+		}
+	}
 	for _, t := range m.tl {
 		total += t.footprint(vs)
 	}

@@ -13,9 +13,10 @@
 //
 //   - Full (SGR+CF+GAR): the Kimbap design. Graph-partition-aware
 //     representation stores master properties in a dense vector and
-//     requested remote properties in sorted parallel arrays read by binary
-//     search (Figure 6); reductions go to per-thread maps that are combined
-//     conflict-free by key-range passes (Figure 7); synchronization is one
+//     requested remote properties behind a dense global→cache slot table
+//     (Figure 6); reductions go to per-thread buffers — dense over local
+//     proxy IDs, hash maps for other keys — that are combined conflict-free
+//     by key-range passes (Figure 7); synchronization is one
 //     scatter-gather-reduce message per host pair per round.
 //   - SGRCF (SGR+CF): like Full but without GAR — properties are
 //     distributed by modulo hash, and both owned and cached values live in

@@ -7,10 +7,10 @@ import (
 
 // Bitset is a fixed-size concurrent bitset. The paper's request phase uses
 // one to de-duplicate node-property requests (§4.1), the runtime's frontier
-// subsystem uses a pair as its current/next active sets (both via the
-// runtime.Bitset alias), and the parallel partitioner uses per-worker
-// instances for mirror discovery, merged with OrInto. Set is a single
-// atomic fetch-or, so concurrent setters never lock.
+// subsystem uses a pair as its current/next active sets, and the parallel
+// partitioner uses per-worker instances for mirror discovery, merged with
+// OrInto. Set is an atomic load/CAS loop (see Set for why not a fetch-or),
+// so concurrent setters never lock.
 type Bitset struct {
 	words []atomic.Uint64
 	size  int
@@ -179,20 +179,26 @@ func (b *Bitset) ForEachSet(fn func(i int)) {
 // ForEachSetFrom calls fn for every set bit at position >= start, in
 // ascending order.
 func (b *Bitset) ForEachSetFrom(start int, fn func(i int)) {
-	if start >= b.size {
+	b.ForEachSetIn(start, b.size, fn)
+}
+
+// ForEachSetIn calls fn for every set bit in [lo, hi), in ascending order.
+// It reads only the words overlapping the range, so disjoint ranges can be
+// walked by different threads at no more total cost than one full scan.
+func (b *Bitset) ForEachSetIn(lo, hi int, fn func(i int)) {
+	hi = min(hi, b.size)
+	lo = max(lo, 0)
+	if lo >= hi {
 		return
 	}
-	if start < 0 {
-		start = 0
-	}
-	last := len(b.words) - 1
-	for w := start / 64; w <= last; w++ {
+	loW, hiW := lo/64, (hi-1)/64
+	for w := loW; w <= hiW; w++ {
 		word := b.words[w].Load()
-		if w == start/64 {
-			word &= ^uint64(0) << (uint(start) % 64)
+		if w == loW {
+			word &= ^uint64(0) << (uint(lo) % 64)
 		}
-		if w == last {
-			word &= b.tailMask()
+		if w == hiW {
+			word &= ^uint64(0) >> (63 - uint(hi-1)%64)
 		}
 		for word != 0 {
 			fn(w*64 + bits.TrailingZeros64(word))

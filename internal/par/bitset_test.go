@@ -31,6 +31,33 @@ func TestBitsetTrailingWordMasked(t *testing.T) {
 	}
 }
 
+// ForEachSetIn must visit exactly the set bits inside [lo, hi), clamping
+// out-of-range bounds, for ranges within one word and across words.
+func TestBitsetForEachSetIn(t *testing.T) {
+	b := NewBitset(200)
+	for i := 0; i < 200; i += 3 {
+		b.Set(i)
+	}
+	for _, r := range [][2]int{{0, 200}, {-5, 10}, {5, 6}, {6, 7}, {60, 70}, {63, 129}, {64, 128}, {190, 400}, {10, 10}, {50, 20}} {
+		var got []int
+		b.ForEachSetIn(r[0], r[1], func(i int) { got = append(got, i) })
+		var want []int
+		for i := max(r[0], 0); i < min(r[1], 200); i++ {
+			if i%3 == 0 {
+				want = append(want, i)
+			}
+		}
+		if len(got) != len(want) {
+			t.Fatalf("[%d, %d): got %v, want %v", r[0], r[1], got, want)
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("[%d, %d): got %v, want %v", r[0], r[1], got, want)
+			}
+		}
+	}
+}
+
 func TestBitsetMaskedWordRoundTrip(t *testing.T) {
 	b := NewBitset(130)
 	set := []int{0, 63, 64, 127, 128, 129}

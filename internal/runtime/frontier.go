@@ -11,7 +11,7 @@ import "kimbap/internal/par"
 // Protocol per BSP round: the compute phase iterates the *current* set
 // (Host.ParForActive) while reduce and broadcast callbacks Activate bits in
 // the *next* set; Advance then swaps the buffers between rounds. Activate
-// is a single atomic fetch-or on the underlying par.Bitset, so activation
+// is an atomic load/CAS loop on the underlying par.Bitset, so activation
 // from conflict-free reduce paths needs no locks and no per-thread buffers —
 // the //kimbap:conflictfree annotation is checked by kimbapvet.
 type Frontier struct {
@@ -43,7 +43,7 @@ func (f *Frontier) IsActive(i int) bool { return f.cur.Test(i) }
 
 // Activate adds vertex i to the next set. Safe for concurrent use from
 // worker threads and from reduce/broadcast decode callbacks: the
-// underlying par.Bitset.Set is one atomic Or, no locks.
+// underlying par.Bitset.Set is an atomic load/CAS loop, no locks.
 //
 //kimbap:conflictfree
 func (f *Frontier) Activate(i int) { f.next.Set(i) }
