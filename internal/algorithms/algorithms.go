@@ -45,35 +45,19 @@ type Config struct {
 	// LogRounds records per-BSP-round activity (active vertices, reduce
 	// bytes sent by this host) into the algorithm's stats.
 	LogRounds bool
-	// Mode selects the intra-host execution engine for the frontier-driven
-	// algorithms (CC-SV, CC-LP, CC-SCLP's shortcut, MIS). The zero value
-	// and ExecBSP run classic BSP rounds; ExecAsync drains each round with
-	// the priority scheduler (runtime.AsyncDrain) using CAS in-place
-	// applies; ExecAdaptive chooses per round from telemetry. Non-BSP
-	// modes silently fall back to BSP when the phase cannot support them
-	// (no frontier, non-Full variant, non-idempotent operator) — final
-	// outputs are bit-identical in every mode.
-	Mode Mode
-	// Direction selects the traversal direction for the dense-capable
-	// rounds of CC-SV, CC-LP, and MIS (see direction.go). The zero value
-	// and DirPush run the classic scatter-reduce rounds; DirPull runs
-	// every capable round bottom-up over the in-edge CSR with a
-	// broadcast-only round end; DirAdaptive chooses per round from
-	// globally-reduced frontier telemetry. Non-push directions silently
-	// fall back to push when the phase cannot pull (non-pull-complete
-	// partition, non-Full variant) and force Mode to BSP — outputs are
-	// bit-identical in every direction.
-	Direction Direction
+	// Strategy selects the round shapes of the frontier-driven algorithms
+	// (CC-SV, CC-LP, CC-SCLP, MIS; see strategy.go): StrategyBSP — the zero
+	// value — pushes with buffered reduces, StrategyAsync drains each
+	// frontier round with CAS in-place applies, StrategyPull runs each
+	// pull-capable round bottom-up over the in-edge CSR with a
+	// broadcast-only round end, and StrategyAdaptive picks per round from
+	// telemetry. A shape the phase cannot run falls back to bsp — async
+	// needs a frontier, the Full variant and an idempotent operator; pull
+	// needs a pull-complete partition and the Full variant — and
+	// RoundStats.Shape records what each round ran. Outputs are
+	// bit-identical under every strategy.
+	Strategy Strategy
 }
-
-// Mode names an intra-host execution engine (see Config.Mode).
-type Mode string
-
-const (
-	ExecBSP      Mode = "bsp"
-	ExecAsync    Mode = "async"
-	ExecAdaptive Mode = "adaptive"
-)
 
 // ReadStatsSink receives read-locality counters.
 type ReadStatsSink interface {
@@ -126,14 +110,11 @@ type RoundStats struct {
 	Active      []int64
 	ReduceBytes []int64
 	Hook        []bool
-	// Mode is the execution mode each round actually ran in ("bsp" or
-	// "async") — the policy trace under ExecAdaptive.
-	Mode []string
-	// Dir is the traversal direction each round actually ran in ("push"
-	// or "pull") — the policy trace under DirAdaptive. A pull round's
-	// ReduceBytes entry is always zero: the round has no reduce
-	// collective at all.
-	Dir []string
+	// Shape is the shape each round actually ran in — "bsp", "async" or
+	// "pull" (see Strategy): the policy's trace under StrategyAdaptive, and
+	// the record of every fallback to bsp. A pull round's ReduceBytes entry
+	// is always zero: the round has no reduce collective at all.
+	Shape []string
 }
 
 // roundLogger appends one RoundStats entry per record call, charging each
@@ -156,7 +137,7 @@ func reduceBytesSent(h *runtime.Host) int64 {
 	return b[comm.TagReduce]
 }
 
-func (r *roundLogger) record(active int, hook bool, mode runtime.ExecMode, dir runtime.Direction) {
+func (r *roundLogger) record(active int, hook bool, k roundKind) {
 	if r == nil {
 		return
 	}
@@ -164,8 +145,7 @@ func (r *roundLogger) record(active int, hook bool, mode runtime.ExecMode, dir r
 	r.out.Active = append(r.out.Active, int64(active))
 	r.out.ReduceBytes = append(r.out.ReduceBytes, now-r.prev)
 	r.out.Hook = append(r.out.Hook, hook)
-	r.out.Mode = append(r.out.Mode, mode.String())
-	r.out.Dir = append(r.out.Dir, dir.String())
+	r.out.Shape = append(r.out.Shape, k.String())
 	r.prev = now
 }
 

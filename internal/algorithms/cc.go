@@ -19,6 +19,12 @@ import (
 // O(active) instead of O(|V|). Config.Dense restores the dense loops; the
 // labels are identical either way (the min-label fixpoint does not depend
 // on evaluation order).
+//
+// Every label round of the three — CC-SV's hook, CC-LP's propagation and
+// CC-SCLP's propagation pass — runs through one loop, labelRun.rounds,
+// which sequences the round and takes its shape from the policy (see
+// Strategy); the pointer-jumping shortcut, which has no pull form, is
+// shortcut.
 
 // CCStats reports per-run counters.
 type CCStats struct {
@@ -30,55 +36,146 @@ type CCStats struct {
 	PerRound RoundStats
 }
 
+// labelRun is the state a label algorithm threads through its phases:
+// the label map, its frontier (nil under dense execution), the round
+// policy (nil: every round bsp) and the round log (nil: off).
+type labelRun struct {
+	h   *runtime.Host
+	cfg Config
+	m   npm.Map[graph.NodeID]
+	fr  *runtime.Frontier
+	pol *policy
+	rl  *roundLogger
+}
+
+// newLabelRun builds a min-label map holding every node's own ID, and the
+// frontier, policy and round log over it. form is the label phase's pull
+// form.
+func (c Config) newLabelRun(h *runtime.Host, stats *CCStats, form pullForm) *labelRun {
+	m := c.newNodeMap(h, npm.MinNodeID())
+	initOwn(h, m)
+	fr := c.newFrontier(h, m)
+	return &labelRun{h: h, cfg: c, m: m, fr: fr,
+		rl: c.roundLogger(h, &stats.PerRound), pol: c.newPolicy(h, fr, m, form)}
+}
+
+// finish collects this host's master labels into out.
+func (r *labelRun) finish(out []graph.NodeID) {
+	CollectNodeValues(r.h, r.m, out)
+	r.cfg.recordStats(r.m)
+}
+
+// rounds runs label rounds on the pinned map until a round changes no
+// label or limit rounds have run, and returns how many ran. The policy
+// picks each round's shape: bsp runs push over fr (every local node when
+// fr is nil, which also rules out async), async drains fr with drain, and
+// pull min-folds every master's in-neighbors (pullMinRound) and raises
+// workDone, if set, on each change; the push bodies raise it themselves.
+// Every shape ends the round with the broadcast — the push shapes after
+// their own ReduceSync, a pull round with no reduce at all — so each
+// round starts on fresh mirrors.
+func (r *labelRun) rounds(fr *runtime.Frontier, limit int, workDone *runtime.BoolReducer,
+	push func(tid int, src graph.NodeID), drain func(tid int, src graph.NodeID, cx *runtime.AsyncCtx)) int {
+
+	h, m := r.h, r.m
+	for n := 1; ; n++ {
+		m.ResetUpdated()
+		if r.cfg.requestActive() {
+			requestLocalProxies(h, m)
+		}
+		k := r.pol.next(fr)
+		var drained runtime.DrainStats
+		switch k {
+		case roundPull:
+			h.TimeCompute(func() { pullMinRound(h, r.pol.ph, workDone) })
+		case roundAsync:
+			h.TimeCompute(func() { drained = h.AsyncDrain(fr, r.pol.ccAsyncOpts(), drain) })
+			m.ReduceSync()
+		default:
+			h.TimeCompute(func() {
+				if fr != nil {
+					h.ParForActive(fr, push)
+				} else {
+					h.ParForNodes(push)
+				}
+			})
+			m.ReduceSync()
+		}
+		m.BroadcastSync()
+		endRound(r.pol, r.rl, fr, k, true, drained, h.HP.NumLocal())
+		if !m.IsUpdated() || n >= limit {
+			return n
+		}
+	}
+}
+
+// endRound closes a round after its last sync: it feeds the policy,
+// advances the frontier and logs the round. dense is the round's visit
+// count when there is no frontier.
+func endRound(pol *policy, rl *roundLogger, fr *runtime.Frontier, k roundKind, hook bool, drained runtime.DrainStats, dense int) {
+	active := dense
+	if fr != nil {
+		active = fr.Count()
+		pol.observe(k, fr, drained)
+		fr.Advance()
+	}
+	rl.record(active, hook, k)
+}
+
+// pullMinRound is the pull round of every label phase: each master folds
+// its in-neighbors' round-start labels into its own slot. The handle's
+// snapshot gives Jacobi semantics (scan-order independent); ownership makes
+// the applies conflict free; and because no value ever targets a remote
+// master, the round skips ReduceSync and ends with BroadcastSync alone.
+func pullMinRound(h *runtime.Host, ph *npm.PullHandle[graph.NodeID], workDone *runtime.BoolReducer) {
+	local := h.HP.Local
+	ph.BeginPullRound()
+	h.ParForPull(func(_ int, master graph.NodeID) {
+		lo, hi := local.InEdgeRange(master)
+		for e := lo; e < hi; e++ {
+			if ph.Apply(master, ph.Value(local.InSrc(e))) && workDone != nil {
+				workDone.Reduce(true)
+			}
+		}
+	})
+	ph.EndPullRound()
+}
+
 // CCSV runs Shiloach-Vishkin connected components on one host (SPMD).
 // It is the hand-written equivalent of the compiler output in Figure 8.
 // After it returns, out (length = global node count) holds this host's
 // master labels.
 func CCSV(h *runtime.Host, cfg Config, out []graph.NodeID) CCStats {
-	parent := cfg.newNodeMap(h, npm.MinNodeID())
-	initOwn(h, parent)
-
 	var stats CCStats
-	fr := cfg.newFrontier(h, parent)
-	rl := cfg.roundLogger(h, &stats.PerRound)
 	// CC-SV's pull hook is a reformulation (LP-style one-hop fold, not a
 	// transpose of the pointer-jumping hook), so adaptive pull runs under
 	// the bounded trial.
-	de := cfg.newDirEngine(h, parent, true)
-	eng := cfg.newEngine(h, fr, parent)
-	if de != nil {
-		// Direction-capable phases run BSP rounds only: a pull round's
-		// collective sequence is fixed globally, and the async drain's
-		// in-place mirror CAS would break the mirror freshness pull
-		// rounds depend on (see direction.go).
-		eng = nil
-	}
+	r := cfg.newLabelRun(h, &stats, pullReformulated)
 	// acc accumulates every proxy the shortcut phase changes, so the next
 	// outer round's hook phase can start from the changed set instead of a
 	// full re-activation (the first hook phase has no prior change record
 	// and starts dense: seed is nil until a shortcut phase has run).
 	var acc, seed *par.Bitset
-	if fr != nil {
+	if r.fr != nil {
 		acc = par.NewBitset(h.HP.NumLocal())
 	}
 	var workDone runtime.BoolReducer
 	for {
 		stats.OuterRounds++
 		workDone.Set(false)
-		stats.HookRounds += ccHook(h, cfg, parent, &workDone, fr, seed, rl, eng, de)
-		stats.ShortcutRounds += ccShortcut(h, cfg, parent, fr, acc, rl, eng)
+		stats.HookRounds += r.hook(&workDone, seed)
+		stats.ShortcutRounds += shortcut(h, cfg, r.m, r.fr, r.pol, r.rl, acc)
 		seed = acc
 		workDone.Sync(h.EP)
 		if !workDone.Read() || stats.OuterRounds >= cfg.maxRounds() {
 			break
 		}
 	}
-	CollectNodeValues(h, parent, out)
-	cfg.recordStats(parent)
+	r.finish(out)
 	return stats
 }
 
-// ccHook applies the hook operator until quiescence: for every edge
+// hook applies the hook operator until quiescence: for every edge
 // src->dst with parent(src) > parent(dst), min-reduce parent(parent(src))
 // by parent(dst). Reads touch only the active node and its neighbors, so
 // the compiler pins mirrors and elides requests (§5.2); the reduce target
@@ -99,28 +196,32 @@ func CCSV(h *runtime.Host, cfg Config, out []graph.NodeID) CCStats {
 // dense loop) instead of doubling edge work when both endpoints changed.
 // The extra direction is a no-op for the dense loop's fixpoint (min-reduce
 // is idempotent), so labels stay identical.
-// Under a non-BSP engine, a round's compute phase may instead drain the
-// frontier asynchronously (see ccHookDrain): CAS in-place applies and
-// immediate re-enqueue collapse local hook cascades within the round,
-// while the per-round collective sequence (ReduceSync, BroadcastSync,
-// IsUpdated) is identical in both modes, so hosts running different modes
-// still meet at the same syncs.
 //
-// Under a direction engine, a dense round may run bottom-up instead
-// (pullMinRound): the SV hook's reduce target parent(src) is an arbitrary
-// node and cannot be pulled, so pull rounds use the label-propagation
-// formulation — each master min-folds its in-neighbors' labels into
-// itself. Both formulations monotonically lower labels toward the same
-// unique min-ID fixpoint (generators symmetrize, so in-neighbors cover
-// every incident edge), and the interleaved shortcut phases collapse the
-// parent chains either way: converged labels are bit-identical, though
-// round counts may differ. A pull round skips ReduceSync entirely and
-// the direction choice is global (see direction.go), so hosts still
-// agree on every round's collective sequence.
-func ccHook(h *runtime.Host, cfg Config, parent npm.Map[graph.NodeID],
-	workDone *runtime.BoolReducer, fr *runtime.Frontier, seed *par.Bitset,
-	rl *roundLogger, eng *engine, de *dirEngine) int {
-
+// An async round drains the frontier instead: reads and reduces go through
+// the CAS handle (local targets apply in place; remote ones still buffer
+// for the next reduce-sync), and a target whose parent changed is
+// activated for the next round. Changed targets are deliberately NOT
+// re-enqueued in-drain: hook cascades lower labels one hop at a time, so
+// running them to quiescence before any shortcut phase degenerates to
+// O(n^2) on deep chains — exactly the workload where BSP's interleaved
+// pointer jumping stays O(n log n). The chain-collapsing win belongs to the
+// shortcut drain (ccChaseBody), which compresses with path halving. The
+// drain also drops the BSP body's reverse-direction skip: dst's body may
+// have run before parent(src) dropped, so it hooks both directions
+// unconditionally (idempotent min applies; the redundancy is harmless).
+// Unmaterialized reads (ok=false) cannot occur: mirrors are pinned for the
+// whole hook phase, and every edge endpoint is a local proxy.
+//
+// A pull round uses the label-propagation formulation — each master
+// min-folds its in-neighbors' labels into itself — because the SV hook's
+// reduce target parent(src) is an arbitrary node and cannot be pulled.
+// Both formulations monotonically lower labels toward the same unique
+// min-ID fixpoint (generators symmetrize, so in-neighbors cover every
+// incident edge), and the interleaved shortcut phases collapse the parent
+// chains either way: converged labels are bit-identical, though round
+// counts may differ.
+func (r *labelRun) hook(workDone *runtime.BoolReducer, seed *par.Bitset) int {
+	h, parent, fr := r.h, r.m, r.fr
 	// Reset before pinning: PinMirrors refreshes mirrors from masters and
 	// activates every mirror whose value changed since the last unpin, and
 	// those activations must land in the next set the seed joins.
@@ -141,112 +242,33 @@ func ccHook(h *runtime.Host, cfg Config, parent npm.Map[graph.NodeID],
 		}
 		fr.Advance()
 	}
-	rounds := 0
-	for {
-		rounds++
-		parent.ResetUpdated()
-		if cfg.requestActive() {
-			requestLocalProxies(h, parent)
-		}
-		local := h.HP.Local
-		mode := runtime.ModeBSP
-		var drain runtime.DrainStats
-		if fr != nil {
-			mode = eng.roundMode(fr.Count())
-		}
-		dir := de.roundDirection(fr)
-		switch {
-		case dir == runtime.DirPull:
-			// Bottom-up: dense master scan over the in-edge CSR, plain
-			// stores into own slots, no reduce collective this round.
-			h.TimeCompute(func() {
-				pullMinRound(h, de.ph, workDone)
-			})
-		case mode == runtime.ModeAsync:
-			h.TimeCompute(func() {
-				drain = ccHookDrain(h, eng, workDone, fr)
-			})
-			parent.ReduceSync()
-		default:
-			body := func(tid int, src graph.NodeID) {
-				srcParent := parent.Read(h.HP.GlobalID(src))
-				lo, hi := local.EdgeRange(src)
-				for e := lo; e < hi; e++ {
-					dst := local.Dst(e)
-					dstParent := parent.Read(h.HP.GlobalID(dst))
-					// Parent values are original IDs; the reduce target is
-					// the parent *node*, so translate to its current ID
-					// before addressing it (identity without reordering).
-					if srcParent > dstParent {
-						workDone.Reduce(true)
-						parent.Reduce(tid, h.HP.CurrentID(srcParent), dstParent)
-					} else if fr != nil && dstParent > srcParent && !fr.IsActive(int(dst)) {
-						workDone.Reduce(true)
-						parent.Reduce(tid, h.HP.CurrentID(dstParent), srcParent)
-					}
-				}
-			}
-			h.TimeCompute(func() {
-				if fr != nil {
-					h.ParForActive(fr, body)
-				} else {
-					h.ParForNodes(body)
-				}
-			})
-			parent.ReduceSync()
-		}
-		// A pull round never staged a reduce — each push arm synced its own
-		// above — so every direction ends the round with the broadcast.
-		parent.BroadcastSync()
-		active := h.HP.NumLocal()
-		if fr != nil {
-			active = fr.Count()
-			eng.observe(mode, active, fr.Size(), drain)
-			fr.Advance()
-		}
-		rl.record(active, true, mode, dir)
-		if !parent.IsUpdated() || rounds >= cfg.maxRounds() {
-			break
-		}
-	}
-	parent.UnpinMirrors()
-	return rounds
-}
-
-// ccHookDrain is ccHook's compute phase as an asynchronous drain: reads
-// and reduces go through the CAS handle (local targets apply in place;
-// remote ones still buffer for the next reduce-sync), and a target whose
-// parent changed is activated for the next round — the in-place apply
-// means the next round reads it without waiting for a reduce/broadcast
-// round-trip. Changed targets are deliberately NOT re-enqueued in-drain:
-// hook cascades lower labels one hop at a time, so running them to
-// quiescence before any shortcut phase degenerates to O(n^2) on deep
-// chains — exactly the workload where BSP's interleaved pointer jumping
-// stays O(n log n). The chain-collapsing win belongs to the shortcut
-// drain (ccChaseBody), which compresses with path halving.
-//
-// One deliberate difference from the BSP body: BSP skips the
-// reverse-direction hook when dst is itself active, because dst's own
-// visit covers that edge with the same round-start values. Mid-drain that
-// argument breaks — dst's body may have run before parent(src) dropped —
-// so the drain applies both directions unconditionally (idempotent min
-// applies; the redundancy is harmless).
-// Unmaterialized reads (ok=false) cannot occur here: mirrors are pinned
-// for the whole hook phase, and every edge endpoint is a local proxy.
-func ccHookDrain(h *runtime.Host, eng *engine, workDone *runtime.BoolReducer,
-	fr *runtime.Frontier) runtime.DrainStats {
-
 	local := h.HP.Local
-	ah := eng.ah
-	return h.AsyncDrain(fr, eng.ccAsyncOpts(), func(tid int, src graph.NodeID, _ *runtime.AsyncCtx) {
+	rounds := r.rounds(fr, r.cfg.maxRounds(), workDone, func(tid int, src graph.NodeID) {
+		srcParent := parent.Read(h.HP.GlobalID(src))
+		lo, hi := local.EdgeRange(src)
+		for e := lo; e < hi; e++ {
+			dst := local.Dst(e)
+			dstParent := parent.Read(h.HP.GlobalID(dst))
+			// Parent values are original IDs; the reduce target is the
+			// parent *node*, so translate to its current ID before
+			// addressing it (identity without reordering).
+			if srcParent > dstParent {
+				workDone.Reduce(true)
+				parent.Reduce(tid, h.HP.CurrentID(srcParent), dstParent)
+			} else if fr != nil && dstParent > srcParent && !fr.IsActive(int(dst)) {
+				workDone.Reduce(true)
+				parent.Reduce(tid, h.HP.CurrentID(dstParent), srcParent)
+			}
+		}
+	}, func(tid int, src graph.NodeID, _ *runtime.AsyncCtx) {
+		ah := r.pol.ah
 		srcParent, ok := ah.Load(h.HP.GlobalID(src))
 		if !ok {
 			return
 		}
 		lo, hi := local.EdgeRange(src)
 		for e := lo; e < hi; e++ {
-			dst := local.Dst(e)
-			dstParent, ok := ah.Load(h.HP.GlobalID(dst))
+			dstParent, ok := ah.Load(h.HP.GlobalID(local.Dst(e)))
 			if !ok {
 				continue
 			}
@@ -263,28 +285,34 @@ func ccHookDrain(h *runtime.Host, eng *engine, workDone *runtime.BoolReducer,
 			}
 		}
 	})
+	parent.UnpinMirrors()
+	return rounds
 }
 
-// ccShortcut applies pointer jumping until quiescence:
+// shortcut applies pointer jumping to parent until quiescence:
 // parent(n) <- parent(parent(n)). The grandparent read targets an
 // arbitrary node, so each round requests it explicitly (the Figure 8
 // generated code); the compiler's master-elision restricts iteration to
-// master nodes.
+// master nodes. fr is the frontier (nil: every master every round), pol
+// the round policy and rl the round log (each nil: bsp only, no log).
+// When acc is set, each round's changed masters are ored into it,
+// seeding the next hook phase (see CCSV).
 //
 // The frontier starts with every master (the preceding phase changed
 // parents untracked) and then narrows to masters whose parent changed:
 // once a master points at a root its shortcut stays ineffective — roots
 // keep pointing at themselves within the phase — until its own parent
 // changes again, which re-activates it.
-// Under a non-BSP engine, an async round replaces the request/jump passes
-// with two drains around the same RequestSync: a chase drain that
-// collapses every locally-readable parent chain in place (requesting the
-// parents it cannot read), then a resolve drain over the requesters that
-// jumps through the fresh cache. One async round does the work of a whole
-// local chain of BSP rounds; cross-host chains still advance one request
-// round at a time, exactly like BSP.
-func ccShortcut(h *runtime.Host, cfg Config, parent npm.Map[graph.NodeID],
-	fr *runtime.Frontier, acc *par.Bitset, rl *roundLogger, eng *engine) int {
+//
+// An async round replaces the request/jump passes with two drains around
+// the same RequestSync: a chase drain that collapses every
+// locally-readable parent chain in place (requesting the parents it cannot
+// read), then a resolve drain over the requesters that jumps through the
+// fresh cache. One async round does the work of a whole local chain of bsp
+// rounds; cross-host chains still advance one request round at a time,
+// exactly like bsp.
+func shortcut(h *runtime.Host, cfg Config, parent npm.Map[graph.NodeID], fr *runtime.Frontier,
+	pol *policy, rl *roundLogger, acc *par.Bitset) int {
 
 	if fr != nil {
 		// Reset discards stale activations (e.g. mirror bits from a prior
@@ -293,35 +321,37 @@ func ccShortcut(h *runtime.Host, cfg Config, parent npm.Map[graph.NodeID],
 		fr.ActivateRange(0, h.HP.NumMasters)
 		fr.Advance()
 	}
-	rounds := 0
-	for {
-		rounds++
+	// Request phase generated by the operator split: read parent(n),
+	// request parent(parent(n)).
+	reqBody := func(_ int, local graph.NodeID) {
+		p := parent.Read(h.HP.GlobalID(local))
+		parent.Request(h.HP.CurrentID(p))
+	}
+	body := func(tid int, local graph.NodeID) {
+		gid := h.HP.GlobalID(local)
+		p := parent.Read(gid)
+		gp := parent.Read(h.HP.CurrentID(p))
+		if p != gp {
+			parent.Reduce(tid, gid, gp)
+		}
+	}
+	for rounds := 1; ; rounds++ {
 		parent.ResetUpdated()
 		if cfg.requestActive() {
 			requestLocalProxies(h, parent)
 		}
-		mode := runtime.ModeBSP
-		var drain runtime.DrainStats
-		if fr != nil {
-			mode = eng.roundMode(fr.Count())
-		}
-		if mode == runtime.ModeAsync {
-			pend := eng.pendSet()
+		k := pol.pushRound(fr)
+		var drained runtime.DrainStats
+		if k == roundAsync {
+			pend := pol.pendSet()
 			h.TimeCompute(func() {
-				drain = h.AsyncDrain(fr, eng.ccAsyncOpts(), ccChaseBody(h, eng, parent, fr, pend, true))
+				drained = h.AsyncDrain(fr, pol.ccAsyncOpts(), ccChaseBody(h, pol, parent, fr, pend, true))
 			})
 			parent.RequestSync()
 			h.TimeCompute(func() {
-				resolved := h.AsyncDrainBits(pend, eng.ccAsyncOpts(), ccChaseBody(h, eng, parent, fr, pend, false))
-				drain.Accumulate(resolved)
+				drained.Accumulate(h.AsyncDrainBits(pend, pol.ccAsyncOpts(), ccChaseBody(h, pol, parent, fr, pend, false)))
 			})
 		} else {
-			// Request phase generated by the operator split: read parent(n),
-			// request parent(parent(n)).
-			reqBody := func(_ int, local graph.NodeID) {
-				p := parent.Read(h.HP.GlobalID(local))
-				parent.Request(h.HP.CurrentID(p))
-			}
 			h.TimeCompute(func() {
 				if fr != nil {
 					h.ParForActive(fr, reqBody)
@@ -330,14 +360,6 @@ func ccShortcut(h *runtime.Host, cfg Config, parent npm.Map[graph.NodeID],
 				}
 			})
 			parent.RequestSync()
-			body := func(tid int, local graph.NodeID) {
-				gid := h.HP.GlobalID(local)
-				p := parent.Read(gid)
-				gp := parent.Read(h.HP.CurrentID(p))
-				if p != gp {
-					parent.Reduce(tid, gid, gp)
-				}
-			}
 			h.TimeCompute(func() {
 				if fr != nil {
 					h.ParForActive(fr, body)
@@ -347,23 +369,14 @@ func ccShortcut(h *runtime.Host, cfg Config, parent npm.Map[graph.NodeID],
 			})
 		}
 		parent.ReduceSync()
-		active := h.HP.NumMasters
-		if fr != nil {
-			active = fr.Count()
-			eng.observe(mode, active, fr.Size(), drain)
-			fr.Advance()
-			if acc != nil {
-				// Record this round's changed masters for the next hook
-				// phase's seed (see CCSV).
-				fr.OrCurrentInto(acc)
-			}
+		endRound(pol, rl, fr, k, false, drained, h.HP.NumMasters)
+		if acc != nil {
+			fr.OrCurrentInto(acc)
 		}
-		rl.record(active, false, mode, runtime.DirPush)
 		if !parent.IsUpdated() || rounds >= cfg.maxRounds() {
-			break
+			return rounds
 		}
 	}
-	return rounds
 }
 
 // ccChaseBody builds the shortcut drain body: chase n's parent chain,
@@ -371,15 +384,15 @@ func ccShortcut(h *runtime.Host, cfg Config, parent npm.Map[graph.NodeID],
 // (master, or this round's request cache). On an unreadable parent the
 // chase parks: the first drain requests it and records n in pend for the
 // post-RequestSync resolve drain; the resolve drain re-activates n for
-// the next BSP round instead (its parent moved past what was requested).
+// the next round instead (its parent moved past what was requested).
 // Any change re-activates n — the same changed-masters activation rule
-// the BSP path gets from applyToMaster, which keeps acc seeding and
-// round-narrowing behavior identical across modes.
-func ccChaseBody(h *runtime.Host, eng *engine, parent npm.Map[graph.NodeID],
+// the bsp path gets from applyToMaster, which keeps acc seeding and
+// round-narrowing behavior identical across shapes.
+func ccChaseBody(h *runtime.Host, pol *policy, parent npm.Map[graph.NodeID],
 	fr *runtime.Frontier, pend *par.Bitset, requestMissing bool,
 ) func(tid int, n graph.NodeID, cx *runtime.AsyncCtx) {
 
-	ah := eng.ah
+	ah := pol.ah
 	return func(tid int, n graph.NodeID, _ *runtime.AsyncCtx) {
 		gid := h.HP.GlobalID(n)
 		changed := false
@@ -390,7 +403,7 @@ func ccChaseBody(h *runtime.Host, eng *engine, parent npm.Map[graph.NodeID],
 		// chase work over a drain stays near-linear no matter which end of
 		// a deep chain drains first. Compressing only the chasing vertex —
 		// the naive loop — re-walks the same tail from every seed for
-		// O(n^2) total on a chain, the exact workload the async mode
+		// O(n^2) total on a chain, the exact workload the async shape
 		// exists to win.
 		miss := func(x graph.NodeID) {
 			if requestMissing {
@@ -429,7 +442,7 @@ func ccChaseBody(h *runtime.Host, eng *engine, parent npm.Map[graph.NodeID],
 				break
 			}
 			// Jump v past p. Local targets apply via CAS (activating the
-			// changed master, the BSP rule: a parent that moved re-examines
+			// changed master, the bsp rule: a parent that moved re-examines
 			// next round); remote targets buffer for the next reduce-sync.
 			if lv, applied, ch := ah.ReduceAsync(tid, vAddr, gp); applied && ch {
 				fr.Activate(int(lv))
@@ -438,7 +451,7 @@ func ccChaseBody(h *runtime.Host, eng *engine, parent npm.Map[graph.NodeID],
 		}
 		// The walk halves the chain but only moves gid one jump; finish by
 		// pulling gid all the way to the terminal root so one drain fully
-		// collapses the chase, like the BSP loop's repeated rounds would.
+		// collapses the chase, like the bsp loop's repeated rounds would.
 		if haveRoot {
 			if _, _, ch := ah.ReduceAsync(tid, gid, root); ch {
 				changed = true
@@ -457,106 +470,47 @@ func ccChaseBody(h *runtime.Host, eng *engine, parent npm.Map[graph.NodeID],
 // whose label shrank last round push: a push from src can only become
 // effective after label(src) itself shrinks (neighbor labels only ever
 // decrease, which never enables src's push), so label-change activation
-// covers every effective push.
+// covers every effective push. Its pull round is the exact transpose of
+// its push round on these symmetrized graphs, so per-round label states —
+// and round counts — are identical in both directions.
 func CCLP(h *runtime.Host, cfg Config, out []graph.NodeID) CCStats {
-	comp := cfg.newNodeMap(h, npm.MinNodeID())
-	initOwn(h, comp)
-
 	var stats CCStats
-	fr := cfg.newFrontier(h, comp)
-	rl := cfg.roundLogger(h, &stats.PerRound)
-	de := cfg.newDirEngine(h, comp, false)
-	eng := cfg.newEngine(h, fr, comp)
-	if de != nil {
-		eng = nil // direction-capable phases run BSP rounds (see CCSV)
-	}
+	r := cfg.newLabelRun(h, &stats, pullExact)
+	comp, local := r.m, h.HP.Local
 	comp.PinMirrors()
-	if fr != nil {
-		fr.ActivateAll()
-		fr.Advance()
+	if r.fr != nil {
+		r.fr.ActivateAll()
+		r.fr.Advance()
 	}
-	for {
-		stats.HookRounds++
-		comp.ResetUpdated()
-		if cfg.requestActive() {
-			requestLocalProxies(h, comp)
-		}
-		local := h.HP.Local
-		mode := runtime.ModeBSP
-		var drain runtime.DrainStats
-		if fr != nil {
-			mode = eng.roundMode(fr.Count())
-		}
-		dir := de.roundDirection(fr)
-		switch {
-		case dir == runtime.DirPull:
-			// Bottom-up label propagation: each master min-folds its
-			// in-neighbors' round-start labels (the exact transpose of the
-			// push body on these symmetrized graphs), with no reduce
-			// collective — per-round label states, and therefore round
-			// counts, are identical to push.
-			h.TimeCompute(func() {
-				pullMinRound(h, de.ph, nil)
-			})
-		case mode == runtime.ModeAsync:
-			// Every push target is a local proxy (mirrors are pinned), so
-			// the whole label cascade applies in place: a drain runs each
-			// host's labels to their local fixpoint in one round.
-			ah := eng.ah
-			h.TimeCompute(func() {
-				drain = h.AsyncDrain(fr, eng.ccAsyncOpts(), func(tid int, src graph.NodeID, cx *runtime.AsyncCtx) {
-					label, ok := ah.Load(h.HP.GlobalID(src))
-					if !ok {
-						return
-					}
-					lo, hi := local.EdgeRange(src)
-					for e := lo; e < hi; e++ {
-						dstGID := h.HP.GlobalID(local.Dst(e))
-						if l, applied, changed := ah.ReduceAsync(tid, dstGID, label); applied && changed {
-							cx.Enqueue(l)
-						}
-					}
-				})
-			})
-			comp.ReduceSync()
-		default:
-			body := func(tid int, src graph.NodeID) {
-				label := comp.Read(h.HP.GlobalID(src))
-				lo, hi := local.EdgeRange(src)
-				for e := lo; e < hi; e++ {
-					dstGID := h.HP.GlobalID(local.Dst(e))
-					if label < comp.Read(dstGID) {
-						comp.Reduce(tid, dstGID, label)
-					}
-				}
+	stats.HookRounds = r.rounds(r.fr, cfg.maxRounds(), nil, func(tid int, src graph.NodeID) {
+		label := comp.Read(h.HP.GlobalID(src))
+		lo, hi := local.EdgeRange(src)
+		for e := lo; e < hi; e++ {
+			dstGID := h.HP.GlobalID(local.Dst(e))
+			if label < comp.Read(dstGID) {
+				comp.Reduce(tid, dstGID, label)
 			}
-			h.TimeCompute(func() {
-				if fr != nil {
-					h.ParForActive(fr, body)
-				} else {
-					h.ParForNodes(body)
-				}
-			})
-			comp.ReduceSync()
 		}
-		// A pull round never staged a reduce — each push arm synced its own
-		// above — so every direction ends the round with the broadcast.
-		comp.BroadcastSync()
-		active := h.HP.NumLocal()
-		if fr != nil {
-			active = fr.Count()
-			eng.observe(mode, active, fr.Size(), drain)
-			fr.Advance()
+	}, func(tid int, src graph.NodeID, cx *runtime.AsyncCtx) {
+		// Every push target is a local proxy (mirrors are pinned), so the
+		// whole label cascade applies in place: a drain runs each host's
+		// labels to their local fixpoint in one round.
+		ah := r.pol.ah
+		label, ok := ah.Load(h.HP.GlobalID(src))
+		if !ok {
+			return
 		}
-		rl.record(active, true, mode, dir)
-		if !comp.IsUpdated() || stats.HookRounds >= cfg.maxRounds() {
-			break
+		lo, hi := local.EdgeRange(src)
+		for e := lo; e < hi; e++ {
+			dstGID := h.HP.GlobalID(local.Dst(e))
+			if l, applied, changed := ah.ReduceAsync(tid, dstGID, label); applied && changed {
+				cx.Enqueue(l)
+			}
 		}
-	}
+	})
 	comp.UnpinMirrors()
 	stats.OuterRounds = 1
-	CollectNodeValues(h, comp, out)
-	cfg.recordStats(comp)
+	r.finish(out)
 	return stats
 }
 
@@ -566,56 +520,40 @@ func CCLP(h *runtime.Host, cfg Config, out []graph.NodeID) CCStats {
 // round runs exactly one full propagation pass, so only the shortcut
 // phases are frontier-driven.
 func CCSCLP(h *runtime.Host, cfg Config, out []graph.NodeID) CCStats {
-	comp := cfg.newNodeMap(h, npm.MinNodeID())
-	initOwn(h, comp)
-
 	var stats CCStats
-	fr := cfg.newFrontier(h, comp)
-	rl := cfg.roundLogger(h, &stats.PerRound)
-	eng := cfg.newEngine(h, fr, comp)
+	r := cfg.newLabelRun(h, &stats, pullExact)
+	comp, local := r.m, h.HP.Local
+	// The shortcut has no pull round, so it gets its own policy: where the
+	// propagation pass pulls, the shortcut may still drain.
+	sc := cfg.newPolicy(h, r.fr, comp, pullNone)
 	for {
 		stats.OuterRounds++
 		var workDone runtime.BoolReducer
 		workDone.Set(false)
-
-		// One label-propagation pass.
 		comp.PinMirrors()
-		comp.ResetUpdated()
-		if cfg.requestActive() {
-			requestLocalProxies(h, comp)
-		}
-		h.TimeCompute(func() {
-			local := h.HP.Local
-			h.ParForNodes(func(tid int, src graph.NodeID) {
-				label := comp.Read(h.HP.GlobalID(src))
-				lo, hi := local.EdgeRange(src)
-				for e := lo; e < hi; e++ {
-					dstGID := h.HP.GlobalID(local.Dst(e))
-					if label < comp.Read(dstGID) {
-						workDone.Reduce(true)
-						comp.Reduce(tid, dstGID, label)
-					}
+		// The propagation pass runs without the frontier: it visits every
+		// node and never drains.
+		stats.HookRounds += r.rounds(nil, 1, &workDone, func(tid int, src graph.NodeID) {
+			label := comp.Read(h.HP.GlobalID(src))
+			lo, hi := local.EdgeRange(src)
+			for e := lo; e < hi; e++ {
+				dstGID := h.HP.GlobalID(local.Dst(e))
+				if label < comp.Read(dstGID) {
+					workDone.Reduce(true)
+					comp.Reduce(tid, dstGID, label)
 				}
-			})
-		})
-		comp.ReduceSync()
-		comp.BroadcastSync()
-		if comp.IsUpdated() {
-			workDone.Reduce(true)
-		}
+			}
+		}, nil)
 		comp.UnpinMirrors()
-		stats.HookRounds++
-		rl.record(h.HP.NumLocal(), true, runtime.ModeBSP, runtime.DirPush)
 
 		// Shortcut to collapse label chains.
-		stats.ShortcutRounds += ccShortcut(h, cfg, comp, fr, nil, rl, eng)
+		stats.ShortcutRounds += shortcut(h, cfg, comp, r.fr, sc, r.rl, nil)
 
 		workDone.Sync(h.EP)
 		if !workDone.Read() || stats.OuterRounds >= cfg.maxRounds() {
 			break
 		}
 	}
-	CollectNodeValues(h, comp, out)
-	cfg.recordStats(comp)
+	r.finish(out)
 	return stats
 }

@@ -1,6 +1,7 @@
 package algorithms
 
 import (
+	"slices"
 	"testing"
 
 	"kimbap/internal/gen"
@@ -10,14 +11,22 @@ import (
 )
 
 // Direction equivalence: pull rounds are a pure execution-strategy change
-// — same fixpoint, same collected labels — so every direction must match
-// the push run bit for bit across the full execution matrix. Pull is only
-// legal under pull-complete partitions (IEC, or one host), so IEC is the
-// matrix policy; the OEC/CVC runs below pin the silent fall-back to push
-// instead.
+// — same fixpoint, same collected labels — so the pull and adaptive
+// strategies must match the bsp run bit for bit across the full execution
+// matrix. Pull is only legal under pull-complete partitions (IEC, or one
+// host), so IEC is the matrix policy; the OEC/CVC runs below pin the
+// fall-back to bsp instead.
 
 func runCCDir(t *testing.T, g *graph.Graph, rc runtime.Config, acfg Config,
 	algo func(h *runtime.Host, cfg Config, out []graph.NodeID) CCStats) ([]graph.NodeID, CCStats) {
+	t.Helper()
+	out, stats := runCCDirAll(t, g, rc, acfg, algo)
+	return out, stats[0]
+}
+
+// runCCDirAll is runCCDir returning every host's stats, indexed by rank.
+func runCCDirAll(t *testing.T, g *graph.Graph, rc runtime.Config, acfg Config,
+	algo func(h *runtime.Host, cfg Config, out []graph.NodeID) CCStats) ([]graph.NodeID, []CCStats) {
 	t.Helper()
 	c, err := runtime.NewCluster(g, rc)
 	if err != nil {
@@ -25,18 +34,23 @@ func runCCDir(t *testing.T, g *graph.Graph, rc runtime.Config, acfg Config,
 	}
 	defer c.Close()
 	out := make([]graph.NodeID, g.NumNodes())
-	var stats CCStats
-	c.Run(func(h *runtime.Host) {
-		s := algo(h, acfg, out)
-		if h.Rank == 0 {
-			stats = s
-		}
-	})
+	stats := make([]CCStats, rc.NumHosts)
+	c.Run(func(h *runtime.Host) { stats[h.Rank] = algo(h, acfg, out) })
 	return out, stats
 }
 
+// ranShape reports whether any host's round log holds a round of shape.
+func ranShape(stats []CCStats, shape string) bool {
+	for _, st := range stats {
+		if slices.Contains(st.PerRound.Shape, shape) {
+			return true
+		}
+	}
+	return false
+}
+
 // TestDirectionEquivalenceCCSVFullMatrix pins CC-SV labels across
-// {push, pull, adaptive} × {dense, sparse} × {in-memory, TCP} × {2, 4, 8}
+// {bsp, pull, adaptive} × {dense, sparse} × {in-memory, TCP} × {2, 4, 8}
 // hosts on an IEC partition. Dense and sparse rounds exercise both reduce
 // section body forms.
 func TestDirectionEquivalenceCCSVFullMatrix(t *testing.T) {
@@ -55,12 +69,12 @@ func TestDirectionEquivalenceCCSVFullMatrix(t *testing.T) {
 							tcp, dense, hosts, i, base[i], want[i])
 					}
 				}
-				for _, dir := range []Direction{DirPull, DirAdaptive} {
-					got, _ := runCCDir(t, g, rc, Config{Dense: dense, Direction: dir}, CCSV)
+				for _, s := range []Strategy{StrategyPull, StrategyAdaptive} {
+					got, _ := runCCDir(t, g, rc, Config{Dense: dense, Strategy: s}, CCSV)
 					for i := range base {
 						if got[i] != base[i] {
 							t.Fatalf("tcp=%v/dense=%v/%dh/%s: node %d labeled %d, push labeled %d",
-								tcp, dense, hosts, dir, i, got[i], base[i])
+								tcp, dense, hosts, s, i, got[i], base[i])
 						}
 					}
 				}
@@ -69,9 +83,15 @@ func TestDirectionEquivalenceCCSVFullMatrix(t *testing.T) {
 	}
 }
 
-// TestDirectionEquivalenceCCLP additionally pins CC-LP's round count:
-// its pull round is the exact transpose of its push round, so per-round
-// states — not just converged labels — coincide.
+// TestDirectionEquivalenceCCLP additionally pins the round counts of
+// CC-LP and CC-SCLP, whose propagation pass runs through the same label
+// loop: the pull round is the exact transpose of the push round, so
+// per-round states — not just converged labels — coincide, and every run
+// whose rounds are only bsp and pull takes the bsp run's round count.
+// CC-LP never drains where it can pull, so its counts are always pinned.
+// CC-SCLP's shortcut may drain under the adaptive strategy, and an async
+// round cascades within the round, so a run in which some host drained
+// pins its labels only. Dense execution has nothing to drain.
 func TestDirectionEquivalenceCCLP(t *testing.T) {
 	graphs := map[string]*graph.Graph{
 		"rmat":  gen.RMAT(9, 6, false, 42),
@@ -81,18 +101,30 @@ func TestDirectionEquivalenceCCLP(t *testing.T) {
 	for gname, g := range graphs {
 		for _, hosts := range []int{1, 2, 4, 8} {
 			rc := runtime.Config{NumHosts: hosts, ThreadsPerHost: 3, Policy: partition.IEC}
-			base, baseStats := runCCDir(t, g, rc, Config{}, CCLP)
-			for _, dir := range []Direction{DirPull, DirAdaptive} {
-				got, stats := runCCDir(t, g, rc, Config{Direction: dir}, CCLP)
-				for i := range base {
-					if got[i] != base[i] {
-						t.Fatalf("%s/%dh/%s: node %d labeled %d, push labeled %d",
-							gname, hosts, dir, i, got[i], base[i])
+			for aname, algo := range map[string]func(*runtime.Host, Config, []graph.NodeID) CCStats{
+				"CC-LP": CCLP, "CC-SCLP": CCSCLP,
+			} {
+				for _, dense := range []bool{false, true} {
+					base, baseStats := runCCDir(t, g, rc, Config{Dense: dense}, algo)
+					for _, s := range []Strategy{StrategyPull, StrategyAdaptive} {
+						got, all := runCCDirAll(t, g, rc, Config{Dense: dense, Strategy: s, LogRounds: true}, algo)
+						for i := range base {
+							if got[i] != base[i] {
+								t.Fatalf("%s/%s/%dh/dense=%v/%s: node %d labeled %d, push labeled %d",
+									gname, aname, hosts, dense, s, i, got[i], base[i])
+							}
+						}
+						drained := ranShape(all, "async")
+						if drained && (dense || aname == "CC-LP") {
+							t.Fatalf("%s/%s/%dh/dense=%v/%s: drained where it can pull", gname, aname, hosts, dense, s)
+						}
+						if stats := all[0]; !drained && (stats.HookRounds != baseStats.HookRounds ||
+							stats.ShortcutRounds != baseStats.ShortcutRounds) {
+							t.Fatalf("%s/%s/%dh/dense=%v/%s: %d+%d rounds, push took %d+%d",
+								gname, aname, hosts, dense, s,
+								stats.HookRounds, stats.ShortcutRounds, baseStats.HookRounds, baseStats.ShortcutRounds)
+						}
 					}
-				}
-				if stats.HookRounds != baseStats.HookRounds {
-					t.Fatalf("%s/%dh/%s: %d rounds, push took %d",
-						gname, hosts, dir, stats.HookRounds, baseStats.HookRounds)
 				}
 			}
 		}
@@ -100,7 +132,8 @@ func TestDirectionEquivalenceCCLP(t *testing.T) {
 }
 
 // TestDirectionEquivalenceMIS: the selected set — and the round count,
-// since per-round decisions coincide — must match push exactly.
+// since per-round decisions coincide in every shape — must match bsp
+// exactly.
 func TestDirectionEquivalenceMIS(t *testing.T) {
 	graphs := map[string]*graph.Graph{
 		"rmat": gen.RMAT(8, 6, false, 2),
@@ -112,7 +145,7 @@ func TestDirectionEquivalenceMIS(t *testing.T) {
 			rc := runtime.Config{NumHosts: hosts, ThreadsPerHost: 3, Policy: partition.IEC}
 			var base []bool
 			var baseStats MISStats
-			for _, dir := range []Direction{DirPush, DirPull, DirAdaptive} {
+			for _, s := range []Strategy{StrategyBSP, StrategyPull, StrategyAdaptive} {
 				c, err := runtime.NewCluster(g, rc)
 				if err != nil {
 					t.Fatal(err)
@@ -120,14 +153,14 @@ func TestDirectionEquivalenceMIS(t *testing.T) {
 				out := make([]bool, g.NumNodes())
 				var stats MISStats
 				c.Run(func(h *runtime.Host) {
-					s := MIS(h, Config{Direction: dir}, out)
+					st := MIS(h, Config{Strategy: s}, out)
 					if h.Rank == 0 {
-						stats = s
+						stats = st
 					}
 				})
 				c.Close()
 				if !graph.IsValidMIS(g, out) {
-					t.Fatalf("%s/%dh/%s: invalid MIS", gname, hosts, dir)
+					t.Fatalf("%s/%dh/%s: invalid MIS", gname, hosts, s)
 				}
 				if base == nil {
 					base, baseStats = out, stats
@@ -136,12 +169,12 @@ func TestDirectionEquivalenceMIS(t *testing.T) {
 				for i := range base {
 					if out[i] != base[i] {
 						t.Fatalf("%s/%dh/%s: membership of node %d = %v, push %v",
-							gname, hosts, dir, i, out[i], base[i])
+							gname, hosts, s, i, out[i], base[i])
 					}
 				}
 				if stats.Rounds != baseStats.Rounds || stats.Size != baseStats.Size {
 					t.Fatalf("%s/%dh/%s: rounds/size = %d/%d, push %d/%d",
-						gname, hosts, dir, stats.Rounds, stats.Size,
+						gname, hosts, s, stats.Rounds, stats.Size,
 						baseStats.Rounds, baseStats.Size)
 				}
 			}
@@ -151,7 +184,7 @@ func TestDirectionEquivalenceMIS(t *testing.T) {
 
 // TestDirectionFallsBackWithoutPullCompleteness: on OEC/CVC multi-host
 // partitions masters' in-edges live on other hosts, so pull is illegal;
-// DirPull must silently run push rounds (the trace shows it) and still
+// StrategyPull must run bsp rounds (the trace shows it) and still
 // converge to the reference labels. One-host runs of the same policies
 // are vacuously pull-complete and must pull.
 func TestDirectionFallsBackWithoutPullCompleteness(t *testing.T) {
@@ -160,19 +193,19 @@ func TestDirectionFallsBackWithoutPullCompleteness(t *testing.T) {
 	for _, pol := range []partition.Policy{partition.OEC, partition.CVC} {
 		for _, hosts := range []int{1, 4} {
 			rc := runtime.Config{NumHosts: hosts, ThreadsPerHost: 3, Policy: pol}
-			got, stats := runCCDir(t, g, rc, Config{Direction: DirPull, LogRounds: true}, CCLP)
+			got, stats := runCCDir(t, g, rc, Config{Strategy: StrategyPull, LogRounds: true}, CCLP)
 			for i := range got {
 				if got[i] != want[i] {
 					t.Fatalf("%s/%dh: node %d labeled %d, reference %d", pol, hosts, i, got[i], want[i])
 				}
 			}
-			wantDir := "push"
+			want := "bsp"
 			if hosts == 1 {
-				wantDir = "pull"
+				want = "pull"
 			}
-			for r, d := range stats.PerRound.Dir {
-				if d != wantDir {
-					t.Fatalf("%s/%dh: round %d ran %s, want %s", pol, hosts, r, d, wantDir)
+			for r, d := range stats.PerRound.Shape {
+				if d != want {
+					t.Fatalf("%s/%dh: round %d ran %s, want %s", pol, hosts, r, d, want)
 				}
 			}
 		}
@@ -184,21 +217,49 @@ func TestDirectionFallsBackWithoutPullCompleteness(t *testing.T) {
 // and a static pull CC-LP run never sends a reduce byte after init.
 func TestPullRoundsSendNoReduceBytes(t *testing.T) {
 	g := gen.RMAT(8, 6, false, 2)
-	for _, dir := range []Direction{DirPull, DirAdaptive} {
+	for _, s := range []Strategy{StrategyPull, StrategyAdaptive} {
 		rc := runtime.Config{NumHosts: 4, ThreadsPerHost: 3, Policy: partition.IEC}
-		_, stats := runCCDir(t, g, rc, Config{Direction: dir, LogRounds: true}, CCLP)
+		_, stats := runCCDir(t, g, rc, Config{Strategy: s, LogRounds: true}, CCLP)
 		pulls := 0
-		for r, d := range stats.PerRound.Dir {
+		for r, d := range stats.PerRound.Shape {
 			if d != "pull" {
 				continue
 			}
 			pulls++
 			if b := stats.PerRound.ReduceBytes[r]; b != 0 {
-				t.Fatalf("%s: pull round %d sent %d reduce bytes", dir, r, b)
+				t.Fatalf("%s: pull round %d sent %d reduce bytes", s, r, b)
 			}
 		}
 		if pulls == 0 {
-			t.Fatalf("%s: no pull rounds recorded in %v", dir, stats.PerRound.Dir)
+			t.Fatalf("%s: no pull rounds recorded in %v", s, stats.PerRound.Shape)
+		}
+	}
+}
+
+// TestAdaptiveCCSVDrainsOrPulls: adaptive CC-SV never mixes its
+// reformulated pull with async rounds. It drains where every host's mode
+// rule probes async — one host, or a chain, whose hosts' masters are most
+// of their proxies — and pulls elsewhere: on a 4-host IEC R-MAT most
+// hosts' proxies are mirrors.
+func TestAdaptiveCCSVDrainsOrPulls(t *testing.T) {
+	rmat, chain := gen.RMAT(8, 6, false, 2), gen.Chain(300, false, 3)
+	for _, tc := range []struct {
+		name   string
+		g      *graph.Graph
+		hosts  int
+		drains bool
+	}{
+		{"rmat", rmat, 1, true},
+		{"rmat", rmat, 4, false},
+		{"chain", chain, 4, true},
+	} {
+		rc := runtime.Config{NumHosts: tc.hosts, ThreadsPerHost: 3, Policy: partition.IEC}
+		got, all := runCCDirAll(t, tc.g, rc, Config{Strategy: StrategyAdaptive, LogRounds: true}, CCSV)
+		checkLabels(t, tc.g, got, "adaptive CC-SV")
+		drained, pulled := ranShape(all, "async"), ranShape(all, "pull")
+		if drained != tc.drains || pulled == tc.drains {
+			t.Fatalf("%s/%dh: drained=%v pulled=%v, want drained=%v and not both; rank 0 trace %v",
+				tc.name, tc.hosts, drained, pulled, tc.drains, all[0].PerRound.Shape)
 		}
 	}
 }

@@ -92,37 +92,30 @@ func MIS(h *runtime.Host, cfg Config, out []bool) MISStats {
 		fr.Advance()
 	}
 
-	// Direction-optimized execution: under a pull-complete partition each
-	// of the three stages has a bottom-up form over the in-edge CSR —
+	// Round shapes (see Strategy). Pull: under a pull-complete partition
+	// each of the three stages has a bottom-up form over the in-edge CSR —
 	// accumulate computes each undecided master's complete
 	// minimum-neighbor priority locally (no minNbr reduce collective at
 	// all), decide writes only the master's own slot, and knockout scans
 	// each undecided master's in-neighbors for a fresh member instead of
 	// scattering misOut. Every stage updates masters in place and ends
-	// with at most a broadcast. The per-round direction decision reuses
-	// the globally-synced `remaining` count from the previous round
-	// (every host already has it), so adaptive rounds add no collectives.
-	de := cfg.newDirEngine(h, state, false)
-
-	// Async execution: the three per-round stages become priority drains
-	// (high-degree vertices first — they knock out the most neighbors).
-	// Only the knockout stage writes state concurrently with reads, so it
-	// and the decide stage go through the CAS handle; the accumulate stage
-	// only buffers minNbr reduces and merely gains the scheduler. The
-	// round structure and every collective stay exactly as in BSP, so the
-	// per-round decisions — and the final set — are bit-identical.
-	eng := cfg.newEngine(h, fr, state)
-	if de != nil {
-		eng = nil // direction-capable phases run BSP rounds (see CCSV)
+	// with at most a broadcast. The pull decision reuses the globally-synced
+	// `remaining` count from the previous round (every host already has
+	// it), so adaptive rounds add no collectives.
+	//
+	// Async: the three stages become priority drains (high-degree vertices
+	// first — they knock out the most neighbors). Only the knockout stage
+	// writes state concurrently with reads, so it and the decide stage go
+	// through the CAS handle; the accumulate stage only buffers minNbr
+	// reduces and merely gains the scheduler. The round structure and
+	// every collective stay exactly as in bsp, so the per-round decisions —
+	// and the final set — are bit-identical in every shape.
+	pol := cfg.newPolicy(h, fr, state, pullExact)
+	avg := 1
+	if h.HP.NumLocal() > 0 {
+		avg = int(local.NumEdges()) / h.HP.NumLocal()
 	}
-	var misOpts runtime.AsyncOpts
-	if eng != nil {
-		avg := 1
-		if h.HP.NumLocal() > 0 {
-			avg = int(local.NumEdges()) / h.HP.NumLocal()
-		}
-		misOpts = runtime.AsyncOpts{Levels: 2, Priority: degreePriority(local, avg)}
-	}
+	misOpts := runtime.AsyncOpts{Levels: 2, Priority: degreePriority(local, avg)}
 
 	// Minimum priority among each node's undecided neighbors, accumulated
 	// from every edge location — except in a pull round, where each
@@ -135,21 +128,17 @@ func MIS(h *runtime.Host, cfg Config, out []bool) MISStats {
 
 	var stats MISStats
 	var remaining runtime.CountReducer
-	// Globally-synced undecided-master count driving the direction rule;
-	// every master starts undecided, so the first round's density is the
-	// full master count on every host without a collective.
+	// Globally-synced undecided-master count driving the pull rule; every
+	// master starts undecided, so the first round's density is the full
+	// master count on every host without a collective.
 	undecided := int64(0)
-	if de != nil {
-		undecided = de.totalMasters
+	if pol != nil {
+		undecided = pol.totalMasters
 	}
 	for {
 		stats.Rounds++
-		mode := runtime.ModeBSP
+		k := pol.nextFromActive(undecided, fr)
 		var drain runtime.DrainStats
-		if fr != nil {
-			mode = eng.roundMode(fr.Count())
-		}
-		dir := de.directionFromGlobalActive(undecided)
 
 		h.ParForMasters(func(_ int, n graph.NodeID) {
 			minNbr.Set(h.HP.GlobalID(n), math.Inf(1))
@@ -159,7 +148,7 @@ func MIS(h *runtime.Host, cfg Config, out []bool) MISStats {
 			requestLocalProxies(h, state)
 			requestLocalProxies(h, prio)
 		}
-		if dir == runtime.DirPull {
+		if k == roundPull {
 			phMin, _ := npm.Pull(minNbr)
 			phMin.BeginPullRound()
 			h.TimeCompute(func() {
@@ -193,7 +182,7 @@ func MIS(h *runtime.Host, cfg Config, out []bool) MISStats {
 				}
 			}
 			h.TimeCompute(func() {
-				if mode == runtime.ModeAsync {
+				if k == roundAsync {
 					d := h.AsyncDrain(fr, misOpts, func(tid int, n graph.NodeID, _ *runtime.AsyncCtx) {
 						accBody(tid, n)
 					})
@@ -215,11 +204,11 @@ func MIS(h *runtime.Host, cfg Config, out []bool) MISStats {
 			requestLocalProxies(h, prio)
 		}
 		state.ResetUpdated()
-		if dir == runtime.DirPull {
+		if k == roundPull {
 			// Each master decides only itself, so a pull round needs no
 			// state reduce collective at all: write the own slot through
 			// the handle and publish with the broadcast below.
-			ph := de.ph
+			ph := pol.ph
 			ph.BeginPullRound()
 			h.TimeCompute(func() {
 				h.ParForPull(func(_ int, n graph.NodeID) {
@@ -245,11 +234,11 @@ func MIS(h *runtime.Host, cfg Config, out []bool) MISStats {
 			}
 			h.TimeCompute(func() {
 				nm := h.HP.NumMasters
-				if mode == runtime.ModeAsync {
+				if k == roundAsync {
 					// Each master decides only itself, but neighboring masters
 					// decide concurrently in the same drain, so state moves
 					// through the CAS handle.
-					sh := eng.ah
+					sh := pol.ah
 					d := h.AsyncDrain(fr, misOpts, func(tid int, n graph.NodeID, _ *runtime.AsyncCtx) {
 						if int(n) >= nm {
 							return
@@ -284,13 +273,13 @@ func MIS(h *runtime.Host, cfg Config, out []bool) MISStats {
 		if cfg.requestActive() {
 			requestLocalProxies(h, state)
 		}
-		if dir == runtime.DirPull {
+		if k == roundPull {
 			// Bottom-up knockout: an undecided master drops out when any
 			// in-neighbor just joined the set. Value reads the post-decide
 			// snapshot (masters) and the freshly broadcast mirrors, the
 			// same values the push body's round-start reads see; the write
 			// targets only the own slot, so again no reduce collective.
-			ph := de.ph
+			ph := pol.ph
 			ph.BeginPullRound()
 			h.TimeCompute(func() {
 				h.ParForPull(func(_ int, n graph.NodeID) {
@@ -325,11 +314,11 @@ func MIS(h *runtime.Host, cfg Config, out []bool) MISStats {
 				}
 			}
 			h.TimeCompute(func() {
-				if mode == runtime.ModeAsync {
+				if k == roundAsync {
 					// Knockouts write neighbors' state while peers read it, so
 					// both sides go through the CAS handle. No re-enqueue:
 					// knocked-out vertices trigger no further knockouts.
-					sh := eng.ah
+					sh := pol.ah
 					d := h.AsyncDrain(fr, misOpts, func(tid int, n graph.NodeID, _ *runtime.AsyncCtx) {
 						gid := h.HP.GlobalID(n)
 						if st, ok := sh.Load(gid); !ok || st != misIn {
@@ -356,9 +345,7 @@ func MIS(h *runtime.Host, cfg Config, out []bool) MISStats {
 			state.ReduceSync()
 			state.BroadcastSync()
 		}
-		if fr != nil {
-			eng.observe(mode, fr.Count(), fr.Size(), drain)
-		}
+		pol.observe(k, fr, drain)
 
 		if cfg.requestActive() {
 			requestLocalProxies(h, state)

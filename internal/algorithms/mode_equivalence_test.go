@@ -9,13 +9,14 @@ import (
 	"kimbap/internal/runtime"
 )
 
-// Execution-mode equivalence: the asynchronous drain and the adaptive
-// policy engine are pure scheduling changes. CC converges to the min-label
+// Strategy equivalence on CVC: the asynchronous drain and the adaptive
+// policy are pure scheduling changes. CC converges to the min-label
 // fixpoint and MIS's per-round decisions depend only on values fixed at
 // round start, so every mode must converge to bit-identical final outputs
 // — across worker counts (the async scheduler's stealing and CAS paths are
 // timing-sensitive) and host counts (mirror CAS applies must surface at
-// reduce-sync exactly like buffered reduces).
+// reduce-sync exactly like buffered reduces). One host is pull-complete,
+// so there adaptive CC-LP and MIS pull instead of draining.
 
 func modeGraphs() map[string]*graph.Graph {
 	return map[string]*graph.Graph{
@@ -26,7 +27,7 @@ func modeGraphs() map[string]*graph.Graph {
 	}
 }
 
-func runCCMode(t *testing.T, g *graph.Graph, hosts, threads int, mode Mode,
+func runCCMode(t *testing.T, g *graph.Graph, hosts, threads int, s Strategy,
 	algo func(h *runtime.Host, cfg Config, out []graph.NodeID) CCStats) []graph.NodeID {
 	t.Helper()
 	c, err := runtime.NewCluster(g, runtime.Config{
@@ -37,7 +38,7 @@ func runCCMode(t *testing.T, g *graph.Graph, hosts, threads int, mode Mode,
 	}
 	defer c.Close()
 	out := make([]graph.NodeID, g.NumNodes())
-	c.Run(func(h *runtime.Host) { algo(h, Config{Mode: mode}, out) })
+	c.Run(func(h *runtime.Host) { algo(h, Config{Strategy: s}, out) })
 	return out
 }
 
@@ -47,17 +48,17 @@ func TestCCModesConvergeIdentically(t *testing.T) {
 		for aname, algo := range ccAlgos() {
 			for _, hosts := range []int{1, 2, 4, 8} {
 				for _, threads := range []int{1, 3} {
-					ref := runCCMode(t, g, hosts, threads, ExecBSP, algo)
-					for _, mode := range []Mode{ExecAsync, ExecAdaptive} {
-						got := runCCMode(t, g, hosts, threads, mode, algo)
+					ref := runCCMode(t, g, hosts, threads, StrategyBSP, algo)
+					for _, s := range []Strategy{StrategyAsync, StrategyAdaptive} {
+						got := runCCMode(t, g, hosts, threads, s, algo)
 						for i := range ref {
 							if got[i] != ref[i] {
 								t.Fatalf("%s/%s/%dh/%dt/%s: node %d labeled %d, BSP labeled %d",
-									gname, aname, hosts, threads, mode, i, got[i], ref[i])
+									gname, aname, hosts, threads, s, i, got[i], ref[i])
 							}
 							if got[i] != want[i] {
 								t.Fatalf("%s/%s/%dh/%dt/%s: node %d labeled %d, reference %d",
-									gname, aname, hosts, threads, mode, i, got[i], want[i])
+									gname, aname, hosts, threads, s, i, got[i], want[i])
 							}
 						}
 					}
@@ -67,7 +68,7 @@ func TestCCModesConvergeIdentically(t *testing.T) {
 	}
 }
 
-func runMISMode(t *testing.T, g *graph.Graph, hosts, threads int, mode Mode) []bool {
+func runMISMode(t *testing.T, g *graph.Graph, hosts, threads int, s Strategy) []bool {
 	t.Helper()
 	c, err := runtime.NewCluster(g, runtime.Config{
 		NumHosts: hosts, ThreadsPerHost: threads, Policy: partition.CVC,
@@ -77,7 +78,7 @@ func runMISMode(t *testing.T, g *graph.Graph, hosts, threads int, mode Mode) []b
 	}
 	defer c.Close()
 	out := make([]bool, g.NumNodes())
-	c.Run(func(h *runtime.Host) { MIS(h, Config{Mode: mode}, out) })
+	c.Run(func(h *runtime.Host) { MIS(h, Config{Strategy: s}, out) })
 	return out
 }
 
@@ -85,16 +86,16 @@ func TestMISModesConvergeIdentically(t *testing.T) {
 	for gname, g := range modeGraphs() {
 		for _, hosts := range []int{1, 2, 4, 8} {
 			for _, threads := range []int{1, 3} {
-				ref := runMISMode(t, g, hosts, threads, ExecBSP)
+				ref := runMISMode(t, g, hosts, threads, StrategyBSP)
 				if !graph.IsValidMIS(g, ref) {
 					t.Fatalf("%s/%dh/%dt: BSP produced invalid MIS", gname, hosts, threads)
 				}
-				for _, mode := range []Mode{ExecAsync, ExecAdaptive} {
-					got := runMISMode(t, g, hosts, threads, mode)
+				for _, s := range []Strategy{StrategyAsync, StrategyAdaptive} {
+					got := runMISMode(t, g, hosts, threads, s)
 					for i := range ref {
 						if got[i] != ref[i] {
 							t.Fatalf("%s/%dh/%dt/%s: node %d membership %v, BSP %v",
-								gname, hosts, threads, mode, i, got[i], ref[i])
+								gname, hosts, threads, s, i, got[i], ref[i])
 						}
 					}
 				}
@@ -103,9 +104,13 @@ func TestMISModesConvergeIdentically(t *testing.T) {
 	}
 }
 
-// The adaptive engine must actually exercise the async path where it is
-// profitable: on a single host every target is local, so the first round
-// probes async, and a converging CC run should keep it on.
+// The adaptive strategy must actually exercise the async path where it is
+// profitable: on a single host every target is local, so the first push
+// round probes async, and a converging CC run should keep it on. CC-SV's
+// reformulated pull gives way to those drains (see pullReformulated). One
+// host is also pull-complete, so CC-LP, whose pull round is an exact
+// transpose, pulls and never drains; CC-SCLP pulls its propagation pass
+// and drains its shortcut. The labels must still be the reference's.
 func TestAdaptiveModeTraceUsesAsync(t *testing.T) {
 	g := gen.Chain(400, false, 5)
 	c, err := runtime.NewCluster(g, runtime.Config{NumHosts: 1, ThreadsPerHost: 3})
@@ -113,19 +118,34 @@ func TestAdaptiveModeTraceUsesAsync(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	out := make([]graph.NodeID, g.NumNodes())
-	var rounds RoundStats
-	c.Run(func(h *runtime.Host) {
-		stats := CCSV(h, Config{Mode: ExecAdaptive, LogRounds: true}, out)
-		rounds = stats.PerRound
-	})
-	async := 0
-	for _, m := range rounds.Mode {
-		if m == "async" {
-			async++
+	for _, tc := range []struct {
+		name       string
+		algo       func(h *runtime.Host, cfg Config, out []graph.NodeID) CCStats
+		want, none []string
+	}{
+		{"CC-SV", CCSV, []string{"async"}, []string{"pull"}},
+		{"CC-LP", CCLP, []string{"pull"}, []string{"async"}},
+		{"CC-SCLP", CCSCLP, []string{"async", "pull"}, nil},
+	} {
+		out := make([]graph.NodeID, g.NumNodes())
+		var rounds RoundStats
+		c.Run(func(h *runtime.Host) {
+			rounds = tc.algo(h, Config{Strategy: StrategyAdaptive, LogRounds: true}, out).PerRound
+		})
+		checkLabels(t, g, out, "adaptive "+tc.name)
+		shapes := map[string]int{}
+		for _, s := range rounds.Shape {
+			shapes[s]++
 		}
-	}
-	if async == 0 {
-		t.Fatalf("adaptive single-host CC-SV never chose async; trace %v", rounds.Mode)
+		for _, s := range tc.want {
+			if shapes[s] == 0 {
+				t.Fatalf("adaptive single-host %s never ran a %s round; trace %v", tc.name, s, rounds.Shape)
+			}
+		}
+		for _, s := range tc.none {
+			if shapes[s] != 0 {
+				t.Fatalf("adaptive single-host %s ran a %s round; trace %v", tc.name, s, rounds.Shape)
+			}
+		}
 	}
 }

@@ -128,7 +128,7 @@ func MSF(h *runtime.Host, cfg Config, comp []graph.NodeID) MSFStats {
 	for {
 		stats.Rounds++
 		// 1. Collapse parent chains so parents are component roots.
-		ccShortcut(h, cfg, parent, frP, nil, nil, nil)
+		shortcut(h, cfg, parent, frP, nil, nil, nil)
 
 		// 2. Reset the candidates: masters back to the identity.
 		h.ParForMasters(func(_ int, local graph.NodeID) {
@@ -260,7 +260,7 @@ func MSF(h *runtime.Host, cfg Config, comp []graph.NodeID) MSFStats {
 	}
 
 	// Final collapse so labels are roots, then collect.
-	ccShortcut(h, cfg, parent, frP, nil, nil, nil)
+	shortcut(h, cfg, parent, frP, nil, nil, nil)
 	weight.Sync(h.EP)
 	edges.Sync(h.EP)
 	stats.TotalWeight = weight.Read()

@@ -74,8 +74,8 @@ func TestReorderEquivalenceCCSVFullMatrix(t *testing.T) {
 }
 
 // TestReorderEquivalenceAllAlgorithms sweeps every flat SPMD algorithm
-// (all CC variants, MIS, MSF) and the async/adaptive engines under both
-// reorder policies: outputs must match the unreordered run bit for bit.
+// (all CC variants, MIS, MSF) and every strategy under both reorder
+// policies: outputs must match the unreordered run bit for bit.
 func TestReorderEquivalenceAllAlgorithms(t *testing.T) {
 	graphs := map[string]*graph.Graph{
 		"chain": gen.Chain(300, true, 3),
@@ -87,16 +87,16 @@ func TestReorderEquivalenceAllAlgorithms(t *testing.T) {
 			rc := runtime.Config{NumHosts: hosts, ThreadsPerHost: 3, Policy: partition.CVC}
 
 			for aname, algo := range ccAlgos() {
-				for _, mode := range []Mode{ExecBSP, ExecAsync, ExecAdaptive} {
-					base := runCCReorder(t, g, rc, Config{Mode: mode}, algo)
+				for _, s := range []Strategy{StrategyBSP, StrategyAsync, StrategyPull, StrategyAdaptive} {
+					base := runCCReorder(t, g, rc, Config{Strategy: s}, algo)
 					for _, pol := range reorderPolicies() {
 						rrc := rc
 						rrc.Reorder = pol
-						got := runCCReorder(t, g, rrc, Config{Mode: mode}, algo)
+						got := runCCReorder(t, g, rrc, Config{Strategy: s}, algo)
 						for i := range base {
 							if got[i] != base[i] {
 								t.Fatalf("%s/%s/%dh/%s/%s: node %d labeled %d, unreordered labeled %d",
-									gname, aname, hosts, mode, pol, i, got[i], base[i])
+									gname, aname, hosts, s, pol, i, got[i], base[i])
 							}
 						}
 					}

@@ -55,15 +55,13 @@ type PerfRecord struct {
 	RoundActive      []int64 `json:"round_active,omitempty"`
 	RoundReduceBytes []int64 `json:"round_reduce_bytes,omitempty"`
 	RoundHook        []bool  `json:"round_hook,omitempty"`
-	// RoundMode is the execution mode per round: "bsp" or "async" when
-	// every host agreed, "mixed" when the adaptive controllers diverged
-	// (mode is a host-local decision; the collectives meet either way).
-	RoundMode []string `json:"round_mode,omitempty"`
-	// RoundDir is the traversal direction per round: "push" or "pull".
-	// Direction is a globally-coordinated decision (a pull round elides the
-	// reduce collective, so the hosts must agree on the sequence); "mixed"
-	// would indicate a coordination bug and is folded defensively.
-	RoundDir []string `json:"round_dir,omitempty"`
+	// RoundShape is the shape each round ran in: "bsp", "async" or "pull"
+	// when every host agreed, "mixed" when they diverged. Hosts choose
+	// between bsp and async independently (the collectives meet either
+	// way), so adaptive runs may mix those two; whether a round pulls is
+	// agreed globally, so a "mixed" round involving pull would be a
+	// coordination bug.
+	RoundShape []string `json:"round_shape,omitempty"`
 }
 
 // perfFile is the on-disk shape of BENCH_kimbap.json.
@@ -99,27 +97,28 @@ func (c Config) PerfTo(w io.Writer, jsonPath string) error {
 		// to 95% of the baseline.
 		c.ccReorderPerf("cc_sv_locality", 4, ""),
 		c.ccReorderPerf("cc_sv_full_reordered", 4, graph.ReorderBlockedDegree),
-		// Execution-mode trio on the skewed-convergence workload (a long
-		// chain: maximal pointer-jumping depth, the async drain's best
-		// case) — the static BSP baseline, the static async drain, and the
-		// telemetry-driven adaptive controller, plus adaptive at 4 hosts
-		// where mirrors dilute the async win and the policy must hold back.
-		c.ccModePerf("cc_sv_bsp", 1, algorithms.ExecBSP),
-		c.ccModePerf("cc_sv_async", 1, algorithms.ExecAsync),
-		c.ccModePerf("cc_sv_adaptive", 1, algorithms.ExecAdaptive),
-		c.ccModePerf("cc_sv_adaptive", 4, algorithms.ExecAdaptive),
+		// Strategy trio on the skewed-convergence workload (a long chain:
+		// maximal pointer-jumping depth, the async drain's best case) — the
+		// static bsp baseline, the static async drain, and the adaptive
+		// policy, plus adaptive at 4 hosts where mirrors dilute the async
+		// win and the policy must hold back.
+		c.ccChainPerf("cc_sv_bsp", 1, algorithms.StrategyBSP),
+		c.ccChainPerf("cc_sv_async", 1, algorithms.StrategyAsync),
+		c.ccChainPerf("cc_sv_adaptive", 1, algorithms.StrategyAdaptive),
+		c.ccChainPerf("cc_sv_adaptive", 4, algorithms.StrategyAdaptive),
 		// Direction trio (§15) on the standard R-MAT under the pull-complete
 		// IEC partition, dense rounds: the push baseline, static pull (every
 		// hook round bottom-up over the in-edge CSR, broadcast-only round
 		// ends — its round_reduce_bytes column is all zeros), and the
-		// globally-reduced adaptive rule. The wall gate
-		// (perf_wall_test.go TestDirectionWallGate) holds pull under the
-		// push wall and adaptive near the best static direction.
-		c.ccDirPerf("cc_sv_push", 4, algorithms.DirPush),
-		c.ccDirPerf("cc_sv_pull", 4, algorithms.DirPull),
-		c.ccDirPerf("cc_sv_direction_adaptive", 4, algorithms.DirAdaptive),
-		c.misPerf("mis_full", 1, algorithms.ExecBSP),
-		c.misPerf("mis_async", 1, algorithms.ExecAsync),
+		// adaptive policy, which with no frontier to drain chooses only the
+		// direction. The wall gate (perf_wall_test.go TestDirectionWallGate)
+		// holds pull under the push wall and adaptive near the best static
+		// direction.
+		c.ccIECPerf("cc_sv_push", 4, algorithms.StrategyBSP),
+		c.ccIECPerf("cc_sv_pull", 4, algorithms.StrategyPull),
+		c.ccIECPerf("cc_sv_direction_adaptive", 4, algorithms.StrategyAdaptive),
+		c.misPerf("mis_full", 1, algorithms.StrategyBSP),
+		c.misPerf("mis_async", 1, algorithms.StrategyAsync),
 	}
 	records = append(records, c.ingestPerf()...)
 	records = append(records, c.ingestIOPerf()...)
@@ -161,22 +160,18 @@ func (c Config) PerfTo(w io.Writer, jsonPath string) error {
 	bt.Fprint(w)
 
 	rt := NewTable("Per-round activity (cluster-wide)",
-		"name", "hosts", "round", "kind", "mode", "dir", "active", "reduce bytes")
+		"name", "hosts", "round", "kind", "shape", "active", "reduce bytes")
 	for _, r := range records {
 		for i := range r.RoundActive {
 			kind := "shortcut"
 			if r.RoundHook[i] {
 				kind = "hook"
 			}
-			mode := "bsp"
-			if i < len(r.RoundMode) {
-				mode = r.RoundMode[i]
+			shape := "bsp"
+			if i < len(r.RoundShape) {
+				shape = r.RoundShape[i]
 			}
-			dir := "push"
-			if i < len(r.RoundDir) {
-				dir = r.RoundDir[i]
-			}
-			rt.Row(r.Name, r.Hosts, i, kind, mode, dir, r.RoundActive[i], r.RoundReduceBytes[i])
+			rt.Row(r.Name, r.Hosts, i, kind, shape, r.RoundActive[i], r.RoundReduceBytes[i])
 		}
 	}
 	rt.Fprint(w)
@@ -316,7 +311,7 @@ func (c Config) syncPerf(name string, variant npm.Variant, hosts int, pin bool) 
 // dense or frontier-driven, and records the per-round activity log.
 func (c Config) ccPerf(name string, variant npm.Variant, hosts int, dense bool) PerfRecord {
 	g, _ := c.perfGraph()
-	return c.ccPerfOn(name, g, variant, hosts, dense, algorithms.ExecBSP, "", "", "")
+	return c.ccPerfOn(name, g, variant, hosts, dense, algorithms.StrategyBSP, "", "")
 }
 
 // localityGraph is the reorder ablation's input: big enough that the
@@ -336,10 +331,10 @@ func (c Config) localityGraph() *graph.Graph {
 // the record isolates the steady-state locality effect, while the reorder
 // pass's own cost is gated separately against the stream build.
 func (c Config) ccReorderPerf(name string, hosts int, pol graph.ReorderPolicy) PerfRecord {
-	return c.ccPerfOn(name, c.localityGraph(), npm.Full, hosts, true, algorithms.ExecBSP, pol, "", "")
+	return c.ccPerfOn(name, c.localityGraph(), npm.Full, hosts, true, algorithms.StrategyBSP, pol, "")
 }
 
-// chainGraph is the skewed-convergence workload for the execution-mode
+// chainGraph is the skewed-convergence workload for the strategy
 // records: a long path maximizes pointer-jumping depth, so BSP pays a
 // whole collective round per jump level while an asynchronous drain
 // collapses each host's local chains in one pass.
@@ -350,22 +345,22 @@ func (c Config) chainGraph() *graph.Graph {
 	return gen.Chain(1<<13, false, 3)
 }
 
-// ccModePerf measures CC-SV on the chain workload under one execution mode.
-func (c Config) ccModePerf(name string, hosts int, mode algorithms.Mode) PerfRecord {
-	return c.ccPerfOn(name, c.chainGraph(), npm.Full, hosts, false, mode, "", "", "")
+// ccChainPerf measures frontier-driven CC-SV on the chain workload under
+// one strategy.
+func (c Config) ccChainPerf(name string, hosts int, s algorithms.Strategy) PerfRecord {
+	return c.ccPerfOn(name, c.chainGraph(), npm.Full, hosts, false, s, "", "")
 }
 
-// ccDirPerf measures dense CC-SV on the standard R-MAT under one traversal
-// direction. The partition is IEC — the pull-complete policy — so pull is
-// actually exercised rather than silently falling back to push.
-func (c Config) ccDirPerf(name string, hosts int, dir algorithms.Direction) PerfRecord {
+// ccIECPerf measures dense CC-SV on the standard R-MAT under one strategy.
+// The partition is IEC — the pull-complete policy — so pull is actually
+// exercised rather than falling back to bsp.
+func (c Config) ccIECPerf(name string, hosts int, s algorithms.Strategy) PerfRecord {
 	g, _ := c.perfGraph()
-	return c.ccPerfOn(name, g, npm.Full, hosts, true, algorithms.ExecBSP, "", dir, partition.IEC)
+	return c.ccPerfOn(name, g, npm.Full, hosts, true, s, "", partition.IEC)
 }
 
 func (c Config) ccPerfOn(name string, g *graph.Graph, variant npm.Variant, hosts int,
-	dense bool, mode algorithms.Mode, reorder graph.ReorderPolicy,
-	dir algorithms.Direction, pol partition.Policy) PerfRecord {
+	dense bool, s algorithms.Strategy, reorder graph.ReorderPolicy, pol partition.Policy) PerfRecord {
 
 	rec := PerfRecord{Name: name, Hosts: hosts, Threads: c.Threads}
 	best := time.Duration(-1)
@@ -384,7 +379,7 @@ func (c Config) ccPerfOn(name string, g *graph.Graph, variant npm.Variant, hosts
 		start := time.Now()
 		cluster.Run(func(h *runtime.Host) {
 			perHost[h.Rank] = algorithms.CCSV(h, algorithms.Config{
-				Variant: variant, Dense: dense, LogRounds: true, Mode: mode, Direction: dir,
+				Variant: variant, Dense: dense, LogRounds: true, Strategy: s,
 			}, out)
 		})
 		wall := time.Since(start)
@@ -406,16 +401,16 @@ func (c Config) ccPerfOn(name string, g *graph.Graph, variant npm.Variant, hosts
 			for i, st := range perHost {
 				logs[i] = st.PerRound
 			}
-			rec.RoundActive, rec.RoundReduceBytes, rec.RoundHook, rec.RoundMode, rec.RoundDir = sumRounds(logs)
+			rec.RoundActive, rec.RoundReduceBytes, rec.RoundHook, rec.RoundShape = sumRounds(logs)
 		}
 	}
 	return rec
 }
 
-// misPerf measures one end-to-end MIS run under one execution mode (the
+// misPerf measures one end-to-end MIS run under one strategy (the
 // standard R-MAT input; MIS keeps no round log, so only the scalar
 // columns are filled).
-func (c Config) misPerf(name string, hosts int, mode algorithms.Mode) PerfRecord {
+func (c Config) misPerf(name string, hosts int, s algorithms.Strategy) PerfRecord {
 	g, _ := c.perfGraph()
 	rec := PerfRecord{Name: name, Hosts: hosts, Threads: c.Threads}
 	best := time.Duration(-1)
@@ -432,7 +427,7 @@ func (c Config) misPerf(name string, hosts int, mode algorithms.Mode) PerfRecord
 		gort.ReadMemStats(&ms0)
 		start := time.Now()
 		cluster.Run(func(h *runtime.Host) {
-			algorithms.MIS(h, algorithms.Config{Mode: mode}, out)
+			algorithms.MIS(h, algorithms.Config{Strategy: s}, out)
 		})
 		wall := time.Since(start)
 		gort.ReadMemStats(&ms1)
@@ -455,36 +450,23 @@ func (c Config) misPerf(name string, hosts int, mode algorithms.Mode) PerfRecord
 }
 
 // sumRounds folds the per-host round logs into cluster-wide totals.
-// Rounds are collective, so every host logs the same sequence length; the
-// execution mode is host-local, so a round reports "mixed" when adaptive
-// controllers diverged across hosts. Direction is globally coordinated —
-// "mixed" there would be a coordination bug — but it is folded the same
-// defensive way rather than trusting host 0.
-func sumRounds(perHost []algorithms.RoundStats) (active, bytes []int64, hook []bool, mode, dir []string) {
+// Rounds are collective, so every host logs the same sequence length; a
+// round's shape reports "mixed" when the hosts' shapes differ (see
+// PerfRecord.RoundShape).
+func sumRounds(perHost []algorithms.RoundStats) (active, bytes []int64, hook []bool, shape []string) {
 	rounds := len(perHost[0].Active)
 	active = make([]int64, rounds)
 	bytes = make([]int64, rounds)
-	for _, st := range perHost {
-		for r := 0; r < rounds; r++ {
+	shape = make([]string, rounds)
+	for r := 0; r < rounds; r++ {
+		shape[r] = perHost[0].Shape[r]
+		for _, st := range perHost {
 			active[r] += st.Active[r]
 			bytes[r] += st.ReduceBytes[r]
-		}
-	}
-	fold := func(col func(algorithms.RoundStats) []string) []string {
-		out := make([]string, 0, rounds)
-		for r := 0; r < rounds; r++ {
-			v := col(perHost[0])[r]
-			for _, st := range perHost[1:] {
-				if col(st)[r] != v {
-					v = "mixed"
-					break
-				}
+			if st.Shape[r] != shape[r] {
+				shape[r] = "mixed"
 			}
-			out = append(out, v)
 		}
-		return out
 	}
-	mode = fold(func(st algorithms.RoundStats) []string { return st.Mode })
-	dir = fold(func(st algorithms.RoundStats) []string { return st.Dir })
-	return active, bytes, perHost[0].Hook, mode, dir
+	return active, bytes, perHost[0].Hook, shape
 }

@@ -66,9 +66,9 @@ func TestReduceSyncCommBytesNoRegression(t *testing.T) {
 // round end. TestDirectionWallGate holds the wall-time half.
 func TestDirectionGate(t *testing.T) {
 	cfg := Config{Scale: Full, Threads: 4, Reps: 1}
-	pull := cfg.ccDirPerf("cc_sv_pull", 4, algorithms.DirPull)
+	pull := cfg.ccIECPerf("cc_sv_pull", 4, algorithms.StrategyPull)
 	pullRounds := 0
-	for i, d := range pull.RoundDir {
+	for i, d := range pull.RoundShape {
 		if d != "pull" {
 			continue
 		}
@@ -78,8 +78,8 @@ func TestDirectionGate(t *testing.T) {
 		}
 	}
 	if pullRounds == 0 {
-		t.Fatalf("static pull run recorded no pull rounds (dirs %v); gate workload is broken",
-			pull.RoundDir)
+		t.Fatalf("static pull run recorded no pull rounds (shapes %v); gate workload is broken",
+			pull.RoundShape)
 	}
 }
 
@@ -87,14 +87,15 @@ func TestDirectionGate(t *testing.T) {
 // on the full-scale friendster analogue: the streaming two-scan build's
 // allocation (TotalAlloc delta, an upper bound on peak heap growth) must
 // stay within 125% of the final CSR footprint — the pooled cursor matrix
-// and the per-worker block buffers are the only working set on top of the
-// output arrays. A warmup build fills the buffer pools first.
+// and the per-worker block buffers (allocated per build) are the only
+// working set on top of the output arrays. A warmup build fills the
+// cursor-matrix pool first.
 // TestStreamIngestWallGate holds the wall-time half.
 func TestStreamIngestGate(t *testing.T) {
 	cfg := Config{Scale: Full, Threads: 4, Reps: 1}
 	fx, cleanup := cfg.ioFixtureFor(gen.Friendster)
 	defer cleanup()
-	fx.streamKMB2(cfg.Threads) // warm the block and count pools
+	fx.streamKMB2(cfg.Threads) // warm the count pool
 	gort.GC()
 	stream := cfg.timeOp(PerfRecord{Name: "gate_stream"}, func() {},
 		func() { fx.streamKMB2(cfg.Threads) })

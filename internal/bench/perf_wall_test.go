@@ -48,21 +48,21 @@ func TestIngestBuildPartitionGate(t *testing.T) {
 	}
 }
 
-// TestAdaptiveModeGate holds the adaptive policy engine to at most 110% of
-// the best static execution mode on the single-host chain workload, all
+// TestAdaptiveModeGate holds the adaptive strategy to at most 110% of the
+// best static one of bsp and async on the single-host chain workload, all
 // three measured live in this process. The workload is the async drain's
-// best case (deep pointer-jumping), so static async beats static BSP by a
-// wide margin; the adaptive controller probes async on its first round
+// best case (deep pointer-jumping), so static async beats static bsp by a
+// wide margin; the adaptive policy probes async on its first push round
 // (every target is local at one host) and must essentially track it — the
 // 10% margin absorbs the probe round and scheduler noise, with Reps
 // best-of damping the rest.
 func TestAdaptiveModeGate(t *testing.T) {
 	cfg := Config{Scale: Full, Threads: 4, Reps: 3}
-	bsp := cfg.ccModePerf("cc_sv_bsp", 1, algorithms.ExecBSP).WallNsPerOp
-	async := cfg.ccModePerf("cc_sv_async", 1, algorithms.ExecAsync).WallNsPerOp
-	adaptive := cfg.ccModePerf("cc_sv_adaptive", 1, algorithms.ExecAdaptive).WallNsPerOp
+	bsp := cfg.ccChainPerf("cc_sv_bsp", 1, algorithms.StrategyBSP).WallNsPerOp
+	async := cfg.ccChainPerf("cc_sv_async", 1, algorithms.StrategyAsync).WallNsPerOp
+	adaptive := cfg.ccChainPerf("cc_sv_adaptive", 1, algorithms.StrategyAdaptive).WallNsPerOp
 	if bsp == 0 || async == 0 {
-		t.Fatal("static mode measured zero wall time; gate workload is broken")
+		t.Fatal("static strategy measured zero wall time; gate workload is broken")
 	}
 	bestStatic := min(bsp, async)
 	t.Logf("chain CC-SV 1h: bsp=%.2fms async=%.2fms adaptive=%.2fms",
@@ -85,9 +85,9 @@ func TestAdaptiveModeGate(t *testing.T) {
 // no reduce bytes.
 func TestDirectionWallGate(t *testing.T) {
 	cfg := Config{Scale: Full, Threads: 4, Reps: 3}
-	push := cfg.ccDirPerf("cc_sv_push", 4, algorithms.DirPush).WallNsPerOp
-	pull := cfg.ccDirPerf("cc_sv_pull", 4, algorithms.DirPull).WallNsPerOp
-	adaptive := cfg.ccDirPerf("cc_sv_direction_adaptive", 4, algorithms.DirAdaptive).WallNsPerOp
+	push := cfg.ccIECPerf("cc_sv_push", 4, algorithms.StrategyBSP).WallNsPerOp
+	pull := cfg.ccIECPerf("cc_sv_pull", 4, algorithms.StrategyPull).WallNsPerOp
+	adaptive := cfg.ccIECPerf("cc_sv_direction_adaptive", 4, algorithms.StrategyAdaptive).WallNsPerOp
 	if push == 0 || pull == 0 {
 		t.Fatal("static direction measured zero wall time; gate workload is broken")
 	}

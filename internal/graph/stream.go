@@ -66,12 +66,15 @@ func growCap[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// blockPool recycles EdgeBlocks (columns and raw scratch) across scans
-// and StreamBuilder calls, the same discipline as build.go's countPool.
-// Ownership contract (machine-checked by kimbapvet's bufownership
-// analyzer): a block handed to PutBlock may be reissued to another worker
-// immediately — the caller must not write through or retain any of its
-// slices afterwards.
+// blockPool recycles EdgeBlocks (columns and raw scratch) for the
+// block-at-a-time readers and writers outside StreamBuilder (KMB2Writer,
+// LoadKMB2). StreamBuilder does not pool: a text shard's block holds
+// megabytes, and a pooled block stays reachable through the pool's
+// victim cache until the second GC after the build, so the next phase's
+// live heap would depend on how many GCs it had run. Ownership contract
+// (machine-checked by kimbapvet's bufownership analyzer): a block handed
+// to PutBlock may be reissued to another worker immediately — the caller
+// must not write through or retain any of its slices afterwards.
 var blockPool sync.Pool
 
 // GetBlock returns a pooled EdgeBlock. Callers size it with Reset/RawBuf;
@@ -142,18 +145,19 @@ func (sb *StreamBuilder) WithInCSR(on bool) *StreamBuilder {
 }
 
 // scan runs one pass over the source: each worker takes its static block
-// range in index order, reading through one pooled block. fn sees every
-// block exactly once, on the worker that owns it. Errors surface in
-// worker order (par.DoErr), so a multi-worker failure is deterministic.
-func (sb *StreamBuilder) scan(workers int, fn func(w int, blk *EdgeBlock) error) error {
+// range in index order, reading through its own block blks[w] (one per
+// worker, owned by the build, so the second scan reuses the capacity the
+// first one grew). fn sees every block exactly once, on the worker that
+// owns it. Errors surface in worker order (par.DoErr), so a multi-worker
+// failure is deterministic.
+func (sb *StreamBuilder) scan(workers int, blks []EdgeBlock, fn func(w int, blk *EdgeBlock) error) error {
 	nb := sb.src.NumBlocks()
 	return par.DoErr(workers, func(w int) error {
 		lo, hi := par.Range(w, workers, nb)
 		if lo == hi {
 			return nil
 		}
-		blk := GetBlock()
-		defer PutBlock(blk)
+		blk := &blks[w]
 		for i := lo; i < hi; i++ {
 			if err := sb.src.ReadBlock(i, blk); err != nil {
 				return fmt.Errorf("graph: stream block %d: %w", i, err)
@@ -208,6 +212,7 @@ func (sb *StreamBuilder) Build() (*Graph, error) {
 	// only full-edge validation pass (pass 2 trusts it and only re-checks
 	// totals). With the fused transpose enabled the same scan counts the
 	// in-degree matrix too.
+	blks := make([]EdgeBlock, workers)
 	cnt := getCounts(workers * n)
 	var icnt []int64
 	if sb.inCSR {
@@ -244,7 +249,7 @@ func (sb *StreamBuilder) Build() (*Graph, error) {
 			clear(icnt[w*n : (w+1)*n])
 		}
 	})
-	if err := sb.scan(workers, count); err != nil {
+	if err := sb.scan(workers, blks, count); err != nil {
 		putCounts(cnt)
 		if icnt != nil {
 			putCounts(icnt)
@@ -329,7 +334,7 @@ func (sb *StreamBuilder) Build() (*Graph, error) {
 		return nil
 	}
 	//kimbap:conflictfree
-	err := sb.scan(workers, scatter)
+	err := sb.scan(workers, blks, scatter)
 	putCounts(cnt)
 	if icnt != nil {
 		putCounts(icnt)
@@ -410,6 +415,7 @@ func (sb *StreamBuilder) BuildReordered(policy ReorderPolicy, blocks int) (*Grap
 	// Pass 1: identical to Build's counting scan (including the fused
 	// in-degree matrix, keyed by the original destination — the
 	// permutation does not exist yet during pass 1).
+	blks := make([]EdgeBlock, workers)
 	cnt := getCounts(workers * n)
 	var icnt []int64
 	if sb.inCSR {
@@ -444,7 +450,7 @@ func (sb *StreamBuilder) BuildReordered(policy ReorderPolicy, blocks int) (*Grap
 			clear(icnt[w*n : (w+1)*n])
 		}
 	})
-	if err := sb.scan(workers, count); err != nil {
+	if err := sb.scan(workers, blks, count); err != nil {
 		putCounts(cnt)
 		if icnt != nil {
 			putCounts(icnt)
@@ -541,7 +547,7 @@ func (sb *StreamBuilder) BuildReordered(policy ReorderPolicy, blocks int) (*Grap
 		return nil
 	}
 	//kimbap:conflictfree
-	err := sb.scan(workers, scatter)
+	err := sb.scan(workers, blks, scatter)
 	putCounts(cnt)
 	if icnt != nil {
 		putCounts(icnt)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -249,6 +250,48 @@ func TestStreamTextMatchesReadEdgeList(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireGraphsIdentical(t, want, got)
+}
+
+// TestStreamTextBuildAllocBound pins what a cold text build allocates: the
+// CSR, the count matrix, and block columns of one slot per input line —
+// sized once per shard, so the parse never regrows them. Regrowing by
+// append allocated several times the columns (a 256² grid's load
+// allocated 27.8 MB for a 3.6 MB CSR).
+func TestStreamTextBuildAllocBound(t *testing.T) {
+	const n, m, workers = 2048, 40000, 2
+	b := NewBuilder(n)
+	fillBuilder(b, edgeCase{weighted: true}, n, m, 5)
+	data := edgeListText(b, n, false)
+	path := filepath.Join(t.TempDir(), "g.txt")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// Two shards, one per worker.
+	ts, err := OpenTextConfig(path, TextConfig{ShardBytes: len(data)/2 + 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ts.Close()
+	if ts.NumBlocks() != workers {
+		t.Fatalf("got %d shards, want %d", ts.NumBlocks(), workers)
+	}
+	// Two GCs empty the count pool, so the build below pays for its matrix.
+	runtime.GC()
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	g, err := NewStreamBuilder(ts).SetWorkers(workers).Build()
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := int64(bytes.Count(data, []byte{'\n'}) + 1)
+	csr := int64(n+1)*8 + g.NumEdges()*12
+	limit := csr + lines*16 + workers*n*8 + 64<<10
+	if got := int64(after.TotalAlloc - before.TotalAlloc); got > limit {
+		t.Errorf("text stream build allocated %d bytes, above %d (CSR %d + %d lines × 16 + counts + 64 KiB)",
+			got, limit, csr, lines)
+	}
 }
 
 func TestTextSourceErrors(t *testing.T) {

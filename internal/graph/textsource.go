@@ -16,7 +16,7 @@ import (
 // re-parsed on the second scan) with byte-level field splitting — no
 // strings.Fields / strings.TrimSpace / per-line allocations on the hot
 // path. The file is mmapped when possible; otherwise shards are read
-// with ReadAt into pooled block scratch.
+// with ReadAt into the block's scratch.
 //
 // Streaming needs the node count and weightedness before the first scan,
 // so TextSource is stricter than ReadEdgeList in two documented ways:
@@ -242,10 +242,14 @@ func (ts *TextSource) ReadBlock(i int, blk *EdgeBlock) error {
 			return err
 		}
 	}
-	blk.Srcs = blk.Srcs[:0]
-	blk.Dsts = blk.Dsts[:0]
+	// A shard has at most one edge per line: size the columns once, so the
+	// parse never regrows them (append doubling would allocate about twice
+	// the shard's columns in garbage on every first use of a block).
+	lines := bytes.Count(data, []byte{'\n'}) + 1
+	blk.Srcs = growCap(blk.Srcs, lines)[:0]
+	blk.Dsts = growCap(blk.Dsts, lines)[:0]
 	if ts.weighted {
-		blk.Weights = blk.Weights[:0]
+		blk.Weights = growCap(blk.Weights, lines)[:0]
 	} else {
 		blk.Weights = nil
 	}

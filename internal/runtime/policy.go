@@ -67,6 +67,9 @@ const (
 	// casRetryCeiling is the retries-per-apply EMA above which contention
 	// makes buffered BSP reduces cheaper than CAS loops.
 	casRetryCeiling = 0.5
+	// asyncProbeShare is the local share at which an unobserved controller
+	// probes async: below it mirrors dominate the targets.
+	asyncProbeShare = 0.5
 	// policyEMAWeight is the weight of the newest observation.
 	policyEMAWeight = 0.5
 	// divisorFlapThreshold doubles the dense divisor after this many
@@ -129,7 +132,7 @@ func (a *Adaptive) NextMode(active int) ExecMode {
 	if !a.observed {
 		// No async round measured yet: probe once when enough targets are
 		// local for cascades to plausibly pay off (always on one host).
-		if a.localShare >= 0.5 {
+		if a.ProbesAsync() {
 			return ModeAsync
 		}
 		return ModeBSP
@@ -139,6 +142,11 @@ func (a *Adaptive) NextMode(active int) ExecMode {
 	}
 	return ModeBSP
 }
+
+// ProbesAsync reports whether NextMode's first frontier round on this host
+// runs async: whether enough of the host's targets are local for a drain's
+// cascades to plausibly pay.
+func (a *Adaptive) ProbesAsync() bool { return a.localShare >= asyncProbeShare }
 
 // Observe feeds one completed round's telemetry: updates the mode-choice
 // EMAs and retunes the host's dense/sparse threshold when the
@@ -190,7 +198,7 @@ func (a *Adaptive) Divisor() int { return a.divisor }
 // Unlike NextMode, direction is NOT a host-local choice: a pull round
 // issues a different collective sequence (no ReduceSync), so every host
 // must decide identically. Callers allreduce the telemetry first (the
-// algorithm engines use CountReducer.Sync); the rule itself is a pure
+// algorithms' round policy uses CountReducer.Sync); the rule itself is a pure
 // deterministic function of those global inputs plus the controller's
 // own previous decisions, which are in lockstep across hosts for the
 // same reason.
