@@ -28,14 +28,16 @@ lint:
 # handle included), the runtime's worker pool, bitsets, and async drain
 # scheduler, the transports, the parallel ingestion pipeline (par pool,
 # Chase-Lev deques, counting-sort build, partitioner, generators), the
-# kvstore application harness, and the full algorithms package — its
-# equivalence matrices hammer the async scheduler's stealing/CAS paths
-# and the pull rounds' plain-store master scans across host and thread
-# counts, which is exactly where a direction bug would race.
+# kvstore application harness, the baselines (Galois's MIS and CC run CAS
+# loops under its thread pool), the compiler's executor, and the full
+# algorithms package — its equivalence matrices hammer the async
+# scheduler's stealing/CAS paths and the pull rounds' plain-store master
+# scans across host and thread counts, which is exactly where a direction
+# bug would race.
 race:
 	$(GO) test -race ./internal/npm/... ./internal/runtime/... ./internal/comm/... \
 		./internal/par/... ./internal/graph/... ./internal/partition/... ./internal/gen/... \
-		./internal/kvstore/...
+		./internal/kvstore/... ./internal/baselines/... ./internal/compiler/...
 	$(GO) test -race ./internal/algorithms
 
 ci: build test benchmark-test lint race

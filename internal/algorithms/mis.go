@@ -10,9 +10,12 @@ import (
 
 // Priority-based maximal independent set (Burtscher et al.), an
 // adjacent-vertex program (Table 2). Each node gets a static priority
-// derived from its global degree; each round a node joins the set when its
-// priority beats every undecided neighbor's, and neighbors of new members
-// drop out.
+// derived from its global degree, ties broken by a pseudo-random bijection
+// of its original ID (graph.MISPriority, the rule every MIS here shares);
+// each round a node joins the set when its priority beats every undecided
+// neighbor's, and neighbors of new members drop out. The result is the
+// greedy MIS in priority order, so it does not depend on the partition,
+// the round shape, or the vertex numbering.
 //
 // Under vertex-cut partitioning a proxy sees only part of a node's
 // adjacency, so "beats every neighbor" is itself computed with a
@@ -43,8 +46,9 @@ func MIS(h *runtime.Host, cfg Config, out []bool) MISStats {
 	local := h.HP.Local
 
 	// Phase 1: global degrees (local degrees are partial under vertex
-	// cuts), then static priorities: lower score = higher priority;
-	// low-degree nodes win, ties broken by ID, so scores are distinct.
+	// cuts), then static priorities (graph.MISPriority): lower score =
+	// higher priority; low-degree nodes win, ties broken by a hash of the
+	// original ID, so scores are distinct.
 	degree := cfg.newFloatMap(h, npm.SumFloat64())
 	h.ParForNodes(func(_ int, n graph.NodeID) { degree.Set(h.HP.GlobalID(n), 0) })
 	degree.InitSync()
@@ -61,13 +65,12 @@ func MIS(h *runtime.Host, cfg Config, out []bool) MISStats {
 	if cfg.requestActive() {
 		requestLocalProxies(h, degree)
 	}
-	n64 := float64(h.HP.NumGlobalNodes() + 1)
+	nGlobal := uint64(h.HP.NumGlobalNodes())
 	h.ParForMasters(func(_ int, n graph.NodeID) {
 		gid := h.HP.GlobalID(n)
-		// Tie-break on the original ID so priorities — and therefore the
-		// selected set — are identical with vertex reordering on or off
-		// (degrees are permutation-invariant already).
-		prio.Set(gid, degree.Read(gid)*n64+float64(h.HP.OriginalID(gid)))
+		// Exact in the float64 map while degree·(n+1)+n < 2^53.
+		p := graph.MISPriority(uint64(degree.Read(gid)), uint64(h.HP.OriginalID(gid)), nGlobal)
+		prio.Set(gid, float64(p))
 	})
 	prio.InitSync()
 	prio.PinMirrors()

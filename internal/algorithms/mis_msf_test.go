@@ -232,3 +232,42 @@ func TestMISMaxRoundsCap(t *testing.T) {
 		t.Fatalf("rounds = %d with cap 1", stats.Rounds)
 	}
 }
+
+// TestMISRoadGridRounds pins the priority MIS's schedule on the road
+// workload's shape: a 256×256 grid on 2 hosts × 1 thread under CVC. Every
+// interior node has degree 4, so the order among them is the tie-break's;
+// a row-major ID tie-break admitted one anti-diagonal per round (255
+// rounds, 3072 messages); the hashed one takes 5. The message count is
+// exact: every round runs a fixed set of collectives.
+func TestMISRoadGridRounds(t *testing.T) {
+	g := gen.Grid(256, 256, false, 1)
+	c, err := runtime.NewCluster(g, runtime.Config{NumHosts: 2, ThreadsPerHost: 1, Policy: partition.CVC})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	out := make([]bool, g.NumNodes())
+	var stats MISStats
+	msgs0, _ := c.CommStatsByTag()
+	c.Run(func(h *runtime.Host) {
+		if s := MIS(h, Config{}, out); h.Rank == 0 {
+			stats = s
+		}
+	})
+	msgs1, _ := c.CommStatsByTag()
+	var msgs int64
+	for tag := range msgs1 {
+		msgs += msgs1[tag] - msgs0[tag]
+	}
+	t.Logf("%d rounds, %d messages, set size %d", stats.Rounds, msgs, stats.Size)
+	if !graph.IsValidMIS(g, out) {
+		t.Fatal("invalid MIS")
+	}
+	if stats.Rounds > 16 {
+		t.Errorf("MIS took %d rounds on the 256×256 grid, want ≤ 16", stats.Rounds)
+	}
+	// 12 per round plus 12 of set-up and result gathering.
+	if want := int64(72); msgs != want {
+		t.Errorf("MIS sent %d messages, want %d", msgs, want)
+	}
+}

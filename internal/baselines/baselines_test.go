@@ -4,8 +4,10 @@ package baselines_test
 
 import (
 	"math"
+	"slices"
 	"testing"
 
+	"kimbap/internal/algorithms"
 	"kimbap/internal/baselines/galois"
 	"kimbap/internal/baselines/gluon"
 	"kimbap/internal/baselines/vite"
@@ -73,10 +75,25 @@ func TestGaloisCCMatchesReference(t *testing.T) {
 }
 
 func TestGaloisMISValid(t *testing.T) {
-	for _, g := range []*graph.Graph{gen.Grid(9, 9, false, 1), gen.Star(40)} {
-		set := galois.MIS(g, 4)
-		if !graph.IsValidMIS(g, set) {
-			t.Fatal("galois MIS invalid")
+	// Galois runs the distributed MIS's priority rule asynchronously;
+	// priority-ordered greedy MIS is unique for a given order, so it must
+	// select the distributed implementation's set.
+	for _, g := range []*graph.Graph{gen.Grid(9, 9, false, 1), gen.Star(40), gen.RMAT(8, 6, false, 2)} {
+		c, err := runtime.NewCluster(g, runtime.Config{NumHosts: 2, ThreadsPerHost: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make([]bool, g.NumNodes())
+		c.Run(func(h *runtime.Host) { algorithms.MIS(h, algorithms.Config{}, want) })
+		c.Close()
+		for _, threads := range []int{1, 4} {
+			set := galois.MIS(g, threads)
+			if !graph.IsValidMIS(g, set) {
+				t.Fatal("galois MIS invalid")
+			}
+			if !slices.Equal(set, want) {
+				t.Fatalf("galois MIS (%d threads) differs from the distributed set", threads)
+			}
 		}
 	}
 }

@@ -147,13 +147,14 @@ func CCSV(g *graph.Graph, threads int) []graph.NodeID {
 	return out
 }
 
-// MIS computes a maximal independent set with the same degree-based
-// priority rule as the distributed implementation, applied asynchronously.
+// MIS computes a maximal independent set with the same priority rule as
+// the distributed implementation (graph.MISPriority), applied
+// asynchronously; it selects the same set.
 func MIS(g *graph.Graph, threads int) []bool {
 	n := g.NumNodes()
-	prio := make([]float64, n)
+	prio := make([]uint64, n)
 	for i := range prio {
-		prio[i] = float64(g.Degree(graph.NodeID(i)))*float64(n+1) + float64(i)
+		prio[i] = graph.MISPriority(uint64(g.Degree(graph.NodeID(i))), uint64(i), uint64(n))
 	}
 	const (
 		undecided = 0

@@ -1,8 +1,10 @@
 package compiler
 
 import (
+	"slices"
 	"testing"
 
+	"kimbap/internal/algorithms"
 	"kimbap/internal/gen"
 	"kimbap/internal/graph"
 	"kimbap/internal/npm"
@@ -196,15 +198,32 @@ func TestExecUnassignedVariablePanics(t *testing.T) {
 }
 
 func TestCompiledMISMatchesHandWritten(t *testing.T) {
-	// The compiled MIS and the hand-written algorithm use the same
-	// priority rule, so they should produce identical sets.
-	g := gen.Grid(7, 7, false, 1)
-	states := runCompiled(t, MISProgram(), g, 2, partition.OEC, true, npm.Full, "state")
-	set := make([]bool, g.NumNodes())
-	for i, s := range states {
-		set[i] = s == MISIn
+	// The compiled MIS and the hand-written algorithm rank nodes by the
+	// same rule (graph.MISPriority), and priority-ordered greedy MIS is
+	// unique for a given order, so they must select identical sets.
+	graphs := map[string]*graph.Graph{
+		"grid": gen.Grid(7, 7, false, 1),
+		"rmat": gen.RMAT(8, 6, false, 2),
 	}
-	if !graph.IsValidMIS(g, set) {
-		t.Fatal("compiled MIS invalid")
+	for name, g := range graphs {
+		const hosts = 2
+		states := runCompiled(t, MISProgram(), g, hosts, partition.OEC, true, npm.Full, "state")
+		set := make([]bool, g.NumNodes())
+		for i, s := range states {
+			set[i] = s == MISIn
+		}
+		if !graph.IsValidMIS(g, set) {
+			t.Fatalf("%s: compiled MIS invalid", name)
+		}
+		c, err := runtime.NewCluster(g, runtime.Config{NumHosts: hosts, ThreadsPerHost: 3, Policy: partition.OEC})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make([]bool, g.NumNodes())
+		c.Run(func(h *runtime.Host) { algorithms.MIS(h, algorithms.Config{}, want) })
+		c.Close()
+		if !slices.Equal(set, want) {
+			t.Fatalf("%s: compiled MIS differs from the hand-written set", name)
+		}
 	}
 }

@@ -79,11 +79,12 @@ func NewExec(h *runtime.Host, plan *Plan, cfg ExecConfig) *Exec {
 			n := uint64(h.HP.NumGlobalNodes())
 			local := h.HP.Local
 			h.ParForMasters(func(_ int, l graph.NodeID) {
-				prio := uint64(local.Degree(l))*(n+1) + uint64(h.HP.GlobalID(l))
+				gid := h.HP.GlobalID(l)
+				prio := graph.MISPriority(uint64(local.Degree(l)), uint64(h.HP.OriginalID(gid)), n)
 				if prio > 1<<32-1 {
 					panic("compiler: degree priority overflows 32 bits at this scale")
 				}
-				m.Set(h.HP.GlobalID(l), graph.NodeID(prio))
+				m.Set(gid, graph.NodeID(prio))
 			})
 		} else {
 			h.ParForNodes(func(_ int, local graph.NodeID) {

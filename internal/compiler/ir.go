@@ -139,8 +139,9 @@ type MapDecl struct {
 	Kind MapKind
 	// InitToID seeds every node's value with its own ID; InitDegreePrio
 	// seeds masters with the distinct degree-based priority
-	// degree*(N+1)+ID (requires an edge-cut partition so master degrees
-	// are global). Otherwise the map is initialized with InitConst.
+	// graph.MISPriority, shared with the hand-written MIS (requires an
+	// edge-cut partition so master degrees are global). Otherwise the map
+	// is initialized with InitConst.
 	InitToID       bool
 	InitDegreePrio bool
 	InitConst      uint32

@@ -367,3 +367,22 @@ func TestIsValidMISIsolatedNode(t *testing.T) {
 		t.Error("valid MIS with isolated node rejected")
 	}
 }
+
+func TestMISTieBreakIsBijection(t *testing.T) {
+	for _, n := range []uint64{0, 1, 2, 63, 64, 65, 1000, 65536} {
+		seen := make([]bool, n)
+		for id := uint64(0); id < n; id++ {
+			v := misTieBreak(id, n)
+			if v >= n {
+				t.Fatalf("n=%d: misTieBreak(%d) = %d, outside [0, n)", n, id, v)
+			}
+			if seen[v] {
+				t.Fatalf("n=%d: misTieBreak maps two IDs to %d", n, v)
+			}
+			seen[v] = true
+			if again := misTieBreak(id, n); again != v {
+				t.Fatalf("n=%d: misTieBreak(%d) = %d then %d", n, id, v, again)
+			}
+		}
+	}
+}

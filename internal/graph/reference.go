@@ -1,10 +1,14 @@
 package graph
 
-import "sort"
+import (
+	"math/bits"
+	"sort"
+)
 
 // This file holds single-threaded reference algorithms used to verify the
 // distributed implementations: BFS-based connected components, Kruskal
-// minimum spanning forest, and modularity scoring for community detection.
+// minimum spanning forest, modularity scoring for community detection, and
+// MIS validity, next to the MIS priority rule every implementation shares.
 
 // ReferenceComponents labels every node with the smallest node ID in its
 // (weakly) connected component using BFS over the symmetrized graph. The
@@ -150,4 +154,53 @@ func IsValidMIS(g *Graph, set []bool) bool {
 		}
 	}
 	return true
+}
+
+// MISPriority is the static priority every MIS implementation ranks nodes
+// by (lower wins): degree-major, so low-degree nodes join first, with ties
+// broken by a pseudo-random bijection of the node's original ID
+// (misTieBreak). It lies in
+// [degree·(n+1), degree·(n+1)+n), so priorities are distinct — which the
+// priority MIS needs, as two adjacent nodes then never join in one round —
+// and, being a function of the original ID, identical with vertex
+// reordering on or off and on every host count. Priority-ordered greedy
+// MIS is unique for a given order, so every implementation selects the
+// same set.
+func MISPriority(degree, originalID, n uint64) uint64 {
+	return degree*(n+1) + misTieBreak(originalID, n)
+}
+
+// misTieBreak maps id in [0, n) to a pseudo-random position in [0, n): a
+// deterministic bijection, so ties among equal-degree nodes break in an
+// order unrelated to the input's numbering. Breaking them on the ID itself
+// lets a generator's layout set the schedule: on a row-major grid, where
+// every interior node has degree 4, each BSP round of the priority MIS
+// could admit only one anti-diagonal (255 rounds on 256×256). Under a
+// random order greedy MIS needs O(log² n) rounds w.h.p. (Blelloch,
+// Fineman & Shun, SPAA 2012).
+//
+// The mixer is a bijection on k-bit words, 2^k the smallest power of two
+// ≥ n; cycle walking (re-applying it until the value falls below n)
+// restricts it to a bijection on [0, n), taking under two steps on
+// average since 2^k < 2n.
+func misTieBreak(id, n uint64) uint64 {
+	if n < 2 {
+		return id
+	}
+	k := bits.Len64(n - 1)
+	mask := uint64(1)<<k - 1
+	s := (k + 1) / 2
+	for x := id; ; {
+		// Multiplying by an odd constant and xor-shifting right are each
+		// bijections on k-bit words.
+		x = (x * 0x9e3779b97f4a7c15) & mask
+		x ^= x >> s
+		x = (x * 0xbf58476d1ce4e5b9) & mask
+		x ^= x >> s
+		x = (x * 0x94d049bb133111eb) & mask
+		x ^= x >> s
+		if x < n {
+			return x
+		}
+	}
 }
