@@ -6,12 +6,18 @@
 //	kimbap -algo cc-sv -graph friendster -hosts 4
 //	kimbap -algo lv -graph road-europe -hosts 8 -threads 8
 //	kimbap -algo cc-lp -graph mygraph.el -hosts 2 -variant sgr-only
+//	kimbap -algo lv -graph small:road-europe -cpuprofile cpu.out -memprofile mem.out
+//
+// -cpuprofile and -memprofile write runtime/pprof profiles of the whole run
+// (load, partitioning and the algorithm); read them with `go tool pprof`.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	goruntime "runtime"
+	"runtime/pprof"
 	"strings"
 	"time"
 
@@ -24,7 +30,11 @@ import (
 	"kimbap/internal/runtime"
 )
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run is the command; it returns the exit status, so deferred profile
+// writes happen on every path.
+func run() int {
 	var (
 		algo    = flag.String("algo", "cc-sv", "algorithm: cc-sv, cc-lp, cc-sclp, mis, msf, lv, ld")
 		graphIn = flag.String("graph", "friendster", "graph preset (road-europe, friendster, clueweb12, wdc12), small:<preset>, or an edge-list file")
@@ -34,13 +44,41 @@ func main() {
 		variant = flag.String("variant", "", "node-property map variant: sgr+cf+gar (default), sgr+cf, sgr-only, memcached, vite")
 		useTCP  = flag.Bool("tcp", false, "use the TCP transport instead of in-memory channels")
 		verify  = flag.Bool("verify", false, "check the result against a sequential reference")
+		cpuProf = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
+		memProf = flag.String("memprofile", "", "write a heap (allocation) profile at the end of the run to this file")
 	)
 	flag.Parse()
+
+	if *cpuProf != "" {
+		f, err := os.Create(*cpuProf)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "kimbap: cpuprofile:", err)
+			return 1
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			f.Close()
+			fmt.Fprintln(os.Stderr, "kimbap: cpuprofile:", err)
+			return 1
+		}
+		defer func() {
+			pprof.StopCPUProfile()
+			if err := f.Close(); err != nil {
+				fmt.Fprintln(os.Stderr, "kimbap: cpuprofile:", err)
+			}
+		}()
+	}
+	if *memProf != "" {
+		defer func() {
+			if err := writeHeapProfile(*memProf); err != nil {
+				fmt.Fprintln(os.Stderr, "kimbap: memprofile:", err)
+			}
+		}()
+	}
 
 	g, err := gen.Load(*graphIn)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "kimbap:", err)
-		os.Exit(1)
+		return 1
 	}
 	fmt.Printf("graph: %s\n", g.ComputeStats())
 
@@ -66,7 +104,7 @@ func main() {
 		}
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "kimbap:", err)
-			os.Exit(1)
+			return 1
 		}
 		fmt.Printf("%s: modularity=%.4f levels=%d rounds=%d compute=%v comm=%v wall=%v\n",
 			strings.ToUpper(*algo), res.Modularity, res.Levels, res.Rounds,
@@ -76,7 +114,7 @@ func main() {
 		cluster, err := runtime.NewCluster(g, ccfg)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "kimbap:", err)
-			os.Exit(1)
+			return 1
 		}
 		defer cluster.Close()
 		switch *algo {
@@ -96,7 +134,7 @@ func main() {
 				for i := range want {
 					if out[i] != want[i] {
 						fmt.Fprintf(os.Stderr, "kimbap: VERIFY FAILED at node %d\n", i)
-						os.Exit(1)
+						return 1
 					}
 				}
 				fmt.Println("verify: OK (matches BFS reference)")
@@ -110,7 +148,7 @@ func main() {
 			if *verify {
 				if !graph.IsValidMIS(g, out) {
 					fmt.Fprintln(os.Stderr, "kimbap: VERIFY FAILED: not a maximal independent set")
-					os.Exit(1)
+					return 1
 				}
 				fmt.Println("verify: OK (maximal independent set)")
 			}
@@ -126,15 +164,32 @@ func main() {
 				if diff := stats[0].TotalWeight - want; diff > 1e-6*want || diff < -1e-6*want {
 					fmt.Fprintf(os.Stderr, "kimbap: VERIFY FAILED: weight %.4f, Kruskal %.4f\n",
 						stats[0].TotalWeight, want)
-					os.Exit(1)
+					return 1
 				}
 				fmt.Println("verify: OK (matches Kruskal weight)")
 			}
 		default:
 			fmt.Fprintf(os.Stderr, "kimbap: unknown algorithm %q\n", *algo)
-			os.Exit(2)
+			return 2
 		}
 		msgs, bytes := cluster.CommStats()
 		fmt.Printf("communication: %d messages, %.2f MB\n", msgs, float64(bytes)/(1<<20))
 	}
+	return 0
+}
+
+// writeHeapProfile writes the heap profile to path after a GC, so the
+// in-use figures are current; its alloc_space/alloc_objects samples cover
+// the whole run.
+func writeHeapProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	goruntime.GC()
+	if err := pprof.WriteHeapProfile(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

@@ -27,10 +27,11 @@ func Leiden(g *graph.Graph, ccfg runtime.Config, acfg Config, opts CDOptions) (C
 }
 
 // leidenRefine splits the communities in assignComm into well-connected
-// subcommunities (SPMD). On return, this host's master range of assignSub
-// holds subcommunity labels, which the driver contracts on (community
-// labels in assignComm are what gets reported).
-func leidenRefine(h *runtime.Host, cfg Config, opts CDOptions,
+// subcommunities (SPMD). accs holds one link accumulator per worker
+// thread, shared with the local-moving phase. On return, this host's
+// master range of assignSub holds subcommunity labels, which the driver
+// contracts on (community labels in assignComm are what gets reported).
+func leidenRefine(h *runtime.Host, cfg Config, opts CDOptions, accs []*graph.Accumulator,
 	assignComm, assignSub []graph.NodeID) {
 	local := h.HP.Local
 	lo, hi := h.HP.MasterRangeGlobal()
@@ -151,7 +152,8 @@ func leidenRefine(h *runtime.Host, cfg Config, opts CDOptions,
 				// linked to the rest of its community (Traag et al.'s
 				// gamma-scaled well-connectedness condition).
 				intoC := 0.0
-				links := map[graph.NodeID]float64{}
+				links := accs[tid]
+				defer links.Reset()
 				elo, ehi := local.EdgeRange(n)
 				for e := elo; e < ehi; e++ {
 					dgid := h.HP.GlobalID(local.Dst(e))
@@ -159,17 +161,17 @@ func leidenRefine(h *runtime.Host, cfg Config, opts CDOptions,
 						continue
 					}
 					intoC += local.Weight(e)
-					links[sub.Read(dgid)] += local.Weight(e)
+					links.Add(sub.Read(dgid), local.Weight(e))
 				}
 				if intoC < opts.Gamma*kn*(ctot.Read(c)-kn)/twoM {
 					return // badly connected: stays singleton
 				}
 				best, bestGain := s, 0.0
-				for t, knt := range links {
+				for i, t := range links.Keys() {
 					if t == s {
 						continue
 					}
-					gain := knt - subtot.Read(t)*kn/twoM
+					gain := links.Vals()[i] - subtot.Read(t)*kn/twoM
 					if gain > bestGain+1e-12 || (gain > bestGain-1e-12 && gain > 0 && t < best) {
 						best, bestGain = t, gain
 					}

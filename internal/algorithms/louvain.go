@@ -131,11 +131,16 @@ func multilevel(g *graph.Graph, ccfg runtime.Config, acfg Config,
 		rounds := make([]int, ccfg.NumHosts)
 		moved := make([]int64, ccfg.NumHosts)
 		cluster.Run(func(h *runtime.Host) {
-			r, m := refineLevel(h, acfg, opts, initComm, assignComm)
+			// The move phases' k_{n→c} tables, one per worker thread
+			// (indexed by the tid ParForMasters passes), keyed by global
+			// node ID. Built once per level, so a round allocates nothing
+			// per master.
+			accs := graph.NewAccumulators(h.Threads, h.HP.NumGlobalNodes())
+			r, m := refineLevel(h, acfg, opts, accs, initComm, assignComm)
 			rounds[h.Rank] = r
 			moved[h.Rank] = m
 			if leiden {
-				leidenRefine(h, acfg, opts, assignComm, assignSub)
+				leidenRefine(h, acfg, opts, accs, assignComm, assignSub)
 			}
 		})
 		for _, h := range cluster.Hosts() {
@@ -152,10 +157,10 @@ func multilevel(g *graph.Graph, ccfg runtime.Config, acfg Config,
 		for i := range final {
 			final[i] = assignComm[proj[i]]
 		}
-		if moved[0] == 0 && level > 0 {
-			break // no node moved: converged
+		if (moved[0] == 0 && level > 0) || level == opts.MaxLevels-1 {
+			break // converged, or no level left to use a contraction
 		}
-		coarse, remap := contract(cur, assignSub)
+		coarse, remap := graph.Contract(cur, assignSub)
 		if leiden {
 			initComm = make([]graph.NodeID, coarse.NumNodes())
 			for n := 0; n < cur.NumNodes(); n++ {
@@ -176,10 +181,11 @@ func multilevel(g *graph.Graph, ccfg runtime.Config, acfg Config,
 }
 
 // refineLevel runs the synchronous local-moving phase on one host (SPMD)
-// and fills this host's master range of assign. initComm optionally seeds
-// the starting partition (nil means singletons). Returns the number of
-// rounds and the total nodes moved (global, identical on all hosts).
-func refineLevel(h *runtime.Host, cfg Config, opts CDOptions,
+// and fills this host's master range of assign. accs holds one link
+// accumulator per worker thread. initComm optionally seeds the
+// starting partition (nil means singletons). Returns the number of rounds
+// and the total nodes moved (global, identical on all hosts).
+func refineLevel(h *runtime.Host, cfg Config, opts CDOptions, accs []*graph.Accumulator,
 	initComm, assign []graph.NodeID) (rounds int, totalMoved int64) {
 
 	local := h.HP.Local
@@ -345,27 +351,29 @@ func refineLevel(h *runtime.Host, cfg Config, opts CDOptions,
 				if kn == 0 {
 					return
 				}
-				// Accumulate k_{n->c} per neighbor community.
-				links := map[graph.NodeID]float64{}
+				// Accumulate k_{n->c} per neighbor community; candidates
+				// are visited in first-touch (edge) order.
+				links := accs[tid]
 				lo, hi := local.EdgeRange(n)
 				for e := lo; e < hi; e++ {
 					dgid := h.HP.GlobalID(local.Dst(e))
 					if dgid == gid {
 						continue
 					}
-					links[cm.Read(dgid)] += local.Weight(e)
+					links.Add(cm.Read(dgid), local.Weight(e))
 				}
-				base := links[a] - (ctot.Read(a)-kn)*kn/twoM
+				base := links.Get(a) - (ctot.Read(a)-kn)*kn/twoM
 				best, bestGain := a, base
-				for c, knc := range links {
+				for i, c := range links.Keys() {
 					if c == a {
 						continue
 					}
-					gain := knc - ctot.Read(c)*kn/twoM
+					gain := links.Vals()[i] - ctot.Read(c)*kn/twoM
 					if gain > bestGain+1e-12 || (gain > bestGain-1e-12 && c < best) {
 						best, bestGain = c, gain
 					}
 				}
+				links.Reset()
 				if best != a && csize.Read(a) == 1 && csize.Read(best) == 1 && best > a {
 					// Grappolo's swap-breaking rule: between two singleton
 					// communities, only the move toward the smaller ID is
@@ -401,33 +409,6 @@ func refineLevel(h *runtime.Host, cfg Config, opts CDOptions,
 	cfg.recordStats(ctot)
 	cfg.recordStats(csize)
 	return rounds, totalMoved
-}
-
-// contract builds the coarse graph: one supernode per community, edge
-// weights aggregated, intra-community weight kept as supernode self-loops
-// so modularity is preserved across levels. remap translates community
-// labels to coarse node IDs.
-func contract(g *graph.Graph, assign []graph.NodeID) (*graph.Graph, map[graph.NodeID]graph.NodeID) {
-	remap := make(map[graph.NodeID]graph.NodeID)
-	for _, c := range assign {
-		if _, ok := remap[c]; !ok {
-			remap[c] = graph.NodeID(len(remap))
-		}
-	}
-	agg := make(map[[2]graph.NodeID]float64)
-	for n := 0; n < g.NumNodes(); n++ {
-		cs := remap[assign[n]]
-		lo, hi := g.EdgeRange(graph.NodeID(n))
-		for e := lo; e < hi; e++ {
-			cd := remap[assign[g.Dst(e)]]
-			agg[[2]graph.NodeID{cs, cd}] += g.Weight(e)
-		}
-	}
-	b := graph.NewBuilder(len(remap))
-	for k, w := range agg {
-		b.AddWeightedEdge(k[0], k[1], w)
-	}
-	return b.Build(), remap
 }
 
 // Preset-driven helper so benchmarks and examples can run LV on the

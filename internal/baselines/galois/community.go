@@ -58,7 +58,7 @@ func community(g *graph.Graph, threads int, leiden bool) CDResult {
 		if moved == 0 && level > 0 {
 			break
 		}
-		coarse, remap := contractGraph(cur, sub)
+		coarse, remap := graph.Contract(cur, sub)
 		for i := range proj {
 			proj[i] = remap[sub[proj[i]]]
 		}
@@ -105,37 +105,39 @@ func refine(g *graph.Graph, threads int) (comm []graph.NodeID, rounds int, lastM
 		csize[i].Store(1)
 	}
 
+	accs := graph.NewAccumulators(max(threads, 1), n) // one per parFor worker
 	const maxIters = 32
 	var totalMoved int64
 	for rounds = 0; rounds < maxIters; rounds++ {
 		var moved atomic.Int64
-		parFor(threads, n, func(i int) {
+		parFor(threads, n, func(w, i int) {
 			a := graph.NodeID(commA[i].Load())
 			kn := wdeg[i]
 			if kn == 0 {
 				return
 			}
-			links := map[graph.NodeID]float64{}
+			links := accs[w]
 			lo, hi := g.EdgeRange(graph.NodeID(i))
 			for e := lo; e < hi; e++ {
 				d := g.Dst(e)
 				if int(d) == i {
 					continue
 				}
-				links[graph.NodeID(commA[d].Load())] += g.Weight(e)
+				links.Add(graph.NodeID(commA[d].Load()), g.Weight(e))
 			}
 			aTot := math.Float64frombits(ctot[a].Load())
-			base := links[a] - (aTot-kn)*kn/twoM
+			base := links.Get(a) - (aTot-kn)*kn/twoM
 			best, bestGain := a, base
-			for c, knc := range links {
+			for j, c := range links.Keys() {
 				if c == a {
 					continue
 				}
-				gain := knc - math.Float64frombits(ctot[c].Load())*kn/twoM
+				gain := links.Vals()[j] - math.Float64frombits(ctot[c].Load())*kn/twoM
 				if gain > bestGain+1e-12 || (gain > bestGain-1e-12 && c < best) {
 					best, bestGain = c, gain
 				}
 			}
+			links.Reset()
 			if best != a && csize[a].Load() == 1 && csize[best].Load() == 1 && best > a {
 				best = a
 			}
@@ -193,10 +195,11 @@ func refineSub(g *graph.Graph, threads int, comm []graph.NodeID) []graph.NodeID 
 		atomicAddFloat(&ctot[comm[i]], wdeg[i])
 	}
 
+	accs := graph.NewAccumulators(max(threads, 1), n) // one per parFor worker
 	const refineRounds = 4
 	for round := 0; round < refineRounds; round++ {
 		var moved atomic.Int64
-		parFor(threads, n, func(i int) {
+		parFor(threads, n, func(w, i int) {
 			if graph.NodeID(subA[i].Load()) != graph.NodeID(i) || subsize[i].Load() != 1 {
 				return
 			}
@@ -206,7 +209,8 @@ func refineSub(g *graph.Graph, threads int, comm []graph.NodeID) []graph.NodeID 
 				return
 			}
 			intoC := 0.0
-			links := map[graph.NodeID]float64{}
+			links := accs[w]
+			defer links.Reset()
 			lo, hi := g.EdgeRange(graph.NodeID(i))
 			for e := lo; e < hi; e++ {
 				d := g.Dst(e)
@@ -214,17 +218,17 @@ func refineSub(g *graph.Graph, threads int, comm []graph.NodeID) []graph.NodeID 
 					continue
 				}
 				intoC += g.Weight(e)
-				links[graph.NodeID(subA[d].Load())] += g.Weight(e)
+				links.Add(graph.NodeID(subA[d].Load()), g.Weight(e))
 			}
 			if intoC < kn*(math.Float64frombits(ctot[c].Load())-kn)/twoM {
 				return
 			}
 			best, bestGain := graph.NodeID(i), 0.0
-			for t, knt := range links {
+			for j, t := range links.Keys() {
 				if t == graph.NodeID(i) {
 					continue
 				}
-				gain := knt - math.Float64frombits(subtot[t].Load())*kn/twoM
+				gain := links.Vals()[j] - math.Float64frombits(subtot[t].Load())*kn/twoM
 				if gain > bestGain+1e-12 || (gain > bestGain-1e-12 && gain > 0 && t < best) {
 					best, bestGain = t, gain
 				}
@@ -247,27 +251,4 @@ func refineSub(g *graph.Graph, threads int, comm []graph.NodeID) []graph.NodeID 
 		sub[i] = graph.NodeID(subA[i].Load())
 	}
 	return sub
-}
-
-func contractGraph(g *graph.Graph, assign []graph.NodeID) (*graph.Graph, map[graph.NodeID]graph.NodeID) {
-	remap := make(map[graph.NodeID]graph.NodeID)
-	for _, c := range assign {
-		if _, ok := remap[c]; !ok {
-			remap[c] = graph.NodeID(len(remap))
-		}
-	}
-	agg := make(map[[2]graph.NodeID]float64)
-	for n := 0; n < g.NumNodes(); n++ {
-		cs := remap[assign[n]]
-		lo, hi := g.EdgeRange(graph.NodeID(n))
-		for e := lo; e < hi; e++ {
-			cd := remap[assign[g.Dst(e)]]
-			agg[[2]graph.NodeID{cs, cd}] += g.Weight(e)
-		}
-	}
-	b := graph.NewBuilder(len(remap))
-	for k, w := range agg {
-		b.AddWeightedEdge(k[0], k[1], w)
-	}
-	return b.Build(), remap
 }

@@ -20,11 +20,12 @@ import (
 	"kimbap/internal/graph"
 )
 
-// parFor runs fn(i) for i in [0,n) on `threads` workers.
-func parFor(threads, n int, fn func(i int)) {
+// parFor runs fn(w, i) for i in [0,n) on `threads` workers, where w in
+// [0, max(threads, 1)) is the index of the worker running i.
+func parFor(threads, n int, fn func(w, i int)) {
 	if threads <= 1 || n < 2 {
 		for i := 0; i < n; i++ {
-			fn(i)
+			fn(0, i)
 		}
 		return
 	}
@@ -42,7 +43,7 @@ func parFor(threads, n int, fn func(i int)) {
 				}
 				hi := min(lo+chunk, n)
 				for i := lo; i < hi; i++ {
-					fn(i)
+					fn(t, i)
 				}
 			}
 		}()
@@ -82,7 +83,7 @@ func CCLP(g *graph.Graph, threads int) []graph.NodeID {
 	}
 	for {
 		var changed atomic.Bool
-		parFor(threads, n, func(i int) {
+		parFor(threads, n, func(_, i int) {
 			v := label[i].Load()
 			for _, d := range g.Neighbors(graph.NodeID(i)) {
 				if atomicMin32(&label[d], v) {
@@ -112,7 +113,7 @@ func CCSV(g *graph.Graph, threads int) []graph.NodeID {
 	for {
 		var changed atomic.Bool
 		// Hook: min-reduce parent(parent(src)) by parent(dst).
-		parFor(threads, n, func(i int) {
+		parFor(threads, n, func(_, i int) {
 			p := parent[i].Load()
 			for _, d := range g.Neighbors(graph.NodeID(i)) {
 				dp := parent[d].Load()
@@ -124,7 +125,7 @@ func CCSV(g *graph.Graph, threads int) []graph.NodeID {
 			}
 		})
 		// Shortcut: full pointer jumping, immediately visible.
-		parFor(threads, n, func(i int) {
+		parFor(threads, n, func(_, i int) {
 			for {
 				p := parent[i].Load()
 				gp := parent[p].Load()
@@ -164,7 +165,7 @@ func MIS(g *graph.Graph, threads int) []bool {
 	state := make([]atomic.Uint32, n)
 	for {
 		var remaining atomic.Int64
-		parFor(threads, n, func(i int) {
+		parFor(threads, n, func(_, i int) {
 			if state[i].Load() != undecided {
 				return
 			}
@@ -245,7 +246,7 @@ func MSF(g *graph.Graph, threads int) (weight float64, labels []graph.NodeID) {
 			candidates[i].Store(nil)
 		}
 		// Select the minimum outgoing edge per component.
-		parFor(threads, n, func(i int) {
+		parFor(threads, n, func(_, i int) {
 			ri := find(uint32(i))
 			lo, hi := g.EdgeRange(graph.NodeID(i))
 			for e := lo; e < hi; e++ {
@@ -273,9 +274,9 @@ func MSF(g *graph.Graph, threads int) (weight float64, labels []graph.NodeID) {
 		// acyclicity argument needs all merges to reference start-of-
 		// round components).
 		root := make([]uint32, n)
-		parFor(threads, n, func(i int) { root[i] = find(uint32(i)) })
+		parFor(threads, n, func(_, i int) { root[i] = find(uint32(i)) })
 		var merged atomic.Bool
-		parFor(threads, n, func(i int) {
+		parFor(threads, n, func(_, i int) {
 			r := uint32(i)
 			if root[i] != r {
 				return

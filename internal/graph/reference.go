@@ -94,19 +94,23 @@ func ReferenceMSFWeight(g *Graph) float64 {
 
 // Modularity computes the Newman-Girvan modularity of a community
 // assignment on a symmetrized weighted graph. comm[n] is the community of
-// node n. Each undirected edge is counted twice (once per direction), as is
-// conventional: Q = sum_c (in_c/(2m) - (tot_c/(2m))^2) where 2m is the total
-// directed edge weight.
+// node n, a node ID of g. Each undirected edge is counted twice (once per
+// direction), as is conventional: Q = sum_c (in_c/(2m) - (tot_c/(2m))^2)
+// where 2m is the total directed edge weight. Communities are summed in
+// ascending label order, so equal assignments give bit-equal results.
+//
+//kimbap:deterministic
 func Modularity(g *Graph, comm []NodeID) float64 {
 	twoM := g.TotalWeight()
 	if twoM == 0 {
 		return 0
 	}
-	in := make(map[NodeID]float64)  // weight of intra-community directed edges
-	tot := make(map[NodeID]float64) // total degree-weight per community
-	for n := 0; n < g.NumNodes(); n++ {
-		c := comm[n]
-		lo, hi := g.EdgeRange(NodeID(n))
+	n := g.NumNodes()
+	in := make([]float64, n)  // weight of intra-community directed edges
+	tot := make([]float64, n) // total degree-weight per community
+	for v := 0; v < n; v++ {
+		c := comm[v]
+		lo, hi := g.EdgeRange(NodeID(v))
 		for e := lo; e < hi; e++ {
 			w := g.Weight(e)
 			tot[c] += w
