@@ -1,26 +1,32 @@
 // Command graphgen generates the synthetic evaluation graphs (or custom
-// ones) and converts between the three on-disk formats.
+// ones) and converts between the two on-disk formats: the text edge list
+// and the KMB2 block file.
 //
-//	graphgen -preset friendster -out friendster.kmb
-//	graphgen -type grid -rows 100 -cols 100 -weighted -out road.el -format text
-//	graphgen -type rmat -scale 16 -edgefactor 16 -out web.kmb2 -format kmb2
+//	graphgen -preset friendster -out friendster.kmb2
+//	graphgen -type grid -rows 100 -cols 100 -weighted -out road.el
+//	graphgen -type rmat -scale 16 -edgefactor 16 > web.el
 //	graphgen convert -in web.el -out web.kmb2
-//	graphgen convert -in web.kmb2 -out web.el -outformat text -workers 4
+//	graphgen convert -in web.kmb2 -out web.el -workers 4
 //	graphgen convert -in web.el -out web.kmb2 -reorder degree
 //	graphgen reorder -in web.kmb2 -out web-deg.kmb2 -policy blocked-degree -blocks 8
 //
-// convert streams by default: the input is read block by block (text
-// shards, KMB1 edge ranges, or KMB2 blocks) and never materialized as a
-// whole edge list. Converting to KMB2 is a single sequential scan;
-// converting to KMB1 or text runs the two-scan streaming CSR build.
-// With -reorder (or the reorder subcommand) the output graph is permuted
-// by a locality policy — degree or blocked-degree (DESIGN.md §14) — via
-// the fused streaming reorder stage; -perm optionally records the
-// original→current ID mapping.
+// Formats are never named on the command line. An input is KMB2 when it
+// starts with the KMB2 magic and a text edge list otherwise; an output is
+// KMB2 when its path ends in .kmb2 and text otherwise (generate with no
+// -out writes text to stdout).
+//
+// convert streams: the input is read block by block (text shards or KMB2
+// blocks) and never materialized as a whole edge list. Converting to
+// KMB2 is a single sequential scan; converting to text runs the two-scan
+// streaming CSR build. With -reorder (or the reorder subcommand) the
+// output graph is permuted by a locality policy — degree or
+// blocked-degree (DESIGN.md §14) — via the fused streaming reorder
+// stage; -perm optionally records the original→current ID mapping.
 package main
 
 import (
 	"bufio"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -30,22 +36,27 @@ import (
 	"kimbap/internal/graph"
 )
 
+// errUsage marks a bad invocation; main exits 2 for it, like
+// flag.ExitOnError does for a bad flag.
+var errUsage = errors.New("usage")
+
 func main() {
-	if len(os.Args) > 1 && os.Args[1] == "convert" {
-		if err := runConvert(os.Args[2:]); err != nil {
-			fmt.Fprintln(os.Stderr, "graphgen: convert:", err)
-			os.Exit(1)
+	name, run, args := "", runGenerate, os.Args[1:]
+	if len(args) > 0 {
+		switch args[0] {
+		case "convert":
+			name, run, args = "convert: ", runConvert, args[1:]
+		case "reorder":
+			name, run, args = "reorder: ", runReorder, args[1:]
 		}
-		return
 	}
-	if len(os.Args) > 1 && os.Args[1] == "reorder" {
-		if err := runReorder(os.Args[2:]); err != nil {
-			fmt.Fprintln(os.Stderr, "graphgen: reorder:", err)
-			os.Exit(1)
+	if err := run(args); err != nil {
+		fmt.Fprintf(os.Stderr, "graphgen: %s%v\n", name, err)
+		if errors.Is(err, errUsage) {
+			os.Exit(2)
 		}
-		return
+		os.Exit(1)
 	}
-	runGenerate()
 }
 
 // reorderPolicyHelp lists the valid -reorder/-policy values for -help.
@@ -53,37 +64,24 @@ func reorderPolicyHelp() string {
 	return fmt.Sprintf("none, %s, %s", graph.ReorderDegree, graph.ReorderBlockedDegree)
 }
 
-// checkReorderPolicy validates a policy flag value, exiting 2 (usage
-// error, like flag.ExitOnError) on an unknown policy.
-func checkReorderPolicy(pol string) graph.ReorderPolicy {
-	switch p := graph.ReorderPolicy(pol); p {
-	case graph.ReorderNone, "", graph.ReorderDegree, graph.ReorderBlockedDegree:
-		return p
-	}
-	fmt.Fprintf(os.Stderr, "graphgen: unknown reorder policy %q (valid: %s)\n",
-		pol, reorderPolicyHelp())
-	os.Exit(2)
-	return ""
-}
-
-func runGenerate() {
+func runGenerate(args []string) error {
+	fs := flag.NewFlagSet("graphgen", flag.ExitOnError)
 	var (
-		preset     = flag.String("preset", "", "paper preset: road-europe, friendster, clueweb12, wdc12")
-		typ        = flag.String("type", "", "custom generator: grid, rmat, er, chain, communities")
-		rows       = flag.Int("rows", 100, "grid rows")
-		cols       = flag.Int("cols", 100, "grid cols")
-		scale      = flag.Int("scale", 14, "rmat: log2 of node count")
-		edgeFactor = flag.Int("edgefactor", 16, "rmat: edges per node")
-		nodes      = flag.Int("nodes", 10000, "er/chain: node count")
-		edges      = flag.Int("edges", 50000, "er: edge count")
-		k          = flag.Int("k", 8, "communities: community count")
-		size       = flag.Int("size", 100, "communities: community size")
-		weighted   = flag.Bool("weighted", true, "attach edge weights")
-		seed       = flag.Int64("seed", 42, "generator seed")
-		out        = flag.String("out", "", "output path (stdout if empty)")
-		format     = flag.String("format", "binary", "output format: binary (kmb1), text, or kmb2")
+		preset     = fs.String("preset", "", "paper preset: road-europe, friendster, clueweb12, wdc12")
+		typ        = fs.String("type", "", "custom generator: grid, rmat, er, chain, communities")
+		rows       = fs.Int("rows", 100, "grid rows")
+		cols       = fs.Int("cols", 100, "grid cols")
+		scale      = fs.Int("scale", 14, "rmat: log2 of node count")
+		edgeFactor = fs.Int("edgefactor", 16, "rmat: edges per node")
+		nodes      = fs.Int("nodes", 10000, "er/chain: node count")
+		edges      = fs.Int("edges", 50000, "er: edge count")
+		k          = fs.Int("k", 8, "communities: community count")
+		size       = fs.Int("size", 100, "communities: community size")
+		weighted   = fs.Bool("weighted", true, "attach edge weights")
+		seed       = fs.Int64("seed", 42, "generator seed")
+		out        = fs.String("out", "", "output path: KMB2 if it ends in .kmb2, else text (stdout if empty)")
 	)
-	flag.Parse()
+	fs.Parse(args)
 
 	var g *graph.Graph
 	switch {
@@ -100,54 +98,18 @@ func runGenerate() {
 	case *typ == "communities":
 		g = gen.Communities(*k, *size, 6, 1, *weighted, *seed)
 	default:
-		fmt.Fprintln(os.Stderr, "graphgen: need -preset or -type")
-		os.Exit(2)
+		return fmt.Errorf("%w: need -preset or -type", errUsage)
 	}
 
 	fmt.Fprintf(os.Stderr, "generated: %s, diameter~%d\n", g.ComputeStats(), gen.ApproxDiameter(g))
-
-	if *format == "kmb2" {
-		// KMB2 writing patches the header in place, so it needs a real file.
-		if *out == "" {
-			fmt.Fprintln(os.Stderr, "graphgen: -format kmb2 requires -out")
-			os.Exit(2)
-		}
-		if err := graph.SaveKMB2(*out, g, 0); err != nil {
-			fmt.Fprintln(os.Stderr, "graphgen:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	w := os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "graphgen:", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		w = f
-	}
-	var err error
-	if *format == "text" {
-		err = graph.WriteEdgeList(w, g)
-	} else {
-		err = graph.WriteBinary(w, g)
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "graphgen:", err)
-		os.Exit(1)
-	}
+	return writeGraph(*out, g, 0)
 }
 
 func runConvert(args []string) error {
 	fs := flag.NewFlagSet("convert", flag.ExitOnError)
 	var (
 		in         = fs.String("in", "", "input path (required)")
-		out        = fs.String("out", "", "output path (required)")
-		informat   = fs.String("informat", "auto", "input format: auto, text, kmb1, kmb2 (auto sniffs the magic)")
-		outformat  = fs.String("outformat", "", "output format: text, kmb1, kmb2 (default from -out extension)")
-		stream     = fs.Bool("stream", true, "stream block by block instead of materializing the edge list")
+		out        = fs.String("out", "", "output path (required): KMB2 if it ends in .kmb2, else text")
 		nodes      = fs.Int("nodes", 0, "node count for text inputs without a nodes directive")
 		workers    = fs.Int("workers", 0, "parallel workers for the streaming build (0 = all cores)")
 		blockEdges = fs.Int("block-edges", 0, "kmb2 output block capacity (0 = default)")
@@ -156,31 +118,16 @@ func runConvert(args []string) error {
 	)
 	fs.Parse(args)
 	if *in == "" || *out == "" {
-		return fmt.Errorf("need -in and -out")
+		return fmt.Errorf("%w: need -in and -out", errUsage)
 	}
-	pol := checkReorderPolicy(*reorder)
-	inf := *informat
-	if inf == "auto" {
-		var err error
-		if inf, err = sniffFormat(*in); err != nil {
-			return err
-		}
-	}
-	outf := *outformat
-	if outf == "" {
-		outf = formatFromExt(*out)
-	}
-	if !*stream {
-		return convertInMemory(*in, *out, inf, outf, *nodes, *workers, *blockEdges, pol, *blocks)
-	}
-
-	src, closeSrc, err := openSource(*in, inf, *nodes)
+	src, err := openSource(*in, *nodes)
 	if err != nil {
 		return err
 	}
-	defer closeSrc()
+	defer src.Close()
 
-	if outf == "kmb2" && (pol == "" || pol == graph.ReorderNone) {
+	pol := graph.ReorderPolicy(*reorder)
+	if isKMB2Path(*out) && (pol == "" || pol == graph.ReorderNone) {
 		// Format conversion without a CSR build: one sequential scan,
 		// blocks repacked to the output capacity. Reordering permutes the
 		// edges, so it always takes the build path below.
@@ -190,7 +137,7 @@ func runConvert(args []string) error {
 	if err != nil {
 		return err
 	}
-	return writeGraph(*out, outf, g, *blockEdges)
+	return writeGraph(*out, g, *blockEdges)
 }
 
 // runReorder rewrites a graph file under a reorder policy: a streaming
@@ -200,42 +147,29 @@ func runConvert(args []string) error {
 func runReorder(args []string) error {
 	fs := flag.NewFlagSet("reorder", flag.ExitOnError)
 	var (
-		in        = fs.String("in", "", "input path (required)")
-		out       = fs.String("out", "", "output path (required)")
-		informat  = fs.String("informat", "auto", "input format: auto, text, kmb1, kmb2 (auto sniffs the magic)")
-		outformat = fs.String("outformat", "", "output format: text, kmb1, kmb2 (default from -out extension)")
-		policy    = fs.String("policy", string(graph.ReorderDegree), "reorder policy: "+reorderPolicyHelp())
-		blocks    = fs.Int("blocks", 1, "block count for blocked-degree (usually the host count)")
-		nodes     = fs.Int("nodes", 0, "node count for text inputs without a nodes directive")
-		workers   = fs.Int("workers", 0, "parallel workers (0 = all cores)")
-		permOut   = fs.String("perm", "", "also write the original->current permutation to this path")
+		in      = fs.String("in", "", "input path (required)")
+		out     = fs.String("out", "", "output path (required): KMB2 if it ends in .kmb2, else text")
+		policy  = fs.String("policy", string(graph.ReorderDegree), "reorder policy: "+reorderPolicyHelp())
+		blocks  = fs.Int("blocks", 1, "block count for blocked-degree (usually the host count)")
+		nodes   = fs.Int("nodes", 0, "node count for text inputs without a nodes directive")
+		workers = fs.Int("workers", 0, "parallel workers (0 = all cores)")
+		permOut = fs.String("perm", "", "also write the original->current permutation to this path")
 	)
 	fs.Parse(args)
 	if *in == "" || *out == "" {
-		return fmt.Errorf("need -in and -out")
+		return fmt.Errorf("%w: need -in and -out", errUsage)
 	}
-	pol := checkReorderPolicy(*policy)
-	inf := *informat
-	if inf == "auto" {
-		var err error
-		if inf, err = sniffFormat(*in); err != nil {
-			return err
-		}
-	}
-	outf := *outformat
-	if outf == "" {
-		outf = formatFromExt(*out)
-	}
-	src, closeSrc, err := openSource(*in, inf, *nodes)
+	src, err := openSource(*in, *nodes)
 	if err != nil {
 		return err
 	}
-	defer closeSrc()
-	g, ro, err := graph.NewStreamBuilder(src).SetWorkers(*workers).BuildReordered(pol, *blocks)
+	defer src.Close()
+	g, ro, err := graph.NewStreamBuilder(src).SetWorkers(*workers).
+		BuildReordered(graph.ReorderPolicy(*policy), *blocks)
 	if err != nil {
 		return err
 	}
-	if err := writeGraph(*out, outf, g, 0); err != nil {
+	if err := writeGraph(*out, g, 0); err != nil {
 		return err
 	}
 	if *permOut != "" {
@@ -260,57 +194,26 @@ func runReorder(args []string) error {
 	return nil
 }
 
-// sniffFormat reads the 4-byte magic: KMB1, KMB2, or (anything else)
-// text.
-func sniffFormat(path string) (string, error) {
-	f, err := os.Open(path)
+func isKMB2Path(path string) bool { return strings.HasSuffix(path, ".kmb2") }
+
+// source is a streaming input that owns its file.
+type source interface {
+	graph.BlockSource
+	Close() error
+}
+
+// openSource opens path as KMB2 when it carries the KMB2 magic and as a
+// text edge list otherwise; nodes supplies the node count for text
+// without a nodes directive.
+func openSource(path string, nodes int) (source, error) {
+	kmb2, err := graph.IsKMB2File(path)
 	if err != nil {
-		return "", err
+		return nil, err
 	}
-	defer f.Close()
-	var magic [4]byte
-	n, _ := f.Read(magic[:])
-	switch {
-	case n == 4 && string(magic[:]) == "KMB1":
-		return "kmb1", nil
-	case n == 4 && string(magic[:]) == "KMB2":
-		return "kmb2", nil
+	if kmb2 {
+		return graph.OpenKMB2(path)
 	}
-	return "text", nil
-}
-
-func formatFromExt(path string) string {
-	switch {
-	case strings.HasSuffix(path, ".kmb2"):
-		return "kmb2"
-	case strings.HasSuffix(path, ".kmb"), strings.HasSuffix(path, ".kmb1"):
-		return "kmb1"
-	}
-	return "text"
-}
-
-func openSource(path, format string, nodes int) (graph.BlockSource, func() error, error) {
-	switch format {
-	case "text":
-		s, err := graph.OpenTextConfig(path, graph.TextConfig{NumNodes: nodes})
-		if err != nil {
-			return nil, nil, err
-		}
-		return s, s.Close, nil
-	case "kmb1":
-		s, err := graph.OpenKMB1(path)
-		if err != nil {
-			return nil, nil, err
-		}
-		return s, s.Close, nil
-	case "kmb2":
-		s, err := graph.OpenKMB2(path)
-		if err != nil {
-			return nil, nil, err
-		}
-		return s, s.Close, nil
-	}
-	return nil, nil, fmt.Errorf("unknown input format %q", format)
+	return graph.OpenTextConfig(path, graph.TextConfig{NumNodes: nodes})
 }
 
 func copyToKMB2(src graph.BlockSource, out string, blockEdges int) error {
@@ -339,51 +242,23 @@ func copyToKMB2(src graph.BlockSource, out string, blockEdges int) error {
 	return f.Close()
 }
 
-func convertInMemory(in, out, inf, outf string, nodes, workers, blockEdges int,
-	pol graph.ReorderPolicy, blocks int) error {
-	var g *graph.Graph
-	var err error
-	switch inf {
-	case "text":
-		f, ferr := os.Open(in)
-		if ferr != nil {
-			return ferr
-		}
-		g, err = graph.ReadEdgeList(f)
-		f.Close()
-	case "kmb1":
-		g, err = graph.LoadBinary(in)
-	case "kmb2":
-		g, err = graph.LoadKMB2(in, workers)
-	default:
-		return fmt.Errorf("unknown input format %q", inf)
+// writeGraph writes g to out: KMB2 (blockEdges per block, 0 = default)
+// when out ends in .kmb2, a text edge list otherwise, and text to stdout
+// when out is empty. A failed write or close is an error.
+func writeGraph(out string, g *graph.Graph, blockEdges int) error {
+	if isKMB2Path(out) {
+		return graph.SaveKMB2(out, g, blockEdges)
 	}
+	if out == "" {
+		return graph.WriteEdgeList(os.Stdout, g)
+	}
+	f, err := os.Create(out)
 	if err != nil {
 		return err
 	}
-	_ = nodes // the in-memory text reader infers the node count itself
-	if g, _, err = graph.Reorder(g, graph.ReorderOptions{Policy: pol, Blocks: blocks, Workers: workers}); err != nil {
+	defer f.Close()
+	if err := graph.WriteEdgeList(f, g); err != nil {
 		return err
 	}
-	return writeGraph(out, outf, g, blockEdges)
-}
-
-func writeGraph(out, format string, g *graph.Graph, blockEdges int) error {
-	switch format {
-	case "kmb2":
-		return graph.SaveKMB2(out, g, blockEdges)
-	case "kmb1":
-		return graph.SaveBinary(out, g)
-	case "text":
-		f, err := os.Create(out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := graph.WriteEdgeList(f, g); err != nil {
-			return err
-		}
-		return f.Close()
-	}
-	return fmt.Errorf("unknown output format %q", format)
+	return f.Close()
 }

@@ -271,7 +271,10 @@ func bfsFarthest(g *graph.Graph, start graph.NodeID) (graph.NodeID, int) {
 }
 
 // Load resolves a graph specification: a preset name ("friendster"), a
-// reduced preset ("small:friendster"), or a path to an edge-list file.
+// reduced preset ("small:friendster"), or a path to a graph file. A file
+// with the KMB2 magic streams through the block builder; any other file
+// is parsed as a text edge list, whose node count is inferred when it
+// has no nodes directive.
 func Load(spec string) (*graph.Graph, error) {
 	if small, ok := strings.CutPrefix(spec, "small:"); ok {
 		for _, p := range Presets {
@@ -286,9 +289,21 @@ func Load(spec string) (*graph.Graph, error) {
 			return Build(p), nil
 		}
 	}
+	kmb2, err := graph.IsKMB2File(spec)
+	if err != nil {
+		return nil, fmt.Errorf("gen: %q is not a preset and cannot be read as a graph file: %w", spec, err)
+	}
+	if kmb2 {
+		s, err := graph.OpenKMB2(spec)
+		if err != nil {
+			return nil, err
+		}
+		defer s.Close()
+		return graph.NewStreamBuilder(s).Build()
+	}
 	f, err := os.Open(spec)
 	if err != nil {
-		return nil, fmt.Errorf("gen: %q is not a preset and not a readable file: %w", spec, err)
+		return nil, err
 	}
 	defer f.Close()
 	return graph.ReadEdgeList(f)

@@ -1,7 +1,10 @@
 package gen
 
 import (
+	"bytes"
 	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"kimbap/internal/graph"
@@ -199,4 +202,76 @@ func TestLoadSpecs(t *testing.T) {
 	if loaded.NumNodes() != small.NumNodes() || loaded.NumEdges() != small.NumEdges() {
 		t.Fatal("file round trip mismatch")
 	}
+}
+
+// TestLoadGraphFiles pins Load's file formats: for every generator a
+// KMB2 file streams back bit-identical to the generator's graph and a
+// text edge list parses to the same graph; a text file without a nodes
+// directive still infers its node count; and a file in the retired KMB1
+// format is rejected with an error naming it.
+func TestLoadGraphFiles(t *testing.T) {
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"grid", Grid(20, 20, true, 3)},
+		{"rmat", RMAT(8, 8, false, 5)},
+		{"er", ErdosRenyi(300, 1200, true, 9)},
+		{"chain", Chain(150, false, 2)},
+		{"star", Star(40)},
+		{"communities", Communities(4, 30, 6, 1, true, 11)},
+	} {
+		t.Run(tc.name+"/kmb2", func(t *testing.T) {
+			path := filepath.Join(dir, tc.name+".kmb2")
+			if err := graph.SaveKMB2(path, tc.g, 64); err != nil {
+				t.Fatal(err)
+			}
+			got, err := Load(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireIdenticalGraphs(t, tc.name+"/kmb2", tc.g, got)
+		})
+		t.Run(tc.name+"/text", func(t *testing.T) {
+			path := filepath.Join(dir, tc.name+".el")
+			var buf bytes.Buffer
+			if err := graph.WriteEdgeList(&buf, tc.g); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			got, err := Load(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireIdenticalGraphs(t, tc.name+"/text", tc.g, got)
+		})
+	}
+
+	t.Run("bare-text", func(t *testing.T) {
+		// No nodes directive: the node count is inferred from the largest ID.
+		bare := filepath.Join(dir, "bare.el")
+		if err := os.WriteFile(bare, []byte("0 1\n1 6\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		g, err := Load(bare)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g.NumNodes() != 7 || g.NumEdges() != 2 {
+			t.Fatalf("bare edge list: %d nodes %d edges, want 7 and 2", g.NumNodes(), g.NumEdges())
+		}
+	})
+
+	t.Run("kmb1-rejected", func(t *testing.T) {
+		old := filepath.Join(dir, "old.kmb")
+		if err := os.WriteFile(old, []byte("KMB1\x09\x00\x00\x00\x00\x00\x00\x00"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(old); err == nil || !strings.Contains(err.Error(), "KMB1") {
+			t.Fatalf("Load of a KMB1 file: err = %v, want an error naming KMB1", err)
+		}
+	})
 }

@@ -11,11 +11,11 @@ import (
 	"kimbap/internal/par"
 )
 
-// Binary edge-block format "KMB2": the out-of-core counterpart to KMB1's
-// CSR dump. A KMB2 file is a page-aligned sequence of fixed-stride edge
-// blocks, each independently parseable, checkable, and readable in any
-// order — the unit the streaming build and the parallel converter
-// schedule over.
+// Binary edge-block format "KMB2", the only binary graph format (the
+// other on-disk format is the text edge list, io.go). A KMB2 file is a
+// page-aligned sequence of fixed-stride edge blocks, each independently
+// parseable, checkable, and readable in any order — the unit the
+// streaming build and the parallel converter schedule over.
 //
 // Layout (all integers little-endian):
 //

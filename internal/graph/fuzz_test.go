@@ -2,18 +2,17 @@ package graph
 
 import (
 	"bytes"
-	"io"
 	"os"
 	"path/filepath"
 	"strconv"
 	"testing"
 )
 
-// Fuzz targets for the three ingestion decoders. The contract under
-// fuzz: arbitrary bytes produce an error or a valid graph — never a
-// panic, and never an allocation driven by a corrupt header rather than
-// by actual input bytes. Seeds are valid corpora (weighted and not) plus
-// truncation and bit-flip mutants of each.
+// Fuzz targets for the two ingestion decoders, text and KMB2. The
+// contract under fuzz: arbitrary bytes produce an error or a valid graph
+// — never a panic, and never an allocation driven by a corrupt header
+// rather than by actual input bytes. Seeds are valid corpora (weighted
+// and not) plus truncation and bit-flip mutants of each.
 
 // fuzzSeedGraphs returns small valid graphs in both weighted flavors.
 func fuzzSeedGraphs() []*Graph {
@@ -44,6 +43,26 @@ func addMutants(f *testing.F, data []byte) {
 		}
 	}
 }
+
+// addKMB2BlockMutants seeds f with single-bit flips in the first block
+// of a KMB2 image: its count, srcMin, srcMax and checksum fields and the
+// first payload byte. The generic mutants stay inside the file header
+// and the tail padding, so without these no seed reaches the per-block
+// checks.
+func addKMB2BlockMutants(f *testing.F, data []byte) {
+	for _, pos := range []int{0, 4, 8, 12, kmb2BlockHdrLen} {
+		if kmb2Page+pos < len(data) {
+			mut := bytes.Clone(data)
+			mut[kmb2Page+pos] ^= 0x80
+			f.Add(mut)
+		}
+	}
+}
+
+// retiredKMB1Header is the start of a file in the retired KMB1 CSR dump
+// format: magic, then a node count. Both decoders must reject it as
+// ordinary bad input.
+var retiredKMB1Header = []byte("KMB1\x05\x00\x00\x00\x00\x00\x00\x00")
 
 // textDeclaresHuge reports whether any numeric token in data exceeds the
 // fuzz harness's node bound (directives and endpoints both translate
@@ -81,31 +100,6 @@ func checkGraphInvariants(t *testing.T, g *Graph) {
 	}
 }
 
-func FuzzReadBinary(f *testing.F) {
-	for _, g := range fuzzSeedGraphs() {
-		var buf bytes.Buffer
-		if err := WriteBinary(&buf, g); err != nil {
-			f.Fatal(err)
-		}
-		addMutants(f, buf.Bytes())
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		// Sized path (bytes.Reader exposes Len): header counts are checked
-		// against the exact input size before any allocation.
-		g1, err1 := ReadBinary(bytes.NewReader(data))
-		// Unsized path: allocation tracks bytes actually read.
-		g2, err2 := ReadBinary(io.LimitReader(bytes.NewReader(data), int64(len(data))))
-		if (err1 == nil) != (err2 == nil) {
-			t.Fatalf("sized err=%v, unsized err=%v", err1, err2)
-		}
-		if err1 != nil {
-			return
-		}
-		checkGraphInvariants(t, g1)
-		requireGraphsIdentical(t, g1, g2)
-	})
-}
-
 func FuzzReadEdgeList(f *testing.F) {
 	f.Add([]byte("nodes 5\n# c\n0 1\n1 2\n4 0\n"))
 	f.Add([]byte("nodes 4\n0 1 0.5\n1 3 2\n3 0 -1.25\n"))
@@ -114,6 +108,7 @@ func FuzzReadEdgeList(f *testing.F) {
 	f.Add([]byte("% comment only\n\n"))
 	f.Add([]byte("nodes 2\n0 x\n"))
 	f.Add([]byte("  1\t0  \r\nnodes 2\n"))
+	f.Add(retiredKMB1Header)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// A text edge list legitimately allocates O(declared nodes) for the
 		// CSR — that is the format, not a decoder bug — so bound the node
@@ -159,8 +154,10 @@ func FuzzReadKMB2(f *testing.F) {
 				f.Fatal(err)
 			}
 			addMutants(f, data)
+			addKMB2BlockMutants(f, data)
 		}
 	}
+	f.Add(retiredKMB1Header)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := NewKMB2Source(bytes.NewReader(data), int64(len(data)))
 		if err != nil {

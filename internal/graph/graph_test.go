@@ -190,32 +190,6 @@ func TestQuickTextRoundTrip(t *testing.T) {
 	}
 }
 
-// Property: binary format round-trips.
-func TestQuickBinaryRoundTrip(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		g := randomGraph(r, r.Intn(100)+1, r.Intn(500), seed%2 == 1)
-		var buf bytes.Buffer
-		if err := WriteBinary(&buf, g); err != nil {
-			return false
-		}
-		g2, err := ReadBinary(&buf)
-		if err != nil {
-			return false
-		}
-		return graphsEqual(g, g2)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestBinaryRejectsBadMagic(t *testing.T) {
-	if _, err := ReadBinary(bytes.NewReader([]byte("XXXX1234"))); err == nil {
-		t.Fatal("expected error for bad magic")
-	}
-}
-
 func TestReadEdgeListDirectivesAndComments(t *testing.T) {
 	in := "# comment\nnodes 10\n% another\n0 1\n1 2 3.5\n"
 	g, err := ReadEdgeList(bytes.NewReader([]byte(in)))
@@ -238,21 +212,6 @@ func TestReadEdgeListErrors(t *testing.T) {
 		if _, err := ReadEdgeList(bytes.NewReader([]byte(in))); err == nil {
 			t.Errorf("input %q: expected parse error", in)
 		}
-	}
-}
-
-func TestSaveLoadBinaryFile(t *testing.T) {
-	g := mkTriangle(t)
-	path := t.TempDir() + "/g.kmb"
-	if err := SaveBinary(path, g); err != nil {
-		t.Fatal(err)
-	}
-	g2, err := LoadBinary(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !graphsEqual(g, g2) {
-		t.Fatal("binary file round trip mismatch")
 	}
 }
 

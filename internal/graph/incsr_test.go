@@ -237,6 +237,7 @@ func FuzzStreamInCSR(f *testing.F) {
 				f.Fatal(err)
 			}
 			addMutants(f, data)
+			addKMB2BlockMutants(f, data)
 		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -7,7 +7,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"slices"
 	"strconv"
 	"strings"
 )
@@ -18,9 +17,7 @@ import (
 // directive, every endpoint must be < N (the CSR indexes by ID, so an
 // out-of-range edge would corrupt every downstream pass).
 //
-// Binary format ("KMB1"): magic, node count, edge count, weighted flag,
-// CSR offsets, destinations, and (if weighted) weights, all little-endian.
-// The out-of-core block format ("KMB2") lives in blockfile.go.
+// The binary block format ("KMB2") lives in blockfile.go.
 
 // ReadEdgeList parses a text edge list from r.
 func ReadEdgeList(r io.Reader) (*Graph, error) {
@@ -113,48 +110,13 @@ func WriteEdgeList(w io.Writer, g *Graph) error {
 	return bw.Flush()
 }
 
-var binMagic = [4]byte{'K', 'M', 'B', '1'}
-
-// kmb1HdrLen is the KMB1 fixed header: magic, node count, edge count,
-// weighted flag.
-const kmb1HdrLen = 4 + 8 + 8 + 1
-
-// ioChunk is the scratch size the binary codecs stream arrays through:
-// big enough to amortize reads, small enough to be pool-friendly.
-const ioChunk = 1 << 20
-
-// Little-endian array codecs. Arrays are encoded element-wise with
-// explicit byte-slice stores/loads — no reflection (binary.Read on a
-// slice walks reflect.Value per element, an order of magnitude slower)
-// and no unsafe. Shared by KMB1 (below) and KMB2 (blockfile.go).
-
-func encodeNodeIDs(b []byte, src []NodeID) {
-	for i, v := range src {
-		binary.LittleEndian.PutUint32(b[i*4:], uint32(v))
-	}
-}
-
-func encodeInt64s(b []byte, src []int64) {
-	for i, v := range src {
-		binary.LittleEndian.PutUint64(b[i*8:], uint64(v))
-	}
-}
-
-func encodeFloat64s(b []byte, src []float64) {
-	for i, v := range src {
-		binary.LittleEndian.PutUint64(b[i*8:], math.Float64bits(v))
-	}
-}
+// Little-endian column decoders for KMB2 blocks (blockfile.go): explicit
+// byte-slice loads, no reflection (binary.Read on a slice walks
+// reflect.Value per element, an order of magnitude slower) and no unsafe.
 
 func decodeNodeIDs(dst []NodeID, b []byte) {
 	for i := range dst {
 		dst[i] = NodeID(binary.LittleEndian.Uint32(b[i*4:]))
-	}
-}
-
-func decodeInt64s(dst []int64, b []byte) {
-	for i := range dst {
-		dst[i] = int64(binary.LittleEndian.Uint64(b[i*8:]))
 	}
 }
 
@@ -164,208 +126,25 @@ func decodeFloat64s(dst []float64, b []byte) {
 	}
 }
 
-// WriteBinary writes g in the compact binary format.
-func WriteBinary(w io.Writer, g *Graph) error {
-	bw := bufio.NewWriterSize(w, ioChunk)
-	var hdr [kmb1HdrLen]byte
-	copy(hdr[0:4], binMagic[:])
-	binary.LittleEndian.PutUint64(hdr[4:12], uint64(g.NumNodes()))
-	binary.LittleEndian.PutUint64(hdr[12:20], uint64(g.NumEdges()))
-	if g.Weighted() {
-		hdr[20] = 1
-	}
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return err
-	}
-	if err := writeArray(bw, g.offsets, 8, encodeInt64s); err != nil {
-		return err
-	}
-	if err := writeArray(bw, g.dsts, 4, encodeNodeIDs); err != nil {
-		return err
-	}
-	if g.Weighted() {
-		if err := writeArray(bw, g.weights, 8, encodeFloat64s); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// writeArray streams an array through a bounded scratch buffer with the
-// chunked element-wise encoders above.
-func writeArray[T any](bw *bufio.Writer, vals []T, width int,
-	encode func([]byte, []T)) error {
-
-	if len(vals) == 0 {
-		return nil
-	}
-	scratch := make([]byte, min(ioChunk, len(vals)*width))
-	for len(vals) > 0 {
-		n := min(len(scratch)/width, len(vals))
-		encode(scratch[:n*width], vals[:n])
-		if _, err := bw.Write(scratch[:n*width]); err != nil {
-			return err
-		}
-		vals = vals[n:]
-	}
-	return nil
-}
-
-// remainingSize reports how many unread bytes r holds, when knowable: a
-// bytes/strings.Reader exposes Len, a regular file its Stat size minus
-// the current offset. ReadBinary uses it to validate a header's claimed
-// array sizes against reality *before* allocating — a corrupt 16-byte
-// header must not drive a multi-gigabyte make.
-func remainingSize(r io.Reader) (int64, bool) {
-	switch v := r.(type) {
-	case interface{ Len() int }:
-		return int64(v.Len()), true
-	case *os.File:
-		st, err := v.Stat()
-		if err != nil || !st.Mode().IsRegular() {
-			return 0, false
-		}
-		pos, err := v.Seek(0, io.SeekCurrent)
-		if err != nil {
-			return 0, false
-		}
-		return st.Size() - pos, true
-	}
-	return 0, false
-}
-
-// ReadBinary reads a graph written by WriteBinary. The decoded structure
-// is fully validated: header counts against the input size (when the
-// reader's size is knowable) or against bytes actually read (when not),
-// offsets for monotonicity, and destinations against the node count —
-// corrupt input yields an error, never a panic or an over-allocation.
-func ReadBinary(r io.Reader) (*Graph, error) {
-	remaining, sized := remainingSize(r)
-	br := bufio.NewReaderSize(r, ioChunk)
-	var hdr [kmb1HdrLen]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, err
-	}
-	if [4]byte(hdr[0:4]) != binMagic {
-		return nil, fmt.Errorf("graph: bad magic %q", hdr[0:4])
-	}
-	nodes := binary.LittleEndian.Uint64(hdr[4:12])
-	edges := binary.LittleEndian.Uint64(hdr[12:20])
-	wflag := hdr[20]
-	if wflag > 1 {
-		return nil, fmt.Errorf("graph: bad weighted flag %d", wflag)
-	}
-	if nodes > math.MaxUint32 {
-		return nil, fmt.Errorf("graph: node count %d exceeds 32-bit IDs", nodes)
-	}
-	if edges > math.MaxInt64/16 {
-		return nil, fmt.Errorf("graph: implausible edge count %d", edges)
-	}
-	payload := (int64(nodes)+1)*8 + int64(edges)*4
-	if wflag == 1 {
-		payload += int64(edges) * 8
-	}
-	if sized {
-		if want := int64(kmb1HdrLen) + payload; remaining != want {
-			return nil, fmt.Errorf("graph: header claims %d nodes / %d edges (%d bytes), input has %d",
-				nodes, edges, want, remaining+int64(kmb1HdrLen))
-		}
-	}
-	g := &Graph{}
-	var err error
-	if g.offsets, err = readInt64Array(br, int64(nodes)+1, sized); err != nil {
-		return nil, err
-	}
-	if g.dsts, err = readNodeIDArray(br, int64(edges), sized); err != nil {
-		return nil, err
-	}
-	if wflag == 1 {
-		if g.weights, err = readFloat64Array(br, int64(edges), sized); err != nil {
-			return nil, err
-		}
-	}
-	if g.offsets[0] != 0 {
-		return nil, fmt.Errorf("graph: corrupt offsets: first=%d want 0", g.offsets[0])
-	}
-	for i := 1; i < len(g.offsets); i++ {
-		if g.offsets[i] < g.offsets[i-1] {
-			return nil, fmt.Errorf("graph: corrupt offsets: offsets[%d]=%d < offsets[%d]=%d",
-				i, g.offsets[i], i-1, g.offsets[i-1])
-		}
-	}
-	if g.offsets[len(g.offsets)-1] != int64(edges) {
-		return nil, fmt.Errorf("graph: corrupt offsets: last=%d want %d",
-			g.offsets[len(g.offsets)-1], edges)
-	}
-	for _, d := range g.dsts {
-		if uint64(d) >= nodes {
-			return nil, fmt.Errorf("graph: corrupt dsts: destination %d out of range for %d nodes", d, nodes)
-		}
-	}
-	return g, nil
-}
-
-// readArray streams count width-byte values through a bounded scratch
-// buffer. With a size-verified input the destination is allocated
-// up-front and filled by index; otherwise it grows chunk by chunk, so
-// memory tracks bytes actually read instead of whatever the header
-// claims.
-func readArray[T any](br io.Reader, count int64, sized bool, width int,
-	decode func([]T, []byte)) ([]T, error) {
-
-	var out []T
-	if sized {
-		out = make([]T, 0, count)
-	} else {
-		// Non-nil even for count 0: a zero-edge weight column must stay
-		// distinguishable from "unweighted" (Weighted checks for nil).
-		out = []T{}
-	}
-	scratch := make([]byte, min(int64(ioChunk), count*int64(width)))
-	for int64(len(out)) < count {
-		n := int(min(int64(len(scratch)/width), count-int64(len(out))))
-		b := scratch[:n*width]
-		if _, err := io.ReadFull(br, b); err != nil {
-			return nil, err
-		}
-		base := len(out)
-		out = slices.Grow(out, n)[:base+n]
-		decode(out[base:], b)
-	}
-	return out, nil
-}
-
-func readInt64Array(br io.Reader, count int64, sized bool) ([]int64, error) {
-	return readArray(br, count, sized, 8, decodeInt64s)
-}
-
-func readNodeIDArray(br io.Reader, count int64, sized bool) ([]NodeID, error) {
-	return readArray(br, count, sized, 4, decodeNodeIDs)
-}
-
-func readFloat64Array(br io.Reader, count int64, sized bool) ([]float64, error) {
-	return readArray(br, count, sized, 8, decodeFloat64s)
-}
-
-// SaveBinary writes g to the named file in binary format.
-func SaveBinary(path string, g *Graph) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := WriteBinary(f, g); err != nil {
-		return err
-	}
-	return f.Close()
-}
-
-// LoadBinary reads a graph from a binary file written by SaveBinary.
-func LoadBinary(path string) (*Graph, error) {
+// IsKMB2File reports whether the file at path starts with the KMB2
+// magic; any other file is a text edge list. A file that starts with the
+// magic of the retired KMB1 CSR dump is an error naming that format,
+// rather than a text parse error that quotes binary bytes.
+func IsKMB2File(path string) (bool, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, err
+		return false, err
 	}
 	defer f.Close()
-	return ReadBinary(f)
+	var magic [4]byte
+	if _, err := io.ReadFull(f, magic[:]); err != nil {
+		if err == io.EOF || err == io.ErrUnexpectedEOF {
+			return false, nil // shorter than a magic: text (possibly empty)
+		}
+		return false, err
+	}
+	if string(magic[:]) == "KMB1" {
+		return false, fmt.Errorf("graph: %s is in the retired KMB1 format; regenerate it as KMB2 or text", path)
+	}
+	return magic == kmb2Magic, nil
 }

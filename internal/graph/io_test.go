@@ -1,100 +1,11 @@
 package graph
 
 import (
-	"bytes"
-	"encoding/binary"
-	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
-
-// Unit coverage for the hardened decoders: ReadBinary validates header
-// counts against the input size before allocating, and ReadEdgeList
-// rejects endpoints outside a declared node count.
-
-func TestBinaryRoundTrip(t *testing.T) {
-	for _, ec := range []edgeCase{{}, {weighted: true, dups: true, selfLoops: true}} {
-		b := NewBuilder(31)
-		fillBuilder(b, ec, 31, 200, 17)
-		want := b.Build()
-		var buf bytes.Buffer
-		if err := WriteBinary(&buf, want); err != nil {
-			t.Fatal(err)
-		}
-		got, err := ReadBinary(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireGraphsIdentical(t, want, got)
-		// Unsized reader: same bytes through the chunked-growth path.
-		got, err = ReadBinary(io.LimitReader(bytes.NewReader(buf.Bytes()), int64(buf.Len())))
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireGraphsIdentical(t, want, got)
-	}
-}
-
-// TestReadBinaryRejectsLyingHeader pins the satellite fix: a tiny input
-// whose header claims a huge graph must fail the size check up front —
-// before the claimed counts drive any allocation.
-func TestReadBinaryRejectsLyingHeader(t *testing.T) {
-	hdr := make([]byte, kmb1HdrLen)
-	copy(hdr, binMagic[:])
-	binary.LittleEndian.PutUint64(hdr[4:12], 1<<30)  // a billion nodes
-	binary.LittleEndian.PutUint64(hdr[12:20], 1<<40) // a trillion edges
-	data := append(hdr, 0, 0, 0, 0)
-
-	if _, err := ReadBinary(bytes.NewReader(data)); err == nil ||
-		!strings.Contains(err.Error(), "header claims") {
-		t.Fatalf("sized lying header: err = %v", err)
-	}
-	// Unsized path: no size to check against, but reading hits EOF after
-	// the real bytes; allocation tracked those bytes, not the claim.
-	if _, err := ReadBinary(io.LimitReader(bytes.NewReader(data), int64(len(data)))); err == nil {
-		t.Fatal("unsized lying header: expected read error")
-	}
-
-	// Implausible counts are rejected even without a sized reader.
-	binary.LittleEndian.PutUint64(hdr[4:12], 1<<40)
-	if _, err := ReadBinary(bytes.NewReader(hdr)); err == nil ||
-		!strings.Contains(err.Error(), "32-bit") {
-		t.Fatalf("oversized node count: err = %v", err)
-	}
-}
-
-func TestReadBinaryRejectsCorruptStructure(t *testing.T) {
-	b := NewBuilder(6)
-	fillBuilder(b, edgeCase{}, 6, 30, 23)
-	g := b.Build()
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	good := buf.Bytes()
-
-	// Break offsets monotonicity.
-	mut := bytes.Clone(good)
-	binary.LittleEndian.PutUint64(mut[kmb1HdrLen+8:], uint64(g.NumEdges()+1000))
-	if _, err := ReadBinary(bytes.NewReader(mut)); err == nil ||
-		!strings.Contains(err.Error(), "offsets") {
-		t.Fatalf("corrupt offsets: err = %v", err)
-	}
-
-	// Break a destination (dsts live after the offsets array).
-	mut = bytes.Clone(good)
-	dstsOff := kmb1HdrLen + (g.NumNodes()+1)*8
-	binary.LittleEndian.PutUint32(mut[dstsOff:], 999)
-	if _, err := ReadBinary(bytes.NewReader(mut)); err == nil ||
-		!strings.Contains(err.Error(), "out of range") {
-		t.Fatalf("corrupt dst: err = %v", err)
-	}
-
-	// Truncation.
-	if _, err := ReadBinary(bytes.NewReader(good[:len(good)-4])); err == nil {
-		t.Fatal("truncated input: expected error")
-	}
-}
 
 // TestReadEdgeListDeclaredRange pins the satellite fix: with a nodes
 // directive, out-of-range endpoints are an error instead of silently
@@ -126,5 +37,40 @@ func TestReadEdgeListDeclaredRange(t *testing.T) {
 	if _, err := ReadEdgeList(strings.NewReader("nodes -3\n")); err == nil ||
 		!strings.Contains(err.Error(), "bad nodes directive") {
 		t.Fatalf("negative directive: err = %v", err)
+	}
+}
+
+// TestIsKMB2File pins the format sniff: the KMB2 magic selects KMB2,
+// anything else (empty and short files included) is text, and the
+// retired KMB1 magic is an error that names the format.
+func TestIsKMB2File(t *testing.T) {
+	dir := t.TempDir()
+	kmb2 := filepath.Join(dir, "g.kmb2")
+	if err := SaveKMB2(kmb2, mkTriangle(t), 0); err != nil {
+		t.Fatal(err)
+	}
+	if ok, err := IsKMB2File(kmb2); err != nil || !ok {
+		t.Fatalf("kmb2 file: ok=%v err=%v", ok, err)
+	}
+	for name, data := range map[string]string{
+		"text": "nodes 3\n0 1\n", "empty": "", "short": "0 1", "kmb": "KMB9....",
+	} {
+		p := filepath.Join(dir, name)
+		if err := os.WriteFile(p, []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if ok, err := IsKMB2File(p); err != nil || ok {
+			t.Errorf("%s: ok=%v err=%v, want text", name, ok, err)
+		}
+	}
+	old := filepath.Join(dir, "g.kmb")
+	if err := os.WriteFile(old, []byte("KMB1\x03\x00\x00\x00"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := IsKMB2File(old); err == nil || !strings.Contains(err.Error(), "KMB1") {
+		t.Fatalf("KMB1 file: err = %v, want an error naming KMB1", err)
+	}
+	if _, err := IsKMB2File(filepath.Join(dir, "missing")); err == nil {
+		t.Fatal("missing file: expected error")
 	}
 }

@@ -11,12 +11,11 @@ import (
 // CSR build that runs the same two-pass counting sort as Builder.Build
 // (build.go) while holding at most workers × blockSize edges in memory.
 // Edge data arrives through a BlockSource — a KMB2 block file
-// (blockfile.go), a KMB1 CSR file (kmb1source.go), or a sharded text edge
-// list (textsource.go) — and is scanned twice: pass 1 accumulates
-// per-worker degree counts, pass 2 scatters straight into the final CSR
-// arrays through conflict-free cursor rows. Peak allocation is O(CSR)
-// plus the fixed block working set, never O(edges) + O(CSR) like the
-// materialize-then-build path.
+// (blockfile.go) or a sharded text edge list (textsource.go) — and is
+// scanned twice: pass 1 accumulates per-worker degree counts, pass 2
+// scatters straight into the final CSR arrays through conflict-free
+// cursor rows. Peak allocation is O(CSR) plus the fixed block working
+// set, never O(edges) + O(CSR) like the materialize-then-build path.
 //
 // Determinism and bit-identity: blocks are assigned to workers by static
 // par.Range over the block index — the same assignment in both passes —

@@ -14,7 +14,7 @@ import (
 // The streaming build promises bit-identical output to the in-memory
 // pipeline for the same edge sequence, from every source format, at
 // every worker count and block/shard size. These tests sweep that
-// promise across {text, KMB1, KMB2} × {1, 4, 8} workers × {mmap,
+// promise across {text, KMB2} × {1, 4, 8} workers × {mmap,
 // ReadAt} × misaligned block boundaries and comment-heavy text.
 
 // edgeListText renders builder columns as a text edge list in insertion
@@ -94,9 +94,9 @@ func TestStreamBuildMatchesInMemory(t *testing.T) {
 		dir := t.TempDir()
 		textPlain := filepath.Join(dir, "plain.txt")
 		textDecorated := filepath.Join(dir, "decorated.txt")
-		kmb1Path := filepath.Join(dir, "g.kmb1")
 		kmb2Small := filepath.Join(dir, "small.kmb2")
 		kmb2Default := filepath.Join(dir, "default.kmb2")
+		kmb2CSR := filepath.Join(dir, "csr.kmb2")
 		tmp := NewBuilder(n)
 		tmp.srcs, tmp.dsts, tmp.weights = srcs, dsts, weights
 		if err := os.WriteFile(textPlain, edgeListText(tmp, n, false), 0o644); err != nil {
@@ -105,13 +105,17 @@ func TestStreamBuildMatchesInMemory(t *testing.T) {
 		if err := os.WriteFile(textDecorated, edgeListText(tmp, n, true), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if err := SaveBinary(kmb1Path, want); err != nil {
-			t.Fatal(err)
-		}
 		// blockEdges 7 forces many blocks with a partial tail; the default
 		// puts everything in one block.
 		writeKMB2Columns(t, kmb2Small, n, srcs, dsts, weights, 7)
 		writeKMB2Columns(t, kmb2Default, n, srcs, dsts, weights, 0)
+		// SaveKMB2 of the built graph stores the edges in CSR order, not
+		// insertion order, in blocks of 5. Rebuilding from that order is
+		// still bit-identical to want because the final adjacency sort is
+		// a total order.
+		if err := SaveKMB2(kmb2CSR, want, 5); err != nil {
+			t.Fatal(err)
+		}
 
 		sources := []struct {
 			name string
@@ -129,15 +133,6 @@ func TestStreamBuildMatchesInMemory(t *testing.T) {
 			{"text/decorated/oneshard", func() (sourceCloser, error) {
 				return OpenText(textDecorated)
 			}},
-			{"kmb1/mmap", func() (sourceCloser, error) {
-				return OpenKMB1Config(kmb1Path, KMB1Config{BlockEdges: 5})
-			}},
-			{"kmb1/readat", func() (sourceCloser, error) {
-				return OpenKMB1Config(kmb1Path, KMB1Config{BlockEdges: 5, NoMmap: true})
-			}},
-			{"kmb1/default", func() (sourceCloser, error) {
-				return OpenKMB1(kmb1Path)
-			}},
 			{"kmb2/small/mmap", func() (sourceCloser, error) {
 				return OpenKMB2(kmb2Small)
 			}},
@@ -147,11 +142,16 @@ func TestStreamBuildMatchesInMemory(t *testing.T) {
 			{"kmb2/default/mmap", func() (sourceCloser, error) {
 				return OpenKMB2(kmb2Default)
 			}},
+			{"kmb2/default/readat", func() (sourceCloser, error) {
+				return OpenKMB2ReadAt(kmb2Default)
+			}},
+			{"kmb2/csr/mmap", func() (sourceCloser, error) {
+				return OpenKMB2(kmb2CSR)
+			}},
+			{"kmb2/csr/readat", func() (sourceCloser, error) {
+				return OpenKMB2ReadAt(kmb2CSR)
+			}},
 		}
-		// KMB1 streams edges in CSR order, so its reference is the
-		// already-built graph rebuilt from its own edge order — which is
-		// still bit-identical to want because the final adjacency sort is a
-		// total order. The direct comparison below holds for all sources.
 		for _, srcSpec := range sources {
 			src, err := srcSpec.open()
 			if err != nil {
@@ -424,46 +424,6 @@ func TestKMB2Errors(t *testing.T) {
 	hdr.encode(mut)
 	if err := reopen(mut); err == nil || !strings.Contains(err.Error(), "out of range") {
 		t.Fatalf("oversized blockEdges: err = %v", err)
-	}
-}
-
-func TestKMB1SourceErrors(t *testing.T) {
-	dir := t.TempDir()
-	b := NewBuilder(10)
-	fillBuilder(b, edgeCase{}, 10, 50, 5)
-	g := b.Build()
-	path := filepath.Join(dir, "g.kmb1")
-	if err := SaveBinary(path, g); err != nil {
-		t.Fatal(err)
-	}
-	good, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reopen := func(data []byte) error {
-		p := filepath.Join(dir, "mut.kmb1")
-		if err := os.WriteFile(p, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		s, err := OpenKMB1(p)
-		if err != nil {
-			return err
-		}
-		return s.Close()
-	}
-	if err := reopen(good[:len(good)-3]); err == nil || !strings.Contains(err.Error(), "file has") {
-		t.Fatalf("truncation: err = %v", err)
-	}
-	mut := slices.Clone(good)
-	mut[2] = 'X'
-	if err := reopen(mut); err == nil || !strings.Contains(err.Error(), "magic") {
-		t.Fatalf("bad magic: err = %v", err)
-	}
-	// Corrupt offsets (non-monotonic) are rejected at open.
-	mut = slices.Clone(good)
-	mut[kmb1HdrLen+8] = 0xFF
-	if err := reopen(mut); err == nil || !strings.Contains(err.Error(), "offsets") {
-		t.Fatalf("corrupt offsets: err = %v", err)
 	}
 }
 
