@@ -9,6 +9,7 @@ import (
 	"kimbap/internal/gen"
 	"kimbap/internal/graph"
 	"kimbap/internal/npm"
+	"kimbap/internal/partition"
 	"kimbap/internal/runtime"
 )
 
@@ -108,6 +109,35 @@ func TestStreamIngestGate(t *testing.T) {
 	if limit := csr + csr/4; stream.PeakAllocBytes > limit {
 		t.Errorf("streaming build allocated %d bytes, above 125%% of the %d-byte CSR (limit %d)",
 			stream.PeakAllocBytes, csr, limit)
+	}
+}
+
+// TestPartitionAllocGate holds the partitioner to writing each host's
+// local CSR once: partitioning the full-scale friendster R-MAT (2 hosts,
+// CVC, 2 workers) may allocate (TotalAlloc delta) at most 125% of the
+// bytes its result holds — every host's local CSR offsets, dsts and
+// weights plus its global→local table. Global-ID edge columns or a
+// second CSR build on top of the output would each break the bound.
+func TestPartitionAllocGate(t *testing.T) {
+	cfg := Config{Scale: Full, Threads: 2, Reps: 1}
+	g := cfg.graphFor(gen.Friendster)
+	var p *partition.Partitioned
+	part := func() { p = partition.PartitionWorkers(g, 2, partition.CVC, cfg.Threads) }
+	part() // warm the worker pool
+	gort.GC()
+	rec := cfg.timeOp(PerfRecord{Name: "gate_partition"}, func() {}, part)
+	var held int64
+	for _, hp := range p.Hosts {
+		held += csrBytes(hp.Local) + hp.TranslationFootprint()
+	}
+	if rec.PeakAllocBytes == 0 || held == 0 {
+		t.Fatal("partition gate measured nothing; gate workload is broken")
+	}
+	t.Logf("held=%dKB partition alloc=%dKB (%.2fx)",
+		held/1024, rec.PeakAllocBytes/1024, float64(rec.PeakAllocBytes)/float64(held))
+	if limit := held + held/4; rec.PeakAllocBytes > limit {
+		t.Errorf("partitioning allocated %d bytes, above 125%% of the %d bytes its result holds (limit %d)",
+			rec.PeakAllocBytes, held, limit)
 	}
 }
 

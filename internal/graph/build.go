@@ -32,12 +32,22 @@ func NewBuilderFromArrays(numNodes int, srcs, dsts []NodeID, weights []float64) 
 	return &Builder{numNodes: numNodes, srcs: srcs, dsts: dsts, weights: weights}
 }
 
-// FromArrays builds a CSR graph directly from edge columns with the given
-// worker count (0 = all cores). This is the partitioner's per-host path: it
-// fills exact-size columns in parallel and never goes through AddEdge.
+// AdoptCSR wraps scattered CSR arrays in a Graph without copying them and
+// sorts every adjacency list by (dst, weight) with the given worker count
+// (0 = all cores), so the result equals Build's on the same edge multiset.
+// offsets has length NumNodes+1 and ends at len(dsts); weights is nil for
+// an unweighted graph, else parallel to dsts. This is the partitioner's
+// per-host path: it writes each local CSR in place and never holds edge
+// columns.
 //kimbap:deterministic
-func FromArrays(numNodes int, srcs, dsts []NodeID, weights []float64, workers int) *Graph {
-	return NewBuilderFromArrays(numNodes, srcs, dsts, weights).SetWorkers(workers).Build()
+func AdoptCSR(offsets []int64, dsts []NodeID, weights []float64, workers int) *Graph {
+	if len(offsets) == 0 || offsets[len(offsets)-1] != int64(len(dsts)) ||
+		(weights != nil && len(weights) != len(dsts)) {
+		panic("graph: AdoptCSR array length mismatch")
+	}
+	g := &Graph{offsets: offsets, dsts: dsts, weights: weights}
+	sortAdjacency(g, workers)
+	return g
 }
 
 // countPool recycles the (workers x numNodes) cursor matrices across Build
@@ -183,12 +193,16 @@ func mergeCounts(workers, n int, cnt, offsets []int64) {
 // average. The (dst, weight) order is total up to fully equal entries, so
 // the result is independent of scatter order — the root of the
 // bit-identity guarantee shared by Build, BuildSerial, and StreamBuilder.
+// A weighted row that is already in order (every row the partitioner
+// scatters from master-only destinations) costs one scan.
 func sortAdjacency(g *Graph, workers int) {
 	par.Dynamic(workers, g.NumNodes(), 128, func(lo, hi int) {
 		for v := lo; v < hi; v++ {
 			elo, ehi := g.offsets[v], g.offsets[v+1]
 			if g.weights != nil {
-				sortDstWeight(g.dsts[elo:ehi], g.weights[elo:ehi])
+				if !dwSorted(g.dsts[elo:ehi], g.weights[elo:ehi]) {
+					sortDstWeight(g.dsts[elo:ehi], g.weights[elo:ehi])
+				}
 			} else {
 				slices.Sort(g.dsts[elo:ehi])
 			}

@@ -18,6 +18,16 @@ func dwLess(d1 NodeID, w1 float64, d2 NodeID, w2 float64) bool {
 	return w1 < w2
 }
 
+// dwSorted reports whether d and w are already in (dst, weight) order.
+func dwSorted(d []NodeID, w []float64) bool {
+	for i := 1; i < len(d); i++ {
+		if dwLess(d[i], w[i], d[i-1], w[i-1]) {
+			return false
+		}
+	}
+	return true
+}
+
 // sortDstWeight sorts d and w in tandem by (dst, weight) ascending.
 func sortDstWeight(d []NodeID, w []float64) {
 	for len(d) > 16 {

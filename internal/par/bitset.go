@@ -8,8 +8,8 @@ import (
 // Bitset is a fixed-size concurrent bitset. The paper's request phase uses
 // one to de-duplicate node-property requests (§4.1), the runtime's frontier
 // subsystem uses a pair as its current/next active sets, and the parallel
-// partitioner uses per-worker instances for mirror discovery, merged with
-// OrInto. Set is an atomic load/CAS loop (see Set for why not a fetch-or),
+// partitioner shares one per host across its workers for mirror
+// discovery. Set is an atomic load/CAS loop (see Set for why not a fetch-or),
 // so concurrent setters never lock.
 type Bitset struct {
 	words []atomic.Uint64

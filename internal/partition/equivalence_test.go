@@ -10,10 +10,11 @@ import (
 )
 
 // The parallel partitioner (parallel.go) promises the same Partitioned —
-// boundaries, GlobalIDs, local CSR, MirrorsByOwner, MasterSendTo, structural
-// invariant flags — as the serial reference, bit for bit, at every worker
-// count. The runtime layers (reduce-sync addressing, pinned mirrors) key off
-// these tables, so "roughly equal" is not enough.
+// boundaries, GlobalIDs, translation table, local CSR, MirrorsByOwner,
+// MasterSendTo, structural invariant flags — as the serial reference, bit
+// for bit, at every worker count. The runtime layers (reduce-sync
+// addressing, pinned mirrors) key off these tables, so "roughly equal" is
+// not enough.
 
 func requireSameGraph(t *testing.T, label string, want, got *graph.Graph) {
 	t.Helper()
@@ -57,6 +58,9 @@ func requireSamePartitioned(t *testing.T, want, got *Partitioned) {
 		if !reflect.DeepEqual(w.mirrorGlobals, g.mirrorGlobals) {
 			t.Fatalf("%s: mirror lists differ", label)
 		}
+		if !reflect.DeepEqual(w.localTab, g.localTab) {
+			t.Fatalf("%s: global->local tables differ", label)
+		}
 		requireSameGraph(t, label+" local CSR", w.Local, g.Local)
 		if !mirrorTablesEqual(w.MirrorsByOwner, g.MirrorsByOwner) {
 			t.Fatalf("%s: MirrorsByOwner differ:\nwant %v\ngot  %v",
@@ -70,6 +74,29 @@ func requireSamePartitioned(t *testing.T, want, got *Partitioned) {
 			w.MirrorsHaveNoInEdges != g.MirrorsHaveNoInEdges {
 			t.Fatalf("%s: invariant flags differ", label)
 		}
+		requireInvariantFlags(t, g)
+	}
+}
+
+// requireInvariantFlags recomputes the pinned-mirror flags by scanning the
+// local CSR. Both pipelines derive them from their edge-assignment pass,
+// so the comparison above alone would not catch a shared mistake.
+func requireInvariantFlags(t *testing.T, hp *HostPartition) {
+	t.Helper()
+	noOut, noIn := true, true
+	for n := 0; n < hp.Local.NumNodes(); n++ {
+		if n >= hp.NumMasters && hp.Local.Degree(graph.NodeID(n)) > 0 {
+			noOut = false
+		}
+		for _, v := range hp.Local.Neighbors(graph.NodeID(n)) {
+			if !hp.IsMaster(v) {
+				noIn = false
+			}
+		}
+	}
+	if hp.MirrorsHaveNoOutEdges != noOut || hp.MirrorsHaveNoInEdges != noIn {
+		t.Fatalf("host %d: flags out=%v in=%v, local CSR says out=%v in=%v", hp.Host,
+			hp.MirrorsHaveNoOutEdges, hp.MirrorsHaveNoInEdges, noOut, noIn)
 	}
 }
 
@@ -93,12 +120,44 @@ func mirrorTablesEqual(a, b [][]graph.NodeID) bool {
 	return true
 }
 
+// multigraph is a weighted graph that no generator makes: self-loops,
+// parallel edges with different weights, and isolated nodes (every
+// multiple of 5, and the last quarter of the ID space).
+func multigraph() *graph.Graph {
+	const n = 48
+	b := graph.NewBuilder(n)
+	for u := 0; u < 3*n/4; u++ {
+		if u%5 == 0 {
+			continue
+		}
+		src := graph.NodeID(u)
+		if u%3 == 0 {
+			b.AddWeightedEdge(src, src, 2)
+		}
+		for k := 1; k <= 3; k++ {
+			dst := graph.NodeID((u*7 + k*11) % (3*n/4 - 1))
+			if dst%5 == 0 {
+				dst++
+			}
+			b.AddWeightedEdge(src, dst, float64(k))
+			if k == 2 {
+				b.AddWeightedEdge(src, dst, 0.5)
+			}
+		}
+	}
+	return b.Build()
+}
+
 func TestParallelPartitionMatchesSerial(t *testing.T) {
 	graphs := map[string]*graph.Graph{
 		"grid":  gen.Grid(10, 10, true, 1),
 		"rmat":  gen.RMAT(8, 8, true, 2),
 		"star":  gen.Star(64),
 		"chain": gen.Chain(50, false, 3),
+		"multi": multigraph(),
+		// Fewer nodes than the larger host counts: some master ranges
+		// are empty, and so are those hosts' CSRs.
+		"tiny": gen.Chain(5, true, 4),
 	}
 	for name, g := range graphs {
 		for _, pol := range Policies {
@@ -109,6 +168,37 @@ func TestParallelPartitionMatchesSerial(t *testing.T) {
 						func(t *testing.T) {
 							requireSamePartitioned(t, want,
 								PartitionWorkers(g, hosts, pol, workers))
+						})
+				}
+			}
+		}
+	}
+}
+
+// PartitionReorderedWorkers against PartitionReorderedSerial on a
+// reordered R-MAT: blocked-degree reorders whose boundaries the partition
+// adopts, and a whole-graph degree reorder whose boundaries it recomputes.
+func TestParallelPartitionReorderedMatchesSerial(t *testing.T) {
+	g := gen.RMAT(9, 8, true, 5)
+	for _, hosts := range []int{1, 2, 4, 8} {
+		for _, opts := range []graph.ReorderOptions{
+			{Policy: graph.ReorderBlockedDegree, Blocks: hosts},
+			{Policy: graph.ReorderDegree},
+		} {
+			rg, ro, err := graph.Reorder(g, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, pol := range Policies {
+				want := PartitionReorderedSerial(rg, hosts, pol, ro)
+				for _, workers := range []int{1, 2, 4, 8} {
+					t.Run(fmt.Sprintf("%s/%s/hosts=%d/workers=%d", opts.Policy, pol, hosts, workers),
+						func(t *testing.T) {
+							got := PartitionReorderedWorkers(rg, hosts, pol, workers, ro)
+							if got.Reordering != ro {
+								t.Fatal("partition did not carry the reordering")
+							}
+							requireSamePartitioned(t, want, got)
 						})
 				}
 			}

@@ -7,24 +7,31 @@ import (
 	"kimbap/internal/par"
 )
 
-// Parallel partitioning pipeline. The three passes of PartitionSerial are
-// reshaped for bounded-worker execution without changing the output by a
-// bit:
+// Parallel partitioning pipeline. Each host's local CSR is written once,
+// straight from the global CSR, and the output is bit-identical to
+// PartitionSerial. The global CSR splits into static source-row ranges
+// balanced by edges+nodes, so one worker owns every write keyed by its
+// rows; Owner(src) is looked up once per row, Owner(dst) once per edge.
 //
-//  1. A chunked edge-assignment scan over static ranges of the global edge
-//     index space. Each worker keeps a per-host edge counter and a per-host
-//     mirror Bitset, so the pass is lock- and map-free; an exclusive scan
-//     of the counters sizes every host's edge columns exactly, and the
-//     mirror Bitsets are merged with OrInto (a set union — scheduling
-//     cannot affect it).
-//  2. A re-scan scatters each edge into its host's columns at a cursor
-//     reserved by the scan, then one worker per host materializes the
-//     mirror list from the merged Bitset (ForEachSet yields ascending
-//     global IDs, the order the serial reference gets from sorting map
-//     keys), translates the columns to local IDs in place, and builds the
-//     local CSR through graph.FromArrays — no []graph.Edge is ever
-//     materialized.
-//  3. Mirror-list exchange runs one host per worker, with a barrier
+//  1. Count. Each edge adds 1 to its host's out-degree of src, counted in
+//     that host's localTab (one int32 per global node) before it becomes
+//     the translation table, and sets the host's mirror bits for
+//     endpoints it does not own (Bitset.Set is atomic; a union cannot
+//     depend on scheduling). The pass also records whether any edge on a
+//     host enters a mirror: the MirrorsHaveNoInEdges flag.
+//  2. Local ID space, one host per worker: masters, then the mirror
+//     Bitset's members in ascending global ID (the order the serial
+//     reference gets by sorting map keys). An exclusive scan of the
+//     degrees in local-ID order gives the CSR offsets (a mirror with a
+//     degree clears MirrorsHaveNoOutEdges), and localTab[g] is then
+//     overwritten with local+1.
+//  3. Scatter. A re-scan of the rows writes each edge's local destination
+//     and weight into its host's CSR at a per-(host, local src) cursor;
+//     row ownership makes every slot single-writer. Each host's CSR is
+//     then adopted by graph.AdoptCSR, which sorts the rows by (dst,
+//     weight) with the whole pool — a total order, so scatter order
+//     cannot show.
+//  4. Mirror-list exchange runs one host per worker, with a barrier
 //     between the MirrorsByOwner and MasterSendTo halves (the latter reads
 //     every other host's former).
 
@@ -64,11 +71,7 @@ func partitionWorkers(g *graph.Graph, numHosts int, policy Policy, workers int, 
 		panic("partition: numHosts must be >= 1")
 	}
 	numNodes := g.NumNodes()
-	numEdges := int(g.NumEdges())
 	workers = par.Resolve(workers)
-	if workers > numEdges && numEdges > 0 {
-		workers = numEdges
-	}
 	p := &Partitioned{
 		NumHosts:   numHosts,
 		NumNodes:   numNodes,
@@ -77,100 +80,111 @@ func partitionWorkers(g *graph.Graph, numHosts int, policy Policy, workers int, 
 		boundaries: partitionBoundaries(g, numHosts, ro),
 	}
 	p.buildOwnerTab()
-	assign := p.edgeAssigner(policy, numHosts)
-
-	// Pass 1: per-worker per-host edge counts and mirror bitsets over
-	// static edge ranges.
-	counts := make([]int64, workers*numHosts)
-	mirSets := make([]*par.Bitset, workers*numHosts)
-	for i := range mirSets {
-		mirSets[i] = par.NewBitset(numNodes)
+	pc := edgeGrid(policy, numHosts)
+	col := make([]int, numHosts) // col[o] = o % pc, off the per-edge path
+	for o := range col {
+		col[o] = o % pc
 	}
-	par.Do(workers, func(w int) {
-		cnt := counts[w*numHosts : (w+1)*numHosts]
-		sets := mirSets[w*numHosts : (w+1)*numHosts]
-		elo, ehi := par.Range(w, workers, numEdges)
-		forEachEdgeIn(g, elo, ehi)(func(src, dst graph.NodeID, _ int64) {
-			h := assign(src, dst)
-			cnt[h]++
-			if p.Owner(src) != h {
-				sets[h].Set(int(src))
-			}
-			if p.Owner(dst) != h {
-				sets[h].Set(int(dst))
-			}
-		})
-	})
+	rows := rowRanges(g, workers)
 
-	// Merge: per host, union the workers' mirror sets (into worker 0's) and
-	// turn the counts column into scatter cursors via an exclusive scan.
+	// Step 1: per-host degrees (in the future translation tables), mirror
+	// bits, and per-worker "an edge entered a mirror" flags.
+	tabs := make([][]int32, numHosts)
 	mirrors := make([]*par.Bitset, numHosts)
-	totals := make([]int64, numHosts)
-	par.Dynamic(workers, numHosts, 1, func(lo, hi int) {
-		for h := lo; h < hi; h++ {
-			mb := mirSets[h]
-			for w := 1; w < workers; w++ {
-				mirSets[w*numHosts+h].OrInto(mb)
-			}
-			mirrors[h] = mb
-			var pos int64
-			for w := 0; w < workers; w++ {
-				c := counts[w*numHosts+h]
-				counts[w*numHosts+h] = pos
-				pos += c
-			}
-			totals[h] = pos
-		}
-	})
-
-	// Pass 2a: allocate exact-size per-host edge columns (global IDs for
-	// now) and scatter with a conflict-free re-scan — worker w owns cursor
-	// cell (w, h) and every write lands in a slot reserved by the scan.
-	weighted := g.Weighted()
-	srcCols := make([][]graph.NodeID, numHosts)
-	dstCols := make([][]graph.NodeID, numHosts)
-	var wCols [][]float64
-	if weighted {
-		wCols = make([][]float64, numHosts)
+	for h := range tabs {
+		tabs[h] = make([]int32, numNodes)
+		mirrors[h] = par.NewBitset(numNodes)
 	}
-	par.Dynamic(workers, numHosts, 1, func(lo, hi int) {
-		for h := lo; h < hi; h++ {
-			srcCols[h] = make([]graph.NodeID, totals[h])
-			dstCols[h] = make([]graph.NodeID, totals[h])
-			if weighted {
-				wCols[h] = make([]float64, totals[h])
-			}
-		}
-	})
+	mirrorIn := make([]bool, workers*numHosts)
 	//kimbap:conflictfree
 	par.Do(workers, func(w int) {
-		cursor := counts[w*numHosts : (w+1)*numHosts]
-		elo, ehi := par.Range(w, workers, numEdges)
-		forEachEdgeIn(g, elo, ehi)(func(src, dst graph.NodeID, e int64) {
-			h := assign(src, dst)
-			at := cursor[h]
-			cursor[h] = at + 1
-			srcCols[h][at] = src
-			dstCols[h][at] = dst
-			if weighted {
-				wCols[h][at] = g.Weight(e)
+		in := mirrorIn[w*numHosts : (w+1)*numHosts]
+		for v := rows[w]; v < rows[w+1]; v++ {
+			src := graph.NodeID(v)
+			os := p.Owner(src)
+			row := os / pc * pc // the edge's host is edgeHost(os, od, pc)
+			for _, dst := range g.Neighbors(src) {
+				od := p.Owner(dst)
+				h := row + col[od]
+				tabs[h][v]++
+				if os != h && tabs[h][v] == 1 {
+					mirrors[h].Set(v)
+				}
+				if od != h {
+					mirrors[h].Set(int(dst))
+					if !in[h] { // store once: workers' flags share a cache line
+						in[h] = true
+					}
+				}
 			}
-		})
-	})
-
-	// Pass 2b: build each host's local view, one host per worker.
-	p.Hosts = make([]*HostPartition, numHosts)
-	par.Dynamic(workers, numHosts, 1, func(lo, hi int) {
-		for h := lo; h < hi; h++ {
-			var ws []float64
-			if weighted {
-				ws = wCols[h]
-			}
-			p.Hosts[h] = buildHostFromColumns(p, h, srcCols[h], dstCols[h], ws, mirrors[h])
 		}
 	})
 
-	// Pass 3: mirror-list exchange, one host per worker per half.
+	// Step 2: fix each host's local ID space and CSR offsets; allocate its
+	// edge arrays at their exact size.
+	weighted := g.Weighted()
+	p.Hosts = make([]*HostPartition, numHosts)
+	offsets := make([][]int64, numHosts)
+	dsts := make([][]graph.NodeID, numHosts)
+	weights := make([][]float64, numHosts)
+	par.Dynamic(workers, numHosts, 1, func(lo, hi int) {
+		for h := lo; h < hi; h++ {
+			hp, off := newHostFromDegrees(p, h, tabs[h], mirrors[h])
+			for w := 0; w < workers; w++ {
+				if mirrorIn[w*numHosts+h] {
+					hp.MirrorsHaveNoInEdges = false
+				}
+			}
+			p.Hosts[h], offsets[h] = hp, off
+			m := off[len(off)-1]
+			dsts[h] = make([]graph.NodeID, m)
+			// A host without edges stays unweighted, as a Builder
+			// given none does in the serial reference.
+			if weighted && m > 0 {
+				weights[h] = make([]float64, m)
+			}
+		}
+	})
+
+	// Step 3: scatter local IDs. Worker w owns rows [rows[w], rows[w+1]),
+	// hence every (host, local src) slot range those rows fill; the cursor
+	// of (h, src) starts at the first edge of src on h (stamp[h] marks the
+	// row it belongs to).
+	//kimbap:conflictfree
+	par.Do(workers, func(w int) {
+		cursor := make([]int64, numHosts)
+		stamp := make([]int, numHosts)
+		for v := rows[w]; v < rows[w+1]; v++ {
+			src := graph.NodeID(v)
+			row := p.Owner(src) / pc * pc
+			ws := g.EdgeWeights(src)
+			for i, dst := range g.Neighbors(src) {
+				od := p.Owner(dst)
+				h := row + col[od]
+				if stamp[h] != v+1 {
+					stamp[h] = v + 1
+					cursor[h] = offsets[h][tabs[h][v]-1]
+				}
+				at := cursor[h]
+				cursor[h] = at + 1
+				if od == h { // a master: local IDs follow global ones
+					dsts[h][at] = dst - p.boundaries[h]
+				} else {
+					dsts[h][at] = graph.NodeID(tabs[h][dst] - 1)
+				}
+				if ws != nil {
+					weights[h][at] = ws[i]
+				}
+			}
+		}
+	})
+
+	// Sort each host's rows with the whole pool, one host at a time.
+	for h, hp := range p.Hosts {
+		hp.Local = graph.AdoptCSR(offsets[h], dsts[h], weights[h], workers)
+	}
+
+	// Step 4: mirror-list exchange, one host per worker per half.
 	par.Dynamic(workers, numHosts, 1, func(lo, hi int) {
 		for h := lo; h < hi; h++ {
 			p.Hosts[h].buildMirrorsByOwner()
@@ -184,69 +198,54 @@ func partitionWorkers(g *graph.Graph, numHosts int, policy Policy, workers int, 
 	return p
 }
 
-// forEachEdgeIn iterates the CSR edges with global indices in [elo, ehi),
-// resolving each edge's source node once per node rather than once per
-// edge: the chunked scan's replacement for the serial per-node loop. The
-// starting node is found by binary search over the offset array.
-func forEachEdgeIn(g *graph.Graph, elo, ehi int) func(fn func(src, dst graph.NodeID, e int64)) {
-	return func(fn func(src, dst graph.NodeID, e int64)) {
-		if elo >= ehi {
-			return
-		}
-		n := g.NumNodes()
-		src := sort.Search(n, func(v int) bool {
-			_, hi := g.EdgeRange(graph.NodeID(v))
-			return hi > int64(elo)
+// rowRanges splits g's source rows into one contiguous range per worker,
+// balanced by edges+nodes: worker w owns rows [r[w], r[w+1]).
+func rowRanges(g *graph.Graph, workers int) []int {
+	n := g.NumNodes()
+	total := g.NumEdges() + int64(n)
+	r := make([]int, workers+1)
+	for w := 1; w < workers; w++ {
+		target := total * int64(w) / int64(workers)
+		r[w] = sort.Search(n, func(v int) bool {
+			lo, _ := g.EdgeRange(graph.NodeID(v))
+			return lo+int64(v) >= target
 		})
-		for ; src < n; src++ {
-			nlo, nhi := g.EdgeRange(graph.NodeID(src))
-			lo, hi := max(nlo, int64(elo)), min(nhi, int64(ehi))
-			for e := lo; e < hi; e++ {
-				fn(graph.NodeID(src), g.Dst(e), e)
-			}
-			if nhi >= int64(ehi) {
-				return
-			}
-		}
 	}
+	r[workers] = n
+	return r
 }
 
-// buildHostFromColumns is pass 2b for one host: mirror list out of the
-// merged bitset, global->local translation of the edge columns in place,
-// local CSR via the parallel builder (which degrades to inline serial here,
-// since the per-host loop already holds the worker pool).
-func buildHostFromColumns(p *Partitioned, h int,
-	srcs, dsts []graph.NodeID, weights []float64, mirrorSet *par.Bitset) *HostPartition {
-
+// newHostFromDegrees builds host h's local ID space from its step-1 state:
+// masters, then the mirrors in mirrorSet ascending. tab holds h's
+// out-degree per global node on entry and the global→local table
+// (local+1) on return, and the returned offsets are the local CSR's.
+func newHostFromDegrees(p *Partitioned, h int, tab []int32, mirrorSet *par.Bitset) (*HostPartition, []int64) {
 	lo, hi := p.MasterRange(h)
 	numMasters := int(hi - lo)
-	mirList := make([]graph.NodeID, 0, mirrorSet.Count())
-	mirrorSet.ForEachSet(func(i int) {
-		mirList = append(mirList, graph.NodeID(i))
-	})
+	ids := make([]graph.NodeID, numMasters, numMasters+mirrorSet.Count())
+	for i := range ids {
+		ids[i] = lo + graph.NodeID(i)
+	}
+	mirrorSet.ForEachSet(func(v int) { ids = append(ids, graph.NodeID(v)) })
 
 	hp := &HostPartition{
-		Host:          h,
-		NumMasters:    numMasters,
-		GlobalIDs:     make([]graph.NodeID, 0, numMasters+len(mirList)),
-		mirrorGlobals: mirList,
-		part:          p,
+		Host:                  h,
+		NumMasters:            numMasters,
+		GlobalIDs:             ids,
+		mirrorGlobals:         ids[numMasters:],
+		localTab:              tab,
+		part:                  p,
+		MirrorsHaveNoOutEdges: true,
+		MirrorsHaveNoInEdges:  true,
 	}
-	for v := lo; v < hi; v++ {
-		hp.GlobalIDs = append(hp.GlobalIDs, v)
-	}
-	hp.GlobalIDs = append(hp.GlobalIDs, mirList...)
-	hp.buildLocalTab()
-
-	for i := range srcs {
-		ls, ok1 := hp.LocalID(srcs[i])
-		ld, ok2 := hp.LocalID(dsts[i])
-		if !ok1 || !ok2 {
-			panic("partition: edge endpoint has no proxy")
+	offsets := make([]int64, len(ids)+1)
+	for l, v := range ids {
+		d := tab[v]
+		if d > 0 && l >= numMasters {
+			hp.MirrorsHaveNoOutEdges = false
 		}
-		srcs[i], dsts[i] = ls, ld
+		offsets[l+1] = offsets[l] + int64(d)
+		tab[v] = int32(l) + 1
 	}
-	hp.Local = graph.FromArrays(len(hp.GlobalIDs), srcs, dsts, weights, 0)
-	hp.detectInvariants()
-	return hp
+	return hp, offsets
 }

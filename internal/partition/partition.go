@@ -125,13 +125,15 @@ func partitionSerial(g *graph.Graph, numHosts int, policy Policy, ro *graph.Reor
 		boundaries: partitionBoundaries(g, numHosts, ro),
 	}
 	p.buildOwnerTab()
-	assign := p.edgeAssigner(policy, numHosts)
+	pc := edgeGrid(policy, numHosts)
 
 	// Pass 1: count edges per host and collect the set of non-master
-	// endpoints (mirrors) appearing on each host.
+	// endpoints (mirrors) appearing on each host, noting whether any edge
+	// leaves or enters a mirror (the pinned-mirror invariant flags).
 	type hostEdges struct {
-		edges   []graph.Edge
-		mirrors map[graph.NodeID]struct{}
+		edges               []graph.Edge
+		mirrors             map[graph.NodeID]struct{}
+		mirrorOut, mirrorIn bool
 	}
 	hosts := make([]hostEdges, numHosts)
 	for h := range hosts {
@@ -142,14 +144,17 @@ func partitionSerial(g *graph.Graph, numHosts int, policy Policy, ro *graph.Reor
 		lo, hi := g.EdgeRange(src)
 		for e := lo; e < hi; e++ {
 			dst := g.Dst(e)
-			h := assign(src, dst)
+			os, od := p.Owner(src), p.Owner(dst)
+			h := edgeHost(os, od, pc)
 			hosts[h].edges = append(hosts[h].edges,
 				graph.Edge{Src: src, Dst: dst, Weight: g.Weight(e)})
-			if p.Owner(src) != h {
+			if os != h {
 				hosts[h].mirrors[src] = struct{}{}
+				hosts[h].mirrorOut = true
 			}
-			if p.Owner(dst) != h {
+			if od != h {
 				hosts[h].mirrors[dst] = struct{}{}
+				hosts[h].mirrorIn = true
 			}
 		}
 	}
@@ -157,7 +162,10 @@ func partitionSerial(g *graph.Graph, numHosts int, policy Policy, ro *graph.Reor
 	// Pass 2: build each host's local graph and proxy metadata.
 	p.Hosts = make([]*HostPartition, numHosts)
 	for h := 0; h < numHosts; h++ {
-		p.Hosts[h] = buildHostPartition(p, g, h, hosts[h].edges, hosts[h].mirrors)
+		hp := buildHostPartition(p, g, h, hosts[h].edges, hosts[h].mirrors)
+		hp.MirrorsHaveNoOutEdges = !hosts[h].mirrorOut
+		hp.MirrorsHaveNoInEdges = !hosts[h].mirrorIn
+		p.Hosts[h] = hp
 	}
 
 	// Pass 3: exchange mirror lists (direct computation; in a real cluster
@@ -260,23 +268,28 @@ func partitionBoundaries(g *graph.Graph, numHosts int, ro *graph.Reordering) []g
 	return degreeBalancedBoundaries(g, numHosts)
 }
 
-// edgeAssigner returns the function mapping an edge to its host.
-func (p *Partitioned) edgeAssigner(policy Policy, numHosts int) func(src, dst graph.NodeID) int {
+// edgeGrid returns the width pc of the host grid that places policy's
+// edges: edge u->v lives on host edgeHost(owner(u), owner(v), pc). OEC is
+// the numHosts x 1 grid (the source's owner), IEC the 1 x numHosts grid
+// (the destination's owner), CVC the most square grid.
+func edgeGrid(policy Policy, numHosts int) int {
 	switch policy {
 	case OEC:
-		return func(src, _ graph.NodeID) int { return p.Owner(src) }
+		return 1
 	case IEC:
-		return func(_, dst graph.NodeID) int { return p.Owner(dst) }
+		return numHosts
 	case CVC:
 		_, pc := gridShape(numHosts)
-		return func(src, dst graph.NodeID) int {
-			r := p.Owner(src) / pc
-			c := p.Owner(dst) % pc
-			return r*pc + c
-		}
+		return pc
 	default:
 		panic(fmt.Sprintf("partition: unknown policy %q", policy))
 	}
+}
+
+// edgeHost places an edge whose endpoints' masters live on srcOwner and
+// dstOwner: row srcOwner/pc and column dstOwner%pc of the host grid.
+func edgeHost(srcOwner, dstOwner, pc int) int {
+	return srcOwner/pc*pc + dstOwner%pc
 }
 
 // gridShape factors numHosts into the most square pr x pc grid, with
@@ -330,31 +343,7 @@ func buildHostPartition(p *Partitioned, g *graph.Graph, h int,
 		}
 	}
 	hp.Local = b.Build()
-	hp.detectInvariants()
 	return hp
-}
-
-// detectInvariants scans the local CSR for the structural invariants
-// exploited by pinned-mirror optimizations.
-func (hp *HostPartition) detectInvariants() {
-	numMasters := hp.NumMasters
-	hp.MirrorsHaveNoOutEdges = true
-	inDeg := make([]int, hp.Local.NumNodes())
-	for n := 0; n < hp.Local.NumNodes(); n++ {
-		for _, v := range hp.Local.Neighbors(graph.NodeID(n)) {
-			inDeg[v]++
-		}
-		if n >= numMasters && hp.Local.Degree(graph.NodeID(n)) > 0 {
-			hp.MirrorsHaveNoOutEdges = false
-		}
-	}
-	hp.MirrorsHaveNoInEdges = true
-	for n := numMasters; n < hp.Local.NumNodes(); n++ {
-		if inDeg[n] > 0 {
-			hp.MirrorsHaveNoInEdges = false
-			break
-		}
-	}
 }
 
 // PullEdgesComplete reports whether broadcast-only pull rounds are legal
