@@ -242,13 +242,13 @@ func (r *labelRun) hook(workDone *runtime.BoolReducer, seed *par.Bitset) int {
 		}
 		fr.Advance()
 	}
-	local := h.HP.Local
+	local, lv := h.HP.Local, npm.Local(parent)
 	rounds := r.rounds(fr, r.cfg.maxRounds(), workDone, func(tid int, src graph.NodeID) {
-		srcParent := parent.Read(h.HP.GlobalID(src))
+		srcParent := lv.Value(src)
 		lo, hi := local.EdgeRange(src)
 		for e := lo; e < hi; e++ {
 			dst := local.Dst(e)
-			dstParent := parent.Read(h.HP.GlobalID(dst))
+			dstParent := lv.Value(dst)
 			// Parent values are original IDs; the reduce target is the
 			// parent *node*, so translate to its current ID before
 			// addressing it (identity without reordering).
@@ -477,18 +477,18 @@ func CCLP(h *runtime.Host, cfg Config, out []graph.NodeID) CCStats {
 	var stats CCStats
 	r := cfg.newLabelRun(h, &stats, pullExact)
 	comp, local := r.m, h.HP.Local
+	lv := npm.Local(comp)
 	comp.PinMirrors()
 	if r.fr != nil {
 		r.fr.ActivateAll()
 		r.fr.Advance()
 	}
 	stats.HookRounds = r.rounds(r.fr, cfg.maxRounds(), nil, func(tid int, src graph.NodeID) {
-		label := comp.Read(h.HP.GlobalID(src))
+		label := lv.Value(src)
 		lo, hi := local.EdgeRange(src)
 		for e := lo; e < hi; e++ {
-			dstGID := h.HP.GlobalID(local.Dst(e))
-			if label < comp.Read(dstGID) {
-				comp.Reduce(tid, dstGID, label)
+			if dst := local.Dst(e); label < lv.Value(dst) {
+				lv.Reduce(tid, dst, label)
 			}
 		}
 	}, func(tid int, src graph.NodeID, cx *runtime.AsyncCtx) {
@@ -523,6 +523,7 @@ func CCSCLP(h *runtime.Host, cfg Config, out []graph.NodeID) CCStats {
 	var stats CCStats
 	r := cfg.newLabelRun(h, &stats, pullExact)
 	comp, local := r.m, h.HP.Local
+	lv := npm.Local(comp)
 	// The shortcut has no pull round, so it gets its own policy: where the
 	// propagation pass pulls, the shortcut may still drain.
 	sc := cfg.newPolicy(h, r.fr, comp, pullNone)
@@ -534,13 +535,12 @@ func CCSCLP(h *runtime.Host, cfg Config, out []graph.NodeID) CCStats {
 		// The propagation pass runs without the frontier: it visits every
 		// node and never drains.
 		stats.HookRounds += r.rounds(nil, 1, &workDone, func(tid int, src graph.NodeID) {
-			label := comp.Read(h.HP.GlobalID(src))
+			label := lv.Value(src)
 			lo, hi := local.EdgeRange(src)
 			for e := lo; e < hi; e++ {
-				dstGID := h.HP.GlobalID(local.Dst(e))
-				if label < comp.Read(dstGID) {
+				if dst := local.Dst(e); label < lv.Value(dst) {
 					workDone.Reduce(true)
-					comp.Reduce(tid, dstGID, label)
+					lv.Reduce(tid, dst, label)
 				}
 			}
 		}, nil)

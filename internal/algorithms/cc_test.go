@@ -171,3 +171,52 @@ func TestTable2Registry(t *testing.T) {
 		t.Error("MSF is trans-vertex only")
 	}
 }
+
+// TestCCGridCountersPinned pins the BSP program of the three CC
+// algorithms on a 64×64 grid, 2 hosts × 1 thread under CVC: round counts,
+// each host's Σ PerRound.Active and the cluster's comm messages and bytes.
+// The values were measured before the label rounds moved to host-local
+// IDs (npm.Local) and the dense combine to single-writer marks; both are
+// pure execution changes, so every count must stay exactly as it was.
+func TestCCGridCountersPinned(t *testing.T) {
+	g := gen.Grid(64, 64, false, 1)
+	want := map[string]struct {
+		hook, shortcut, outer int
+		active                [2]int64
+		msgs, bytes           int64
+	}{
+		"CC-SV":   {3, 9, 2, [2]int64{22399, 24207}, 102, 22816},
+		"CC-LP":   {127, 0, 1, [2]int64{102432, 167904}, 768, 34699},
+		"CC-SCLP": {2, 9, 2, [2]int64{20291, 22095}, 96, 22106},
+	}
+	for name, algo := range ccAlgos() {
+		c, err := runtime.NewCluster(g, runtime.Config{NumHosts: 2, ThreadsPerHost: 1, Policy: partition.CVC})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make([]graph.NodeID, g.NumNodes())
+		stats := make([]CCStats, 2)
+		c.Run(func(h *runtime.Host) { stats[h.Rank] = algo(h, Config{LogRounds: true}, out) })
+		msgs, bytes := c.CommStats()
+		c.Close()
+		checkLabels(t, g, out, name)
+		var active [2]int64
+		for r := range stats {
+			for _, a := range stats[r].PerRound.Active {
+				active[r] += a
+			}
+		}
+		w := want[name]
+		st := stats[0]
+		if st.HookRounds != w.hook || st.ShortcutRounds != w.shortcut || st.OuterRounds != w.outer {
+			t.Errorf("%s: %d hook + %d shortcut rounds in %d outer, want %d + %d in %d",
+				name, st.HookRounds, st.ShortcutRounds, st.OuterRounds, w.hook, w.shortcut, w.outer)
+		}
+		if active != w.active {
+			t.Errorf("%s: Σ active per host %v, want %v", name, active, w.active)
+		}
+		if msgs != w.msgs || bytes != w.bytes {
+			t.Errorf("%s: %d messages, %d bytes, want %d, %d", name, msgs, bytes, w.msgs, w.bytes)
+		}
+	}
+}

@@ -72,6 +72,16 @@ func reduceAndActivate(s *store, fr *runtime.Frontier, u int, x float64) {
 	fr.Activate(u)
 }
 
+// The single-writer marks of a word-owning combine thread are an atomic
+// load and store (Bitset.SetOwned): provably lock free as well.
+//
+//kimbap:conflictfree
+func combineAndMark(s *store, dirty *par.Bitset, fr *runtime.Frontier, u int, x float64) {
+	s.vals[u] += x
+	dirty.SetOwned(u)
+	fr.ActivateOwned(u)
+}
+
 // A mutex-guarded activation wrapper breaks the guarantee.
 type lockedFrontier struct {
 	mu sync.Mutex

@@ -5,7 +5,9 @@
 // reorders the round. Likewise comm SendBuffered stages bytes that are
 // not on the wire until FlushSends, so a Recv (or a function return)
 // with staged sends pending deadlocks or drops the tail of the round.
-// A pull round (npm.PullHandle.BeginPullRound) reads pinned mirrors in
+// A host-local view's Reduce (`lv := npm.Local(m)`, then lv.Reduce)
+// buffers on m's reduce buffers, so it is a pending reduce on m. A pull
+// round (npm.PullHandle.BeginPullRound) reads pinned mirrors in
 // place of remote requests, so it is only sound while the mirrors still
 // reflect the masters: a ReduceSync, InitSync, or earlier pull round
 // since the last BroadcastSync/PinMirrors leaves them stale, and the
@@ -13,13 +15,14 @@
 // statically for handles it can resolve (the `ph, ok := npm.Pull(m)`
 // idiom), on maps the function pins — an unpinned masters-only scratch
 // map never materializes mirrors, so freshness is moot there, exactly as
-// at run time. Finally, per-node Frontier.Activate is only meaningful
-// from a dispatched operator closure — handed to a ParFor* dispatch or
-// an AsyncDrain/AsyncDrainBits entry point, or taking a
-// *runtime.AsyncCtx (only the drain scheduler constructs one, so such a
-// body is dispatched compute no matter how it reaches the drain) — or
-// from a decode path that owns the frontier (a FrontierSink); activation
-// from sequential driver code is almost always a missed ParForActive.
+// at run time. Finally, per-node Frontier.Activate (and its single-writer
+// form, ActivateOwned) is only meaningful from a dispatched operator
+// closure — handed to a ParFor* dispatch or an AsyncDrain/AsyncDrainBits
+// entry point, or taking a *runtime.AsyncCtx (only the drain scheduler
+// constructs one, so such a body is dispatched compute no matter how it
+// reaches the drain) — or from a decode path that owns the frontier (a
+// FrontierSink); activation from sequential driver code is almost always
+// a missed ParForActive.
 //
 // The ordering rules run as a forward may-dataflow over each function's
 // CFG. Closures handed to the runtime's Time* sections are inlined (they
@@ -67,7 +70,7 @@ func run(pass *framework.Pass) error {
 				pass:     pass,
 				info:     pass.Pkg.Info,
 				lits:     namedLits(decl.Body),
-				pulls:    namedPulls(decl.Body, pass.Pkg.Info),
+				handles:  namedHandles(decl.Body, pass.Pkg.Info),
 				pinned:   pinnedMaps(decl.Body, pass.Pkg.Info),
 				reported: map[string]bool{},
 			}
@@ -154,9 +157,10 @@ type checker struct {
 	// lits resolves closure-valued locals (body := func(...){...}) so a
 	// dispatch by name — h.ParForActive(fr, body) — scans the right body.
 	lits map[string]*ast.FuncLit
-	// pulls resolves pull-handle locals (ph, ok := npm.Pull(m)) to the
-	// source path of the map they pull from.
-	pulls map[string]string
+	// handles resolves pull-handle and local-view locals
+	// (ph, ok := npm.Pull(m); lv := npm.Local(m)) to the source path of
+	// the map behind them.
+	handles map[string]string
 	// pinned holds the map source paths this function calls PinMirrors on.
 	// The stale-mirror rule only fires for them: an unpinned masters-only
 	// scratch map has no mirrors to be stale (the runtime check is gated
@@ -244,6 +248,11 @@ func (c *checker) applyCall(s state, call *ast.CallExpr, ordered bool) {
 		switch name {
 		case "Reduce":
 			if k, ok := recvKey(call); ok {
+				// A local view's Reduce buffers on its map's reduce
+				// buffers: the obligation is the map's.
+				if mk, isView := c.handles[k]; isView {
+					k = mk
+				}
 				if _, pending := s.reduces[k]; !pending {
 					s.reduces[k] = call.Pos()
 				}
@@ -283,7 +292,7 @@ func (c *checker) applyCall(s state, call *ast.CallExpr, ordered bool) {
 			if !ok {
 				return
 			}
-			mk, known := c.pulls[k]
+			mk, known := c.handles[k]
 			if !known {
 				return // handle from a field or parameter: out of view
 			}
@@ -440,7 +449,7 @@ func (c *checker) checkActivate(decl *ast.FuncDecl) {
 			return true
 		}
 		fn := calleeFunc(c.info, call)
-		if fn == nil || fn.Pkg() == nil || fn.Name() != "Activate" ||
+		if fn == nil || fn.Pkg() == nil || (fn.Name() != "Activate" && fn.Name() != "ActivateOwned") ||
 			!strings.HasSuffix(fn.Pkg().Path(), "internal/runtime") {
 			return true
 		}
@@ -460,7 +469,8 @@ func (c *checker) checkActivate(decl *ast.FuncDecl) {
 			}
 		}
 		c.pass.Reportf(call.Pos(),
-			"Frontier.Activate outside an operator closure or frontier-owning decoder; per-node activation belongs in dispatched compute (use ActivateSet/ActivateAll for seeding)")
+			"Frontier.%s outside an operator closure or frontier-owning decoder; per-node activation belongs in dispatched compute (use ActivateSet/ActivateAll for seeding)",
+			fn.Name())
 		return true
 	})
 }
@@ -580,36 +590,42 @@ func namedLits(body *ast.BlockStmt) map[string]*ast.FuncLit {
 	return lits
 }
 
-// namedPulls maps pull-handle locals to the source path of their map:
-// `ph, ok := npm.Pull(m)` yields {"ph": "m"}. Handles arriving through
-// fields or parameters stay unresolved, and their BeginPullRound calls
-// unchecked — the rule is best-effort by construction.
-func namedPulls(body *ast.BlockStmt, info *types.Info) map[string]string {
-	pulls := map[string]string{}
+// namedHandles maps pull-handle and local-view locals to the source path
+// of their map: `ph, ok := npm.Pull(m)` yields {"ph": "m"}, and
+// `lv := npm.Local(m)` yields {"lv": "m"}. Handles arriving through
+// fields or parameters stay unresolved: their BeginPullRound calls go
+// unchecked, and a view's Reduce is charged to the view itself — the
+// rule is best-effort by construction.
+func namedHandles(body *ast.BlockStmt, info *types.Info) map[string]string {
+	handles := map[string]string{}
 	ast.Inspect(body, func(n ast.Node) bool {
 		as, ok := n.(*ast.AssignStmt)
-		if !ok || len(as.Rhs) != 1 || len(as.Lhs) < 1 {
+		if !ok {
 			return true
 		}
-		call, ok := ast.Unparen(as.Rhs[0]).(*ast.CallExpr)
-		if !ok || len(call.Args) != 1 {
-			return true
-		}
-		fn := calleeFunc(info, call)
-		if fn == nil || fn.Pkg() == nil || fn.Name() != "Pull" ||
-			!strings.HasSuffix(fn.Pkg().Path(), "internal/npm") {
-			return true
-		}
-		id, isID := as.Lhs[0].(*ast.Ident)
-		if !isID {
-			return true
-		}
-		if mk, ok := exprKey(call.Args[0]); ok {
-			pulls[id.Name] = mk
+		// Rhs i binds Lhs i: the first result of `ph, ok := npm.Pull(m)`,
+		// or one pair of `local, lv := h.HP.Local, npm.Local(m)`.
+		for i, rhs := range as.Rhs {
+			call, isCall := ast.Unparen(rhs).(*ast.CallExpr)
+			if !isCall || len(call.Args) != 1 || i >= len(as.Lhs) {
+				continue
+			}
+			fn := calleeFunc(info, call)
+			if fn == nil || fn.Pkg() == nil || (fn.Name() != "Pull" && fn.Name() != "Local") ||
+				!strings.HasSuffix(fn.Pkg().Path(), "internal/npm") {
+				continue
+			}
+			id, isID := as.Lhs[i].(*ast.Ident)
+			if !isID {
+				continue
+			}
+			if mk, ok := exprKey(call.Args[0]); ok {
+				handles[id.Name] = mk
+			}
 		}
 		return true
 	})
-	return pulls
+	return handles
 }
 
 // pinnedMaps collects the receivers of npm PinMirrors calls anywhere in

@@ -263,3 +263,49 @@ func (d *decoder) decode(ids []int) {
 		d.fr.Activate(i)
 	}
 }
+
+// viewReduceWithoutSync: a local view's Reduce buffers on its map, so the
+// pending reduce is the map's — and only the map's ReduceSync clears it.
+func viewReduceWithoutSync(h *runtime.Host, m npm.Map[uint32], fr *runtime.Frontier) {
+	local, lv := h.HP.Local, npm.Local(m)
+	h.ParForActive(fr, func(tid int, src graph.NodeID) {
+		lo, hi := local.EdgeRange(src)
+		for e := lo; e < hi; e++ {
+			lv.Reduce(tid, local.Dst(e), 1)
+		}
+	})
+	fr.Advance() // want `Frontier\.Advance with an un-synced Reduce on m`
+}
+
+// viewRound is the sanctioned superstep through a view.
+func viewRound(h *runtime.Host, m npm.Map[uint32], fr *runtime.Frontier) {
+	lv := npm.Local(m)
+	h.ParForActive(fr, func(tid int, src graph.NodeID) {
+		if lv.Value(src) > 0 {
+			lv.Reduce(tid, src, 0)
+		}
+	})
+	m.ReduceSync()
+	m.BroadcastSync()
+	fr.Advance()
+}
+
+// activateOwnedFromDriver: the single-writer activation is held to the
+// same contexts as Activate.
+func activateOwnedFromDriver(fr *runtime.Frontier, n graph.NodeID) {
+	fr.ActivateOwned(int(n)) // want `Frontier\.ActivateOwned outside an operator closure`
+}
+
+// activateOwnedFromOperator: a dispatched body, or a frontier-owning
+// decoder, may use it.
+func activateOwnedFromOperator(h *runtime.Host, fr *runtime.Frontier) {
+	h.ParForNodes(func(tid int, src graph.NodeID) {
+		fr.ActivateOwned(int(src))
+	})
+}
+
+func (d *decoder) combine(ids []int) {
+	for _, i := range ids {
+		d.fr.ActivateOwned(i)
+	}
+}

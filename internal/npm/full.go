@@ -97,8 +97,10 @@ type fullMap[V comparable] struct {
 
 	// frontier, when attached via SetFrontier, receives next-round
 	// activations for every local proxy whose value changes during a sync
-	// phase: masters from applyToMaster, pinned mirrors from broadcast
-	// decode. Activation is one atomic bit set (conflict free).
+	// phase: masters from the combine and gather passes, pinned mirrors
+	// from broadcast decode. Activation is one atomic bit set (conflict
+	// free) — a single-writer store in the dense combine, which owns its
+	// words (combineDense), and a CAS elsewhere.
 	frontier *runtime.Frontier
 
 	// Broadcast encode state for the overlapped scatter
@@ -202,6 +204,15 @@ func (m *fullMap[V]) Reduce(tid int, n graph.NodeID, v V) {
 			return
 		}
 	}
+	m.reduceLocal(tid, l, v)
+}
+
+// reduceLocal is Reduce for a key already resolved to its host-local ID:
+// it merges v into thread tid's dense partial for local proxy l. The local
+// view (view.go) calls it directly.
+//
+//kimbap:conflictfree
+func (m *fullMap[V]) reduceLocal(tid int, l graph.NodeID, v V) {
 	b := m.dense[tid]
 	if b == nil {
 		b = newDenseReduce[V](m.hp.NumLocal(), m.h.Threads)
@@ -473,6 +484,12 @@ func (m *fullMap[V]) accumulator() *denseReduce[V] {
 // adds the async path's dirty mirrors, applies masters in place and encodes
 // mirrors for their owners.
 //
+// Range t is whole 64-bit words of local-ID space, and master local IDs
+// index masterDirty and the frontier directly, so thread t is the only
+// writer of every masterDirty and frontier word its masters fall in: it
+// marks them with single-writer stores (SetOwned, ActivateOwned) instead
+// of a CAS per change, and raises updated once for the whole range.
+//
 //kimbap:conflictfree
 func (m *fullMap[V]) combineDense(acc *denseReduce[V], t int) {
 	for _, src := range m.dense[1:] {
@@ -490,35 +507,68 @@ func (m *fullMap[V]) combineDense(acc *denseReduce[V], t int) {
 			acc.reduce(graph.NodeID(nm+slot), m.mirrors[slot], m.op.Combine)
 		})
 	}
+	changed := false
 	acc.drainRange(t, func(l graph.NodeID, v V) {
-		if int(l) < nm {
-			m.applyToMaster(m.masterLo+l, v)
+		if int(l) >= nm {
+			k := m.hp.GlobalID(l)
+			m.rf.add(t, m.hp.Owner(k), k, v)
 			return
 		}
-		k := m.hp.GlobalID(l)
-		m.rf.add(t, m.hp.Owner(k), k, v)
+		if m.combineMaster(l, v) {
+			changed = true
+			m.masterDirty.SetOwned(int(l))
+			if m.frontier != nil {
+				m.frontier.ActivateOwned(int(l))
+			}
+		}
 	})
+	if changed {
+		m.updated.Store(true)
+	}
+}
+
+// combineMaster merges v into master i (master-local ID, which is also its
+// host-local ID) and reports whether the value changed. Only ever called
+// from the thread owning i's key range, so the read-modify-write is race
+// free.
+//
+//kimbap:conflictfree
+func (m *fullMap[V]) combineMaster(i graph.NodeID, v V) bool {
+	old := m.masters[i]
+	nv := m.op.Combine(old, v)
+	if nv == old {
+		return false
+	}
+	m.masters[i] = nv
+	return true
 }
 
 // applyToMaster merges v into the canonical master value, tracking change
-// for IsUpdated and the broadcast dirty set. Only ever called from the
-// thread owning k's key range, so the read-modify-write is race free.
+// for IsUpdated and the broadcast dirty set. The gather-side ranges are
+// global key ranges, not word-aligned in local-ID space, so neighboring
+// threads may share a bitset word: the marks stay CAS (markMaster).
 //
 //kimbap:conflictfree
 func (m *fullMap[V]) applyToMaster(k graph.NodeID, v V) {
-	i := k - m.masterLo
-	old := m.masters[i]
-	nv := m.op.Combine(old, v)
-	if nv != old {
-		m.masters[i] = nv
+	if i := k - m.masterLo; m.combineMaster(i, v) {
+		m.markMaster(i)
+	}
+}
+
+// markMaster records a change to master i from a thread that does not own
+// i's bitset words: updated (stored only if not already set, so changes
+// after the first do not write the shared flag), the broadcast dirty set
+// and, when attached, the frontier. Only effective reduces activate: an
+// input that cannot change the value cannot seed further change.
+//
+//kimbap:conflictfree
+func (m *fullMap[V]) markMaster(i graph.NodeID) {
+	if !m.updated.Load() {
 		m.updated.Store(true)
-		m.masterDirty.Set(int(i))
-		if m.frontier != nil {
-			// Master local IDs coincide with master-range offsets, so i is
-			// the frontier index. Only effective reduces activate: an input
-			// that cannot change the value cannot seed further change.
-			m.frontier.Activate(int(i))
-		}
+	}
+	m.masterDirty.Set(int(i))
+	if m.frontier != nil {
+		m.frontier.Activate(int(i))
 	}
 }
 

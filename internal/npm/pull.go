@@ -116,16 +116,9 @@ func (m *fullMap[V]) pullValue(local graph.NodeID) V {
 
 //kimbap:conflictfree
 func (m *fullMap[V]) pullApply(master graph.NodeID, v V) bool {
-	old := m.masters[master]
-	nv := m.op.Combine(old, v)
-	if nv == old {
+	if !m.combineMaster(master, v) {
 		return false
 	}
-	m.masters[master] = nv
-	m.updated.Store(true)
-	m.masterDirty.Set(int(master))
-	if m.frontier != nil {
-		m.frontier.Activate(int(master))
-	}
+	m.markMaster(master)
 	return true
 }

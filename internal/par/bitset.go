@@ -57,6 +57,21 @@ func (b *Bitset) Set(i int) bool {
 	}
 }
 
+// SetOwned sets bit i with an atomic load and store instead of a CAS: the
+// single-writer form of Set. The caller must be the only goroutine writing
+// bit i's 64-bit word until the next synchronization point (a ParFor
+// barrier); concurrent readers stay safe. The Full map's dense combine
+// marks masters with it, since combine thread r owns every word of its
+// word-aligned range. A concurrent Set or SetOwned on the same word would
+// lose bits.
+func (b *Bitset) SetOwned(i int) {
+	w := &b.words[i/64]
+	mask := uint64(1) << (uint(i) % 64)
+	if old := w.Load(); old&mask == 0 {
+		w.Store(old | mask)
+	}
+}
+
 // Unset atomically clears bit i and reports whether it was previously set.
 // The set-returns-prior/unset-returns-prior pair lets concurrent workers
 // use a bitset as a claim table: whoever observes the transition owns the

@@ -76,3 +76,37 @@ func TestBitsetMaskedWordRoundTrip(t *testing.T) {
 		t.Fatalf("MaskedWord scan found %d bits, want %d", total, len(set))
 	}
 }
+
+// SetOwned is Set for a caller that owns the bit's word: with workers
+// owning disjoint word-aligned ranges, each setting its bits concurrently
+// while readers load words, the result must equal the CAS Set's bit for
+// bit. Under -race the concurrent MaskedWord readers check the store is
+// atomic.
+func TestBitsetSetOwnedMatchesSet(t *testing.T) {
+	const size = 64*9 + 17
+	for _, workers := range []int{1, 2, 3, 5} {
+		owned, cas := NewBitset(size), NewBitset(size)
+		words := owned.Words()
+		Do(workers+1, func(w int) {
+			if w == workers {
+				for i := 0; i < words; i++ {
+					_ = owned.MaskedWord(i)
+				}
+				return
+			}
+			lo, hi := Range(w, workers, words)
+			for i := lo * 64; i < min(hi*64, size); i++ {
+				if (i*7)%5 < 2 || i%64 == 63 {
+					owned.SetOwned(i)
+					owned.SetOwned(i) // a repeat is a no-op
+					cas.Set(i)
+				}
+			}
+		})
+		for i := 0; i < words; i++ {
+			if got, want := owned.MaskedWord(i), cas.MaskedWord(i); got != want {
+				t.Errorf("%d workers: word %d = %#x, Set gives %#x", workers, i, got, want)
+			}
+		}
+	}
+}
