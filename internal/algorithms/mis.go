@@ -128,6 +128,9 @@ func MIS(h *runtime.Host, cfg Config, out []bool) MISStats {
 	// masters to +Inf, which every variant overwrites in place, so the
 	// master vector and reduce buffers are reused instead of rebuilt.
 	minNbr := cfg.newFloatMap(h, npm.MinFloat64())
+	// Host-local views (DESIGN.md §14): every per-node and per-edge body
+	// below addresses the proxies it iterates by local ID.
+	sv, pv, mv := npm.Local(state), npm.Local(prio), npm.Local(minNbr)
 
 	var stats MISStats
 	var remaining runtime.CountReducer
@@ -156,32 +159,22 @@ func MIS(h *runtime.Host, cfg Config, out []bool) MISStats {
 			phMin.BeginPullRound()
 			h.TimeCompute(func() {
 				h.ParForPull(func(_ int, n graph.NodeID) {
-					gid := h.HP.GlobalID(n)
-					if state.Read(gid) != misUndecided {
+					if sv.Value(n) != misUndecided {
 						return
 					}
-					lo, hi := local.InEdgeRange(n)
-					for e := lo; e < hi; e++ {
-						sgid := h.HP.GlobalID(local.InSrc(e))
-						if sgid != gid && state.Read(sgid) == misUndecided {
-							phMin.Apply(n, prio.Read(sgid))
-						}
+					if m, ok := minUndecided(local.InNeighbors(n), n, sv, pv); ok {
+						phMin.Apply(n, m)
 					}
 				})
 			})
 			phMin.EndPullRound()
 		} else {
 			accBody := func(tid int, n graph.NodeID) {
-				gid := h.HP.GlobalID(n)
-				if state.Read(gid) != misUndecided {
+				if sv.Value(n) != misUndecided {
 					return
 				}
-				lo, hi := local.EdgeRange(n)
-				for e := lo; e < hi; e++ {
-					dgid := h.HP.GlobalID(local.Dst(e))
-					if dgid != gid && state.Read(dgid) == misUndecided {
-						minNbr.Reduce(tid, gid, prio.Read(dgid))
-					}
+				if m, ok := minUndecided(local.Neighbors(n), n, sv, pv); ok {
+					mv.Reduce(tid, n, m)
 				}
 			}
 			h.TimeCompute(func() {
@@ -218,8 +211,7 @@ func MIS(h *runtime.Host, cfg Config, out []bool) MISStats {
 					if ph.Value(n) != misUndecided {
 						return
 					}
-					gid := h.HP.GlobalID(n)
-					if prio.Read(gid) < minNbr.Read(gid) {
+					if pv.Value(n) < mv.Value(n) {
 						ph.Apply(n, misIn)
 					}
 				})
@@ -227,12 +219,11 @@ func MIS(h *runtime.Host, cfg Config, out []bool) MISStats {
 			ph.EndPullRound()
 		} else {
 			decBody := func(tid int, n graph.NodeID) {
-				gid := h.HP.GlobalID(n)
-				if state.Read(gid) != misUndecided {
+				if sv.Value(n) != misUndecided {
 					return
 				}
-				if prio.Read(gid) < minNbr.Read(gid) {
-					state.Reduce(tid, gid, misIn)
+				if pv.Value(n) < mv.Value(n) {
+					sv.Reduce(tid, n, misIn)
 				}
 			}
 			h.TimeCompute(func() {
@@ -289,11 +280,9 @@ func MIS(h *runtime.Host, cfg Config, out []bool) MISStats {
 					if ph.Value(n) != misUndecided {
 						return
 					}
-					gid := h.HP.GlobalID(n)
 					lo, hi := local.InEdgeRange(n)
 					for e := lo; e < hi; e++ {
-						s := local.InSrc(e)
-						if h.HP.GlobalID(s) != gid && ph.Value(s) == misIn {
+						if s := local.InSrc(e); s != n && ph.Value(s) == misIn {
 							ph.Apply(n, misOut)
 							break
 						}
@@ -304,15 +293,13 @@ func MIS(h *runtime.Host, cfg Config, out []bool) MISStats {
 			state.BroadcastSync()
 		} else {
 			koBody := func(tid int, n graph.NodeID) {
-				gid := h.HP.GlobalID(n)
-				if state.Read(gid) != misIn {
+				if sv.Value(n) != misIn {
 					return
 				}
 				lo, hi := local.EdgeRange(n)
 				for e := lo; e < hi; e++ {
-					dgid := h.HP.GlobalID(local.Dst(e))
-					if dgid != gid && state.Read(dgid) == misUndecided {
-						state.Reduce(tid, dgid, misOut)
+					if d := local.Dst(e); d != n && sv.Value(d) == misUndecided {
+						sv.Reduce(tid, d, misOut)
 					}
 				}
 			}
@@ -357,7 +344,7 @@ func MIS(h *runtime.Host, cfg Config, out []bool) MISStats {
 			// Carry still-undecided proxies into the next round's frontier
 			// and count the undecided masters from it.
 			h.ParForActive(fr, func(_ int, n graph.NodeID) {
-				if state.Read(h.HP.GlobalID(n)) == misUndecided {
+				if sv.Value(n) == misUndecided {
 					fr.Activate(int(n))
 				}
 			})
@@ -366,7 +353,7 @@ func MIS(h *runtime.Host, cfg Config, out []bool) MISStats {
 		} else {
 			remaining.Set(0)
 			h.ParForMasters(func(_ int, n graph.NodeID) {
-				if state.Read(h.HP.GlobalID(n)) == misUndecided {
+				if sv.Value(n) == misUndecided {
 					remaining.Reduce(1)
 				}
 			})
@@ -398,4 +385,19 @@ func MIS(h *runtime.Host, cfg Config, out []bool) MISStats {
 	cfg.recordStats(prio)
 	cfg.recordStats(state)
 	return stats
+}
+
+// minUndecided folds the priorities of n's undecided neighbors (self loops
+// excluded) into their minimum; ok is false when none is undecided. Every
+// one of those priorities reduces onto n, so the accumulate bodies fold
+// them here and reduce once per node instead of once per edge (min is
+// associative: the combined value is the same).
+func minUndecided(nbrs []graph.NodeID, n graph.NodeID, state *npm.LocalView[graph.NodeID], prio *npm.LocalView[float64]) (m float64, ok bool) {
+	m = math.Inf(1)
+	for _, d := range nbrs {
+		if d != n && state.Value(d) == misUndecided {
+			m, ok = min(m, prio.Value(d)), true
+		}
+	}
+	return m, ok
 }

@@ -1,9 +1,13 @@
 package algorithms
 
 import (
+	"fmt"
 	"math"
+	"slices"
+	"sync/atomic"
 	"testing"
 
+	"kimbap/internal/comm"
 	"kimbap/internal/gen"
 	"kimbap/internal/graph"
 	"kimbap/internal/kvstore"
@@ -80,8 +84,13 @@ func TestMISAllVariants(t *testing.T) {
 
 func runMSF(t *testing.T, g *graph.Graph, hosts int, cfg Config) ([]graph.NodeID, MSFStats) {
 	t.Helper()
+	return runMSFThreads(t, g, hosts, 3, cfg)
+}
+
+func runMSFThreads(t *testing.T, g *graph.Graph, hosts, threads int, cfg Config) ([]graph.NodeID, MSFStats) {
+	t.Helper()
 	c, err := runtime.NewCluster(g, runtime.Config{
-		NumHosts: hosts, ThreadsPerHost: 3, Policy: partition.CVC,
+		NumHosts: hosts, ThreadsPerHost: threads, Policy: partition.CVC,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -200,17 +209,64 @@ func TestMinEdgeCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestMSFAllVariants runs MSF through every map backend (the MinEdge
+// struct codec included) on 2 hosts × 1 and × 3 threads and 4 hosts × 3
+// threads, and requires Kruskal's weight, N−C forest edges, the reference
+// component partition, and component labels identical to the Full
+// variant's. The (weight, endpoints) order is total, so the forest and its
+// roots are unique. On the unweighted R-MAT every edge ties and the
+// endpoint order alone picks each component's candidate: a proposer that
+// kept the first of several equal-weight crossing edges in local CSR order
+// instead of the least would let two components pick different edges to
+// each other — on 4 hosts the forest then gains edges.
 func TestMSFAllVariants(t *testing.T) {
-	// Exercises the MinEdge struct codec through every map backend.
-	g := gen.Grid(6, 6, true, 7)
-	want := graph.ReferenceMSFWeight(g)
+	type msfCase struct {
+		name           string
+		g              *graph.Graph
+		hosts, threads int
+		weight         float64 // Kruskal's
+		edges          int64   // N − C
+	}
+	var cases []msfCase
+	for _, in := range []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"grid-weighted", gen.Grid(6, 6, true, 7)},
+		{"rmat-unweighted", gen.RMAT(8, 8, false, 3)},
+	} {
+		weight := graph.ReferenceMSFWeight(in.g)
+		edges := int64(in.g.NumNodes() - graph.NumComponents(graph.ReferenceComponents(in.g)))
+		for _, shape := range [][2]int{{2, 1}, {2, 3}, {4, 3}} {
+			name := fmt.Sprintf("%s/%dh%dt", in.name, shape[0], shape[1])
+			cases = append(cases, msfCase{name, in.g, shape[0], shape[1], weight, edges})
+		}
+	}
+	comps := map[string]map[npm.Variant][]graph.NodeID{}
+	for _, tc := range cases {
+		comps[tc.name] = map[npm.Variant][]graph.NodeID{}
+	}
 	for _, v := range npm.Variants {
 		t.Run(string(v), func(t *testing.T) {
-			_, stats := runMSF(t, g, 2, Config{Variant: v})
-			if math.Abs(stats.TotalWeight-want) > 1e-6*want {
-				t.Fatalf("variant %s: weight %.4f, want %.4f", v, stats.TotalWeight, want)
+			for _, tc := range cases {
+				comp, stats := runMSFThreads(t, tc.g, tc.hosts, tc.threads, Config{Variant: v})
+				if math.Abs(stats.TotalWeight-tc.weight) > 1e-6*tc.weight {
+					t.Errorf("%s: weight %.4f, want %.4f", tc.name, stats.TotalWeight, tc.weight)
+				}
+				if stats.ForestEdges != tc.edges {
+					t.Errorf("%s: forest edges %d, want %d", tc.name, stats.ForestEdges, tc.edges)
+				}
+				checkSamePartition(t, tc.g, comp, tc.name)
+				comps[tc.name][v] = comp
 			}
 		})
+	}
+	for _, tc := range cases {
+		for v, comp := range comps[tc.name] {
+			if !slices.Equal(comp, comps[tc.name][npm.Full]) {
+				t.Errorf("%s: variant %s's component labels differ from Full's", tc.name, v)
+			}
+		}
 	}
 }
 
@@ -269,5 +325,90 @@ func TestMISRoadGridRounds(t *testing.T) {
 	// 12 per round plus 12 of set-up and result gathering.
 	if want := int64(72); msgs != want {
 		t.Errorf("MIS sent %d messages, want %d", msgs, want)
+	}
+}
+
+// readCounter is a ReadStatsSink summing every map's read counters over
+// all hosts.
+type readCounter struct{ master, remote atomic.Int64 }
+
+// Record implements ReadStatsSink.
+func (s *readCounter) Record(master, remote int64) {
+	s.master.Add(master)
+	s.remote.Add(remote)
+}
+
+// TestMISMSFCountersPinned pins the BSP program of MSF and MIS on the
+// social workload's small shape, R-MAT(10,8), and a 64×64 grid, 2 hosts ×
+// 1 thread under CVC: MSF's rounds, forest edges and total weight (bit for
+// bit), MIS's rounds and set size, the cluster's comm messages and bytes
+// per tag, and the read-locality counters every map reports to the
+// StatsSink. The values were measured before the candidate-selection and
+// MIS edge scans moved to host-local IDs (npm.Local) and began folding
+// each source's edges into one reduce; min is associative, so both are
+// pure execution changes and every count must stay exactly as it was.
+func TestMISMSFCountersPinned(t *testing.T) {
+	type pin struct {
+		rounds         int
+		size           int64  // MSF: forest edges; MIS: set size
+		weightBits     uint64 // MSF only
+		msgs, bytes    [comm.NumTags]int64
+		master, remote int64
+	}
+	graphs := map[string]*graph.Graph{
+		"rmat": gen.RMAT(10, 8, true, 1),
+		"grid": gen.Grid(64, 64, true, 1),
+	}
+	// Tags in comm.Tag order: barrier, request, response, reduce,
+	// broadcast, app.
+	want := map[string]pin{
+		"MSF/rmat": {4, 804, 0x40d06be301562719, [6]int64{0, 44, 44, 42, 8, 38}, [6]int64{0, 517, 4304, 13068, 11908, 66}, 71215, 6873},
+		"MSF/grid": {8, 4095, 0x40fc29eb83398077, [6]int64{0, 86, 86, 84, 16, 72}, [6]int64{0, 315, 1632, 4404, 4240, 100}, 287951, 11575},
+		"MIS/rmat": {2, 685, 0, [6]int64{0, 2, 2, 14, 12, 6}, [6]int64{0, 0, 0, 11861, 11952, 48}, 33732, 2262},
+		"MIS/grid": {5, 1517, 0, [6]int64{0, 2, 2, 32, 24, 12}, [6]int64{0, 0, 0, 2563, 2162, 96}, 80290, 492},
+	}
+	for gname, g := range graphs {
+		for _, algo := range []string{"MSF", "MIS"} {
+			c, err := runtime.NewCluster(g, runtime.Config{NumHosts: 2, ThreadsPerHost: 1, Policy: partition.CVC})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var sink readCounter
+			cfg := Config{StatsSink: &sink}
+			var got pin
+			switch algo {
+			case "MSF":
+				comp := make([]graph.NodeID, g.NumNodes())
+				var st MSFStats
+				c.Run(func(h *runtime.Host) {
+					if s := MSF(h, cfg, comp); h.Rank == 0 {
+						st = s
+					}
+				})
+				checkSamePartition(t, g, comp, "MSF "+gname)
+				got.rounds, got.size, got.weightBits = st.Rounds, st.ForestEdges, math.Float64bits(st.TotalWeight)
+			case "MIS":
+				set := make([]bool, g.NumNodes())
+				var st MISStats
+				c.Run(func(h *runtime.Host) {
+					if s := MIS(h, cfg, set); h.Rank == 0 {
+						st = s
+					}
+				})
+				if !graph.IsValidMIS(g, set) {
+					t.Fatalf("MIS %s: invalid set", gname)
+				}
+				got.rounds, got.size = st.Rounds, st.Size
+			}
+			msgs, bytes := c.CommStatsByTag()
+			c.Close()
+			copy(got.msgs[:], msgs)
+			copy(got.bytes[:], bytes)
+			got.master, got.remote = sink.master.Load(), sink.remote.Load()
+			name := algo + "/" + gname
+			if w := want[name]; got != w {
+				t.Errorf("%s: got %+v, want %+v", name, got, w)
+			}
+		}
 	}
 }

@@ -125,6 +125,11 @@ func MSF(h *runtime.Host, cfg Config, comp []graph.NodeID) MSFStats {
 		Variant: cfg.Variant, Store: cfg.Store,
 	})
 
+	// Host-local views (DESIGN.md §14): the edge scan and the master loops
+	// address the proxies they iterate by local ID; only the arbitrary
+	// nodes — roots and candidate endpoints — go through global IDs.
+	local, pv, cv := h.HP.Local, npm.Local(parent), npm.Local(cand)
+
 	for {
 		stats.Rounds++
 		// 1. Collapse parent chains so parents are component roots.
@@ -143,29 +148,40 @@ func MSF(h *runtime.Host, cfg Config, comp []graph.NodeID) MSFStats {
 		if cfg.requestActive() {
 			requestLocalProxies(h, parent)
 		}
-		local := h.HP.Local
 		propBody := func(tid int, n graph.NodeID) {
-			gid := h.HP.GlobalID(n)
-			rs := parent.Read(gid)
+			rs := pv.Value(n)
+			// Every crossing edge of n reduces onto the same root rs, so
+			// the scan folds them — the lightest under the (weight,
+			// endpoints) order stays in best — and reduces once. Min is
+			// associative: the root's combined candidate is the same.
+			best := infEdge()
 			crossing := false
 			lo, hi := local.EdgeRange(n)
 			for e := lo; e < hi; e++ {
-				dgid := h.HP.GlobalID(local.Dst(e))
-				rd := parent.Read(dgid)
-				if rs == rd {
+				d := local.Dst(e)
+				if pv.Value(d) == rs {
 					continue
 				}
 				crossing = true
+				w := local.Weight(e)
+				if w > best.W {
+					continue // cannot win: skip the endpoint lookups
+				}
 				// Normalize endpoints in original-ID space so the edge's
 				// identity — and the (weight, endpoints) total order — is
-				// the same with reordering on or off; the root value rs is
-				// an original ID too, so address the reduce at its current
-				// ID (DESIGN.md §14).
-				oa, ob := h.HP.OriginalID(gid), h.HP.OriginalID(dgid)
-				edge := MinEdge{W: local.Weight(e), A: min(oa, ob), B: max(oa, ob)}
-				cand.Reduce(tid, h.HP.CurrentID(rs), edge)
+				// the same with reordering on or off (DESIGN.md §14).
+				oa, ob := h.HP.OriginalID(h.HP.GlobalID(n)), h.HP.OriginalID(h.HP.GlobalID(d))
+				if edge := (MinEdge{W: w, A: min(oa, ob), B: max(oa, ob)}); edge.less(best) {
+					best = edge
+				}
 			}
-			if crossing && frProp != nil {
+			if !crossing {
+				return
+			}
+			// The root value rs is an original ID too, so address the
+			// reduce at its current ID.
+			cand.Reduce(tid, h.HP.CurrentID(rs), best)
+			if frProp != nil {
 				frProp.Activate(int(n))
 			}
 		}
@@ -188,7 +204,7 @@ func MSF(h *runtime.Host, cfg Config, comp []graph.NodeID) MSFStats {
 		}
 		h.TimeCompute(func() {
 			h.ParForMasters(func(_ int, local graph.NodeID) {
-				c := cand.Read(h.HP.GlobalID(local))
+				c := cv.Value(local)
 				if !math.IsInf(c.W, 1) {
 					parent.Request(h.HP.CurrentID(c.A))
 					parent.Request(h.HP.CurrentID(c.B))
@@ -201,14 +217,13 @@ func MSF(h *runtime.Host, cfg Config, comp []graph.NodeID) MSFStats {
 		// de-duplicate mutually selected edges.
 		h.TimeCompute(func() {
 			h.ParForMasters(func(_ int, local graph.NodeID) {
-				gid := h.HP.GlobalID(local)
-				c := cand.Read(gid)
+				c := cv.Value(local)
 				if math.IsInf(c.W, 1) {
 					return
 				}
 				ra, rb := parent.Read(h.HP.CurrentID(c.A)), parent.Read(h.HP.CurrentID(c.B))
 				other := ra
-				if ra == h.HP.OriginalID(gid) {
+				if ra == h.HP.OriginalID(h.HP.GlobalID(local)) {
 					other = rb
 				}
 				cand.Request(h.HP.CurrentID(other))
@@ -224,15 +239,14 @@ func MSF(h *runtime.Host, cfg Config, comp []graph.NodeID) MSFStats {
 		workDone.Set(false)
 		h.TimeCompute(func() {
 			h.ParForMasters(func(tid int, local graph.NodeID) {
-				gid := h.HP.GlobalID(local)
-				c := cand.Read(gid)
+				c := cv.Value(local)
 				if math.IsInf(c.W, 1) {
 					return
 				}
 				// Root comparisons run in original-ID space (parent values
 				// and edge endpoints both live there); map lookups translate
 				// to current IDs at the access.
-				og := h.HP.OriginalID(gid)
+				og := h.HP.OriginalID(h.HP.GlobalID(local))
 				ra, rb := parent.Read(h.HP.CurrentID(c.A)), parent.Read(h.HP.CurrentID(c.B))
 				other := ra
 				if ra == og {
@@ -244,7 +258,7 @@ func MSF(h *runtime.Host, cfg Config, comp []graph.NodeID) MSFStats {
 				if cand.Read(h.HP.CurrentID(other)) == c && og < other {
 					return // smaller root of a mutual pair: stays the root
 				}
-				parent.Reduce(tid, gid, other) // single writer: own pointer
+				pv.Reduce(tid, local, other) // single writer: own pointer
 				workDone.Reduce(true)
 				weight.Reduce(c.W)
 				edges.Reduce(1)

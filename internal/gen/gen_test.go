@@ -2,6 +2,7 @@ package gen
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -262,6 +263,31 @@ func TestLoadGraphFiles(t *testing.T) {
 		}
 		if g.NumNodes() != 7 || g.NumEdges() != 2 {
 			t.Fatalf("bare edge list: %d nodes %d edges, want 7 and 2", g.NumNodes(), g.NumEdges())
+		}
+	})
+
+	// NaN breaks the (weight, endpoints) edge order MSF and its reference
+	// sort by, so both formats reject it at ingestion.
+	t.Run("nan-weight-text", func(t *testing.T) {
+		path := filepath.Join(dir, "nan.el")
+		if err := os.WriteFile(path, []byte("nodes 4\n0 1 1\n1 2 NaN\n2 3 2\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(path); err == nil || !strings.Contains(err.Error(), "NaN") {
+			t.Fatalf("Load of a text file with a NaN weight: err = %v, want an error naming NaN", err)
+		}
+	})
+	t.Run("nan-weight-kmb2", func(t *testing.T) {
+		b := graph.NewBuilder(4)
+		b.AddWeightedEdge(0, 1, 1)
+		b.AddWeightedEdge(1, 2, math.NaN())
+		b.AddWeightedEdge(2, 3, 2)
+		path := filepath.Join(dir, "nan.kmb2")
+		if err := graph.SaveKMB2(path, b.Build(), 64); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(path); err == nil || !strings.Contains(err.Error(), "NaN") {
+			t.Fatalf("Load of a KMB2 file with a NaN weight: err = %v, want an error naming NaN", err)
 		}
 	})
 

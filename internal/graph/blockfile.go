@@ -474,7 +474,9 @@ func (s *KMB2Source) ReadBlock(i int, blk *EdgeBlock) error {
 	decodeNodeIDs(blk.Srcs, payload)
 	decodeNodeIDs(blk.Dsts, payload[count*4:])
 	if s.hdr.weighted {
-		decodeFloat64s(blk.Weights, payload[count*8:])
+		if err := decodeFloat64s(blk.Weights, payload[count*8:]); err != nil {
+			return fmt.Errorf("graph: kmb2: block %d: %w", i, err)
+		}
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -11,8 +12,9 @@ import (
 // Fuzz targets for the two ingestion decoders, text and KMB2. The
 // contract under fuzz: arbitrary bytes produce an error or a valid graph
 // — never a panic, and never an allocation driven by a corrupt header
-// rather than by actual input bytes. Seeds are valid corpora (weighted
-// and not) plus truncation and bit-flip mutants of each.
+// rather than by actual input bytes. A valid graph has no NaN weight.
+// Seeds are valid corpora (weighted and not) plus truncation and bit-flip
+// mutants of each, and one NaN-weighted input per format.
 
 // fuzzSeedGraphs returns small valid graphs in both weighted flavors.
 func fuzzSeedGraphs() []*Graph {
@@ -98,6 +100,11 @@ func checkGraphInvariants(t *testing.T, g *Graph) {
 	if g.weights != nil && len(g.weights) != len(g.dsts) {
 		t.Fatalf("weights length %d, dsts %d", len(g.weights), len(g.dsts))
 	}
+	for e, w := range g.weights {
+		if math.IsNaN(w) {
+			t.Fatalf("edge %d has a NaN weight", e)
+		}
+	}
 }
 
 func FuzzReadEdgeList(f *testing.F) {
@@ -108,6 +115,7 @@ func FuzzReadEdgeList(f *testing.F) {
 	f.Add([]byte("% comment only\n\n"))
 	f.Add([]byte("nodes 2\n0 x\n"))
 	f.Add([]byte("  1\t0  \r\nnodes 2\n"))
+	f.Add([]byte("nodes 4\n0 1 1\n1 2 NaN\n2 3 2\n"))
 	f.Add(retiredKMB1Header)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// A text edge list legitimately allocates O(declared nodes) for the
@@ -157,6 +165,19 @@ func FuzzReadKMB2(f *testing.F) {
 			addKMB2BlockMutants(f, data)
 		}
 	}
+	nan := NewBuilder(4)
+	nan.AddWeightedEdge(0, 1, 1)
+	nan.AddWeightedEdge(1, 2, math.NaN())
+	nan.AddWeightedEdge(2, 3, 2)
+	path := filepath.Join(f.TempDir(), "nan.kmb2")
+	if err := SaveKMB2(path, nan.Build(), 3); err != nil {
+		f.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(data)
 	f.Add(retiredKMB1Header)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := NewKMB2Source(bytes.NewReader(data), int64(len(data)))

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"unsafe"
@@ -321,6 +322,9 @@ func (ts *TextSource) parseLine(line []byte, blk *EdgeBlock) error {
 		w, err := strconv.ParseFloat(zeroCopyString(f2), 64)
 		if err != nil {
 			return fmt.Errorf("graph: bad weight in %q: %v", line, err)
+		}
+		if math.IsNaN(w) {
+			return fmt.Errorf("graph: NaN weight in %q", line)
 		}
 		blk.Weights = append(blk.Weights, w)
 	}
