@@ -20,20 +20,24 @@ benchmark-test:
 # lint runs the standard vet suite plus Kimbap's own analyzers
 # (DESIGN.md §7 "Checked invariants"). kimbapvet must run from the module
 # root: it resolves packages with `go list` and type-checks from source.
+# The wall-clock gates sit behind the wallgates build tag, which neither
+# `go build`, `go test` nor `go vet ./...` compiles, so they get their own
+# vet pass to keep them type-checked against the helpers they call.
 lint:
 	$(GO) vet ./...
+	$(GO) vet -tags wallgates ./internal/bench
 	$(GO) run ./cmd/kimbapvet ./...
 
-# race covers the concurrency-heavy packages: the property maps (CAS
-# handle included), the runtime's worker pool, bitsets, and async drain
-# scheduler, the transports, the parallel ingestion pipeline (par pool,
-# Chase-Lev deques, counting-sort build, partitioner, generators), the
-# kvstore application harness, the baselines (Galois's MIS and CC run CAS
-# loops under its thread pool), the compiler's executor, and the full
-# algorithms package — its equivalence matrices hammer the async
-# scheduler's stealing/CAS paths and the pull rounds' plain-store master
-# scans across host and thread counts, which is exactly where a direction
-# bug would race.
+# race covers the concurrency-heavy packages: the property maps (the
+# master CAS handle included), the runtime's worker pool, bitsets, and
+# async drain scheduler, the transports, the parallel ingestion pipeline
+# (par pool, Chase-Lev deques, counting-sort build, partitioner,
+# generators), the kvstore application harness, the baselines (Galois's
+# MIS and CC run CAS loops under its thread pool), the compiler's
+# executor, and the full algorithms package — its equivalence matrices
+# hammer the shortcut drain's stealing and master CAS paths and the pull
+# rounds' plain-store master scans across host and thread counts, which
+# is exactly where a scheduling or direction bug would race.
 race:
 	$(GO) test -race ./internal/npm/... ./internal/runtime/... ./internal/comm/... \
 		./internal/par/... ./internal/graph/... ./internal/partition/... ./internal/gen/... \

@@ -48,12 +48,13 @@ type Config struct {
 	// Strategy selects the round shapes of the frontier-driven algorithms
 	// (CC-SV, CC-LP, CC-SCLP, MIS; see strategy.go): StrategyBSP — the zero
 	// value — pushes with buffered reduces, StrategyAsync drains each
-	// frontier round with CAS in-place applies, StrategyPull runs each
-	// pull-capable round bottom-up over the in-edge CSR with a
-	// broadcast-only round end, and StrategyAdaptive picks per round from
-	// telemetry. A shape the phase cannot run falls back to bsp — async
-	// needs a frontier, the Full variant and an idempotent operator; pull
-	// needs a pull-complete partition and the Full variant — and
+	// frontier-driven pointer-jumping shortcut round with CAS in-place
+	// applies, StrategyPull runs each pull-capable round bottom-up over
+	// the in-edge CSR with a broadcast-only round end, and
+	// StrategyAdaptive picks per round from telemetry. A shape the phase
+	// cannot run falls back to bsp — async needs a shortcut round, a
+	// frontier and the Full variant; pull needs a pull-capable round, a
+	// pull-complete partition and the Full variant — and
 	// RoundStats.Shape records what each round ran. Outputs are
 	// bit-identical under every strategy.
 	Strategy Strategy

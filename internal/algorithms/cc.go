@@ -23,8 +23,8 @@ import (
 // Every label round of the three — CC-SV's hook, CC-LP's propagation and
 // CC-SCLP's propagation pass — runs through one loop, labelRun.rounds,
 // which sequences the round and takes its shape from the policy (see
-// Strategy); the pointer-jumping shortcut, which has no pull form, is
-// shortcut.
+// Strategy); the pointer-jumping shortcut, which has no pull form and is
+// the one phase whose rounds may drain asynchronously, is shortcut.
 
 // CCStats reports per-run counters.
 type CCStats struct {
@@ -68,14 +68,13 @@ func (r *labelRun) finish(out []graph.NodeID) {
 // rounds runs label rounds on the pinned map until a round changes no
 // label or limit rounds have run, and returns how many ran. The policy
 // picks each round's shape: bsp runs push over fr (every local node when
-// fr is nil, which also rules out async), async drains fr with drain, and
-// pull min-folds every master's in-neighbors (pullMinRound) and raises
-// workDone, if set, on each change; the push bodies raise it themselves.
-// Every shape ends the round with the broadcast — the push shapes after
-// their own ReduceSync, a pull round with no reduce at all — so each
-// round starts on fresh mirrors.
+// fr is nil), and pull min-folds every master's in-neighbors
+// (pullMinRound) and raises workDone, if set, on each change; the push
+// body raises it itself. Both shapes end the round with the broadcast —
+// bsp after its own ReduceSync, a pull round with no reduce at all — so
+// each round starts on fresh mirrors.
 func (r *labelRun) rounds(fr *runtime.Frontier, limit int, workDone *runtime.BoolReducer,
-	push func(tid int, src graph.NodeID), drain func(tid int, src graph.NodeID, cx *runtime.AsyncCtx)) int {
+	push func(tid int, src graph.NodeID)) int {
 
 	h, m := r.h, r.m
 	for n := 1; ; n++ {
@@ -84,14 +83,9 @@ func (r *labelRun) rounds(fr *runtime.Frontier, limit int, workDone *runtime.Boo
 			requestLocalProxies(h, m)
 		}
 		k := r.pol.next(fr)
-		var drained runtime.DrainStats
-		switch k {
-		case roundPull:
+		if k == roundPull {
 			h.TimeCompute(func() { pullMinRound(h, r.pol.ph, workDone) })
-		case roundAsync:
-			h.TimeCompute(func() { drained = h.AsyncDrain(fr, r.pol.ccAsyncOpts(), drain) })
-			m.ReduceSync()
-		default:
+		} else {
 			h.TimeCompute(func() {
 				if fr != nil {
 					h.ParForActive(fr, push)
@@ -102,7 +96,7 @@ func (r *labelRun) rounds(fr *runtime.Frontier, limit int, workDone *runtime.Boo
 			m.ReduceSync()
 		}
 		m.BroadcastSync()
-		endRound(r.pol, r.rl, fr, k, true, drained, h.HP.NumLocal())
+		endRound(r.pol, r.rl, fr, k, true, h.HP.NumLocal())
 		if !m.IsUpdated() || n >= limit {
 			return n
 		}
@@ -112,11 +106,11 @@ func (r *labelRun) rounds(fr *runtime.Frontier, limit int, workDone *runtime.Boo
 // endRound closes a round after its last sync: it feeds the policy,
 // advances the frontier and logs the round. dense is the round's visit
 // count when there is no frontier.
-func endRound(pol *policy, rl *roundLogger, fr *runtime.Frontier, k roundKind, hook bool, drained runtime.DrainStats, dense int) {
+func endRound(pol *policy, rl *roundLogger, fr *runtime.Frontier, k roundKind, hook bool, dense int) {
 	active := dense
 	if fr != nil {
 		active = fr.Count()
-		pol.observe(k, fr, drained)
+		pol.observe(k, fr)
 		fr.Advance()
 	}
 	rl.record(active, hook, k)
@@ -151,6 +145,9 @@ func CCSV(h *runtime.Host, cfg Config, out []graph.NodeID) CCStats {
 	// transpose of the pointer-jumping hook), so adaptive pull runs under
 	// the bounded trial.
 	r := cfg.newLabelRun(h, &stats, pullReformulated)
+	// The shortcut has no pull round, so it gets its own policy: the one
+	// phase whose rounds may drain.
+	sc := cfg.newPolicy(h, r.fr, r.m, pullNone)
 	// acc accumulates every proxy the shortcut phase changes, so the next
 	// outer round's hook phase can start from the changed set instead of a
 	// full re-activation (the first hook phase has no prior change record
@@ -164,7 +161,7 @@ func CCSV(h *runtime.Host, cfg Config, out []graph.NodeID) CCStats {
 		stats.OuterRounds++
 		workDone.Set(false)
 		stats.HookRounds += r.hook(&workDone, seed)
-		stats.ShortcutRounds += shortcut(h, cfg, r.m, r.fr, r.pol, r.rl, acc)
+		stats.ShortcutRounds += shortcut(h, cfg, r.m, r.fr, sc, r.rl, acc)
 		seed = acc
 		workDone.Sync(h.EP)
 		if !workDone.Read() || stats.OuterRounds >= cfg.maxRounds() {
@@ -196,21 +193,6 @@ func CCSV(h *runtime.Host, cfg Config, out []graph.NodeID) CCStats {
 // dense loop) instead of doubling edge work when both endpoints changed.
 // The extra direction is a no-op for the dense loop's fixpoint (min-reduce
 // is idempotent), so labels stay identical.
-//
-// An async round drains the frontier instead: reads and reduces go through
-// the CAS handle (local targets apply in place; remote ones still buffer
-// for the next reduce-sync), and a target whose parent changed is
-// activated for the next round. Changed targets are deliberately NOT
-// re-enqueued in-drain: hook cascades lower labels one hop at a time, so
-// running them to quiescence before any shortcut phase degenerates to
-// O(n^2) on deep chains — exactly the workload where BSP's interleaved
-// pointer jumping stays O(n log n). The chain-collapsing win belongs to the
-// shortcut drain (ccChaseBody), which compresses with path halving. The
-// drain also drops the BSP body's reverse-direction skip: dst's body may
-// have run before parent(src) dropped, so it hooks both directions
-// unconditionally (idempotent min applies; the redundancy is harmless).
-// Unmaterialized reads (ok=false) cannot occur: mirrors are pinned for the
-// whole hook phase, and every edge endpoint is a local proxy.
 //
 // A pull round uses the label-propagation formulation — each master
 // min-folds its in-neighbors' labels into itself — because the SV hook's
@@ -258,30 +240,6 @@ func (r *labelRun) hook(workDone *runtime.BoolReducer, seed *par.Bitset) int {
 			} else if fr != nil && dstParent > srcParent && !fr.IsActive(int(dst)) {
 				workDone.Reduce(true)
 				parent.Reduce(tid, h.HP.CurrentID(dstParent), srcParent)
-			}
-		}
-	}, func(tid int, src graph.NodeID, _ *runtime.AsyncCtx) {
-		ah := r.pol.ah
-		srcParent, ok := ah.Load(h.HP.GlobalID(src))
-		if !ok {
-			return
-		}
-		lo, hi := local.EdgeRange(src)
-		for e := lo; e < hi; e++ {
-			dstParent, ok := ah.Load(h.HP.GlobalID(local.Dst(e)))
-			if !ok {
-				continue
-			}
-			if srcParent > dstParent {
-				workDone.Reduce(true)
-				if l, applied, changed := ah.ReduceAsync(tid, h.HP.CurrentID(srcParent), dstParent); applied && changed {
-					fr.Activate(int(l))
-				}
-			} else if dstParent > srcParent {
-				workDone.Reduce(true)
-				if l, applied, changed := ah.ReduceAsync(tid, h.HP.CurrentID(dstParent), srcParent); applied && changed {
-					fr.Activate(int(l))
-				}
 			}
 		}
 	})
@@ -341,15 +299,14 @@ func shortcut(h *runtime.Host, cfg Config, parent npm.Map[graph.NodeID], fr *run
 			requestLocalProxies(h, parent)
 		}
 		k := pol.pushRound(fr)
-		var drained runtime.DrainStats
 		if k == roundAsync {
 			pend := pol.pendSet()
 			h.TimeCompute(func() {
-				drained = h.AsyncDrain(fr, pol.ccAsyncOpts(), ccChaseBody(h, pol, parent, fr, pend, true))
+				h.AsyncDrain(fr, pol.ccAsyncOpts(), ccChaseBody(h, pol, parent, fr, pend, true))
 			})
 			parent.RequestSync()
 			h.TimeCompute(func() {
-				drained.Accumulate(h.AsyncDrainBits(pend, pol.ccAsyncOpts(), ccChaseBody(h, pol, parent, fr, pend, false)))
+				h.AsyncDrainBits(pend, pol.ccAsyncOpts(), ccChaseBody(h, pol, parent, fr, pend, false))
 			})
 		} else {
 			h.TimeCompute(func() {
@@ -369,7 +326,7 @@ func shortcut(h *runtime.Host, cfg Config, parent npm.Map[graph.NodeID], fr *run
 			})
 		}
 		parent.ReduceSync()
-		endRound(pol, rl, fr, k, false, drained, h.HP.NumMasters)
+		endRound(pol, rl, fr, k, false, h.HP.NumMasters)
 		if acc != nil {
 			fr.OrCurrentInto(acc)
 		}
@@ -491,22 +448,6 @@ func CCLP(h *runtime.Host, cfg Config, out []graph.NodeID) CCStats {
 				lv.Reduce(tid, dst, label)
 			}
 		}
-	}, func(tid int, src graph.NodeID, cx *runtime.AsyncCtx) {
-		// Every push target is a local proxy (mirrors are pinned), so the
-		// whole label cascade applies in place: a drain runs each host's
-		// labels to their local fixpoint in one round.
-		ah := r.pol.ah
-		label, ok := ah.Load(h.HP.GlobalID(src))
-		if !ok {
-			return
-		}
-		lo, hi := local.EdgeRange(src)
-		for e := lo; e < hi; e++ {
-			dstGID := h.HP.GlobalID(local.Dst(e))
-			if l, applied, changed := ah.ReduceAsync(tid, dstGID, label); applied && changed {
-				cx.Enqueue(l)
-			}
-		}
 	})
 	comp.UnpinMirrors()
 	stats.OuterRounds = 1
@@ -524,8 +465,8 @@ func CCSCLP(h *runtime.Host, cfg Config, out []graph.NodeID) CCStats {
 	r := cfg.newLabelRun(h, &stats, pullExact)
 	comp, local := r.m, h.HP.Local
 	lv := npm.Local(comp)
-	// The shortcut has no pull round, so it gets its own policy: where the
-	// propagation pass pulls, the shortcut may still drain.
+	// The shortcut has no pull round, so it gets its own policy: the one
+	// phase whose rounds may drain.
 	sc := cfg.newPolicy(h, r.fr, comp, pullNone)
 	for {
 		stats.OuterRounds++
@@ -533,7 +474,7 @@ func CCSCLP(h *runtime.Host, cfg Config, out []graph.NodeID) CCStats {
 		workDone.Set(false)
 		comp.PinMirrors()
 		// The propagation pass runs without the frontier: it visits every
-		// node and never drains.
+		// node.
 		stats.HookRounds += r.rounds(nil, 1, &workDone, func(tid int, src graph.NodeID) {
 			label := lv.Value(src)
 			lo, hi := local.EdgeRange(src)
@@ -543,7 +484,7 @@ func CCSCLP(h *runtime.Host, cfg Config, out []graph.NodeID) CCStats {
 					lv.Reduce(tid, dst, label)
 				}
 			}
-		}, nil)
+		})
 		comp.UnpinMirrors()
 
 		// Shortcut to collapse label chains.

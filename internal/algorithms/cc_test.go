@@ -1,6 +1,7 @@
 package algorithms
 
 import (
+	"fmt"
 	"testing"
 
 	"kimbap/internal/gen"
@@ -217,6 +218,48 @@ func TestCCGridCountersPinned(t *testing.T) {
 		}
 		if msgs != w.msgs || bytes != w.bytes {
 			t.Errorf("%s: %d messages, %d bytes, want %d, %d", name, msgs, bytes, w.msgs, w.bytes)
+		}
+	}
+}
+
+// TestShortcutDrainRoundsPinned gates the one surviving drain by its work
+// proxy, the shortcut round count, on a 1-host 4096-node chain: the
+// deepest parent chains, where one chase drain collapses what takes bsp
+// pointer jumping a round per halving. The counts were measured before
+// the label and MIS drains were deleted. At one thread they are exact; at
+// three, stealing makes the chase order timing-dependent, so async gets
+// an upper bound, still far below bsp.
+func TestShortcutDrainRoundsPinned(t *testing.T) {
+	g := gen.Chain(4096, false, 1)
+	const bspRounds, asyncRounds, asyncBound = 14, 3, 4
+	for name, algo := range map[string]func(*runtime.Host, Config, []graph.NodeID) CCStats{
+		"CC-SV": CCSV, "CC-SCLP": CCSCLP,
+	} {
+		for _, threads := range []int{1, 3} {
+			t.Run(fmt.Sprintf("%s/%dt", name, threads), func(t *testing.T) {
+				rounds := map[Strategy]int{}
+				for _, s := range []Strategy{StrategyBSP, StrategyAsync} {
+					c, err := runtime.NewCluster(g, runtime.Config{NumHosts: 1, ThreadsPerHost: threads})
+					if err != nil {
+						t.Fatal(err)
+					}
+					out := make([]graph.NodeID, g.NumNodes())
+					c.Run(func(h *runtime.Host) { rounds[s] = algo(h, Config{Strategy: s}, out).ShortcutRounds })
+					c.Close()
+					checkLabels(t, g, out, name)
+				}
+				bsp, async := rounds[StrategyBSP], rounds[StrategyAsync]
+				if bsp != bspRounds {
+					t.Errorf("%d bsp shortcut rounds, want %d", bsp, bspRounds)
+				}
+				if threads == 1 && async != asyncRounds {
+					t.Errorf("%d async shortcut rounds, want %d", async, asyncRounds)
+				}
+				if async > asyncBound || async >= bsp {
+					t.Errorf("%d async shortcut rounds, want at most %d and fewer than bsp's %d",
+						async, asyncBound, bsp)
+				}
+			})
 		}
 	}
 }

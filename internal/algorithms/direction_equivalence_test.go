@@ -1,6 +1,7 @@
 package algorithms
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 
@@ -236,30 +237,48 @@ func TestPullRoundsSendNoReduceBytes(t *testing.T) {
 	}
 }
 
-// TestAdaptiveCCSVDrainsOrPulls: adaptive CC-SV never mixes its
-// reformulated pull with async rounds. It drains where every host's mode
-// rule probes async — one host, or a chain, whose hosts' masters are most
-// of their proxies — and pulls elsewhere: on a 4-host IEC R-MAT most
-// hosts' proxies are mirrors.
-func TestAdaptiveCCSVDrainsOrPulls(t *testing.T) {
+// TestAdaptiveRoundShapes pins each phase's legal round shapes: label
+// rounds (CC-SV's hook, CC-SCLP's propagation pass) run only bsp or pull,
+// and shortcut rounds, the one phase that drains, only bsp or async — on
+// every host, with labels equal to the reference. The cases cover a
+// pull-complete single host, a 4-host R-MAT and a 4-host chain under IEC,
+// and a 1-host chain under both strategies that may drain, where the
+// shortcut must actually drain.
+func TestAdaptiveRoundShapes(t *testing.T) {
 	rmat, chain := gen.RMAT(8, 6, false, 2), gen.Chain(300, false, 3)
 	for _, tc := range []struct {
 		name   string
 		g      *graph.Graph
 		hosts  int
+		s      Strategy
 		drains bool
 	}{
-		{"rmat", rmat, 1, true},
-		{"rmat", rmat, 4, false},
-		{"chain", chain, 4, true},
+		{"rmat", rmat, 1, StrategyAdaptive, false},
+		{"rmat", rmat, 4, StrategyAdaptive, false},
+		{"chain", chain, 4, StrategyAdaptive, false},
+		{"chain", chain, 1, StrategyAsync, true},
+		{"chain", chain, 1, StrategyAdaptive, true},
 	} {
-		rc := runtime.Config{NumHosts: tc.hosts, ThreadsPerHost: 3, Policy: partition.IEC}
-		got, all := runCCDirAll(t, tc.g, rc, Config{Strategy: StrategyAdaptive, LogRounds: true}, CCSV)
-		checkLabels(t, tc.g, got, "adaptive CC-SV")
-		drained, pulled := ranShape(all, "async"), ranShape(all, "pull")
-		if drained != tc.drains || pulled == tc.drains {
-			t.Fatalf("%s/%dh: drained=%v pulled=%v, want drained=%v and not both; rank 0 trace %v",
-				tc.name, tc.hosts, drained, pulled, tc.drains, all[0].PerRound.Shape)
+		for aname, algo := range map[string]func(*runtime.Host, Config, []graph.NodeID) CCStats{
+			"CC-SV": CCSV, "CC-SCLP": CCSCLP,
+		} {
+			t.Run(fmt.Sprintf("%s/%s/%dh/%s", aname, tc.name, tc.hosts, tc.s), func(t *testing.T) {
+				rc := runtime.Config{NumHosts: tc.hosts, ThreadsPerHost: 3, Policy: partition.IEC}
+				got, all := runCCDirAll(t, tc.g, rc, Config{Strategy: tc.s, LogRounds: true}, algo)
+				checkLabels(t, tc.g, got, aname)
+				for rank, st := range all {
+					for r, shape := range st.PerRound.Shape {
+						label := st.PerRound.Hook[r]
+						if (label && shape == "async") || (!label && shape == "pull") {
+							t.Fatalf("host %d round %d (label=%v) ran %s; trace %v",
+								rank, r, label, shape, st.PerRound.Shape)
+						}
+					}
+				}
+				if tc.drains && !ranShape(all, "async") {
+					t.Fatalf("no shortcut round drained; trace %v", all[0].PerRound.Shape)
+				}
+			})
 		}
 	}
 }

@@ -104,21 +104,9 @@ func MIS(h *runtime.Host, cfg Config, out []bool) MISStats {
 	// scattering misOut. Every stage updates masters in place and ends
 	// with at most a broadcast. The pull decision reuses the globally-synced
 	// `remaining` count from the previous round (every host already has
-	// it), so adaptive rounds add no collectives.
-	//
-	// Async: the three stages become priority drains (high-degree vertices
-	// first — they knock out the most neighbors). Only the knockout stage
-	// writes state concurrently with reads, so it and the decide stage go
-	// through the CAS handle; the accumulate stage only buffers minNbr
-	// reduces and merely gains the scheduler. The round structure and
-	// every collective stay exactly as in bsp, so the per-round decisions —
-	// and the final set — are bit-identical in every shape.
+	// it), so adaptive rounds add no collectives. MIS has no async round:
+	// its drains never beat bsp (DESIGN.md §16 (h)).
 	pol := cfg.newPolicy(h, fr, state, pullExact)
-	avg := 1
-	if h.HP.NumLocal() > 0 {
-		avg = int(local.NumEdges()) / h.HP.NumLocal()
-	}
-	misOpts := runtime.AsyncOpts{Levels: 2, Priority: degreePriority(local, avg)}
 
 	// Minimum priority among each node's undecided neighbors, accumulated
 	// from every edge location — except in a pull round, where each
@@ -143,8 +131,7 @@ func MIS(h *runtime.Host, cfg Config, out []bool) MISStats {
 	}
 	for {
 		stats.Rounds++
-		k := pol.nextFromActive(undecided, fr)
-		var drain runtime.DrainStats
+		k := pol.nextFromActive(undecided)
 
 		h.ParForMasters(func(_ int, n graph.NodeID) {
 			minNbr.Set(h.HP.GlobalID(n), math.Inf(1))
@@ -178,12 +165,7 @@ func MIS(h *runtime.Host, cfg Config, out []bool) MISStats {
 				}
 			}
 			h.TimeCompute(func() {
-				if k == roundAsync {
-					d := h.AsyncDrain(fr, misOpts, func(tid int, n graph.NodeID, _ *runtime.AsyncCtx) {
-						accBody(tid, n)
-					})
-					drain.Accumulate(d)
-				} else if fr != nil {
+				if fr != nil {
 					h.ParForActive(fr, accBody)
 				} else {
 					h.ParForNodes(accBody)
@@ -228,25 +210,7 @@ func MIS(h *runtime.Host, cfg Config, out []bool) MISStats {
 			}
 			h.TimeCompute(func() {
 				nm := h.HP.NumMasters
-				if k == roundAsync {
-					// Each master decides only itself, but neighboring masters
-					// decide concurrently in the same drain, so state moves
-					// through the CAS handle.
-					sh := pol.ah
-					d := h.AsyncDrain(fr, misOpts, func(tid int, n graph.NodeID, _ *runtime.AsyncCtx) {
-						if int(n) >= nm {
-							return
-						}
-						gid := h.HP.GlobalID(n)
-						if st, ok := sh.Load(gid); !ok || st != misUndecided {
-							return
-						}
-						if prio.Read(gid) < minNbr.Read(gid) {
-							sh.ReduceAsync(tid, gid, misIn)
-						}
-					})
-					drain.Accumulate(d)
-				} else if fr != nil {
+				if fr != nil {
 					h.ParForActive(fr, func(tid int, n graph.NodeID) {
 						if int(n) < nm {
 							decBody(tid, n)
@@ -304,29 +268,7 @@ func MIS(h *runtime.Host, cfg Config, out []bool) MISStats {
 				}
 			}
 			h.TimeCompute(func() {
-				if k == roundAsync {
-					// Knockouts write neighbors' state while peers read it, so
-					// both sides go through the CAS handle. No re-enqueue:
-					// knocked-out vertices trigger no further knockouts.
-					sh := pol.ah
-					d := h.AsyncDrain(fr, misOpts, func(tid int, n graph.NodeID, _ *runtime.AsyncCtx) {
-						gid := h.HP.GlobalID(n)
-						if st, ok := sh.Load(gid); !ok || st != misIn {
-							return
-						}
-						lo, hi := local.EdgeRange(n)
-						for e := lo; e < hi; e++ {
-							dgid := h.HP.GlobalID(local.Dst(e))
-							if dgid == gid {
-								continue
-							}
-							if st, ok := sh.Load(dgid); ok && st == misUndecided {
-								sh.ReduceAsync(tid, dgid, misOut)
-							}
-						}
-					})
-					drain.Accumulate(d)
-				} else if fr != nil {
+				if fr != nil {
 					h.ParForActive(fr, koBody)
 				} else {
 					h.ParForNodes(koBody)
@@ -335,7 +277,6 @@ func MIS(h *runtime.Host, cfg Config, out []bool) MISStats {
 			state.ReduceSync()
 			state.BroadcastSync()
 		}
-		pol.observe(k, fr, drain)
 
 		if cfg.requestActive() {
 			requestLocalProxies(h, state)

@@ -9,14 +9,14 @@ import (
 	"kimbap/internal/runtime"
 )
 
-// Strategy equivalence on CVC: the asynchronous drain and the adaptive
-// policy are pure scheduling changes. CC converges to the min-label
-// fixpoint and MIS's per-round decisions depend only on values fixed at
-// round start, so every mode must converge to bit-identical final outputs
-// — across worker counts (the async scheduler's stealing and CAS paths are
-// timing-sensitive) and host counts (mirror CAS applies must surface at
-// reduce-sync exactly like buffered reduces). One host is pull-complete,
-// so there adaptive CC-LP and MIS pull instead of draining.
+// Strategy equivalence on CVC: the shortcut's asynchronous drain and the
+// adaptive policy are pure scheduling changes. CC converges to the
+// min-label fixpoint and MIS's per-round decisions depend only on values
+// fixed at round start, so every strategy must converge to bit-identical
+// final outputs — across worker counts (the async scheduler's stealing
+// and CAS paths are timing-sensitive) and host counts (remote targets
+// must surface at reduce-sync exactly like buffered reduces). One host is
+// pull-complete, so there adaptive label and MIS rounds pull.
 
 func modeGraphs() map[string]*graph.Graph {
 	return map[string]*graph.Graph{
@@ -90,13 +90,11 @@ func TestMISModesConvergeIdentically(t *testing.T) {
 				if !graph.IsValidMIS(g, ref) {
 					t.Fatalf("%s/%dh/%dt: BSP produced invalid MIS", gname, hosts, threads)
 				}
-				for _, s := range []Strategy{StrategyAsync, StrategyAdaptive} {
-					got := runMISMode(t, g, hosts, threads, s)
-					for i := range ref {
-						if got[i] != ref[i] {
-							t.Fatalf("%s/%dh/%dt/%s: node %d membership %v, BSP %v",
-								gname, hosts, threads, s, i, got[i], ref[i])
-						}
+				got := runMISMode(t, g, hosts, threads, StrategyAdaptive)
+				for i := range ref {
+					if got[i] != ref[i] {
+						t.Fatalf("%s/%dh/%dt/adaptive: node %d membership %v, BSP %v",
+							gname, hosts, threads, i, got[i], ref[i])
 					}
 				}
 			}
@@ -105,12 +103,12 @@ func TestMISModesConvergeIdentically(t *testing.T) {
 }
 
 // The adaptive strategy must actually exercise the async path where it is
-// profitable: on a single host every target is local, so the first push
-// round probes async, and a converging CC run should keep it on. CC-SV's
-// reformulated pull gives way to those drains (see pullReformulated). One
-// host is also pull-complete, so CC-LP, whose pull round is an exact
-// transpose, pulls and never drains; CC-SCLP pulls its propagation pass
-// and drains its shortcut. The labels must still be the reference's.
+// profitable: on a single host every target is local, so the first
+// shortcut round probes async, and a converging CC run should keep it on.
+// One host is also pull-complete, so the label rounds pull: CC-LP, which
+// has no shortcut, pulls and never drains; CC-SV and CC-SCLP pull their
+// label rounds and drain their shortcuts. The labels must still be the
+// reference's.
 func TestAdaptiveModeTraceUsesAsync(t *testing.T) {
 	g := gen.Chain(400, false, 5)
 	c, err := runtime.NewCluster(g, runtime.Config{NumHosts: 1, ThreadsPerHost: 3})
@@ -123,7 +121,7 @@ func TestAdaptiveModeTraceUsesAsync(t *testing.T) {
 		algo       func(h *runtime.Host, cfg Config, out []graph.NodeID) CCStats
 		want, none []string
 	}{
-		{"CC-SV", CCSV, []string{"async"}, []string{"pull"}},
+		{"CC-SV", CCSV, []string{"async", "pull"}, nil},
 		{"CC-LP", CCLP, []string{"pull"}, []string{"async"}},
 		{"CC-SCLP", CCSCLP, []string{"async", "pull"}, nil},
 	} {

@@ -17,7 +17,10 @@ import (
 //     applied at ReduceSync (DESIGN.md §8).
 //   - async: push, with the compute phase drained by the priority
 //     scheduler (runtime.AsyncDrain) and local targets CAS-applied in
-//     place (§12).
+//     place (§12). Only the pointer-jumping shortcut has an async round:
+//     its path-halving chase collapses a whole local parent chain in one
+//     drain. Label and MIS rounds have none: their drains never beat bsp
+//     (DESIGN.md §16 (h)).
 //   - pull: every master folds its in-neighbors over the transpose CSR
 //     into its own slot; the round has no reduce collective and ends with
 //     the broadcast alone (§15).
@@ -28,21 +31,22 @@ import (
 // round pulls is a global decision, taken on allreduced telemetry in
 // lockstep on every host.
 //
-// No phase mixes pull and async rounds: where a phase could do both,
-// StrategyAdaptive settles on one at construction (see pullForm).
+// No phase has both pull and async rounds: the shortcut, the only phase
+// that drains, has no pull form.
 type Strategy string
 
 const (
 	// StrategyBSP runs every round bsp. The zero value means the same.
 	StrategyBSP Strategy = "bsp"
-	// StrategyAsync drains every frontier round asynchronously.
+	// StrategyAsync drains every frontier-driven shortcut round; every
+	// other round runs bsp.
 	StrategyAsync Strategy = "async"
 	// StrategyPull runs every pull-capable round bottom-up.
 	StrategyPull Strategy = "pull"
-	// StrategyAdaptive decides per round: pull or push from allreduced
-	// frontier telemetry (runtime.Adaptive.NextDirection), then, for a
-	// push round, async or bsp from this host's own telemetry
-	// (runtime.Adaptive.NextMode).
+	// StrategyAdaptive decides per round: a pull-capable round pulls or
+	// pushes from allreduced frontier telemetry
+	// (runtime.Adaptive.NextDirection); a shortcut round drains or runs
+	// bsp from this host's own telemetry (runtime.Adaptive.NextMode).
 	StrategyAdaptive Strategy = "adaptive"
 )
 
@@ -51,21 +55,14 @@ type pullForm uint8
 
 const (
 	// pullNone: the phase has no pull round (the pointer-jumping
-	// shortcut).
+	// shortcut). It is the only form whose rounds may drain.
 	pullNone pullForm = iota
 	// pullExact: the pull round is the exact transpose of the push round
 	// (CC-LP, CC-SCLP's propagation pass, MIS), so per-round states — and
-	// round counts — coincide. Under StrategyAdaptive such a phase does
-	// not drain where it can pull: the direction rule alone shapes it.
+	// round counts — coincide.
 	pullExact
 	// pullReformulated: the pull round reaches the same fixpoint by other
-	// steps (CC-SV's hook; see policy.reformulated). Under
-	// StrategyAdaptive such a phase drains instead of pulling where every
-	// host's mode rule probes async (runtime.Adaptive.ProbesAsync): an
-	// async round collapses whole local chains, while the one-hop pull
-	// round only costs (on a 2^17-node chain the pull trial alone made
-	// adaptive CC-SV ~1.5x slower than async). Elsewhere it pulls, as an
-	// exact phase does.
+	// steps (CC-SV's hook; see policy.reformulated).
 	pullReformulated
 )
 
@@ -95,8 +92,8 @@ func (k roundKind) String() string {
 // Legality is settled once, at construction, and a shape that is not
 // legal is never chosen:
 //
-//   - async needs a frontier to drain and in-place CAS applies
-//     (npm.AsyncNode: the Full variant and an idempotent operator);
+//   - async needs a phase with no pull form (the shortcut), a frontier to
+//     drain and in-place CAS applies (npm.AsyncNode: the Full variant);
 //   - pull needs a pull-complete partition — every in-edge of every
 //     master stored at that master's owner: IEC, or any single-host run —
 //     and npm.Pull (the Full variant). Both are SPMD-identical
@@ -146,9 +143,8 @@ const pullTrialRounds = 8
 // newPolicy builds the policy for a phase over map m with frontier fr
 // (nil under dense execution) whose pull round has the given form, or nil
 // when every round runs bsp. Construction is collective when pull is
-// legal (it allreduces the totals the pull rule needs, and for a
-// reformulated phase that could also drain, the hosts' async probes);
-// every condition deciding that is SPMD-identical across hosts.
+// legal (it allreduces the totals the pull rule needs); every condition
+// deciding that is SPMD-identical across hosts.
 func (c Config) newPolicy(h *runtime.Host, fr *runtime.Frontier, m npm.Map[graph.NodeID], form pullForm) *policy {
 	s := c.Strategy
 	switch s {
@@ -162,19 +158,13 @@ func (c Config) newPolicy(h *runtime.Host, fr *runtime.Frontier, m npm.Map[graph
 	if s == StrategyAdaptive {
 		p.ad = runtime.NewAdaptive(h)
 	}
-	if s != StrategyPull && fr != nil {
-		p.ah, _ = npm.AsyncNode(m)
-	}
-	if s != StrategyAsync && form != pullNone && h.HP.PullEdgesComplete() {
-		p.ph, _ = npm.Pull(m)
-	}
-	if p.ah != nil && p.ph != nil {
-		// Only StrategyAdaptive gets here; see pullForm for the precedence.
-		if form == pullReformulated && everyHostProbesAsync(h, p.ad) {
-			p.ph = nil
-		} else {
-			p.ah = nil
+	switch {
+	case form == pullNone:
+		if s != StrategyPull && fr != nil {
+			p.ah, _ = npm.AsyncNode(m)
 		}
+	case s != StrategyAsync && h.HP.PullEdgesComplete():
+		p.ph, _ = npm.Pull(m)
 	}
 	if p.ah == nil && p.ph == nil {
 		return nil
@@ -194,45 +184,33 @@ func (c Config) newPolicy(h *runtime.Host, fr *runtime.Frontier, m npm.Map[graph
 	return p
 }
 
-// everyHostProbesAsync reports, collectively, whether the mode rule ad
-// probes async on every host.
-func everyHostProbesAsync(h *runtime.Host, ad *runtime.Adaptive) bool {
-	var n runtime.CountReducer
-	if ad.ProbesAsync() {
-		n.Set(1)
-	}
-	n.Sync(h.EP)
-	return n.Read() == int64(h.EP.NumHosts())
-}
-
-// next decides the shape of the coming round from the frontier entering
-// it. Collective when pull is legal under StrategyAdaptive (see
+// next decides the shape of a label round, pull or bsp, from the frontier
+// entering it. Collective when pull is legal under StrategyAdaptive (see
 // direction).
 func (p *policy) next(fr *runtime.Frontier) roundKind {
-	return p.shape(p.direction(fr), fr)
+	return pullOrBSP(p.direction(fr))
 }
 
 // nextFromActive is next for a phase that already holds the globally
 // reduced active-master count (MIS's undecided count): the pull rule runs
 // on it with no collective of its own.
-func (p *policy) nextFromActive(activeMasters int64, fr *runtime.Frontier) roundKind {
-	return p.shape(p.directionFromActive(activeMasters), fr)
+func (p *policy) nextFromActive(activeMasters int64) roundKind {
+	return pullOrBSP(p.directionFromActive(activeMasters))
 }
 
-// pushRound decides the shape of a round that has no pull form (the
-// pointer-jumping shortcut): async or bsp.
-func (p *policy) pushRound(fr *runtime.Frontier) roundKind {
-	return p.shape(runtime.DirPush, fr)
+func pullOrBSP(dir runtime.Direction) roundKind {
+	if dir == runtime.DirPull {
+		return roundPull
+	}
+	return roundBSP
 }
 
-// shape completes a round decision: a pull round is final; a push round
+// pushRound decides the shape of a shortcut round, async or bsp: it
 // drains when async is legal and — under StrategyAdaptive — this host's
 // telemetry says the drain pays.
-func (p *policy) shape(dir runtime.Direction, fr *runtime.Frontier) roundKind {
+func (p *policy) pushRound(fr *runtime.Frontier) roundKind {
 	switch {
-	case dir == runtime.DirPull:
-		return roundPull
-	case p == nil || p.ah == nil || fr == nil:
+	case p == nil || p.ah == nil:
 		return roundBSP
 	case p.ad == nil || p.ad.NextMode(fr.Count()) == runtime.ModeAsync:
 		return roundAsync
@@ -315,7 +293,7 @@ func (p *policy) trial(dir runtime.Direction) runtime.Direction {
 
 // observe feeds one finished round's telemetry to the adaptive mode rule
 // (a no-op unless async is legal under StrategyAdaptive).
-func (p *policy) observe(k roundKind, fr *runtime.Frontier, drained runtime.DrainStats) {
+func (p *policy) observe(k roundKind, fr *runtime.Frontier) {
 	if p == nil || p.ad == nil || p.ah == nil || fr == nil {
 		return
 	}
@@ -328,7 +306,6 @@ func (p *policy) observe(k roundKind, fr *runtime.Frontier, drained runtime.Drai
 		Active:       fr.Count(),
 		FrontierSize: fr.Size(),
 		Mode:         mode,
-		Drain:        drained,
 		CASApplied:   applied - p.prevApplied,
 		CASRetries:   retries - p.prevRetries,
 	})
@@ -361,16 +338,4 @@ func (p *policy) labelPriority(n graph.NodeID) int {
 // ccAsyncOpts is the drain configuration for the CC phases.
 func (p *policy) ccAsyncOpts() runtime.AsyncOpts {
 	return runtime.AsyncOpts{Levels: 2, Priority: p.labelPriority}
-}
-
-// degreePriority returns a MIS drain priority: high-degree vertices first
-// (they knock out the most neighbors). deg is captured once per phase —
-// static priorities need no atomic reads.
-func degreePriority(local *graph.Graph, avg int) func(graph.NodeID) int {
-	return func(n graph.NodeID) int {
-		if local.Degree(n) >= avg {
-			return 0
-		}
-		return 1
-	}
 }

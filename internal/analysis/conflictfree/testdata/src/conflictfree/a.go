@@ -100,18 +100,6 @@ func reduceAndActivateLocked(s *store, l *lockedFrontier, u int, x float64) { //
 	l.activate(u)
 }
 
-// The async scheduler's hot paths are annotated in their home packages
-// (AsyncCtx.Enqueue, asyncSched.enqueue/stealAny) and proven there; a
-// drain body re-enqueuing through the real handle must stay provable
-// from the caller side too — the chain runs through the dedup bitset's
-// CAS loop and the Chase-Lev deque's atomics, all lock-free.
-//
-//kimbap:conflictfree
-func reduceAndReenqueue(s *store, cx *runtime.AsyncCtx, u int, x float64) {
-	s.vals[u] += x
-	cx.Enqueue(0)
-}
-
 // Deque Push/Pop/Steal are plain atomics; an annotated owner loop over
 // one is clean.
 //

@@ -170,16 +170,6 @@ func asyncDrainAfterUnlock(sh *shard, h *runtime.Host, fr *runtime.Frontier, k, 
 	h.AsyncDrain(fr, runtime.AsyncOpts{}, func(tid int, node graph.NodeID, cx *runtime.AsyncCtx) {})
 }
 
-// In-drain re-enqueue is one dedup-bit set plus a deque push — lock-free
-// by construction (the conflictfree analyzer proves it), so bodies may
-// call it inside their own locked regions.
-func enqueueWhileLocked(sh *shard, cx *runtime.AsyncCtx, node graph.NodeID, k, v int) {
-	sh.mu.Lock()
-	sh.m[k] = v
-	cx.Enqueue(node)
-	sh.mu.Unlock()
-}
-
 // Frontier activation is an atomic load/CAS loop: it never blocks, so marking
 // a vertex active inside a locked region is fine.
 func activateWhileLocked(sh *shard, fr *runtime.Frontier, k, v int) {

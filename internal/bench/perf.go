@@ -117,8 +117,7 @@ func (c Config) PerfTo(w io.Writer, jsonPath string) error {
 		c.ccIECPerf("cc_sv_push", 4, algorithms.StrategyBSP),
 		c.ccIECPerf("cc_sv_pull", 4, algorithms.StrategyPull),
 		c.ccIECPerf("cc_sv_direction_adaptive", 4, algorithms.StrategyAdaptive),
-		c.misPerf("mis_full", 1, algorithms.StrategyBSP),
-		c.misPerf("mis_async", 1, algorithms.StrategyAsync),
+		c.misPerf("mis_full", 1),
 	}
 	records = append(records, c.ingestPerf()...)
 	records = append(records, c.ingestIOPerf()...)
@@ -407,10 +406,9 @@ func (c Config) ccPerfOn(name string, g *graph.Graph, variant npm.Variant, hosts
 	return rec
 }
 
-// misPerf measures one end-to-end MIS run under one strategy (the
-// standard R-MAT input; MIS keeps no round log, so only the scalar
-// columns are filled).
-func (c Config) misPerf(name string, hosts int, s algorithms.Strategy) PerfRecord {
+// misPerf measures one end-to-end MIS run (the standard R-MAT input; MIS
+// keeps no round log, so only the scalar columns are filled).
+func (c Config) misPerf(name string, hosts int) PerfRecord {
 	g, _ := c.perfGraph()
 	rec := PerfRecord{Name: name, Hosts: hosts, Threads: c.Threads}
 	best := time.Duration(-1)
@@ -427,7 +425,7 @@ func (c Config) misPerf(name string, hosts int, s algorithms.Strategy) PerfRecor
 		gort.ReadMemStats(&ms0)
 		start := time.Now()
 		cluster.Run(func(h *runtime.Host) {
-			algorithms.MIS(h, algorithms.Config{Strategy: s}, out)
+			algorithms.MIS(h, algorithms.Config{}, out)
 		})
 		wall := time.Since(start)
 		gort.ReadMemStats(&ms1)

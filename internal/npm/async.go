@@ -4,28 +4,22 @@ import (
 	"sync/atomic"
 
 	"kimbap/internal/graph"
-	"kimbap/internal/par"
 )
 
 // The asynchronous apply path. During a runtime.AsyncDrain, operator
-// bodies bypass the round-buffered thread-local reduce for targets whose
-// value lives on this host (masters and pinned mirrors): they combine via
-// an atomic CAS loop directly on the dense value arrays, and the drain
-// re-enqueues the changed vertex immediately. Targets that are not local
-// proxies still take the buffered Reduce path and surface at the next
-// reduce-sync, which is what keeps cross-host synchronization BSP.
-//
-// Soundness: in-place mirror values are flushed at ReduceSync as
-// whole-value partials, so the owner may fold in a contribution that
-// already contains its own broadcast master value — double-counting
-// unless Combine is idempotent. AsyncNode therefore refuses operators
-// without ReduceOp.Idempotent.
+// bodies bypass the round-buffered thread-local reduce for targets this
+// host owns: they combine via an atomic CAS loop directly on the master
+// array, so later bodies in the same drain read the new value. Every
+// other target — mirrors included — takes the buffered Reduce path and
+// surfaces at the next reduce-sync, which is what keeps cross-host
+// synchronization BSP. A master CAS is an exact apply, so the path is
+// sound for any operator.
 //
 // The handle is deliberately non-generic (NodeID-valued Full maps only):
 // Go cannot CAS an arbitrary comparable V, but *graph.NodeID converts
 // legally to *uint32 (identical underlying types), giving a lock-free
-// 32-bit CAS with no unsafe. NodeID maps cover the algorithms that want
-// asynchrony (CC label propagation, CC hook/shortcut, MIS state).
+// 32-bit CAS with no unsafe. Its one user is the CC shortcut's
+// pointer-jumping chase.
 
 // AsyncNodeHandle is an in-place atomic view over a Full-variant NodeID
 // map for use inside asynchronous drains. Obtain one with AsyncNode.
@@ -39,43 +33,34 @@ type AsyncNodeHandle struct {
 	m *fullMap[graph.NodeID]
 }
 
-// AsyncNode returns the async apply handle for m, or false when m does not
-// support in-place asynchronous application (not the Full variant, or a
-// non-idempotent operator).
+// AsyncNode returns the async apply handle for m, or false when m is not
+// the Full variant.
 func AsyncNode(m Map[graph.NodeID]) (*AsyncNodeHandle, bool) {
 	fm, ok := m.(*fullMap[graph.NodeID])
-	if !ok || !fm.op.Idempotent {
+	if !ok {
 		return nil, false
-	}
-	if fm.mirrorDirty == nil {
-		fm.mirrorDirty = par.NewBitset(fm.hp.NumMirrors())
 	}
 	return &AsyncNodeHandle{m: fm}, true
 }
 
-// nodeSlot returns n's value slot as an atomically accessible *uint32:
-// masters and pinned mirrors only.
-func (a *AsyncNodeHandle) nodeSlot(n graph.NodeID) (p *uint32, local graph.NodeID, mirror bool, ok bool) {
+// masterSlot returns n's value slot as an atomically accessible *uint32,
+// and its local ID, when this host owns n.
+func (a *AsyncNodeHandle) masterSlot(n graph.NodeID) (p *uint32, local graph.NodeID, ok bool) {
 	m := a.m
 	if n >= m.masterLo && n < m.masterHi {
 		i := n - m.masterLo
-		return (*uint32)(&m.masters[i]), i, false, true
+		return (*uint32)(&m.masters[i]), i, true
 	}
-	if m.pinned {
-		if l, isLocal := m.hp.LocalID(n); isLocal && !m.hp.IsMaster(l) {
-			return (*uint32)(&m.mirrors[int(l)-m.hp.NumMasters]), l, true, true
-		}
-	}
-	return nil, 0, false, false
+	return nil, 0, false
 }
 
 // Load atomically reads n's value. ok is false when n is not materialized
-// on this host (no master, no pinned mirror, no cached request response) —
-// the drain-safe analogue of Read's panic.
+// on this host (neither a master nor a cached request response) — the
+// drain-safe analogue of Read's panic.
 //
 //kimbap:conflictfree
 func (a *AsyncNodeHandle) Load(n graph.NodeID) (v graph.NodeID, ok bool) {
-	if p, _, _, isLocal := a.nodeSlot(n); isLocal {
+	if p, _, isMaster := a.masterSlot(n); isMaster {
 		return graph.NodeID(atomic.LoadUint32(p)), true
 	}
 	// The request cache is written only during RequestSync (a BSP phase);
@@ -91,17 +76,17 @@ func (a *AsyncNodeHandle) Load(n graph.NodeID) (v graph.NodeID, ok bool) {
 	return 0, false
 }
 
-// ReduceAsync merges v into n's value. When n is a local proxy the merge
-// is an in-place CAS loop (applied reports this) and changed reports
-// whether the stored value moved — the caller's signal to re-enqueue n's
-// local ID. Otherwise the merge falls back to the buffered thread-local
-// reduce (applied=false) and surfaces at the next ReduceSync.
+// ReduceAsync merges v into n's value. When this host owns n the merge is
+// an in-place CAS loop (applied reports this) and changed reports whether
+// the stored value moved — the caller's signal to activate n's local ID.
+// Otherwise the merge falls back to the buffered thread-local reduce
+// (applied=false) and surfaces at the next ReduceSync.
 //
 //kimbap:conflictfree
 func (a *AsyncNodeHandle) ReduceAsync(tid int, n, v graph.NodeID) (local graph.NodeID, applied, changed bool) {
 	m := a.m
-	p, local, mirror, isLocal := a.nodeSlot(n)
-	if !isLocal {
+	p, local, isMaster := a.masterSlot(n)
+	if !isMaster {
 		m.Reduce(tid, n, v)
 		return 0, false, false
 	}
@@ -117,12 +102,8 @@ func (a *AsyncNodeHandle) ReduceAsync(tid int, n, v graph.NodeID) (local graph.N
 		m.casRetries.Add(1)
 	}
 	m.casApplied.Add(1)
-	if mirror {
-		m.mirrorDirty.Set(int(local) - m.hp.NumMasters)
-	} else {
-		m.updated.Store(true)
-		m.masterDirty.Set(int(local))
-	}
+	m.updated.Store(true)
+	m.masterDirty.Set(int(local))
 	return local, true, true
 }
 
@@ -131,8 +112,3 @@ func (a *AsyncNodeHandle) ReduceAsync(tid int, n, v graph.NodeID) (local graph.N
 func (a *AsyncNodeHandle) CASStats() (applied, retries int64) {
 	return a.m.casApplied.Load(), a.m.casRetries.Load()
 }
-
-// NumMasters returns the host's master count (local IDs below it are
-// masters), so drain bodies can classify the local IDs ReduceAsync hands
-// back without reaching into the partition.
-func (a *AsyncNodeHandle) NumMasters() int { return a.m.hp.NumMasters }

@@ -55,15 +55,10 @@ type fullMap[V comparable] struct {
 	mirrorsFresh bool
 	pullSnap     []V
 
-	// Async apply-path state (see async.go), allocated when an
-	// AsyncNodeHandle attaches. mirrorDirty marks pinned mirrors whose
-	// value a drain changed in place; ReduceSync flushes them to their
-	// owners as whole-value partials (sound only for idempotent ops,
-	// which the handle enforces). The counters are the policy engine's
+	// Async apply-path counters (see async.go): the policy engine's
 	// contention telemetry.
-	mirrorDirty *par.Bitset
-	casApplied  atomic.Int64
-	casRetries  atomic.Int64
+	casApplied atomic.Int64
+	casRetries atomic.Int64
 
 	reqBits   *par.Bitset    // global IDs requested this round
 	cacheKeys []graph.NodeID // sorted requested remote IDs
@@ -420,9 +415,6 @@ func (m *fullMap[V]) ReduceSync() {
 		for _, t := range m.tl {
 			t.Reset()
 		}
-		if m.mirrorDirty != nil {
-			m.mirrorDirty.Clear()
-		}
 
 		// Scatter: one message per host pair, with compute/comm overlap —
 		// ExchangeFunc assembles destination o's payload and hands it to
@@ -462,18 +454,17 @@ func (m *fullMap[V]) ReduceSync() {
 
 // accumulator returns thread 0's dense buffer, the one every thread's dense
 // partials fold into. It is allocated here when thread 0 never reduced to a
-// local proxy but another thread did, or an async handle may flush mirrors;
-// nil means no dense partial exists this round.
+// local proxy but another thread did; nil means no dense partial exists
+// this round.
 func (m *fullMap[V]) accumulator() *denseReduce[V] {
 	if m.dense[0] != nil {
 		return m.dense[0]
 	}
-	need := m.mirrorDirty != nil
 	for _, b := range m.dense[1:] {
-		need = need || b != nil
-	}
-	if need {
-		m.dense[0] = newDenseReduce[V](m.hp.NumLocal(), m.h.Threads)
+		if b != nil {
+			m.dense[0] = newDenseReduce[V](m.hp.NumLocal(), m.h.Threads)
+			break
+		}
 	}
 	return m.dense[0]
 }
@@ -481,8 +472,7 @@ func (m *fullMap[V]) accumulator() *denseReduce[V] {
 // combineDense is combine thread t's pass over dense range t. It folds
 // threads 1..T-1's partials into acc in ascending thread order, the order
 // the hash combine folds in, so float sums match it bit for bit. It then
-// adds the async path's dirty mirrors, applies masters in place and encodes
-// mirrors for their owners.
+// applies masters in place and encodes mirrors for their owners.
 //
 // Range t is whole 64-bit words of local-ID space, and master local IDs
 // index masterDirty and the frontier directly, so thread t is the only
@@ -498,15 +488,6 @@ func (m *fullMap[V]) combineDense(acc *denseReduce[V], t int) {
 		}
 	}
 	nm := m.hp.NumMasters
-	if m.mirrorDirty != nil {
-		// Async drains CAS pinned mirrors in place instead of buffering
-		// reduces; their values flush to the owners here, as whole-value
-		// partials riding the normal cells path.
-		lo, hi := acc.localRange(t)
-		m.mirrorDirty.ForEachSetIn(lo-nm, hi-nm, func(slot int) {
-			acc.reduce(graph.NodeID(nm+slot), m.mirrors[slot], m.op.Combine)
-		})
-	}
 	changed := false
 	acc.drainRange(t, func(l graph.NodeID, v V) {
 		if int(l) >= nm {

@@ -192,12 +192,6 @@ type ReduceOp[V comparable] struct {
 	Combine     func(a, b V) V
 	Identity    V
 	HasIdentity bool
-	// Idempotent marks operators where Combine(a, a) == a (min, max but
-	// not sum). The asynchronous CAS apply path requires it: an in-place
-	// mirror update is later flushed as a whole-value partial, so the
-	// owner may combine a contribution that already includes its own
-	// master value — harmless exactly when the operator is idempotent.
-	Idempotent bool
 }
 
 // MinNodeID is the min operator over node IDs (CC algorithms).
@@ -207,7 +201,6 @@ func MinNodeID() ReduceOp[graph.NodeID] {
 		Combine:     func(a, b graph.NodeID) graph.NodeID { return min(a, b) },
 		Identity:    graph.InvalidNode,
 		HasIdentity: true,
-		Idempotent:  true,
 	}
 }
 
@@ -218,7 +211,6 @@ func MaxNodeID() ReduceOp[graph.NodeID] {
 		Combine:     func(a, b graph.NodeID) graph.NodeID { return max(a, b) },
 		Identity:    0,
 		HasIdentity: true,
-		Idempotent:  true,
 	}
 }
 
@@ -235,9 +227,8 @@ func SumFloat64() ReduceOp[float64] {
 // MinFloat64 is the min operator over float64.
 func MinFloat64() ReduceOp[float64] {
 	return ReduceOp[float64]{
-		Name:       "min",
-		Combine:    func(a, b float64) float64 { return min(a, b) },
-		Idempotent: true,
+		Name:    "min",
+		Combine: func(a, b float64) float64 { return min(a, b) },
 	}
 }
 

@@ -72,25 +72,6 @@ func (b *Bitset) SetOwned(i int) {
 	}
 }
 
-// Unset atomically clears bit i and reports whether it was previously set.
-// The set-returns-prior/unset-returns-prior pair lets concurrent workers
-// use a bitset as a claim table: whoever observes the transition owns the
-// item (the async scheduler's dedup and spill sets). Load/CAS loop for the
-// same reason as Set.
-func (b *Bitset) Unset(i int) bool {
-	w := &b.words[i/64]
-	mask := uint64(1) << (uint(i) % 64)
-	for {
-		old := w.Load()
-		if old&mask == 0 {
-			return false
-		}
-		if w.CompareAndSwap(old, old&^mask) {
-			return true
-		}
-	}
-}
-
 // Test reports whether bit i is set.
 func (b *Bitset) Test(i int) bool {
 	return b.words[i/64].Load()&(uint64(1)<<(uint(i)%64)) != 0

@@ -11,8 +11,8 @@ import "sync/atomic"
 // operator bodies.
 //
 // The capacity is fixed (rounded up to a power of two): Push reports false
-// instead of growing, and the caller parks the item elsewhere (the
-// scheduler's spill bitset). A bounded buffer keeps the no-overwrite
+// instead of growing (the drain scheduler sizes each deque to an even
+// share of its seed, so it never overflows). A bounded buffer keeps the no-overwrite
 // argument simple: a slot at index i (mod capacity) can only be rewritten
 // once bottom has advanced a full capacity past i, which Push's fullness
 // check forbids while any thief still holds top <= i.

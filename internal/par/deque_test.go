@@ -119,38 +119,3 @@ func TestDequeConcurrentStealExactlyOnce(t *testing.T) {
 		}
 	}
 }
-
-func TestBitsetUnset(t *testing.T) {
-	b := NewBitset(130)
-	if b.Unset(5) {
-		t.Fatal("Unset on clear bit reported it was set")
-	}
-	b.Set(5)
-	b.Set(129)
-	if !b.Unset(5) {
-		t.Fatal("Unset on set bit reported it was clear")
-	}
-	if b.Test(5) {
-		t.Fatal("bit 5 still set after Unset")
-	}
-	if !b.Test(129) {
-		t.Fatal("Unset(5) disturbed bit 129")
-	}
-	// Claim-table contract: exactly one of N concurrent Unsets wins.
-	b.Set(64)
-	var wins atomic.Int32
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if b.Unset(64) {
-				wins.Add(1)
-			}
-		}()
-	}
-	wg.Wait()
-	if wins.Load() != 1 {
-		t.Fatalf("%d concurrent Unset winners, want 1", wins.Load())
-	}
-}

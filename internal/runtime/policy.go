@@ -3,7 +3,7 @@ package runtime
 // The adaptive policy engine: per round, each host chooses between the BSP
 // compute path and an asynchronous drain, and retunes the frontier's
 // dense/sparse representation threshold, from telemetry the runtime
-// already produces (active fraction, re-activation rate, CAS-retry
+// already produces (active fraction, local-target share, CAS-retry
 // counts). Decisions are host-local and safe to diverge across hosts:
 // algorithms issue the same collective sequence per round in either mode,
 // so one host draining asynchronously while another runs BSP still meets
@@ -16,8 +16,8 @@ const (
 	// ModeBSP is the classic path: iterate the frontier, buffer reduces
 	// thread-locally, apply at the next reduce-sync.
 	ModeBSP ExecMode = iota
-	// ModeAsync drains the frontier with the priority scheduler: CAS
-	// in-place applies and immediate re-enqueue of activated vertices.
+	// ModeAsync drains the frontier with the priority scheduler and CAS
+	// in-place applies.
 	ModeAsync
 )
 
@@ -54,15 +54,15 @@ type RoundTelemetry struct {
 	Active       int // frontier count entering the round
 	FrontierSize int // vertex-space size of the frontier
 	Mode         ExecMode
-	Drain        DrainStats // zero-valued when the round ran BSP
-	CASApplied   int64      // in-place applies during the round's drains
-	CASRetries   int64      // CAS retry loops (contention signal)
+	CASApplied   int64 // in-place applies during the round's drains
+	CASRetries   int64 // CAS retry loops (contention signal)
 }
 
 const (
-	// asyncScoreFloor is the score (local share + re-activation EMA) above
-	// which a round runs async: high local share means cascades stay on
-	// this host, high re-activation means cascades actually happen.
+	// asyncScoreFloor is the local share at or above which an observed
+	// controller keeps running async: a high share means the drain's
+	// in-place applies reach most targets instead of buffering for
+	// mirrors' owners.
 	asyncScoreFloor = 0.75
 	// casRetryCeiling is the retries-per-apply EMA above which contention
 	// makes buffered BSP reduces cheaper than CAS loops.
@@ -96,7 +96,6 @@ const (
 type Adaptive struct {
 	h          *Host
 	localShare float64 // masters / local proxies: the fraction of targets CAS can reach
-	reactEMA   float64 // re-enqueues per seeded vertex, observed
 	retryEMA   float64 // CAS retries per apply, observed
 	observed   bool    // at least one async round measured
 	divisor    int     // current dense/sparse divisor this controller set
@@ -131,33 +130,24 @@ func (a *Adaptive) NextMode(active int) ExecMode {
 	}
 	if !a.observed {
 		// No async round measured yet: probe once when enough targets are
-		// local for cascades to plausibly pay off (always on one host).
-		if a.ProbesAsync() {
+		// local for in-place applies to plausibly pay off (always on one
+		// host).
+		if a.localShare >= asyncProbeShare {
 			return ModeAsync
 		}
 		return ModeBSP
 	}
-	if a.localShare+a.reactEMA >= asyncScoreFloor {
+	if a.localShare >= asyncScoreFloor {
 		return ModeAsync
 	}
 	return ModeBSP
 }
 
-// ProbesAsync reports whether NextMode's first frontier round on this host
-// runs async: whether enough of the host's targets are local for a drain's
-// cascades to plausibly pay.
-func (a *Adaptive) ProbesAsync() bool { return a.localShare >= asyncProbeShare }
-
-// Observe feeds one completed round's telemetry: updates the mode-choice
-// EMAs and retunes the host's dense/sparse threshold when the
+// Observe feeds one completed round's telemetry: updates the CAS-retry
+// EMA after an async round and retunes the host's dense/sparse threshold when the
 // representation is flapping at the boundary.
 func (a *Adaptive) Observe(t RoundTelemetry) {
-	if t.Mode == ModeAsync && t.Drain.Seeded > 0 {
-		react := float64(t.Drain.Reenqueued) / float64(t.Drain.Seeded)
-		if react > 1 {
-			react = 1
-		}
-		a.reactEMA = a.reactEMA*(1-policyEMAWeight) + react*policyEMAWeight
+	if t.Mode == ModeAsync {
 		if t.CASApplied > 0 {
 			retry := float64(t.CASRetries) / float64(t.CASApplied)
 			a.retryEMA = a.retryEMA*(1-policyEMAWeight) + retry*policyEMAWeight

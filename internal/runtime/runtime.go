@@ -36,16 +36,6 @@ type Config struct {
 	// UseTCP selects the real-socket transport instead of the in-memory
 	// channel transport.
 	UseTCP bool
-	// FrontierDenseDivisor sets ParForActive's dense/sparse switch: the
-	// frontier iterates densely (parallel masked word scan) when
-	// |active| >= |V|/divisor, sparsely (compacted index list) below.
-	// Defaults to frontierDenseDivisor (16). The adaptive policy engine
-	// retunes it per host at runtime via SetFrontierThresholds.
-	FrontierDenseDivisor int
-	// FrontierSerialCutoff is the frontier size at or below which
-	// ParForActive runs inline on the calling goroutine instead of waking
-	// the worker pool. Defaults to frontierSerialCutoff (256).
-	FrontierSerialCutoff int
 	// Reorder selects a locality-aware vertex reordering applied at
 	// cluster construction (DESIGN.md §14): the graph is permuted before
 	// partitioning and the partition carries the permutation, so
@@ -64,12 +54,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Policy == "" {
 		c.Policy = partition.OEC
-	}
-	if c.FrontierDenseDivisor == 0 {
-		c.FrontierDenseDivisor = frontierDenseDivisor
-	}
-	if c.FrontierSerialCutoff == 0 {
-		c.FrontierSerialCutoff = frontierSerialCutoff
 	}
 	return c
 }
@@ -95,9 +79,10 @@ type Host struct {
 	pool   *workerPool
 	mapSeq atomic.Int64
 
-	// Frontier representation thresholds (see Config); atomic because the
-	// adaptive policy rewrites them between rounds while telemetry readers
-	// may inspect them. Zero means "use the package default".
+	// Frontier representation thresholds (SetFrontierThresholds); atomic
+	// because the adaptive policy rewrites them between rounds while
+	// telemetry readers may inspect them. Zero means "use the package
+	// default".
 	denseDivisor atomic.Int64
 	serialCutoff atomic.Int64
 	// async is the host's persistent drain scheduler, created on first
@@ -154,7 +139,6 @@ func NewCluster(g *graph.Graph, cfg Config) (*Cluster, error) {
 			Threads: cfg.ThreadsPerHost,
 			pool:    newWorkerPool(cfg.ThreadsPerHost),
 		}
-		h.SetFrontierThresholds(cfg.FrontierDenseDivisor, cfg.FrontierSerialCutoff)
 		c.hosts = append(c.hosts, h)
 	}
 	return c, nil
@@ -383,7 +367,8 @@ const frontierDenseDivisor = 16
 const frontierSerialCutoff = 256
 
 // SetFrontierThresholds overrides the host's frontier representation
-// thresholds (Config.FrontierDenseDivisor / FrontierSerialCutoff). Zero
+// thresholds: the dense divisor (iterate densely at |active| >=
+// |V|/divisor) and the serial cutoff (run inline at or below it). Zero
 // leaves the corresponding threshold unchanged; negative restores the
 // package default. Safe to call between rounds; the adaptive policy engine
 // uses it to retune the dense/sparse switch from observed telemetry.
