@@ -31,6 +31,10 @@ type CCStats struct {
 	HookRounds     int // hook (or propagate) BSP rounds
 	ShortcutRounds int
 	OuterRounds    int
+	// Converged reports that the run stopped because a round changed no
+	// label, not because Config.MaxRounds cut it off: only then are the
+	// labels the connected components.
+	Converged bool
 	// PerRound is filled under Config.LogRounds, one entry per BSP round in
 	// execution order (hook rounds, then shortcut rounds, per outer round).
 	PerRound RoundStats
@@ -66,7 +70,8 @@ func (r *labelRun) finish(out []graph.NodeID) {
 }
 
 // rounds runs label rounds on the pinned map until a round changes no
-// label or limit rounds have run, and returns how many ran. The policy
+// label or limit rounds have run, and returns how many ran and whether the
+// last one changed no label (false: limit cut the phase off). The policy
 // picks each round's shape: bsp runs push over fr (every local node when
 // fr is nil), and pull min-folds every master's in-neighbors
 // (pullMinRound) and raises workDone, if set, on each change; the push
@@ -74,10 +79,10 @@ func (r *labelRun) finish(out []graph.NodeID) {
 // bsp after its own ReduceSync, a pull round with no reduce at all — so
 // each round starts on fresh mirrors.
 func (r *labelRun) rounds(fr *runtime.Frontier, limit int, workDone *runtime.BoolReducer,
-	push func(tid int, src graph.NodeID)) int {
+	push func(tid int, src graph.NodeID)) (n int, quiet bool) {
 
 	h, m := r.h, r.m
-	for n := 1; ; n++ {
+	for n = 1; ; n++ {
 		m.ResetUpdated()
 		if r.cfg.requestActive() {
 			requestLocalProxies(h, m)
@@ -97,8 +102,8 @@ func (r *labelRun) rounds(fr *runtime.Frontier, limit int, workDone *runtime.Boo
 		}
 		m.BroadcastSync()
 		endRound(r.pol, r.rl, fr, k, true, h.HP.NumLocal())
-		if !m.IsUpdated() || n >= limit {
-			return n
+		if quiet = !m.IsUpdated(); quiet || n >= limit {
+			return n, quiet
 		}
 	}
 }
@@ -161,9 +166,12 @@ func CCSV(h *runtime.Host, cfg Config, out []graph.NodeID) CCStats {
 		stats.OuterRounds++
 		workDone.Set(false)
 		stats.HookRounds += r.hook(&workDone, seed)
-		stats.ShortcutRounds += shortcut(h, cfg, r.m, r.fr, sc, r.rl, acc)
+		n, quiet := shortcut(h, cfg, r.m, r.fr, sc, r.rl, acc)
+		stats.ShortcutRounds += n
 		seed = acc
 		workDone.Sync(h.EP)
+		// Converged: no hook did work and the shortcut ran to quiescence.
+		stats.Converged = !workDone.Read() && quiet
 		if !workDone.Read() || stats.OuterRounds >= cfg.maxRounds() {
 			break
 		}
@@ -225,7 +233,7 @@ func (r *labelRun) hook(workDone *runtime.BoolReducer, seed *par.Bitset) int {
 		fr.Advance()
 	}
 	local, lv := h.HP.Local, npm.Local(parent)
-	rounds := r.rounds(fr, r.cfg.maxRounds(), workDone, func(tid int, src graph.NodeID) {
+	rounds, _ := r.rounds(fr, r.cfg.maxRounds(), workDone, func(tid int, src graph.NodeID) {
 		srcParent := lv.Value(src)
 		lo, hi := local.EdgeRange(src)
 		for e := lo; e < hi; e++ {
@@ -254,7 +262,8 @@ func (r *labelRun) hook(workDone *runtime.BoolReducer, seed *par.Bitset) int {
 // master nodes. fr is the frontier (nil: every master every round), pol
 // the round policy and rl the round log (each nil: bsp only, no log).
 // When acc is set, each round's changed masters are ored into it,
-// seeding the next hook phase (see CCSV).
+// seeding the next hook phase (see CCSV). It returns the rounds run and
+// whether the last changed no parent (false: MaxRounds cut it off).
 //
 // The frontier starts with every master (the preceding phase changed
 // parents untracked) and then narrows to masters whose parent changed:
@@ -270,7 +279,7 @@ func (r *labelRun) hook(workDone *runtime.BoolReducer, seed *par.Bitset) int {
 // rounds; cross-host chains still advance one request round at a time,
 // exactly like bsp.
 func shortcut(h *runtime.Host, cfg Config, parent npm.Map[graph.NodeID], fr *runtime.Frontier,
-	pol *policy, rl *roundLogger, acc *par.Bitset) int {
+	pol *policy, rl *roundLogger, acc *par.Bitset) (rounds int, quiet bool) {
 
 	if fr != nil {
 		// Reset discards stale activations (e.g. mirror bits from a prior
@@ -293,7 +302,7 @@ func shortcut(h *runtime.Host, cfg Config, parent npm.Map[graph.NodeID], fr *run
 			parent.Reduce(tid, gid, gp)
 		}
 	}
-	for rounds := 1; ; rounds++ {
+	for rounds = 1; ; rounds++ {
 		parent.ResetUpdated()
 		if cfg.requestActive() {
 			requestLocalProxies(h, parent)
@@ -330,8 +339,8 @@ func shortcut(h *runtime.Host, cfg Config, parent npm.Map[graph.NodeID], fr *run
 		if acc != nil {
 			fr.OrCurrentInto(acc)
 		}
-		if !parent.IsUpdated() || rounds >= cfg.maxRounds() {
-			return rounds
+		if quiet = !parent.IsUpdated(); quiet || rounds >= cfg.maxRounds() {
+			return rounds, quiet
 		}
 	}
 }
@@ -440,7 +449,7 @@ func CCLP(h *runtime.Host, cfg Config, out []graph.NodeID) CCStats {
 		r.fr.ActivateAll()
 		r.fr.Advance()
 	}
-	stats.HookRounds = r.rounds(r.fr, cfg.maxRounds(), nil, func(tid int, src graph.NodeID) {
+	stats.HookRounds, stats.Converged = r.rounds(r.fr, cfg.maxRounds(), nil, func(tid int, src graph.NodeID) {
 		label := lv.Value(src)
 		lo, hi := local.EdgeRange(src)
 		for e := lo; e < hi; e++ {
@@ -475,7 +484,7 @@ func CCSCLP(h *runtime.Host, cfg Config, out []graph.NodeID) CCStats {
 		comp.PinMirrors()
 		// The propagation pass runs without the frontier: it visits every
 		// node.
-		stats.HookRounds += r.rounds(nil, 1, &workDone, func(tid int, src graph.NodeID) {
+		n, _ := r.rounds(nil, 1, &workDone, func(tid int, src graph.NodeID) {
 			label := lv.Value(src)
 			lo, hi := local.EdgeRange(src)
 			for e := lo; e < hi; e++ {
@@ -485,12 +494,15 @@ func CCSCLP(h *runtime.Host, cfg Config, out []graph.NodeID) CCStats {
 				}
 			}
 		})
+		stats.HookRounds += n
 		comp.UnpinMirrors()
 
 		// Shortcut to collapse label chains.
-		stats.ShortcutRounds += shortcut(h, cfg, comp, r.fr, sc, r.rl, nil)
+		n, quiet := shortcut(h, cfg, comp, r.fr, sc, r.rl, nil)
+		stats.ShortcutRounds += n
 
 		workDone.Sync(h.EP)
+		stats.Converged = !workDone.Read() && quiet
 		if !workDone.Read() || stats.OuterRounds >= cfg.maxRounds() {
 			break
 		}

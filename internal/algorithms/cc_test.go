@@ -116,6 +116,36 @@ func TestCCStatsPopulated(t *testing.T) {
 	}
 }
 
+// TestCCConvergedReportsCutoff checks that a MaxRounds cut-off does not
+// pass as convergence: on a 4096-node chain three rounds cannot finish any
+// of the CC algorithms, so every host reports Converged false, while the
+// default cap lets each run to quiescence, reporting true with the
+// reference labels.
+func TestCCConvergedReportsCutoff(t *testing.T) {
+	g := gen.Chain(4096, false, 1)
+	for name, algo := range ccAlgos() {
+		for _, maxRounds := range []int{3, 0} {
+			c, err := runtime.NewCluster(g, runtime.Config{NumHosts: 2, ThreadsPerHost: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			out := make([]graph.NodeID, g.NumNodes())
+			stats := make([]CCStats, 2)
+			c.Run(func(h *runtime.Host) { stats[h.Rank] = algo(h, Config{MaxRounds: maxRounds}, out) })
+			c.Close()
+			for rank, st := range stats {
+				if want := maxRounds == 0; st.Converged != want {
+					t.Errorf("%s MaxRounds=%d host %d: Converged = %v, want %v (%+v)",
+						name, maxRounds, rank, st.Converged, want, st)
+				}
+			}
+			if maxRounds == 0 {
+				checkLabels(t, g, out, name)
+			}
+		}
+	}
+}
+
 func TestCCLPRoundsScaleWithDiameter(t *testing.T) {
 	// LP needs ~diameter rounds; SV pointer jumping needs ~log rounds.
 	g := gen.Chain(128, false, 1)

@@ -66,8 +66,8 @@ func writeOnSomePath(ep comm.Endpoint, buf []byte, cond bool) {
 // slot mutates what was sent.
 func exchangeElementWrite(ep comm.Endpoint, out [][]byte) {
 	in := comm.Exchange(ep, comm.TagApp, out)
-	out[0] = in[1]  // slot replacement: ok
-	out[1][0] = 9   // want `write to out\[1\]\[0\] after out was handed to a comm send`
+	out[0] = in[1] // slot replacement: ok
+	out[1][0] = 9  // want `write to out\[1\]\[0\] after out was handed to a comm send`
 }
 
 // loopSendThenWrite: the per-element key dies with the induction

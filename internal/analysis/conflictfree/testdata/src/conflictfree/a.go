@@ -4,6 +4,7 @@
 package conflictfree
 
 import (
+	"math/bits"
 	"sync"
 
 	"kimbap/internal/par"
@@ -72,14 +73,14 @@ func reduceAndActivate(s *store, fr *runtime.Frontier, u int, x float64) {
 	fr.Activate(u)
 }
 
-// The single-writer marks of a word-owning combine thread are an atomic
-// load and store (Bitset.SetOwned): provably lock free as well.
+// The single-writer word marks of a word-owning combine thread are an
+// atomic load and store (Bitset.OrWordOwned): provably lock free as well.
 //
 //kimbap:conflictfree
 func combineAndMark(s *store, dirty *par.Bitset, fr *runtime.Frontier, u int, x float64) {
 	s.vals[u] += x
-	dirty.SetOwned(u)
-	fr.ActivateOwned(u)
+	dirty.OrWordOwned(u/64, 1<<(u%64))
+	fr.ActivateWordOwned(u/64, 1<<(u%64))
 }
 
 // A mutex-guarded activation wrapper breaks the guarantee.
@@ -179,34 +180,37 @@ func misplacedAnnotation(s *store) {
 	s.reduceClean(0, 1) // want `//kimbap:conflictfree on a statement must annotate a par.Do/Static/Dynamic dispatch`
 }
 
-// The dense reduce buffer idiom: values indexed by local ID, a plain seen
-// bitset, and first-touch lists per 64-aligned combine range. Combine
-// thread r owns range r's whole seen words, so its plain word stores need
-// no atomics and no lock, and the fold's call tree proves clean.
+// The dense reduce buffer idiom: values indexed by local ID and a plain
+// seen bitset that is the buffer's only index. Combine thread r owns range
+// r's whole seen words and walks them with a trailing-zeros scan, so its
+// plain word stores need no atomics and no lock, and the fold's call tree
+// proves clean.
 type denseBuf struct {
-	vals    []float64
-	seen    []uint64
-	touched [][]int32
+	vals []float64
+	seen []uint64
 }
 
 //kimbap:conflictfree
-func (b *denseBuf) reduce(r int, l int32, x float64) {
+func (b *denseBuf) reduce(l int, x float64) {
 	if b.seen[l/64]&(1<<(l%64)) != 0 {
 		b.vals[l] += x
 		return
 	}
 	b.seen[l/64] |= 1 << (l % 64)
 	b.vals[l] = x
-	b.touched[r] = append(b.touched[r], l)
 }
 
 //kimbap:conflictfree
-func (b *denseBuf) foldRange(src *denseBuf, r int) {
-	for _, l := range src.touched[r] {
-		src.seen[l/64] = 0
-		b.reduce(r, l, src.vals[l])
+func (b *denseBuf) foldRange(src *denseBuf, lo, hi int) {
+	for w := lo; w < hi; w++ {
+		word := src.seen[w]
+		src.seen[w] = 0
+		for word != 0 {
+			l := w*64 + bits.TrailingZeros64(word)
+			word &= word - 1
+			b.reduce(l, src.vals[l])
+		}
 	}
-	src.touched[r] = src.touched[r][:0]
 }
 
 // Guarding the seen words with a shared lock instead of range ownership is
@@ -216,16 +220,21 @@ type lockedDenseBuf struct {
 	denseBuf
 }
 
-func (b *lockedDenseBuf) reduceLocked(r int, l int32, x float64) {
+func (b *lockedDenseBuf) reduceLocked(l int, x float64) {
 	b.mu.Lock()
-	b.reduce(r, l, x)
+	b.reduce(l, x)
 	b.mu.Unlock()
 }
 
 //kimbap:conflictfree
-func (b *lockedDenseBuf) foldRangeLocked(src *denseBuf, r int) { // want `lockedDenseBuf.foldRangeLocked -> lockedDenseBuf.reduceLocked -> Mutex.Lock`
-	for _, l := range src.touched[r] {
-		src.seen[l/64] = 0
-		b.reduceLocked(r, l, src.vals[l])
+func (b *lockedDenseBuf) foldRangeLocked(src *denseBuf, lo, hi int) { // want `lockedDenseBuf.foldRangeLocked -> lockedDenseBuf.reduceLocked -> Mutex.Lock`
+	for w := lo; w < hi; w++ {
+		word := src.seen[w]
+		src.seen[w] = 0
+		for word != 0 {
+			l := w*64 + bits.TrailingZeros64(word)
+			word &= word - 1
+			b.reduceLocked(l, src.vals[l])
+		}
 	}
 }

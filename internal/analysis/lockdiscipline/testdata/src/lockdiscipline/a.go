@@ -102,7 +102,7 @@ func exchangeFuncWhileLocked(sh *shard, ep comm.Endpoint) {
 func sendBufferedWhileLocked(sh *shard, bs comm.BufferedSender) {
 	sh.mu.Lock()
 	bs.SendBuffered(1, comm.TagApp, nil) // want `comm.SendBuffered call while holding sh.mu`
-	bs.FlushSends() // want `comm.FlushSends call while holding sh.mu`
+	bs.FlushSends()                      // want `comm.FlushSends call while holding sh.mu`
 	sh.mu.Unlock()
 }
 

@@ -16,7 +16,7 @@
 // idiom), on maps the function pins — an unpinned masters-only scratch
 // map never materializes mirrors, so freshness is moot there, exactly as
 // at run time. Finally, per-node Frontier.Activate (and its single-writer
-// form, ActivateOwned) is only meaningful from a dispatched operator
+// word form, ActivateWordOwned) is only meaningful from a dispatched operator
 // closure — handed to a ParFor* dispatch or an AsyncDrain/AsyncDrainBits
 // entry point, or taking a *runtime.AsyncCtx (only the drain scheduler
 // constructs one, so such a body is dispatched compute no matter how it
@@ -449,7 +449,7 @@ func (c *checker) checkActivate(decl *ast.FuncDecl) {
 			return true
 		}
 		fn := calleeFunc(c.info, call)
-		if fn == nil || fn.Pkg() == nil || (fn.Name() != "Activate" && fn.Name() != "ActivateOwned") ||
+		if fn == nil || fn.Pkg() == nil || (fn.Name() != "Activate" && fn.Name() != "ActivateWordOwned") ||
 			!strings.HasSuffix(fn.Pkg().Path(), "internal/runtime") {
 			return true
 		}

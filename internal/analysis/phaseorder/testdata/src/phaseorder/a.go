@@ -290,22 +290,22 @@ func viewRound(h *runtime.Host, m npm.Map[uint32], fr *runtime.Frontier) {
 	fr.Advance()
 }
 
-// activateOwnedFromDriver: the single-writer activation is held to the
-// same contexts as Activate.
-func activateOwnedFromDriver(fr *runtime.Frontier, n graph.NodeID) {
-	fr.ActivateOwned(int(n)) // want `Frontier\.ActivateOwned outside an operator closure`
+// activateWordOwnedFromDriver: the single-writer word activation is held
+// to the same contexts as Activate.
+func activateWordOwnedFromDriver(fr *runtime.Frontier, n graph.NodeID) {
+	fr.ActivateWordOwned(int(n)/64, 1<<(n%64)) // want `Frontier\.ActivateWordOwned outside an operator closure`
 }
 
-// activateOwnedFromOperator: a dispatched body, or a frontier-owning
+// activateWordOwnedFromOperator: a dispatched body, or a frontier-owning
 // decoder, may use it.
-func activateOwnedFromOperator(h *runtime.Host, fr *runtime.Frontier) {
+func activateWordOwnedFromOperator(h *runtime.Host, fr *runtime.Frontier) {
 	h.ParForNodes(func(tid int, src graph.NodeID) {
-		fr.ActivateOwned(int(src))
+		fr.ActivateWordOwned(int(src)/64, 1<<(src%64))
 	})
 }
 
-func (d *decoder) combine(ids []int) {
-	for _, i := range ids {
-		d.fr.ActivateOwned(i)
+func (d *decoder) combine(words []uint64) {
+	for w, mask := range words {
+		d.fr.ActivateWordOwned(w, mask)
 	}
 }

@@ -23,6 +23,7 @@ import (
 // uniform small degree (<=4), high diameter (rows+cols), single component.
 // The result is symmetric. If weighted, edge weights are deterministic
 // pseudo-random values in [1, 100).
+//
 //kimbap:deterministic
 func Grid(rows, cols int, weighted bool, seed int64) *graph.Graph {
 	// Candidate c: cell c/2's rightward (even c) or downward (odd c) edge;
@@ -54,6 +55,7 @@ func Grid(rows, cols int, weighted bool, seed int64) *graph.Graph {
 // model with the standard (a,b,c,d) = (0.57, 0.19, 0.19, 0.05) parameters.
 // Duplicate edges and self-loops are removed and the result is symmetrized,
 // so the final edge count is somewhat below 2*edgeFactor*2^scale.
+//
 //kimbap:deterministic
 func RMAT(scale int, edgeFactor int, weighted bool, seed int64) *graph.Graph {
 	return rmat(scale, edgeFactor, 0.57, 0.19, 0.19, weighted, seed)
@@ -91,6 +93,7 @@ func rmat(scale, edgeFactor int, a, b, c float64, weighted bool, seed int64) *gr
 
 // ErdosRenyi generates a G(n, m) random graph with m directed edges chosen
 // uniformly (self-loops skipped), then symmetrized and deduplicated.
+//
 //kimbap:deterministic
 func ErdosRenyi(n, m int, weighted bool, seed int64) *graph.Graph {
 	b := builderFromCandidates(n, m, weighted,
@@ -110,6 +113,7 @@ func ErdosRenyi(n, m int, weighted bool, seed int64) *graph.Graph {
 
 // Chain generates a path graph 0-1-2-...-(n-1), symmetrized. Its diameter is
 // n-1, the extreme case for pointer-jumping algorithms.
+//
 //kimbap:deterministic
 func Chain(n int, weighted bool, seed int64) *graph.Graph {
 	candidates := n - 1
@@ -128,6 +132,7 @@ func Chain(n int, weighted bool, seed int64) *graph.Graph {
 // Star generates a hub-and-spoke graph: node 0 connected to all others,
 // symmetrized. It is the extreme case for reduction conflicts on a
 // high-degree node.
+//
 //kimbap:deterministic
 func Star(n int) *graph.Graph {
 	b := graph.NewBuilder(n)
@@ -143,6 +148,7 @@ func Star(n int) *graph.Graph {
 // expected intra-degree degIn, plus degOut random inter-community edges per
 // node. Ground truth is recoverable by community detection; used to sanity
 // check Louvain/Leiden quality.
+//
 //kimbap:deterministic
 func Communities(k, size, degIn, degOut int, weighted bool, seed int64) *graph.Graph {
 	n := k * size
@@ -200,6 +206,7 @@ var Presets = []Preset{RoadEurope, Friendster, Clueweb12, WDC12}
 // Build generates the preset graph. Weighted graphs are needed for MSF,
 // LV, and LD; generators always attach weights so one graph serves all
 // algorithms.
+//
 //kimbap:deterministic
 func Build(p Preset) *graph.Graph {
 	switch p {
@@ -217,6 +224,7 @@ func Build(p Preset) *graph.Graph {
 }
 
 // BuildSmall generates a reduced version of the preset for unit tests.
+//
 //kimbap:deterministic
 func BuildSmall(p Preset) *graph.Graph {
 	switch p {

@@ -487,6 +487,7 @@ func (s *KMB2Source) ReadBlock(i int, blk *EdgeBlock) error {
 // in-memory pipeline. This is the materialize-then-build twin the
 // streaming path is benchmarked against, and a convenience loader for
 // graphs that comfortably fit.
+//
 //kimbap:deterministic
 func LoadKMB2(path string, workers int) (*Graph, error) {
 	s, err := OpenKMB2(path)

@@ -39,6 +39,7 @@ func NewBuilderFromArrays(numNodes int, srcs, dsts []NodeID, weights []float64) 
 // an unweighted graph, else parallel to dsts. This is the partitioner's
 // per-host path: it writes each local CSR in place and never holds edge
 // columns.
+//
 //kimbap:deterministic
 func AdoptCSR(offsets []int64, dsts []NodeID, weights []float64, workers int) *Graph {
 	if len(offsets) == 0 || offsets[len(offsets)-1] != int64(len(dsts)) ||
@@ -84,6 +85,7 @@ func (b *Builder) buildWorkers(m int) int {
 // Each worker counts the reversible edges in its static chunk; an exclusive
 // scan of the per-worker counts gives each chunk's write start, so the
 // reversed edges land in exactly the order SymmetrizeSerial appends them.
+//
 //kimbap:deterministic
 func (b *Builder) Symmetrize() {
 	orig := len(b.srcs)
@@ -214,6 +216,7 @@ func sortAdjacency(g *Graph, workers int) {
 // Builder must not be reused afterwards. Neighbor lists are sorted by
 // destination (and weight, for weighted graphs); the output is
 // bit-identical to BuildSerial at every worker count.
+//
 //kimbap:deterministic
 func (b *Builder) Build() *Graph {
 	n, m := b.numNodes, len(b.srcs)
@@ -265,6 +268,7 @@ func (b *Builder) Build() *Graph {
 // sorted first-survivor edge list: exactly DedupSerial's output. Unlike
 // DedupSerial, this path validates sources eagerly (it must bucket by
 // them); out-of-range destinations are still caught by Build.
+//
 //kimbap:deterministic
 func (b *Builder) Dedup() {
 	n, m := b.numNodes, len(b.srcs)

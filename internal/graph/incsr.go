@@ -74,6 +74,7 @@ func (g *Graph) InCSRFootprint() int64 {
 // (0 = all cores) if it is not already present. Safe to call from multiple
 // phases; only the first call builds. The result is bit-identical to
 // Transpose(g)'s CSR at every worker count.
+//
 //kimbap:deterministic
 func (g *Graph) EnsureInCSR(workers int) {
 	g.inOnce.Do(func() {

@@ -173,6 +173,7 @@ func (sb *StreamBuilder) scan(workers int, blks []EdgeBlock, fn func(w int, blk 
 // bit-identical to Builder.Build over the same edge sequence; peak
 // allocation is the CSR arrays, the pooled (workers × numNodes) cursor
 // matrix, and one block buffer per worker.
+//
 //kimbap:deterministic
 func (sb *StreamBuilder) Build() (*Graph, error) {
 	n := sb.src.NumNodes()

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"kimbap/internal/gen"
 	"kimbap/internal/graph"
@@ -217,4 +218,46 @@ func BenchmarkBroadcastSyncFull(b *testing.B) {
 			m.BroadcastSync()
 		}
 	})
+}
+
+// BenchmarkDenseCombineSparse measures the dense combine's floor in late,
+// sparse rounds: a Full map over 2^20 local IDs (one host, four threads)
+// takes 64 reduces per round, so ReduceSync's cost is dominated by the
+// combine threads' walk over their ranges' seen words — NumLocal/64/T
+// loads per thread and buffer — rather than by the entries. Reported as
+// ns per ReduceSync.
+func BenchmarkDenseCombineSparse(b *testing.B) {
+	const n, threads, reduces = 1 << 20, 4, 64
+	g := gen.Chain(n, false, 1)
+	c, err := runtime.NewCluster(g, runtime.Config{NumHosts: 1, ThreadsPerHost: threads})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	keys := make([]graph.NodeID, 1024*reduces)
+	r := rand.New(rand.NewSource(1))
+	for i := range keys {
+		keys[i] = graph.NodeID(r.Intn(n))
+	}
+	var spent time.Duration
+	c.Run(func(h *runtime.Host) {
+		m := New(Options[graph.NodeID]{Host: h, Op: MinNodeID(), Codec: NodeIDCodec{}})
+		h.ParForNodes(func(_ int, l graph.NodeID) {
+			gid := h.HP.GlobalID(l)
+			m.Set(gid, gid)
+		})
+		m.InitSync()
+		lv := Local(m)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			round := keys[(i%1024)*reduces:][:reduces]
+			h.ParFor(reduces, func(tid, j int) {
+				lv.Reduce(tid, round[j], round[j]/2)
+			})
+			start := time.Now()
+			m.ReduceSync()
+			spent += time.Since(start)
+		}
+	})
+	b.ReportMetric(float64(spent.Nanoseconds())/float64(b.N), "ns/ReduceSync")
 }

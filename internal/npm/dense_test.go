@@ -3,10 +3,14 @@ package npm
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"kimbap/internal/gen"
 	"kimbap/internal/graph"
+	"kimbap/internal/partition"
 	"kimbap/internal/runtime"
 )
 
@@ -127,13 +131,13 @@ func checkDenseHashSplit(t *testing.T, h *runtime.Host, pin bool) {
 		if r == 0 {
 			for tid := 0; tid < threads; tid++ {
 				b := fm.dense[tid]
-				touched := 0
-				for _, list := range b.touched {
-					touched += len(list)
+				entries := 0
+				for _, word := range b.seen {
+					entries += bits.OnesCount64(word)
 				}
-				if touched != hp.NumLocal() {
+				if entries != hp.NumLocal() {
 					t.Errorf("host %d thread %d: %d dense entries, want one per local proxy (%d)",
-						h.Rank, tid, touched, hp.NumLocal())
+						h.Rank, tid, entries, hp.NumLocal())
 				}
 				hashed := 0
 				for _, bucket := range fm.tl[tid].buckets {
@@ -157,11 +161,6 @@ func checkDenseHashSplit(t *testing.T, h *runtime.Host, pin bool) {
 			for w, word := range b.seen {
 				if word != 0 {
 					t.Errorf("host %d thread %d round %d: seen word %d = %#x after ReduceSync", h.Rank, tid, r, w, word)
-				}
-			}
-			for rg, list := range b.touched {
-				if len(list) != 0 {
-					t.Errorf("host %d thread %d round %d: range %d keeps %d touched IDs", h.Rank, tid, r, rg, len(list))
 				}
 			}
 		}
@@ -207,7 +206,7 @@ func TestDenseReduceFootprint(t *testing.T) {
 			}
 		}
 		nl := int64(h.HP.NumLocal())
-		buf := nl*(8+4) + (nl+63)/64*8 // values, touched IDs, seen words
+		buf := nl*8 + (nl+63)/64*8 // values, seen words
 		base := FootprintOf(m)
 		lo, _ := h.HP.MasterRangeGlobal()
 		m.Reduce(1, lo, 2)
@@ -228,4 +227,204 @@ func TestDenseReduceFootprint(t *testing.T) {
 			t.Errorf("host %d: master %d = %v, want 5", h.Rank, lo, got)
 		}
 	})
+}
+
+// drainOp is one reduce of the drain-order test: v onto local ID l.
+type drainOp struct {
+	l graph.NodeID
+	v float64
+}
+
+// drainSchedule draws the drain-order test's reduces, ops[round][host][tid]
+// in issue order, from one seeded source: round 0 touches every local ID
+// (some from two threads), round 1 only the even combine ranges, round 2
+// only host 0, and round 3 random keys with repeats from every thread.
+// Values spread over 40 binades, so a changed fold order shows in the low
+// bits of a sum.
+func drainSchedule(part *partition.Partitioned, threads int, seed int64) [][][][]drainOp {
+	rng := rand.New(rand.NewSource(seed))
+	val := func() float64 { return math.Ldexp(1+rng.Float64(), rng.Intn(40)-20) }
+	ops := make([][][][]drainOp, 4)
+	for r := range ops {
+		ops[r] = make([][][]drainOp, part.NumHosts)
+		for h, hp := range part.Hosts {
+			n := hp.NumLocal()
+			ts := make([][]drainOp, threads)
+			add := func(l int) {
+				tid := rng.Intn(threads)
+				ts[tid] = append(ts[tid], drainOp{graph.NodeID(l), val()})
+			}
+			switch r {
+			case 0:
+				for l := 0; l < n; l++ {
+					add(l)
+					if rng.Intn(4) == 0 {
+						add(l)
+					}
+				}
+			case 1:
+				b := newDenseReduce[float64](n, threads)
+				for rg := 0; rg < threads; rg += 2 {
+					lo, hi := b.wordRange(rg)
+					for l := 64 * lo; l < min(64*hi, n); l++ {
+						if rng.Intn(3) == 0 {
+							add(l)
+						}
+					}
+				}
+			case 2:
+				if h == 0 {
+					for i := 0; i < n/16; i++ {
+						add(rng.Intn(n))
+					}
+				}
+			case 3:
+				for i := 0; i < 2*n; i++ {
+					add(rng.Intn(n))
+				}
+			}
+			ops[r][h] = ts
+		}
+	}
+	return ops
+}
+
+// drainOracle folds one round of ops sequentially, in the order the Full
+// map must: each thread's values in issue order, a host's thread partials
+// in ascending thread order, then the owner's host partial onto the master
+// first and the other hosts' in ascending host order. It advances vals
+// (per global ID) and returns which masters changed.
+func drainOracle(part *partition.Partitioned, ops [][][]drainOp, vals []float64) (changed []bool) {
+	partial := make([][]float64, part.NumHosts) // [host][global]
+	seen := make([][]bool, part.NumHosts)
+	for h, hp := range part.Hosts {
+		partial[h] = make([]float64, part.NumNodes)
+		seen[h] = make([]bool, part.NumNodes)
+		for _, ts := range ops[h] {
+			thread := make(map[graph.NodeID]float64)
+			var order []graph.NodeID
+			for _, op := range ts {
+				if p, ok := thread[op.l]; ok {
+					thread[op.l] = p + op.v
+				} else {
+					thread[op.l] = op.v
+					order = append(order, op.l)
+				}
+			}
+			for _, l := range order {
+				g := hp.GlobalID(l)
+				if seen[h][g] {
+					partial[h][g] += thread[l]
+				} else {
+					partial[h][g], seen[h][g] = thread[l], true
+				}
+			}
+		}
+	}
+	changed = make([]bool, part.NumNodes)
+	apply := func(h int, g graph.NodeID) {
+		if seen[h][g] {
+			if nv := vals[g] + partial[h][g]; nv != vals[g] {
+				vals[g], changed[g] = nv, true
+			}
+		}
+	}
+	for g := range vals {
+		owner := part.Owner(graph.NodeID(g))
+		apply(owner, graph.NodeID(g))
+		for h := 0; h < part.NumHosts; h++ {
+			if h != owner {
+				apply(h, graph.NodeID(g))
+			}
+		}
+	}
+	return changed
+}
+
+// TestDenseDrainMatchesSequentialOracle is the drain-order property: the
+// dense combine walks seen words in ascending local-ID order rather than
+// in touch order, and that must not show. Over seeded random rounds — one
+// touching every local ID, some leaving whole combine ranges or a whole
+// host empty, masters and mirrors alike — every master after ReduceSync,
+// every mirror after the broadcast, masterDirty, the frontier's next set
+// and IsUpdated must equal, bit for bit, a sequential fold in thread
+// order.
+func TestDenseDrainMatchesSequentialOracle(t *testing.T) {
+	g := gen.Grid(48, 48, false, 1)
+	for _, threads := range []int{1, 2, 3, 5} {
+		t.Run(fmt.Sprintf("T=%d", threads), func(t *testing.T) {
+			c, err := runtime.NewCluster(g, runtime.Config{NumHosts: 2, ThreadsPerHost: threads})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			part := c.Part
+			ops := drainSchedule(part, threads, int64(threads))
+			initVal := func(g graph.NodeID) float64 { return math.Ldexp(1+float64(g%7)/7, int(g%30)-15) }
+			vals := make([]float64, part.NumNodes)
+			for k := range vals {
+				vals[k] = initVal(graph.NodeID(k))
+			}
+			want := make([][]float64, len(ops))
+			changed := make([][]bool, len(ops))
+			for r := range ops {
+				changed[r] = drainOracle(part, ops[r], vals)
+				want[r] = append([]float64(nil), vals...)
+				if !slices.Contains(changed[r], true) {
+					t.Fatalf("round %d changes no master; the schedule tests nothing", r)
+				}
+			}
+			c.Run(func(h *runtime.Host) {
+				hp := h.HP
+				m := New(Options[float64]{Host: h, Op: SumFloat64(), Codec: Float64Codec{}}).(*fullMap[float64])
+				fr := runtime.NewFrontier(hp.NumLocal())
+				m.SetFrontier(fr)
+				h.ParForNodes(func(_ int, l graph.NodeID) {
+					gid := hp.GlobalID(l)
+					m.Set(gid, initVal(gid))
+				})
+				m.InitSync()
+				m.PinMirrors()
+				fr.Reset()
+				lv := Local[float64](m)
+				for r := range ops {
+					m.ResetUpdated()
+					h.ParFor(threads, func(_, tid int) {
+						for _, op := range ops[r][h.Rank][tid] {
+							lv.Reduce(tid, op.l, op.v)
+						}
+					})
+					m.ReduceSync()
+					for l := 0; l < hp.NumMasters; l++ {
+						gid := hp.GlobalID(graph.NodeID(l))
+						if got := m.masters[l]; math.Float64bits(got) != math.Float64bits(want[r][gid]) {
+							t.Errorf("host %d round %d: master %d = %v, oracle %v", h.Rank, r, gid, got, want[r][gid])
+						}
+						if m.masterDirty.Test(l) != changed[r][gid] {
+							t.Errorf("host %d round %d: master %d dirty=%v, oracle %v", h.Rank, r, gid, m.masterDirty.Test(l), changed[r][gid])
+						}
+					}
+					if got, exp := m.IsUpdated(), slices.Contains(changed[r], true); got != exp {
+						t.Errorf("host %d round %d: IsUpdated = %v, oracle %v", h.Rank, r, got, exp)
+					}
+					m.BroadcastSync()
+					fr.Advance()
+					for l := 0; l < hp.NumLocal(); l++ {
+						gid := hp.GlobalID(graph.NodeID(l))
+						if got := m.Read(gid); math.Float64bits(got) != math.Float64bits(want[r][gid]) {
+							t.Errorf("host %d round %d: local %d (node %d) = %v after broadcast, oracle %v", h.Rank, r, l, gid, got, want[r][gid])
+						}
+						if fr.IsActive(l) != changed[r][gid] {
+							t.Errorf("host %d round %d: local %d active=%v, oracle %v", h.Rank, r, l, fr.IsActive(l), changed[r][gid])
+						}
+					}
+					for tid, b := range m.dense {
+						if b != nil && slices.ContainsFunc(b.seen, func(w uint64) bool { return w != 0 }) {
+							t.Errorf("host %d round %d: thread %d's buffer keeps seen bits", h.Rank, r, tid)
+						}
+					}
+				}
+			})
+		})
+	}
 }

@@ -2,6 +2,7 @@ package npm
 
 import (
 	"fmt"
+	"math/bits"
 	"sync/atomic"
 
 	"kimbap/internal/comm"
@@ -94,8 +95,8 @@ type fullMap[V comparable] struct {
 	// activations for every local proxy whose value changes during a sync
 	// phase: masters from the combine and gather passes, pinned mirrors
 	// from broadcast decode. Activation is one atomic bit set (conflict
-	// free) — a single-writer store in the dense combine, which owns its
-	// words (combineDense), and a CAS elsewhere.
+	// free) — a single-writer word store in the dense combine, which owns
+	// its words (combineDense), and a CAS elsewhere.
 	frontier *runtime.Frontier
 
 	// Broadcast encode state for the overlapped scatter
@@ -199,21 +200,27 @@ func (m *fullMap[V]) Reduce(tid int, n graph.NodeID, v V) {
 			return
 		}
 	}
-	m.reduceLocal(tid, l, v)
+	m.denseFor(tid).reduce(l, v, m.op.Combine)
 }
 
-// reduceLocal is Reduce for a key already resolved to its host-local ID:
-// it merges v into thread tid's dense partial for local proxy l. The local
-// view (view.go) calls it directly.
+// denseFor returns thread tid's dense buffer, allocating it on the
+// thread's first reduce to a local proxy. The allocation stays out of line
+// (allocDense), so denseFor and the buffer's reduce inline into Reduce and
+// the local view's Reduce: an operator's reduce to a local proxy is one
+// call, plus the op's.
 //
 //kimbap:conflictfree
-func (m *fullMap[V]) reduceLocal(tid int, l graph.NodeID, v V) {
-	b := m.dense[tid]
-	if b == nil {
-		b = newDenseReduce[V](m.hp.NumLocal(), m.h.Threads)
-		m.dense[tid] = b
+func (m *fullMap[V]) denseFor(tid int) *denseReduce[V] {
+	if b := m.dense[tid]; b != nil {
+		return b
 	}
-	b.reduce(l, v, m.op.Combine)
+	return m.allocDense(tid)
+}
+
+//go:noinline
+func (m *fullMap[V]) allocDense(tid int) *denseReduce[V] {
+	m.dense[tid] = newDenseReduce[V](m.hp.NumLocal(), m.h.Threads)
+	return m.dense[tid]
 }
 
 // Set implements Map.
@@ -457,49 +464,46 @@ func (m *fullMap[V]) ReduceSync() {
 // local proxy but another thread did; nil means no dense partial exists
 // this round.
 func (m *fullMap[V]) accumulator() *denseReduce[V] {
-	if m.dense[0] != nil {
-		return m.dense[0]
-	}
-	for _, b := range m.dense[1:] {
+	for _, b := range m.dense {
 		if b != nil {
-			m.dense[0] = newDenseReduce[V](m.hp.NumLocal(), m.h.Threads)
-			break
+			return m.denseFor(0)
 		}
 	}
-	return m.dense[0]
+	return nil
 }
 
 // combineDense is combine thread t's pass over dense range t. It folds
 // threads 1..T-1's partials into acc in ascending thread order, the order
-// the hash combine folds in, so float sums match it bit for bit. It then
+// the hash combine folds in, so float sums match it bit for bit, then
 // applies masters in place and encodes mirrors for their owners.
 //
 // Range t is whole 64-bit words of local-ID space, and master local IDs
 // index masterDirty and the frontier directly, so thread t is the only
-// writer of every masterDirty and frontier word its masters fall in: it
-// marks them with single-writer stores (SetOwned, ActivateOwned) instead
-// of a CAS per change, and raises updated once for the whole range.
+// writer of every masterDirty and frontier word its masters fall in: it ors
+// each seen word's changed masters into both with one single-writer store
+// (OrWordOwned, ActivateWordOwned), and raises updated once for the range.
 //
 //kimbap:conflictfree
 func (m *fullMap[V]) combineDense(acc *denseReduce[V], t int) {
-	for _, src := range m.dense[1:] {
-		if src != nil {
-			acc.foldRange(src, t, m.op.Combine)
-		}
-	}
 	nm := m.hp.NumMasters
 	changed := false
-	acc.drainRange(t, func(l graph.NodeID, v V) {
-		if int(l) >= nm {
-			k := m.hp.GlobalID(l)
-			m.rf.add(t, m.hp.Owner(k), k, v)
-			return
+	acc.drainRange(t, m.dense[1:], m.op.Combine, func(w int, word uint64) {
+		var dirty uint64
+		for ; word != 0; word &= word - 1 {
+			i := bits.TrailingZeros64(word)
+			l := graph.NodeID(w*64 + i)
+			if int(l) >= nm {
+				k := m.hp.GlobalID(l)
+				m.rf.add(t, m.hp.Owner(k), k, acc.vals[l])
+			} else if m.combineMaster(l, acc.vals[l]) {
+				dirty |= uint64(1) << i
+			}
 		}
-		if m.combineMaster(l, v) {
+		if dirty != 0 {
 			changed = true
-			m.masterDirty.SetOwned(int(l))
+			m.masterDirty.OrWordOwned(w, dirty)
 			if m.frontier != nil {
-				m.frontier.ActivateOwned(int(l))
+				m.frontier.ActivateWordOwned(w, dirty)
 			}
 		}
 	})

@@ -83,7 +83,7 @@ func (lv *LocalView[V]) value(l graph.NodeID) V {
 // l: Reduce(tid, GlobalID(l), v).
 func (lv *LocalView[V]) Reduce(tid int, l graph.NodeID, v V) {
 	if m := lv.full; m != nil {
-		m.reduceLocal(tid, l, v)
+		m.denseFor(tid).reduce(l, v, m.op.Combine)
 		return
 	}
 	lv.m.Reduce(tid, lv.hp.GlobalID(l), v)

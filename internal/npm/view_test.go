@@ -182,14 +182,15 @@ func compareViewRuns(t *testing.T, rank int, got, want viewRun) {
 }
 
 // TestDenseCombineMarksMatchAtomicPath pins the dense combine's
-// single-writer marks (par.Bitset.SetOwned, Frontier.ActivateOwned): after
-// a reduce round, masterDirty and the frontier's next set must equal, bit
-// for bit, the sets a CAS per changed master (par.Bitset.Set) builds — the
-// masters whose value changed, and nothing else. Thread counts 2, 3 and 5
-// split the local-ID space into combine ranges whose boundaries fall
-// inside the master range, so neighboring combine threads own adjacent
-// words of the same bitsets; remote partials applied by the gather pass
-// (CAS marks) land in the same words.
+// single-writer word marks (par.Bitset.OrWordOwned,
+// Frontier.ActivateWordOwned): after a reduce round, masterDirty and the
+// frontier's next set must equal, bit for bit, the sets a CAS per changed
+// master (par.Bitset.Set) builds — the masters whose value changed, and
+// nothing else. Thread counts 2, 3 and 5 split the local-ID space into
+// combine ranges whose boundaries fall inside the master range, so
+// neighboring combine threads own adjacent words of the same bitsets;
+// remote partials applied by the gather pass (CAS marks) land in the same
+// words.
 func TestDenseCombineMarksMatchAtomicPath(t *testing.T) {
 	const hosts = 2
 	g := gen.Grid(48, 48, false, 1)
@@ -205,8 +206,8 @@ func TestDenseCombineMarksMatchAtomicPath(t *testing.T) {
 				nm, n := h.HP.NumMasters, h.HP.NumLocal()
 				if threads > 1 {
 					b := newDenseReduce[graph.NodeID](n, threads)
-					if lo, _ := b.localRange(1); lo <= 0 || lo >= nm {
-						t.Errorf("host %d: combine range 1 starts at %d, want inside the %d masters", h.Rank, lo, nm)
+					if lo, _ := b.wordRange(1); lo <= 0 || 64*lo >= nm {
+						t.Errorf("host %d: combine range 1 starts at local ID %d, want inside the %d masters", h.Rank, 64*lo, nm)
 					}
 				}
 				fr := runtime.NewFrontier(n)

@@ -57,18 +57,18 @@ func (b *Bitset) Set(i int) bool {
 	}
 }
 
-// SetOwned sets bit i with an atomic load and store instead of a CAS: the
-// single-writer form of Set. The caller must be the only goroutine writing
-// bit i's 64-bit word until the next synchronization point (a ParFor
-// barrier); concurrent readers stay safe. The Full map's dense combine
-// marks masters with it, since combine thread r owns every word of its
-// word-aligned range. A concurrent Set or SetOwned on the same word would
-// lose bits.
-func (b *Bitset) SetOwned(i int) {
-	w := &b.words[i/64]
-	mask := uint64(1) << (uint(i) % 64)
-	if old := w.Load(); old&mask == 0 {
-		w.Store(old | mask)
+// OrWordOwned ors mask into word w with an atomic load and, when that adds
+// a bit, one atomic store instead of a CAS: the single-writer, word-at-a-time
+// form of Set. The caller must be the only goroutine writing word w until
+// the next synchronization point (a ParFor barrier); concurrent readers
+// stay safe. The Full map's dense combine marks a seen word's changed
+// masters with it, since combine thread r owns every word of its
+// word-aligned range. A concurrent Set or OrWordOwned on the same word
+// would lose bits.
+func (b *Bitset) OrWordOwned(w int, mask uint64) {
+	word := &b.words[w]
+	if old := word.Load(); mask&^old != 0 {
+		word.Store(old | mask)
 	}
 }
 

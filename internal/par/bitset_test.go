@@ -77,12 +77,14 @@ func TestBitsetMaskedWordRoundTrip(t *testing.T) {
 	}
 }
 
-// SetOwned is Set for a caller that owns the bit's word: with workers
-// owning disjoint word-aligned ranges, each setting its bits concurrently
-// while readers load words, the result must equal the CAS Set's bit for
-// bit. Under -race the concurrent MaskedWord readers check the store is
-// atomic.
-func TestBitsetSetOwnedMatchesSet(t *testing.T) {
+// OrWordOwned is Set, a word at a time, for a caller that owns the word:
+// with workers owning disjoint word-aligned ranges, each oring its masks in
+// concurrently while readers load words, the result must equal a CAS Set
+// per bit, bit for bit. Each word gets its bits as two overlapping masks, a
+// repeat and an empty mask, so a mask that adds nothing must leave the word
+// as it is. Under -race the concurrent MaskedWord readers check the store
+// is atomic.
+func TestBitsetOrWordOwnedMatchesSet(t *testing.T) {
 	const size = 64*9 + 17
 	for _, workers := range []int{1, 2, 3, 5} {
 		owned, cas := NewBitset(size), NewBitset(size)
@@ -95,12 +97,18 @@ func TestBitsetSetOwnedMatchesSet(t *testing.T) {
 				return
 			}
 			lo, hi := Range(w, workers, words)
-			for i := lo * 64; i < min(hi*64, size); i++ {
-				if (i*7)%5 < 2 || i%64 == 63 {
-					owned.SetOwned(i)
-					owned.SetOwned(i) // a repeat is a no-op
-					cas.Set(i)
+			for wi := lo; wi < hi; wi++ {
+				var mask uint64
+				for i := wi * 64; i < min(wi*64+64, size); i++ {
+					if (i*7)%5 < 2 || i%64 == 63 {
+						mask |= 1 << (uint(i) % 64)
+						cas.Set(i)
+					}
 				}
+				owned.OrWordOwned(wi, mask&0x00ff_ffff_ffff_ffff)
+				owned.OrWordOwned(wi, mask&0xffff_ffff_ffff_ff00)
+				owned.OrWordOwned(wi, mask) // a repeat is a no-op
+				owned.OrWordOwned(wi, 0)
 			}
 		})
 		for i := 0; i < words; i++ {

@@ -37,6 +37,7 @@ import (
 
 // Partition splits g across numHosts hosts using the given policy, using
 // all cores. Output is bit-identical to PartitionSerial.
+//
 //kimbap:deterministic
 func Partition(g *graph.Graph, numHosts int, policy Policy) *Partitioned {
 	return partitionWorkers(g, numHosts, policy, 0, nil)
@@ -44,6 +45,7 @@ func Partition(g *graph.Graph, numHosts int, policy Policy) *Partitioned {
 
 // PartitionWorkers is Partition with an explicit worker count (0 = all
 // cores). Output is identical at every worker count.
+//
 //kimbap:deterministic
 func PartitionWorkers(g *graph.Graph, numHosts int, policy Policy, workers int) *Partitioned {
 	return partitionWorkers(g, numHosts, policy, workers, nil)
@@ -54,6 +56,7 @@ func PartitionWorkers(g *graph.Graph, numHosts int, policy Policy, workers int) 
 // carries ro so the NPM and algorithm layers can translate between ID
 // spaces; blocked-degree boundaries matching the host count are adopted
 // verbatim, preserving the original partition assignment.
+//
 //kimbap:deterministic
 func PartitionReordered(g *graph.Graph, numHosts int, policy Policy, ro *graph.Reordering) *Partitioned {
 	return partitionWorkers(g, numHosts, policy, 0, ro)
@@ -61,6 +64,7 @@ func PartitionReordered(g *graph.Graph, numHosts int, policy Policy, ro *graph.R
 
 // PartitionReorderedWorkers is PartitionReordered with an explicit worker
 // count (0 = all cores). Output is identical at every worker count.
+//
 //kimbap:deterministic
 func PartitionReorderedWorkers(g *graph.Graph, numHosts int, policy Policy, workers int, ro *graph.Reordering) *Partitioned {
 	return partitionWorkers(g, numHosts, policy, workers, ro)

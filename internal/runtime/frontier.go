@@ -48,13 +48,13 @@ func (f *Frontier) IsActive(i int) bool { return f.cur.Test(i) }
 //kimbap:conflictfree
 func (f *Frontier) Activate(i int) { f.next.Set(i) }
 
-// ActivateOwned adds vertex i to the next set without a locked
-// instruction (par.Bitset.SetOwned). The caller must be the only writer
-// of i's 64-bit word of the next set until the next barrier — a combine
-// thread over a word-aligned range of local IDs.
+// ActivateWordOwned adds vertex 64w+i to the next set for every bit i of
+// mask, with no locked instruction (par.Bitset.OrWordOwned). The caller
+// must be the only writer of word w of the next set until the next
+// barrier — a combine thread over a word-aligned range of local IDs.
 //
 //kimbap:conflictfree
-func (f *Frontier) ActivateOwned(i int) { f.next.SetOwned(i) }
+func (f *Frontier) ActivateWordOwned(w int, mask uint64) { f.next.OrWordOwned(w, mask) }
 
 // ActivateRange adds every vertex in [lo, hi) to the next set.
 func (f *Frontier) ActivateRange(lo, hi int) { f.next.SetRange(lo, hi) }
