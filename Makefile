@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test benchmark-test lint race ci bench
+.PHONY: all build test benchmark-test lint race ci bench loc
 
 all: build
 
@@ -56,3 +56,12 @@ ci: build test benchmark-test lint race
 bench:
 	$(GO) test -tags wallgates -run 'Gate$$' -v ./internal/bench
 	$(GO) run ./cmd/kimbap-bench -exp perf -scale full -reps 3 -json BENCH_kimbap.json
+
+# loc prints the non-test Go lines of every package directory and their
+# total, leaving out the nested benchmark module, analyzer testdata and
+# hidden directories (build caches). Information only: it never fails.
+loc:
+	@find . \( -path './.*' -o -path ./benchmark -o -name testdata \) -prune -o \
+		-name '*.go' ! -name '*_test.go' -print | xargs awk ' \
+		{ d = FILENAME; sub(/\/[^\/]*$$/, "", d); sub(/^\.\/?/, "", d); n[d == "" ? "." : d]++; t++ } \
+		END { for (d in n) printf "%7d  %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d  total\n", t }'

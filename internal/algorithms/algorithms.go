@@ -49,10 +49,9 @@ type Config struct {
 	// (CC-SV, CC-LP, CC-SCLP, MIS; see strategy.go): StrategyBSP — the zero
 	// value — pushes with buffered reduces, StrategyAsync drains each
 	// frontier-driven pointer-jumping shortcut round with CAS in-place
-	// applies, StrategyPull runs each pull-capable round bottom-up over
-	// the in-edge CSR with a broadcast-only round end, and
-	// StrategyAdaptive picks per round from telemetry. A shape the phase
-	// cannot run falls back to bsp — async needs a shortcut round, a
+	// applies, and StrategyPull runs each pull-capable round bottom-up
+	// over the in-edge CSR with a broadcast-only round end. A shape the
+	// phase cannot run falls back to bsp — async needs a shortcut round, a
 	// frontier and the Full variant; pull needs a pull-capable round, a
 	// pull-complete partition and the Full variant — and
 	// RoundStats.Shape records what each round ran. Outputs are
@@ -112,8 +111,7 @@ type RoundStats struct {
 	ReduceBytes []int64
 	Hook        []bool
 	// Shape is the shape each round actually ran in — "bsp", "async" or
-	// "pull" (see Strategy): the policy's trace under StrategyAdaptive, and
-	// the record of every fallback to bsp. A pull round's ReduceBytes entry
+	// "pull" (see Strategy): the record of every fallback to bsp. A pull round's ReduceBytes entry
 	// is always zero: the round has no reduce collective at all.
 	Shape []string
 }

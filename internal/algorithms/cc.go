@@ -53,14 +53,13 @@ type labelRun struct {
 }
 
 // newLabelRun builds a min-label map holding every node's own ID, and the
-// frontier, policy and round log over it. form is the label phase's pull
-// form.
-func (c Config) newLabelRun(h *runtime.Host, stats *CCStats, form pullForm) *labelRun {
+// frontier, policy and round log over it.
+func (c Config) newLabelRun(h *runtime.Host, stats *CCStats) *labelRun {
 	m := c.newNodeMap(h, npm.MinNodeID())
 	initOwn(h, m)
 	fr := c.newFrontier(h, m)
 	return &labelRun{h: h, cfg: c, m: m, fr: fr,
-		rl: c.roundLogger(h, &stats.PerRound), pol: c.newPolicy(h, fr, m, form)}
+		rl: c.roundLogger(h, &stats.PerRound), pol: c.newPolicy(h, fr, m, true)}
 }
 
 // finish collects this host's master labels into out.
@@ -72,7 +71,7 @@ func (r *labelRun) finish(out []graph.NodeID) {
 // rounds runs label rounds on the pinned map until a round changes no
 // label or limit rounds have run, and returns how many ran and whether the
 // last one changed no label (false: limit cut the phase off). The policy
-// picks each round's shape: bsp runs push over fr (every local node when
+// fixes the rounds' shape: bsp runs push over fr (every local node when
 // fr is nil), and pull min-folds every master's in-neighbors
 // (pullMinRound) and raises workDone, if set, on each change; the push
 // body raises it itself. Both shapes end the round with the broadcast —
@@ -81,13 +80,12 @@ func (r *labelRun) finish(out []graph.NodeID) {
 func (r *labelRun) rounds(fr *runtime.Frontier, limit int, workDone *runtime.BoolReducer,
 	push func(tid int, src graph.NodeID)) (n int, quiet bool) {
 
-	h, m := r.h, r.m
+	h, m, k := r.h, r.m, r.pol.shape()
 	for n = 1; ; n++ {
 		m.ResetUpdated()
 		if r.cfg.requestActive() {
 			requestLocalProxies(h, m)
 		}
-		k := r.pol.next(fr)
 		if k == roundPull {
 			h.TimeCompute(func() { pullMinRound(h, r.pol.ph, workDone) })
 		} else {
@@ -101,21 +99,20 @@ func (r *labelRun) rounds(fr *runtime.Frontier, limit int, workDone *runtime.Boo
 			m.ReduceSync()
 		}
 		m.BroadcastSync()
-		endRound(r.pol, r.rl, fr, k, true, h.HP.NumLocal())
+		endRound(r.rl, fr, k, true, h.HP.NumLocal())
 		if quiet = !m.IsUpdated(); quiet || n >= limit {
 			return n, quiet
 		}
 	}
 }
 
-// endRound closes a round after its last sync: it feeds the policy,
-// advances the frontier and logs the round. dense is the round's visit
-// count when there is no frontier.
-func endRound(pol *policy, rl *roundLogger, fr *runtime.Frontier, k roundKind, hook bool, dense int) {
+// endRound closes a round after its last sync: it advances the frontier
+// and logs the round. dense is the round's visit count when there is no
+// frontier.
+func endRound(rl *roundLogger, fr *runtime.Frontier, k roundKind, hook bool, dense int) {
 	active := dense
 	if fr != nil {
 		active = fr.Count()
-		pol.observe(k, fr)
 		fr.Advance()
 	}
 	rl.record(active, hook, k)
@@ -146,13 +143,10 @@ func pullMinRound(h *runtime.Host, ph *npm.PullHandle[graph.NodeID], workDone *r
 // master labels.
 func CCSV(h *runtime.Host, cfg Config, out []graph.NodeID) CCStats {
 	var stats CCStats
-	// CC-SV's pull hook is a reformulation (LP-style one-hop fold, not a
-	// transpose of the pointer-jumping hook), so adaptive pull runs under
-	// the bounded trial.
-	r := cfg.newLabelRun(h, &stats, pullReformulated)
+	r := cfg.newLabelRun(h, &stats)
 	// The shortcut has no pull round, so it gets its own policy: the one
 	// phase whose rounds may drain.
-	sc := cfg.newPolicy(h, r.fr, r.m, pullNone)
+	sc := cfg.newPolicy(h, r.fr, r.m, false)
 	// acc accumulates every proxy the shortcut phase changes, so the next
 	// outer round's hook phase can start from the changed set instead of a
 	// full re-activation (the first hook phase has no prior change record
@@ -302,12 +296,12 @@ func shortcut(h *runtime.Host, cfg Config, parent npm.Map[graph.NodeID], fr *run
 			parent.Reduce(tid, gid, gp)
 		}
 	}
+	k := pol.shape()
 	for rounds = 1; ; rounds++ {
 		parent.ResetUpdated()
 		if cfg.requestActive() {
 			requestLocalProxies(h, parent)
 		}
-		k := pol.pushRound(fr)
 		if k == roundAsync {
 			pend := pol.pendSet()
 			h.TimeCompute(func() {
@@ -335,7 +329,7 @@ func shortcut(h *runtime.Host, cfg Config, parent npm.Map[graph.NodeID], fr *run
 			})
 		}
 		parent.ReduceSync()
-		endRound(pol, rl, fr, k, false, h.HP.NumMasters)
+		endRound(rl, fr, k, false, h.HP.NumMasters)
 		if acc != nil {
 			fr.OrCurrentInto(acc)
 		}
@@ -441,7 +435,7 @@ func ccChaseBody(h *runtime.Host, pol *policy, parent npm.Map[graph.NodeID],
 // and round counts — are identical in both directions.
 func CCLP(h *runtime.Host, cfg Config, out []graph.NodeID) CCStats {
 	var stats CCStats
-	r := cfg.newLabelRun(h, &stats, pullExact)
+	r := cfg.newLabelRun(h, &stats)
 	comp, local := r.m, h.HP.Local
 	lv := npm.Local(comp)
 	comp.PinMirrors()
@@ -471,12 +465,12 @@ func CCLP(h *runtime.Host, cfg Config, out []graph.NodeID) CCStats {
 // phases are frontier-driven.
 func CCSCLP(h *runtime.Host, cfg Config, out []graph.NodeID) CCStats {
 	var stats CCStats
-	r := cfg.newLabelRun(h, &stats, pullExact)
+	r := cfg.newLabelRun(h, &stats)
 	comp, local := r.m, h.HP.Local
 	lv := npm.Local(comp)
 	// The shortcut has no pull round, so it gets its own policy: the one
 	// phase whose rounds may drain.
-	sc := cfg.newPolicy(h, r.fr, comp, pullNone)
+	sc := cfg.newPolicy(h, r.fr, comp, false)
 	for {
 		stats.OuterRounds++
 		var workDone runtime.BoolReducer

@@ -2,8 +2,11 @@ package algorithms
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"testing"
 
+	"kimbap/internal/baselines/galois"
 	"kimbap/internal/gen"
 	"kimbap/internal/graph"
 	"kimbap/internal/kvstore"
@@ -117,30 +120,73 @@ func TestCCStatsPopulated(t *testing.T) {
 }
 
 // TestCCConvergedReportsCutoff checks that a MaxRounds cut-off does not
-// pass as convergence: on a 4096-node chain three rounds cannot finish any
-// of the CC algorithms, so every host reports Converged false, while the
-// default cap lets each run to quiescence, reporting true with the
-// reference labels.
+// pass as convergence, for the CC algorithms, MIS and MSF: on a 4096-node
+// chain a cut-off run (three rounds for CC, one Boruvka or MIS round)
+// cannot finish, so every host reports Converged false, while the default
+// cap lets each run to quiescence, reporting true with the reference
+// output.
 func TestCCConvergedReportsCutoff(t *testing.T) {
-	g := gen.Chain(4096, false, 1)
+	chain, wchain := gen.Chain(4096, false, 1), gen.Chain(4096, true, 1)
+	type runFunc func(h *runtime.Host, cfg Config) bool
+	type convergeCase struct {
+		name string
+		g    *graph.Graph
+		cut  int
+		// start allocates fresh outputs and returns the SPMD body, which
+		// reports the host's Converged flag, and the reference check of
+		// the outputs it fills.
+		start func() (runFunc, func(t *testing.T))
+	}
+	var cases []convergeCase
 	for name, algo := range ccAlgos() {
-		for _, maxRounds := range []int{3, 0} {
-			c, err := runtime.NewCluster(g, runtime.Config{NumHosts: 2, ThreadsPerHost: 2})
+		cases = append(cases, convergeCase{name, chain, 3, func() (runFunc, func(t *testing.T)) {
+			out := make([]graph.NodeID, chain.NumNodes())
+			return func(h *runtime.Host, cfg Config) bool { return algo(h, cfg, out).Converged },
+				func(t *testing.T) { checkLabels(t, chain, out, name) }
+		}})
+	}
+	cases = append(cases, convergeCase{"MIS", chain, 1, func() (runFunc, func(t *testing.T)) {
+		out := make([]bool, chain.NumNodes())
+		return func(h *runtime.Host, cfg Config) bool { return MIS(h, cfg, out).Converged },
+			func(t *testing.T) {
+				if !slices.Equal(out, galois.MIS(chain, 1)) {
+					t.Error("MIS: set differs from the sequential priority-order reference")
+				}
+			}
+	}}, convergeCase{"MSF", wchain, 1, func() (runFunc, func(t *testing.T)) {
+		comp := make([]graph.NodeID, wchain.NumNodes())
+		var weight float64
+		return func(h *runtime.Host, cfg Config) bool {
+				st := MSF(h, cfg, comp)
+				if h.Rank == 0 {
+					weight = st.TotalWeight
+				}
+				return st.Converged
+			}, func(t *testing.T) {
+				checkSamePartition(t, wchain, comp, "MSF")
+				if want := graph.ReferenceMSFWeight(wchain); math.Abs(weight-want) > 1e-6*math.Max(1, want) {
+					t.Errorf("MSF: forest weight %v, reference %v", weight, want)
+				}
+			}
+	}})
+	for _, tc := range cases {
+		for _, maxRounds := range []int{tc.cut, 0} {
+			c, err := runtime.NewCluster(tc.g, runtime.Config{NumHosts: 2, ThreadsPerHost: 2})
 			if err != nil {
 				t.Fatal(err)
 			}
-			out := make([]graph.NodeID, g.NumNodes())
-			stats := make([]CCStats, 2)
-			c.Run(func(h *runtime.Host) { stats[h.Rank] = algo(h, Config{MaxRounds: maxRounds}, out) })
+			run, check := tc.start()
+			converged := make([]bool, 2)
+			c.Run(func(h *runtime.Host) { converged[h.Rank] = run(h, Config{MaxRounds: maxRounds}) })
 			c.Close()
-			for rank, st := range stats {
-				if want := maxRounds == 0; st.Converged != want {
-					t.Errorf("%s MaxRounds=%d host %d: Converged = %v, want %v (%+v)",
-						name, maxRounds, rank, st.Converged, want, st)
+			for rank, got := range converged {
+				if want := maxRounds == 0; got != want {
+					t.Errorf("%s MaxRounds=%d host %d: Converged = %v, want %v",
+						tc.name, maxRounds, rank, got, want)
 				}
 			}
 			if maxRounds == 0 {
-				checkLabels(t, g, out, name)
+				check(t)
 			}
 		}
 	}

@@ -12,10 +12,11 @@ import (
 )
 
 // Direction equivalence: pull rounds are a pure execution-strategy change
-// — same fixpoint, same collected labels — so the pull and adaptive
-// strategies must match the bsp run bit for bit across the full execution
-// matrix. Pull is only legal under pull-complete partitions (IEC, or one
-// host), so IEC is the matrix policy; the OEC/CVC runs below pin the
+// — same fixpoint, same collected labels — so the pull strategy must match
+// the bsp run bit for bit across the full execution matrix, and so must
+// the async strategy, whose shortcut drains interleave with the same
+// label rounds. Pull is only legal under pull-complete partitions (IEC, or
+// one host), so IEC is the matrix policy; the OEC/CVC runs below pin the
 // fall-back to bsp instead.
 
 func runCCDir(t *testing.T, g *graph.Graph, rc runtime.Config, acfg Config,
@@ -51,7 +52,7 @@ func ranShape(stats []CCStats, shape string) bool {
 }
 
 // TestDirectionEquivalenceCCSVFullMatrix pins CC-SV labels across
-// {bsp, pull, adaptive} × {dense, sparse} × {in-memory, TCP} × {2, 4, 8}
+// {bsp, pull, async} × {dense, sparse} × {in-memory, TCP} × {2, 4, 8}
 // hosts on an IEC partition. Dense and sparse rounds exercise both reduce
 // section body forms.
 func TestDirectionEquivalenceCCSVFullMatrix(t *testing.T) {
@@ -70,7 +71,7 @@ func TestDirectionEquivalenceCCSVFullMatrix(t *testing.T) {
 							tcp, dense, hosts, i, base[i], want[i])
 					}
 				}
-				for _, s := range []Strategy{StrategyPull, StrategyAdaptive} {
+				for _, s := range []Strategy{StrategyPull, StrategyAsync} {
 					got, _ := runCCDir(t, g, rc, Config{Dense: dense, Strategy: s}, CCSV)
 					for i := range base {
 						if got[i] != base[i] {
@@ -89,10 +90,10 @@ func TestDirectionEquivalenceCCSVFullMatrix(t *testing.T) {
 // loop: the pull round is the exact transpose of the push round, so
 // per-round states — not just converged labels — coincide, and every run
 // whose rounds are only bsp and pull takes the bsp run's round count.
-// CC-LP never drains where it can pull, so its counts are always pinned.
-// CC-SCLP's shortcut may drain under the adaptive strategy, and an async
-// round cascades within the round, so a run in which some host drained
-// pins its labels only. Dense execution has nothing to drain.
+// CC-LP has no round that drains, so its counts are always pinned.
+// CC-SCLP's shortcut drains under the async strategy, and an async round
+// cascades within the round, so a run in which some host drained pins its
+// labels only. Dense execution has nothing to drain.
 func TestDirectionEquivalenceCCLP(t *testing.T) {
 	graphs := map[string]*graph.Graph{
 		"rmat":  gen.RMAT(9, 6, false, 42),
@@ -107,7 +108,7 @@ func TestDirectionEquivalenceCCLP(t *testing.T) {
 			} {
 				for _, dense := range []bool{false, true} {
 					base, baseStats := runCCDir(t, g, rc, Config{Dense: dense}, algo)
-					for _, s := range []Strategy{StrategyPull, StrategyAdaptive} {
+					for _, s := range []Strategy{StrategyPull, StrategyAsync} {
 						got, all := runCCDirAll(t, g, rc, Config{Dense: dense, Strategy: s, LogRounds: true}, algo)
 						for i := range base {
 							if got[i] != base[i] {
@@ -117,7 +118,7 @@ func TestDirectionEquivalenceCCLP(t *testing.T) {
 						}
 						drained := ranShape(all, "async")
 						if drained && (dense || aname == "CC-LP") {
-							t.Fatalf("%s/%s/%dh/dense=%v/%s: drained where it can pull", gname, aname, hosts, dense, s)
+							t.Fatalf("%s/%s/%dh/dense=%v/%s: drained with no shortcut to drain", gname, aname, hosts, dense, s)
 						}
 						if stats := all[0]; !drained && (stats.HookRounds != baseStats.HookRounds ||
 							stats.ShortcutRounds != baseStats.ShortcutRounds) {
@@ -146,7 +147,7 @@ func TestDirectionEquivalenceMIS(t *testing.T) {
 			rc := runtime.Config{NumHosts: hosts, ThreadsPerHost: 3, Policy: partition.IEC}
 			var base []bool
 			var baseStats MISStats
-			for _, s := range []Strategy{StrategyBSP, StrategyPull, StrategyAdaptive} {
+			for _, s := range []Strategy{StrategyBSP, StrategyPull, StrategyAsync} {
 				c, err := runtime.NewCluster(g, rc)
 				if err != nil {
 					t.Fatal(err)
@@ -214,71 +215,72 @@ func TestDirectionFallsBackWithoutPullCompleteness(t *testing.T) {
 }
 
 // TestPullRoundsSendNoReduceBytes pins the collective-elision claim at
-// the trace level: every pull round's reduce-byte delta is exactly zero,
-// and a static pull CC-LP run never sends a reduce byte after init.
+// the trace level: every round of a pull CC-LP run pulls, and its
+// reduce-byte delta is exactly zero.
 func TestPullRoundsSendNoReduceBytes(t *testing.T) {
 	g := gen.RMAT(8, 6, false, 2)
-	for _, s := range []Strategy{StrategyPull, StrategyAdaptive} {
-		rc := runtime.Config{NumHosts: 4, ThreadsPerHost: 3, Policy: partition.IEC}
-		_, stats := runCCDir(t, g, rc, Config{Strategy: s, LogRounds: true}, CCLP)
-		pulls := 0
-		for r, d := range stats.PerRound.Shape {
-			if d != "pull" {
-				continue
-			}
-			pulls++
-			if b := stats.PerRound.ReduceBytes[r]; b != 0 {
-				t.Fatalf("%s: pull round %d sent %d reduce bytes", s, r, b)
-			}
+	rc := runtime.Config{NumHosts: 4, ThreadsPerHost: 3, Policy: partition.IEC}
+	_, stats := runCCDir(t, g, rc, Config{Strategy: StrategyPull, LogRounds: true}, CCLP)
+	if len(stats.PerRound.Shape) == 0 {
+		t.Fatal("no rounds recorded")
+	}
+	for r, d := range stats.PerRound.Shape {
+		if d != "pull" {
+			t.Fatalf("round %d ran %s; trace %v", r, d, stats.PerRound.Shape)
 		}
-		if pulls == 0 {
-			t.Fatalf("%s: no pull rounds recorded in %v", s, stats.PerRound.Shape)
+		if b := stats.PerRound.ReduceBytes[r]; b != 0 {
+			t.Fatalf("pull round %d sent %d reduce bytes", r, b)
 		}
 	}
 }
 
-// TestAdaptiveRoundShapes pins each phase's legal round shapes: label
-// rounds (CC-SV's hook, CC-SCLP's propagation pass) run only bsp or pull,
-// and shortcut rounds, the one phase that drains, only bsp or async — on
-// every host, with labels equal to the reference. The cases cover a
+// TestRoundShapes pins the shape of every round each static strategy
+// runs: under async, label rounds (CC-SV's hook, CC-SCLP's propagation
+// pass) run bsp and every shortcut round drains; under pull, label rounds
+// pull and shortcut rounds, which have no pull form, run bsp — on every
+// host, with labels equal to the reference. The cases cover a
 // pull-complete single host, a 4-host R-MAT and a 4-host chain under IEC,
-// and a 1-host chain under both strategies that may drain, where the
-// shortcut must actually drain.
-func TestAdaptiveRoundShapes(t *testing.T) {
+// and a 1-host chain, whose shortcut must still drain under async.
+func TestRoundShapes(t *testing.T) {
 	rmat, chain := gen.RMAT(8, 6, false, 2), gen.Chain(300, false, 3)
 	for _, tc := range []struct {
-		name   string
-		g      *graph.Graph
-		hosts  int
-		s      Strategy
-		drains bool
+		name  string
+		g     *graph.Graph
+		hosts int
 	}{
-		{"rmat", rmat, 1, StrategyAdaptive, false},
-		{"rmat", rmat, 4, StrategyAdaptive, false},
-		{"chain", chain, 4, StrategyAdaptive, false},
-		{"chain", chain, 1, StrategyAsync, true},
-		{"chain", chain, 1, StrategyAdaptive, true},
+		{"rmat", rmat, 1},
+		{"rmat", rmat, 4},
+		{"chain", chain, 4},
+		{"chain", chain, 1},
 	} {
-		for aname, algo := range map[string]func(*runtime.Host, Config, []graph.NodeID) CCStats{
-			"CC-SV": CCSV, "CC-SCLP": CCSCLP,
+		for _, sc := range []struct {
+			s               Strategy
+			label, shortcut string
+		}{
+			{StrategyAsync, "bsp", "async"},
+			{StrategyPull, "pull", "bsp"},
 		} {
-			t.Run(fmt.Sprintf("%s/%s/%dh/%s", aname, tc.name, tc.hosts, tc.s), func(t *testing.T) {
-				rc := runtime.Config{NumHosts: tc.hosts, ThreadsPerHost: 3, Policy: partition.IEC}
-				got, all := runCCDirAll(t, tc.g, rc, Config{Strategy: tc.s, LogRounds: true}, algo)
-				checkLabels(t, tc.g, got, aname)
-				for rank, st := range all {
-					for r, shape := range st.PerRound.Shape {
-						label := st.PerRound.Hook[r]
-						if (label && shape == "async") || (!label && shape == "pull") {
-							t.Fatalf("host %d round %d (label=%v) ran %s; trace %v",
-								rank, r, label, shape, st.PerRound.Shape)
+			for aname, algo := range map[string]func(*runtime.Host, Config, []graph.NodeID) CCStats{
+				"CC-SV": CCSV, "CC-SCLP": CCSCLP,
+			} {
+				t.Run(fmt.Sprintf("%s/%s/%dh/%s", aname, tc.name, tc.hosts, sc.s), func(t *testing.T) {
+					rc := runtime.Config{NumHosts: tc.hosts, ThreadsPerHost: 3, Policy: partition.IEC}
+					got, all := runCCDirAll(t, tc.g, rc, Config{Strategy: sc.s, LogRounds: true}, algo)
+					checkLabels(t, tc.g, got, aname)
+					for rank, st := range all {
+						for r, shape := range st.PerRound.Shape {
+							want := sc.shortcut
+							if st.PerRound.Hook[r] {
+								want = sc.label
+							}
+							if shape != want {
+								t.Fatalf("host %d round %d (label=%v) ran %s, want %s; trace %v",
+									rank, r, st.PerRound.Hook[r], shape, want, st.PerRound.Shape)
+							}
 						}
 					}
-				}
-				if tc.drains && !ranShape(all, "async") {
-					t.Fatalf("no shortcut round drained; trace %v", all[0].PerRound.Shape)
-				}
-			})
+				})
+			}
 		}
 	}
 }

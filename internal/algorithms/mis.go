@@ -38,6 +38,10 @@ const (
 type MISStats struct {
 	Rounds int
 	Size   int64 // members of the independent set
+	// Converged reports that the run stopped because no master was left
+	// undecided, not because Config.MaxRounds cut it off: only then is
+	// the set maximal.
+	Converged bool
 }
 
 // MIS computes a maximal independent set (SPMD). out[n] is set true for
@@ -102,11 +106,10 @@ func MIS(h *runtime.Host, cfg Config, out []bool) MISStats {
 	// all), decide writes only the master's own slot, and knockout scans
 	// each undecided master's in-neighbors for a fresh member instead of
 	// scattering misOut. Every stage updates masters in place and ends
-	// with at most a broadcast. The pull decision reuses the globally-synced
-	// `remaining` count from the previous round (every host already has
-	// it), so adaptive rounds add no collectives. MIS has no async round:
-	// its drains never beat bsp (DESIGN.md §16 (h)).
-	pol := cfg.newPolicy(h, fr, state, pullExact)
+	// with at most a broadcast. MIS has no async round: its drains never
+	// beat bsp (DESIGN.md §16 (h)).
+	pol := cfg.newPolicy(h, fr, state, true)
+	k := pol.shape()
 
 	// Minimum priority among each node's undecided neighbors, accumulated
 	// from every edge location — except in a pull round, where each
@@ -122,16 +125,8 @@ func MIS(h *runtime.Host, cfg Config, out []bool) MISStats {
 
 	var stats MISStats
 	var remaining runtime.CountReducer
-	// Globally-synced undecided-master count driving the pull rule; every
-	// master starts undecided, so the first round's density is the full
-	// master count on every host without a collective.
-	undecided := int64(0)
-	if pol != nil {
-		undecided = pol.totalMasters
-	}
 	for {
 		stats.Rounds++
-		k := pol.nextFromActive(undecided)
 
 		h.ParForMasters(func(_ int, n graph.NodeID) {
 			minNbr.Set(h.HP.GlobalID(n), math.Inf(1))
@@ -300,8 +295,8 @@ func MIS(h *runtime.Host, cfg Config, out []bool) MISStats {
 			})
 		}
 		remaining.Sync(h.EP)
-		undecided = remaining.Read()
-		if undecided == 0 || stats.Rounds >= cfg.maxRounds() {
+		stats.Converged = remaining.Read() == 0
+		if stats.Converged || stats.Rounds >= cfg.maxRounds() {
 			break
 		}
 	}

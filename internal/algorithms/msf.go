@@ -86,6 +86,11 @@ type MSFStats struct {
 	Rounds      int
 	TotalWeight float64
 	ForestEdges int64
+	// Converged reports that the run stopped because a round merged no
+	// component and every parent chain collapsed, not because
+	// Config.MaxRounds cut it off: only then is the forest minimal and
+	// spanning.
+	Converged bool
 }
 
 // MSF computes a minimum spanning forest (SPMD). The input graph must be
@@ -133,7 +138,7 @@ func MSF(h *runtime.Host, cfg Config, comp []graph.NodeID) MSFStats {
 	for {
 		stats.Rounds++
 		// 1. Collapse parent chains so parents are component roots.
-		shortcut(h, cfg, parent, frP, nil, nil, nil)
+		_, quiet := shortcut(h, cfg, parent, frP, nil, nil, nil)
 
 		// 2. Reset the candidates: masters back to the identity.
 		h.ParForMasters(func(_ int, local graph.NodeID) {
@@ -268,13 +273,15 @@ func MSF(h *runtime.Host, cfg Config, comp []graph.NodeID) MSFStats {
 		parent.UnpinMirrors()
 
 		workDone.Sync(h.EP)
+		stats.Converged = !workDone.Read() && quiet
 		if !workDone.Read() || stats.Rounds >= cfg.maxRounds() {
 			break
 		}
 	}
 
 	// Final collapse so labels are roots, then collect.
-	shortcut(h, cfg, parent, frP, nil, nil, nil)
+	_, quiet := shortcut(h, cfg, parent, frP, nil, nil, nil)
+	stats.Converged = stats.Converged && quiet
 	weight.Sync(h.EP)
 	edges.Sync(h.EP)
 	stats.TotalWeight = weight.Read()

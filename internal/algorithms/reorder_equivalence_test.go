@@ -87,7 +87,7 @@ func TestReorderEquivalenceAllAlgorithms(t *testing.T) {
 			rc := runtime.Config{NumHosts: hosts, ThreadsPerHost: 3, Policy: partition.CVC}
 
 			for aname, algo := range ccAlgos() {
-				for _, s := range []Strategy{StrategyBSP, StrategyAsync, StrategyPull, StrategyAdaptive} {
+				for _, s := range []Strategy{StrategyBSP, StrategyAsync, StrategyPull} {
 					base := runCCReorder(t, g, rc, Config{Strategy: s}, algo)
 					for _, pol := range reorderPolicies() {
 						rrc := rc

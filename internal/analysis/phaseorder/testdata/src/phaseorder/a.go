@@ -204,10 +204,10 @@ func pullUnpinnedScratch(m npm.Map[uint32], n graph.NodeID) {
 	ph.EndPullRound()
 }
 
-// adaptiveDirectionLoop is the real mixed-direction round shape: whichever
-// branch runs, the round ends with a broadcast, so every BeginPullRound —
-// including across the loop back-edge — sees fresh mirrors.
-func adaptiveDirectionLoop(h *runtime.Host, m npm.Map[uint32], fr *runtime.Frontier, pull bool) {
+// directionLoop is the real label-round shape: whichever branch runs,
+// the round ends with a broadcast, so every BeginPullRound — including
+// across the loop back-edge — sees fresh mirrors.
+func directionLoop(h *runtime.Host, m npm.Map[uint32], fr *runtime.Frontier, pull bool) {
 	m.PinMirrors()
 	ph, ok := npm.Pull(m)
 	if !ok {

@@ -56,11 +56,9 @@ type PerfRecord struct {
 	RoundReduceBytes []int64 `json:"round_reduce_bytes,omitempty"`
 	RoundHook        []bool  `json:"round_hook,omitempty"`
 	// RoundShape is the shape each round ran in: "bsp", "async" or "pull"
-	// when every host agreed, "mixed" when they diverged. Hosts choose
-	// between bsp and async independently (the collectives meet either
-	// way), so adaptive runs may mix those two; whether a round pulls is
-	// agreed globally, so a "mixed" round involving pull would be a
-	// coordination bug.
+	// when every host agreed, "mixed" when they diverged. Every host
+	// settles a phase's shape from the same configuration, so a "mixed"
+	// round would be a coordination bug.
 	RoundShape []string `json:"round_shape,omitempty"`
 }
 
@@ -97,26 +95,19 @@ func (c Config) PerfTo(w io.Writer, jsonPath string) error {
 		// to 95% of the baseline.
 		c.ccReorderPerf("cc_sv_locality", 4, ""),
 		c.ccReorderPerf("cc_sv_full_reordered", 4, graph.ReorderBlockedDegree),
-		// Strategy trio on the skewed-convergence workload (a long chain:
+		// Strategy pair on the skewed-convergence workload (a long chain:
 		// maximal pointer-jumping depth, the async drain's best case) — the
-		// static bsp baseline, the static async drain, and the adaptive
-		// policy, plus adaptive at 4 hosts where mirrors dilute the async
-		// win and the policy must hold back.
+		// bsp baseline and the async drain.
 		c.ccChainPerf("cc_sv_bsp", 1, algorithms.StrategyBSP),
 		c.ccChainPerf("cc_sv_async", 1, algorithms.StrategyAsync),
-		c.ccChainPerf("cc_sv_adaptive", 1, algorithms.StrategyAdaptive),
-		c.ccChainPerf("cc_sv_adaptive", 4, algorithms.StrategyAdaptive),
-		// Direction trio (§15) on the standard R-MAT under the pull-complete
-		// IEC partition, dense rounds: the push baseline, static pull (every
+		// Direction pair (§15) on the standard R-MAT under the pull-complete
+		// IEC partition, dense rounds: the push baseline and pull (every
 		// hook round bottom-up over the in-edge CSR, broadcast-only round
-		// ends — its round_reduce_bytes column is all zeros), and the
-		// adaptive policy, which with no frontier to drain chooses only the
-		// direction. The wall gate (perf_wall_test.go TestDirectionWallGate)
-		// holds pull under the push wall and adaptive near the best static
-		// direction.
+		// ends — its round_reduce_bytes column is all zeros). The wall gate
+		// (perf_wall_test.go TestDirectionWallGate) holds pull under the
+		// push wall.
 		c.ccIECPerf("cc_sv_push", 4, algorithms.StrategyBSP),
 		c.ccIECPerf("cc_sv_pull", 4, algorithms.StrategyPull),
-		c.ccIECPerf("cc_sv_direction_adaptive", 4, algorithms.StrategyAdaptive),
 		c.misPerf("mis_full", 1),
 	}
 	records = append(records, c.ingestPerf()...)

@@ -99,16 +99,8 @@ func (a *AsyncNodeHandle) ReduceAsync(tid int, n, v graph.NodeID) (local graph.N
 		if atomic.CompareAndSwapUint32(p, old, nv) {
 			break
 		}
-		m.casRetries.Add(1)
 	}
-	m.casApplied.Add(1)
 	m.updated.Store(true)
 	m.masterDirty.Set(int(local))
 	return local, true, true
-}
-
-// CASStats returns cumulative in-place applies and CAS retries — the
-// contention telemetry the adaptive policy engine feeds on.
-func (a *AsyncNodeHandle) CASStats() (applied, retries int64) {
-	return a.m.casApplied.Load(), a.m.casRetries.Load()
 }

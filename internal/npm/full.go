@@ -56,11 +56,6 @@ type fullMap[V comparable] struct {
 	mirrorsFresh bool
 	pullSnap     []V
 
-	// Async apply-path counters (see async.go): the policy engine's
-	// contention telemetry.
-	casApplied atomic.Int64
-	casRetries atomic.Int64
-
 	reqBits   *par.Bitset    // global IDs requested this round
 	cacheKeys []graph.NodeID // sorted requested remote IDs
 	cacheVals []V

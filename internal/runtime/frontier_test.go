@@ -177,3 +177,68 @@ func TestParForActiveDenseAndSparse(t *testing.T) {
 		}
 	}
 }
+
+// Each of ParForActive's three forms, reached by frontier size and
+// active count alone under the package thresholds, must show its
+// observable signature: the serial form runs everything on the calling
+// goroutine as tid 0, the sparse form materializes the compacted index,
+// and all three visit the active set exactly once.
+func TestParForActiveForms(t *testing.T) {
+	const n = 4 * frontierDenseDivisor * frontierSerialCutoff
+	run := func(h *Host, active int) (*Frontier, []int32) {
+		f := NewFrontier(n)
+		for i := 0; i < active; i++ {
+			f.Activate(i * (n / active))
+		}
+		f.Advance()
+		visits := make([]int32, n)
+		h.ParForActive(f, func(tid int, node graph.NodeID) {
+			atomic.AddInt32(&visits[node], int32(1+tid<<8))
+		})
+		return f, visits
+	}
+	check := func(t *testing.T, f *Frontier, visits []int32, wantTid0 bool) {
+		t.Helper()
+		for i, v := range visits {
+			count := v & 0xff
+			want := int32(0)
+			if f.IsActive(i) {
+				want = 1
+			}
+			if count != want {
+				t.Fatalf("node %d visited %d times, want %d", i, count, want)
+			}
+			if wantTid0 && v>>8 != 0 {
+				t.Fatalf("node %d ran on tid %d, want serial tid 0", i, v>>8)
+			}
+		}
+	}
+
+	t.Run("serial", func(t *testing.T) {
+		h := testHost(4)
+		defer h.pool.close()
+		f, visits := run(h, frontierSerialCutoff) // at the cutoff: inline
+		check(t, f, visits, true)
+		if f.idxValid {
+			t.Fatal("serial path built the sparse index")
+		}
+	})
+	t.Run("dense", func(t *testing.T) {
+		h := testHost(4)
+		defer h.pool.close()
+		f, visits := run(h, n/frontierDenseDivisor) // count*divisor == size: bitset scan
+		check(t, f, visits, false)
+		if f.idxValid {
+			t.Fatal("dense path built the sparse index")
+		}
+	})
+	t.Run("sparse", func(t *testing.T) {
+		h := testHost(4)
+		defer h.pool.close()
+		f, visits := run(h, 2*frontierSerialCutoff) // above the cutoff, count*divisor < size
+		check(t, f, visits, false)
+		if !f.idxValid {
+			t.Fatal("sparse path did not build the compacted index")
+		}
+	})
+}

@@ -79,12 +79,6 @@ type Host struct {
 	pool   *workerPool
 	mapSeq atomic.Int64
 
-	// Frontier representation thresholds (SetFrontierThresholds); atomic
-	// because the adaptive policy rewrites them between rounds while
-	// telemetry readers may inspect them. Zero means "use the package
-	// default".
-	denseDivisor atomic.Int64
-	serialCutoff atomic.Int64
 	// async is the host's persistent drain scheduler, created on first
 	// AsyncDrain. Only the host's program goroutine starts drains, so no
 	// lock guards it.
@@ -353,54 +347,18 @@ func (h *Host) ParForPull(fn func(tid int, master graph.NodeID)) {
 	h.pool.parFor(n, chunk, func(tid, i int) { fn(tid, graph.NodeID(i)) })
 }
 
-// frontierDenseDivisor is the default density threshold of ParForActive's
+// frontierDenseDivisor is the density threshold of ParForActive's
 // Ligra-style representation switch: at |active| >= |V|/16 the frontier is
 // iterated as a parallel bitset scan (no compaction, word-level skips of
 // inactive runs); below it the set bits are compacted into an index list
 // so per-round work is O(|active|) plus one word scan.
 const frontierDenseDivisor = 16
 
-// frontierSerialCutoff is the default frontier size at or below which
+// frontierSerialCutoff is the frontier size at or below which
 // ParForActive runs inline on the calling goroutine: waking the worker
 // pool costs more than visiting a few hundred vertices, and late rounds of
 // frontier-driven algorithms hit this every round.
 const frontierSerialCutoff = 256
-
-// SetFrontierThresholds overrides the host's frontier representation
-// thresholds: the dense divisor (iterate densely at |active| >=
-// |V|/divisor) and the serial cutoff (run inline at or below it). Zero
-// leaves the corresponding threshold unchanged; negative restores the
-// package default. Safe to call between rounds; the adaptive policy engine
-// uses it to retune the dense/sparse switch from observed telemetry.
-func (h *Host) SetFrontierThresholds(denseDivisor, serialCutoff int) {
-	switch {
-	case denseDivisor > 0:
-		h.denseDivisor.Store(int64(denseDivisor))
-	case denseDivisor < 0:
-		h.denseDivisor.Store(frontierDenseDivisor)
-	}
-	switch {
-	case serialCutoff > 0:
-		h.serialCutoff.Store(int64(serialCutoff))
-	case serialCutoff < 0:
-		h.serialCutoff.Store(frontierSerialCutoff)
-	}
-}
-
-// FrontierThresholds returns the host's effective dense divisor and serial
-// cutoff (package defaults when never configured — hosts built as bare
-// literals in tests keep working).
-func (h *Host) FrontierThresholds() (denseDivisor, serialCutoff int) {
-	denseDivisor = int(h.denseDivisor.Load())
-	if denseDivisor == 0 {
-		denseDivisor = frontierDenseDivisor
-	}
-	serialCutoff = int(h.serialCutoff.Load())
-	if serialCutoff == 0 {
-		serialCutoff = frontierSerialCutoff
-	}
-	return denseDivisor, serialCutoff
-}
 
 // ParForActive runs fn over the vertices in f's current set, on the
 // host's worker pool. The iteration form switches on frontier density
@@ -415,14 +373,13 @@ func (h *Host) ParForActive(f *Frontier, fn func(tid int, node graph.NodeID)) {
 	if n == 0 {
 		return
 	}
-	divisor, cutoff := h.FrontierThresholds()
 	// Small frontiers run inline on the calling goroutine (see
 	// frontierSerialCutoff).
-	if n <= cutoff {
+	if n <= frontierSerialCutoff {
 		f.cur.ForEachSet(func(i int) { fn(0, graph.NodeID(i)) })
 		return
 	}
-	if n*divisor >= f.Size() {
+	if n*frontierDenseDivisor >= f.Size() {
 		cur := f.cur
 		h.ParFor(cur.Words(), func(tid, w int) {
 			word := cur.MaskedWord(w)
