@@ -22,11 +22,13 @@ benchmark-test:
 # root: it resolves packages with `go list` and type-checks from source.
 # The wall-clock gates sit behind the wallgates build tag, which neither
 # `go build`, `go test` nor `go vet ./...` compiles, so they get their own
-# vet pass to keep them type-checked against the helpers they call. The
-# tree must also be gofmt-clean; the check lists any file that is not.
+# vet pass to keep them type-checked against the helpers they call, and
+# the nested benchmark module, which `./...` stops short of, gets one too.
+# The tree must also be gofmt-clean; the check lists any file that is not.
 lint:
 	@unformatted=$$(gofmt -l .); test -z "$$unformatted" || { echo "gofmt needed:"; echo "$$unformatted"; exit 1; }
 	$(GO) vet ./...
+	cd benchmark && $(GO) vet .
 	$(GO) vet -tags wallgates ./internal/bench
 	$(GO) run ./cmd/kimbapvet ./...
 

@@ -7,8 +7,6 @@
 //	graphgen -type rmat -scale 16 -edgefactor 16 > web.el
 //	graphgen convert -in web.el -out web.kmb2
 //	graphgen convert -in web.kmb2 -out web.el -workers 4
-//	graphgen convert -in web.el -out web.kmb2 -reorder degree
-//	graphgen reorder -in web.kmb2 -out web-deg.kmb2 -policy blocked-degree -blocks 8
 //
 // Formats are never named on the command line. An input is KMB2 when it
 // starts with the KMB2 magic and a text edge list otherwise; an output is
@@ -18,14 +16,11 @@
 // convert streams: the input is read block by block (text shards or KMB2
 // blocks) and never materialized as a whole edge list. Converting to
 // KMB2 is a single sequential scan; converting to text runs the two-scan
-// streaming CSR build. With -reorder (or the reorder subcommand) the
-// output graph is permuted by a locality policy — degree or
-// blocked-degree (DESIGN.md §14) — via the fused streaming reorder
-// stage; -perm optionally records the original→current ID mapping.
+// streaming CSR build. Node IDs are never renumbered: the output holds
+// the input's IDs.
 package main
 
 import (
-	"bufio"
 	"errors"
 	"flag"
 	"fmt"
@@ -46,8 +41,6 @@ func main() {
 		switch args[0] {
 		case "convert":
 			name, run, args = "convert: ", runConvert, args[1:]
-		case "reorder":
-			name, run, args = "reorder: ", runReorder, args[1:]
 		}
 	}
 	if err := run(args); err != nil {
@@ -57,11 +50,6 @@ func main() {
 		}
 		os.Exit(1)
 	}
-}
-
-// reorderPolicyHelp lists the valid -reorder/-policy values for -help.
-func reorderPolicyHelp() string {
-	return fmt.Sprintf("none, %s, %s", graph.ReorderDegree, graph.ReorderBlockedDegree)
 }
 
 func runGenerate(args []string) error {
@@ -113,8 +101,6 @@ func runConvert(args []string) error {
 		nodes      = fs.Int("nodes", 0, "node count for text inputs without a nodes directive")
 		workers    = fs.Int("workers", 0, "parallel workers for the streaming build (0 = all cores)")
 		blockEdges = fs.Int("block-edges", 0, "kmb2 output block capacity (0 = default)")
-		reorder    = fs.String("reorder", "none", "vertex reorder policy: "+reorderPolicyHelp())
-		blocks     = fs.Int("blocks", 1, "block count for -reorder blocked-degree (usually the host count)")
 	)
 	fs.Parse(args)
 	if *in == "" || *out == "" {
@@ -126,72 +112,16 @@ func runConvert(args []string) error {
 	}
 	defer src.Close()
 
-	pol := graph.ReorderPolicy(*reorder)
-	if isKMB2Path(*out) && (pol == "" || pol == graph.ReorderNone) {
+	if isKMB2Path(*out) {
 		// Format conversion without a CSR build: one sequential scan,
-		// blocks repacked to the output capacity. Reordering permutes the
-		// edges, so it always takes the build path below.
+		// blocks repacked to the output capacity.
 		return copyToKMB2(src, *out, *blockEdges)
 	}
-	g, _, err := graph.NewStreamBuilder(src).SetWorkers(*workers).BuildReordered(pol, *blocks)
+	g, err := graph.NewStreamBuilder(src).SetWorkers(*workers).Build()
 	if err != nil {
 		return err
 	}
 	return writeGraph(*out, g, *blockEdges)
-}
-
-// runReorder rewrites a graph file under a reorder policy: a streaming
-// CSR build with the fused reorder stage, then the output writer. The
-// permutation can be saved alongside the graph with -perm (one
-// "orig current" pair per line).
-func runReorder(args []string) error {
-	fs := flag.NewFlagSet("reorder", flag.ExitOnError)
-	var (
-		in      = fs.String("in", "", "input path (required)")
-		out     = fs.String("out", "", "output path (required): KMB2 if it ends in .kmb2, else text")
-		policy  = fs.String("policy", string(graph.ReorderDegree), "reorder policy: "+reorderPolicyHelp())
-		blocks  = fs.Int("blocks", 1, "block count for blocked-degree (usually the host count)")
-		nodes   = fs.Int("nodes", 0, "node count for text inputs without a nodes directive")
-		workers = fs.Int("workers", 0, "parallel workers (0 = all cores)")
-		permOut = fs.String("perm", "", "also write the original->current permutation to this path")
-	)
-	fs.Parse(args)
-	if *in == "" || *out == "" {
-		return fmt.Errorf("%w: need -in and -out", errUsage)
-	}
-	src, err := openSource(*in, *nodes)
-	if err != nil {
-		return err
-	}
-	defer src.Close()
-	g, ro, err := graph.NewStreamBuilder(src).SetWorkers(*workers).
-		BuildReordered(graph.ReorderPolicy(*policy), *blocks)
-	if err != nil {
-		return err
-	}
-	if err := writeGraph(*out, g, 0); err != nil {
-		return err
-	}
-	if *permOut != "" {
-		f, err := os.Create(*permOut)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w := bufio.NewWriter(f)
-		for orig := 0; orig < g.NumNodes(); orig++ {
-			cur := orig
-			if ro != nil {
-				cur = int(ro.Perm[orig])
-			}
-			fmt.Fprintf(w, "%d %d\n", orig, cur)
-		}
-		if err := w.Flush(); err != nil {
-			return err
-		}
-		return f.Close()
-	}
-	return nil
 }
 
 func isKMB2Path(path string) bool { return strings.HasSuffix(path, ".kmb2") }

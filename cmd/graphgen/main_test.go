@@ -1,9 +1,7 @@
 package main
 
 import (
-	"bufio"
 	"errors"
-	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -61,11 +59,10 @@ func requireSameGraph(t *testing.T, label string, want, got *graph.Graph) {
 	}
 }
 
-// TestGenerateConvertReorder drives the three subcommands end to end:
-// generate (text, KMB2, stdout) → convert text → KMB2 → text → reorder,
-// checking every output graph bit for bit against the generator or
-// against graph.Reorder of it.
-func TestGenerateConvertReorder(t *testing.T) {
+// TestGenerateConvertRoundTrip drives both subcommands end to end:
+// generate (text, KMB2, stdout) → convert text → KMB2 → text, checking
+// every output graph bit for bit against the generator.
+func TestGenerateConvertRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	at := func(name string) string { return filepath.Join(dir, name) }
 	run := func(f func([]string) error, args ...string) {
@@ -109,47 +106,6 @@ func TestGenerateConvertReorder(t *testing.T) {
 	}
 	if back, err := os.ReadFile(at("back.el")); err != nil || string(back) != string(orig) {
 		t.Fatalf("text -> kmb2 -> text is not byte-identical (err=%v)", err)
-	}
-
-	degree, _, err := graph.Reorder(want, graph.ReorderOptions{Policy: graph.ReorderDegree})
-	if err != nil {
-		t.Fatal(err)
-	}
-	run(runConvert, "-in", at("g.el"), "-out", at("deg.kmb2"), "-reorder", "degree")
-	requireSameGraph(t, "convert -reorder degree", degree, readGraph(t, at("deg.kmb2")))
-
-	blocked, ro, err := graph.Reorder(want, graph.ReorderOptions{Policy: graph.ReorderBlockedDegree, Blocks: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	run(runReorder, "-in", at("conv.kmb2"), "-out", at("blk.el"),
-		"-policy", "blocked-degree", "-blocks", "3", "-perm", at("perm.txt"))
-	requireSameGraph(t, "reorder blocked-degree", blocked, readGraph(t, at("blk.el")))
-
-	// The -perm file maps every original ID to a distinct current ID,
-	// and agrees with graph.Reorder's permutation.
-	f, err := os.Open(at("perm.txt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	seen := make([]bool, want.NumNodes())
-	lines := 0
-	for sc := bufio.NewScanner(f); sc.Scan(); lines++ {
-		var origID, cur int
-		if _, err := fmt.Sscan(sc.Text(), &origID, &cur); err != nil {
-			t.Fatalf("perm line %q: %v", sc.Text(), err)
-		}
-		if origID != lines || cur < 0 || cur >= len(seen) || seen[cur] {
-			t.Fatalf("perm line %d = %q is not a permutation entry", lines, sc.Text())
-		}
-		if cur != int(ro.Perm[origID]) {
-			t.Fatalf("perm[%d] = %d, graph.Reorder has %d", origID, cur, ro.Perm[origID])
-		}
-		seen[cur] = true
-	}
-	if lines != want.NumNodes() {
-		t.Fatalf("perm file has %d lines, want %d", lines, want.NumNodes())
 	}
 }
 
@@ -195,7 +151,7 @@ func TestRejectsKMB1AndBadUsage(t *testing.T) {
 	for _, cmd := range []struct {
 		name string
 		run  func([]string) error
-	}{{"convert", runConvert}, {"reorder", runReorder}} {
+	}{{"convert", runConvert}} {
 		t.Run(cmd.name+"/kmb1", func(t *testing.T) {
 			err := cmd.run([]string{"-in", old, "-out", filepath.Join(dir, cmd.name+".kmb2")})
 			if err == nil || !strings.Contains(err.Error(), "KMB1") {

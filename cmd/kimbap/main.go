@@ -106,10 +106,14 @@ func run() int {
 			fmt.Fprintln(os.Stderr, "kimbap:", err)
 			return 1
 		}
-		fmt.Printf("%s: modularity=%.4f levels=%d rounds=%d compute=%v comm=%v wall=%v\n",
-			strings.ToUpper(*algo), res.Modularity, res.Levels, res.Rounds,
+		ok := allConverged([]algorithms.CDResult{res}, func(r algorithms.CDResult) bool { return r.Converged })
+		fmt.Printf("%s: modularity=%.4f levels=%d rounds=%d converged=%v compute=%v comm=%v wall=%v\n",
+			strings.ToUpper(*algo), res.Modularity, res.Levels, res.Rounds, ok,
 			res.Compute.Round(time.Millisecond), res.Comm.Round(time.Millisecond),
 			time.Since(start).Round(time.Millisecond))
+		if !ok {
+			return notConverged(*algo)
+		}
 	default:
 		cluster, err := runtime.NewCluster(g, ccfg)
 		if err != nil {
@@ -125,10 +129,14 @@ func run() int {
 			out := make([]graph.NodeID, g.NumNodes())
 			stats := make([]algorithms.CCStats, *hosts)
 			cluster.Run(func(h *runtime.Host) { stats[h.Rank] = fns[*algo](h, acfg, out) })
-			fmt.Printf("%s: components=%d hook/prop rounds=%d shortcut rounds=%d wall=%v\n",
+			ok := allConverged(stats, func(s algorithms.CCStats) bool { return s.Converged })
+			fmt.Printf("%s: components=%d hook/prop rounds=%d shortcut rounds=%d converged=%v wall=%v\n",
 				strings.ToUpper(*algo), graph.NumComponents(out),
-				stats[0].HookRounds, stats[0].ShortcutRounds,
+				stats[0].HookRounds, stats[0].ShortcutRounds, ok,
 				time.Since(start).Round(time.Millisecond))
+			if !ok {
+				return notConverged(*algo)
+			}
 			if *verify {
 				want := graph.ReferenceComponents(g)
 				for i := range want {
@@ -143,8 +151,12 @@ func run() int {
 			out := make([]bool, g.NumNodes())
 			stats := make([]algorithms.MISStats, *hosts)
 			cluster.Run(func(h *runtime.Host) { stats[h.Rank] = algorithms.MIS(h, acfg, out) })
-			fmt.Printf("MIS: size=%d rounds=%d wall=%v\n",
-				stats[0].Size, stats[0].Rounds, time.Since(start).Round(time.Millisecond))
+			ok := allConverged(stats, func(s algorithms.MISStats) bool { return s.Converged })
+			fmt.Printf("MIS: size=%d rounds=%d converged=%v wall=%v\n",
+				stats[0].Size, stats[0].Rounds, ok, time.Since(start).Round(time.Millisecond))
+			if !ok {
+				return notConverged(*algo)
+			}
 			if *verify {
 				if !graph.IsValidMIS(g, out) {
 					fmt.Fprintln(os.Stderr, "kimbap: VERIFY FAILED: not a maximal independent set")
@@ -156,9 +168,13 @@ func run() int {
 			out := make([]graph.NodeID, g.NumNodes())
 			stats := make([]algorithms.MSFStats, *hosts)
 			cluster.Run(func(h *runtime.Host) { stats[h.Rank] = algorithms.MSF(h, acfg, out) })
-			fmt.Printf("MSF: weight=%.2f edges=%d rounds=%d wall=%v\n",
-				stats[0].TotalWeight, stats[0].ForestEdges, stats[0].Rounds,
+			ok := allConverged(stats, func(s algorithms.MSFStats) bool { return s.Converged })
+			fmt.Printf("MSF: weight=%.2f edges=%d rounds=%d converged=%v wall=%v\n",
+				stats[0].TotalWeight, stats[0].ForestEdges, stats[0].Rounds, ok,
 				time.Since(start).Round(time.Millisecond))
+			if !ok {
+				return notConverged(*algo)
+			}
 			if *verify {
 				want := graph.ReferenceMSFWeight(g)
 				if diff := stats[0].TotalWeight - want; diff > 1e-6*want || diff < -1e-6*want {
@@ -176,6 +192,25 @@ func run() int {
 		fmt.Printf("communication: %d messages, %.2f MB\n", msgs, float64(bytes)/(1<<20))
 	}
 	return 0
+}
+
+// allConverged reports whether every host's result converged, reading each
+// result's flag with converged. Louvain and Leiden report one result for
+// the whole run, passed as a one-element slice.
+func allConverged[S any](results []S, converged func(S) bool) bool {
+	for _, r := range results {
+		if !converged(r) {
+			return false
+		}
+	}
+	return true
+}
+
+// notConverged reports a run that a round or level cap cut off and returns
+// the command's exit status for it: its output is not a fixpoint.
+func notConverged(algo string) int {
+	fmt.Fprintf(os.Stderr, "kimbap: %s did not converge: a round or level cap ended the run first\n", algo)
+	return 1
 }
 
 // writeHeapProfile writes the heap profile to path after a GC, so the

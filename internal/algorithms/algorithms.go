@@ -181,18 +181,12 @@ var Table2 = []OperatorKind{
 	{Name: "MIS", AdjacentVertex: true, TransVertex: false},
 }
 
-// initOwn sets every local proxy's property to its own *original* node ID
-// and publishes the values (the Figure 4 initialization idiom). Seeding
-// original IDs keeps every ID-valued property in original-ID space when
-// the cluster runs on a reordered graph (DESIGN.md §14): min-label
-// fixpoints then converge to the same labels with reordering on or off,
-// and only the sites that use a property value as an address translate
-// (HostPartition.CurrentID). Without reordering OriginalID is the
-// identity, so this is the classic m.Set(gid, gid).
+// initOwn sets every local proxy's property to its own node ID and
+// publishes the values (the Figure 4 initialization idiom).
 func initOwn(h *runtime.Host, m npm.Map[graph.NodeID]) {
 	h.ParForNodes(func(_ int, local graph.NodeID) {
 		gid := h.HP.GlobalID(local)
-		m.Set(gid, h.HP.OriginalID(gid))
+		m.Set(gid, gid)
 	})
 	m.InitSync()
 }
@@ -208,9 +202,7 @@ func requestLocalProxies[V comparable](h *runtime.Host, m npm.Map[V]) {
 }
 
 // readAllMasters copies this host's master values into out (indexed by
-// *original* node ID, so callers see the same layout whether or not the
-// cluster reordered its vertices); entries outside the master range are
-// untouched.
+// global node ID); entries outside the master range are untouched.
 func readAllMasters[V comparable](h *runtime.Host, m npm.Map[V], out []V) {
 	lo, hi := h.HP.MasterRangeGlobal()
 	if hi > lo {
@@ -219,7 +211,7 @@ func readAllMasters[V comparable](h *runtime.Host, m npm.Map[V], out []V) {
 		}
 		m.RequestSync()
 		for n := lo; n < hi; n++ {
-			out[h.HP.OriginalID(n)] = m.Read(n)
+			out[n] = m.Read(n)
 		}
 	} else {
 		m.RequestSync()

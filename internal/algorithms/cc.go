@@ -233,15 +233,12 @@ func (r *labelRun) hook(workDone *runtime.BoolReducer, seed *par.Bitset) int {
 		for e := lo; e < hi; e++ {
 			dst := local.Dst(e)
 			dstParent := lv.Value(dst)
-			// Parent values are original IDs; the reduce target is the
-			// parent *node*, so translate to its current ID before
-			// addressing it (identity without reordering).
 			if srcParent > dstParent {
 				workDone.Reduce(true)
-				parent.Reduce(tid, h.HP.CurrentID(srcParent), dstParent)
+				parent.Reduce(tid, srcParent, dstParent)
 			} else if fr != nil && dstParent > srcParent && !fr.IsActive(int(dst)) {
 				workDone.Reduce(true)
-				parent.Reduce(tid, h.HP.CurrentID(dstParent), srcParent)
+				parent.Reduce(tid, dstParent, srcParent)
 			}
 		}
 	})
@@ -286,12 +283,12 @@ func shortcut(h *runtime.Host, cfg Config, parent npm.Map[graph.NodeID], fr *run
 	// request parent(parent(n)).
 	reqBody := func(_ int, local graph.NodeID) {
 		p := parent.Read(h.HP.GlobalID(local))
-		parent.Request(h.HP.CurrentID(p))
+		parent.Request(p)
 	}
 	body := func(tid int, local graph.NodeID) {
 		gid := h.HP.GlobalID(local)
 		p := parent.Read(gid)
-		gp := parent.Read(h.HP.CurrentID(p))
+		gp := parent.Read(p)
 		if p != gp {
 			parent.Reduce(tid, gid, gp)
 		}
@@ -373,28 +370,22 @@ func ccChaseBody(h *runtime.Host, pol *policy, parent npm.Map[graph.NodeID],
 				fr.Activate(int(n))
 			}
 		}
-		// The cursor is an (address, original-ID) pair: parent *values* live
-		// in original-ID space (see initOwn), while every Load/ReduceAsync
-		// target must be a current (reordered) node ID. Without reordering
-		// the two coincide and this is the plain single-cursor walk.
-		vAddr := gid
-		vOrig := h.HP.OriginalID(gid)
-		var root graph.NodeID // original-ID-space label
+		v := gid
+		var root graph.NodeID
 		haveRoot := false
 		for {
-			p, ok := ah.Load(vAddr) // vAddr=gid is our master, always readable; deeper nodes may not be
+			p, ok := ah.Load(v) // v=gid is our master, always readable; deeper nodes may not be
 			if !ok {
-				miss(vAddr)
+				miss(v)
 				break
 			}
-			if p == vOrig {
+			if p == v {
 				root, haveRoot = p, true
 				break
 			}
-			pAddr := h.HP.CurrentID(p)
-			gp, ok := ah.Load(pAddr)
+			gp, ok := ah.Load(p)
 			if !ok {
-				miss(pAddr)
+				miss(p)
 				break
 			}
 			if gp == p {
@@ -404,10 +395,10 @@ func ccChaseBody(h *runtime.Host, pol *policy, parent npm.Map[graph.NodeID],
 			// Jump v past p. Local targets apply via CAS (activating the
 			// changed master, the bsp rule: a parent that moved re-examines
 			// next round); remote targets buffer for the next reduce-sync.
-			if lv, applied, ch := ah.ReduceAsync(tid, vAddr, gp); applied && ch {
+			if lv, applied, ch := ah.ReduceAsync(tid, v, gp); applied && ch {
 				fr.Activate(int(lv))
 			}
-			vAddr, vOrig = h.HP.CurrentID(gp), gp
+			v = gp
 		}
 		// The walk halves the chain but only moves gid one jump; finish by
 		// pulling gid all the way to the terminal root so one drain fully

@@ -119,12 +119,12 @@ func TestCCStatsPopulated(t *testing.T) {
 	}
 }
 
-// TestCCConvergedReportsCutoff checks that a MaxRounds cut-off does not
-// pass as convergence, for the CC algorithms, MIS and MSF: on a 4096-node
-// chain a cut-off run (three rounds for CC, one Boruvka or MIS round)
-// cannot finish, so every host reports Converged false, while the default
-// cap lets each run to quiescence, reporting true with the reference
-// output.
+// TestCCConvergedReportsCutoff checks that a MaxRounds or MaxLevels cut-off
+// does not pass as convergence, for the CC algorithms, MIS, MSF, Louvain
+// and Leiden: on a 4096-node chain a cut-off run (three rounds for CC, one
+// Boruvka or MIS round) cannot finish, so every host reports Converged
+// false, while the default cap lets each run to quiescence, reporting true
+// with the reference output.
 func TestCCConvergedReportsCutoff(t *testing.T) {
 	chain, wchain := gen.Chain(4096, false, 1), gen.Chain(4096, true, 1)
 	type runFunc func(h *runtime.Host, cfg Config) bool
@@ -187,6 +187,27 @@ func TestCCConvergedReportsCutoff(t *testing.T) {
 			}
 			if maxRounds == 0 {
 				check(t)
+			}
+		}
+	}
+	// Louvain and Leiden are cut off by levels rather than rounds: on a
+	// planted-partition graph the first level moves nodes, so MaxLevels 1
+	// stops while the level loop still has work, and the default runs on
+	// until a level moves nothing.
+	communities := gen.Communities(8, 40, 6, 1, true, 3)
+	for _, cd := range []struct {
+		name string
+		run  func(*graph.Graph, runtime.Config, Config, CDOptions) (CDResult, error)
+	}{{"LV", Louvain}, {"LD", Leiden}} {
+		for _, maxLevels := range []int{1, 0} {
+			res, err := cd.run(communities, runtime.Config{NumHosts: 2, ThreadsPerHost: 2},
+				Config{}, CDOptions{MaxLevels: maxLevels})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := maxLevels == 0; res.Converged != want {
+				t.Errorf("%s MaxLevels=%d: Converged = %v after %d levels, want %v",
+					cd.name, maxLevels, res.Converged, res.Levels, want)
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package algorithms
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -45,6 +46,33 @@ func TestCCEquivalentAcrossVariantsAndHosts(t *testing.T) {
 			}
 		}
 		ref = nil
+	}
+}
+
+// TestCCSVTransportMatrix pins CC-SV against the sequential reference
+// across {dense, sparse} × {in-memory, TCP} × {2, 4, 8} hosts on a CVC
+// partition: the one matrix that runs both trans-vertex addressing paths
+// (hook targets and shortcut grandparent reads) over the real-socket
+// transport at every host count.
+func TestCCSVTransportMatrix(t *testing.T) {
+	g := gen.RMAT(8, 6, false, 2)
+	want := graph.ReferenceComponents(g)
+	for _, tcp := range []bool{false, true} {
+		for _, dense := range []bool{false, true} {
+			for _, hosts := range []int{2, 4, 8} {
+				t.Run(fmt.Sprintf("tcp=%v/dense=%v/hosts=%d", tcp, dense, hosts), func(t *testing.T) {
+					rc := runtime.Config{
+						NumHosts: hosts, ThreadsPerHost: 3, Policy: partition.CVC, UseTCP: tcp,
+					}
+					got, _ := runCCDir(t, g, rc, Config{Dense: dense}, CCSV)
+					for i := range want {
+						if got[i] != want[i] {
+							t.Fatalf("node %d labeled %d, reference %d", i, got[i], want[i])
+						}
+					}
+				})
+			}
+		}
 	}
 }
 

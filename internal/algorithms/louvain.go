@@ -75,6 +75,10 @@ type CDResult struct {
 	Modularity float64
 	Levels     int
 	Rounds     int // total refinement rounds across levels
+	// Converged reports that the level loop stopped on its own: a level
+	// moved no node, or contraction left the graph unchanged. False when
+	// MaxLevels ended the loop while the last level still moved nodes.
+	Converged bool
 	// Compute and Comm sum the per-host phase timers across all levels;
 	// Request/Reduce/Broadcast split Comm by sync phase.
 	Compute, Comm              time.Duration
@@ -93,11 +97,6 @@ func multilevel(g *graph.Graph, ccfg runtime.Config, acfg Config,
 	opts CDOptions, leiden bool) (CDResult, error) {
 
 	ccfg.Policy = partition.OEC
-	// Community labels are used as node addresses throughout the refinement
-	// and contraction (labels index the coarse graph), so the multi-level
-	// driver keeps every level's cluster in natural ID order — vertex
-	// reordering (DESIGN.md §14) applies to the flat SPMD algorithms only.
-	ccfg.Reorder = ""
 	var res CDResult
 	// proj[i] = current coarse-level node holding original node i.
 	proj := make([]graph.NodeID, g.NumNodes())
@@ -157,7 +156,8 @@ func multilevel(g *graph.Graph, ccfg runtime.Config, acfg Config,
 		for i := range final {
 			final[i] = assignComm[proj[i]]
 		}
-		if (moved[0] == 0 && level > 0) || level == opts.MaxLevels-1 {
+		res.Converged = moved[0] == 0
+		if (res.Converged && level > 0) || level == opts.MaxLevels-1 {
 			break // converged, or no level left to use a contraction
 		}
 		coarse, remap := graph.Contract(cur, assignSub)
@@ -171,6 +171,7 @@ func multilevel(g *graph.Graph, ccfg runtime.Config, acfg Config,
 			proj[i] = remap[assignSub[proj[i]]]
 		}
 		if coarse.NumNodes() == cur.NumNodes() || coarse.NumNodes() <= 1 {
+			res.Converged = true
 			break
 		}
 		cur = coarse

@@ -11,11 +11,11 @@ import (
 // Priority-based maximal independent set (Burtscher et al.), an
 // adjacent-vertex program (Table 2). Each node gets a static priority
 // derived from its global degree, ties broken by a pseudo-random bijection
-// of its original ID (graph.MISPriority, the rule every MIS here shares);
-// each round a node joins the set when its priority beats every undecided
+// of its node ID (graph.MISPriority, the rule every MIS here shares); each
+// round a node joins the set when its priority beats every undecided
 // neighbor's, and neighbors of new members drop out. The result is the
-// greedy MIS in priority order, so it does not depend on the partition,
-// the round shape, or the vertex numbering.
+// greedy MIS in priority order, so it does not depend on the partition or
+// the round shape.
 //
 // Under vertex-cut partitioning a proxy sees only part of a node's
 // adjacency, so "beats every neighbor" is itself computed with a
@@ -52,7 +52,7 @@ func MIS(h *runtime.Host, cfg Config, out []bool) MISStats {
 	// Phase 1: global degrees (local degrees are partial under vertex
 	// cuts), then static priorities (graph.MISPriority): lower score =
 	// higher priority; low-degree nodes win, ties broken by a hash of the
-	// original ID, so scores are distinct.
+	// node ID, so scores are distinct.
 	degree := cfg.newFloatMap(h, npm.SumFloat64())
 	h.ParForNodes(func(_ int, n graph.NodeID) { degree.Set(h.HP.GlobalID(n), 0) })
 	degree.InitSync()
@@ -73,7 +73,7 @@ func MIS(h *runtime.Host, cfg Config, out []bool) MISStats {
 	h.ParForMasters(func(_ int, n graph.NodeID) {
 		gid := h.HP.GlobalID(n)
 		// Exact in the float64 map while degree·(n+1)+n < 2^53.
-		p := graph.MISPriority(uint64(degree.Read(gid)), uint64(h.HP.OriginalID(gid)), nGlobal)
+		p := graph.MISPriority(uint64(degree.Read(gid)), uint64(gid), nGlobal)
 		prio.Set(gid, float64(p))
 	})
 	prio.InitSync()
@@ -311,7 +311,7 @@ func MIS(h *runtime.Host, cfg Config, out []bool) MISStats {
 	state.RequestSync()
 	for g := lo; g < hi; g++ {
 		if state.Read(g) == misIn {
-			out[h.HP.OriginalID(g)] = true
+			out[g] = true
 			size.Reduce(1)
 		}
 	}

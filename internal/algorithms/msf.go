@@ -172,20 +172,15 @@ func MSF(h *runtime.Host, cfg Config, comp []graph.NodeID) MSFStats {
 				if w > best.W {
 					continue // cannot win: skip the endpoint lookups
 				}
-				// Normalize endpoints in original-ID space so the edge's
-				// identity — and the (weight, endpoints) total order — is
-				// the same with reordering on or off (DESIGN.md §14).
-				oa, ob := h.HP.OriginalID(h.HP.GlobalID(n)), h.HP.OriginalID(h.HP.GlobalID(d))
-				if edge := (MinEdge{W: w, A: min(oa, ob), B: max(oa, ob)}); edge.less(best) {
+				ga, gb := h.HP.GlobalID(n), h.HP.GlobalID(d)
+				if edge := (MinEdge{W: w, A: min(ga, gb), B: max(ga, gb)}); edge.less(best) {
 					best = edge
 				}
 			}
 			if !crossing {
 				return
 			}
-			// The root value rs is an original ID too, so address the
-			// reduce at its current ID.
-			cand.Reduce(tid, h.HP.CurrentID(rs), best)
+			cand.Reduce(tid, rs, best)
 			if frProp != nil {
 				frProp.Activate(int(n))
 			}
@@ -211,8 +206,8 @@ func MSF(h *runtime.Host, cfg Config, comp []graph.NodeID) MSFStats {
 			h.ParForMasters(func(_ int, local graph.NodeID) {
 				c := cv.Value(local)
 				if !math.IsInf(c.W, 1) {
-					parent.Request(h.HP.CurrentID(c.A))
-					parent.Request(h.HP.CurrentID(c.B))
+					parent.Request(c.A)
+					parent.Request(c.B)
 				}
 			})
 		})
@@ -226,12 +221,12 @@ func MSF(h *runtime.Host, cfg Config, comp []graph.NodeID) MSFStats {
 				if math.IsInf(c.W, 1) {
 					return
 				}
-				ra, rb := parent.Read(h.HP.CurrentID(c.A)), parent.Read(h.HP.CurrentID(c.B))
+				ra, rb := parent.Read(c.A), parent.Read(c.B)
 				other := ra
-				if ra == h.HP.OriginalID(h.HP.GlobalID(local)) {
+				if ra == h.HP.GlobalID(local) {
 					other = rb
 				}
-				cand.Request(h.HP.CurrentID(other))
+				cand.Request(other)
 			})
 		})
 		cand.RequestSync()
@@ -248,11 +243,8 @@ func MSF(h *runtime.Host, cfg Config, comp []graph.NodeID) MSFStats {
 				if math.IsInf(c.W, 1) {
 					return
 				}
-				// Root comparisons run in original-ID space (parent values
-				// and edge endpoints both live there); map lookups translate
-				// to current IDs at the access.
-				og := h.HP.OriginalID(h.HP.GlobalID(local))
-				ra, rb := parent.Read(h.HP.CurrentID(c.A)), parent.Read(h.HP.CurrentID(c.B))
+				og := h.HP.GlobalID(local)
+				ra, rb := parent.Read(c.A), parent.Read(c.B)
 				other := ra
 				if ra == og {
 					other = rb
@@ -260,7 +252,7 @@ func MSF(h *runtime.Host, cfg Config, comp []graph.NodeID) MSFStats {
 				if other == og {
 					return // endpoints merged earlier in this round's view
 				}
-				if cand.Read(h.HP.CurrentID(other)) == c && og < other {
+				if cand.Read(other) == c && og < other {
 					return // smaller root of a mutual pair: stays the root
 				}
 				pv.Reduce(tid, local, other) // single writer: own pointer

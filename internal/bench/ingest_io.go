@@ -60,61 +60,6 @@ func (c Config) ioFixtureFor(p gen.Preset) (ioFixture, func()) {
 	return fx, func() { os.RemoveAll(dir) }
 }
 
-// ioFixtureScattered writes the preset's edges into a KMB2 file in a
-// deterministic stride-scattered order, modelling a raw ingest whose edges
-// arrive in no useful order. The standard fixture's KMB2 comes from
-// SaveKMB2 walking an already-sorted CSR, so a plain rebuild gets its
-// adjacency sort nearly for free — comparing the fused build+reorder
-// against that would bill the reorder path for a full adjacency sort the
-// baseline never pays. The reorder_build record and its cost gate compare
-// on this fixture, where both sides sort from scratch.
-func (c Config) ioFixtureScattered(p gen.Preset) (ioFixture, func()) {
-	g := c.graphFor(p)
-	dir, err := os.MkdirTemp("", "kimbap-ingest-io-")
-	if err != nil {
-		panic(err)
-	}
-	fx := ioFixture{g: g, kmb2: filepath.Join(dir, "graph-scattered.kmb2")}
-	f, err := os.Create(fx.kmb2)
-	if err != nil {
-		panic(err)
-	}
-	kw, err := graph.NewKMB2Writer(f, g.NumNodes(), g.Weighted(), 0)
-	if err != nil {
-		panic(err)
-	}
-	edges := g.Edges()
-	m := int64(len(edges))
-	if m > 0 {
-		// Golden-ratio stride, nudged coprime to m: visiting k*stride mod m
-		// walks every edge exactly once in a fixed maximally-scattered order.
-		stride := m*61803/100000 + 1
-		for gcd(stride, m) != 1 {
-			stride++
-		}
-		for k := int64(0); k < m; k++ {
-			e := edges[(k*stride)%m]
-			if err := kw.AppendEdge(e.Src, e.Dst, e.Weight); err != nil {
-				panic(err)
-			}
-		}
-	}
-	if err := kw.Close(); err != nil {
-		panic(err)
-	}
-	if err := f.Close(); err != nil {
-		panic(err)
-	}
-	return fx, func() { os.RemoveAll(dir) }
-}
-
-func gcd(a, b int64) int64 {
-	for b != 0 {
-		a, b = b, a%b
-	}
-	return a
-}
-
 // csrBytes is the final CSR footprint: offsets, dsts, and (when weighted)
 // weights — the denominator of the streaming peak-allocation gate.
 func csrBytes(g *graph.Graph) int64 {
@@ -149,20 +94,6 @@ func (fx ioFixture) streamKMB2(w int) {
 	}
 }
 
-// streamKMB2Reordered runs the fused two-scan build + §14 reorder over the
-// KMB2 block file: the first scan's degree counts feed the permutation, so
-// the second scan scatters edges straight into the permuted CSR.
-func (fx ioFixture) streamKMB2Reordered(w int, pol graph.ReorderPolicy, blocks int) {
-	src, err := graph.OpenKMB2(fx.kmb2)
-	if err != nil {
-		panic(err)
-	}
-	defer src.Close()
-	if _, _, err := graph.NewStreamBuilder(src).SetWorkers(w).BuildReordered(pol, blocks); err != nil {
-		panic(err)
-	}
-}
-
 // loadKMB2 is the materialize-then-build twin on the same file.
 func (fx ioFixture) loadKMB2(w int) {
 	if _, err := graph.LoadKMB2(fx.kmb2, w); err != nil {
@@ -186,18 +117,5 @@ func (c Config) ingestIOPerf() []PerfRecord {
 			c.timeOp(PerfRecord{Name: name("ingest_io_stream_build"), Hosts: 1, Threads: w},
 				func() {}, func() { fx.streamKMB2(w) }))
 	}
-	// The reorder pair rides the scattered fixture (raw ingest order — see
-	// ioFixtureScattered): ingest_io_scattered is the plain two-scan build
-	// on it, reorder_build the fused build+reorder on the same bytes. Their
-	// delta is the whole cost of the blocked-degree permutation, gated at
-	// 15% of build time by TestReorderBuildCostGate.
-	sfx, scleanup := c.ioFixtureScattered(ioPreset)
-	defer scleanup()
-	recs = append(recs,
-		c.timeOp(PerfRecord{Name: name("ingest_io_scattered"), Hosts: 1, Threads: c.Threads},
-			func() {}, func() { sfx.streamKMB2(c.Threads) }),
-		c.timeOp(PerfRecord{Name: name("reorder_build"), Hosts: 1, Threads: c.Threads},
-			func() {},
-			func() { sfx.streamKMB2Reordered(c.Threads, graph.ReorderBlockedDegree, 4) }))
 	return recs
 }

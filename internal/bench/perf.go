@@ -89,12 +89,6 @@ func (c Config) PerfTo(w io.Writer, jsonPath string) error {
 		c.ccPerf("cc_sv_full", npm.Full, 8, false),
 		c.ccPerf("cc_sv_full_dense", npm.Full, 8, true),
 		c.ccPerf("cc_sv_full_sparse", npm.Full, 8, false),
-		// The §14 reorder ablation pair: dense CC-SV on the cache-spilling
-		// locality workload, unreordered vs blocked-degree, same 4-host
-		// split. The wall gate (perf_wall_test.go) holds the reordered run
-		// to 95% of the baseline.
-		c.ccReorderPerf("cc_sv_locality", 4, ""),
-		c.ccReorderPerf("cc_sv_full_reordered", 4, graph.ReorderBlockedDegree),
 		// Strategy pair on the skewed-convergence workload (a long chain:
 		// maximal pointer-jumping depth, the async drain's best case) — the
 		// bsp baseline and the async drain.
@@ -301,27 +295,7 @@ func (c Config) syncPerf(name string, variant npm.Variant, hosts int, pin bool) 
 // dense or frontier-driven, and records the per-round activity log.
 func (c Config) ccPerf(name string, variant npm.Variant, hosts int, dense bool) PerfRecord {
 	g, _ := c.perfGraph()
-	return c.ccPerfOn(name, g, variant, hosts, dense, algorithms.StrategyBSP, "", "")
-}
-
-// localityGraph is the reorder ablation's input: big enough that the
-// property and adjacency arrays spill the last-level cache, which the
-// suite's standard R-MAT (2^11 nodes) never does — below that size a
-// permutation pass moves nothing that wasn't already cache-resident.
-func (c Config) localityGraph() *graph.Graph {
-	if c.Scale == Full {
-		return gen.RMAT(17, 8, false, 3)
-	}
-	return gen.RMAT(10, 8, false, 3)
-}
-
-// ccReorderPerf measures dense CC-SV on the locality workload under one §14
-// reorder policy ("" = the unreordered baseline the ablation compares to).
-// Reorder and partition happen inside NewCluster, outside the timed window:
-// the record isolates the steady-state locality effect, while the reorder
-// pass's own cost is gated separately against the stream build.
-func (c Config) ccReorderPerf(name string, hosts int, pol graph.ReorderPolicy) PerfRecord {
-	return c.ccPerfOn(name, c.localityGraph(), npm.Full, hosts, true, algorithms.StrategyBSP, pol, "")
+	return c.ccPerfOn(name, g, variant, hosts, dense, algorithms.StrategyBSP, "")
 }
 
 // chainGraph is the skewed-convergence workload for the strategy
@@ -338,7 +312,7 @@ func (c Config) chainGraph() *graph.Graph {
 // ccChainPerf measures frontier-driven CC-SV on the chain workload under
 // one strategy.
 func (c Config) ccChainPerf(name string, hosts int, s algorithms.Strategy) PerfRecord {
-	return c.ccPerfOn(name, c.chainGraph(), npm.Full, hosts, false, s, "", "")
+	return c.ccPerfOn(name, c.chainGraph(), npm.Full, hosts, false, s, "")
 }
 
 // ccIECPerf measures dense CC-SV on the standard R-MAT under one strategy.
@@ -346,17 +320,17 @@ func (c Config) ccChainPerf(name string, hosts int, s algorithms.Strategy) PerfR
 // exercised rather than falling back to bsp.
 func (c Config) ccIECPerf(name string, hosts int, s algorithms.Strategy) PerfRecord {
 	g, _ := c.perfGraph()
-	return c.ccPerfOn(name, g, npm.Full, hosts, true, s, "", partition.IEC)
+	return c.ccPerfOn(name, g, npm.Full, hosts, true, s, partition.IEC)
 }
 
 func (c Config) ccPerfOn(name string, g *graph.Graph, variant npm.Variant, hosts int,
-	dense bool, s algorithms.Strategy, reorder graph.ReorderPolicy, pol partition.Policy) PerfRecord {
+	dense bool, s algorithms.Strategy, pol partition.Policy) PerfRecord {
 
 	rec := PerfRecord{Name: name, Hosts: hosts, Threads: c.Threads}
 	best := time.Duration(-1)
 	for rep := 0; rep < c.Reps; rep++ {
 		cluster, err := runtime.NewCluster(g, runtime.Config{
-			NumHosts: hosts, ThreadsPerHost: c.Threads, Reorder: reorder, Policy: pol,
+			NumHosts: hosts, ThreadsPerHost: c.Threads, Policy: pol,
 		})
 		if err != nil {
 			panic(err)

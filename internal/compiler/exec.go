@@ -80,7 +80,7 @@ func NewExec(h *runtime.Host, plan *Plan, cfg ExecConfig) *Exec {
 			local := h.HP.Local
 			h.ParForMasters(func(_ int, l graph.NodeID) {
 				gid := h.HP.GlobalID(l)
-				prio := graph.MISPriority(uint64(local.Degree(l)), uint64(h.HP.OriginalID(gid)), n)
+				prio := graph.MISPriority(uint64(local.Degree(l)), uint64(gid), n)
 				if prio > 1<<32-1 {
 					panic("compiler: degree priority overflows 32 bits at this scale")
 				}

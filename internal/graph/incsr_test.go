@@ -189,39 +189,6 @@ func TestStreamInCSREmpty(t *testing.T) {
 	requireInCSRMatchesTranspose(t, g)
 }
 
-// TestStreamInCSRReordered checks the permuted fused path: the in-CSR of
-// a BuildReordered graph must be the transpose of the permuted graph.
-func TestStreamInCSRReordered(t *testing.T) {
-	const n, m = 73, 500
-	for _, ec := range []edgeCase{{dups: true, selfLoops: true}, {weighted: true, dups: true}} {
-		ref := NewBuilder(n)
-		fillBuilder(ref, ec, n, m, 31)
-		path := filepath.Join(t.TempDir(), "g.kmb2")
-		writeKMB2Columns(t, path, n, slices.Clone(ref.srcs), slices.Clone(ref.dsts),
-			slices.Clone(ref.weights), 11)
-		src, err := OpenKMB2(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer src.Close()
-		for _, pol := range []ReorderPolicy{ReorderDegree, ReorderBlockedDegree} {
-			for _, w := range []int{1, 4, 8} {
-				t.Run(fmt.Sprintf("%s/%s/workers=%d", ec.name(), pol, w), func(t *testing.T) {
-					got, ro, err := NewStreamBuilder(src).SetWorkers(w).WithInCSR(true).
-						BuildReordered(pol, 4)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if ro == nil {
-						t.Fatal("no reordering returned")
-					}
-					requireInCSRMatchesTranspose(t, got)
-				})
-			}
-		}
-	}
-}
-
 // FuzzStreamInCSR exercises the dual-column scatter the way FuzzReadKMB2
 // exercises the single-column one: arbitrary KMB2 bytes either fail or
 // produce a graph whose fused transpose matches the oracle.

@@ -162,16 +162,14 @@ func IsValidMIS(g *Graph, set []bool) bool {
 
 // MISPriority is the static priority every MIS implementation ranks nodes
 // by (lower wins): degree-major, so low-degree nodes join first, with ties
-// broken by a pseudo-random bijection of the node's original ID
-// (misTieBreak). It lies in
-// [degree·(n+1), degree·(n+1)+n), so priorities are distinct — which the
-// priority MIS needs, as two adjacent nodes then never join in one round —
-// and, being a function of the original ID, identical with vertex
-// reordering on or off and on every host count. Priority-ordered greedy
-// MIS is unique for a given order, so every implementation selects the
-// same set.
-func MISPriority(degree, originalID, n uint64) uint64 {
-	return degree*(n+1) + misTieBreak(originalID, n)
+// broken by a pseudo-random bijection of the node's ID (misTieBreak). It
+// lies in [degree·(n+1), degree·(n+1)+n), so priorities are distinct —
+// which the priority MIS needs, as two adjacent nodes then never join in
+// one round — and, being a function of the global ID alone, identical on
+// every host count. Priority-ordered greedy MIS is unique for a given
+// order, so every implementation selects the same set.
+func MISPriority(degree, id, n uint64) uint64 {
+	return degree*(n+1) + misTieBreak(id, n)
 }
 
 // misTieBreak maps id in [0, n) to a pseudo-random position in [0, n): a

@@ -136,8 +136,7 @@ func (sb *StreamBuilder) SetWorkers(w int) *StreamBuilder {
 // WithInCSR requests the fused transpose emission: pass 1 counts both
 // degree arrays and pass 2 scatters both columns, so the built graph
 // carries its in-edge CSR without a separate EnsureInCSR pass over the
-// CSR. The transpose is bit-identical to Transpose of the built graph
-// (and, under BuildReordered, to Transpose of the permuted graph).
+// CSR. The transpose is bit-identical to Transpose of the built graph.
 func (sb *StreamBuilder) WithInCSR(on bool) *StreamBuilder {
 	sb.inCSR = on
 	return sb
@@ -354,217 +353,4 @@ func (sb *StreamBuilder) Build() (*Graph, error) {
 		g.adoptInCSR(g.inOffsets, g.inSrcs, g.inWeights)
 	}
 	return g, nil
-}
-
-// BuildReordered is Build with a fused locality reorder stage (DESIGN.md
-// §14): pass 1's per-worker count matrix doubles as the degree oracle for
-// computeReordering, mergeCountsPermuted redirects the offsets and
-// cursors into the permuted ID space, and pass 2 scatters perm[dst] under
-// cursors indexed by the original source — so the permuted CSR is built
-// in the same two scans, without ever materializing the original-order
-// graph. The extra work over Build is the key sort (O(n log n) on node
-// keys, versus O(m) edge traffic) plus one permutation lookup per edge;
-// the reorder_build bench record and its live gate pin that overhead.
-//
-// The result is bit-identical to Reorder(Build()) at every worker count
-// and block size: both scatter the same permuted edge multiset and finish
-// with the same total-order adjacency sort. For ReorderNone (or empty
-// policy) it delegates to Build with a nil Reordering.
-//
-//kimbap:deterministic
-func (sb *StreamBuilder) BuildReordered(policy ReorderPolicy, blocks int) (*Graph, *Reordering, error) {
-	switch policy {
-	case ReorderNone, "":
-		g, err := sb.Build()
-		return g, nil, err
-	case ReorderDegree, ReorderBlockedDegree:
-	default:
-		return nil, nil, fmt.Errorf("graph: unknown reorder policy %q (have %v)",
-			policy, ReorderPolicies)
-	}
-	n := sb.src.NumNodes()
-	if n < 0 {
-		return nil, nil, fmt.Errorf("graph: stream build: negative node count %d", n)
-	}
-	nb := sb.src.NumBlocks()
-	workers := par.Resolve(sb.workers)
-	if workers > nb {
-		workers = nb
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	weighted := sb.src.Weighted()
-	g := &Graph{offsets: make([]int64, n+1)}
-	if nb == 0 {
-		g.dsts = []NodeID{}
-		if weighted {
-			g.weights = []float64{}
-		}
-		if sb.inCSR {
-			var iw []float64
-			if weighted {
-				iw = []float64{}
-			}
-			g.adoptInCSR(make([]int64, n+1), []NodeID{}, iw)
-		}
-		ro := computeReordering(n, 0, func(int) int64 { return 0 }, policy, blocks, workers)
-		return g, ro, nil
-	}
-
-	// Pass 1: identical to Build's counting scan (including the fused
-	// in-degree matrix, keyed by the original destination — the
-	// permutation does not exist yet during pass 1).
-	blks := make([]EdgeBlock, workers)
-	cnt := getCounts(workers * n)
-	var icnt []int64
-	if sb.inCSR {
-		icnt = getCounts(workers * n)
-	}
-	pass1 := make([]int64, workers)
-	count := func(w int, blk *EdgeBlock) error {
-		c := cnt[w*n : (w+1)*n]
-		for i, s := range blk.Srcs {
-			if int(s) >= n || int(blk.Dsts[i]) >= n {
-				return fmt.Errorf("graph: edge %d->%d out of range for %d nodes",
-					s, blk.Dsts[i], n)
-			}
-			c[s]++
-		}
-		if icnt != nil {
-			ic := icnt[w*n : (w+1)*n]
-			for _, d := range blk.Dsts {
-				ic[d]++
-			}
-		}
-		// Empty blocks carry no weight-column information (see Build).
-		if blk.Len() > 0 && weighted != (blk.Weights != nil) {
-			return fmt.Errorf("graph: block weight column mismatch (source says weighted=%v)", weighted)
-		}
-		pass1[w] += int64(blk.Len())
-		return nil
-	}
-	par.Do(workers, func(w int) {
-		clear(cnt[w*n : (w+1)*n])
-		if icnt != nil {
-			clear(icnt[w*n : (w+1)*n])
-		}
-	})
-	if err := sb.scan(workers, blks, count); err != nil {
-		putCounts(cnt)
-		if icnt != nil {
-			putCounts(icnt)
-		}
-		return nil, nil, err
-	}
-
-	// Reorder stage: the count matrix's column sums are the degrees.
-	var totalEdges int64
-	for _, c := range pass1 {
-		totalEdges += c
-	}
-	degree := func(v int) int64 {
-		var s int64
-		for w := 0; w < workers; w++ {
-			s += cnt[w*n+v]
-		}
-		return s
-	}
-	ro := computeReordering(n, totalEdges, degree, policy, blocks, workers)
-	perm := ro.Perm
-	mergeCountsPermuted(workers, n, cnt, g.offsets, perm)
-
-	m := g.offsets[n]
-	g.dsts = make([]NodeID, m)
-	if weighted {
-		g.weights = make([]float64, m)
-	}
-	if icnt != nil {
-		// The transpose of the permuted CSR: in-degree of perm[d] is the
-		// count keyed by original d, so the same permuted merge applies.
-		g.inOffsets = make([]int64, n+1)
-		mergeCountsPermuted(workers, n, icnt, g.inOffsets, perm)
-		g.inSrcs = make([]NodeID, m)
-		if weighted {
-			g.inWeights = make([]float64, m)
-		}
-	}
-
-	// Pass 2: the same conflict-free cursor scatter as Build, with both
-	// endpoints translated — cursors are indexed by the original source
-	// (the count columns are), but point into the permuted CSR.
-	pass2 := make([]int64, workers)
-	scatter := func(w int, blk *EdgeBlock) error {
-		c := cnt[w*n : (w+1)*n]
-		seen := pass2[w] + int64(blk.Len())
-		if seen > pass1[w] {
-			return fmt.Errorf("graph: source changed between scans (worker %d saw %d edges, counted %d)",
-				w, seen, pass1[w])
-		}
-		pass2[w] = seen
-		// Unlike Build, destinations index the permutation here, so a
-		// drifted source must fail the dst re-check too.
-		for i, s := range blk.Srcs {
-			if int(s) >= n || int(blk.Dsts[i]) >= n {
-				return fmt.Errorf("graph: source changed between scans (edge %d->%d out of range)",
-					s, blk.Dsts[i])
-			}
-		}
-		if blk.Weights != nil {
-			for i, s := range blk.Srcs {
-				at := c[s]
-				if at >= m {
-					return fmt.Errorf("graph: source changed between scans (cursor overflow at src %d)", s)
-				}
-				c[s] = at + 1
-				g.dsts[at] = perm[blk.Dsts[i]]
-				g.weights[at] = blk.Weights[i]
-			}
-		} else {
-			for i, s := range blk.Srcs {
-				at := c[s]
-				if at >= m {
-					return fmt.Errorf("graph: source changed between scans (cursor overflow at src %d)", s)
-				}
-				c[s] = at + 1
-				g.dsts[at] = perm[blk.Dsts[i]]
-			}
-		}
-		if icnt != nil {
-			ic := icnt[w*n : (w+1)*n]
-			for i, d := range blk.Dsts {
-				at := ic[d]
-				if at >= m {
-					return fmt.Errorf("graph: source changed between scans (cursor overflow at dst %d)", d)
-				}
-				ic[d] = at + 1
-				g.inSrcs[at] = perm[blk.Srcs[i]]
-				if g.inWeights != nil {
-					g.inWeights[at] = blk.Weights[i]
-				}
-			}
-		}
-		return nil
-	}
-	//kimbap:conflictfree
-	err := sb.scan(workers, blks, scatter)
-	putCounts(cnt)
-	if icnt != nil {
-		putCounts(icnt)
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	for w := range pass2 {
-		if pass2[w] != pass1[w] {
-			return nil, nil, fmt.Errorf("graph: source changed between scans (worker %d saw %d edges, counted %d)",
-				w, pass2[w], pass1[w])
-		}
-	}
-	sortAdjacency(g, workers)
-	if g.inOffsets != nil {
-		sortInAdjacency(g, workers)
-		g.adoptInCSR(g.inOffsets, g.inSrcs, g.inWeights)
-	}
-	return g, ro, nil
 }

@@ -208,14 +208,11 @@ func TestFootprintOfNonReporter(t *testing.T) {
 }
 
 // The §14 dense translation structures must show up in the accounting: the
-// partition's global→local table (and the permutation arrays on a
-// reordered cluster), and the cache slot table once remote requests have
-// materialized a cache.
+// partition's global→local table, and the cache slot table once remote
+// requests have materialized a cache.
 func TestMemoryFootprintIncludesTranslationTables(t *testing.T) {
 	g := gen.Grid(8, 8, false, 1)
-	c, err := runtime.NewCluster(g, runtime.Config{
-		NumHosts: 2, ThreadsPerHost: 2, Reorder: graph.ReorderDegree,
-	})
+	c, err := runtime.NewCluster(g, runtime.Config{NumHosts: 2, ThreadsPerHost: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,8 +227,8 @@ func TestMemoryFootprintIncludesTranslationTables(t *testing.T) {
 		})
 		m.InitSync()
 		tf := h.HP.TranslationFootprint()
-		if tf < int64(h.HP.NumGlobalNodes())*4 {
-			t.Errorf("host %d: translation footprint %d below the dense local table", h.Rank, tf)
+		if want := int64(h.HP.NumGlobalNodes()) * 4; tf != want {
+			t.Errorf("host %d: translation footprint %d, want the dense local table's %d", h.Rank, tf, want)
 		}
 		before := FootprintOf(m)
 		lo, hi := h.HP.MasterRangeGlobal()

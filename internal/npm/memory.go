@@ -53,9 +53,9 @@ func (m *fullMap[V]) MemoryFootprint() int64 {
 	// The transpose CSR exists only for pull rounds, so its bytes are the
 	// pull path's to account for, not the graph loader's.
 	total += m.hp.InCSRFootprint()
-	// Partition-side ID translation: the host's dense global→local table
-	// plus (on host 0) the shared reorder permutation arrays. Charged to
-	// the Full variant, which is the one whose hot paths index them.
+	// Partition-side ID translation: the host's dense global→local table.
+	// Charged to the Full variant, which is the one whose hot paths index
+	// it.
 	total += m.hp.TranslationFootprint()
 	for _, b := range m.dense {
 		if b != nil {

@@ -3,6 +3,7 @@ package partition
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"kimbap/internal/gen"
@@ -175,30 +176,65 @@ func TestParallelPartitionMatchesSerial(t *testing.T) {
 	}
 }
 
-// PartitionReorderedWorkers against PartitionReorderedSerial on a
-// reordered R-MAT: blocked-degree reorders whose boundaries the partition
-// adopts, and a whole-graph degree reorder whose boundaries it recomputes.
-func TestParallelPartitionReorderedMatchesSerial(t *testing.T) {
+// relabel returns g with node v renamed perm[v]; every edge keeps its
+// weight.
+func relabel(g *graph.Graph, perm []graph.NodeID) *graph.Graph {
+	b := graph.NewBuilder(g.NumNodes())
+	for v := 0; v < g.NumNodes(); v++ {
+		lo, hi := g.EdgeRange(graph.NodeID(v))
+		for e := lo; e < hi; e++ {
+			if g.Weighted() {
+				b.AddWeightedEdge(perm[v], perm[g.Dst(e)], g.Weight(e))
+			} else {
+				b.AddEdge(perm[v], perm[g.Dst(e)])
+			}
+		}
+	}
+	return b.BuildSerial()
+}
+
+// hubsFirst returns the permutation that lays out each range
+// [bounds[i], bounds[i+1]) in descending degree, ties by ID.
+func hubsFirst(g *graph.Graph, bounds []graph.NodeID) []graph.NodeID {
+	perm := make([]graph.NodeID, g.NumNodes())
+	for i := 0; i+1 < len(bounds); i++ {
+		ids := make([]graph.NodeID, 0, bounds[i+1]-bounds[i])
+		for v := bounds[i]; v < bounds[i+1]; v++ {
+			ids = append(ids, v)
+		}
+		slices.SortStableFunc(ids, func(a, b graph.NodeID) int { return g.Degree(b) - g.Degree(a) })
+		for k, v := range ids {
+			perm[v] = bounds[i] + graph.NodeID(k)
+		}
+	}
+	return perm
+}
+
+// The partitioner takes node IDs as ingested, whatever their layout. An
+// R-MAT renumbered hubs-first — over the whole ID space, or within each
+// degree-balanced master range — concentrates the degree weight at the
+// front of the ranges the boundary walk splits, and the parallel pipeline
+// must still match the serial reference bit for bit.
+func TestParallelPartitionRelabeledMatchesSerial(t *testing.T) {
 	g := gen.RMAT(9, 8, true, 5)
 	for _, hosts := range []int{1, 2, 4, 8} {
-		for _, opts := range []graph.ReorderOptions{
-			{Policy: graph.ReorderBlockedDegree, Blocks: hosts},
-			{Policy: graph.ReorderDegree},
-		} {
-			rg, ro, err := graph.Reorder(g, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
+		layouts := []struct {
+			name   string
+			bounds []graph.NodeID
+		}{
+			{"degree", []graph.NodeID{0, graph.NodeID(g.NumNodes())}},
+			{"blocked-degree", degreeBalancedBoundaries(g, hosts)},
+		}
+		for _, l := range layouts {
+			rg := relabel(g, hubsFirst(g, l.bounds))
 			for _, pol := range Policies {
-				want := PartitionReorderedSerial(rg, hosts, pol, ro)
+				want := PartitionSerial(rg, hosts, pol)
+				checkInvariants(t, rg, want)
 				for _, workers := range []int{1, 2, 4, 8} {
-					t.Run(fmt.Sprintf("%s/%s/hosts=%d/workers=%d", opts.Policy, pol, hosts, workers),
+					t.Run(fmt.Sprintf("%s/%s/hosts=%d/workers=%d", l.name, pol, hosts, workers),
 						func(t *testing.T) {
-							got := PartitionReorderedWorkers(rg, hosts, pol, workers, ro)
-							if got.Reordering != ro {
-								t.Fatal("partition did not carry the reordering")
-							}
-							requireSamePartitioned(t, want, got)
+							requireSamePartitioned(t, want,
+								PartitionWorkers(rg, hosts, pol, workers))
 						})
 				}
 			}

@@ -40,7 +40,7 @@ import (
 //
 //kimbap:deterministic
 func Partition(g *graph.Graph, numHosts int, policy Policy) *Partitioned {
-	return partitionWorkers(g, numHosts, policy, 0, nil)
+	return PartitionWorkers(g, numHosts, policy, 0)
 }
 
 // PartitionWorkers is Partition with an explicit worker count (0 = all
@@ -48,29 +48,6 @@ func Partition(g *graph.Graph, numHosts int, policy Policy) *Partitioned {
 //
 //kimbap:deterministic
 func PartitionWorkers(g *graph.Graph, numHosts int, policy Policy, workers int) *Partitioned {
-	return partitionWorkers(g, numHosts, policy, workers, nil)
-}
-
-// PartitionReordered partitions a reordered graph: g must already be the
-// permuted CSR and ro its permutation (see graph.Reorder). The partition
-// carries ro so the NPM and algorithm layers can translate between ID
-// spaces; blocked-degree boundaries matching the host count are adopted
-// verbatim, preserving the original partition assignment.
-//
-//kimbap:deterministic
-func PartitionReordered(g *graph.Graph, numHosts int, policy Policy, ro *graph.Reordering) *Partitioned {
-	return partitionWorkers(g, numHosts, policy, 0, ro)
-}
-
-// PartitionReorderedWorkers is PartitionReordered with an explicit worker
-// count (0 = all cores). Output is identical at every worker count.
-//
-//kimbap:deterministic
-func PartitionReorderedWorkers(g *graph.Graph, numHosts int, policy Policy, workers int, ro *graph.Reordering) *Partitioned {
-	return partitionWorkers(g, numHosts, policy, workers, ro)
-}
-
-func partitionWorkers(g *graph.Graph, numHosts int, policy Policy, workers int, ro *graph.Reordering) *Partitioned {
 	if numHosts < 1 {
 		panic("partition: numHosts must be >= 1")
 	}
@@ -80,8 +57,7 @@ func partitionWorkers(g *graph.Graph, numHosts int, policy Policy, workers int, 
 		NumHosts:   numHosts,
 		NumNodes:   numNodes,
 		Policy:     policy,
-		Reordering: ro,
-		boundaries: partitionBoundaries(g, numHosts, ro),
+		boundaries: degreeBalancedBoundaries(g, numHosts),
 	}
 	p.buildOwnerTab()
 	pc := edgeGrid(policy, numHosts)

@@ -41,16 +41,10 @@ var Policies = []Policy{OEC, IEC, CVC}
 
 // Partitioned is the result of partitioning a graph across hosts.
 type Partitioned struct {
-	NumHosts int
-	NumNodes int // global node count
-	Policy   Policy
-	Hosts    []*HostPartition
-	// Reordering records the vertex permutation the graph was ingested
-	// under (DESIGN.md §14), nil when partitioning an original-order
-	// graph. All partition-level IDs — boundaries, GlobalIDs, edges — are
-	// in the reordered ("current") space; OriginalID/CurrentID translate
-	// at the algorithm boundaries.
-	Reordering *graph.Reordering
+	NumHosts   int
+	NumNodes   int // global node count
+	Policy     Policy
+	Hosts      []*HostPartition
 	boundaries []graph.NodeID // len NumHosts+1; owner(v) = range containing v
 	// ownerTab[v>>ownerBlockShift] = owner of that block's first node.
 	// Owner starts there and walks at most the boundaries that fall inside
@@ -101,19 +95,6 @@ type HostPartition struct {
 // CSR, MirrorsByOwner, MasterSendTo — bit for bit against the parallel
 // pipeline at every worker count.
 func PartitionSerial(g *graph.Graph, numHosts int, policy Policy) *Partitioned {
-	return partitionSerial(g, numHosts, policy, nil)
-}
-
-// PartitionReorderedSerial is PartitionSerial for a reordered graph: g
-// must already be the permuted CSR, and ro its permutation. When ro
-// carries blocked-degree boundaries for numHosts blocks they are adopted
-// verbatim (preserving the original partition assignment); otherwise the
-// boundaries are recomputed on the permuted graph.
-func PartitionReorderedSerial(g *graph.Graph, numHosts int, policy Policy, ro *graph.Reordering) *Partitioned {
-	return partitionSerial(g, numHosts, policy, ro)
-}
-
-func partitionSerial(g *graph.Graph, numHosts int, policy Policy, ro *graph.Reordering) *Partitioned {
 	if numHosts < 1 {
 		panic("partition: numHosts must be >= 1")
 	}
@@ -121,8 +102,7 @@ func partitionSerial(g *graph.Graph, numHosts int, policy Policy, ro *graph.Reor
 		NumHosts:   numHosts,
 		NumNodes:   g.NumNodes(),
 		Policy:     policy,
-		Reordering: ro,
-		boundaries: partitionBoundaries(g, numHosts, ro),
+		boundaries: degreeBalancedBoundaries(g, numHosts),
 	}
 	p.buildOwnerTab()
 	pc := edgeGrid(policy, numHosts)
@@ -249,23 +229,30 @@ func (p *Partitioned) MasterRange(h int) (lo, hi graph.NodeID) {
 	return p.boundaries[h], p.boundaries[h+1]
 }
 
-// degreeBalancedBoundaries delegates to graph.BlockBoundaries — the same
-// walk the blocked-degree reorder uses for its blocks, which is what lets
-// PartitionReordered adopt a reordering's boundaries verbatim.
+// degreeBalancedBoundaries computes the master-range boundaries: len
+// numHosts+1, boundaries[h] ≤ v < boundaries[h+1] makes host h the owner
+// of node v. Each node weighs degree+1 (so empty nodes also spread), and
+// range h ends at the first node where the accumulated weight reaches
+// h/numHosts of the total.
 func degreeBalancedBoundaries(g *graph.Graph, numHosts int) []graph.NodeID {
-	return graph.BlockBoundaries(g, numHosts)
-}
-
-// partitionBoundaries picks the master-range boundaries: a blocked-degree
-// reordering's block bounds when they match the host count (each block
-// maps onto itself under the permutation, so the original assignment is
-// preserved exactly), else freshly degree-balanced on g — for the
-// whole-graph degree policy the hubs moved, so the balance point did too.
-func partitionBoundaries(g *graph.Graph, numHosts int, ro *graph.Reordering) []graph.NodeID {
-	if ro != nil && len(ro.Boundaries) == numHosts+1 {
-		return ro.Boundaries
+	n := g.NumNodes()
+	total := g.NumEdges() + int64(n)
+	bounds := make([]graph.NodeID, numHosts+1)
+	bounds[numHosts] = graph.NodeID(n)
+	target := total / int64(numHosts)
+	h := 1
+	var acc int64
+	for v := 0; v < n && h < numHosts; v++ {
+		acc += int64(g.Degree(graph.NodeID(v))) + 1
+		if acc >= target*int64(h) {
+			bounds[h] = graph.NodeID(v + 1)
+			h++
+		}
 	}
-	return degreeBalancedBoundaries(g, numHosts)
+	for ; h < numHosts; h++ {
+		bounds[h] = graph.NodeID(n)
+	}
+	return bounds
 }
 
 // edgeGrid returns the width pc of the host grid that places policy's
@@ -402,31 +389,12 @@ func (hp *HostPartition) LocalID(global graph.NodeID) (graph.NodeID, bool) {
 	return graph.InvalidNode, false
 }
 
-// OriginalID maps a global (reordered-space) node ID back to the original
-// ID space. Identity when the graph was not reordered.
-func (hp *HostPartition) OriginalID(global graph.NodeID) graph.NodeID {
-	return hp.part.Reordering.OriginalID(global)
-}
-
-// CurrentID maps an original node ID into the global (reordered) space —
-// the translation for property *values* that are used as addresses.
-// Identity when the graph was not reordered.
-func (hp *HostPartition) CurrentID(orig graph.NodeID) graph.NodeID {
-	return hp.part.Reordering.CurrentID(orig)
-}
-
 // TranslationFootprint returns the bytes this host holds for ID
-// translation: the dense local table plus its share of the partition-wide
-// permutation arrays (counted once, on host 0, since Perm/Inv are shared
-// across hosts). The NPM memory reporter folds this into the per-host
-// footprint so the §14 tables stay visible in the accounting.
+// translation: the dense global→local table, one int32 per global node.
+// The NPM memory reporter folds this into the per-host footprint so the
+// §14 table stays visible in the accounting.
 func (hp *HostPartition) TranslationFootprint() int64 {
-	b := int64(len(hp.localTab)) * 4
-	if hp.Host == 0 && hp.part.Reordering != nil {
-		ro := hp.part.Reordering
-		b += int64(len(ro.Perm))*4 + int64(len(ro.Inv))*4 + int64(len(ro.Boundaries))*4
-	}
-	return b
+	return int64(len(hp.localTab)) * 4
 }
 
 // GlobalID translates a local node ID back to the global ID.

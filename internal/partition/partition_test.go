@@ -1,7 +1,9 @@
 package partition
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -182,6 +184,91 @@ func TestDegreeBalancedBoundaries(t *testing.T) {
 	lo0, hi0 := p.MasterRange(0)
 	if hi0-lo0 > 600 {
 		t.Errorf("host 0 got %d nodes of a star; balancing failed", hi0-lo0)
+	}
+}
+
+// TestDegreeBalancedBoundariesPinned pins the degree-balanced walk's
+// exact output on shapes that stress its edges: no nodes, one node, a
+// skewed random graph, an isolated tail (zero-degree nodes still weigh
+// 1), an R-MAT, and more ranges than the weight can fill. Owner, the
+// reduce-sync wire and every counter pin depend on these bounds.
+func TestDegreeBalancedBoundariesPinned(t *testing.T) {
+	skewed := graph.NewBuilder(120)
+	r := rand.New(rand.NewSource(7))
+	for i := 0; i < 700; i++ {
+		s := graph.NodeID(r.Intn(120) * r.Intn(120) / 120)
+		skewed.AddWeightedEdge(s, graph.NodeID(r.Intn(120)), float64(r.Intn(9)+1))
+	}
+	iso := graph.NewBuilder(50)
+	for i := 0; i < 20; i++ {
+		iso.AddEdge(graph.NodeID(i), graph.NodeID((i+1)%20))
+	}
+	graphs := map[string]*graph.Graph{
+		"empty":         graph.NewBuilder(0).BuildSerial(),
+		"single":        graph.NewBuilder(1).BuildSerial(),
+		"skewed":        skewed.BuildSerial(),
+		"isolated-tail": iso.BuildSerial(),
+		"rmat10":        gen.RMAT(10, 8, false, 3),
+	}
+	want := map[string]map[int][]graph.NodeID{
+		"empty":  {1: {0, 0}, 2: {0, 0, 0}, 8: {0, 0, 0, 0, 0, 0, 0, 0, 0}},
+		"single": {1: {0, 1}, 3: {0, 1, 1, 1}, 8: {0, 1, 1, 1, 1, 1, 1, 1, 1}},
+		"skewed": {
+			1: {0, 120}, 2: {0, 25, 120}, 3: {0, 14, 40, 120}, 4: {0, 10, 25, 52, 120},
+			8: {0, 4, 10, 17, 25, 35, 51, 74, 120},
+		},
+		"isolated-tail": {
+			2: {0, 18, 50}, 3: {0, 12, 26, 50}, 4: {0, 9, 17, 31, 50},
+			8: {0, 4, 8, 12, 16, 20, 28, 36, 50},
+		},
+		"rmat10": {
+			2: {0, 232, 1024}, 3: {0, 92, 389, 1024}, 4: {0, 52, 232, 521, 1024},
+			8: {0, 13, 52, 129, 232, 325, 521, 649, 1024},
+		},
+	}
+	for name, byHosts := range want {
+		for hosts, w := range byHosts {
+			t.Run(fmt.Sprintf("%s/hosts=%d", name, hosts), func(t *testing.T) {
+				if got := degreeBalancedBoundaries(graphs[name], hosts); !slices.Equal(got, w) {
+					t.Errorf("boundaries %v, want %v", got, w)
+				}
+				p := Partition(graphs[name], hosts, CVC)
+				for h := 0; h < hosts; h++ {
+					if lo, hi := p.MasterRange(h); lo != w[h] || hi != w[h+1] {
+						t.Errorf("MasterRange(%d) = [%d,%d), want [%d,%d)",
+							h, lo, hi, w[h], w[h+1])
+					}
+				}
+			})
+		}
+	}
+}
+
+// The dense translation table must answer exactly like the membership it
+// was built from, including out-of-range probes, and account one int32 per
+// global node.
+func TestLocalIDTable(t *testing.T) {
+	g := testGraphs(t)["rmat"]
+	p := Partition(g, 4, CVC)
+	for _, hp := range p.Hosts {
+		seen := map[graph.NodeID]graph.NodeID{}
+		for l, gid := range hp.GlobalIDs {
+			seen[gid] = graph.NodeID(l)
+		}
+		for v := 0; v < g.NumNodes(); v++ {
+			l, ok := hp.LocalID(graph.NodeID(v))
+			wantL, wantOK := seen[graph.NodeID(v)]
+			if ok != wantOK || (ok && l != wantL) {
+				t.Fatalf("host %d: LocalID(%d) = (%d,%v), want (%d,%v)",
+					hp.Host, v, l, ok, wantL, wantOK)
+			}
+		}
+		if _, ok := hp.LocalID(graph.NodeID(g.NumNodes() + 3)); ok {
+			t.Fatalf("host %d: out-of-range global reported local", hp.Host)
+		}
+		if got, want := hp.TranslationFootprint(), 4*int64(g.NumNodes()); got != want {
+			t.Fatalf("host %d: translation footprint %d, want %d", hp.Host, got, want)
+		}
 	}
 }
 

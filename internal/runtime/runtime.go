@@ -36,13 +36,6 @@ type Config struct {
 	// UseTCP selects the real-socket transport instead of the in-memory
 	// channel transport.
 	UseTCP bool
-	// Reorder selects a locality-aware vertex reordering applied at
-	// cluster construction (DESIGN.md §14): the graph is permuted before
-	// partitioning and the partition carries the permutation, so
-	// algorithms translate at their ID-space boundaries and report
-	// results in original IDs. The zero value (or graph.ReorderNone)
-	// keeps the original order.
-	Reorder graph.ReorderPolicy
 }
 
 func (c Config) withDefaults() Config {
@@ -91,25 +84,10 @@ type Host struct {
 // stores.
 func (h *Host) NextMapID() int64 { return h.mapSeq.Add(1) }
 
-// NewCluster partitions g and connects the hosts. With Config.Reorder set,
-// g is first permuted into locality order (blocked-degree reorders use the
-// host count as the block count, preserving the partition assignment) and
-// the permutation rides on the partition for the NPM and algorithm layers.
+// NewCluster partitions g and connects the hosts.
 func NewCluster(g *graph.Graph, cfg Config) (*Cluster, error) {
 	cfg = cfg.withDefaults()
-	var part *partition.Partitioned
-	if cfg.Reorder != "" && cfg.Reorder != graph.ReorderNone {
-		rg, ro, err := graph.Reorder(g, graph.ReorderOptions{
-			Policy: cfg.Reorder,
-			Blocks: cfg.NumHosts,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("runtime: %w", err)
-		}
-		part = partition.PartitionReordered(rg, cfg.NumHosts, cfg.Policy, ro)
-	} else {
-		part = partition.Partition(g, cfg.NumHosts, cfg.Policy)
-	}
+	part := partition.Partition(g, cfg.NumHosts, cfg.Policy)
 	var eps []comm.Endpoint
 	if cfg.UseTCP {
 		tcp, err := comm.NewTCPCluster(cfg.NumHosts)
