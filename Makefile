@@ -17,8 +17,9 @@ test:
 benchmark-test:
 	cd benchmark && $(GO) test .
 
-# lint runs the standard vet suite plus Kimbap's own analyzers
-# (DESIGN.md §7 "Checked invariants"). kimbapvet must run from the module
+# lint runs the standard vet suite plus Kimbap's six analyzers
+# (bufownership, cautiousop, conflictfree, deterministic, lockdiscipline,
+# phaseorder; DESIGN.md §7 "Checked invariants"). kimbapvet must run from the module
 # root: it resolves packages with `go list` and type-checks from source.
 # The wall-clock gates sit behind the wallgates build tag, which neither
 # `go build`, `go test` nor `go vet ./...` compiles, so they get their own

@@ -1,6 +1,10 @@
 package main
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"kimbap/internal/algorithms"
@@ -28,5 +32,42 @@ func TestAllConverged(t *testing.T) {
 	}
 	if !allConverged([]algorithms.CDResult{{Converged: true}}, cd) {
 		t.Error("a converged Louvain result reported cut off")
+	}
+}
+
+// Bad flag values end the command with a one-line "kimbap:" error and a
+// non-zero status; none may reach a panic in the partitioner, the map
+// constructor or the per-host result slices. The good cases run the same
+// graph to a verified result, so the rejections come from the flag values
+// alone.
+func TestRunFlagValidation(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "square.el")
+	// A 4-cycle, both directions of every edge.
+	if err := os.WriteFile(path, []byte("0 1\n1 0\n1 2\n2 1\n2 3\n3 2\n3 0\n0 3\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		args []string
+		ok   bool
+	}{
+		{[]string{"-policy", "foo"}, false},
+		{[]string{"-variant", "foo"}, false},
+		{[]string{"-hosts", "-2"}, false},
+		{[]string{"-threads", "-1"}, false},
+		{[]string{"-hosts", "0"}, false},
+		{[]string{"-algo", "lv", "-threads", "-1"}, false},
+		{[]string{"-hosts", "1", "-policy", "oec"}, true},
+		{[]string{"-hosts", "2", "-variant", "vite", "-algo", "mis"}, true},
+		{[]string{"-hosts", "2", "-variant", "memcached"}, true},
+	} {
+		var stdout, stderr bytes.Buffer
+		code := run(append([]string{"-graph", path, "-threads", "1", "-verify"}, tc.args...), &stdout, &stderr)
+		msg := stderr.String()
+		switch {
+		case tc.ok && code != 0:
+			t.Errorf("%v: exit %d, stderr %q", tc.args, code, msg)
+		case !tc.ok && (code == 0 || !strings.HasPrefix(msg, "kimbap: ") || strings.Count(msg, "\n") != 1):
+			t.Errorf("%v: exit %d, stderr %q; want non-zero and one kimbap: line", tc.args, code, msg)
+		}
 	}
 }

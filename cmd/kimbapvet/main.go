@@ -5,10 +5,10 @@
 //
 // It checks the concurrency, communication, and operator invariants the
 // Go compiler cannot see (see DESIGN.md "Checked invariants"):
-// atomicmix, bufownership, cautiousop, conflictfree, deterministic,
-// lockdiscipline, phaseorder, and wiretag. Patterns default to ./...;
-// -only runs a comma-separated subset of analyzers; -json emits one JSON
-// record per diagnostic for CI tooling. The exit status is 1 if any
+// bufownership, cautiousop, conflictfree, deterministic, lockdiscipline,
+// and phaseorder. Patterns default to ./...; -only runs a comma-separated
+// subset of analyzers; -json emits one JSON record per diagnostic for CI
+// tooling. The exit status is 1 if any
 // diagnostic is reported, 2 on usage or load errors.
 //
 // Diagnostics are suppressed by a //kimbapvet:ignore directive on the
@@ -25,7 +25,6 @@ import (
 	"os"
 	"strings"
 
-	"kimbap/internal/analysis/atomicmix"
 	"kimbap/internal/analysis/bufownership"
 	"kimbap/internal/analysis/cautiousop"
 	"kimbap/internal/analysis/checker"
@@ -35,18 +34,15 @@ import (
 	"kimbap/internal/analysis/load"
 	"kimbap/internal/analysis/lockdiscipline"
 	"kimbap/internal/analysis/phaseorder"
-	"kimbap/internal/analysis/wiretag"
 )
 
 var all = []*framework.Analyzer{
-	atomicmix.Analyzer,
 	bufownership.Analyzer,
 	cautiousop.Analyzer,
 	conflictfree.Analyzer,
 	deterministic.Analyzer,
 	lockdiscipline.Analyzer,
 	phaseorder.Analyzer,
-	wiretag.Analyzer,
 }
 
 func main() {

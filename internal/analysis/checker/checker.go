@@ -7,7 +7,6 @@ package checker
 import (
 	"encoding/json"
 	"fmt"
-	"go/ast"
 	"go/token"
 	"io"
 	"sort"
@@ -25,8 +24,7 @@ const SuppressionsName = "suppressions"
 // Run applies every analyzer to every loaded module package — dependencies
 // first, so facts exported by upstream packages are available downstream —
 // and returns the diagnostics that fall inside pkgs (the target set),
-// sorted by position. Analyzers with a Finish hook get it invoked once,
-// after all packages, for whole-program reporting over accumulated facts.
+// sorted by position.
 //
 // A diagnostic is suppressed by a comment of the form
 //
@@ -70,22 +68,6 @@ func Run(prog *load.Program, pkgs []*load.Package, analyzers []*framework.Analyz
 			for _, d := range ds {
 				if !ignores[pkg].matches(prog.Fset, d) {
 					diags = append(diags, d)
-				}
-			}
-		}
-		ds, err := framework.RunFinish(a, prog, store)
-		if err != nil {
-			return nil, err
-		}
-		for _, d := range ds {
-			// Finish diagnostics carry positions anywhere in the program;
-			// keep only those landing in a target package.
-			for _, pkg := range pkgs {
-				if FileOf(prog.Fset, pkg, d.Pos) != nil {
-					if !ignores[pkg].matches(prog.Fset, d) {
-						diags = append(diags, d)
-					}
-					break
 				}
 			}
 		}
@@ -216,14 +198,4 @@ func (ig ignoreSet) matches(fset *token.FileSet, d framework.Diagnostic) bool {
 		}
 	}
 	return false
-}
-
-// FileOf returns the syntax file of pkg containing pos, or nil.
-func FileOf(fset *token.FileSet, pkg *load.Package, pos token.Pos) *ast.File {
-	for _, f := range pkg.Files {
-		if f.FileStart <= pos && pos <= f.FileEnd {
-			return f
-		}
-	}
-	return nil
 }

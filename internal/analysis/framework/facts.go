@@ -3,16 +3,15 @@ package framework
 import (
 	"go/types"
 	"reflect"
-	"sort"
 )
 
-// Fact is a datum an analyzer attaches to a types.Object or a
-// *types.Package while analyzing the declaring package, for use when the
-// same analyzer later processes a downstream package. It mirrors
-// golang.org/x/tools/go/analysis.Fact, with one simplification: kimbapvet
-// analyzes the whole program in one process, so facts live in memory for
-// the duration of a checker run and are never serialized. Implementations
-// must be pointer types (Import copies into the caller's pointee).
+// Fact is a datum an analyzer attaches to a types.Object while analyzing
+// the declaring package, for use when the same analyzer later processes a
+// downstream package. It mirrors golang.org/x/tools/go/analysis.Fact, with
+// one simplification: kimbapvet analyzes the whole program in one
+// process, so facts live in memory for the duration of a checker run and
+// are never serialized. Implementations must be pointer types (Import
+// copies into the caller's pointee).
 type Fact interface{ AFact() }
 
 type objFactKey struct {
@@ -21,39 +20,19 @@ type objFactKey struct {
 	typ      reflect.Type
 }
 
-type pkgFactKey struct {
-	analyzer string
-	pkg      *types.Package
-	typ      reflect.Type
-}
-
 // FactStore accumulates facts across packages for one checker run. Facts
-// are keyed by (analyzer, object-or-package, fact type): analyzers see
-// only their own facts, and one object may carry several facts of
-// distinct types. The checker feeds packages to each analyzer in import
-// order (dependencies first), so by the time a package is analyzed, facts
-// about everything it imports are present.
+// are keyed by (analyzer, object, fact type): analyzers see only their own
+// facts, and one object may carry several facts of distinct types. The
+// checker feeds packages to each analyzer in import order (dependencies
+// first), so by the time a package is analyzed, facts about everything it
+// imports are present.
 type FactStore struct {
 	objs map[objFactKey]Fact
-	pkgs map[pkgFactKey]Fact
-	// objsByAnalyzer remembers export order is irrelevant: AllObjectFacts
-	// sorts by declaration position for deterministic Finish reporting.
-	objList map[string][]types.Object
 }
 
 // NewFactStore returns an empty store for one checker run.
 func NewFactStore() *FactStore {
-	return &FactStore{
-		objs:    map[objFactKey]Fact{},
-		pkgs:    map[pkgFactKey]Fact{},
-		objList: map[string][]types.Object{},
-	}
-}
-
-// ObjectFact is one (object, fact) pair, as returned by AllObjectFacts.
-type ObjectFact struct {
-	Obj  types.Object
-	Fact Fact
+	return &FactStore{objs: map[objFactKey]Fact{}}
 }
 
 // ExportObjectFact attaches fact to obj for this analyzer, replacing any
@@ -62,11 +41,7 @@ func (p *Pass) ExportObjectFact(obj types.Object, fact Fact) {
 	if obj == nil || p.store == nil {
 		return
 	}
-	key := objFactKey{p.Analyzer.Name, obj, reflect.TypeOf(fact)}
-	if _, exists := p.store.objs[key]; !exists {
-		p.store.objList[p.Analyzer.Name] = append(p.store.objList[p.Analyzer.Name], obj)
-	}
-	p.store.objs[key] = fact
+	p.store.objs[objFactKey{p.Analyzer.Name, obj, reflect.TypeOf(fact)}] = fact
 }
 
 // ImportObjectFact copies the fact of *fact's type attached to obj into
@@ -82,50 +57,4 @@ func (p *Pass) ImportObjectFact(obj types.Object, fact Fact) bool {
 	}
 	reflect.ValueOf(fact).Elem().Set(reflect.ValueOf(got).Elem())
 	return true
-}
-
-// ExportPackageFact attaches fact to the package under analysis,
-// replacing any existing fact of the same type.
-func (p *Pass) ExportPackageFact(fact Fact) {
-	if p.Pkg == nil || p.store == nil {
-		return
-	}
-	p.store.pkgs[pkgFactKey{p.Analyzer.Name, p.Pkg.Types, reflect.TypeOf(fact)}] = fact
-}
-
-// ImportPackageFact copies the fact of *fact's type attached to pkg into
-// fact and reports whether one was found.
-func (p *Pass) ImportPackageFact(pkg *types.Package, fact Fact) bool {
-	if pkg == nil || p.store == nil {
-		return false
-	}
-	got, ok := p.store.pkgs[pkgFactKey{p.Analyzer.Name, pkg, reflect.TypeOf(fact)}]
-	if !ok {
-		return false
-	}
-	reflect.ValueOf(fact).Elem().Set(reflect.ValueOf(got).Elem())
-	return true
-}
-
-// AllObjectFacts returns every object fact of this analyzer whose type
-// matches example's, sorted by the object's declaration position so Finish
-// passes report deterministically.
-func (p *Pass) AllObjectFacts(example Fact) []ObjectFact {
-	if p.store == nil {
-		return nil
-	}
-	typ := reflect.TypeOf(example)
-	var out []ObjectFact
-	seen := map[types.Object]bool{}
-	for _, obj := range p.store.objList[p.Analyzer.Name] {
-		if seen[obj] {
-			continue
-		}
-		seen[obj] = true
-		if fact, ok := p.store.objs[objFactKey{p.Analyzer.Name, obj, typ}]; ok {
-			out = append(out, ObjectFact{obj, fact})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Obj.Pos() < out[j].Obj.Pos() })
-	return out
 }

@@ -23,11 +23,6 @@ type Analyzer struct {
 	Doc string
 	// Run applies the check to one package.
 	Run func(*Pass) error
-	// Finish, if non-nil, runs once per checker invocation after Run has
-	// been applied to every loaded package, for whole-program reporting
-	// over accumulated facts (e.g. "emitted but never handled"). The Pass
-	// it receives has no Pkg.
-	Finish func(*Pass) error
 }
 
 // Diagnostic is one reported finding.
@@ -43,7 +38,7 @@ type Pass struct {
 	// Prog is the whole loaded program; dependency packages retain their
 	// syntax, so cross-package call paths can be followed.
 	Prog *load.Program
-	// Pkg is the package under analysis (nil during Finish).
+	// Pkg is the package under analysis.
 	Pkg *load.Package
 
 	diags *[]Diagnostic
@@ -69,19 +64,6 @@ func RunAnalyzer(a *Analyzer, prog *load.Program, pkg *load.Package, store *Fact
 	pass := &Pass{Analyzer: a, Prog: prog, Pkg: pkg, diags: &diags, store: store}
 	if err := a.Run(pass); err != nil {
 		return nil, fmt.Errorf("%s: %s: %w", a.Name, pkg.Path, err)
-	}
-	return diags, nil
-}
-
-// RunFinish invokes a's Finish hook (if any) and returns its diagnostics.
-func RunFinish(a *Analyzer, prog *load.Program, store *FactStore) ([]Diagnostic, error) {
-	if a.Finish == nil {
-		return nil, nil
-	}
-	var diags []Diagnostic
-	pass := &Pass{Analyzer: a, Prog: prog, diags: &diags, store: store}
-	if err := a.Finish(pass); err != nil {
-		return nil, fmt.Errorf("%s: finish: %w", a.Name, err)
 	}
 	return diags, nil
 }

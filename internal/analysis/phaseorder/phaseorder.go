@@ -1,39 +1,28 @@
-// Package phaseorder machine-checks the BSP phase discipline (DESIGN.md
-// §9): a superstep's npm Reduce calls buffer thread-local deltas that
-// only become visible — and only stop referencing frontier state — after
-// ReduceSync, so Frontier.Advance with an un-synced Reduce pending
-// reorders the round. Likewise comm SendBuffered stages bytes that are
-// not on the wire until FlushSends, so a Recv (or a function return)
-// with staged sends pending deadlocks or drops the tail of the round.
-// A host-local view's Reduce (`lv := npm.Local(m)`, then lv.Reduce)
-// buffers on m's reduce buffers, so it is a pending reduce on m. A pull
-// round (npm.PullHandle.BeginPullRound) reads pinned mirrors in
-// place of remote requests, so it is only sound while the mirrors still
-// reflect the masters: a ReduceSync, InitSync, or earlier pull round
-// since the last BroadcastSync/PinMirrors leaves them stale, and the
-// runtime panics at BeginPullRound. The analyzer finds the misordering
-// statically for handles it can resolve (the `ph, ok := npm.Pull(m)`
-// idiom), on maps the function pins — an unpinned masters-only scratch
-// map never materializes mirrors, so freshness is moot there, exactly as
-// at run time. Finally, per-node Frontier.Activate (and its single-writer
-// word form, ActivateWordOwned) is only meaningful from a dispatched operator
-// closure — handed to a ParFor* dispatch or an AsyncDrain/AsyncDrainBits
-// entry point, or taking a *runtime.AsyncCtx (only the drain scheduler
-// constructs one, so such a body is dispatched compute no matter how it
-// reaches the drain) — or from a decode path that owns the frontier (a
-// FrontierSink); activation from sequential driver code is almost always
-// a missed ParForActive.
+// Package phaseorder machine-checks two parts of the BSP phase discipline
+// (DESIGN.md §9). A superstep's npm Reduce calls buffer thread-local
+// deltas that only become visible — and only stop referencing frontier
+// state — after ReduceSync, so Frontier.Advance with an un-synced Reduce
+// pending reorders the round. A host-local view's Reduce
+// (`lv := npm.Local(m)`, then lv.Reduce) buffers on m's reduce buffers, so
+// it is a pending reduce on m. And per-node Frontier.Activate (and its
+// single-writer word form, ActivateWordOwned) is only meaningful from a
+// dispatched operator closure — handed to a ParFor* dispatch or an
+// AsyncDrain/AsyncDrainBits entry point, or taking a *runtime.AsyncCtx
+// (only the drain scheduler constructs one, so such a body is dispatched
+// compute no matter how it reaches the drain) — or from a decode path that
+// owns the frontier (a FrontierSink); activation from sequential driver
+// code is almost always a missed ParForActive or bulk ActivateRange.
 //
-// The ordering rules run as a forward may-dataflow over each function's
+// The Advance rule runs as a forward may-dataflow over each function's
 // CFG. Closures handed to the runtime's Time* sections are inlined (they
 // run synchronously, exactly once); closures handed to dispatch
 // primitives (ParFor*, par.Do/Static/Dynamic/PrefixSum) are scanned for
-// the effects they contribute (Reduce, SendBuffered) without applying
-// their clears, since the dispatch order is not sequential. The Activate
-// rule is a separate syntactic check per declaration.
+// the Reduces they contribute without applying their ReduceSyncs, since
+// the dispatch order is not sequential. The Activate rule is a separate
+// syntactic check per declaration.
 //
-// The internal/comm and internal/runtime packages themselves are exempt:
-// they implement the primitives the discipline is about.
+// The internal/runtime package itself is exempt: it implements the
+// primitives the discipline is about.
 package phaseorder
 
 import (
@@ -51,14 +40,13 @@ import (
 // Analyzer is the phaseorder check.
 var Analyzer = &framework.Analyzer{
 	Name: "phaseorder",
-	Doc:  "enforce BSP phase order: ReduceSync before Advance, FlushSends before Recv or return, BroadcastSync before a pull round on a pinned map, Activate only from operators or decoders (§9, §15)",
+	Doc:  "enforce BSP phase order: ReduceSync before Advance, Activate only from operators or decoders (§9)",
 	Run:  run,
 }
 
 func run(pass *framework.Pass) error {
-	p := pass.Pkg.Path
-	if strings.HasSuffix(p, "internal/comm") || strings.HasSuffix(p, "internal/runtime") {
-		return nil // the layers implementing the primitives are exempt
+	if strings.HasSuffix(pass.Pkg.Path, "internal/runtime") {
+		return nil // the layer implementing the primitives is exempt
 	}
 	for _, f := range pass.Pkg.Files {
 		for _, d := range f.Decls {
@@ -70,19 +58,16 @@ func run(pass *framework.Pass) error {
 				pass:     pass,
 				info:     pass.Pkg.Info,
 				lits:     namedLits(decl.Body),
-				handles:  namedHandles(decl.Body, pass.Pkg.Info),
-				pinned:   pinnedMaps(decl.Body, pass.Pkg.Info),
+				views:    localViews(decl.Body, pass.Pkg.Info),
 				reported: map[string]bool{},
 			}
-			c.analyzeBody(decl.Body, true)
+			c.analyzeBody(decl.Body)
 			// Function literals also get a standalone pass from an empty
-			// state, so Advance/Recv misorderings inside a closure are
-			// caught even when its call site is out of view. The exit
-			// check does not apply: an operator closure legitimately
-			// stages sends for its caller to flush after the dispatch.
+			// state, so Advance misorderings inside a closure are caught
+			// even when its call site is out of view.
 			ast.Inspect(decl.Body, func(n ast.Node) bool {
 				if lit, ok := n.(*ast.FuncLit); ok {
-					c.analyzeBody(lit.Body, false)
+					c.analyzeBody(lit.Body)
 				}
 				return true
 			})
@@ -92,59 +77,23 @@ func run(pass *framework.Pass) error {
 	return nil
 }
 
-// state is the per-program-point may-set of pending phase obligations.
-type state struct {
-	// reduces maps a Map receiver's source path to its first un-synced
-	// Reduce position.
-	reduces map[string]token.Pos
-	// staged maps a sender receiver's source path to its first unflushed
-	// SendBuffered position.
-	staged map[string]token.Pos
-	// stale maps a Map receiver's source path to the position of the call
-	// that last made its mirrors stale (ReduceSync, InitSync, or a pull
-	// round) with no BroadcastSync/PinMirrors since.
-	stale map[string]token.Pos
-}
-
-func newState() state {
-	return state{
-		reduces: map[string]token.Pos{},
-		staged:  map[string]token.Pos{},
-		stale:   map[string]token.Pos{},
-	}
-}
+// state is the per-program-point may-set of pending reduces: a Map
+// receiver's source path to its first un-synced Reduce position.
+type state map[string]token.Pos
 
 func cloneState(s state) state {
-	out := newState()
-	for k, v := range s.reduces {
-		out.reduces[k] = v
-	}
-	for k, v := range s.staged {
-		out.staged[k] = v
-	}
-	for k, v := range s.stale {
-		out.stale[k] = v
+	out := make(state, len(s))
+	for k, v := range s {
+		out[k] = v
 	}
 	return out
 }
 
 func joinState(dst, src state) (state, bool) {
 	changed := false
-	for k, v := range src.reduces {
-		if _, ok := dst.reduces[k]; !ok {
-			dst.reduces[k] = v
-			changed = true
-		}
-	}
-	for k, v := range src.staged {
-		if _, ok := dst.staged[k]; !ok {
-			dst.staged[k] = v
-			changed = true
-		}
-	}
-	for k, v := range src.stale {
-		if _, ok := dst.stale[k]; !ok {
-			dst.stale[k] = v
+	for k, v := range src {
+		if _, ok := dst[k]; !ok {
+			dst[k] = v
 			changed = true
 		}
 	}
@@ -157,26 +106,20 @@ type checker struct {
 	// lits resolves closure-valued locals (body := func(...){...}) so a
 	// dispatch by name — h.ParForActive(fr, body) — scans the right body.
 	lits map[string]*ast.FuncLit
-	// handles resolves pull-handle and local-view locals
-	// (ph, ok := npm.Pull(m); lv := npm.Local(m)) to the source path of
-	// the map behind them.
-	handles map[string]string
-	// pinned holds the map source paths this function calls PinMirrors on.
-	// The stale-mirror rule only fires for them: an unpinned masters-only
-	// scratch map has no mirrors to be stale (the runtime check is gated
-	// the same way).
-	pinned    map[string]bool
+	// views resolves local-view locals (lv := npm.Local(m)) to the source
+	// path of the map behind them.
+	views     map[string]string
 	reporting bool
 	reported  map[string]bool
 }
 
-func (c *checker) analyzeBody(body *ast.BlockStmt, exitCheck bool) {
+func (c *checker) analyzeBody(body *ast.BlockStmt) {
 	g, ok := cfg.Build(body)
 	if !ok {
 		return // goto/labels: out of scope, as in the other CFG analyzers
 	}
 	sp := dataflow.Spec[state]{
-		Init:  newState(),
+		Init:  state{},
 		Clone: cloneState,
 		Join:  joinState,
 		Transfer: func(s state, n ast.Node) state {
@@ -195,31 +138,6 @@ func (c *checker) analyzeBody(body *ast.BlockStmt, exitCheck bool) {
 		for _, n := range b.Nodes {
 			c.transfer(s, n)
 		}
-		// At function exit, staged sends must have been flushed on every
-		// path: the bytes are sitting in a local buffer nobody owns.
-		if !exitCheck {
-			continue
-		}
-		exits := false
-		for _, succ := range b.Succs {
-			if succ == g.Exit {
-				exits = true
-			}
-		}
-		if !exits {
-			continue
-		}
-		pos := body.Rbrace
-		if n := len(b.Nodes); n > 0 {
-			if ret, isRet := b.Nodes[n-1].(*ast.ReturnStmt); isRet {
-				pos = ret.Pos()
-			}
-		}
-		for _, e := range sortedPend(s.staged) {
-			c.reportf("exit", e.pos, pos,
-				"staged sends on %s are never flushed on this path (SendBuffered at %s); call FlushSends before returning — staged bytes are not on the wire",
-				e.k, c.pass.Fset().Position(e.pos))
-		}
 	}
 	c.reporting = false
 }
@@ -234,9 +152,9 @@ func (c *checker) transfer(s state, n ast.Node) {
 }
 
 // applyCall classifies one call and applies its phase effects. ordered
-// reports diagnostics and applies clearing effects (ReduceSync,
-// FlushSends); it is false while scanning a dispatched closure, whose
-// concurrent iterations only contribute obligations.
+// reports diagnostics and applies ReduceSync's clear; it is false while
+// scanning a dispatched closure, whose concurrent iterations only
+// contribute pending reduces.
 func (c *checker) applyCall(s state, call *ast.CallExpr, ordered bool) {
 	fn := calleeFunc(c.info, call)
 	if fn == nil || fn.Pkg() == nil {
@@ -245,66 +163,22 @@ func (c *checker) applyCall(s state, call *ast.CallExpr, ordered bool) {
 	pkg, name := fn.Pkg().Path(), fn.Name()
 	switch {
 	case strings.HasSuffix(pkg, "internal/npm"):
-		switch name {
-		case "Reduce":
-			if k, ok := recvKey(call); ok {
-				// A local view's Reduce buffers on its map's reduce
-				// buffers: the obligation is the map's.
-				if mk, isView := c.handles[k]; isView {
-					k = mk
-				}
-				if _, pending := s.reduces[k]; !pending {
-					s.reduces[k] = call.Pos()
-				}
+		k, ok := recvKey(call)
+		if !ok {
+			return
+		}
+		switch {
+		case name == "Reduce":
+			// A local view's Reduce buffers on its map's reduce buffers:
+			// the obligation is the map's.
+			if mk, isView := c.views[k]; isView {
+				k = mk
 			}
-		case "ReduceSync":
-			if !ordered {
-				return
+			if _, pending := s[k]; !pending {
+				s[k] = call.Pos()
 			}
-			if k, ok := recvKey(call); ok {
-				delete(s.reduces, k)
-				// The reduce rewrites masters without refreshing mirrors.
-				if _, pending := s.stale[k]; !pending {
-					s.stale[k] = call.Pos()
-				}
-			}
-		case "InitSync":
-			if !ordered {
-				return
-			}
-			if k, ok := recvKey(call); ok {
-				if _, pending := s.stale[k]; !pending {
-					s.stale[k] = call.Pos()
-				}
-			}
-		case "BroadcastSync", "PinMirrors":
-			if !ordered {
-				return
-			}
-			if k, ok := recvKey(call); ok {
-				delete(s.stale, k)
-			}
-		case "BeginPullRound":
-			if !ordered {
-				return
-			}
-			k, ok := recvKey(call)
-			if !ok {
-				return
-			}
-			mk, known := c.handles[k]
-			if !known {
-				return // handle from a field or parameter: out of view
-			}
-			if pos, isStale := s.stale[mk]; isStale && c.pinned[mk] {
-				c.reportf("pull", pos, call.Pos(),
-					"pull round on %s with stale mirrors (made stale at %s, no BroadcastSync since); broadcast before pulling — the pull reads pinned mirrors in place of remote requests",
-					mk, c.pass.Fset().Position(pos))
-			}
-			// The round itself moves masters ahead of the mirrors.
-			if _, pending := s.stale[mk]; !pending {
-				s.stale[mk] = call.Pos()
-			}
+		case name == "ReduceSync" && ordered:
+			delete(s, k)
 		}
 	case strings.HasSuffix(pkg, "internal/runtime"):
 		switch {
@@ -312,8 +186,8 @@ func (c *checker) applyCall(s state, call *ast.CallExpr, ordered bool) {
 			if !ordered {
 				return
 			}
-			for _, e := range sortedPend(s.reduces) {
-				c.reportf("advance", e.pos, call.Pos(),
+			for _, e := range sortedPend(s) {
+				c.reportf(e.pos, call.Pos(),
 					"Frontier.Advance with an un-synced Reduce on %s (at %s); call ReduceSync before advancing the frontier",
 					e.k, c.pass.Fset().Position(e.pos))
 			}
@@ -323,34 +197,6 @@ func (c *checker) applyCall(s state, call *ast.CallExpr, ordered bool) {
 			// Time* sections run their closure synchronously, once:
 			// inline its effects, clears and checks included.
 			c.scanLitArgs(s, call, ordered)
-		}
-	case strings.HasSuffix(pkg, "internal/comm"):
-		switch name {
-		case "SendBuffered":
-			if k, ok := recvKey(call); ok {
-				if _, pending := s.staged[k]; !pending {
-					s.staged[k] = call.Pos()
-				}
-			}
-		case "FlushSends", "flush", "Exchange", "ExchangeInto", "ExchangeFunc":
-			// The exchange helpers flush internally; a flush on any
-			// endpoint view clears staged sends path-insensitively (the
-			// sender is often re-derived via a type assertion).
-			if !ordered {
-				return
-			}
-			for k := range s.staged {
-				delete(s.staged, k)
-			}
-		case "Recv":
-			if !ordered {
-				return
-			}
-			for _, e := range sortedPend(s.staged) {
-				c.reportf("recv", e.pos, call.Pos(),
-					"Recv while sends staged on %s are unflushed (SendBuffered at %s); call FlushSends first or the round deadlocks",
-					e.k, c.pass.Fset().Position(e.pos))
-			}
 		}
 	case strings.HasSuffix(pkg, "internal/par") && isParDispatchName(name):
 		c.scanLitArgs(s, call, false)
@@ -534,18 +380,13 @@ func isParDispatchName(name string) bool {
 	return false
 }
 
-// reportf reports once per (rule, obligation position): the same pending
-// Reduce may reach several Advance replays, and the same staged send may
-// reach several exits.
-func (c *checker) reportf(rule string, obligation, pos token.Pos, format string, args ...any) {
+// reportf reports once per (obligation, Advance) pair: the same pending
+// Reduce may reach several Advance replays.
+func (c *checker) reportf(obligation, pos token.Pos, format string, args ...any) {
 	if !c.reporting {
 		return
 	}
-	k := rule + ":" + c.pass.Fset().Position(obligation).String() + ":" + c.pass.Fset().Position(pos).String()
-	if rule == "exit" {
-		// One report per leaked send, not one per exit path.
-		k = rule + ":" + c.pass.Fset().Position(obligation).String()
-	}
+	k := c.pass.Fset().Position(obligation).String() + ":" + c.pass.Fset().Position(pos).String()
 	if c.reported[k] {
 		return
 	}
@@ -558,9 +399,9 @@ type pend struct {
 	pos token.Pos
 }
 
-func sortedPend(m map[string]token.Pos) []pend {
-	out := make([]pend, 0, len(m))
-	for k, v := range m {
+func sortedPend(s state) []pend {
+	out := make([]pend, 0, len(s))
+	for k, v := range s {
 		out = append(out, pend{k, v})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].k < out[j].k })
@@ -590,28 +431,25 @@ func namedLits(body *ast.BlockStmt) map[string]*ast.FuncLit {
 	return lits
 }
 
-// namedHandles maps pull-handle and local-view locals to the source path
-// of their map: `ph, ok := npm.Pull(m)` yields {"ph": "m"}, and
-// `lv := npm.Local(m)` yields {"lv": "m"}. Handles arriving through
-// fields or parameters stay unresolved: their BeginPullRound calls go
-// unchecked, and a view's Reduce is charged to the view itself — the
-// rule is best-effort by construction.
-func namedHandles(body *ast.BlockStmt, info *types.Info) map[string]string {
-	handles := map[string]string{}
+// localViews maps local-view locals to the source path of their map:
+// `lv := npm.Local(m)` yields {"lv": "m"}, as does one pair of
+// `local, lv := h.HP.Local, npm.Local(m)`. Views arriving through fields
+// or parameters stay unresolved, and their Reduce is charged to the view
+// itself — the rule is best-effort by construction.
+func localViews(body *ast.BlockStmt, info *types.Info) map[string]string {
+	views := map[string]string{}
 	ast.Inspect(body, func(n ast.Node) bool {
 		as, ok := n.(*ast.AssignStmt)
 		if !ok {
 			return true
 		}
-		// Rhs i binds Lhs i: the first result of `ph, ok := npm.Pull(m)`,
-		// or one pair of `local, lv := h.HP.Local, npm.Local(m)`.
 		for i, rhs := range as.Rhs {
 			call, isCall := ast.Unparen(rhs).(*ast.CallExpr)
 			if !isCall || len(call.Args) != 1 || i >= len(as.Lhs) {
 				continue
 			}
 			fn := calleeFunc(info, call)
-			if fn == nil || fn.Pkg() == nil || (fn.Name() != "Pull" && fn.Name() != "Local") ||
+			if fn == nil || fn.Pkg() == nil || fn.Name() != "Local" ||
 				!strings.HasSuffix(fn.Pkg().Path(), "internal/npm") {
 				continue
 			}
@@ -620,34 +458,12 @@ func namedHandles(body *ast.BlockStmt, info *types.Info) map[string]string {
 				continue
 			}
 			if mk, ok := exprKey(call.Args[0]); ok {
-				handles[id.Name] = mk
+				views[id.Name] = mk
 			}
 		}
 		return true
 	})
-	return handles
-}
-
-// pinnedMaps collects the receivers of npm PinMirrors calls anywhere in
-// the function: the maps whose mirror freshness is worth enforcing.
-func pinnedMaps(body *ast.BlockStmt, info *types.Info) map[string]bool {
-	pinned := map[string]bool{}
-	ast.Inspect(body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		fn := calleeFunc(info, call)
-		if fn == nil || fn.Pkg() == nil || fn.Name() != "PinMirrors" ||
-			!strings.HasSuffix(fn.Pkg().Path(), "internal/npm") {
-			return true
-		}
-		if k, ok := recvKey(call); ok {
-			pinned[k] = true
-		}
-		return true
-	})
-	return pinned
+	return views
 }
 
 // recvKey renders the receiver of a method call as a source path.

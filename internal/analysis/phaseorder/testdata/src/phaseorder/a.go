@@ -1,11 +1,9 @@
 // Package phaseorder exercises the §9 phase-discipline analyzer against
-// the real npm/runtime/comm APIs: un-synced Reduce at Advance, staged
-// sends at Recv or function exit, and per-node Activate from driver
-// code.
+// the real npm/runtime APIs: un-synced Reduce at Advance, and per-node
+// Activate from driver code.
 package phaseorder
 
 import (
-	"kimbap/internal/comm"
 	"kimbap/internal/graph"
 	"kimbap/internal/npm"
 	"kimbap/internal/par"
@@ -48,37 +46,6 @@ func fullRound(h *runtime.Host, m npm.Map[uint32], fr *runtime.Frontier) {
 func seedRound(fr *runtime.Frontier) {
 	fr.ActivateAll()
 	fr.Advance()
-}
-
-// recvWithStagedSends: the staged bytes are not on the wire, so waiting
-// for the peer's reply deadlocks the exchange.
-func recvWithStagedSends(bs comm.BufferedSender, ep comm.Endpoint) []byte {
-	bs.SendBuffered(1, comm.TagApp, []byte{1})
-	in := ep.Recv(1, comm.TagApp) // want `Recv while sends staged on bs are unflushed`
-	bs.FlushSends()
-	return in
-}
-
-// flushedRecv is the correct order.
-func flushedRecv(bs comm.BufferedSender, ep comm.Endpoint) []byte {
-	bs.SendBuffered(1, comm.TagApp, []byte{1})
-	bs.FlushSends()
-	return ep.Recv(1, comm.TagApp)
-}
-
-// leakOnOnePath flushes on only one branch; the may-analysis catches the
-// fall-through path at the function exit.
-func leakOnOnePath(bs comm.BufferedSender, eager bool) {
-	bs.SendBuffered(1, comm.TagApp, []byte{1})
-	if eager {
-		bs.FlushSends()
-	}
-} // want `staged sends on bs are never flushed on this path`
-
-// exchangeFlushes: the exchange helpers flush internally.
-func exchangeFlushes(bs comm.BufferedSender, ep comm.Endpoint, out [][]byte) {
-	bs.SendBuffered(0, comm.TagApp, []byte{1})
-	comm.ExchangeInto(ep, comm.TagApp, out, out)
 }
 
 // activateFromDriver: sequential per-node activation is a missed
@@ -130,83 +97,9 @@ func activateBesideDrain(h *runtime.Host, fr *runtime.Frontier, ids []int) {
 	}
 }
 
-// pullAfterReduceSync is the stale-mirror misordering: the reduce moved
-// the masters, the mirrors still hold the pre-round values, and the pull
-// reads them in place of remote requests.
-func pullAfterReduceSync(m npm.Map[uint32], n graph.NodeID) {
-	m.PinMirrors()
-	m.Reduce(0, n, 1)
-	m.ReduceSync()
-	ph, ok := npm.Pull(m)
-	if !ok {
-		return
-	}
-	ph.BeginPullRound() // want `pull round on m with stale mirrors`
-	ph.EndPullRound()
-}
-
-// pullAfterBroadcast is the sanctioned order: the broadcast refreshed the
-// mirrors after the reduce, so the round may pull.
-func pullAfterBroadcast(m npm.Map[uint32], n graph.NodeID) {
-	m.PinMirrors()
-	ph, ok := npm.Pull(m)
-	if !ok {
-		return
-	}
-	m.Reduce(0, n, 1)
-	m.ReduceSync()
-	m.BroadcastSync()
-	ph.BeginPullRound()
-	ph.EndPullRound()
-	m.BroadcastSync()
-}
-
-// doublePullRound: the first pull round itself moves masters ahead of the
-// mirrors, so a second round needs a broadcast in between.
-func doublePullRound(m npm.Map[uint32]) {
-	m.PinMirrors()
-	ph, ok := npm.Pull(m)
-	if !ok {
-		return
-	}
-	ph.BeginPullRound()
-	ph.EndPullRound()
-	ph.BeginPullRound() // want `pull round on m with stale mirrors`
-	ph.EndPullRound()
-	m.BroadcastSync()
-}
-
-// pullAfterInitSync: initialization publishes masters without refreshing
-// pinned mirrors, so it stales them like a reduce does.
-func pullAfterInitSync(m npm.Map[uint32], n graph.NodeID) {
-	m.PinMirrors()
-	m.Set(n, 1)
-	m.InitSync()
-	ph, ok := npm.Pull(m)
-	if !ok {
-		return
-	}
-	ph.BeginPullRound() // want `pull round on m with stale mirrors`
-	ph.EndPullRound()
-}
-
-// pullUnpinnedScratch: a masters-only scratch map (the MIS minNbr idiom)
-// is never pinned, so there are no mirrors to be stale and the rule stays
-// quiet — matching the runtime, which only panics on pinned maps.
-func pullUnpinnedScratch(m npm.Map[uint32], n graph.NodeID) {
-	m.Set(n, 1)
-	m.InitSync()
-	ph, ok := npm.Pull(m)
-	if !ok {
-		return
-	}
-	ph.BeginPullRound()
-	ph.EndPullRound()
-}
-
 // directionLoop is the real label-round shape: whichever branch runs,
-// the round ends with a broadcast, so every BeginPullRound — including
-// across the loop back-edge — sees fresh mirrors.
+// every pending Reduce is synced before the round's Advance, including
+// across the loop back-edge.
 func directionLoop(h *runtime.Host, m npm.Map[uint32], fr *runtime.Frontier, pull bool) {
 	m.PinMirrors()
 	ph, ok := npm.Pull(m)
@@ -224,30 +117,6 @@ func directionLoop(h *runtime.Host, m npm.Map[uint32], fr *runtime.Frontier, pul
 			m.ReduceSync()
 		}
 		m.BroadcastSync()
-		fr.Advance()
-	}
-}
-
-// pullSkippedBroadcastInLoop leaves the broadcast on only one branch: the
-// may-analysis carries the pull branch's staleness around the back-edge
-// to the next iteration's BeginPullRound.
-func pullSkippedBroadcastInLoop(h *runtime.Host, m npm.Map[uint32], fr *runtime.Frontier, pull bool) {
-	m.PinMirrors()
-	ph, ok := npm.Pull(m)
-	if !ok {
-		return
-	}
-	for i := 0; i < 4; i++ {
-		if pull {
-			ph.BeginPullRound() // want `pull round on m with stale mirrors`
-			ph.EndPullRound()
-		} else {
-			h.ParForActive(fr, func(tid int, src graph.NodeID) {
-				m.Reduce(tid, src, 1)
-			})
-			m.ReduceSync()
-			m.BroadcastSync()
-		}
 		fr.Advance()
 	}
 }

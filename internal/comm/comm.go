@@ -45,8 +45,6 @@ type Tag uint8
 
 // Message tags used by the runtime. Distinct collectives running back to
 // back may reuse a tag; per-sender FIFO ordering keeps them separate.
-//
-//kimbap:wiregroup Tag
 const (
 	TagBarrier   Tag = iota // empty-payload synchronization
 	TagRequest              // node-property request bitsets

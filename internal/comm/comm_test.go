@@ -221,6 +221,23 @@ func TestStatsAccounting(t *testing.T) {
 	}
 }
 
+// Every tag has its own name: a tag that loses its String arm falls back
+// to "tag%d" and would print that way in StatsByTag tables.
+func TestTagStringsNamed(t *testing.T) {
+	seen := map[string]Tag{}
+	for i := 0; i < NumTags; i++ {
+		tag := Tag(i)
+		s := tag.String()
+		if s == fmt.Sprintf("tag%d", i) {
+			t.Errorf("Tag(%d) has no String arm", i)
+		}
+		if prev, dup := seen[s]; dup {
+			t.Errorf("Tag(%d) and Tag(%d) share the name %q", prev, i, s)
+		}
+		seen[s] = tag
+	}
+}
+
 func TestSelfSendPanics(t *testing.T) {
 	eps := NewLocalCluster(2)
 	defer func() {

@@ -33,6 +33,7 @@ package npm
 
 import (
 	"fmt"
+	"slices"
 
 	"kimbap/internal/graph"
 	"kimbap/internal/runtime"
@@ -57,6 +58,11 @@ const (
 // Variants lists the ablation variants in Figure 11 order (Vite is charted
 // alongside them but is a baseline, not a Kimbap runtime variant).
 var Variants = []Variant{MC, SGROnly, SGRCF, Full}
+
+// Known reports whether New builds variant v ("" selects Full).
+func (v Variant) Known() bool {
+	return v == "" || v == Vite || slices.Contains(Variants, v)
+}
 
 // Map is the node-property map API. Type parameter V is the property type;
 // it must be comparable so the runtime can detect whether a reduction

@@ -25,8 +25,7 @@ import (
 //     freshness"): the values a pull body reads through mirrors must be
 //     the ones the last collective published. The map tracks this with
 //     mirrorsFresh (set by broadcasts, cleared by ReduceSync/InitSync);
-//     BeginPullRound panics on violation, and the phaseorder analyzer
-//     reports the same mistake statically.
+//     BeginPullRound panics on violation.
 //
 // Reads during the round go through a round-start snapshot of the master
 // vector, giving Jacobi semantics: the result is independent of vertex

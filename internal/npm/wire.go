@@ -33,8 +33,6 @@ import (
 
 // Section body forms inside a reduce payload. The broadcast payload uses
 // the same form byte for its positional sparse/dense choice.
-//
-//kimbap:wiregroup sectionForm
 const (
 	sectionSparse byte = 0 // [uvarint count][count x (uvarint key-rel, value)]
 	sectionDense  byte = 1 // [uvarint maskBytes][mask][values, ascending key]

@@ -15,6 +15,7 @@ package runtime
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync"
 	"time"
 
@@ -27,6 +28,7 @@ import (
 
 // Config describes a simulated cluster.
 type Config struct {
+	// NumHosts is the number of simulated hosts. Defaults to 1 if zero.
 	NumHosts int
 	// ThreadsPerHost is the worker pool size per host (the paper uses 48).
 	// Defaults to 4 if zero.
@@ -49,6 +51,20 @@ func (c Config) withDefaults() Config {
 		c.Policy = partition.OEC
 	}
 	return c
+}
+
+// check rejects a defaulted config NewCluster cannot build: a negative
+// host or thread count, or a policy the partitioner does not know.
+func (c Config) check() error {
+	switch {
+	case c.NumHosts < 0:
+		return fmt.Errorf("runtime: NumHosts %d is negative", c.NumHosts)
+	case c.ThreadsPerHost < 0:
+		return fmt.Errorf("runtime: ThreadsPerHost %d is negative", c.ThreadsPerHost)
+	case !slices.Contains(partition.Policies, c.Policy):
+		return fmt.Errorf("runtime: unknown partitioning policy %q (want one of %v)", c.Policy, partition.Policies)
+	}
+	return nil
 }
 
 // Cluster is a partitioned graph plus the communication fabric connecting
@@ -84,9 +100,13 @@ type Host struct {
 // stores.
 func (h *Host) NextMapID() int64 { return h.mapSeq.Add(1) }
 
-// NewCluster partitions g and connects the hosts.
+// NewCluster partitions g and connects the hosts. It returns an error
+// for a negative host or thread count or an unknown policy.
 func NewCluster(g *graph.Graph, cfg Config) (*Cluster, error) {
 	cfg = cfg.withDefaults()
+	if err := cfg.check(); err != nil {
+		return nil, err
+	}
 	part := partition.Partition(g, cfg.NumHosts, cfg.Policy)
 	var eps []comm.Endpoint
 	if cfg.UseTCP {

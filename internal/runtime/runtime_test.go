@@ -31,6 +31,20 @@ func TestConfigDefaults(t *testing.T) {
 	}
 }
 
+func TestNewClusterRejectsBadConfig(t *testing.T) {
+	g := gen.Grid(4, 4, false, 1)
+	for name, cfg := range map[string]Config{
+		"negative hosts":   {NumHosts: -2},
+		"negative threads": {ThreadsPerHost: -1},
+		"unknown policy":   {Policy: "foo"},
+	} {
+		if c, err := NewCluster(g, cfg); err == nil {
+			c.Close()
+			t.Errorf("%s: NewCluster(%+v) returned no error", name, cfg)
+		}
+	}
+}
+
 func TestRunSPMD(t *testing.T) {
 	c := newTestCluster(t, 4)
 	var visited [4]atomic.Bool
