@@ -40,9 +40,8 @@ lint:
 # generators), the kvstore application harness, the baselines (Galois's
 # MIS and CC run CAS loops under its thread pool), the compiler's
 # executor, and the full algorithms package — its equivalence matrices
-# hammer the shortcut drain's stealing and master CAS paths and the pull
-# rounds' plain-store master scans across host and thread counts, which
-# is exactly where a scheduling or direction bug would race.
+# hammer the shortcut drain's stealing and master CAS paths across host
+# and thread counts, which is exactly where a scheduling bug would race.
 race:
 	$(GO) test -race ./internal/npm/... ./internal/runtime/... ./internal/comm/... \
 		./internal/par/... ./internal/graph/... ./internal/partition/... ./internal/gen/... \

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -41,9 +42,16 @@ func TestAllConverged(t *testing.T) {
 // graph to a verified result, so the rejections come from the flag values
 // alone.
 func TestRunFlagValidation(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "square.el")
+	dir := t.TempDir()
+	path := filepath.Join(dir, "square.el")
 	// A 4-cycle, both directions of every edge.
 	if err := os.WriteFile(path, []byte("0 1\n1 0\n1 2\n2 1\n2 3\n3 2\n3 0\n0 3\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// The same cycle one way round: CC-SV would report 3 components and
+	// MIS an invalid set, so the load must refuse it.
+	oneWay := filepath.Join(dir, "oneway.el")
+	if err := os.WriteFile(oneWay, []byte("0 1\n1 2\n2 3\n3 0\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
@@ -59,6 +67,8 @@ func TestRunFlagValidation(t *testing.T) {
 		{[]string{"-hosts", "1", "-policy", "oec"}, true},
 		{[]string{"-hosts", "2", "-variant", "vite", "-algo", "mis"}, true},
 		{[]string{"-hosts", "2", "-variant", "memcached"}, true},
+		{[]string{"-graph", oneWay, "-hosts", "1", "-policy", "oec", "-algo", "cc-sv"}, false},
+		{[]string{"-graph", oneWay, "-hosts", "1", "-algo", "mis"}, false},
 	} {
 		var stdout, stderr bytes.Buffer
 		code := run(append([]string{"-graph", path, "-threads", "1", "-verify"}, tc.args...), &stdout, &stderr)
@@ -68,6 +78,8 @@ func TestRunFlagValidation(t *testing.T) {
 			t.Errorf("%v: exit %d, stderr %q", tc.args, code, msg)
 		case !tc.ok && (code == 0 || !strings.HasPrefix(msg, "kimbap: ") || strings.Count(msg, "\n") != 1):
 			t.Errorf("%v: exit %d, stderr %q; want non-zero and one kimbap: line", tc.args, code, msg)
+		case slices.Contains(tc.args, oneWay) && !strings.Contains(msg, "one-way edge 0->1"):
+			t.Errorf("%v: stderr %q does not name the one-way edge 0->1", tc.args, msg)
 		}
 	}
 }

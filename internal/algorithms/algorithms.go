@@ -45,17 +45,14 @@ type Config struct {
 	// LogRounds records per-BSP-round activity (active vertices, reduce
 	// bytes sent by this host) into the algorithm's stats.
 	LogRounds bool
-	// Strategy selects the round shapes of the frontier-driven algorithms
-	// (CC-SV, CC-LP, CC-SCLP, MIS; see strategy.go): StrategyBSP — the zero
-	// value — pushes with buffered reduces, StrategyAsync drains each
-	// frontier-driven pointer-jumping shortcut round with CAS in-place
-	// applies, and StrategyPull runs each pull-capable round bottom-up
-	// over the in-edge CSR with a broadcast-only round end. A shape the
-	// phase cannot run falls back to bsp — async needs a shortcut round, a
-	// frontier and the Full variant; pull needs a pull-capable round, a
-	// pull-complete partition and the Full variant — and
-	// RoundStats.Shape records what each round ran. Outputs are
-	// bit-identical under every strategy.
+	// Strategy selects the shape of the pointer-jumping shortcut rounds
+	// of CC-SV and CC-SCLP (see strategy.go): StrategyBSP — the zero value
+	// — pushes with buffered reduces, and StrategyAsync drains each
+	// frontier-driven shortcut round with CAS in-place applies. Every
+	// other round runs bsp. A shortcut that cannot drain falls back to bsp
+	// — async needs a frontier and the Full variant — and RoundStats.Shape
+	// records what each round ran. Outputs are bit-identical under both
+	// strategies.
 	Strategy Strategy
 }
 
@@ -110,9 +107,8 @@ type RoundStats struct {
 	Active      []int64
 	ReduceBytes []int64
 	Hook        []bool
-	// Shape is the shape each round actually ran in — "bsp", "async" or
-	// "pull" (see Strategy): the record of every fallback to bsp. A pull round's ReduceBytes entry
-	// is always zero: the round has no reduce collective at all.
+	// Shape is the shape each round actually ran in — "bsp" or "async"
+	// (see Strategy): the record of every fallback to bsp.
 	Shape []string
 }
 

@@ -21,10 +21,9 @@ import (
 // on evaluation order).
 //
 // Every label round of the three — CC-SV's hook, CC-LP's propagation and
-// CC-SCLP's propagation pass — runs through one loop, labelRun.rounds,
-// which sequences the round and takes its shape from the policy (see
-// Strategy); the pointer-jumping shortcut, which has no pull form and is
-// the one phase whose rounds may drain asynchronously, is shortcut.
+// CC-SCLP's propagation pass — runs bsp through one loop, labelRun.rounds,
+// which sequences the round; the pointer-jumping shortcut, the one phase
+// whose rounds may drain asynchronously (see Strategy), is shortcut.
 
 // CCStats reports per-run counters.
 type CCStats struct {
@@ -41,25 +40,24 @@ type CCStats struct {
 }
 
 // labelRun is the state a label algorithm threads through its phases:
-// the label map, its frontier (nil under dense execution), the round
-// policy (nil: every round bsp) and the round log (nil: off).
+// the label map, its frontier (nil under dense execution) and the round
+// log (nil: off).
 type labelRun struct {
 	h   *runtime.Host
 	cfg Config
 	m   npm.Map[graph.NodeID]
 	fr  *runtime.Frontier
-	pol *policy
 	rl  *roundLogger
 }
 
 // newLabelRun builds a min-label map holding every node's own ID, and the
-// frontier, policy and round log over it.
+// frontier and round log over it.
 func (c Config) newLabelRun(h *runtime.Host, stats *CCStats) *labelRun {
+	c.checkStrategy()
 	m := c.newNodeMap(h, npm.MinNodeID())
 	initOwn(h, m)
-	fr := c.newFrontier(h, m)
-	return &labelRun{h: h, cfg: c, m: m, fr: fr,
-		rl: c.roundLogger(h, &stats.PerRound), pol: c.newPolicy(h, fr, m, true)}
+	return &labelRun{h: h, cfg: c, m: m, fr: c.newFrontier(h, m),
+		rl: c.roundLogger(h, &stats.PerRound)}
 }
 
 // finish collects this host's master labels into out.
@@ -68,38 +66,28 @@ func (r *labelRun) finish(out []graph.NodeID) {
 	r.cfg.recordStats(r.m)
 }
 
-// rounds runs label rounds on the pinned map until a round changes no
+// rounds runs bsp label rounds on the pinned map until a round changes no
 // label or limit rounds have run, and returns how many ran and whether the
-// last one changed no label (false: limit cut the phase off). The policy
-// fixes the rounds' shape: bsp runs push over fr (every local node when
-// fr is nil), and pull min-folds every master's in-neighbors
-// (pullMinRound) and raises workDone, if set, on each change; the push
-// body raises it itself. Both shapes end the round with the broadcast —
-// bsp after its own ReduceSync, a pull round with no reduce at all — so
-// each round starts on fresh mirrors.
-func (r *labelRun) rounds(fr *runtime.Frontier, limit int, workDone *runtime.BoolReducer,
-	push func(tid int, src graph.NodeID)) (n int, quiet bool) {
-
-	h, m, k := r.h, r.m, r.pol.shape()
+// last one changed no label (false: limit cut the phase off). Each round
+// pushes over fr (every local node when fr is nil), then runs ReduceSync
+// and the broadcast, so each round starts on fresh mirrors.
+func (r *labelRun) rounds(fr *runtime.Frontier, limit int, push func(tid int, src graph.NodeID)) (n int, quiet bool) {
+	h, m := r.h, r.m
 	for n = 1; ; n++ {
 		m.ResetUpdated()
 		if r.cfg.requestActive() {
 			requestLocalProxies(h, m)
 		}
-		if k == roundPull {
-			h.TimeCompute(func() { pullMinRound(h, r.pol.ph, workDone) })
-		} else {
-			h.TimeCompute(func() {
-				if fr != nil {
-					h.ParForActive(fr, push)
-				} else {
-					h.ParForNodes(push)
-				}
-			})
-			m.ReduceSync()
-		}
+		h.TimeCompute(func() {
+			if fr != nil {
+				h.ParForActive(fr, push)
+			} else {
+				h.ParForNodes(push)
+			}
+		})
+		m.ReduceSync()
 		m.BroadcastSync()
-		endRound(r.rl, fr, k, true, h.HP.NumLocal())
+		endRound(r.rl, fr, roundBSP, true, h.HP.NumLocal())
 		if quiet = !m.IsUpdated(); quiet || n >= limit {
 			return n, quiet
 		}
@@ -118,25 +106,6 @@ func endRound(rl *roundLogger, fr *runtime.Frontier, k roundKind, hook bool, den
 	rl.record(active, hook, k)
 }
 
-// pullMinRound is the pull round of every label phase: each master folds
-// its in-neighbors' round-start labels into its own slot. The handle's
-// snapshot gives Jacobi semantics (scan-order independent); ownership makes
-// the applies conflict free; and because no value ever targets a remote
-// master, the round skips ReduceSync and ends with BroadcastSync alone.
-func pullMinRound(h *runtime.Host, ph *npm.PullHandle[graph.NodeID], workDone *runtime.BoolReducer) {
-	local := h.HP.Local
-	ph.BeginPullRound()
-	h.ParForPull(func(_ int, master graph.NodeID) {
-		lo, hi := local.InEdgeRange(master)
-		for e := lo; e < hi; e++ {
-			if ph.Apply(master, ph.Value(local.InSrc(e))) && workDone != nil {
-				workDone.Reduce(true)
-			}
-		}
-	})
-	ph.EndPullRound()
-}
-
 // CCSV runs Shiloach-Vishkin connected components on one host (SPMD).
 // It is the hand-written equivalent of the compiler output in Figure 8.
 // After it returns, out (length = global node count) holds this host's
@@ -144,9 +113,8 @@ func pullMinRound(h *runtime.Host, ph *npm.PullHandle[graph.NodeID], workDone *r
 func CCSV(h *runtime.Host, cfg Config, out []graph.NodeID) CCStats {
 	var stats CCStats
 	r := cfg.newLabelRun(h, &stats)
-	// The shortcut has no pull round, so it gets its own policy: the one
-	// phase whose rounds may drain.
-	sc := cfg.newPolicy(h, r.fr, r.m, false)
+	// The shortcut is the one phase whose rounds may drain.
+	sc := cfg.newPolicy(h, r.fr, r.m)
 	// acc accumulates every proxy the shortcut phase changes, so the next
 	// outer round's hook phase can start from the changed set instead of a
 	// full re-activation (the first hook phase has no prior change record
@@ -195,15 +163,6 @@ func CCSV(h *runtime.Host, cfg Config, out []graph.NodeID) CCStats {
 // dense loop) instead of doubling edge work when both endpoints changed.
 // The extra direction is a no-op for the dense loop's fixpoint (min-reduce
 // is idempotent), so labels stay identical.
-//
-// A pull round uses the label-propagation formulation — each master
-// min-folds its in-neighbors' labels into itself — because the SV hook's
-// reduce target parent(src) is an arbitrary node and cannot be pulled.
-// Both formulations monotonically lower labels toward the same unique
-// min-ID fixpoint (generators symmetrize, so in-neighbors cover every
-// incident edge), and the interleaved shortcut phases collapse the parent
-// chains either way: converged labels are bit-identical, though round
-// counts may differ.
 func (r *labelRun) hook(workDone *runtime.BoolReducer, seed *par.Bitset) int {
 	h, parent, fr := r.h, r.m, r.fr
 	// Reset before pinning: PinMirrors refreshes mirrors from masters and
@@ -227,7 +186,7 @@ func (r *labelRun) hook(workDone *runtime.BoolReducer, seed *par.Bitset) int {
 		fr.Advance()
 	}
 	local, lv := h.HP.Local, npm.Local(parent)
-	rounds, _ := r.rounds(fr, r.cfg.maxRounds(), workDone, func(tid int, src graph.NodeID) {
+	rounds, _ := r.rounds(fr, r.cfg.maxRounds(), func(tid int, src graph.NodeID) {
 		srcParent := lv.Value(src)
 		lo, hi := local.EdgeRange(src)
 		for e := lo; e < hi; e++ {
@@ -421,9 +380,7 @@ func ccChaseBody(h *runtime.Host, pol *policy, parent npm.Map[graph.NodeID],
 // whose label shrank last round push: a push from src can only become
 // effective after label(src) itself shrinks (neighbor labels only ever
 // decrease, which never enables src's push), so label-change activation
-// covers every effective push. Its pull round is the exact transpose of
-// its push round on these symmetrized graphs, so per-round label states —
-// and round counts — are identical in both directions.
+// covers every effective push.
 func CCLP(h *runtime.Host, cfg Config, out []graph.NodeID) CCStats {
 	var stats CCStats
 	r := cfg.newLabelRun(h, &stats)
@@ -434,7 +391,7 @@ func CCLP(h *runtime.Host, cfg Config, out []graph.NodeID) CCStats {
 		r.fr.ActivateAll()
 		r.fr.Advance()
 	}
-	stats.HookRounds, stats.Converged = r.rounds(r.fr, cfg.maxRounds(), nil, func(tid int, src graph.NodeID) {
+	stats.HookRounds, stats.Converged = r.rounds(r.fr, cfg.maxRounds(), func(tid int, src graph.NodeID) {
 		label := lv.Value(src)
 		lo, hi := local.EdgeRange(src)
 		for e := lo; e < hi; e++ {
@@ -459,9 +416,8 @@ func CCSCLP(h *runtime.Host, cfg Config, out []graph.NodeID) CCStats {
 	r := cfg.newLabelRun(h, &stats)
 	comp, local := r.m, h.HP.Local
 	lv := npm.Local(comp)
-	// The shortcut has no pull round, so it gets its own policy: the one
-	// phase whose rounds may drain.
-	sc := cfg.newPolicy(h, r.fr, comp, false)
+	// The shortcut is the one phase whose rounds may drain.
+	sc := cfg.newPolicy(h, r.fr, comp)
 	for {
 		stats.OuterRounds++
 		var workDone runtime.BoolReducer
@@ -469,7 +425,7 @@ func CCSCLP(h *runtime.Host, cfg Config, out []graph.NodeID) CCStats {
 		comp.PinMirrors()
 		// The propagation pass runs without the frontier: it visits every
 		// node.
-		n, _ := r.rounds(nil, 1, &workDone, func(tid int, src graph.NodeID) {
+		n, _ := r.rounds(nil, 1, func(tid int, src graph.NodeID) {
 			label := lv.Value(src)
 			lo, hi := local.EdgeRange(src)
 			for e := lo; e < hi; e++ {

@@ -14,8 +14,7 @@ import (
 // of its node ID (graph.MISPriority, the rule every MIS here shares); each
 // round a node joins the set when its priority beats every undecided
 // neighbor's, and neighbors of new members drop out. The result is the
-// greedy MIS in priority order, so it does not depend on the partition or
-// the round shape.
+// greedy MIS in priority order, so it does not depend on the partition.
 //
 // Under vertex-cut partitioning a proxy sees only part of a node's
 // adjacency, so "beats every neighbor" is itself computed with a
@@ -47,6 +46,7 @@ type MISStats struct {
 // MIS computes a maximal independent set (SPMD). out[n] is set true for
 // members, filled for this host's master range.
 func MIS(h *runtime.Host, cfg Config, out []bool) MISStats {
+	cfg.checkStrategy()
 	local := h.HP.Local
 
 	// Phase 1: global degrees (local degrees are partial under vertex
@@ -99,25 +99,14 @@ func MIS(h *runtime.Host, cfg Config, out []bool) MISStats {
 		fr.Advance()
 	}
 
-	// Round shapes (see Strategy). Pull: under a pull-complete partition
-	// each of the three stages has a bottom-up form over the in-edge CSR —
-	// accumulate computes each undecided master's complete
-	// minimum-neighbor priority locally (no minNbr reduce collective at
-	// all), decide writes only the master's own slot, and knockout scans
-	// each undecided master's in-neighbors for a fresh member instead of
-	// scattering misOut. Every stage updates masters in place and ends
-	// with at most a broadcast. MIS has no async round: its drains never
-	// beat bsp (DESIGN.md §16 (h)).
-	pol := cfg.newPolicy(h, fr, state, true)
-	k := pol.shape()
-
+	// Every round runs bsp under every strategy: MIS has no async round,
+	// since its drains never beat bsp (DESIGN.md §16 (h)).
+	//
 	// Minimum priority among each node's undecided neighbors, accumulated
-	// from every edge location — except in a pull round, where each
-	// undecided master computes the complete minimum from its in-edges (all
-	// present under a pull-complete partition) and the collective is
-	// skipped entirely. One map serves every round: each round re-Sets the
-	// masters to +Inf, which every variant overwrites in place, so the
-	// master vector and reduce buffers are reused instead of rebuilt.
+	// from every edge location. One map serves every round: each round
+	// re-Sets the masters to +Inf, which every variant overwrites in place,
+	// so the master vector and reduce buffers are reused instead of
+	// rebuilt.
 	minNbr := cfg.newFloatMap(h, npm.MinFloat64())
 	// Host-local views (DESIGN.md §14): every per-node and per-edge body
 	// below addresses the proxies it iterates by local ID.
@@ -136,38 +125,22 @@ func MIS(h *runtime.Host, cfg Config, out []bool) MISStats {
 			requestLocalProxies(h, state)
 			requestLocalProxies(h, prio)
 		}
-		if k == roundPull {
-			phMin, _ := npm.Pull(minNbr)
-			phMin.BeginPullRound()
-			h.TimeCompute(func() {
-				h.ParForPull(func(_ int, n graph.NodeID) {
-					if sv.Value(n) != misUndecided {
-						return
-					}
-					if m, ok := minUndecided(local.InNeighbors(n), n, sv, pv); ok {
-						phMin.Apply(n, m)
-					}
-				})
-			})
-			phMin.EndPullRound()
-		} else {
-			accBody := func(tid int, n graph.NodeID) {
-				if sv.Value(n) != misUndecided {
-					return
-				}
-				if m, ok := minUndecided(local.Neighbors(n), n, sv, pv); ok {
-					mv.Reduce(tid, n, m)
-				}
+		accBody := func(tid int, n graph.NodeID) {
+			if sv.Value(n) != misUndecided {
+				return
 			}
-			h.TimeCompute(func() {
-				if fr != nil {
-					h.ParForActive(fr, accBody)
-				} else {
-					h.ParForNodes(accBody)
-				}
-			})
-			minNbr.ReduceSync()
+			if m, ok := minUndecided(local.Neighbors(n), n, sv, pv); ok {
+				mv.Reduce(tid, n, m)
+			}
 		}
+		h.TimeCompute(func() {
+			if fr != nil {
+				h.ParForActive(fr, accBody)
+			} else {
+				h.ParForNodes(accBody)
+			}
+		})
+		minNbr.ReduceSync()
 
 		// Decision: an undecided master with priority below all undecided
 		// neighbors joins the set.
@@ -177,46 +150,27 @@ func MIS(h *runtime.Host, cfg Config, out []bool) MISStats {
 			requestLocalProxies(h, prio)
 		}
 		state.ResetUpdated()
-		if k == roundPull {
-			// Each master decides only itself, so a pull round needs no
-			// state reduce collective at all: write the own slot through
-			// the handle and publish with the broadcast below.
-			ph := pol.ph
-			ph.BeginPullRound()
-			h.TimeCompute(func() {
-				h.ParForPull(func(_ int, n graph.NodeID) {
-					if ph.Value(n) != misUndecided {
-						return
-					}
-					if pv.Value(n) < mv.Value(n) {
-						ph.Apply(n, misIn)
+		decBody := func(tid int, n graph.NodeID) {
+			if sv.Value(n) != misUndecided {
+				return
+			}
+			if pv.Value(n) < mv.Value(n) {
+				sv.Reduce(tid, n, misIn)
+			}
+		}
+		h.TimeCompute(func() {
+			nm := h.HP.NumMasters
+			if fr != nil {
+				h.ParForActive(fr, func(tid int, n graph.NodeID) {
+					if int(n) < nm {
+						decBody(tid, n)
 					}
 				})
-			})
-			ph.EndPullRound()
-		} else {
-			decBody := func(tid int, n graph.NodeID) {
-				if sv.Value(n) != misUndecided {
-					return
-				}
-				if pv.Value(n) < mv.Value(n) {
-					sv.Reduce(tid, n, misIn)
-				}
+			} else {
+				h.ParForMasters(decBody)
 			}
-			h.TimeCompute(func() {
-				nm := h.HP.NumMasters
-				if fr != nil {
-					h.ParForActive(fr, func(tid int, n graph.NodeID) {
-						if int(n) < nm {
-							decBody(tid, n)
-						}
-					})
-				} else {
-					h.ParForMasters(decBody)
-				}
-			})
-			state.ReduceSync()
-		}
+		})
+		state.ReduceSync()
 		state.BroadcastSync()
 
 		// Knock-out: undecided neighbors of new members drop out. The
@@ -226,52 +180,26 @@ func MIS(h *runtime.Host, cfg Config, out []bool) MISStats {
 		if cfg.requestActive() {
 			requestLocalProxies(h, state)
 		}
-		if k == roundPull {
-			// Bottom-up knockout: an undecided master drops out when any
-			// in-neighbor just joined the set. Value reads the post-decide
-			// snapshot (masters) and the freshly broadcast mirrors, the
-			// same values the push body's round-start reads see; the write
-			// targets only the own slot, so again no reduce collective.
-			ph := pol.ph
-			ph.BeginPullRound()
-			h.TimeCompute(func() {
-				h.ParForPull(func(_ int, n graph.NodeID) {
-					if ph.Value(n) != misUndecided {
-						return
-					}
-					lo, hi := local.InEdgeRange(n)
-					for e := lo; e < hi; e++ {
-						if s := local.InSrc(e); s != n && ph.Value(s) == misIn {
-							ph.Apply(n, misOut)
-							break
-						}
-					}
-				})
-			})
-			ph.EndPullRound()
-			state.BroadcastSync()
-		} else {
-			koBody := func(tid int, n graph.NodeID) {
-				if sv.Value(n) != misIn {
-					return
-				}
-				lo, hi := local.EdgeRange(n)
-				for e := lo; e < hi; e++ {
-					if d := local.Dst(e); d != n && sv.Value(d) == misUndecided {
-						sv.Reduce(tid, d, misOut)
-					}
+		koBody := func(tid int, n graph.NodeID) {
+			if sv.Value(n) != misIn {
+				return
+			}
+			lo, hi := local.EdgeRange(n)
+			for e := lo; e < hi; e++ {
+				if d := local.Dst(e); d != n && sv.Value(d) == misUndecided {
+					sv.Reduce(tid, d, misOut)
 				}
 			}
-			h.TimeCompute(func() {
-				if fr != nil {
-					h.ParForActive(fr, koBody)
-				} else {
-					h.ParForNodes(koBody)
-				}
-			})
-			state.ReduceSync()
-			state.BroadcastSync()
 		}
+		h.TimeCompute(func() {
+			if fr != nil {
+				h.ParForActive(fr, koBody)
+			} else {
+				h.ParForNodes(koBody)
+			}
+		})
+		state.ReduceSync()
+		state.BroadcastSync()
 
 		if cfg.requestActive() {
 			requestLocalProxies(h, state)
@@ -325,8 +253,8 @@ func MIS(h *runtime.Host, cfg Config, out []bool) MISStats {
 
 // minUndecided folds the priorities of n's undecided neighbors (self loops
 // excluded) into their minimum; ok is false when none is undecided. Every
-// one of those priorities reduces onto n, so the accumulate bodies fold
-// them here and reduce once per node instead of once per edge (min is
+// one of those priorities reduces onto n, so the accumulate body folds
+// them here and reduces once per node instead of once per edge (min is
 // associative: the combined value is the same).
 func minUndecided(nbrs []graph.NodeID, n graph.NodeID, state *npm.LocalView[graph.NodeID], prio *npm.LocalView[float64]) (m float64, ok bool) {
 	m = math.Inf(1)

@@ -9,9 +9,9 @@ import (
 	"kimbap/internal/runtime"
 )
 
-// Strategy selects how the frontier-driven rounds of CC-SV, CC-LP,
-// CC-SCLP and MIS execute (see Config.Strategy). Every round runs in one
-// of three shapes:
+// Strategy selects how the pointer-jumping shortcut rounds of CC-SV and
+// CC-SCLP execute (see Config.Strategy). Every round runs in one of two
+// shapes:
 //
 //   - bsp: push along out-edges; reduces are buffered thread-locally and
 //     applied at ReduceSync (DESIGN.md §8).
@@ -21,14 +21,9 @@ import (
 //     its path-halving chase collapses a whole local parent chain in one
 //     drain. Label and MIS rounds have none: their drains never beat bsp
 //     (DESIGN.md §16 (h)).
-//   - pull: every master folds its in-neighbors over the transpose CSR
-//     into its own slot; the round has no reduce collective and ends with
-//     the broadcast alone (§15).
 //
-// The strategy is static: each phase's shape is settled once, when its
-// policy is built, and every round of the phase runs in it. No phase has
-// both pull and async rounds: the shortcut, the only phase that drains,
-// has no pull form.
+// The strategy is static: the shortcut's shape is settled once, when its
+// policy is built, and every round of the phase runs in it.
 type Strategy string
 
 const (
@@ -37,8 +32,6 @@ const (
 	// StrategyAsync drains every frontier-driven shortcut round; every
 	// other round runs bsp.
 	StrategyAsync Strategy = "async"
-	// StrategyPull runs every pull-capable round bottom-up.
-	StrategyPull Strategy = "pull"
 )
 
 // roundKind is the shape one round ran in (see Strategy).
@@ -47,38 +40,26 @@ type roundKind uint8
 const (
 	roundBSP roundKind = iota
 	roundAsync
-	roundPull
 )
 
 func (k roundKind) String() string {
-	switch k {
-	case roundAsync:
+	if k == roundAsync {
 		return "async"
-	case roundPull:
-		return "pull"
 	}
 	return "bsp"
 }
 
-// policy resolves Config.Strategy into the round shape of one phase over
-// one label map. A nil *policy runs every round bsp; every method
-// tolerates nil.
+// policy is the async shape of one shortcut phase over one label map. A
+// nil *policy runs every round bsp; shape tolerates nil.
 //
-// Legality is settled once, at construction, and a shape that is not
-// legal falls back to bsp:
-//
-//   - async needs a phase with no pull form (the shortcut), a frontier to
-//     drain and in-place CAS applies (npm.AsyncNode: the Full variant);
-//   - pull needs a pull-capable phase, a pull-complete partition — every
-//     in-edge of every master stored at that master's owner: IEC, or any
-//     single-host run — and npm.Pull (the Full variant).
-//
-// Every condition is SPMD-identical configuration, so all hosts settle on
-// the same shape without a collective and meet at the same syncs.
+// Legality is settled once, at construction, and a phase that cannot
+// drain runs bsp: async needs a frontier to drain and in-place CAS
+// applies (npm.AsyncNode: the Full variant). Both conditions are
+// SPMD-identical configuration, so all hosts settle on the same shape
+// without a collective and meet at the same syncs.
 type policy struct {
 	h  *runtime.Host
-	ah *npm.AsyncNodeHandle          // nil: no async rounds
-	ph *npm.PullHandle[graph.NodeID] // nil: no pull rounds
+	ah *npm.AsyncNodeHandle
 
 	half graph.NodeID // label-magnitude priority split point
 	// pend is the shortcut drain's unresolved-remote set (see
@@ -88,42 +69,35 @@ type policy struct {
 	pend *par.Bitset
 }
 
-// newPolicy builds the policy for a phase over map m with frontier fr
-// (nil under dense execution), or nil when every round runs bsp. pullable
-// says whether the phase has a pull round; a phase without one (the
-// pointer-jumping shortcut) is the only kind whose rounds may drain.
-func (c Config) newPolicy(h *runtime.Host, fr *runtime.Frontier, m npm.Map[graph.NodeID], pullable bool) *policy {
-	var ah *npm.AsyncNodeHandle
-	var ph *npm.PullHandle[graph.NodeID]
+// checkStrategy panics on a Strategy value no phase knows, so a
+// misspelled or deleted strategy fails loudly instead of running bsp.
+// Every algorithm that reads the field calls it, whether or not it has a
+// phase that drains.
+func (c Config) checkStrategy() {
 	switch c.Strategy {
-	case "", StrategyBSP:
-	case StrategyAsync:
-		if !pullable && fr != nil {
-			ah, _ = npm.AsyncNode(m)
-		}
-	case StrategyPull:
-		if pullable && h.HP.PullEdgesComplete() {
-			ph, _ = npm.Pull(m)
-		}
+	case "", StrategyBSP, StrategyAsync:
 	default:
 		panic(fmt.Sprintf("algorithms: unknown strategy %q", c.Strategy))
 	}
-	switch {
-	case ph != nil:
-		h.HP.EnsureLocalInCSR(h.Threads)
-	case ah == nil:
+}
+
+// newPolicy builds the shortcut policy over map m with frontier fr (nil
+// under dense execution), or nil when every round runs bsp.
+func (c Config) newPolicy(h *runtime.Host, fr *runtime.Frontier, m npm.Map[graph.NodeID]) *policy {
+	if c.Strategy != StrategyAsync || fr == nil {
 		return nil
 	}
-	return &policy{h: h, ah: ah, ph: ph, half: graph.NodeID(h.HP.NumGlobalNodes() / 2)}
+	ah, ok := npm.AsyncNode(m)
+	if !ok {
+		return nil
+	}
+	return &policy{h: h, ah: ah, half: graph.NodeID(h.HP.NumGlobalNodes() / 2)}
 }
 
 // shape is the shape every round of the policy's phase runs in.
 func (p *policy) shape() roundKind {
-	switch {
-	case p == nil:
+	if p == nil {
 		return roundBSP
-	case p.ph != nil:
-		return roundPull
 	}
 	return roundAsync
 }

@@ -78,16 +78,21 @@ func run(pass *framework.Pass) error {
 
 // checkAnnotatedDispatches handles statement-level annotations: a
 // //kimbap:conflictfree comment attached to a par dispatch statement
-// asserts the worker closure it dispatches is lock-free.
+// asserts the worker closure it dispatches is lock-free. An annotation on
+// any other statement — a non-dispatch call, an assignment, a
+// declaration — would check nothing, so it is reported.
 func (c *checker) checkAnnotatedDispatches(pass *framework.Pass, decl *ast.FuncDecl, cmap ast.CommentMap) {
 	ast.Inspect(decl.Body, func(n ast.Node) bool {
-		stmt, ok := n.(*ast.ExprStmt)
+		stmt, ok := n.(ast.Stmt)
 		if !ok || !annotatedStmt(cmap, stmt) {
 			return true
 		}
-		call, ok := stmt.X.(*ast.CallExpr)
+		var call *ast.CallExpr
+		if es, ok := stmt.(*ast.ExprStmt); ok {
+			call, _ = es.X.(*ast.CallExpr)
+		}
 		dispatch := ""
-		if ok {
+		if call != nil {
 			dispatch = parDispatchName(pass.Pkg.Info, call)
 		}
 		if dispatch == "" {

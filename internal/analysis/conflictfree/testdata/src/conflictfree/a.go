@@ -180,6 +180,23 @@ func misplacedAnnotation(s *store) {
 	s.reduceClean(0, 1) // want `//kimbap:conflictfree on a statement must annotate a par.Do/Static/Dynamic dispatch`
 }
 
+// An annotated assignment checks nothing, even when its right-hand side
+// wraps a dispatch: only a par dispatch statement names the closure.
+func misplacedAssignAnnotation(s *store, n int) {
+	//kimbap:conflictfree
+	err := dispatchErr(n, func(i int) { s.reduceLocked(i, 1) }) // want `//kimbap:conflictfree on a statement must annotate a par.Do/Static/Dynamic dispatch`
+	_ = err
+}
+
+func dispatchErr(n int, fn func(i int)) error {
+	par.Do(2, func(w int) {
+		for i := w; i < n; i += 2 {
+			fn(i)
+		}
+	})
+	return nil
+}
+
 // The dense reduce buffer idiom: values indexed by local ID and a plain
 // seen bitset that is the buffer's only index. Combine thread r owns range
 // r's whole seen words and walks them with a trailing-zeros scan, so its

@@ -97,19 +97,17 @@ func activateBesideDrain(h *runtime.Host, fr *runtime.Frontier, ids []int) {
 	}
 }
 
-// directionLoop is the real label-round shape: whichever branch runs,
+// branchyLoop is the real label-round shape: whichever branch runs,
 // every pending Reduce is synced before the round's Advance, including
 // across the loop back-edge.
-func directionLoop(h *runtime.Host, m npm.Map[uint32], fr *runtime.Frontier, pull bool) {
+func branchyLoop(h *runtime.Host, m npm.Map[uint32], fr *runtime.Frontier, dense bool) {
 	m.PinMirrors()
-	ph, ok := npm.Pull(m)
-	if !ok {
-		return
-	}
 	for i := 0; i < 4; i++ {
-		if pull {
-			ph.BeginPullRound()
-			ph.EndPullRound()
+		if dense {
+			h.ParForNodes(func(tid int, src graph.NodeID) {
+				m.Reduce(tid, src, 1)
+			})
+			m.ReduceSync()
 		} else {
 			h.ParForActive(fr, func(tid int, src graph.NodeID) {
 				m.Reduce(tid, src, 1)

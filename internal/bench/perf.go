@@ -13,7 +13,6 @@ import (
 	"kimbap/internal/gen"
 	"kimbap/internal/graph"
 	"kimbap/internal/npm"
-	"kimbap/internal/partition"
 	"kimbap/internal/runtime"
 )
 
@@ -55,7 +54,7 @@ type PerfRecord struct {
 	RoundActive      []int64 `json:"round_active,omitempty"`
 	RoundReduceBytes []int64 `json:"round_reduce_bytes,omitempty"`
 	RoundHook        []bool  `json:"round_hook,omitempty"`
-	// RoundShape is the shape each round ran in: "bsp", "async" or "pull"
+	// RoundShape is the shape each round ran in: "bsp" or "async"
 	// when every host agreed, "mixed" when they diverged. Every host
 	// settles a phase's shape from the same configuration, so a "mixed"
 	// round would be a coordination bug.
@@ -94,14 +93,6 @@ func (c Config) PerfTo(w io.Writer, jsonPath string) error {
 		// bsp baseline and the async drain.
 		c.ccChainPerf("cc_sv_bsp", 1, algorithms.StrategyBSP),
 		c.ccChainPerf("cc_sv_async", 1, algorithms.StrategyAsync),
-		// Direction pair (§15) on the standard R-MAT under the pull-complete
-		// IEC partition, dense rounds: the push baseline and pull (every
-		// hook round bottom-up over the in-edge CSR, broadcast-only round
-		// ends — its round_reduce_bytes column is all zeros). The wall gate
-		// (perf_wall_test.go TestDirectionWallGate) holds pull under the
-		// push wall.
-		c.ccIECPerf("cc_sv_push", 4, algorithms.StrategyBSP),
-		c.ccIECPerf("cc_sv_pull", 4, algorithms.StrategyPull),
 		c.misPerf("mis_full", 1),
 	}
 	records = append(records, c.ingestPerf()...)
@@ -295,7 +286,7 @@ func (c Config) syncPerf(name string, variant npm.Variant, hosts int, pin bool) 
 // dense or frontier-driven, and records the per-round activity log.
 func (c Config) ccPerf(name string, variant npm.Variant, hosts int, dense bool) PerfRecord {
 	g, _ := c.perfGraph()
-	return c.ccPerfOn(name, g, variant, hosts, dense, algorithms.StrategyBSP, "")
+	return c.ccPerfOn(name, g, variant, hosts, dense, algorithms.StrategyBSP)
 }
 
 // chainGraph is the skewed-convergence workload for the strategy
@@ -312,25 +303,17 @@ func (c Config) chainGraph() *graph.Graph {
 // ccChainPerf measures frontier-driven CC-SV on the chain workload under
 // one strategy.
 func (c Config) ccChainPerf(name string, hosts int, s algorithms.Strategy) PerfRecord {
-	return c.ccPerfOn(name, c.chainGraph(), npm.Full, hosts, false, s, "")
-}
-
-// ccIECPerf measures dense CC-SV on the standard R-MAT under one strategy.
-// The partition is IEC — the pull-complete policy — so pull is actually
-// exercised rather than falling back to bsp.
-func (c Config) ccIECPerf(name string, hosts int, s algorithms.Strategy) PerfRecord {
-	g, _ := c.perfGraph()
-	return c.ccPerfOn(name, g, npm.Full, hosts, true, s, partition.IEC)
+	return c.ccPerfOn(name, c.chainGraph(), npm.Full, hosts, false, s)
 }
 
 func (c Config) ccPerfOn(name string, g *graph.Graph, variant npm.Variant, hosts int,
-	dense bool, s algorithms.Strategy, pol partition.Policy) PerfRecord {
+	dense bool, s algorithms.Strategy) PerfRecord {
 
 	rec := PerfRecord{Name: name, Hosts: hosts, Threads: c.Threads}
 	best := time.Duration(-1)
 	for rep := 0; rep < c.Reps; rep++ {
 		cluster, err := runtime.NewCluster(g, runtime.Config{
-			NumHosts: hosts, ThreadsPerHost: c.Threads, Policy: pol,
+			NumHosts: hosts, ThreadsPerHost: c.Threads,
 		})
 		if err != nil {
 			panic(err)

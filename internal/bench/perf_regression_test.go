@@ -60,30 +60,6 @@ func TestReduceSyncCommBytesNoRegression(t *testing.T) {
 	}
 }
 
-// TestDirectionGate holds the §15 direction optimization's structural
-// claim on the full-scale perf R-MAT (dense rounds, 4 hosts x 4 threads,
-// pull-complete IEC partition): a static pull run records pull rounds, and
-// every one of them sends exactly zero reduce bytes — the broadcast-only
-// round end. TestDirectionWallGate holds the wall-time half.
-func TestDirectionGate(t *testing.T) {
-	cfg := Config{Scale: Full, Threads: 4, Reps: 1}
-	pull := cfg.ccIECPerf("cc_sv_pull", 4, algorithms.StrategyPull)
-	pullRounds := 0
-	for i, d := range pull.RoundShape {
-		if d != "pull" {
-			continue
-		}
-		pullRounds++
-		if b := pull.RoundReduceBytes[i]; b != 0 {
-			t.Errorf("pull round %d sent %d reduce bytes; pull rounds are broadcast-only", i, b)
-		}
-	}
-	if pullRounds == 0 {
-		t.Fatalf("static pull run recorded no pull rounds (shapes %v); gate workload is broken",
-			pull.RoundShape)
-	}
-}
-
 // TestStreamIngestGate holds the out-of-core build to its memory contract
 // on the full-scale friendster analogue: the streaming two-scan build's
 // allocation (TotalAlloc delta, an upper bound on peak heap growth) must

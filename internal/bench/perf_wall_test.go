@@ -6,7 +6,6 @@ import (
 	gort "runtime"
 	"testing"
 
-	"kimbap/internal/algorithms"
 	"kimbap/internal/gen"
 )
 
@@ -16,10 +15,10 @@ import (
 //
 //	go test -tags wallgates -run 'Gate$' -v ./internal/bench
 //
-// (`make bench` and the CI bench-smoke job do exactly that). Their
-// deterministic counter halves — pull rounds send zero reduce bytes, the
-// streaming build's allocation bound — live in perf_regression_test.go and
-// run in every `go test ./...`.
+// (`make bench` and the CI bench-smoke job do exactly that). The
+// deterministic counter half of the streaming gate — the build's
+// allocation bound — lives in perf_regression_test.go and runs in every
+// `go test ./...`.
 
 // TestIngestBuildPartitionGate holds the parallel ingestion pipeline to at
 // most 60% of the retained serial references' wall time on the full-scale
@@ -41,27 +40,6 @@ func TestIngestBuildPartitionGate(t *testing.T) {
 	if limit := serial * 0.6; par > limit {
 		t.Errorf("parallel build+partition = %.1fms, above 60%% of serial %.1fms (limit %.1fms)",
 			par/1e6, serial/1e6, limit/1e6)
-	}
-}
-
-// TestDirectionWallGate holds the §15 direction optimization to a real
-// win, both directions measured live in this process on the full-scale
-// perf R-MAT (dense rounds, 4 hosts x 4 threads, pull-complete IEC
-// partition). A static pull run must finish within 90% of the static push
-// wall — the dense hook rounds drop the reduce collective and its
-// thread-local delta maps entirely. TestDirectionGate holds the
-// structural half: pull rounds send no reduce bytes.
-func TestDirectionWallGate(t *testing.T) {
-	cfg := Config{Scale: Full, Threads: 4, Reps: 3}
-	push := cfg.ccIECPerf("cc_sv_push", 4, algorithms.StrategyBSP).WallNsPerOp
-	pull := cfg.ccIECPerf("cc_sv_pull", 4, algorithms.StrategyPull).WallNsPerOp
-	if push == 0 || pull == 0 {
-		t.Fatal("static direction measured zero wall time; gate workload is broken")
-	}
-	t.Logf("dense CC-SV 4h/4t IEC: push=%.2fms pull=%.2fms", push/1e6, pull/1e6)
-	if limit := push * 0.9; pull > limit {
-		t.Errorf("pull = %.2fms, above 90%% of the push wall %.2fms (limit %.2fms)",
-			pull/1e6, push/1e6, limit/1e6)
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"sort"
 	"strings"
 
 	"kimbap/internal/graph"
@@ -282,7 +283,10 @@ func bfsFarthest(g *graph.Graph, start graph.NodeID) (graph.NodeID, int) {
 // reduced preset ("small:friendster"), or a path to a graph file. A file
 // with the KMB2 magic streams through the block builder; any other file
 // is parsed as a text edge list, whose node count is inferred when it
-// has no nodes directive.
+// has no nodes directive. Every algorithm runs on symmetrized graphs, and
+// a one-way edge makes them return wrong answers rather than fail, so a
+// file graph with an edge whose reverse at the same weight is missing is
+// rejected with an error that names the edge.
 func Load(spec string) (*graph.Graph, error) {
 	if small, ok := strings.CutPrefix(spec, "small:"); ok {
 		for _, p := range Presets {
@@ -297,22 +301,64 @@ func Load(spec string) (*graph.Graph, error) {
 			return Build(p), nil
 		}
 	}
-	kmb2, err := graph.IsKMB2File(spec)
+	g, err := loadFile(spec)
 	if err != nil {
-		return nil, fmt.Errorf("gen: %q is not a preset and cannot be read as a graph file: %w", spec, err)
+		return nil, err
+	}
+	if e, ok := oneWayEdge(g); ok {
+		return nil, fmt.Errorf("gen: %s: one-way edge %d->%d: no reverse edge %d->%d at weight %g; the algorithms need a symmetric edge list",
+			spec, e.Src, e.Dst, e.Dst, e.Src, e.Weight)
+	}
+	return g, nil
+}
+
+// loadFile reads a KMB2 or text graph file.
+func loadFile(path string) (*graph.Graph, error) {
+	kmb2, err := graph.IsKMB2File(path)
+	if err != nil {
+		return nil, fmt.Errorf("gen: %q is not a preset and cannot be read as a graph file: %w", path, err)
 	}
 	if kmb2 {
-		s, err := graph.OpenKMB2(spec)
+		s, err := graph.OpenKMB2(path)
 		if err != nil {
 			return nil, err
 		}
 		defer s.Close()
 		return graph.NewStreamBuilder(s).Build()
 	}
-	f, err := os.Open(spec)
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
 	return graph.ReadEdgeList(f)
+}
+
+// oneWayEdge returns an edge of g whose reverse at the same weight is
+// missing, if there is one. Adjacency is sorted by destination, so each
+// reverse lookup is a binary search of the destination's neighbors.
+func oneWayEdge(g *graph.Graph) (graph.Edge, bool) {
+	for u := 0; u < g.NumNodes(); u++ {
+		src := graph.NodeID(u)
+		lo, hi := g.EdgeRange(src)
+		for e := lo; e < hi; e++ {
+			dst, w := g.Dst(e), g.Weight(e)
+			if !hasEdgeAt(g, dst, src, w) {
+				return graph.Edge{Src: src, Dst: dst, Weight: w}, true
+			}
+		}
+	}
+	return graph.Edge{}, false
+}
+
+// hasEdgeAt reports whether g has an edge src->dst of weight w.
+func hasEdgeAt(g *graph.Graph, src, dst graph.NodeID, w float64) bool {
+	ns := g.Neighbors(src)
+	lo, _ := g.EdgeRange(src)
+	for i := sort.Search(len(ns), func(i int) bool { return ns[i] >= dst }); i < len(ns) && ns[i] == dst; i++ {
+		if g.Weight(lo+int64(i)) == w {
+			return true
+		}
+	}
+	return false
 }

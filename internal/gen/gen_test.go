@@ -254,15 +254,41 @@ func TestLoadGraphFiles(t *testing.T) {
 	t.Run("bare-text", func(t *testing.T) {
 		// No nodes directive: the node count is inferred from the largest ID.
 		bare := filepath.Join(dir, "bare.el")
-		if err := os.WriteFile(bare, []byte("0 1\n1 6\n"), 0o644); err != nil {
+		if err := os.WriteFile(bare, []byte("0 1\n1 0\n1 6\n6 1\n"), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		g, err := Load(bare)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if g.NumNodes() != 7 || g.NumEdges() != 2 {
-			t.Fatalf("bare edge list: %d nodes %d edges, want 7 and 2", g.NumNodes(), g.NumEdges())
+		if g.NumNodes() != 7 || g.NumEdges() != 4 {
+			t.Fatalf("bare edge list: %d nodes %d edges, want 7 and 4", g.NumNodes(), g.NumEdges())
+		}
+	})
+
+	// Every algorithm runs on symmetrized graphs, so both formats reject an
+	// edge whose reverse is missing or carries another weight, and name it.
+	t.Run("one-way-text", func(t *testing.T) {
+		path := filepath.Join(dir, "oneway.el")
+		if err := os.WriteFile(path, []byte("0 1\n1 0\n1 2\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(path); err == nil || !strings.Contains(err.Error(), "one-way edge 1->2") {
+			t.Fatalf("Load of a one-way text edge list: err = %v, want an error naming 1->2", err)
+		}
+	})
+	t.Run("one-way-kmb2", func(t *testing.T) {
+		b := graph.NewBuilder(3)
+		b.AddWeightedEdge(0, 1, 1)
+		b.AddWeightedEdge(1, 0, 1)
+		b.AddWeightedEdge(1, 2, 2)
+		b.AddWeightedEdge(2, 1, 3)
+		path := filepath.Join(dir, "oneway.kmb2")
+		if err := graph.SaveKMB2(path, b.Build(), 64); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(path); err == nil || !strings.Contains(err.Error(), "one-way edge 1->2") {
+			t.Fatalf("Load of a KMB2 file with mismatched reverse weights: err = %v, want an error naming 1->2", err)
 		}
 	})
 

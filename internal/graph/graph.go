@@ -12,7 +12,6 @@ import (
 	"math"
 	"slices"
 	"sort"
-	"sync"
 )
 
 // NodeID identifies a node in a graph. IDs are dense: a graph with n nodes
@@ -31,23 +30,10 @@ type Edge struct {
 
 // Graph is an immutable directed graph in CSR form. Construct one with a
 // Builder or one of the loaders; the zero value is an empty graph.
-//
-// A Graph may additionally carry a transpose (in-edge) CSR — see
-// EnsureInCSR in incsr.go — used by pull-mode execution to scan
-// in-neighbors. The out-edge CSR is always the source of truth; the
-// in-CSR is a derived index over the same edge multiset.
 type Graph struct {
 	offsets []int64   // len = NumNodes()+1; offsets[i]..offsets[i+1] index into dsts
 	dsts    []NodeID  // destination of each edge, grouped by source
 	weights []float64 // nil for unweighted graphs; else parallel to dsts
-
-	// Transpose CSR, nil until EnsureInCSR or a fused stream build
-	// materializes it. inOnce guards lazy construction so concurrent
-	// phases can share one graph.
-	inOnce    sync.Once
-	inOffsets []int64   // len = NumNodes()+1; indexes into inSrcs
-	inSrcs    []NodeID  // source of each in-edge, grouped by destination
-	inWeights []float64 // nil for unweighted graphs; else parallel to inSrcs
 }
 
 // NumNodes returns the number of nodes in the graph.

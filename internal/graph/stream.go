@@ -118,7 +118,6 @@ type BlockSource interface {
 type StreamBuilder struct {
 	src     BlockSource
 	workers int
-	inCSR   bool
 }
 
 // NewStreamBuilder returns a StreamBuilder over src.
@@ -130,15 +129,6 @@ func NewStreamBuilder(src BlockSource) *StreamBuilder {
 // bit-identical at every setting.
 func (sb *StreamBuilder) SetWorkers(w int) *StreamBuilder {
 	sb.workers = w
-	return sb
-}
-
-// WithInCSR requests the fused transpose emission: pass 1 counts both
-// degree arrays and pass 2 scatters both columns, so the built graph
-// carries its in-edge CSR without a separate EnsureInCSR pass over the
-// CSR. The transpose is bit-identical to Transpose of the built graph.
-func (sb *StreamBuilder) WithInCSR(on bool) *StreamBuilder {
-	sb.inCSR = on
 	return sb
 }
 
@@ -197,26 +187,14 @@ func (sb *StreamBuilder) Build() (*Graph, error) {
 		if weighted {
 			g.weights = []float64{}
 		}
-		if sb.inCSR {
-			var iw []float64
-			if weighted {
-				iw = []float64{}
-			}
-			g.adoptInCSR(make([]int64, n+1), []NodeID{}, iw)
-		}
 		return g, nil
 	}
 
 	// Pass 1: per-worker degree counts over static block ranges, with the
 	// only full-edge validation pass (pass 2 trusts it and only re-checks
-	// totals). With the fused transpose enabled the same scan counts the
-	// in-degree matrix too.
+	// totals).
 	blks := make([]EdgeBlock, workers)
 	cnt := getCounts(workers * n)
-	var icnt []int64
-	if sb.inCSR {
-		icnt = getCounts(workers * n)
-	}
 	pass1 := make([]int64, workers) // edges seen, for the cross-scan check
 	count := func(w int, blk *EdgeBlock) error {
 		c := cnt[w*n : (w+1)*n]
@@ -227,12 +205,6 @@ func (sb *StreamBuilder) Build() (*Graph, error) {
 			}
 			c[s]++
 		}
-		if icnt != nil {
-			ic := icnt[w*n : (w+1)*n]
-			for _, d := range blk.Dsts {
-				ic[d]++
-			}
-		}
 		// Empty blocks carry no weight-column information: a text shard
 		// holding only comments leaves a pooled block's nil Weights slice
 		// nil even for a weighted source ([:0] of nil is nil).
@@ -242,17 +214,9 @@ func (sb *StreamBuilder) Build() (*Graph, error) {
 		pass1[w] += int64(blk.Len())
 		return nil
 	}
-	par.Do(workers, func(w int) {
-		clear(cnt[w*n : (w+1)*n])
-		if icnt != nil {
-			clear(icnt[w*n : (w+1)*n])
-		}
-	})
+	par.Do(workers, func(w int) { clear(cnt[w*n : (w+1)*n]) })
 	if err := sb.scan(workers, blks, count); err != nil {
 		putCounts(cnt)
-		if icnt != nil {
-			putCounts(icnt)
-		}
 		return nil, err
 	}
 	mergeCounts(workers, n, cnt, g.offsets)
@@ -261,14 +225,6 @@ func (sb *StreamBuilder) Build() (*Graph, error) {
 	g.dsts = make([]NodeID, m)
 	if weighted {
 		g.weights = make([]float64, m)
-	}
-	if icnt != nil {
-		g.inOffsets = make([]int64, n+1)
-		mergeCounts(workers, n, icnt, g.inOffsets)
-		g.inSrcs = make([]NodeID, m)
-		if weighted {
-			g.inWeights = make([]float64, m)
-		}
 	}
 
 	// Pass 2: conflict-free scatter straight into the final arrays. Every
@@ -288,10 +244,8 @@ func (sb *StreamBuilder) Build() (*Graph, error) {
 		// with an error, not an index panic. (Equal-count content drift
 		// still yields a wrong graph — nothing can rebuild trust in a file
 		// changing underfoot — but never a crash or out-of-bounds write.)
-		// The fused transpose indexes its cursor rows by destination, so
-		// those need the same re-check.
 		for i, s := range blk.Srcs {
-			if int(s) >= n || (icnt != nil && int(blk.Dsts[i]) >= n) {
+			if int(s) >= n {
 				return fmt.Errorf("graph: source changed between scans (edge %d->%d out of range)",
 					s, blk.Dsts[i])
 			}
@@ -316,28 +270,10 @@ func (sb *StreamBuilder) Build() (*Graph, error) {
 				g.dsts[at] = blk.Dsts[i]
 			}
 		}
-		if icnt != nil {
-			ic := icnt[w*n : (w+1)*n]
-			for i, d := range blk.Dsts {
-				at := ic[d]
-				if at >= m {
-					return fmt.Errorf("graph: source changed between scans (cursor overflow at dst %d)", d)
-				}
-				ic[d] = at + 1
-				g.inSrcs[at] = blk.Srcs[i]
-				if g.inWeights != nil {
-					g.inWeights[at] = blk.Weights[i]
-				}
-			}
-		}
 		return nil
 	}
-	//kimbap:conflictfree
 	err := sb.scan(workers, blks, scatter)
 	putCounts(cnt)
-	if icnt != nil {
-		putCounts(icnt)
-	}
 	if err != nil {
 		return nil, err
 	}
@@ -348,9 +284,5 @@ func (sb *StreamBuilder) Build() (*Graph, error) {
 		}
 	}
 	sortAdjacency(g, workers)
-	if g.inOffsets != nil {
-		sortInAdjacency(g, workers)
-		g.adoptInCSR(g.inOffsets, g.inSrcs, g.inWeights)
-	}
 	return g, nil
 }

@@ -1,26 +1,7 @@
 package graph
 
 // Structural transformations used by partitioning analyses and input
-// preparation: transposition, induced subgraphs, and degree histograms.
-
-// Transpose returns the graph with every edge reversed. For symmetric
-// graphs the result equals the input; for directed inputs it converts
-// between push- and pull-style adjacency (the IEC policy's view).
-func Transpose(g *Graph) *Graph {
-	b := NewBuilder(g.NumNodes())
-	weighted := g.Weighted()
-	for n := 0; n < g.NumNodes(); n++ {
-		lo, hi := g.EdgeRange(NodeID(n))
-		for e := lo; e < hi; e++ {
-			if weighted {
-				b.AddWeightedEdge(g.Dst(e), NodeID(n), g.Weight(e))
-			} else {
-				b.AddEdge(g.Dst(e), NodeID(n))
-			}
-		}
-	}
-	return b.Build()
-}
+// preparation: induced subgraphs and degree histograms.
 
 // InducedSubgraph returns the subgraph on the given nodes (edges with both
 // endpoints in the set) and the mapping from new IDs to original IDs.

@@ -46,16 +46,6 @@ type fullMap[V comparable] struct {
 	pinned  bool
 	mirrors []V // indexed by (local - NumMasters) when pinned
 
-	// Pull-round state (see pull.go). mirrorsFresh tracks whether pinned
-	// mirrors reflect the current master values — true right after a
-	// broadcast, false once ReduceSync (or a pull round itself) changes
-	// masters behind them. It is read and written only at phase
-	// boundaries on the program goroutine, never from operator threads.
-	// pullSnap is the reusable round-start snapshot of the master vector
-	// that gives pull rounds Jacobi semantics regardless of scan order.
-	mirrorsFresh bool
-	pullSnap     []V
-
 	reqBits   *par.Bitset    // global IDs requested this round
 	cacheKeys []graph.NodeID // sorted requested remote IDs
 	cacheVals []V
@@ -232,9 +222,8 @@ func (m *fullMap[V]) Set(n graph.NodeID, v V) {
 }
 
 // InitSync implements Map. GAR sets master values in place, so there is
-// nothing to publish — but masters may now differ from any pinned mirrors,
-// so a pull round needs a broadcast first.
-func (m *fullMap[V]) InitSync() { m.mirrorsFresh = false }
+// nothing to publish.
+func (m *fullMap[V]) InitSync() {}
 
 // Request implements Map.
 func (m *fullMap[V]) Request(n graph.NodeID) {
@@ -447,10 +436,6 @@ func (m *fullMap[V]) ReduceSync() {
 		}
 		m.cacheKeys = nil
 		m.cacheVals = nil
-
-		// Masters just moved; pinned mirrors no longer reflect them until
-		// the next broadcast, so pull rounds are off the table (pull.go).
-		m.mirrorsFresh = false
 	})
 }
 
@@ -610,10 +595,6 @@ func (m *fullMap[V]) broadcast(full bool) {
 				}
 			}
 		}
-
-		// Every host just pushed its dirty masters to all mirror holders:
-		// mirrors now reflect masters, the precondition pull rounds check.
-		m.mirrorsFresh = true
 	})
 }
 

@@ -49,10 +49,6 @@ func (m *fullMap[V]) MemoryFootprint() int64 {
 	total += int64(len(m.cacheSlot)) * 4           // dense cache slot table (§14)
 	total += int64(m.hp.NumGlobalNodes()+7) / 8    // request bitset
 	total += int64(len(m.masters)+7) / 8           // dirty bitset
-	total += int64(cap(m.pullSnap)) * int64(vs)    // pull-round master snapshot
-	// The transpose CSR exists only for pull rounds, so its bytes are the
-	// pull path's to account for, not the graph loader's.
-	total += m.hp.InCSRFootprint()
 	// Partition-side ID translation: the host's dense global→local table.
 	// Charged to the Full variant, which is the one whose hot paths index
 	// it.

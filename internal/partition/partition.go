@@ -333,39 +333,6 @@ func buildHostPartition(p *Partitioned, g *graph.Graph, h int,
 	return hp
 }
 
-// PullEdgesComplete reports whether broadcast-only pull rounds are legal
-// on this partitioning. A pull round updates each master from its local
-// in-neighbors and never runs ReduceSync, so it is only correct when
-// every in-edge of every master is stored on that master's owner — the
-// IEC invariant held globally, not just on this host. (Under OEC a host
-// with no mirrors is vacuously MirrorsHaveNoInEdges while its masters'
-// in-edges live on other hosts, which is why the local flag alone is not
-// sufficient.) The check reads only partition-time structure, so every
-// host computes the same answer without a collective.
-func (hp *HostPartition) PullEdgesComplete() bool {
-	for _, h := range hp.part.Hosts {
-		if !h.MirrorsHaveNoInEdges {
-			return false
-		}
-	}
-	return true
-}
-
-// EnsureLocalInCSR materializes the local CSR's transpose (in-edge) index
-// for pull-mode in-neighbor scans. Idempotent; workers 0 = all cores.
-// Under a pull-legal partitioning (PullEdgesComplete) a master's local
-// in-edge list is its complete global in-edge list.
-func (hp *HostPartition) EnsureLocalInCSR(workers int) {
-	hp.Local.EnsureInCSR(workers)
-}
-
-// InCSRFootprint returns the bytes held by the local transpose CSR, 0
-// when pull mode never materialized it. Folded into the NPM memory
-// reporter alongside TranslationFootprint.
-func (hp *HostPartition) InCSRFootprint() int64 {
-	return hp.Local.InCSRFootprint()
-}
-
 // buildLocalTab fills the dense global→local table from GlobalIDs. Called
 // once at partition time, right after GlobalIDs is assembled (the edge
 // translation loops already go through LocalID).

@@ -297,54 +297,6 @@ func (h *Host) ParForMasters(fn func(tid int, node graph.NodeID)) {
 	h.ParFor(h.HP.NumMasters, func(tid, i int) { fn(tid, graph.NodeID(i)) })
 }
 
-// pullChunkEdges is ParForPull's target in-edge volume per chunk: the
-// scheduling grain is edges scanned, not vertices visited, so a chunk
-// landing on a power-law hub splits finer and rebalances across threads.
-const pullChunkEdges = 2048
-
-// ParForPull is the dense pull-mode path: it runs fn over local master
-// proxies, where fn scans the master's in-neighbors serially (via the
-// local in-CSR) and combines into the master's own slot with plain
-// stores — conflict-free by ownership, since no two invocations share a
-// master. Chunk sizing accounts for in-degree skew when the local
-// in-CSR is materialized; otherwise it falls back to ParFor's
-// vertex-count grain.
-//
-//kimbap:conflictfree
-func (h *Host) ParForPull(fn func(tid int, master graph.NodeID)) {
-	n := h.HP.NumMasters
-	if n == 0 {
-		return
-	}
-	threads := h.Threads
-	if threads > n {
-		threads = n
-	}
-	if threads <= 1 || h.pool == nil || !h.pool.busy.CompareAndSwap(false, true) {
-		for i := 0; i < n; i++ {
-			fn(0, graph.NodeID(i))
-		}
-		return
-	}
-	defer h.pool.busy.Store(false)
-	chunk := n / (threads * 8)
-	if g := h.HP.Local; g.HasInCSR() {
-		_, totalIn := g.InEdgeRange(graph.NodeID(n - 1))
-		if avg := totalIn / int64(n); avg > 0 {
-			if byEdges := int(pullChunkEdges / avg); byEdges < chunk {
-				chunk = byEdges
-			}
-		}
-	}
-	if chunk < 1 {
-		chunk = 1
-	}
-	if chunk > 256 {
-		chunk = 256
-	}
-	h.pool.parFor(n, chunk, func(tid, i int) { fn(tid, graph.NodeID(i)) })
-}
-
 // frontierDenseDivisor is the density threshold of ParForActive's
 // Ligra-style representation switch: at |active| >= |V|/16 the frontier is
 // iterated as a parallel bitset scan (no compaction, word-level skips of
