@@ -196,3 +196,44 @@ func FuzzReadKMB2(f *testing.F) {
 		checkGraphInvariants(t, g)
 	})
 }
+
+// FuzzStreamBuildWorkersAgree is the differential twin of FuzzReadKMB2:
+// the two-scan stream build over arbitrary KMB2 bytes must fail at every
+// worker count or at none, and the graphs built serially and by four
+// workers must be identical — the scatter's per-worker cursors may not
+// reorder a neighbor list, whatever the block layout.
+func FuzzStreamBuildWorkersAgree(f *testing.F) {
+	for _, g := range fuzzSeedGraphs() {
+		for _, be := range []int{3, DefaultBlockEdges} {
+			path := filepath.Join(f.TempDir(), "seed.kmb2")
+			if err := SaveKMB2(path, g, be); err != nil {
+				f.Fatal(err)
+			}
+			data, err := os.ReadFile(path)
+			if err != nil {
+				f.Fatal(err)
+			}
+			addMutants(f, data)
+			addKMB2BlockMutants(f, data)
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := NewKMB2Source(bytes.NewReader(data), int64(len(data)))
+		if err != nil {
+			return
+		}
+		if s.NumNodes() > 1<<20 {
+			t.Skip("node count beyond the fuzz allocation bound")
+		}
+		serial, serr := NewStreamBuilder(s).SetWorkers(1).Build()
+		parallel, perr := NewStreamBuilder(s).SetWorkers(4).Build()
+		if (serr == nil) != (perr == nil) {
+			t.Fatalf("serial build error %v, parallel build error %v", serr, perr)
+		}
+		if serr != nil {
+			return
+		}
+		checkGraphInvariants(t, parallel)
+		requireGraphsIdentical(t, serial, parallel)
+	})
+}
