@@ -68,3 +68,23 @@ func BenchmarkMISSocial(b *testing.B) {
 		c.Run(func(h *runtime.Host) { MIS(h, Config{}, set) })
 	}
 }
+
+// BenchmarkCommunity runs LV then LD on the community workload's shape —
+// gen.Communities(32,512,16,4), weighted, 16k nodes — on 2 hosts × 1
+// thread (both force OEC), b.N calls of each. Every call builds its own
+// cluster per level, as the benchmark's jobs do. It is the profiling
+// harness for the local-moving and refinement loops:
+//
+//	go test ./internal/algorithms -run '^$' -bench Community -cpuprofile cpu.out
+func BenchmarkCommunity(b *testing.B) {
+	g := gen.Communities(32, 512, 16, 4, true, 1)
+	rc := runtime.Config{NumHosts: 2, ThreadsPerHost: 1}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, algo := range []func(*graph.Graph, runtime.Config, Config, CDOptions) (CDResult, error){Louvain, Leiden} {
+			if _, err := algo(g, rc, Config{}, CDOptions{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}

@@ -4,10 +4,12 @@ import (
 	"math"
 	"testing"
 
+	"kimbap/internal/comm"
 	"kimbap/internal/gen"
 	"kimbap/internal/graph"
 	"kimbap/internal/kvstore"
 	"kimbap/internal/npm"
+	"kimbap/internal/partition"
 	"kimbap/internal/runtime"
 )
 
@@ -215,5 +217,59 @@ func TestLeidenGammaControlsRefinement(t *testing.T) {
 	if loose.Modularity < 0.3 || strict.Modularity < 0.3 {
 		t.Fatalf("gamma variants degraded quality: %.3f / %.3f",
 			loose.Modularity, strict.Modularity)
+	}
+}
+
+// TestCommunityRequestVolumePinned runs one local-moving level (and, for
+// Leiden, its refinement) on a 2-host × 1-thread OEC cluster and pins the
+// request and response messages and bytes the whole cluster sends, with
+// the level's rounds and moved-node count. The values were measured while
+// the move phase's request pass still walked every master edge. Under OEC
+// the mirrors are exactly the destinations of master edges, so requesting
+// the community of every local proxy asks for the same IDs: every count
+// must stay exactly as it was.
+func TestCommunityRequestVolumePinned(t *testing.T) {
+	type pin struct {
+		rounds      int
+		moved       int64
+		msgs, bytes [2]int64 // request, response
+	}
+	g := gen.Communities(8, 64, 8, 2, true, 3)
+	for _, tc := range []struct {
+		name    string
+		variant npm.Variant
+		leiden  bool
+		want    pin
+	}{
+		{"lv/" + string(npm.Full), npm.Full, false, pin{15, 2408, [2]int64{62, 62}, [2]int64{2644, 20912}}},
+		{"lv/" + string(npm.SGRCF), npm.SGRCF, false, pin{15, 2408, [2]int64{216, 216}, [2]int64{18442, 115648}}},
+		{"ld/" + string(npm.Full), npm.Full, true, pin{15, 2408, [2]int64{74, 74}, [2]int64{2644, 20912}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := runtime.NewCluster(g, runtime.Config{NumHosts: 2, ThreadsPerHost: 1, Policy: partition.OEC})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			cfg, opts := Config{Variant: tc.variant}, CDOptions{}.withDefaults()
+			assign, sub := make([]graph.NodeID, g.NumNodes()), make([]graph.NodeID, g.NumNodes())
+			var got pin
+			c.Run(func(h *runtime.Host) {
+				accs := graph.NewAccumulators(h.Threads, h.HP.NumGlobalNodes())
+				r, m := refineLevel(h, cfg, opts, accs, nil, assign)
+				if tc.leiden {
+					leidenRefine(h, cfg, opts, accs, assign, sub)
+				}
+				if h.Rank == 0 {
+					got.rounds, got.moved = r, m
+				}
+			})
+			msgs, bytes := c.CommStatsByTag()
+			got.msgs = [2]int64{msgs[comm.TagRequest], msgs[comm.TagResponse]}
+			got.bytes = [2]int64{bytes[comm.TagRequest], bytes[comm.TagResponse]}
+			if got != tc.want {
+				t.Errorf("got %+v, want %+v", got, tc.want)
+			}
+		})
 	}
 }

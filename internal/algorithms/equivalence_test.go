@@ -76,39 +76,53 @@ func TestCCSVTransportMatrix(t *testing.T) {
 	}
 }
 
+// TestLouvainEquivalentAcrossVariants runs Louvain and Leiden under every
+// map variant and requires each result to be bit-identical to Full's:
+// assignment, modularity bits, rounds, levels and Converged. Modularity
+// is recomputed from the assignment in label order, so it carries no
+// thread-schedule round-off. Leiden runs at 2 and 4 hosts, where a
+// variant without GAR reads only what it requested.
 func TestLouvainEquivalentAcrossVariants(t *testing.T) {
-	for gname, g := range equivalenceGraphs() {
-		for _, hosts := range []int{1, 4, 8} {
-			var ref *CDResult
-			var refVariant npm.Variant
-			for _, v := range npm.Variants {
-				cfg := Config{Variant: v}
-				if v == npm.MC {
-					cfg.Store = kvstore.NewCluster(hosts, hosts)
-				}
-				res, err := Louvain(g, runtime.Config{NumHosts: hosts, ThreadsPerHost: 3},
-					cfg, CDOptions{})
-				if err != nil {
-					t.Fatalf("%s/%s/%dh: %v", gname, v, hosts, err)
-				}
-				if ref == nil {
-					r := res
-					ref, refVariant = &r, v
-					continue
-				}
-				// Assignments are integers and must match exactly; the
-				// modularity statistic is a float sum whose addition order
-				// varies with thread scheduling, so it only agrees to
-				// round-off.
-				if math.Abs(res.Modularity-ref.Modularity) > 1e-9 {
-					t.Fatalf("%s/%s/%dh: modularity %v != %s's %v",
-						gname, v, hosts, res.Modularity, refVariant, ref.Modularity)
-				}
-				for i := range ref.Assignment {
-					if res.Assignment[i] != ref.Assignment[i] {
-						t.Fatalf("%s/%s/%dh: node %d assigned %d, %s assigned %d",
-							gname, v, hosts, i, res.Assignment[i],
-							refVariant, ref.Assignment[i])
+	// Full runs first: it is the reference.
+	variants := []npm.Variant{npm.Full, npm.Vite}
+	for _, v := range npm.Variants {
+		if v != npm.Full {
+			variants = append(variants, v)
+		}
+	}
+	for _, algo := range []struct {
+		name  string
+		run   func(*graph.Graph, runtime.Config, Config, CDOptions) (CDResult, error)
+		hosts []int
+	}{{"lv", Louvain, []int{1, 4, 8}}, {"ld", Leiden, []int{2, 4}}} {
+		for gname, g := range equivalenceGraphs() {
+			for _, hosts := range algo.hosts {
+				var ref CDResult
+				for i, v := range variants {
+					cfg := Config{Variant: v}
+					if v == npm.MC {
+						cfg.Store = kvstore.NewCluster(hosts, hosts)
+					}
+					res, err := algo.run(g, runtime.Config{NumHosts: hosts, ThreadsPerHost: 3},
+						cfg, CDOptions{})
+					if err != nil {
+						t.Fatalf("%s/%s/%s/%dh: %v", algo.name, gname, v, hosts, err)
+					}
+					if i == 0 {
+						ref = res
+						continue
+					}
+					if res.Rounds != ref.Rounds || res.Levels != ref.Levels || res.Converged != ref.Converged ||
+						math.Float64bits(res.Modularity) != math.Float64bits(ref.Modularity) {
+						t.Fatalf("%s/%s/%s/%dh: %d rounds, %d levels, converged %v, Q %v; %s: %d, %d, %v, %v",
+							algo.name, gname, v, hosts, res.Rounds, res.Levels, res.Converged, res.Modularity,
+							npm.Full, ref.Rounds, ref.Levels, ref.Converged, ref.Modularity)
+					}
+					for n := range ref.Assignment {
+						if res.Assignment[n] != ref.Assignment[n] {
+							t.Fatalf("%s/%s/%s/%dh: node %d assigned %d, %s assigned %d",
+								algo.name, gname, v, hosts, n, res.Assignment[n], npm.Full, ref.Assignment[n])
+						}
 					}
 				}
 			}

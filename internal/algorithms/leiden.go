@@ -59,6 +59,17 @@ func leidenRefine(h *runtime.Host, cfg Config, opts CDOptions, accs []*graph.Acc
 	}
 	cmap.InitSync()
 	cmap.PinMirrors()
+	if cfg.requestActive() {
+		// The seed reduce below reads every master's community; without
+		// GAR a master's value is only readable once requested.
+		requestLocalProxies(h, cmap)
+	}
+	// cmap, and sub below, stay pinned through refinement: every adjacent
+	// read indexes a local proxy by its host-local ID (DESIGN.md §18).
+	cv := npm.Local(cmap)
+
+	// Each master's weighted degree, a level constant computed once.
+	kdeg := make([]float64, h.HP.NumMasters)
 
 	// Map 2: community totals, keyed by community representative.
 	ctot := cfg.newFloatMap(h, npm.SumFloat64())
@@ -66,9 +77,10 @@ func leidenRefine(h *runtime.Host, cfg Config, opts CDOptions, accs []*graph.Acc
 	ctot.InitSync()
 	h.TimeCompute(func() {
 		h.ParForMasters(func(tid int, n graph.NodeID) {
-			gid := h.HP.GlobalID(n)
-			if k := weightedDegree(local, n); k != 0 {
-				ctot.Reduce(tid, cmap.Read(gid), k)
+			k := weightedDegree(local, n)
+			kdeg[n] = k
+			if k != 0 {
+				ctot.Reduce(tid, cv.Value(n), k)
 			}
 		})
 	})
@@ -78,6 +90,7 @@ func leidenRefine(h *runtime.Host, cfg Config, opts CDOptions, accs []*graph.Acc
 	sub := cfg.newNodeMap(h, npm.Overwrite[graph.NodeID]())
 	initOwn(h, sub)
 	sub.PinMirrors()
+	sv := npm.Local(sub)
 
 	// Map 4: subcommunity totals. Map 5: subcommunity sizes. Both are
 	// keyed by subcommunity representative and re-Set to 0 every round,
@@ -101,9 +114,8 @@ func leidenRefine(h *runtime.Host, cfg Config, opts CDOptions, accs []*graph.Acc
 		subsize.InitSync()
 		h.TimeCompute(func() {
 			h.ParForMasters(func(tid int, n graph.NodeID) {
-				gid := h.HP.GlobalID(n)
-				s := sub.Read(gid)
-				subtot.Reduce(tid, s, weightedDegree(local, n))
+				s := sv.Value(n)
+				subtot.Reduce(tid, s, kdeg[n])
 				subsize.Reduce(tid, s, 1)
 			})
 		})
@@ -114,16 +126,16 @@ func leidenRefine(h *runtime.Host, cfg Config, opts CDOptions, accs []*graph.Acc
 		// neighbor subcommunities (dynamically computed IDs).
 		h.TimeCompute(func() {
 			h.ParForMasters(func(_ int, n graph.NodeID) {
-				gid := h.HP.GlobalID(n)
-				ctot.Request(cmap.Read(gid))
-				s := sub.Read(gid)
+				c := cv.Value(n)
+				ctot.Request(c)
+				s := sv.Value(n)
 				subtot.Request(s)
 				subsize.Request(s)
 				elo, ehi := local.EdgeRange(n)
 				for e := elo; e < ehi; e++ {
-					dgid := h.HP.GlobalID(local.Dst(e))
-					if cmap.Read(dgid) == cmap.Read(gid) {
-						subtot.Request(sub.Read(dgid))
+					dst := local.Dst(e)
+					if cv.Value(dst) == c {
+						subtot.Request(sv.Value(dst))
 					}
 				}
 			})
@@ -139,12 +151,12 @@ func leidenRefine(h *runtime.Host, cfg Config, opts CDOptions, accs []*graph.Acc
 		h.TimeCompute(func() {
 			h.ParForMasters(func(tid int, n graph.NodeID) {
 				gid := h.HP.GlobalID(n)
-				s := sub.Read(gid)
+				s := sv.Value(n)
 				if s != gid || subsize.Read(s) != 1 {
 					return // only singleton subcommunities merge
 				}
-				c := cmap.Read(gid)
-				kn := weightedDegree(local, n)
+				c := cv.Value(n)
+				kn := kdeg[n]
 				if kn == 0 {
 					return
 				}
@@ -156,12 +168,12 @@ func leidenRefine(h *runtime.Host, cfg Config, opts CDOptions, accs []*graph.Acc
 				defer links.Reset()
 				elo, ehi := local.EdgeRange(n)
 				for e := elo; e < ehi; e++ {
-					dgid := h.HP.GlobalID(local.Dst(e))
-					if dgid == gid || cmap.Read(dgid) != c {
+					dst := local.Dst(e)
+					if dst == n || cv.Value(dst) != c {
 						continue
 					}
 					intoC += local.Weight(e)
-					links.Add(sub.Read(dgid), local.Weight(e))
+					links.Add(sv.Value(dst), local.Weight(e))
 				}
 				if intoC < opts.Gamma*kn*(ctot.Read(c)-kn)/twoM {
 					return // badly connected: stays singleton

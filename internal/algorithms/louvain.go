@@ -242,6 +242,13 @@ func refineLevel(h *runtime.Host, cfg Config, opts CDOptions, accs []*graph.Accu
 		cm.InitSync()
 	}
 	cm.PinMirrors()
+	// Both maps are pinned from here on, so every adjacent read below
+	// indexes a local proxy by its host-local ID (DESIGN.md §18).
+	cmv, wdv := npm.Local(cm), npm.Local(wdeg)
+
+	// The modularity sweep's intra-community weight, one partial per
+	// worker thread (indexed by the tid ParForNodes passes).
+	intraPart := make([]paddedFloat64, h.Threads)
 
 	// Vite early-termination state: consecutive rounds a master stayed put.
 	var stable []uint8
@@ -271,10 +278,9 @@ func refineLevel(h *runtime.Host, cfg Config, opts CDOptions, accs []*graph.Accu
 		csize.InitSync()
 		h.TimeCompute(func() {
 			h.ParForMasters(func(tid int, n graph.NodeID) {
-				gid := h.HP.GlobalID(n)
-				c := cm.Read(gid)
+				c := cmv.Value(n)
 				csize.Reduce(tid, c, 1)
-				k := wdeg.Read(gid)
+				k := wdv.Value(n)
 				if k != 0 {
 					ctot.Reduce(tid, c, k)
 				}
@@ -290,15 +296,25 @@ func refineLevel(h *runtime.Host, cfg Config, opts CDOptions, accs []*graph.Accu
 			requestLocalProxies(h, cm)
 		}
 		h.TimeCompute(func() {
+			clear(intraPart)
 			h.ParForNodes(func(tid int, n graph.NodeID) {
-				cn := cm.Read(h.HP.GlobalID(n))
+				cn := cmv.Value(n)
+				sum := intraPart[tid].v
 				lo, hi := local.EdgeRange(n)
 				for e := lo; e < hi; e++ {
-					if cm.Read(h.HP.GlobalID(local.Dst(e))) == cn {
-						intra.Reduce(local.Weight(e))
+					if cmv.Value(local.Dst(e)) == cn {
+						sum += local.Weight(e)
 					}
 				}
+				intraPart[tid].v = sum
 			})
+			// Fold in tid order: at one thread per host this is the plain
+			// edge-order sum, bit for bit.
+			sum := 0.0
+			for _, p := range intraPart {
+				sum += p.v
+			}
+			intra.Reduce(sum)
 			h.ParForMasters(func(tid int, n graph.NodeID) {
 				t := ctot.Read(h.HP.GlobalID(n))
 				if t != 0 {
@@ -315,19 +331,15 @@ func refineLevel(h *runtime.Host, cfg Config, opts CDOptions, accs []*graph.Accu
 		prevQ = q
 
 		// Request phase: each master needs the totals of its own and all
-		// neighbor communities — dynamically computed node IDs.
+		// neighbor communities — dynamically computed node IDs. LV runs
+		// on OEC, where a host's mirrors are exactly the destinations of
+		// its masters' edges, so that ID set is the community of every
+		// local proxy.
 		h.TimeCompute(func() {
-			h.ParForMasters(func(_ int, n graph.NodeID) {
-				gid := h.HP.GlobalID(n)
-				own := cm.Read(gid)
-				ctot.Request(own)
-				csize.Request(own)
-				lo, hi := local.EdgeRange(n)
-				for e := lo; e < hi; e++ {
-					c := cm.Read(h.HP.GlobalID(local.Dst(e)))
-					ctot.Request(c)
-					csize.Request(c)
-				}
+			h.ParForNodes(func(_ int, l graph.NodeID) {
+				c := cmv.Value(l)
+				ctot.Request(c)
+				csize.Request(c)
 			})
 		})
 		ctot.RequestSync()
@@ -347,8 +359,8 @@ func refineLevel(h *runtime.Host, cfg Config, opts CDOptions, accs []*graph.Accu
 						return
 					}
 				}
-				a := cm.Read(gid)
-				kn := wdeg.Read(gid)
+				a := cmv.Value(n)
+				kn := wdv.Value(n)
 				if kn == 0 {
 					return
 				}
@@ -357,11 +369,11 @@ func refineLevel(h *runtime.Host, cfg Config, opts CDOptions, accs []*graph.Accu
 				links := accs[tid]
 				lo, hi := local.EdgeRange(n)
 				for e := lo; e < hi; e++ {
-					dgid := h.HP.GlobalID(local.Dst(e))
-					if dgid == gid {
+					dst := local.Dst(e)
+					if dst == n {
 						continue
 					}
-					links.Add(cm.Read(dgid), local.Weight(e))
+					links.Add(cmv.Value(dst), local.Weight(e))
 				}
 				base := links.Get(a) - (ctot.Read(a)-kn)*kn/twoM
 				best, bestGain := a, base
@@ -410,6 +422,13 @@ func refineLevel(h *runtime.Host, cfg Config, opts CDOptions, accs []*graph.Accu
 	cfg.recordStats(ctot)
 	cfg.recordStats(csize)
 	return rounds, totalMoved
+}
+
+// paddedFloat64 is one thread's partial sum, alone on its cache line so
+// the threads' partials do not false-share.
+type paddedFloat64 struct {
+	v float64
+	_ [56]byte
 }
 
 // Preset-driven helper so benchmarks and examples can run LV on the

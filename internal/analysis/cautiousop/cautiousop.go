@@ -17,7 +17,9 @@
 // receiver expression it is called on ("parent", "m.ctot"); any receiver
 // whose method set offers both Read and Reduce is treated as a
 // reducible map (npm.Map variants and the runtime's distributed
-// reducers alike).
+// reducers alike). A local view (`lv := npm.Local(m)`, resolved by
+// phaseorder's resolver) is its map: lv.Value is a Read of m and
+// lv.Reduce a Reduce to m.
 package cautiousop
 
 import (
@@ -26,6 +28,7 @@ import (
 	"go/types"
 
 	"kimbap/internal/analysis/framework"
+	"kimbap/internal/analysis/phaseorder"
 )
 
 // Analyzer is the cautiousop check.
@@ -46,33 +49,47 @@ var entryPoints = map[string]bool{
 func run(pass *framework.Pass) error {
 	info := pass.Pkg.Info
 	for _, f := range pass.Pkg.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
+		for _, d := range f.Decls {
+			var views map[string]string
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
+				views = phaseorder.LocalViews(fd.Body, info)
 			}
-			sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-			if !ok || !entryPoints[sel.Sel.Name] || len(call.Args) == 0 {
-				return true
-			}
-			if _, isMethod := info.Selections[sel]; !isMethod {
-				return true
-			}
-			lit, ok := ast.Unparen(call.Args[len(call.Args)-1]).(*ast.FuncLit)
-			if !ok {
-				return true
-			}
-			op := &opAnalysis{pass: pass, info: info}
-			op.stmts(lit.Body.List, map[string]token.Pos{})
-			return true
-		})
+			inspectOperators(pass, d, views)
+		}
 	}
 	return nil
 }
 
+// inspectOperators analyzes every operator literal passed to an apply
+// entry point within decl; views resolves the local views declared in it.
+func inspectOperators(pass *framework.Pass, decl ast.Decl, views map[string]string) {
+	info := pass.Pkg.Info
+	ast.Inspect(decl, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+		if !ok || !entryPoints[sel.Sel.Name] || len(call.Args) == 0 {
+			return true
+		}
+		if _, isMethod := info.Selections[sel]; !isMethod {
+			return true
+		}
+		lit, ok := ast.Unparen(call.Args[len(call.Args)-1]).(*ast.FuncLit)
+		if !ok {
+			return true
+		}
+		op := &opAnalysis{pass: pass, info: info, views: views}
+		op.stmts(lit.Body.List, map[string]token.Pos{})
+		return true
+	})
+}
+
 type opAnalysis struct {
-	pass *framework.Pass
-	info *types.Info
+	pass  *framework.Pass
+	info  *types.Info
+	views map[string]string // view local -> its map's key
 }
 
 // stmts walks a statement list with the set of maps reduced-to so far
@@ -183,11 +200,15 @@ func (op *opAnalysis) exprs(reduced map[string]token.Pos, list ...ast.Expr) map[
 			if !ok {
 				return true
 			}
-			key, ok := op.mapReceiver(sel)
+			key, view, ok := op.mapReceiver(sel)
 			if !ok {
 				return true
 			}
-			switch sel.Sel.Name {
+			name := sel.Sel.Name
+			if view && name == "Value" {
+				name = "Read"
+			}
+			switch name {
 			case "Read":
 				if redPos, found := reduced[key]; found {
 					op.pass.Reportf(call.Pos(),
@@ -211,18 +232,26 @@ func (op *opAnalysis) exprs(reduced map[string]token.Pos, list ...ast.Expr) map[
 	return reduced
 }
 
-// mapReceiver renders the receiver of a Read/Reduce selector if its type's
+// mapReceiver renders the receiver of a method selector if its type's
 // method set offers both Read and Reduce (a node-property map or
-// distributed reducer).
-func (op *opAnalysis) mapReceiver(sel *ast.SelectorExpr) (string, bool) {
+// distributed reducer), or if it is a local view, which renders as its
+// map and reports view.
+func (op *opAnalysis) mapReceiver(sel *ast.SelectorExpr) (key string, view, ok bool) {
 	if _, isMethod := op.info.Selections[sel]; !isMethod {
-		return "", false
+		return "", false, false
+	}
+	key, ok = exprKey(sel.X)
+	if !ok {
+		return "", false, false
+	}
+	if m, isView := op.views[key]; isView {
+		return m, true, true
 	}
 	t := op.info.Types[sel.X].Type
 	if t == nil || !hasMethod(t, "Read") || !hasMethod(t, "Reduce") {
-		return "", false
+		return "", false, false
 	}
-	return exprKey(sel.X)
+	return key, false, true
 }
 
 func hasMethod(t types.Type, name string) bool {

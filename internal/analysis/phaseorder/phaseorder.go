@@ -58,7 +58,7 @@ func run(pass *framework.Pass) error {
 				pass:     pass,
 				info:     pass.Pkg.Info,
 				lits:     namedLits(decl.Body),
-				views:    localViews(decl.Body, pass.Pkg.Info),
+				views:    LocalViews(decl.Body, pass.Pkg.Info),
 				reported: map[string]bool{},
 			}
 			c.analyzeBody(decl.Body)
@@ -431,12 +431,13 @@ func namedLits(body *ast.BlockStmt) map[string]*ast.FuncLit {
 	return lits
 }
 
-// localViews maps local-view locals to the source path of their map:
+// LocalViews maps local-view locals to the source path of their map:
 // `lv := npm.Local(m)` yields {"lv": "m"}, as does one pair of
 // `local, lv := h.HP.Local, npm.Local(m)`. Views arriving through fields
 // or parameters stay unresolved, and their Reduce is charged to the view
-// itself — the rule is best-effort by construction.
-func localViews(body *ast.BlockStmt, info *types.Info) map[string]string {
+// itself — the rule is best-effort by construction. cautiousop resolves
+// views through it too.
+func LocalViews(body *ast.BlockStmt, info *types.Info) map[string]string {
 	views := map[string]string{}
 	ast.Inspect(body, func(n ast.Node) bool {
 		as, ok := n.(*ast.AssignStmt)
