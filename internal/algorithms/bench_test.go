@@ -28,11 +28,27 @@ func BenchmarkCCLPGrid(b *testing.B) {
 	}
 }
 
-// socialCluster partitions the social workload's shape — R-MAT(17,16),
-// weighted, 131k nodes — on 2 hosts × 1 thread under CVC.
-func socialCluster(b *testing.B) (*graph.Graph, *runtime.Cluster) {
+// BenchmarkCCSVSocialSHM runs CC-SV on the social-shm workload's shape:
+// the social graph on 1 host × 2 threads, one cluster, b.N calls. It is
+// the profiling harness for the hook and shortcut bodies where the two
+// threads share one host's maps and its work-done flag:
+//
+//	go test ./internal/algorithms -run '^$' -bench CCSVSocialSHM -cpuprofile cpu.out
+func BenchmarkCCSVSocialSHM(b *testing.B) {
+	g, c := socialCluster(b, 1, 2)
+	defer c.Close()
+	out := make([]graph.NodeID, g.NumNodes())
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Run(func(h *runtime.Host) { CCSV(h, Config{}, out) })
+	}
+}
+
+// socialCluster partitions the social workload's graph — R-MAT(17,16),
+// weighted, 131k nodes — under CVC on the given cluster shape.
+func socialCluster(b *testing.B, hosts, threads int) (*graph.Graph, *runtime.Cluster) {
 	g := gen.RMAT(17, 16, true, 1)
-	c, err := runtime.NewCluster(g, runtime.Config{NumHosts: 2, ThreadsPerHost: 1, Policy: partition.CVC})
+	c, err := runtime.NewCluster(g, runtime.Config{NumHosts: hosts, ThreadsPerHost: threads, Policy: partition.CVC})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -45,7 +61,7 @@ func socialCluster(b *testing.B) (*graph.Graph, *runtime.Cluster) {
 //
 //	go test ./internal/algorithms -run '^$' -bench MSFSocial -cpuprofile cpu.out
 func BenchmarkMSFSocial(b *testing.B) {
-	g, c := socialCluster(b)
+	g, c := socialCluster(b, 2, 1)
 	defer c.Close()
 	comp := make([]graph.NodeID, g.NumNodes())
 	b.ResetTimer()
@@ -60,7 +76,7 @@ func BenchmarkMSFSocial(b *testing.B) {
 //
 //	go test ./internal/algorithms -run '^$' -bench MISSocial -cpuprofile cpu.out
 func BenchmarkMISSocial(b *testing.B) {
-	g, c := socialCluster(b)
+	g, c := socialCluster(b, 2, 1)
 	defer c.Close()
 	set := make([]bool, g.NumNodes())
 	b.ResetTimer()

@@ -291,9 +291,10 @@ func refineLevel(h *runtime.Host, cfg Config, opts CDOptions, accs []*graph.Accu
 
 		// Round modularity: Q = intra/2m - sum(tot_c^2)/(2m)^2.
 		var intra, totSq runtime.SumReducer
+		// cm is not requested again: the round-start request fetched it
+		// and nothing has reduced into it since.
 		if cfg.requestActive() {
 			requestLocalProxies(h, ctot)
-			requestLocalProxies(h, cm)
 		}
 		h.TimeCompute(func() {
 			clear(intraPart)

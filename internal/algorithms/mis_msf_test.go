@@ -183,6 +183,29 @@ func TestMSFDeterministicAcrossHosts(t *testing.T) {
 	}
 }
 
+// TestMSFWeightDeterministicAcrossThreads repeats MSF at 1 host × 4
+// threads and requires one bit pattern of the forest weight. Four threads
+// merge roots concurrently in every round; a weight summed by concurrent
+// float adds would follow their interleaving.
+func TestMSFWeightDeterministicAcrossThreads(t *testing.T) {
+	g := gen.RMAT(14, 8, true, 3)
+	c, err := runtime.NewCluster(g, runtime.Config{NumHosts: 1, ThreadsPerHost: 4, Policy: partition.CVC})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	comp := make([]graph.NodeID, g.NumNodes())
+	seen := map[uint64]int{}
+	for i := 0; i < 12; i++ {
+		c.Run(func(h *runtime.Host) {
+			seen[math.Float64bits(MSF(h, Config{}, comp).TotalWeight)]++
+		})
+	}
+	if len(seen) != 1 {
+		t.Fatalf("12 runs gave %d distinct forest weights (bits -> runs): %v", len(seen), seen)
+	}
+}
+
 func TestMinEdgeOpProperties(t *testing.T) {
 	op := MinEdgeOp()
 	a := MinEdge{W: 1, A: 2, B: 3}
@@ -347,6 +370,9 @@ func (s *readCounter) Record(master, remote int64) {
 // MIS edge scans moved to host-local IDs (npm.Local) and began folding
 // each source's edges into one reduce; min is associative, so both are
 // pure execution changes and every count must stay exactly as it was.
+// MSF's master reads then fell (rmat 71,215 → 45,972, grid 287,951 →
+// 273,370) when the candidate scan began skipping an edge heavier than
+// its best crossing edge before reading the edge's parent.
 func TestMISMSFCountersPinned(t *testing.T) {
 	type pin struct {
 		rounds         int
@@ -362,8 +388,8 @@ func TestMISMSFCountersPinned(t *testing.T) {
 	// Tags in comm.Tag order: barrier, request, response, reduce,
 	// broadcast, app.
 	want := map[string]pin{
-		"MSF/rmat": {4, 804, 0x40d06be301562719, [6]int64{0, 44, 44, 42, 8, 38}, [6]int64{0, 517, 4304, 13068, 11908, 66}, 71215, 6873},
-		"MSF/grid": {8, 4095, 0x40fc29eb83398077, [6]int64{0, 86, 86, 84, 16, 72}, [6]int64{0, 315, 1632, 4404, 4240, 100}, 287951, 11575},
+		"MSF/rmat": {4, 804, 0x40d06be301562719, [6]int64{0, 44, 44, 42, 8, 38}, [6]int64{0, 517, 4304, 13068, 11908, 66}, 45972, 6873},
+		"MSF/grid": {8, 4095, 0x40fc29eb83398077, [6]int64{0, 86, 86, 84, 16, 72}, [6]int64{0, 315, 1632, 4404, 4240, 100}, 273370, 11575},
 		"MIS/rmat": {2, 685, 0, [6]int64{0, 2, 2, 14, 12, 6}, [6]int64{0, 0, 0, 11861, 11952, 48}, 33732, 2262},
 		"MIS/grid": {5, 1517, 0, [6]int64{0, 2, 2, 32, 24, 12}, [6]int64{0, 0, 0, 2563, 2162, 96}, 80290, 492},
 	}

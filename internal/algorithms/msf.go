@@ -106,9 +106,16 @@ func MSF(h *runtime.Host, cfg Config, comp []graph.NodeID) MSFStats {
 	initOwn(h, parent)
 
 	var stats MSFStats
-	var weight runtime.SumReducer
 	var edges runtime.CountReducer
 	var workDone runtime.BoolReducer
+
+	// The forest weight is summed on one thread, in master order, round
+	// after round, so its bits cannot follow thread interleaving as a
+	// concurrent float add's would. taken[l] holds the weight master l
+	// accounted this round, 0 if none. The sum starts at +0, so it is
+	// never -0 and adding a 0 leaves it unchanged.
+	taken := make([]float64, h.HP.NumMasters)
+	weight := 0.0
 
 	// frP drives the pointer-jumping phases via the parent map's change
 	// activation. frProp is the proposer frontier, managed by the algorithm
@@ -163,15 +170,15 @@ func MSF(h *runtime.Host, cfg Config, comp []graph.NodeID) MSFStats {
 			crossing := false
 			lo, hi := local.EdgeRange(n)
 			for e := lo; e < hi; e++ {
+				w := local.Weight(e)
+				if crossing && w > best.W {
+					continue // cannot win: skip the parent read
+				}
 				d := local.Dst(e)
 				if pv.Value(d) == rs {
 					continue
 				}
 				crossing = true
-				w := local.Weight(e)
-				if w > best.W {
-					continue // cannot win: skip the endpoint lookups
-				}
 				ga, gb := h.HP.GlobalID(n), h.HP.GlobalID(d)
 				if edge := (MinEdge{W: w, A: min(ga, gb), B: max(ga, gb)}); edge.less(best) {
 					best = edge
@@ -257,9 +264,13 @@ func MSF(h *runtime.Host, cfg Config, comp []graph.NodeID) MSFStats {
 				}
 				pv.Reduce(tid, local, other) // single writer: own pointer
 				workDone.Reduce(true)
-				weight.Reduce(c.W)
+				taken[local] = c.W
 				edges.Reduce(1)
 			})
+			for l, w := range taken {
+				weight += w
+				taken[l] = 0
+			}
 		})
 		parent.ReduceSync()
 		parent.UnpinMirrors()
@@ -274,9 +285,8 @@ func MSF(h *runtime.Host, cfg Config, comp []graph.NodeID) MSFStats {
 	// Final collapse so labels are roots, then collect.
 	_, quiet := shortcut(h, cfg, parent, frP, nil, nil, nil)
 	stats.Converged = stats.Converged && quiet
-	weight.Sync(h.EP)
 	edges.Sync(h.EP)
-	stats.TotalWeight = weight.Read()
+	stats.TotalWeight = comm.AllReduceFloat64(h.EP, weight)
 	stats.ForestEdges = edges.Read()
 	CollectNodeValues(h, parent, comp)
 	cfg.recordStats(parent)

@@ -3,6 +3,7 @@ package partition
 import (
 	"fmt"
 	"reflect"
+	goruntime "runtime"
 	"slices"
 	"testing"
 
@@ -253,6 +254,65 @@ func TestParallelPartitionEmptyGraph(t *testing.T) {
 			if hp.NumLocal() != 0 || hp.Local.NumEdges() != 0 {
 				t.Fatalf("workers=%d: empty graph grew proxies", workers)
 			}
+		}
+	}
+}
+
+// At one host the partition is the identity: every node is a master at its
+// own ID, there are no mirrors, and the host's local CSR is the input
+// graph itself. The result must still equal the serial reference, which
+// rebuilds the CSR edge for edge — including a weighted graph without
+// edges, whose host CSR the reference builds unweighted.
+func TestSingleHostPartitionIsIdentity(t *testing.T) {
+	graphs := map[string]*graph.Graph{
+		"weighted":   multigraph(),
+		"unweighted": gen.RMAT(8, 8, false, 2),
+		"weighted-edgeless": graph.NewBuilderFromArrays(7,
+			[]graph.NodeID{}, []graph.NodeID{}, []float64{}).Build(),
+		"empty": new(graph.Graph),
+	}
+	if !graphs["weighted-edgeless"].Weighted() {
+		t.Fatal("the edgeless input graph is not weighted; the case tests nothing")
+	}
+	for name, g := range graphs {
+		for _, pol := range Policies {
+			t.Run(fmt.Sprintf("%s/%s", name, pol), func(t *testing.T) {
+				got := Partition(g, 1, pol)
+				requireSamePartitioned(t, PartitionSerial(g, 1, pol), got)
+				hp := got.Hosts[0]
+				if g.NumEdges() > 0 && hp.Local != g {
+					t.Fatal("one-host local CSR is a copy of the input graph")
+				}
+				if g.NumEdges() == 0 && hp.Local.Weighted() {
+					t.Fatal("edgeless one-host local CSR is weighted")
+				}
+				for v := range hp.GlobalIDs {
+					if l, ok := hp.LocalID(graph.NodeID(v)); hp.GlobalIDs[v] != graph.NodeID(v) || !ok || l != graph.NodeID(v) {
+						t.Fatalf("node %d: translation is not the identity", v)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestSingleHostPartitionAllocs holds the one-host partition to its
+// node-sized tables (GlobalIDs and the translation table, 4 bytes each per
+// node, plus the owner table): on R-MAT(14,8), about 14 edges per node, it
+// may allocate at most 16 bytes per node. A copy of the CSR's edge arrays
+// alone would take 12 bytes per edge.
+func TestSingleHostPartitionAllocs(t *testing.T) {
+	g := gen.RMAT(14, 8, true, 1)
+	for _, pol := range Policies {
+		goruntime.GC()
+		var before, after goruntime.MemStats
+		goruntime.ReadMemStats(&before)
+		PartitionWorkers(g, 1, pol, 2)
+		goruntime.ReadMemStats(&after)
+		got := int64(after.TotalAlloc - before.TotalAlloc)
+		if limit := int64(g.NumNodes()) * 16; got > limit {
+			t.Errorf("%s: one-host partition of %d nodes, %d edges allocated %d bytes, above %d (16 per node)",
+				pol, g.NumNodes(), g.NumEdges(), got, limit)
 		}
 	}
 }

@@ -34,6 +34,9 @@ import (
 //  4. Mirror-list exchange runs one host per worker, with a barrier
 //     between the MirrorsByOwner and MasterSendTo halves (the latter reads
 //     every other host's former).
+//
+// At one host the pipeline would copy g edge for edge, so it is skipped:
+// singleHost adopts g as the host's local CSR.
 
 // Partition splits g across numHosts hosts using the given policy, using
 // all cores. Output is bit-identical to PartitionSerial.
@@ -50,6 +53,9 @@ func Partition(g *graph.Graph, numHosts int, policy Policy) *Partitioned {
 func PartitionWorkers(g *graph.Graph, numHosts int, policy Policy, workers int) *Partitioned {
 	if numHosts < 1 {
 		panic("partition: numHosts must be >= 1")
+	}
+	if numHosts == 1 {
+		return singleHost(g, policy)
 	}
 	numNodes := g.NumNodes()
 	workers = par.Resolve(workers)
@@ -175,6 +181,48 @@ func PartitionWorkers(g *graph.Graph, numHosts int, policy Policy, workers int) 
 			p.Hosts[h].buildMasterSendTo()
 		}
 	})
+	return p
+}
+
+// singleHost is the one-host partition: every node is a master at its own
+// ID and there are no mirrors, so the local CSR the pipeline above would
+// write is g's, row for row. Every Graph constructor already sorts each
+// row by (dst, weight) and no Graph method mutates it, so the host adopts
+// g itself (DESIGN.md §11) and allocates only its node-sized tables.
+func singleHost(g *graph.Graph, policy Policy) *Partitioned {
+	edgeGrid(policy, 1) // rejects an unknown policy, as the pipeline does
+	n := g.NumNodes()
+	p := &Partitioned{
+		NumHosts:   1,
+		NumNodes:   n,
+		Policy:     policy,
+		boundaries: []graph.NodeID{0, graph.NodeID(n)},
+	}
+	p.buildOwnerTab()
+	ids := make([]graph.NodeID, n)
+	tab := make([]int32, n)
+	for v := range ids {
+		ids[v] = graph.NodeID(v)
+		tab[v] = int32(v) + 1
+	}
+	local := g
+	if g.NumEdges() == 0 {
+		// A host without edges is unweighted, as a Builder given none
+		// makes it in the serial reference.
+		local = graph.NewBuilder(n).Build()
+	}
+	p.Hosts = []*HostPartition{{
+		Local:                 local,
+		GlobalIDs:             ids,
+		NumMasters:            n,
+		MirrorsByOwner:        make([][]graph.NodeID, 1),
+		MasterSendTo:          make([][]graph.NodeID, 1),
+		MirrorsHaveNoOutEdges: true,
+		MirrorsHaveNoInEdges:  true,
+		mirrorGlobals:         ids[n:],
+		localTab:              tab,
+		part:                  p,
+	}}
 	return p
 }
 

@@ -25,9 +25,12 @@ func (r *BoolReducer) Set(v bool) {
 	r.global = v
 }
 
-// Reduce ORs v into the local value. Safe for concurrent use.
+// Reduce ORs v into the local value. Safe for concurrent use. It stores
+// only while the flag is still false: callers raise it once per effective
+// edge or merge, and a store on every call would bounce the flag's cache
+// line between the threads that share it.
 func (r *BoolReducer) Reduce(v bool) {
-	if v {
+	if v && !r.local.Load() {
 		r.local.Store(true)
 	}
 }
