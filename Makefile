@@ -33,15 +33,15 @@ lint:
 	$(GO) vet -tags wallgates ./internal/bench
 	$(GO) run ./cmd/kimbapvet ./...
 
-# race covers the concurrency-heavy packages: the property maps (the
-# master CAS handle included), the runtime's worker pool, bitsets, and
-# async drain scheduler, the transports, the parallel ingestion pipeline
-# (par pool, Chase-Lev deques, counting-sort build, partitioner,
+# race covers the concurrency-heavy packages: the property maps, the
+# runtime's worker pool and bitsets, the transports, the parallel
+# ingestion pipeline (par pool, counting-sort build, partitioner,
 # generators), the kvstore application harness, the baselines (Galois's
 # MIS and CC run CAS loops under its thread pool), the compiler's
-# executor, and the full algorithms package — its equivalence matrices
-# hammer the shortcut drain's stealing and master CAS paths across host
-# and thread counts, which is exactly where a scheduling bug would race.
+# executor, and the full algorithms package — its host- and thread-count
+# equivalence matrices run every parallel pass, the shortcut's Jacobi
+# compression included, across host and thread counts, which is exactly
+# where a shared-slot write would race.
 race:
 	$(GO) test -race ./internal/npm/... ./internal/runtime/... ./internal/comm/... \
 		./internal/par/... ./internal/graph/... ./internal/partition/... ./internal/gen/... \

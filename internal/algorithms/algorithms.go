@@ -37,23 +37,15 @@ type Config struct {
 	// StatsSink, if set, receives each property map's read-locality
 	// counters when an algorithm finishes (the §4.2 measurement).
 	StatsSink ReadStatsSink
-	// Dense forces every round to visit all local nodes, disabling the
-	// frontier-driven sparse execution of CC/MIS/MSF. The frontier path is
-	// the default; Dense exists for the dense-vs-sparse equivalence tests
-	// and benchmarks.
-	Dense bool
 	// LogRounds records per-BSP-round activity (active vertices, reduce
 	// bytes sent by this host) into the algorithm's stats.
 	LogRounds bool
-	// Strategy selects the shape of the pointer-jumping shortcut rounds
-	// of CC-SV and CC-SCLP (see strategy.go): StrategyBSP — the zero value
-	// — pushes with buffered reduces, and StrategyAsync drains each
-	// frontier-driven shortcut round with CAS in-place applies. Every
-	// other round runs bsp. A shortcut that cannot drain falls back to bsp
-	// — async needs a frontier and the Full variant — and RoundStats.Shape
-	// records what each round ran. Outputs are bit-identical under both
-	// strategies.
-	Strategy Strategy
+
+	// dense forces every round to visit all local nodes, disabling the
+	// frontier-driven sparse execution of CC/MIS/MSF. Only this package's
+	// dense-vs-sparse equivalence tests set it; outputs are identical
+	// either way.
+	dense bool
 }
 
 // ReadStatsSink receives read-locality counters.
@@ -83,10 +75,10 @@ func (c Config) requestActive() bool {
 
 // newFrontier attaches a fresh frontier over h's local proxies to m when
 // frontier-driven execution applies: the backend must implement
-// npm.FrontierSink (only the Full variant does) and Dense must be off.
+// npm.FrontierSink (only the Full variant does) and dense must be off.
 // Returns nil otherwise; callers fall back to dense rounds on nil.
 func (c Config) newFrontier(h *runtime.Host, m any) *runtime.Frontier {
-	if c.Dense {
+	if c.dense {
 		return nil
 	}
 	sink, ok := m.(npm.FrontierSink)
@@ -107,9 +99,6 @@ type RoundStats struct {
 	Active      []int64
 	ReduceBytes []int64
 	Hook        []bool
-	// Shape is the shape each round actually ran in — "bsp" or "async"
-	// (see Strategy): the record of every fallback to bsp.
-	Shape []string
 }
 
 // roundLogger appends one RoundStats entry per record call, charging each
@@ -132,7 +121,7 @@ func reduceBytesSent(h *runtime.Host) int64 {
 	return b[comm.TagReduce]
 }
 
-func (r *roundLogger) record(active int, hook bool, k roundKind) {
+func (r *roundLogger) record(active int, hook bool) {
 	if r == nil {
 		return
 	}
@@ -140,7 +129,6 @@ func (r *roundLogger) record(active int, hook bool, k roundKind) {
 	r.out.Active = append(r.out.Active, int64(active))
 	r.out.ReduceBytes = append(r.out.ReduceBytes, now-r.prev)
 	r.out.Hook = append(r.out.Hook, hook)
-	r.out.Shape = append(r.out.Shape, k.String())
 	r.prev = now
 }
 

@@ -44,6 +44,27 @@ func BenchmarkCCSVSocialSHM(b *testing.B) {
 	}
 }
 
+// BenchmarkCCSVChain runs CC-SV on the perf suite's chain workload, a
+// 2^17-node path on 1 host × 1 thread, one cluster, b.N calls: the deepest
+// parent chains, where the shortcut's local compression does all its
+// doubling in one round. It is the profiling harness for compress and the
+// request and jump passes:
+//
+//	go test ./internal/algorithms -run '^$' -bench CCSVChain -cpuprofile cpu.out
+func BenchmarkCCSVChain(b *testing.B) {
+	g := gen.Chain(1<<17, false, 3)
+	c, err := runtime.NewCluster(g, runtime.Config{NumHosts: 1, ThreadsPerHost: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	out := make([]graph.NodeID, g.NumNodes())
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Run(func(h *runtime.Host) { CCSV(h, Config{}, out) })
+	}
+}
+
 // socialCluster partitions the social workload's graph — R-MAT(17,16),
 // weighted, 131k nodes — under CVC on the given cluster shape.
 func socialCluster(b *testing.B, hosts, threads int) (*graph.Graph, *runtime.Cluster) {

@@ -1,6 +1,8 @@
 package algorithms
 
 import (
+	"sync/atomic"
+
 	"kimbap/internal/graph"
 	"kimbap/internal/npm"
 	"kimbap/internal/par"
@@ -16,14 +18,14 @@ import (
 // DESIGN.md §10): the property map activates every local proxy whose value
 // changes during a sync phase, and the next round iterates only the active
 // set. Late rounds — where <1% of vertices still change — then cost
-// O(active) instead of O(|V|). Config.Dense restores the dense loops; the
-// labels are identical either way (the min-label fixpoint does not depend
-// on evaluation order).
+// O(active) instead of O(|V|). The unexported Config.dense restores the
+// dense loops for the equivalence tests; the labels are identical either
+// way (the min-label fixpoint does not depend on evaluation order).
 //
 // Every label round of the three — CC-SV's hook, CC-LP's propagation and
 // CC-SCLP's propagation pass — runs bsp through one loop, labelRun.rounds,
-// which sequences the round; the pointer-jumping shortcut, the one phase
-// whose rounds may drain asynchronously (see Strategy), is shortcut.
+// which sequences the round; the pointer-jumping shortcut of CC-SV and
+// CC-SCLP (and MSF) is shortcut.run.
 
 // CCStats reports per-run counters.
 type CCStats struct {
@@ -53,7 +55,6 @@ type labelRun struct {
 // newLabelRun builds a min-label map holding every node's own ID, and the
 // frontier and round log over it.
 func (c Config) newLabelRun(h *runtime.Host, stats *CCStats) *labelRun {
-	c.checkStrategy()
 	m := c.newNodeMap(h, npm.MinNodeID())
 	initOwn(h, m)
 	return &labelRun{h: h, cfg: c, m: m, fr: c.newFrontier(h, m),
@@ -87,7 +88,7 @@ func (r *labelRun) rounds(fr *runtime.Frontier, limit int, push func(tid int, sr
 		})
 		m.ReduceSync()
 		m.BroadcastSync()
-		endRound(r.rl, fr, roundBSP, true, h.HP.NumLocal())
+		endRound(r.rl, fr, true, h.HP.NumLocal())
 		if quiet = !m.IsUpdated(); quiet || n >= limit {
 			return n, quiet
 		}
@@ -97,13 +98,13 @@ func (r *labelRun) rounds(fr *runtime.Frontier, limit int, push func(tid int, sr
 // endRound closes a round after its last sync: it advances the frontier
 // and logs the round. dense is the round's visit count when there is no
 // frontier.
-func endRound(rl *roundLogger, fr *runtime.Frontier, k roundKind, hook bool, dense int) {
+func endRound(rl *roundLogger, fr *runtime.Frontier, hook bool, dense int) {
 	active := dense
 	if fr != nil {
 		active = fr.Count()
 		fr.Advance()
 	}
-	rl.record(active, hook, k)
+	rl.record(active, hook)
 }
 
 // CCSV runs Shiloach-Vishkin connected components on one host (SPMD).
@@ -113,8 +114,7 @@ func endRound(rl *roundLogger, fr *runtime.Frontier, k roundKind, hook bool, den
 func CCSV(h *runtime.Host, cfg Config, out []graph.NodeID) CCStats {
 	var stats CCStats
 	r := cfg.newLabelRun(h, &stats)
-	// The shortcut is the one phase whose rounds may drain.
-	sc := cfg.newPolicy(h, r.fr, r.m)
+	sc := cfg.newShortcut(h, r.m, r.fr, r.rl)
 	// acc accumulates every proxy the shortcut phase changes, so the next
 	// outer round's hook phase can start from the changed set instead of a
 	// full re-activation (the first hook phase has no prior change record
@@ -128,7 +128,7 @@ func CCSV(h *runtime.Host, cfg Config, out []graph.NodeID) CCStats {
 		stats.OuterRounds++
 		workDone.Set(false)
 		stats.HookRounds += r.hook(&workDone, seed)
-		n, quiet := shortcut(h, cfg, r.m, r.fr, sc, r.rl, acc)
+		n, quiet := sc.run(acc)
 		stats.ShortcutRounds += n
 		seed = acc
 		workDone.Sync(h.EP)
@@ -205,32 +205,69 @@ func (r *labelRun) hook(workDone *runtime.BoolReducer, seed *par.Bitset) int {
 	return rounds
 }
 
-// shortcut applies pointer jumping to parent until quiescence:
-// parent(n) <- parent(parent(n)). The grandparent read targets an
-// arbitrary node, so each round requests it explicitly (the Figure 8
-// generated code); the compiler's master-elision restricts iteration to
-// master nodes. fr is the frontier (nil: every master every round), pol
-// the round policy and rl the round log (each nil: bsp only, no log).
-// When acc is set, each round's changed masters are ored into it,
-// seeding the next hook phase (see CCSV). It returns the rounds run and
-// whether the last changed no parent (false: MaxRounds cut it off).
+// shortcut is the pointer-jumping phase of CC-SV, CC-SCLP and MSF over
+// one parent map: parent(n) <- parent(parent(n)) until quiescence. The
+// grandparent read targets an arbitrary node, so each round requests it
+// explicitly (the Figure 8 generated code); the compiler's master-elision
+// restricts iteration to master nodes. fr is the frontier (nil: every
+// master every round) and rl the round log (nil: off). One shortcut serves
+// every phase of its algorithm, so the compression arrays are allocated
+// once.
+//
+// Each round first compresses the parent chains that stay inside this
+// host's masters (compress, DESIGN.md §12): every master learns the
+// farthest node its chain reaches through local masters — a root, or the
+// first ancestor this host does not own. The request pass then asks for
+// that node's parent and the jump pass moves the master past it, so one
+// round covers a whole local chain plus one cross-host hop, where plain
+// pointer jumping needs a round per halving of the chain. Each master
+// still writes only its own parent, which keeps MSF's Overwrite map
+// correct.
+type shortcut struct {
+	h      *runtime.Host
+	cfg    Config
+	parent npm.Map[graph.NodeID]
+	pv     *npm.LocalView[graph.NodeID]
+	fr     *runtime.Frontier
+	rl     *roundLogger
+	lo, hi graph.NodeID // this host's master range (global IDs)
+	// anc and next are compress's Jacobi buffers, indexed by local master
+	// ID: each iteration reads anc and writes next, then they swap.
+	anc, next []graph.NodeID
+	moved     atomic.Bool // some link moved in compress's current iteration
+}
+
+func (c Config) newShortcut(h *runtime.Host, parent npm.Map[graph.NodeID],
+	fr *runtime.Frontier, rl *roundLogger) *shortcut {
+
+	lo, hi := h.HP.MasterRangeGlobal()
+	return &shortcut{
+		h: h, cfg: c, parent: parent, pv: npm.Local(parent), fr: fr, rl: rl, lo: lo, hi: hi,
+		anc: make([]graph.NodeID, h.HP.NumMasters), next: make([]graph.NodeID, h.HP.NumMasters),
+	}
+}
+
+// forMasters runs fn over the masters this round visits.
+func (s *shortcut) forMasters(fn func(tid int, local graph.NodeID)) {
+	if s.fr != nil {
+		s.h.ParForActive(s.fr, fn)
+	} else {
+		s.h.ParForMasters(fn)
+	}
+}
+
+// run runs the phase and returns the rounds run and whether the last
+// changed no parent (false: MaxRounds cut it off). When acc is set, each
+// round's changed masters are ored into it, seeding the next hook phase
+// (see CCSV).
 //
 // The frontier starts with every master (the preceding phase changed
 // parents untracked) and then narrows to masters whose parent changed:
 // once a master points at a root its shortcut stays ineffective — roots
 // keep pointing at themselves within the phase — until its own parent
 // changes again, which re-activates it.
-//
-// An async round replaces the request/jump passes with two drains around
-// the same RequestSync: a chase drain that collapses every
-// locally-readable parent chain in place (requesting the parents it cannot
-// read), then a resolve drain over the requesters that jumps through the
-// fresh cache. One async round does the work of a whole local chain of bsp
-// rounds; cross-host chains still advance one request round at a time,
-// exactly like bsp.
-func shortcut(h *runtime.Host, cfg Config, parent npm.Map[graph.NodeID], fr *runtime.Frontier,
-	pol *policy, rl *roundLogger, acc *par.Bitset) (rounds int, quiet bool) {
-
+func (s *shortcut) run(acc *par.Bitset) (rounds int, quiet bool) {
+	h, parent, fr := s.h, s.parent, s.fr
 	if fr != nil {
 		// Reset discards stale activations (e.g. mirror bits from a prior
 		// broadcast); shortcut iterates masters only.
@@ -238,138 +275,85 @@ func shortcut(h *runtime.Host, cfg Config, parent npm.Map[graph.NodeID], fr *run
 		fr.ActivateRange(0, h.HP.NumMasters)
 		fr.Advance()
 	}
-	// Request phase generated by the operator split: read parent(n),
-	// request parent(parent(n)).
+	// Request phase generated by the operator split: request the parent
+	// of the farthest local ancestor.
 	reqBody := func(_ int, local graph.NodeID) {
-		p := parent.Read(h.HP.GlobalID(local))
-		parent.Request(p)
+		parent.Request(s.anc[local])
 	}
 	body := func(tid int, local graph.NodeID) {
-		gid := h.HP.GlobalID(local)
-		p := parent.Read(gid)
-		gp := parent.Read(p)
-		if p != gp {
-			parent.Reduce(tid, gid, gp)
+		if gp := parent.Read(s.anc[local]); gp != s.pv.Value(local) {
+			s.pv.Reduce(tid, local, gp)
 		}
 	}
-	k := pol.shape()
 	for rounds = 1; ; rounds++ {
 		parent.ResetUpdated()
-		if cfg.requestActive() {
+		if s.cfg.requestActive() {
 			requestLocalProxies(h, parent)
 		}
-		if k == roundAsync {
-			pend := pol.pendSet()
-			h.TimeCompute(func() {
-				h.AsyncDrain(fr, pol.ccAsyncOpts(), ccChaseBody(h, pol, parent, fr, pend, true))
-			})
-			parent.RequestSync()
-			h.TimeCompute(func() {
-				h.AsyncDrainBits(pend, pol.ccAsyncOpts(), ccChaseBody(h, pol, parent, fr, pend, false))
-			})
-		} else {
-			h.TimeCompute(func() {
-				if fr != nil {
-					h.ParForActive(fr, reqBody)
-				} else {
-					h.ParForMasters(reqBody)
-				}
-			})
-			parent.RequestSync()
-			h.TimeCompute(func() {
-				if fr != nil {
-					h.ParForActive(fr, body)
-				} else {
-					h.ParForMasters(body)
-				}
-			})
-		}
+		h.TimeCompute(func() {
+			s.compress()
+			s.forMasters(reqBody)
+		})
+		parent.RequestSync()
+		h.TimeCompute(func() { s.forMasters(body) })
 		parent.ReduceSync()
-		endRound(rl, fr, k, false, h.HP.NumMasters)
+		endRound(s.rl, fr, false, h.HP.NumMasters)
 		if acc != nil {
 			fr.OrCurrentInto(acc)
 		}
-		if quiet = !parent.IsUpdated(); quiet || rounds >= cfg.maxRounds() {
+		if quiet = !parent.IsUpdated(); quiet || rounds >= s.cfg.maxRounds() {
 			return rounds, quiet
 		}
 	}
 }
 
-// ccChaseBody builds the shortcut drain body: chase n's parent chain,
-// CAS-lowering parent(n) as long as each grandparent is locally readable
-// (master, or this round's request cache). On an unreadable parent the
-// chase parks: the first drain requests it and records n in pend for the
-// post-RequestSync resolve drain; the resolve drain re-activates n for
-// the next round instead (its parent moved past what was requested).
-// Any change re-activates n — the same changed-masters activation rule
-// the bsp path gets from applyToMaster, which keeps acc seeding and
-// round-narrowing behavior identical across shapes.
-func ccChaseBody(h *runtime.Host, pol *policy, parent npm.Map[graph.NodeID],
-	fr *runtime.Frontier, pend *par.Bitset, requestMissing bool,
-) func(tid int, n graph.NodeID, cx *runtime.AsyncCtx) {
-
-	ah := pol.ah
-	return func(tid int, n graph.NodeID, _ *runtime.AsyncCtx) {
-		gid := h.HP.GlobalID(n)
-		changed := false
-		// Walk gid's parent chain with path halving: the cursor visits
-		// v -> parent(parent(v)) -> ..., and every visited node is jumped
-		// past its parent to its grandparent (the classic union-find
-		// compression). Each walk halves the chain it traverses, so total
-		// chase work over a drain stays near-linear no matter which end of
-		// a deep chain drains first. Compressing only the chasing vertex —
-		// the naive loop — re-walks the same tail from every seed for
-		// O(n^2) total on a chain, the exact workload the async shape
-		// exists to win.
-		miss := func(x graph.NodeID) {
-			if requestMissing {
-				parent.Request(x)
-				pend.Set(int(n))
-			} else {
-				fr.Activate(int(n))
-			}
+// compress sets anc[l], for every master l this round visits, to the
+// farthest node l's parent chain reaches through this host's masters: the
+// first ancestor that is a root or a node this host does not own. It sends
+// nothing. Pointer doubling runs Jacobi-style — each iteration reads anc
+// and writes next — until no link moves, so the result, and with it the
+// round's jumps, is the same at every thread count.
+//
+// Under a frontier, a master outside the current set did not move last
+// round, so it points at a root (the run invariant), and its parent is
+// its farthest local ancestor; anc holds nothing for it this round.
+func (s *shortcut) compress() {
+	fr, pv := s.fr, s.pv
+	// The first doubling step reads the map itself: parent(parent(l)) when
+	// the parent is a local master.
+	s.moved.Store(false)
+	s.forMasters(func(_ int, l graph.NodeID) {
+		p := pv.Value(l)
+		a := p
+		if p >= s.lo && p < s.hi {
+			a = pv.Value(p - s.lo)
 		}
-		v := gid
-		var root graph.NodeID
-		haveRoot := false
-		for {
-			p, ok := ah.Load(v) // v=gid is our master, always readable; deeper nodes may not be
-			if !ok {
-				miss(v)
-				break
-			}
-			if p == v {
-				root, haveRoot = p, true
-				break
-			}
-			gp, ok := ah.Load(p)
-			if !ok {
-				miss(p)
-				break
-			}
-			if gp == p {
-				root, haveRoot = gp, true // parent is a root; v already points at it
-				break
-			}
-			// Jump v past p. Local targets apply via CAS (activating the
-			// changed master, the bsp rule: a parent that moved re-examines
-			// next round); remote targets buffer for the next reduce-sync.
-			if lv, applied, ch := ah.ReduceAsync(tid, v, gp); applied && ch {
-				fr.Activate(int(lv))
-			}
-			v = gp
+		s.anc[l] = a
+		if a != p && !s.moved.Load() {
+			s.moved.Store(true)
 		}
-		// The walk halves the chain but only moves gid one jump; finish by
-		// pulling gid all the way to the terminal root so one drain fully
-		// collapses the chase, like the bsp loop's repeated rounds would.
-		if haveRoot {
-			if _, _, ch := ah.ReduceAsync(tid, gid, root); ch {
-				changed = true
+	})
+	// Every master is visited in a phase's first round, so no lookup needs
+	// the frontier test.
+	all := fr == nil || fr.Count() == len(s.anc)
+	for s.moved.Load() {
+		s.moved.Store(false)
+		anc, next := s.anc, s.next
+		s.forMasters(func(_ int, l graph.NodeID) {
+			a := anc[l]
+			if a >= s.lo && a < s.hi {
+				if m := a - s.lo; all || fr.IsActive(int(m)) {
+					a = anc[m]
+				} else {
+					a = pv.Value(m)
+				}
 			}
-		}
-		if changed {
-			fr.Activate(int(n))
-		}
+			next[l] = a
+			if a != anc[l] && !s.moved.Load() {
+				s.moved.Store(true)
+			}
+		})
+		s.anc, s.next = next, anc
 	}
 }
 
@@ -416,8 +400,7 @@ func CCSCLP(h *runtime.Host, cfg Config, out []graph.NodeID) CCStats {
 	r := cfg.newLabelRun(h, &stats)
 	comp, local := r.m, h.HP.Local
 	lv := npm.Local(comp)
-	// The shortcut is the one phase whose rounds may drain.
-	sc := cfg.newPolicy(h, r.fr, comp)
+	sc := cfg.newShortcut(h, comp, r.fr, r.rl)
 	for {
 		stats.OuterRounds++
 		var workDone runtime.BoolReducer
@@ -439,7 +422,7 @@ func CCSCLP(h *runtime.Host, cfg Config, out []graph.NodeID) CCStats {
 		comp.UnpinMirrors()
 
 		// Shortcut to collapse label chains.
-		n, quiet := shortcut(h, cfg, comp, r.fr, sc, r.rl, nil)
+		n, quiet := sc.run(nil)
 		stats.ShortcutRounds += n
 
 		workDone.Sync(h.EP)

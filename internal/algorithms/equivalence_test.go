@@ -64,7 +64,7 @@ func TestCCSVTransportMatrix(t *testing.T) {
 					rc := runtime.Config{
 						NumHosts: hosts, ThreadsPerHost: 3, Policy: partition.CVC, UseTCP: tcp,
 					}
-					got, _ := runCCOn(t, g, rc, Config{Dense: dense}, CCSV)
+					got, _ := runCCOn(t, g, rc, Config{dense: dense}, CCSV)
 					for i := range want {
 						if got[i] != want[i] {
 							t.Fatalf("node %d labeled %d, reference %d", i, got[i], want[i])

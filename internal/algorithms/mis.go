@@ -46,7 +46,6 @@ type MISStats struct {
 // MIS computes a maximal independent set (SPMD). out[n] is set true for
 // members, filled for this host's master range.
 func MIS(h *runtime.Host, cfg Config, out []bool) MISStats {
-	cfg.checkStrategy()
 	local := h.HP.Local
 
 	// Phase 1: global degrees (local degrees are partial under vertex
@@ -78,6 +77,10 @@ func MIS(h *runtime.Host, cfg Config, out []bool) MISStats {
 	})
 	prio.InitSync()
 	prio.PinMirrors()
+	// Nothing reads degree again: recording its counters here leaves it
+	// garbage for the rounds, which would otherwise keep it live (about
+	// 1 MB on the road workload's 256² grid at 2 hosts).
+	cfg.recordStats(degree)
 
 	state := cfg.newNodeMap(h, npm.MaxNodeID())
 	h.ParForNodes(func(_ int, n graph.NodeID) {
@@ -93,15 +96,12 @@ func MIS(h *runtime.Host, cfg Config, out []bool) MISStats {
 	// to minNbr, cannot re-decide, and knocked out all their undecided
 	// neighbors in the round they joined the set.
 	var fr *runtime.Frontier
-	if !cfg.Dense {
+	if !cfg.dense {
 		fr = runtime.NewFrontier(h.HP.NumLocal())
 		fr.ActivateAll()
 		fr.Advance()
 	}
 
-	// Every round runs bsp under every strategy: MIS has no async round,
-	// since its drains never beat bsp (DESIGN.md §16 (h)).
-	//
 	// Minimum priority among each node's undecided neighbors, accumulated
 	// from every edge location. One map serves every round: each round
 	// re-Sets the masters to +Inf, which every variant overwrites in place,
@@ -245,7 +245,6 @@ func MIS(h *runtime.Host, cfg Config, out []bool) MISStats {
 	}
 	size.Sync(h.EP)
 	stats.Size = size.Read()
-	cfg.recordStats(degree)
 	cfg.recordStats(prio)
 	cfg.recordStats(state)
 	return stats

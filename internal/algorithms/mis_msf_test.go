@@ -372,7 +372,15 @@ func (s *readCounter) Record(master, remote int64) {
 // pure execution changes and every count must stay exactly as it was.
 // MSF's master reads then fell (rmat 71,215 → 45,972, grid 287,951 →
 // 273,370) when the candidate scan began skipping an edge heavier than
-// its best crossing edge before reading the edge's parent.
+// its best crossing edge before reading the edge's parent. The shortcut's
+// host-local compression (DESIGN.md §12) then cut MSF's request,
+// response, reduce and app messages (rmat 168 → 160, grid 328 → 288) and
+// its request, response and app bytes (rmat 4,887 → 4,735, grid 2,047 →
+// 1,889) at the same rounds, forest and weight bits; its
+// doubling reads masters, and its jump reads the farthest local ancestor's
+// parent, a remote node more often than the old grandparent read was
+// (master reads rmat 45,972 → 49,140, grid 273,370 → 303,049; remote
+// 6,873 → 7,046 and 11,575 → 12,428).
 func TestMISMSFCountersPinned(t *testing.T) {
 	type pin struct {
 		rounds         int
@@ -388,8 +396,8 @@ func TestMISMSFCountersPinned(t *testing.T) {
 	// Tags in comm.Tag order: barrier, request, response, reduce,
 	// broadcast, app.
 	want := map[string]pin{
-		"MSF/rmat": {4, 804, 0x40d06be301562719, [6]int64{0, 44, 44, 42, 8, 38}, [6]int64{0, 517, 4304, 13068, 11908, 66}, 45972, 6873},
-		"MSF/grid": {8, 4095, 0x40fc29eb83398077, [6]int64{0, 86, 86, 84, 16, 72}, [6]int64{0, 315, 1632, 4404, 4240, 100}, 273370, 11575},
+		"MSF/rmat": {4, 804, 0x40d06be301562719, [6]int64{0, 42, 42, 40, 8, 36}, [6]int64{0, 487, 4184, 13068, 11908, 64}, 49140, 7046},
+		"MSF/grid": {8, 4095, 0x40fc29eb83398077, [6]int64{0, 76, 76, 74, 16, 62}, [6]int64{0, 275, 1524, 4404, 4240, 90}, 303049, 12428},
 		"MIS/rmat": {2, 685, 0, [6]int64{0, 2, 2, 14, 12, 6}, [6]int64{0, 0, 0, 11861, 11952, 48}, 33732, 2262},
 		"MIS/grid": {5, 1517, 0, [6]int64{0, 2, 2, 32, 24, 12}, [6]int64{0, 0, 0, 2563, 2162, 96}, 80290, 492},
 	}

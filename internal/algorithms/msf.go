@@ -123,8 +123,9 @@ func MSF(h *runtime.Host, cfg Config, comp []graph.NodeID) MSFStats {
 	// its local edges stay inside one component — components only merge, so
 	// a retired proxy can never again propose a crossing edge.
 	frP := cfg.newFrontier(h, parent)
+	sc := cfg.newShortcut(h, parent, frP, nil)
 	var frProp *runtime.Frontier
-	if !cfg.Dense {
+	if !cfg.dense {
 		frProp = runtime.NewFrontier(h.HP.NumLocal())
 		frProp.ActivateAll()
 		frProp.Advance()
@@ -145,7 +146,7 @@ func MSF(h *runtime.Host, cfg Config, comp []graph.NodeID) MSFStats {
 	for {
 		stats.Rounds++
 		// 1. Collapse parent chains so parents are component roots.
-		_, quiet := shortcut(h, cfg, parent, frP, nil, nil, nil)
+		_, quiet := sc.run(nil)
 
 		// 2. Reset the candidates: masters back to the identity.
 		h.ParForMasters(func(_ int, local graph.NodeID) {
@@ -283,7 +284,7 @@ func MSF(h *runtime.Host, cfg Config, comp []graph.NodeID) MSFStats {
 	}
 
 	// Final collapse so labels are roots, then collect.
-	_, quiet := shortcut(h, cfg, parent, frP, nil, nil, nil)
+	_, quiet := sc.run(nil)
 	stats.Converged = stats.Converged && quiet
 	edges.Sync(h.EP)
 	stats.TotalWeight = comm.AllReduceFloat64(h.EP, weight)

@@ -9,6 +9,7 @@ import (
 	"kimbap/internal/gen"
 	"kimbap/internal/graph"
 	"kimbap/internal/partition"
+	"kimbap/internal/runtime"
 )
 
 // Node IDs are the input's from file to output, so an algorithm's answer
@@ -69,14 +70,15 @@ func TestOutputsFollowRelabel(t *testing.T) {
 			for _, hosts := range []int{2, 4} {
 				prefix := fmt.Sprintf("%s/%s/hosts=%d", gname, lname, hosts)
 				for aname, algo := range ccAlgos() {
-					for _, s := range []Strategy{StrategyBSP, StrategyAsync} {
-						t.Run(fmt.Sprintf("%s/%s/%s", prefix, aname, s), func(t *testing.T) {
-							got := runCC(t, rg, hosts, partition.CVC, Config{Strategy: s}, algo)
+					for _, threads := range []int{1, 3} {
+						t.Run(fmt.Sprintf("%s/%s/%dt", prefix, aname, threads), func(t *testing.T) {
+							rc := runtime.Config{NumHosts: hosts, ThreadsPerHost: threads, Policy: partition.CVC}
+							got, _ := runCCOn(t, rg, rc, Config{}, algo)
 							checkLabels(t, rg, got, aname)
 						})
 					}
-					t.Run(fmt.Sprintf("%s/%s/%s/dense", prefix, aname, StrategyBSP), func(t *testing.T) {
-						got := runCC(t, rg, hosts, partition.CVC, Config{Dense: true}, algo)
+					t.Run(fmt.Sprintf("%s/%s/dense", prefix, aname), func(t *testing.T) {
+						got := runCC(t, rg, hosts, partition.CVC, Config{dense: true}, algo)
 						checkLabels(t, rg, got, aname)
 					})
 				}

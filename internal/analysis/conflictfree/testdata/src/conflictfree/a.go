@@ -101,22 +101,20 @@ func reduceAndActivateLocked(s *store, l *lockedFrontier, u int, x float64) { //
 	l.activate(u)
 }
 
-// Deque Push/Pop/Steal are plain atomics; an annotated owner loop over
-// one is clean.
+// Bitset Test/Set are plain atomics (a load, a CAS loop); an annotated
+// owner loop over one is clean.
 //
 //kimbap:conflictfree
-func drainOwnDeque(s *store, d *par.Deque) {
-	for {
-		v, ok := d.Pop()
-		if !ok {
-			return
+func claimOwnBits(s *store, b *par.Bitset, ids []int) {
+	for _, v := range ids {
+		if !b.Test(v) && b.Set(v) {
+			s.vals[v]++
 		}
-		s.vals[v]++
 	}
 }
 
 // A mutex-guarded enqueue wrapper breaks the guarantee — exactly the
-// design the CAS-based scheduler exists to avoid.
+// design a CAS-based work queue exists to avoid.
 type lockedQueue struct {
 	mu sync.Mutex
 	q  []int32

@@ -442,10 +442,7 @@ func (fa *funcAnalysis) isCommCall(sel *ast.SelectorExpr) bool {
 // isParForCall reports whether sel names a worker-pool dispatch from
 // kimbap/internal/runtime. The ParFor family parks the calling goroutine
 // until every worker finishes its chunk, so it blocks exactly like a
-// channel receive. The async drain entry points (AsyncDrain,
-// AsyncDrainBits) block the same way — the caller joins every scheduler
-// worker before the drain returns, and a drain can run for a whole
-// compute phase. Frontier methods (Activate, Advance) are plain atomics
+// channel receive. Frontier methods (Activate, Advance) are plain atomics
 // and are not flagged.
 func (fa *funcAnalysis) isParForCall(sel *ast.SelectorExpr) bool {
 	fn, ok := fa.info.Uses[sel.Sel].(*types.Func)
@@ -453,8 +450,7 @@ func (fa *funcAnalysis) isParForCall(sel *ast.SelectorExpr) bool {
 		return false
 	}
 	switch fn.Name() {
-	case "ParFor", "ParForNodes", "ParForMasters", "ParForActive",
-		"AsyncDrain", "AsyncDrainBits":
+	case "ParFor", "ParForNodes", "ParForMasters", "ParForActive":
 		return true
 	}
 	return false

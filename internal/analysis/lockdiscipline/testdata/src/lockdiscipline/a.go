@@ -148,28 +148,6 @@ func parForActiveWhileDeferLocked(sh *shard, h *runtime.Host, fr *runtime.Fronti
 	h.ParForActive(fr, func(tid int, node graph.NodeID) {}) // want `runtime.ParForActive call while holding sh.mu`
 }
 
-// The async drain entry points join every scheduler worker before
-// returning — a whole compute phase can run inside one call — so they
-// block exactly like the ParFor family.
-func asyncDrainWhileLocked(sh *shard, h *runtime.Host, fr *runtime.Frontier) {
-	sh.mu.Lock()
-	h.AsyncDrain(fr, runtime.AsyncOpts{}, func(tid int, node graph.NodeID, cx *runtime.AsyncCtx) {}) // want `runtime.AsyncDrain call while holding sh.mu`
-	sh.mu.Unlock()
-}
-
-func asyncDrainBitsWhileDeferLocked(sh *shard, h *runtime.Host, b *par.Bitset) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	h.AsyncDrainBits(b, runtime.AsyncOpts{}, func(tid int, node graph.NodeID, cx *runtime.AsyncCtx) {}) // want `runtime.AsyncDrainBits call while holding sh.mu`
-}
-
-func asyncDrainAfterUnlock(sh *shard, h *runtime.Host, fr *runtime.Frontier, k, v int) {
-	sh.mu.Lock()
-	sh.m[k] = v
-	sh.mu.Unlock()
-	h.AsyncDrain(fr, runtime.AsyncOpts{}, func(tid int, node graph.NodeID, cx *runtime.AsyncCtx) {})
-}
-
 // Frontier activation is an atomic load/CAS loop: it never blocks, so marking
 // a vertex active inside a locked region is fine.
 func activateWhileLocked(sh *shard, fr *runtime.Frontier, k, v int) {

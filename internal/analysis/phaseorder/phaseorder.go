@@ -6,12 +6,10 @@
 // (`lv := npm.Local(m)`, then lv.Reduce) buffers on m's reduce buffers, so
 // it is a pending reduce on m. And per-node Frontier.Activate (and its
 // single-writer word form, ActivateWordOwned) is only meaningful from a
-// dispatched operator closure — handed to a ParFor* dispatch or an
-// AsyncDrain/AsyncDrainBits entry point, or taking a *runtime.AsyncCtx
-// (only the drain scheduler constructs one, so such a body is dispatched
-// compute no matter how it reaches the drain) — or from a decode path that
-// owns the frontier (a FrontierSink); activation from sequential driver
-// code is almost always a missed ParForActive or bulk ActivateRange.
+// dispatched operator closure — one handed to a ParFor* dispatch — or from
+// a decode path that owns the frontier (a FrontierSink); activation from
+// sequential driver code is almost always a missed ParForActive or bulk
+// ActivateRange.
 //
 // The Advance rule runs as a forward may-dataflow over each function's
 // CFG. Closures handed to the runtime's Time* sections are inlined (they
@@ -245,14 +243,6 @@ func (c *checker) checkActivate(decl *ast.FuncDecl) {
 	if c.ownsFrontier(decl) {
 		return
 	}
-	// A function taking *runtime.AsyncCtx is an async operator body: only
-	// the drain scheduler constructs an AsyncCtx, so the whole body is
-	// dispatched compute even when it is built by a factory and returned
-	// rather than passed to AsyncDrain inline.
-	if obj, ok := c.info.Defs[decl.Name].(*types.Func); ok &&
-		hasAsyncCtxParam(obj.Type().(*types.Signature)) {
-		return
-	}
 	// Collect the closure literals that reach a dispatch primitive.
 	dispatched := map[*ast.FuncLit]bool{}
 	ast.Inspect(decl.Body, func(n ast.Node) bool {
@@ -299,18 +289,9 @@ func (c *checker) checkActivate(decl *ast.FuncDecl) {
 			!strings.HasSuffix(fn.Pkg().Path(), "internal/runtime") {
 			return true
 		}
-		// Legitimate if any enclosing closure was handed to a dispatch, or
-		// is an async operator body (takes *runtime.AsyncCtx — only the
-		// drain scheduler can invoke it, so it runs as dispatched compute
-		// no matter how it reaches the drain).
+		// Legitimate if any enclosing closure was handed to a dispatch.
 		for _, lit := range lits {
-			if call.Pos() < lit.Body.Pos() || call.Pos() >= lit.Body.End() {
-				continue
-			}
-			if dispatched[lit] {
-				return true
-			}
-			if sig, ok := c.info.Types[lit].Type.(*types.Signature); ok && hasAsyncCtxParam(sig) {
+			if dispatched[lit] && call.Pos() >= lit.Body.Pos() && call.Pos() < lit.Body.End() {
 				return true
 			}
 		}
@@ -319,28 +300,6 @@ func (c *checker) checkActivate(decl *ast.FuncDecl) {
 			fn.Name())
 		return true
 	})
-}
-
-// hasAsyncCtxParam reports whether sig takes a *runtime.AsyncCtx
-// parameter, marking it as an async drain operator body.
-func hasAsyncCtxParam(sig *types.Signature) bool {
-	params := sig.Params()
-	for i := 0; i < params.Len(); i++ {
-		p, ok := params.At(i).Type().(*types.Pointer)
-		if !ok {
-			continue
-		}
-		named, ok := p.Elem().(*types.Named)
-		if !ok {
-			continue
-		}
-		obj := named.Obj()
-		if obj.Name() == "AsyncCtx" && obj.Pkg() != nil &&
-			strings.HasSuffix(obj.Pkg().Path(), "internal/runtime") {
-			return true
-		}
-	}
-	return false
 }
 
 // ownsFrontier reports whether decl is a method on a type that has a
@@ -365,8 +324,7 @@ func (c *checker) ownsFrontier(decl *ast.FuncDecl) bool {
 
 func isDispatchName(name string) bool {
 	switch name {
-	case "ParFor", "ParForNodes", "ParForMasters", "ParForActive",
-		"AsyncDrain", "AsyncDrainBits":
+	case "ParFor", "ParForNodes", "ParForMasters", "ParForActive":
 		return true
 	}
 	return false

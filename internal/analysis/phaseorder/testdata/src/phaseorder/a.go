@@ -6,7 +6,6 @@ package phaseorder
 import (
 	"kimbap/internal/graph"
 	"kimbap/internal/npm"
-	"kimbap/internal/par"
 	"kimbap/internal/runtime"
 )
 
@@ -65,33 +64,10 @@ func activateFromOperator(h *runtime.Host, fr *runtime.Frontier) {
 	})
 }
 
-// Async drain bodies are dispatched compute: inline literals handed to
-// AsyncDrain/AsyncDrainBits, and — because only the drain scheduler can
-// construct an *AsyncCtx — any closure or function taking one, however
-// it reaches the drain (the operator-body-factory idiom).
-func activateFromDrainBody(h *runtime.Host, fr *runtime.Frontier, b *par.Bitset) {
-	h.AsyncDrain(fr, runtime.AsyncOpts{}, func(tid int, src graph.NodeID, cx *runtime.AsyncCtx) {
-		fr.Activate(int(src))
-	})
-	h.AsyncDrainBits(b, runtime.AsyncOpts{}, func(tid int, src graph.NodeID, cx *runtime.AsyncCtx) {
-		fr.Activate(int(src))
-	})
-}
-
-func drainBodyFactory(fr *runtime.Frontier) func(tid int, src graph.NodeID, cx *runtime.AsyncCtx) {
-	return func(tid int, src graph.NodeID, cx *runtime.AsyncCtx) {
-		fr.Activate(int(src))
-	}
-}
-
-func namedDrainBody(fr *runtime.Frontier, tid int, src graph.NodeID, cx *runtime.AsyncCtx) {
-	fr.Activate(int(src))
-}
-
-// A driver-side loop is still flagged even when a drain runs nearby: the
-// activation is outside the operator body.
-func activateBesideDrain(h *runtime.Host, fr *runtime.Frontier, ids []int) {
-	h.AsyncDrain(fr, runtime.AsyncOpts{}, func(tid int, src graph.NodeID, cx *runtime.AsyncCtx) {})
+// A driver-side loop is still flagged even when a dispatch runs nearby:
+// the activation is outside the operator body.
+func activateBesideDispatch(h *runtime.Host, fr *runtime.Frontier, ids []int) {
+	h.ParForActive(fr, func(tid int, src graph.NodeID) {})
 	for _, i := range ids {
 		fr.Activate(i) // want `Frontier\.Activate outside an operator closure`
 	}

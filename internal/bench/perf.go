@@ -54,11 +54,6 @@ type PerfRecord struct {
 	RoundActive      []int64 `json:"round_active,omitempty"`
 	RoundReduceBytes []int64 `json:"round_reduce_bytes,omitempty"`
 	RoundHook        []bool  `json:"round_hook,omitempty"`
-	// RoundShape is the shape each round ran in: "bsp" or "async"
-	// when every host agreed, "mixed" when they diverged. Every host
-	// settles a phase's shape from the same configuration, so a "mixed"
-	// round would be a coordination bug.
-	RoundShape []string `json:"round_shape,omitempty"`
 }
 
 // perfFile is the on-disk shape of BENCH_kimbap.json.
@@ -84,15 +79,13 @@ func (c Config) PerfTo(w io.Writer, jsonPath string) error {
 		c.syncPerf("reduce_sync_sgrcf", npm.SGRCF, 8, false),
 		c.syncPerf("reduce_sync_sgronly", npm.SGROnly, 8, false),
 		c.syncPerf("reduce_broadcast_full", npm.Full, 8, true),
-		c.ccPerf("cc_sv_full", npm.Full, 4, false),
-		c.ccPerf("cc_sv_full", npm.Full, 8, false),
-		c.ccPerf("cc_sv_full_dense", npm.Full, 8, true),
-		c.ccPerf("cc_sv_full_sparse", npm.Full, 8, false),
-		// Strategy pair on the skewed-convergence workload (a long chain:
-		// maximal pointer-jumping depth, the async drain's best case) — the
-		// bsp baseline and the async drain.
-		c.ccChainPerf("cc_sv_bsp", 1, algorithms.StrategyBSP),
-		c.ccChainPerf("cc_sv_async", 1, algorithms.StrategyAsync),
+		c.ccPerf("cc_sv_full", npm.Full, 4),
+		c.ccPerf("cc_sv_full", npm.Full, 8),
+		c.ccPerf("cc_sv_full_sparse", npm.Full, 8),
+		// The skewed-convergence workload: a long chain, maximal
+		// pointer-jumping depth, where the shortcut's local compression
+		// collapses each host's chain in one round.
+		c.ccChainPerf("cc_sv_chain", 1),
 		c.misPerf("mis_full", 1),
 	}
 	records = append(records, c.ingestPerf()...)
@@ -135,18 +128,14 @@ func (c Config) PerfTo(w io.Writer, jsonPath string) error {
 	bt.Fprint(w)
 
 	rt := NewTable("Per-round activity (cluster-wide)",
-		"name", "hosts", "round", "kind", "shape", "active", "reduce bytes")
+		"name", "hosts", "round", "kind", "active", "reduce bytes")
 	for _, r := range records {
 		for i := range r.RoundActive {
 			kind := "shortcut"
 			if r.RoundHook[i] {
 				kind = "hook"
 			}
-			shape := "bsp"
-			if i < len(r.RoundShape) {
-				shape = r.RoundShape[i]
-			}
-			rt.Row(r.Name, r.Hosts, i, kind, shape, r.RoundActive[i], r.RoundReduceBytes[i])
+			rt.Row(r.Name, r.Hosts, i, kind, r.RoundActive[i], r.RoundReduceBytes[i])
 		}
 	}
 	rt.Fprint(w)
@@ -282,17 +271,17 @@ func (c Config) syncPerf(name string, variant npm.Variant, hosts int, pin bool) 
 	return rec
 }
 
-// ccPerf measures one end-to-end CC-SV run (op = the whole computation),
-// dense or frontier-driven, and records the per-round activity log.
-func (c Config) ccPerf(name string, variant npm.Variant, hosts int, dense bool) PerfRecord {
+// ccPerf measures one end-to-end CC-SV run (op = the whole computation)
+// and records the per-round activity log.
+func (c Config) ccPerf(name string, variant npm.Variant, hosts int) PerfRecord {
 	g, _ := c.perfGraph()
-	return c.ccPerfOn(name, g, variant, hosts, dense, algorithms.StrategyBSP)
+	return c.ccPerfOn(name, g, variant, hosts)
 }
 
-// chainGraph is the skewed-convergence workload for the strategy
-// records: a long path maximizes pointer-jumping depth, so BSP pays a
-// whole collective round per jump level while an asynchronous drain
-// collapses each host's local chains in one pass.
+// chainGraph is the skewed-convergence workload: a long path maximizes
+// pointer-jumping depth, which plain pointer jumping pays for with a
+// collective round per halving and the shortcut's local compression
+// collapses within one round per host.
 func (c Config) chainGraph() *graph.Graph {
 	if c.Scale == Full {
 		return gen.Chain(1<<17, false, 3)
@@ -300,14 +289,12 @@ func (c Config) chainGraph() *graph.Graph {
 	return gen.Chain(1<<13, false, 3)
 }
 
-// ccChainPerf measures frontier-driven CC-SV on the chain workload under
-// one strategy.
-func (c Config) ccChainPerf(name string, hosts int, s algorithms.Strategy) PerfRecord {
-	return c.ccPerfOn(name, c.chainGraph(), npm.Full, hosts, false, s)
+// ccChainPerf measures CC-SV on the chain workload.
+func (c Config) ccChainPerf(name string, hosts int) PerfRecord {
+	return c.ccPerfOn(name, c.chainGraph(), npm.Full, hosts)
 }
 
-func (c Config) ccPerfOn(name string, g *graph.Graph, variant npm.Variant, hosts int,
-	dense bool, s algorithms.Strategy) PerfRecord {
+func (c Config) ccPerfOn(name string, g *graph.Graph, variant npm.Variant, hosts int) PerfRecord {
 
 	rec := PerfRecord{Name: name, Hosts: hosts, Threads: c.Threads}
 	best := time.Duration(-1)
@@ -326,7 +313,7 @@ func (c Config) ccPerfOn(name string, g *graph.Graph, variant npm.Variant, hosts
 		start := time.Now()
 		cluster.Run(func(h *runtime.Host) {
 			perHost[h.Rank] = algorithms.CCSV(h, algorithms.Config{
-				Variant: variant, Dense: dense, LogRounds: true, Strategy: s,
+				Variant: variant, LogRounds: true,
 			}, out)
 		})
 		wall := time.Since(start)
@@ -348,7 +335,7 @@ func (c Config) ccPerfOn(name string, g *graph.Graph, variant npm.Variant, hosts
 			for i, st := range perHost {
 				logs[i] = st.PerRound
 			}
-			rec.RoundActive, rec.RoundReduceBytes, rec.RoundHook, rec.RoundShape = sumRounds(logs)
+			rec.RoundActive, rec.RoundReduceBytes, rec.RoundHook = sumRounds(logs)
 		}
 	}
 	return rec
@@ -396,23 +383,16 @@ func (c Config) misPerf(name string, hosts int) PerfRecord {
 }
 
 // sumRounds folds the per-host round logs into cluster-wide totals.
-// Rounds are collective, so every host logs the same sequence length; a
-// round's shape reports "mixed" when the hosts' shapes differ (see
-// PerfRecord.RoundShape).
-func sumRounds(perHost []algorithms.RoundStats) (active, bytes []int64, hook []bool, shape []string) {
+// Rounds are collective, so every host logs the same sequence length.
+func sumRounds(perHost []algorithms.RoundStats) (active, bytes []int64, hook []bool) {
 	rounds := len(perHost[0].Active)
 	active = make([]int64, rounds)
 	bytes = make([]int64, rounds)
-	shape = make([]string, rounds)
 	for r := 0; r < rounds; r++ {
-		shape[r] = perHost[0].Shape[r]
 		for _, st := range perHost {
 			active[r] += st.Active[r]
 			bytes[r] += st.ReduceBytes[r]
-			if st.Shape[r] != shape[r] {
-				shape[r] = "mixed"
-			}
 		}
 	}
-	return active, bytes, perHost[0].Hook, shape
+	return active, bytes, perHost[0].Hook
 }

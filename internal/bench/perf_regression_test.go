@@ -4,13 +4,9 @@ import (
 	gort "runtime"
 	"testing"
 
-	"kimbap/internal/algorithms"
-	"kimbap/internal/comm"
 	"kimbap/internal/gen"
-	"kimbap/internal/graph"
 	"kimbap/internal/npm"
 	"kimbap/internal/partition"
-	"kimbap/internal/runtime"
 )
 
 // Counter gates: every check here compares deterministic counts (bytes,
@@ -114,38 +110,5 @@ func TestPartitionAllocGate(t *testing.T) {
 	if limit := held + held/4; rec.PeakAllocBytes > limit {
 		t.Errorf("partitioning allocated %d bytes, above 125%% of the %d bytes its result holds (limit %d)",
 			rec.PeakAllocBytes, held, limit)
-	}
-}
-
-// TestFrontierReduceSyncBytesGate gates the frontier's wire win: at 8 hosts
-// a frontier-driven CC-SV run must move at most 60% of the dense run's
-// reduce-sync bytes. The graph needs enough hook rounds for the dense
-// loop's re-sent ineffective hooks to accumulate — a sparse random graph
-// gives four-plus hook rounds per phase — and both runs are deterministic
-// (fixed seed, hashed partition, order-independent section sizes), so
-// the comparison is exact, not statistical.
-func TestFrontierReduceSyncBytesGate(t *testing.T) {
-	g := gen.ErdosRenyi(2048, 6144, false, 3)
-	run := func(dense bool) int64 {
-		cluster, err := runtime.NewCluster(g, runtime.Config{NumHosts: 8, ThreadsPerHost: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer cluster.Close()
-		out := make([]graph.NodeID, g.NumNodes())
-		cluster.Run(func(h *runtime.Host) {
-			algorithms.CCSV(h, algorithms.Config{Dense: dense}, out)
-		})
-		_, tb := cluster.CommStatsByTag()
-		return tb[comm.TagReduce]
-	}
-	dense := run(true)
-	sparse := run(false)
-	if dense == 0 {
-		t.Fatal("dense CC run sent no reduce bytes; gate workload is broken")
-	}
-	if limit := dense * 60 / 100; sparse > limit {
-		t.Errorf("frontier reduce-sync bytes = %d, above the 60%%-of-dense gate %d (dense = %d)",
-			sparse, limit, dense)
 	}
 }

@@ -351,8 +351,8 @@ func (m *fullMap[V]) mergeCache(keys []graph.NodeID, vals []V) {
 }
 
 // rebuildCacheSlots points the dense slot table at the current cache
-// arrays. Runs once per RequestSync, after which every Read and async
-// Load is a single index — the sort.Search this table replaced was on
+// arrays. Runs once per RequestSync, after which every Read is a single
+// index — the sort.Search this table replaced was on
 // the per-access hot path.
 func (m *fullMap[V]) rebuildCacheSlots() {
 	if len(m.cacheKeys) == 0 {

@@ -40,8 +40,8 @@ func (b *Bitset) tailMask() uint64 {
 // Implemented as an explicit load/CAS loop rather than the value-returning
 // atomic Or: go1.24.0's amd64 lowering of the Or intrinsic can clobber the
 // register holding a live pointer in the inlined caller (the saved receiver
-// is overwritten by the CAS-loop scratch), which segfaulted the drain
-// scheduler's enqueue path. The CAS form compiles correctly and gets an
+// is overwritten by the CAS-loop scratch), which segfaulted a work-queue
+// enqueue path built on Set. The CAS form compiles correctly and gets an
 // early exit for already-set bits for free.
 func (b *Bitset) Set(i int) bool {
 	w := &b.words[i/64]

@@ -178,6 +178,12 @@ func TestParForActiveDenseAndSparse(t *testing.T) {
 	}
 }
 
+// testHost is a bare host with a worker pool of the given size: enough for
+// the ParFor family, with no partition or endpoint.
+func testHost(threads int) *Host {
+	return &Host{Threads: threads, pool: newWorkerPool(threads)}
+}
+
 // Each of ParForActive's three forms, reached by frontier size and
 // active count alone under the package thresholds, must show its
 // observable signature: the serial form runs everything on the calling

@@ -87,11 +87,6 @@ type Host struct {
 
 	pool   *workerPool
 	mapSeq atomic.Int64
-
-	// async is the host's persistent drain scheduler, created on first
-	// AsyncDrain. Only the host's program goroutine starts drains, so no
-	// lock guards it.
-	async *asyncSched
 }
 
 // NextMapID returns this host's next property-map sequence number. SPMD
