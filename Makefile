@@ -21,9 +21,9 @@ benchmark-test:
 # (bufownership, cautiousop, conflictfree, deterministic, lockdiscipline,
 # phaseorder; DESIGN.md §7 "Checked invariants"). kimbapvet must run from the module
 # root: it resolves packages with `go list` and type-checks from source.
-# The wall-clock gates sit behind the wallgates build tag, which neither
-# `go build`, `go test` nor `go vet ./...` compiles, so they get their own
-# vet pass to keep them type-checked against the helpers they call, and
+# The wall-clock gate sits behind the wallgates build tag, which neither
+# `go build`, `go test` nor `go vet ./...` compiles, so it gets its own
+# vet pass to keep it type-checked against the helpers it calls, and
 # the nested benchmark module, which `./...` stops short of, gets one too.
 # The tree must also be gofmt-clean; the check lists any file that is not.
 lint:
@@ -50,14 +50,12 @@ race:
 
 ci: build test benchmark-test lint race
 
-# bench runs the wall-clock gates (internal/bench/perf_wall_test.go, kept
-# out of `go test ./...` by the wallgates build tag), then regenerates
-# BENCH_kimbap.json, the repo's perf-trajectory record. The previous file's
-# wall times are carried into prev_ns_per_op, so the committed file always
-# shows before/after for the sync-path suite.
+# bench runs the gates of internal/bench with the wall-clock one
+# (perf_wall_test.go, kept out of `go test ./...` by the wallgates build
+# tag) included. Wall-time claims come from the end-to-end benchmark,
+# `bash benchmark/run.sh --compare`, not from this target.
 bench:
 	$(GO) test -tags wallgates -run 'Gate$$' -v ./internal/bench
-	$(GO) run ./cmd/kimbap-bench -exp perf -scale full -reps 3 -json BENCH_kimbap.json
 
 # loc prints the non-test Go lines of every package directory and their
 # total, leaving out the nested benchmark module, analyzer testdata and

@@ -12,12 +12,18 @@ import (
 	"kimbap/internal/graph"
 )
 
-// readGraph loads path with the in-memory readers (not the streaming
-// path the commands use), picking the reader by extension.
+// readGraph loads path by its extension: KMB2 through the streaming
+// build, as gen.Load does, and text through the in-memory parser rather
+// than the streaming path the commands use.
 func readGraph(t *testing.T, path string) *graph.Graph {
 	t.Helper()
 	if strings.HasSuffix(path, ".kmb2") {
-		g, err := graph.LoadKMB2(path, 1)
+		src, err := graph.OpenKMB2(path)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		defer src.Close()
+		g, err := graph.NewStreamBuilder(src).SetWorkers(1).Build()
 		if err != nil {
 			t.Fatalf("%s: %v", path, err)
 		}

@@ -322,6 +322,44 @@ func TestCCGridCountersPinned(t *testing.T) {
 	}
 }
 
+// TestCCRMATCountersPinned pins CC-SV's BSP program on the sync-path
+// R-MAT(11,8) at 4 threads per host under OEC, the power-law counterpart
+// of the grid pins above: hook and shortcut rounds and the cluster's comm
+// messages and bytes. Every count must be the same at any thread count.
+func TestCCRMATCountersPinned(t *testing.T) {
+	g := gen.RMAT(11, 8, false, 3)
+	for _, tc := range []struct {
+		hosts, hook, shortcut int
+		msgs, bytes           int64
+	}{
+		{4, 4, 4, 368, 44016},
+		{8, 4, 4, 1584, 77519},
+	} {
+		t.Run(fmt.Sprintf("%dh/4t", tc.hosts), func(t *testing.T) {
+			c, err := runtime.NewCluster(g, runtime.Config{NumHosts: tc.hosts, ThreadsPerHost: 4, Policy: partition.OEC})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			out := make([]graph.NodeID, g.NumNodes())
+			var st CCStats
+			c.Run(func(h *runtime.Host) {
+				if s := CCSV(h, Config{}, out); h.Rank == 0 {
+					st = s
+				}
+			})
+			msgs, bytes := c.CommStats()
+			checkLabels(t, g, out, "CC-SV")
+			if st.HookRounds != tc.hook || st.ShortcutRounds != tc.shortcut {
+				t.Errorf("%d hook + %d shortcut rounds, want %d + %d", st.HookRounds, st.ShortcutRounds, tc.hook, tc.shortcut)
+			}
+			if msgs != tc.msgs || bytes != tc.bytes {
+				t.Errorf("%d messages, %d bytes, want %d, %d", msgs, bytes, tc.msgs, tc.bytes)
+			}
+		})
+	}
+}
+
 // TestShortcutRoundsPinned gates the shortcut's local compression by its
 // work proxy, the shortcut round count, on a 4096-node chain: the deepest
 // parent chains, where plain pointer jumping takes a round per halving (14

@@ -23,7 +23,6 @@ var Experiments = []string{
 	"table1", "table2", "table3",
 	"fig9", "fig10", "fig11", "fig12",
 	"readlocality", "policies", "memory", "abstraction",
-	"perf",
 }
 
 // Run executes one named experiment and writes its tables to w.
@@ -52,8 +51,6 @@ func Run(w io.Writer, name string, cfg Config) error {
 		cfg.Memory(w)
 	case "abstraction":
 		cfg.Abstraction(w)
-	case "perf":
-		return cfg.PerfTo(w, cfg.JSONPath)
 	default:
 		return fmt.Errorf("bench: unknown experiment %q (have %v)", name, Experiments)
 	}

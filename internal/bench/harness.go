@@ -25,10 +25,9 @@ const (
 
 // Config tunes the harness.
 type Config struct {
-	Scale    Scale
-	Threads  int    // worker threads per simulated host
-	Reps     int    // timing repetitions; the minimum is reported
-	JSONPath string // perf experiment: machine-readable output (BENCH_kimbap.json)
+	Scale   Scale
+	Threads int // worker threads per simulated host
+	Reps    int // timing repetitions; the minimum is reported
 }
 
 func (c Config) withDefaults() Config {

@@ -1,59 +1,129 @@
 package bench
 
 import (
+	"path/filepath"
 	gort "runtime"
 	"testing"
+	"time"
 
 	"kimbap/internal/gen"
+	"kimbap/internal/graph"
 	"kimbap/internal/npm"
 	"kimbap/internal/partition"
+	"kimbap/internal/runtime"
 )
 
 // Counter gates: every check here compares deterministic counts (bytes,
-// rounds, allocated bytes), never a wall time, so they run in every
+// messages, allocated bytes), never a wall time, so they run in every
 // `go test ./...`. The wall-clock gates live in perf_wall_test.go behind
 // the wallgates build tag.
 
-// Reduce-sync bytes per round of the perf workload (full-scale R-MAT,
-// 8 hosts x 4 threads, Reps=1), pinned exactly: with one rep the measured
-// window covers a fixed iteration range, and every reduce section's size
-// is a function of its entry set alone (base-relative keys, positional
-// dense masks), never of insertion order.
-const (
-	pinnedReduceSyncFullBytes  = 31339
-	pinnedReduceSyncSGRCFBytes = 42168
-)
+// syncRounds drives the sync-path workload on R-MAT(11,8) at hosts x 4
+// threads: 3 warm-up rounds, then 40 measured ones, each a reduce of one
+// value per local slot (plus a broadcast to pinned mirrors when pin is
+// set). It returns the cluster-wide messages and bytes per measured round.
+// Every reduce section's size is a function of its entry set alone
+// (base-relative keys, positional dense masks), never of insertion order,
+// so the counts are exact at any thread count.
+func syncRounds(t *testing.T, variant npm.Variant, hosts int, pin bool) (msgs, bytes int64) {
+	t.Helper()
+	const warmup, iters = 3, 40
+	g := gen.RMAT(11, 8, false, 3)
+	cluster, err := runtime.NewCluster(g, runtime.Config{NumHosts: hosts, ThreadsPerHost: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Close()
 
-// TestReduceSyncCommBytesNoRegression pins the reduce frame's bytes on the
-// Full and SGR+CF maps. An encoding change that moves either count must
-// update the pin deliberately. The committed BENCH_kimbap.json value comes
-// from `make bench` (Reps=3, best wall rep kept, and rep windows cover
-// different iteration ranges), so the Full record is additionally held to
-// at most 0.5% over it.
-func TestReduceSyncCommBytesNoRegression(t *testing.T) {
-	cfg := Config{Scale: Full, Threads: 4, Reps: 1}
-	full := cfg.syncPerf("reduce_sync_full", npm.Full, 8, false)
-	sgrcf := cfg.syncPerf("reduce_sync_sgrcf", npm.SGRCF, 8, false)
-	if full.CommBytes != pinnedReduceSyncFullBytes {
-		t.Errorf("reduce_sync_full comm_bytes = %d/op, pinned %d", full.CommBytes, pinnedReduceSyncFullBytes)
-	}
-	if sgrcf.CommBytes != pinnedReduceSyncSGRCFBytes {
-		t.Errorf("reduce_sync_sgrcf comm_bytes = %d/op, pinned %d", sgrcf.CommBytes, pinnedReduceSyncSGRCFBytes)
-	}
-	committed := int64(-1)
-	if f, err := readPerfFile("../../BENCH_kimbap.json"); err == nil {
-		for _, r := range f.Records {
-			if r.Name == "reduce_sync_full" && r.Hosts == 8 && r.Threads == 4 {
-				committed = r.CommBytes
+	maps := make([]npm.Map[graph.NodeID], hosts)
+	rounds := func(h *runtime.Host, base, n int) {
+		m := maps[h.Rank]
+		total := h.HP.NumGlobalNodes()
+		for i := base; i < base+n; i++ {
+			h.ParFor(1024, func(tid, j int) {
+				m.Reduce(tid, graph.NodeID((j*31+i)%total), graph.NodeID(j%total))
+			})
+			m.ReduceSync()
+			if pin {
+				m.BroadcastSync()
 			}
 		}
 	}
-	if committed < 0 {
-		t.Log("no committed BENCH_kimbap.json record; only the pins were checked")
-	} else if slack := committed + committed/200; full.CommBytes > slack {
-		t.Errorf("comm_bytes = %d/op, regressed past the committed %d (+0.5%% = %d)",
-			full.CommBytes, committed, slack)
+	cluster.Run(func(h *runtime.Host) {
+		m := npm.New(npm.Options[graph.NodeID]{
+			Host: h, Op: npm.MinNodeID(), Codec: npm.NodeIDCodec{}, Variant: variant,
+		})
+		maps[h.Rank] = m
+		h.ParForNodes(func(_ int, l graph.NodeID) {
+			gid := h.HP.GlobalID(l)
+			m.Set(gid, gid)
+		})
+		m.InitSync()
+		if pin {
+			m.PinMirrors()
+		}
+		rounds(h, 0, warmup)
+	})
+	msgs0, bytes0 := cluster.CommStats()
+	cluster.Run(func(h *runtime.Host) { rounds(h, warmup, iters) })
+	msgs1, bytes1 := cluster.CommStats()
+	return (msgs1 - msgs0) / iters, (bytes1 - bytes0) / iters
+}
+
+// TestReduceSyncCommBytesNoRegression pins the sync-path workload's
+// messages and bytes per round, one subtest per map variant, host count
+// and sync sequence. An encoding change that moves a count must update its
+// pin deliberately.
+func TestReduceSyncCommBytesNoRegression(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		variant     npm.Variant
+		hosts       int
+		pin         bool
+		msgs, bytes int64
+	}{
+		{"reduce_sync_full/8h", npm.Full, 8, false, 56, 31339},
+		{"reduce_sync_sgrcf/8h", npm.SGRCF, 8, false, 56, 42168},
+		{"reduce_sync_full/2h", npm.Full, 2, false, 2, 4387},
+		{"reduce_sync_sgronly/8h", npm.SGROnly, 8, false, 56, 42168},
+		{"reduce_broadcast_full/8h", npm.Full, 8, true, 112, 32357},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			msgs, bytes := syncRounds(t, tc.variant, tc.hosts, tc.pin)
+			if msgs != tc.msgs || bytes != tc.bytes {
+				t.Errorf("%d messages, %d bytes per round, pinned %d, %d", msgs, bytes, tc.msgs, tc.bytes)
+			}
+		})
 	}
+}
+
+// timeOp runs op reps times, setup outside the timed window, and returns
+// the fastest run's wall time and the bytes that run allocated (TotalAlloc
+// delta, an upper bound on its peak heap growth).
+func timeOp(reps int, setup, op func()) (wall time.Duration, alloc int64) {
+	var ms0, ms1 gort.MemStats
+	for rep := 0; rep < reps; rep++ {
+		setup()
+		gort.ReadMemStats(&ms0)
+		start := time.Now()
+		op()
+		d := time.Since(start)
+		gort.ReadMemStats(&ms1)
+		if rep == 0 || d < wall {
+			wall, alloc = d, int64(ms1.TotalAlloc-ms0.TotalAlloc)
+		}
+	}
+	return wall, alloc
+}
+
+// csrBytes is the final CSR footprint: offsets, dsts, and (when weighted)
+// weights — the denominator of the allocation gates.
+func csrBytes(g *graph.Graph) int64 {
+	b := int64(g.NumNodes()+1)*8 + g.NumEdges()*4
+	if g.Weighted() {
+		b += g.NumEdges() * 8
+	}
+	return b
 }
 
 // TestStreamIngestGate holds the out-of-core build to its memory contract
@@ -63,24 +133,33 @@ func TestReduceSyncCommBytesNoRegression(t *testing.T) {
 // and the per-worker block buffers (allocated per build) are the only
 // working set on top of the output arrays. A warmup build fills the
 // cursor-matrix pool first.
-// TestStreamIngestWallGate holds the wall-time half.
 func TestStreamIngestGate(t *testing.T) {
-	cfg := Config{Scale: Full, Threads: 4, Reps: 1}
-	fx, cleanup := cfg.ioFixtureFor(gen.Friendster)
-	defer cleanup()
-	fx.streamKMB2(cfg.Threads) // warm the count pool
+	g := Config{Scale: Full}.graphFor(gen.Friendster)
+	path := filepath.Join(t.TempDir(), "graph.kmb2")
+	if err := graph.SaveKMB2(path, g, 0); err != nil {
+		t.Fatal(err)
+	}
+	stream := func() {
+		src, err := graph.OpenKMB2(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer src.Close()
+		if _, err := graph.NewStreamBuilder(src).SetWorkers(4).Build(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stream() // warm the count pool
 	gort.GC()
-	stream := cfg.timeOp(PerfRecord{Name: "gate_stream"}, func() {},
-		func() { fx.streamKMB2(cfg.Threads) })
-	csr := csrBytes(fx.g)
-	if stream.PeakAllocBytes == 0 {
+	_, alloc := timeOp(1, func() {}, stream)
+	csr := csrBytes(g)
+	if alloc == 0 {
 		t.Fatal("streaming gate measured nothing; gate workload is broken")
 	}
-	t.Logf("csr=%dKB stream alloc=%dKB (%.2fx)",
-		csr/1024, stream.PeakAllocBytes/1024, float64(stream.PeakAllocBytes)/float64(csr))
-	if limit := csr + csr/4; stream.PeakAllocBytes > limit {
+	t.Logf("csr=%dKB stream alloc=%dKB (%.2fx)", csr/1024, alloc/1024, float64(alloc)/float64(csr))
+	if limit := csr + csr/4; alloc > limit {
 		t.Errorf("streaming build allocated %d bytes, above 125%% of the %d-byte CSR (limit %d)",
-			stream.PeakAllocBytes, csr, limit)
+			alloc, csr, limit)
 	}
 }
 
@@ -91,24 +170,22 @@ func TestStreamIngestGate(t *testing.T) {
 // weights plus its global→local table. Global-ID edge columns or a
 // second CSR build on top of the output would each break the bound.
 func TestPartitionAllocGate(t *testing.T) {
-	cfg := Config{Scale: Full, Threads: 2, Reps: 1}
-	g := cfg.graphFor(gen.Friendster)
+	g := Config{Scale: Full}.graphFor(gen.Friendster)
 	var p *partition.Partitioned
-	part := func() { p = partition.PartitionWorkers(g, 2, partition.CVC, cfg.Threads) }
+	part := func() { p = partition.PartitionWorkers(g, 2, partition.CVC, 2) }
 	part() // warm the worker pool
 	gort.GC()
-	rec := cfg.timeOp(PerfRecord{Name: "gate_partition"}, func() {}, part)
+	_, alloc := timeOp(1, func() {}, part)
 	var held int64
 	for _, hp := range p.Hosts {
 		held += csrBytes(hp.Local) + hp.TranslationFootprint()
 	}
-	if rec.PeakAllocBytes == 0 || held == 0 {
+	if alloc == 0 || held == 0 {
 		t.Fatal("partition gate measured nothing; gate workload is broken")
 	}
-	t.Logf("held=%dKB partition alloc=%dKB (%.2fx)",
-		held/1024, rec.PeakAllocBytes/1024, float64(rec.PeakAllocBytes)/float64(held))
-	if limit := held + held/4; rec.PeakAllocBytes > limit {
+	t.Logf("held=%dKB partition alloc=%dKB (%.2fx)", held/1024, alloc/1024, float64(alloc)/float64(held))
+	if limit := held + held/4; alloc > limit {
 		t.Errorf("partitioning allocated %d bytes, above 125%% of the %d bytes its result holds (limit %d)",
-			rec.PeakAllocBytes, held, limit)
+			alloc, held, limit)
 	}
 }

@@ -3,10 +3,12 @@
 package bench
 
 import (
-	gort "runtime"
 	"testing"
+	"time"
 
 	"kimbap/internal/gen"
+	"kimbap/internal/graph"
+	"kimbap/internal/partition"
 )
 
 // Wall-clock gates. Each compares two live wall times measured in this
@@ -15,10 +17,76 @@ import (
 //
 //	go test -tags wallgates -run 'Gate$' -v ./internal/bench
 //
-// (`make bench` and the CI bench-smoke job do exactly that). The
-// deterministic counter half of the streaming gate — the build's
-// allocation bound — lives in perf_regression_test.go and runs in every
-// `go test ./...`.
+// (`make bench` and the CI bench-smoke job do exactly that).
+
+// edgeColumns extracts a graph's edge list as builder columns, the raw
+// material both build twins consume. The measured op symmetrizes first, so
+// starting from an already-symmetric CSR means Dedup sees every edge twice
+// — real duplicate-elimination work, like a raw generator stream.
+func edgeColumns(g *graph.Graph) (srcs, dsts []graph.NodeID, ws []float64) {
+	m := int(g.NumEdges())
+	srcs = make([]graph.NodeID, 0, m)
+	dsts = make([]graph.NodeID, 0, m)
+	if g.Weighted() {
+		ws = make([]float64, 0, m)
+	}
+	for n := 0; n < g.NumNodes(); n++ {
+		v := graph.NodeID(n)
+		lo, hi := g.EdgeRange(v)
+		for e := lo; e < hi; e++ {
+			srcs = append(srcs, v)
+			dsts = append(dsts, g.Dst(e))
+			if ws != nil {
+				ws = append(ws, g.Weight(e))
+			}
+		}
+	}
+	return srcs, dsts, ws
+}
+
+// buildWall times the column pipeline (symmetrize, dedup, CSR build) on
+// g's edge list, best of reps: the parallel path at workers, or the
+// retained serial reference.
+func buildWall(g *graph.Graph, workers, reps int, serial bool) time.Duration {
+	srcs, dsts, ws := edgeColumns(g)
+	var b *graph.Builder
+	wall, _ := timeOp(reps,
+		func() {
+			// The pipeline mutates its columns; each rep gets fresh copies.
+			s2 := append([]graph.NodeID(nil), srcs...)
+			d2 := append([]graph.NodeID(nil), dsts...)
+			var w2 []float64
+			if ws != nil {
+				w2 = append([]float64(nil), ws...)
+			}
+			b = graph.NewBuilderFromArrays(g.NumNodes(), s2, d2, w2).SetWorkers(workers)
+		},
+		func() {
+			if serial {
+				b.SymmetrizeSerial()
+				b.DedupSerial()
+				b.BuildSerial()
+			} else {
+				b.Symmetrize()
+				b.Dedup()
+				b.Build()
+			}
+		})
+	return wall
+}
+
+// partitionWall times partitioning g across hosts under CVC, best of reps:
+// the parallel partitioner at workers, or the retained serial reference.
+func partitionWall(g *graph.Graph, hosts, workers, reps int, serial bool) time.Duration {
+	wall, _ := timeOp(reps, func() {}, func() {
+		if serial {
+			partition.PartitionSerial(g, hosts, partition.CVC)
+		} else {
+			partition.PartitionWorkers(g, hosts, partition.CVC, workers)
+		}
+	})
+	return wall
+}
 
 // TestIngestBuildPartitionGate holds the parallel ingestion pipeline to at
 // most 60% of the retained serial references' wall time on the full-scale
@@ -28,58 +96,14 @@ import (
 // each, fastest kept. The margin is wide (the pipeline measures ~40% of
 // serial on one core, and parallelism only widens it).
 func TestIngestBuildPartitionGate(t *testing.T) {
-	cfg := Config{Scale: Full, Threads: 4, Reps: 2}
-	const p = gen.Friendster
-	serial := cfg.ingestBuildPerf(p, true).WallNsPerOp +
-		cfg.ingestPartitionPerf(p, 8, true).WallNsPerOp
-	par := cfg.ingestBuildPerf(p, false).WallNsPerOp +
-		cfg.ingestPartitionPerf(p, 8, false).WallNsPerOp
+	const workers, reps = 4, 2
+	g := Config{Scale: Full}.graphFor(gen.Friendster)
+	serial := buildWall(g, 1, reps, true) + partitionWall(g, 8, 1, reps, true)
+	par := buildWall(g, workers, reps, false) + partitionWall(g, 8, workers, reps, false)
 	if serial == 0 {
 		t.Fatal("serial ingest measured zero wall time; gate workload is broken")
 	}
-	if limit := serial * 0.6; par > limit {
-		t.Errorf("parallel build+partition = %.1fms, above 60%% of serial %.1fms (limit %.1fms)",
-			par/1e6, serial/1e6, limit/1e6)
-	}
-}
-
-// TestStreamIngestWallGate holds the out-of-core build to its wall
-// contract on the full-scale friendster analogue: streaming the KMB2 file
-// must finish within 120% of the materialize-then-build twin on the same
-// file. Both pay the same block decode and the same final adjacency sort,
-// and the twin's extra full-edge-list materialization pays for the
-// streaming path's second scan. A warmup pair outside the timed window
-// fills the buffer pools and a forced GC clears neighboring tests'
-// allocation debt; reps are interleaved (stream, twin, stream, ...) with
-// best-of-4 kept per side so a transient stall cannot land on one side
-// alone. TestStreamIngestGate holds the memory half.
-func TestStreamIngestWallGate(t *testing.T) {
-	cfg := Config{Scale: Full, Threads: 4, Reps: 1}
-	fx, cleanup := cfg.ioFixtureFor(gen.Friendster)
-	defer cleanup()
-	fx.streamKMB2(cfg.Threads) // warm the block and count pools
-	fx.loadKMB2(cfg.Threads)
-	gort.GC()
-
-	var stream, inmem PerfRecord
-	for rep := 0; rep < 4; rep++ {
-		s := cfg.timeOp(PerfRecord{Name: "gate_stream"}, func() {},
-			func() { fx.streamKMB2(cfg.Threads) })
-		if rep == 0 || s.WallNsPerOp < stream.WallNsPerOp {
-			stream = s
-		}
-		m := cfg.timeOp(PerfRecord{Name: "gate_inmem"}, func() {},
-			func() { fx.loadKMB2(cfg.Threads) })
-		if rep == 0 || m.WallNsPerOp < inmem.WallNsPerOp {
-			inmem = m
-		}
-	}
-	if inmem.WallNsPerOp == 0 {
-		t.Fatal("streaming gate measured nothing; gate workload is broken")
-	}
-	t.Logf("stream=%.1fms inmem=%.1fms", stream.WallNsPerOp/1e6, inmem.WallNsPerOp/1e6)
-	if limit := inmem.WallNsPerOp * 1.2; stream.WallNsPerOp > limit {
-		t.Errorf("streaming build = %.1fms, above 120%% of the in-memory build %.1fms (limit %.1fms)",
-			stream.WallNsPerOp/1e6, inmem.WallNsPerOp/1e6, limit/1e6)
+	if limit := serial * 6 / 10; par > limit {
+		t.Errorf("parallel build+partition = %v, above 60%% of serial %v (limit %v)", par, serial, limit)
 	}
 }

@@ -7,8 +7,6 @@ import (
 	"io"
 	"math"
 	"os"
-
-	"kimbap/internal/par"
 )
 
 // Binary edge-block format "KMB2", the only binary graph format (the
@@ -479,58 +477,4 @@ func (s *KMB2Source) ReadBlock(i int, blk *EdgeBlock) error {
 		}
 	}
 	return nil
-}
-
-// LoadKMB2 reads a whole KMB2 file into an in-memory CSR graph: all
-// blocks are decoded into full edge columns in parallel (block stride
-// gives each block's exact column offset), then built with the standard
-// in-memory pipeline. This is the materialize-then-build twin the
-// streaming path is benchmarked against, and a convenience loader for
-// graphs that comfortably fit.
-//
-//kimbap:deterministic
-func LoadKMB2(path string, workers int) (*Graph, error) {
-	s, err := OpenKMB2(path)
-	if err != nil {
-		return nil, err
-	}
-	defer s.Close()
-	m := s.NumEdges()
-	srcs := make([]NodeID, m)
-	dsts := make([]NodeID, m)
-	var ws []float64
-	if s.Weighted() {
-		ws = make([]float64, m)
-	}
-	w := par.Resolve(workers)
-	if w > s.NumBlocks() {
-		w = s.NumBlocks()
-	}
-	if w < 1 {
-		w = 1
-	}
-	err = par.DoErr(w, func(worker int) error {
-		lo, hi := par.Range(worker, w, s.NumBlocks())
-		if lo == hi {
-			return nil
-		}
-		blk := GetBlock()
-		defer PutBlock(blk)
-		for i := lo; i < hi; i++ {
-			if err := s.ReadBlock(i, blk); err != nil {
-				return err
-			}
-			at := int64(i) * int64(s.hdr.blockEdges)
-			copy(srcs[at:], blk.Srcs)
-			copy(dsts[at:], blk.Dsts)
-			if ws != nil {
-				copy(ws[at:], blk.Weights)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return NewBuilderFromArrays(s.NumNodes(), srcs, dsts, ws).SetWorkers(workers).Build(), nil
 }

@@ -67,7 +67,7 @@ func growCap[T any](s []T, n int) []T {
 
 // blockPool recycles EdgeBlocks (columns and raw scratch) for the
 // block-at-a-time readers and writers outside StreamBuilder (KMB2Writer,
-// LoadKMB2). StreamBuilder does not pool: a text shard's block holds
+// graphgen's convert). StreamBuilder does not pool: a text shard's block holds
 // megabytes, and a pooled block stays reachable through the pool's
 // victim cache until the second GC after the build, so the next phase's
 // live heap would depend on how many GCs it had run. Ownership contract
