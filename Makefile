@@ -35,10 +35,11 @@ lint:
 
 # race covers the concurrency-heavy packages: the property maps, the
 # runtime's worker pool and bitsets, the transports, the parallel
-# ingestion pipeline (par pool, counting-sort build, partitioner,
-# generators), the kvstore application harness, the baselines (Galois's
-# MIS and CC run CAS loops under its thread pool), the compiler's
-# executor, and the full algorithms package — its host- and thread-count
+# ingestion pipeline (par pool, the one counting-sort CSR build and the
+# generators' duplicate removal, partitioner, generators), the kvstore
+# application harness, the baselines (Galois's MIS and CC run CAS loops
+# under its thread pool), the compiler's executor, and the full
+# algorithms package — its host- and thread-count
 # equivalence matrices run every parallel pass, the shortcut's Jacobi
 # compression included, across host and thread counts, which is exactly
 # where a shared-slot write would race.

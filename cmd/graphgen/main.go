@@ -156,13 +156,12 @@ func copyToKMB2(src graph.BlockSource, out string, blockEdges int) error {
 	if err != nil {
 		return err
 	}
-	blk := graph.GetBlock()
-	defer graph.PutBlock(blk)
+	var blk graph.EdgeBlock
 	for i := 0; i < src.NumBlocks(); i++ {
-		if err := src.ReadBlock(i, blk); err != nil {
+		if err := src.ReadBlock(i, &blk); err != nil {
 			return err
 		}
-		if err := kw.AppendBlock(blk); err != nil {
+		if err := kw.AppendBlock(&blk); err != nil {
 			return err
 		}
 	}

@@ -27,14 +27,6 @@
 // append(out[i], ...)) is reported. The analysis is first-order and
 // syntactic about aliases (tracked expressions are normalized source
 // paths), which is exactly the shape of the npm sync phases it guards.
-//
-// The same machinery checks the block-pool recycling contract of the
-// streaming ingestion path (DESIGN.md §13): a block handed to
-// graph.PutBlock may be reissued to another worker immediately, so
-// writing through it, growing its columns, or retaining it in a field
-// after the Put is reported with pool wording. A *deferred* PutBlock is
-// the sanctioned scan-loop shape — it runs at function exit, after every
-// use in the body — and transfers nothing mid-function.
 package bufownership
 
 import (
@@ -80,20 +72,9 @@ func run(pass *framework.Pass) error {
 // sent records one tracked buffer: where it was sent, and whether the key
 // names the buffer itself (exact) or a container whose elements were sent
 // (base, from Exchange's out slice or the payload's enclosing slice).
-// pool marks a block returned to the graph block pool rather than a comm
-// payload — same dataflow, different wording and new-owner story.
 type sent struct {
 	pos  token.Pos
 	base bool
-	pool bool
-}
-
-// handedTo names the transfer for diagnostics.
-func (i sent) handedTo() string {
-	if i.pool {
-		return "returned to the block pool"
-	}
-	return "handed to a comm send"
 }
 
 type state map[string]sent
@@ -173,10 +154,9 @@ func (c *checker) transfer(s state, n ast.Node) {
 			}
 		}
 	}
-	_, deferred := n.(*ast.DeferStmt)
 	cfg.ShallowWalk(n, func(m ast.Node) bool {
 		if call, ok := m.(*ast.CallExpr); ok {
-			c.call(s, call, deferred)
+			c.call(s, call)
 		}
 		return true
 	})
@@ -251,13 +231,8 @@ func (c *checker) flow(s state, lhs, rhs ast.Expr, pos token.Pos) {
 	}
 }
 
-// reportRetained words a retention diagnostic for the buffer's new owner.
+// reportRetained reports a sent buffer stored into a field.
 func (c *checker) reportRetained(pos token.Pos, k, l string, info sent) {
-	if info.pool {
-		c.reportf(pos, "pooled block %s is retained in %s (returned to the pool at %s); the pool may reissue it to another worker",
-			k, l, c.pass.Fset().Position(info.pos))
-		return
-	}
 	c.reportf(pos, "sent buffer %s is retained in %s (sent at %s); a receiver may still be reading it",
 		k, l, c.pass.Fset().Position(info.pos))
 }
@@ -277,22 +252,16 @@ func (c *checker) checkWrite(s state, l string, pos token.Pos) {
 			min = 2
 		}
 		if lv >= min {
-			remedy := "double-buffer or defer the write past the round boundary"
-			if info.pool {
-				remedy = "keep the block until the last use, then Put it"
-			}
-			c.reportf(pos, "write to %s after %s was %s (at %s); %s",
-				l, k, info.handedTo(), c.pass.Fset().Position(info.pos), remedy)
+			c.reportf(pos, "write to %s after %s was handed to a comm send (at %s); double-buffer or defer the write past the round boundary",
+				l, k, c.pass.Fset().Position(info.pos))
 			return
 		}
 	}
 }
 
-// call marks buffers handed to comm sends or to the graph block pool and
-// checks append/copy against tracked buffers. deferred is true inside a
-// defer statement, where a PutBlock runs at function exit and so hands
-// nothing over mid-body.
-func (c *checker) call(s state, call *ast.CallExpr, deferred bool) {
+// call marks buffers handed to comm sends and checks append/copy against
+// tracked buffers.
+func (c *checker) call(s state, call *ast.CallExpr) {
 	if isBuiltin(call, "append") || isBuiltin(call, "copy") {
 		if len(call.Args) == 0 {
 			return
@@ -308,12 +277,8 @@ func (c *checker) call(s state, call *ast.CallExpr, deferred bool) {
 		for _, e := range sortedEntries(s) {
 			k, info := e.k, e.v
 			if (dst == k && !info.base) || extensionLevels(dst, k) >= 1 {
-				owner := "sent bytes are receiver-owned until the round-boundary swap"
-				if info.pool {
-					owner = "pooled slices are reissued to later GetBlock callers"
-				}
-				c.reportf(call.Pos(), "%s %s after %s was %s (at %s); %s",
-					verb, dst, k, info.handedTo(), c.pass.Fset().Position(info.pos), owner)
+				c.reportf(call.Pos(), "%s %s after %s was handed to a comm send (at %s); sent bytes are receiver-owned until the round-boundary swap",
+					verb, dst, k, c.pass.Fset().Position(info.pos))
 				return
 			}
 		}
@@ -322,15 +287,6 @@ func (c *checker) call(s state, call *ast.CallExpr, deferred bool) {
 
 	fn := calleeFunc(c.info, call)
 	if fn == nil || fn.Pkg() == nil {
-		return
-	}
-	if strings.HasSuffix(fn.Pkg().Path(), "internal/graph") && fn.Name() == "PutBlock" {
-		if deferred || len(call.Args) != 1 {
-			return
-		}
-		if k, ok := key(call.Args[0]); ok && k != "nil" {
-			s[k] = sent{pos: call.Pos(), pool: true}
-		}
 		return
 	}
 	if !strings.HasSuffix(fn.Pkg().Path(), "internal/comm") {

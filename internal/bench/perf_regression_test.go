@@ -129,10 +129,9 @@ func csrBytes(g *graph.Graph) int64 {
 // TestStreamIngestGate holds the out-of-core build to its memory contract
 // on the full-scale friendster analogue: the streaming two-scan build's
 // allocation (TotalAlloc delta, an upper bound on peak heap growth) must
-// stay within 125% of the final CSR footprint — the pooled cursor matrix
-// and the per-worker block buffers (allocated per build) are the only
-// working set on top of the output arrays. A warmup build fills the
-// cursor-matrix pool first.
+// stay within 125% of the final CSR footprint — the cursor matrix and the
+// per-worker block buffers, both allocated per build, are the only
+// working set on top of the output arrays.
 func TestStreamIngestGate(t *testing.T) {
 	g := Config{Scale: Full}.graphFor(gen.Friendster)
 	path := filepath.Join(t.TempDir(), "graph.kmb2")
@@ -149,7 +148,7 @@ func TestStreamIngestGate(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	stream() // warm the count pool
+	stream() // warm the par worker pool
 	gort.GC()
 	_, alloc := timeOp(1, func() {}, stream)
 	csr := csrBytes(g)

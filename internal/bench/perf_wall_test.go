@@ -20,9 +20,10 @@ import (
 // (`make bench` and the CI bench-smoke job do exactly that).
 
 // edgeColumns extracts a graph's edge list as builder columns, the raw
-// material both build twins consume. The measured op symmetrizes first, so
-// starting from an already-symmetric CSR means Dedup sees every edge twice
-// — real duplicate-elimination work, like a raw generator stream.
+// material both build paths consume. The measured op symmetrizes first, so
+// starting from an already-symmetric CSR means duplicate removal sees
+// every edge twice — real duplicate-elimination work, like a raw
+// generator stream.
 func edgeColumns(g *graph.Graph) (srcs, dsts []graph.NodeID, ws []float64) {
 	m := int(g.NumEdges())
 	srcs = make([]graph.NodeID, 0, m)
@@ -44,22 +45,26 @@ func edgeColumns(g *graph.Graph) (srcs, dsts []graph.NodeID, ws []float64) {
 	return srcs, dsts, ws
 }
 
-// buildWall times the column pipeline (symmetrize, dedup, CSR build) on
-// g's edge list, best of reps: the parallel path at workers, or the
-// retained serial reference.
+// buildWall times the generators' build (symmetric closure, duplicate
+// removal, CSR) on g's edge list, best of reps: graph.BuildSymmetric at
+// workers, or the serial reference chain.
 func buildWall(g *graph.Graph, workers, reps int, serial bool) time.Duration {
 	srcs, dsts, ws := edgeColumns(g)
 	var b *graph.Builder
 	wall, _ := timeOp(reps,
 		func() {
-			// The pipeline mutates its columns; each rep gets fresh copies.
-			s2 := append([]graph.NodeID(nil), srcs...)
-			d2 := append([]graph.NodeID(nil), dsts...)
-			var w2 []float64
-			if ws != nil {
-				w2 = append([]float64(nil), ws...)
+			if !serial {
+				return
 			}
-			b = graph.NewBuilderFromArrays(g.NumNodes(), s2, d2, w2).SetWorkers(workers)
+			// The serial chain mutates its builder; each rep gets a fresh one.
+			b = graph.NewBuilder(g.NumNodes())
+			for i := range srcs {
+				if ws != nil {
+					b.AddWeightedEdge(srcs[i], dsts[i], ws[i])
+				} else {
+					b.AddEdge(srcs[i], dsts[i])
+				}
+			}
 		},
 		func() {
 			if serial {
@@ -67,9 +72,7 @@ func buildWall(g *graph.Graph, workers, reps int, serial bool) time.Duration {
 				b.DedupSerial()
 				b.BuildSerial()
 			} else {
-				b.Symmetrize()
-				b.Dedup()
-				b.Build()
+				graph.BuildSymmetric(g.NumNodes(), srcs, dsts, ws, workers)
 			}
 		})
 	return wall
@@ -100,6 +103,7 @@ func TestIngestBuildPartitionGate(t *testing.T) {
 	g := Config{Scale: Full}.graphFor(gen.Friendster)
 	serial := buildWall(g, 1, reps, true) + partitionWall(g, 8, 1, reps, true)
 	par := buildWall(g, workers, reps, false) + partitionWall(g, 8, workers, reps, false)
+	t.Logf("serial=%v parallel=%v (%.2fx)", serial, par, float64(par)/float64(serial))
 	if serial == 0 {
 		t.Fatal("serial ingest measured zero wall time; gate workload is broken")
 	}

@@ -59,3 +59,50 @@ func TestPresetsBitIdenticalAcrossWorkers(t *testing.T) {
 		requireIdenticalGraphs(t, string(p), want, BuildSmall(p))
 	}
 }
+
+// TestGeneratorsMatchSerialChain holds each generator's build to the
+// serial reference chain it replaced, fed the same fillColumns output:
+// SymmetrizeSerial, DedupSerial where the generator removes duplicates,
+// then BuildSerial. Grid, Chain and Star have no duplicates, so their
+// chain skips DedupSerial, and matching it shows that BuildSymmetric's
+// duplicate removal leaves them unchanged.
+func TestGeneratorsMatchSerialChain(t *testing.T) {
+	gens := []struct {
+		name  string
+		cs    candidates
+		dedup bool
+	}{
+		{"grid", gridCandidates(13, 17, true, 5), false},
+		{"rmat", rmatCandidates(9, 6, true, 6), true},
+		{"erdosrenyi", erdosRenyiCandidates(300, 1500, true, 7), true},
+		{"chain", chainCandidates(64, true, 8), false},
+		{"star", starCandidates(50), false},
+		{"communities", communitiesCandidates(4, 40, 5, 2, true, 9), true},
+	}
+	prev := SetWorkers(1)
+	defer SetWorkers(prev)
+	for _, g := range gens {
+		for _, workers := range []int{1, 4} {
+			SetWorkers(workers)
+			srcs, dsts, ws := fillColumns(g.cs.count, g.cs.weighted, g.cs.cand)
+			b := graph.NewBuilder(g.cs.numNodes)
+			for i := range srcs {
+				if ws != nil {
+					b.AddWeightedEdge(srcs[i], dsts[i], ws[i])
+				} else {
+					b.AddEdge(srcs[i], dsts[i])
+				}
+			}
+			b.SymmetrizeSerial()
+			if g.dedup {
+				b.DedupSerial()
+			}
+			want := b.BuildSerial()
+			got := g.cs.build()
+			if want.Weighted() != got.Weighted() {
+				t.Fatalf("%s/workers=%d: weighted %v, serial chain %v", g.name, workers, got.Weighted(), want.Weighted())
+			}
+			requireIdenticalGraphs(t, fmt.Sprintf("%s/workers=%d", g.name, workers), want, got)
+		}
+	}
+}

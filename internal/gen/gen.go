@@ -27,9 +27,13 @@ import (
 //
 //kimbap:deterministic
 func Grid(rows, cols int, weighted bool, seed int64) *graph.Graph {
+	return gridCandidates(rows, cols, weighted, seed).build()
+}
+
+func gridCandidates(rows, cols int, weighted bool, seed int64) candidates {
 	// Candidate c: cell c/2's rightward (even c) or downward (odd c) edge;
 	// border cells drop the candidates that would leave the grid.
-	b := builderFromCandidates(rows*cols, rows*cols*2, weighted,
+	return candidates{rows * cols, rows * cols * 2, weighted,
 		func(c int) (src, dst graph.NodeID, w float64, ok bool) {
 			cell := c >> 1
 			i, j := cell/cols, cell%cols
@@ -46,9 +50,7 @@ func Grid(rows, cols int, weighted bool, seed int64) *graph.Graph {
 			}
 			r := newEdgeRand(seed, int64(c))
 			return graph.NodeID(cell), dst, 1 + 99*r.Float64(), true
-		})
-	b.Symmetrize()
-	return b.Build()
+		}}
 }
 
 // RMAT generates a power-law graph with 2^scale nodes and approximately
@@ -59,12 +61,13 @@ func Grid(rows, cols int, weighted bool, seed int64) *graph.Graph {
 //
 //kimbap:deterministic
 func RMAT(scale int, edgeFactor int, weighted bool, seed int64) *graph.Graph {
-	return rmat(scale, edgeFactor, 0.57, 0.19, 0.19, weighted, seed)
+	return rmatCandidates(scale, edgeFactor, weighted, seed).build()
 }
 
-func rmat(scale, edgeFactor int, a, b, c float64, weighted bool, seed int64) *graph.Graph {
+func rmatCandidates(scale, edgeFactor int, weighted bool, seed int64) candidates {
+	const a, b, c = 0.57, 0.19, 0.19
 	n := 1 << scale
-	bld := builderFromCandidates(n, edgeFactor*n, weighted,
+	return candidates{n, edgeFactor * n, weighted,
 		func(cd int) (graph.NodeID, graph.NodeID, float64, bool) {
 			r := newEdgeRand(seed, int64(cd))
 			src, dst := 0, 0
@@ -86,10 +89,7 @@ func rmat(scale, edgeFactor int, a, b, c float64, weighted bool, seed int64) *gr
 				return 0, 0, 0, false
 			}
 			return graph.NodeID(src), graph.NodeID(dst), 1 + 99*r.Float64(), true
-		})
-	bld.Symmetrize()
-	bld.Dedup()
-	return bld.Build()
+		}}
 }
 
 // ErdosRenyi generates a G(n, m) random graph with m directed edges chosen
@@ -97,7 +97,11 @@ func rmat(scale, edgeFactor int, a, b, c float64, weighted bool, seed int64) *gr
 //
 //kimbap:deterministic
 func ErdosRenyi(n, m int, weighted bool, seed int64) *graph.Graph {
-	b := builderFromCandidates(n, m, weighted,
+	return erdosRenyiCandidates(n, m, weighted, seed).build()
+}
+
+func erdosRenyiCandidates(n, m int, weighted bool, seed int64) candidates {
+	return candidates{n, m, weighted,
 		func(c int) (graph.NodeID, graph.NodeID, float64, bool) {
 			r := newEdgeRand(seed, int64(c))
 			src := graph.NodeID(r.Intn(n))
@@ -106,10 +110,7 @@ func ErdosRenyi(n, m int, weighted bool, seed int64) *graph.Graph {
 				return 0, 0, 0, false
 			}
 			return src, dst, 1 + 99*r.Float64(), true
-		})
-	b.Symmetrize()
-	b.Dedup()
-	return b.Build()
+		}}
 }
 
 // Chain generates a path graph 0-1-2-...-(n-1), symmetrized. Its diameter is
@@ -117,17 +118,15 @@ func ErdosRenyi(n, m int, weighted bool, seed int64) *graph.Graph {
 //
 //kimbap:deterministic
 func Chain(n int, weighted bool, seed int64) *graph.Graph {
-	candidates := n - 1
-	if n == 0 {
-		candidates = 0
-	}
-	b := builderFromCandidates(n, candidates, weighted,
+	return chainCandidates(n, weighted, seed).build()
+}
+
+func chainCandidates(n int, weighted bool, seed int64) candidates {
+	return candidates{n, max(n-1, 0), weighted,
 		func(c int) (graph.NodeID, graph.NodeID, float64, bool) {
 			r := newEdgeRand(seed, int64(c))
 			return graph.NodeID(c), graph.NodeID(c + 1), 1 + 99*r.Float64(), true
-		})
-	b.Symmetrize()
-	return b.Build()
+		}}
 }
 
 // Star generates a hub-and-spoke graph: node 0 connected to all others,
@@ -136,12 +135,14 @@ func Chain(n int, weighted bool, seed int64) *graph.Graph {
 //
 //kimbap:deterministic
 func Star(n int) *graph.Graph {
-	b := graph.NewBuilder(n)
-	for i := 1; i < n; i++ {
-		b.AddEdge(0, graph.NodeID(i))
-	}
-	b.Symmetrize()
-	return b.Build()
+	return starCandidates(n).build()
+}
+
+func starCandidates(n int) candidates {
+	return candidates{n, max(n-1, 0), false,
+		func(c int) (graph.NodeID, graph.NodeID, float64, bool) {
+			return 0, graph.NodeID(c + 1), 1, true
+		}}
 }
 
 // Communities generates a planted-partition graph with k communities of
@@ -152,12 +153,16 @@ func Star(n int) *graph.Graph {
 //
 //kimbap:deterministic
 func Communities(k, size, degIn, degOut int, weighted bool, seed int64) *graph.Graph {
+	return communitiesCandidates(k, size, degIn, degOut, weighted, seed).build()
+}
+
+func communitiesCandidates(k, size, degIn, degOut int, weighted bool, seed int64) candidates {
 	n := k * size
 	// Each node owns a block of candidate slots: slot 0 is its ring edge
 	// (connecting the community), the next degIn slots draw intra-community
 	// destinations, the rest draw global ones.
 	slots := 1 + degIn + degOut
-	b := builderFromCandidates(n, n*slots, weighted,
+	return candidates{n, n * slots, weighted,
 		func(c int) (graph.NodeID, graph.NodeID, float64, bool) {
 			u, slot := c/slots, c%slots
 			base := (u / size) * size
@@ -176,10 +181,7 @@ func Communities(k, size, degIn, degOut int, weighted bool, seed int64) *graph.G
 				return 0, 0, 0, false
 			}
 			return graph.NodeID(u), graph.NodeID(v), 1 + 9*r.Float64(), true
-		})
-	b.Symmetrize()
-	b.Dedup()
-	return b.Build()
+		}}
 }
 
 // Preset names the scaled-down analogues of the paper's Table 1 inputs.

@@ -57,25 +57,25 @@ func (r *edgeRand) Intn(n int) int {
 	return int(r.Uint64() % uint64(n))
 }
 
-// fillColumns materializes the surviving candidates of cand(0..candidates)
+// fillColumns materializes the surviving candidates of cand(0..count)
 // into exact-size edge columns, in candidate order. cand must be a pure
 // function of its index (its edgeRand is the only randomness source);
 // pass one counts each worker's static chunk's survivors, an exclusive
 // scan gives the chunk write starts, and pass two regenerates and scatters
 // — cheaper than buffering candidates, and trivially deterministic.
-func fillColumns(candidates int, weighted bool,
+func fillColumns(count int, weighted bool,
 	cand func(c int) (src, dst graph.NodeID, w float64, ok bool)) (srcs, dsts []graph.NodeID, ws []float64) {
 
 	workers := par.Resolve(genWorkers)
-	if workers > candidates {
-		workers = candidates
+	if workers > count {
+		workers = count
 	}
-	if candidates == 0 {
+	if count == 0 {
 		return nil, nil, nil
 	}
 	counts := make([]int64, workers)
 	par.Do(workers, func(wk int) {
-		lo, hi := par.Range(wk, workers, candidates)
+		lo, hi := par.Range(wk, workers, count)
 		var c int64
 		for i := lo; i < hi; i++ {
 			if _, _, _, ok := cand(i); ok {
@@ -97,7 +97,7 @@ func fillColumns(candidates int, weighted bool,
 	}
 	par.Do(workers, func(wk int) {
 		at := counts[wk]
-		lo, hi := par.Range(wk, workers, candidates)
+		lo, hi := par.Range(wk, workers, count)
 		for i := lo; i < hi; i++ {
 			s, d, w, ok := cand(i)
 			if !ok {
@@ -113,11 +113,19 @@ func fillColumns(candidates int, weighted bool,
 	return srcs, dsts, ws
 }
 
-// builderFromCandidates wraps fillColumns in a Builder that inherits the
-// generator worker count.
-func builderFromCandidates(numNodes, candidates int, weighted bool,
-	cand func(c int) (src, dst graph.NodeID, w float64, ok bool)) *graph.Builder {
+// candidates is a generator's candidate edge space over numNodes nodes:
+// cand(c) for c in [0, count) is the c-th candidate edge, dropped when ok
+// is false.
+type candidates struct {
+	numNodes, count int
+	weighted        bool
+	cand            func(c int) (src, dst graph.NodeID, w float64, ok bool)
+}
 
-	srcs, dsts, ws := fillColumns(candidates, weighted, cand)
-	return graph.NewBuilderFromArrays(numNodes, srcs, dsts, ws).SetWorkers(genWorkers)
+// build materializes the surviving candidates with fillColumns and builds
+// their symmetric closure, duplicates collapsed to the minimum weight, at
+// the generator worker count.
+func (cs candidates) build() *graph.Graph {
+	srcs, dsts, ws := fillColumns(cs.count, cs.weighted, cs.cand)
+	return graph.BuildSymmetric(cs.numNodes, srcs, dsts, ws, genWorkers)
 }

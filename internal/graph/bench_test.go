@@ -12,8 +12,7 @@ func benchGraph(b *testing.B, n, m int) *Graph {
 	for i := 0; i < m; i++ {
 		bld.AddEdge(NodeID(r.Intn(n)), NodeID(r.Intn(n)))
 	}
-	bld.Symmetrize()
-	return bld.Build()
+	return buildSymmetric(bld)
 }
 
 func BenchmarkBuildCSR(b *testing.B) {

@@ -156,7 +156,7 @@ func decodeKMB2Header(b []byte) (kmb2Header, error) {
 type KMB2Writer struct {
 	w       io.WriteSeeker
 	hdr     kmb2Header
-	blk     *EdgeBlock
+	blk     EdgeBlock
 	scratch []byte
 	off     int64
 	closed  bool
@@ -177,9 +177,7 @@ func NewKMB2Writer(w io.WriteSeeker, numNodes int, weighted bool, blockEdges int
 	kw := &KMB2Writer{
 		w:   w,
 		hdr: kmb2Header{weighted: weighted, numNodes: numNodes, blockEdges: blockEdges},
-		blk: GetBlock(),
 	}
-	kw.blk.Reset(0, weighted)
 	kw.scratch = make([]byte, kw.hdr.blockStride())
 	// Placeholder header page; Close rewrites it with the real counts.
 	if _, err := w.Write(kw.scratch[:kmb2Page]); err != nil {
@@ -294,7 +292,6 @@ func (kw *KMB2Writer) Close() error {
 		return nil
 	}
 	kw.closed = true
-	defer func() { PutBlock(kw.blk); kw.blk = nil }()
 	if err := kw.flushBlock(); err != nil {
 		return err
 	}

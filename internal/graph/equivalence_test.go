@@ -1,15 +1,17 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
-// The parallel build pipeline (build.go) promises bit-identical output to
-// the retained serial references at every worker count. These tests sweep
-// the promise across the feature matrix that changes the pipeline's shape:
+// Builder.Build and BuildSymmetric promise bit-identical output to the
+// serial reference chains at every worker count. These tests sweep the
+// promise across the feature matrix that changes the build's shape:
 // weighted columns, duplicate edges, self-loops, and empty nodes (nodes
 // with no incident edges, so counting-sort buckets of size zero).
 
@@ -88,18 +90,16 @@ func requireGraphsIdentical(t *testing.T, want, got *Graph) {
 	}
 }
 
-func requireColumnsIdentical(t *testing.T, want, got *Builder) {
-	t.Helper()
-	if !reflect.DeepEqual(want.srcs, got.srcs) || !reflect.DeepEqual(want.dsts, got.dsts) ||
-		!reflect.DeepEqual(want.weights, got.weights) {
-		t.Fatalf("builder columns differ:\nwant %v->%v (%v)\ngot  %v->%v (%v)",
-			want.srcs, want.dsts, want.weights, got.srcs, got.dsts, got.weights)
-	}
-}
-
 var workerCounts = []int{1, 2, 4, 8}
 
-// pipelines pairs each serial reference chain with its parallel twin.
+// buildSymmetric runs BuildSymmetric over b's columns at b's worker count.
+func buildSymmetric(b *Builder) *Graph {
+	return BuildSymmetric(b.numNodes, b.srcs, b.dsts, b.weights, b.workers)
+}
+
+// pipelines pairs each serial reference chain with its parallel path:
+// BuildSymmetric's two stages, the symmetric column source and dedupRows,
+// are each checked alone as well as together.
 var pipelines = []struct {
 	name     string
 	serial   func(b *Builder) *Graph
@@ -108,13 +108,13 @@ var pipelines = []struct {
 	{"build", (*Builder).BuildSerial, (*Builder).Build},
 	{"symmetrize+build",
 		func(b *Builder) *Graph { b.SymmetrizeSerial(); return b.BuildSerial() },
-		func(b *Builder) *Graph { b.Symmetrize(); return b.Build() }},
+		func(b *Builder) *Graph { return buildColumns(b.numNodes, b.srcs, b.dsts, b.weights, true, b.workers) }},
 	{"dedup+build",
 		func(b *Builder) *Graph { b.DedupSerial(); return b.BuildSerial() },
-		func(b *Builder) *Graph { b.Dedup(); return b.Build() }},
+		func(b *Builder) *Graph { return dedupRows(b.Build(), b.workers) }},
 	{"symmetrize+dedup+build",
 		func(b *Builder) *Graph { b.SymmetrizeSerial(); b.DedupSerial(); return b.BuildSerial() },
-		func(b *Builder) *Graph { b.Symmetrize(); b.Dedup(); return b.Build() }},
+		buildSymmetric},
 }
 
 func TestParallelBuildMatchesSerial(t *testing.T) {
@@ -135,8 +135,11 @@ func TestParallelBuildMatchesSerial(t *testing.T) {
 	}
 }
 
-// The column-level checks pin Symmetrize and Dedup on their own, before any
-// Build reordering could mask a divergence.
+// The stage-level checks pin BuildSymmetric's stages on their own. The
+// symmetric column source's blocks, drained, must hold SymmetrizeSerial's
+// edge multiset, before StreamBuilder's sort could mask a dropped or
+// extra edge; dedupRows over the serial reference CSR must equal
+// DedupSerial, without the parallel build's help.
 func TestParallelColumnOpsMatchSerial(t *testing.T) {
 	const n, m = 53, 400
 	for _, ec := range allEdgeCases() {
@@ -148,35 +151,86 @@ func TestParallelColumnOpsMatchSerial(t *testing.T) {
 		dedupRef.DedupSerial()
 		for _, w := range workerCounts {
 			t.Run(fmt.Sprintf("%s/workers=%d", ec.name(), w), func(t *testing.T) {
-				b := NewBuilder(n).SetWorkers(w)
+				b := NewBuilder(n)
 				fillBuilder(b, ec, n, m, 7)
-				b.Symmetrize()
-				requireColumnsIdentical(t, symRef, b)
+				src := newColumnSource(n, b.srcs, b.dsts, b.weights, true, w)
+				requireSameEdgeMultiset(t, symRef, drainSource(t, src))
 
-				b = NewBuilder(n).SetWorkers(w)
+				b = NewBuilder(n)
 				fillBuilder(b, ec, n, m, 7)
-				b.Dedup()
-				requireColumnsIdentical(t, dedupRef, b)
+				requireGraphsIdentical(t, dedupRef.BuildSerial(), dedupRows(b.BuildSerial(), w))
 			})
 		}
 	}
 }
 
+// drainSource reads every block of src into a fresh Builder's columns.
+func drainSource(t *testing.T, src BlockSource) *Builder {
+	t.Helper()
+	out := NewBuilder(src.NumNodes())
+	var blk EdgeBlock
+	for i := 0; i < src.NumBlocks(); i++ {
+		if err := src.ReadBlock(i, &blk); err != nil {
+			t.Fatalf("block %d: %v", i, err)
+		}
+		out.srcs = append(out.srcs, blk.Srcs...)
+		out.dsts = append(out.dsts, blk.Dsts...)
+		if src.Weighted() {
+			out.weights = append(out.weights, blk.Weights...)
+		}
+	}
+	return out
+}
+
+// requireSameEdgeMultiset compares two edge columns up to edge order.
+func requireSameEdgeMultiset(t *testing.T, want, got *Builder) {
+	t.Helper()
+	type edge struct {
+		s, d NodeID
+		w    float64
+	}
+	sorted := func(b *Builder) []edge {
+		es := make([]edge, len(b.srcs))
+		for i := range es {
+			es[i] = edge{s: b.srcs[i], d: b.dsts[i]}
+			if b.weights != nil {
+				es[i].w = b.weights[i]
+			}
+		}
+		slices.SortFunc(es, func(x, y edge) int {
+			if c := cmp.Compare(x.s, y.s); c != 0 {
+				return c
+			}
+			if c := cmp.Compare(x.d, y.d); c != 0 {
+				return c
+			}
+			return cmp.Compare(x.w, y.w)
+		})
+		return es
+	}
+	if (want.weights == nil) != (got.weights == nil) {
+		t.Fatalf("weighted %v, want %v", got.weights != nil, want.weights != nil)
+	}
+	if w, g := sorted(want), sorted(got); !reflect.DeepEqual(w, g) {
+		t.Fatalf("edge multisets differ:\nwant %v\ngot  %v", w, g)
+	}
+}
+
 func TestBuildEmptyAndDegenerate(t *testing.T) {
 	for _, w := range workerCounts {
-		g := NewBuilder(0).SetWorkers(w).Build()
-		if g.NumNodes() != 0 || g.NumEdges() != 0 {
-			t.Fatalf("workers=%d: empty build = %d nodes %d edges", w, g.NumNodes(), g.NumEdges())
-		}
-		g = NewBuilder(5).SetWorkers(w).Build()
-		if g.NumNodes() != 5 || g.NumEdges() != 0 {
-			t.Fatalf("workers=%d: edgeless build = %d nodes %d edges", w, g.NumNodes(), g.NumEdges())
+		for _, pl := range pipelines {
+			g := pl.parallel(NewBuilder(0).SetWorkers(w))
+			if g.NumNodes() != 0 || g.NumEdges() != 0 {
+				t.Fatalf("%s/workers=%d: empty build = %d nodes %d edges", pl.name, w, g.NumNodes(), g.NumEdges())
+			}
+			g = pl.parallel(NewBuilder(5).SetWorkers(w))
+			if g.NumNodes() != 5 || g.NumEdges() != 0 {
+				t.Fatalf("%s/workers=%d: edgeless build = %d nodes %d edges", pl.name, w, g.NumNodes(), g.NumEdges())
+			}
 		}
 		b := NewBuilder(3).SetWorkers(w)
 		b.AddEdge(2, 0)
-		b.Symmetrize()
-		b.Dedup()
-		g = b.Build()
+		g := buildSymmetric(b)
 		if g.NumEdges() != 2 || !g.HasEdge(0, 2) || !g.HasEdge(2, 0) {
 			t.Fatalf("workers=%d: single-edge pipeline wrong: %v", w, g.Edges())
 		}
@@ -197,19 +251,26 @@ func TestParallelBuildPanicsOnOutOfRange(t *testing.T) {
 	b.Build()
 }
 
-// TestBuildWarmPathAllocs bounds the steady-state allocation count of the
-// parallel Build: the output graph (struct + three arrays) plus the handful
-// of escaping closures and the pooled count matrix round-trip. Growth here
-// means a scratch buffer stopped being recycled.
-func TestBuildWarmPathAllocs(t *testing.T) {
-	b := NewBuilder(256).SetWorkers(4)
-	fillBuilder(b, edgeCase{weighted: true, dups: true}, 256, 4096, 3)
-	b.Build() // warm the count pool
-	avg := testing.AllocsPerRun(20, func() { b.Build() })
-	// 4 output allocations (Graph struct, offsets, dsts, weights) plus
-	// bounded pipeline overhead; 24 gives headroom without hiding a
-	// per-node or per-edge regression (which would add hundreds).
-	if avg > 24 {
-		t.Fatalf("warm Build allocates %.1f times per run, want <= 24", avg)
+// maxBuildAllocs is Build's allocation count at 4 workers when it moved
+// onto StreamBuilder.
+const maxBuildAllocs = 37
+
+// TestBuildAllocsIndependentOfSize holds Build's allocation count to a
+// constant: the output graph, the count matrix, one block per worker and
+// the dispatch closures, none of which grows with the graph. Both sizes
+// stay below par.PrefixSum's parallel cutoff, so a count that differs
+// between them is a per-node or per-edge allocation.
+func TestBuildAllocsIndependentOfSize(t *testing.T) {
+	allocs := func(n int) float64 {
+		b := NewBuilder(n).SetWorkers(4)
+		fillBuilder(b, edgeCase{weighted: true, dups: true}, n, 16*n, 3)
+		return testing.AllocsPerRun(20, func() { b.Build() })
+	}
+	small, large := allocs(200), allocs(3200)
+	if small != large {
+		t.Fatalf("Build allocates %.1f times per run at 200 nodes but %.1f at 3200", small, large)
+	}
+	if small > maxBuildAllocs {
+		t.Fatalf("Build allocates %.1f times per run, want <= %d", small, maxBuildAllocs)
 	}
 }

@@ -150,9 +150,8 @@ func (s Stats) String() string {
 
 // Builder accumulates edges and produces an immutable CSR Graph. Edges are
 // held in structure-of-arrays form — separate src/dst/weight columns — so
-// the parallel build pipeline (build.go) scans and scatters them with
-// columnar passes and unweighted graphs never pay for a weight column.
-// It is not safe for concurrent use.
+// Build hands them to StreamBuilder as blocks (build.go) and unweighted
+// graphs never pay for a weight column. It is not safe for concurrent use.
 type Builder struct {
 	numNodes int
 	srcs     []NodeID
@@ -166,10 +165,9 @@ func NewBuilder(numNodes int) *Builder {
 	return &Builder{numNodes: numNodes}
 }
 
-// SetWorkers fixes the worker count used by Symmetrize, Dedup and Build.
-// Zero (the default) means all cores; tests force specific counts to
-// exercise the parallel paths regardless of machine size. Output is
-// bit-identical at every setting.
+// SetWorkers fixes the worker count Build uses. Zero (the default) means
+// all cores; tests force specific counts to exercise the parallel paths
+// regardless of machine size. Output is bit-identical at every setting.
 func (b *Builder) SetWorkers(w int) *Builder {
 	b.workers = w
 	return b
@@ -203,8 +201,9 @@ func (b *Builder) AddWeightedEdge(src, dst NodeID, w float64) {
 // NumEdges returns the number of edges added so far.
 func (b *Builder) NumEdges() int { return len(b.srcs) }
 
-// SymmetrizeSerial is the retained single-threaded reference for
-// Symmetrize; the equivalence tests compare the two bit for bit.
+// SymmetrizeSerial adds the reverse of every edge added so far, except
+// self-loops. It is the single-threaded reference for BuildSymmetric's
+// symmetric closure; the equivalence tests compare the two bit for bit.
 func (b *Builder) SymmetrizeSerial() {
 	orig := len(b.srcs)
 	for i := 0; i < orig; i++ {
@@ -219,9 +218,10 @@ func (b *Builder) SymmetrizeSerial() {
 	}
 }
 
-// DedupSerial is the retained single-threaded reference for Dedup: a global
-// (src, dst, weight) sort followed by a linear compaction keeping the first
-// edge of each (src, dst) group — the minimum weight. Taking the minimum
+// DedupSerial is the single-threaded reference for BuildSymmetric's
+// duplicate removal: a global (src, dst, weight) sort followed by a linear
+// compaction keeping the first edge of each (src, dst) group — the
+// minimum weight. Taking the minimum
 // (rather than an arbitrary survivor) keeps symmetrized graphs
 // weight-symmetric: both directions of a multi-edge collapse to the same
 // value.
@@ -260,10 +260,9 @@ func (b *Builder) DedupSerial() {
 	b.srcs, b.dsts, b.weights = ns, nd, nw
 }
 
-// BuildSerial is the retained single-threaded reference for Build: degree
-// count, prefix sum, stable scatter in insertion order, then the same
-// in-place per-node adjacency sort the parallel path uses. The Builder must
-// not be reused afterwards.
+// BuildSerial is the single-threaded reference for every CSR build:
+// degree count, prefix sum, stable scatter in insertion order, then the
+// same in-place per-node (dst, weight) sort the parallel paths use.
 func (b *Builder) BuildSerial() *Graph {
 	n := b.numNodes
 	g := &Graph{offsets: make([]int64, n+1)}

@@ -14,8 +14,7 @@ func mkTriangle(t *testing.T) *Graph {
 	b.AddEdge(0, 1)
 	b.AddEdge(1, 2)
 	b.AddEdge(2, 0)
-	b.Symmetrize()
-	return b.Build()
+	return buildSymmetric(b)
 }
 
 func TestEmptyGraph(t *testing.T) {
@@ -85,8 +84,7 @@ func TestDedup(t *testing.T) {
 	b.AddEdge(0, 1)
 	b.AddEdge(0, 1)
 	b.AddEdge(1, 0)
-	b.Dedup()
-	g := b.Build()
+	g := buildSymmetric(b)
 	if g.NumEdges() != 2 {
 		t.Fatalf("NumEdges after dedup = %d, want 2", g.NumEdges())
 	}
@@ -96,8 +94,7 @@ func TestSymmetrizeSkipsSelfLoops(t *testing.T) {
 	b := NewBuilder(2)
 	b.AddEdge(0, 0)
 	b.AddEdge(0, 1)
-	b.Symmetrize()
-	g := b.Build()
+	g := buildSymmetric(b)
 	if g.NumEdges() != 3 { // 0->0, 0->1, 1->0
 		t.Fatalf("NumEdges = %d, want 3", g.NumEdges())
 	}
@@ -222,8 +219,7 @@ func TestReferenceComponents(t *testing.T) {
 	b.AddEdge(1, 2)
 	b.AddEdge(2, 0)
 	b.AddEdge(3, 4)
-	b.Symmetrize()
-	g := b.Build()
+	g := buildSymmetric(b)
 	labels := ReferenceComponents(g)
 	if NumComponents(labels) != 2 {
 		t.Fatalf("NumComponents = %d, want 2", NumComponents(labels))
@@ -247,8 +243,7 @@ func TestReferenceMSFWeight(t *testing.T) {
 	b.AddWeightedEdge(2, 3, 3)
 	b.AddWeightedEdge(3, 0, 4)
 	b.AddWeightedEdge(0, 2, 5)
-	b.Symmetrize()
-	g := b.Build()
+	g := buildSymmetric(b)
 	if w := ReferenceMSFWeight(g); w != 6 {
 		t.Fatalf("MSF weight = %v, want 6 (1+2+3)", w)
 	}
@@ -259,8 +254,7 @@ func TestReferenceMSFWeightForest(t *testing.T) {
 	b := NewBuilder(4)
 	b.AddWeightedEdge(0, 1, 2)
 	b.AddWeightedEdge(2, 3, 7)
-	b.Symmetrize()
-	g := b.Build()
+	g := buildSymmetric(b)
 	if w := ReferenceMSFWeight(g); w != 9 {
 		t.Fatalf("forest weight = %v, want 9", w)
 	}
@@ -277,8 +271,7 @@ func TestModularity(t *testing.T) {
 	b.AddEdge(4, 5)
 	b.AddEdge(5, 3)
 	b.AddEdge(0, 3)
-	b.Symmetrize()
-	g := b.Build()
+	g := buildSymmetric(b)
 	good := []NodeID{0, 0, 0, 1, 1, 1}
 	all := []NodeID{0, 0, 0, 0, 0, 0}
 	qg, qa := Modularity(g, good), Modularity(g, all)
@@ -316,8 +309,7 @@ func TestIsValidMIS(t *testing.T) {
 func TestIsValidMISIsolatedNode(t *testing.T) {
 	b := NewBuilder(3)
 	b.AddEdge(0, 1)
-	b.Symmetrize()
-	g := b.Build()
+	g := buildSymmetric(b)
 	// Node 2 is isolated: must be in the set.
 	if IsValidMIS(g, []bool{true, false, false}) {
 		t.Error("isolated node excluded but accepted")

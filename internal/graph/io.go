@@ -23,12 +23,12 @@ import (
 //
 // The binary block format ("KMB2") lives in blockfile.go.
 
-// ReadEdgeList parses a text edge list from r.
+// ReadEdgeList parses a text edge list from r. Edges go straight into a
+// Builder's columns; the node count is set once the whole list is read.
 func ReadEdgeList(r io.Reader) (*Graph, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	var edges []Edge
-	weighted := false
+	b := NewBuilder(0)
 	numNodes := 0
 	declared := false
 	maxID := NodeID(0)
@@ -59,25 +59,19 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 		if err != nil {
 			return nil, fmt.Errorf("graph: bad dst in %q: %w", line, err)
 		}
-		w := 1.0
 		if len(fields) == 3 {
-			w, err = strconv.ParseFloat(fields[2], 64)
+			w, err := strconv.ParseFloat(fields[2], 64)
 			if err != nil {
 				return nil, fmt.Errorf("graph: bad weight in %q: %w", line, err)
 			}
 			if math.IsNaN(w) {
 				return nil, fmt.Errorf("graph: NaN weight in %q", line)
 			}
-			weighted = true
+			b.AddWeightedEdge(NodeID(src), NodeID(dst), w)
+		} else {
+			b.AddEdge(NodeID(src), NodeID(dst))
 		}
-		e := Edge{Src: NodeID(src), Dst: NodeID(dst), Weight: w}
-		edges = append(edges, e)
-		if e.Src > maxID {
-			maxID = e.Src
-		}
-		if e.Dst > maxID {
-			maxID = e.Dst
-		}
+		maxID = max(maxID, NodeID(src), NodeID(dst))
 		seen = true
 	}
 	if err := sc.Err(); err != nil {
@@ -90,7 +84,8 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 	if numNodes == 0 && seen {
 		numNodes = int(maxID) + 1
 	}
-	return FromEdges(numNodes, edges, weighted), nil
+	b.numNodes = numNodes
+	return b.Build(), nil
 }
 
 // WriteEdgeList writes g as a text edge list with a nodes directive,

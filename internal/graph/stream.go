@@ -2,28 +2,28 @@ package graph
 
 import (
 	"fmt"
-	"sync"
 
 	"kimbap/internal/par"
 )
 
-// This file is the out-of-core half of the ingestion pipeline: a streaming
-// CSR build that runs the same two-pass counting sort as Builder.Build
-// (build.go) while holding at most workers × blockSize edges in memory.
-// Edge data arrives through a BlockSource — a KMB2 block file
-// (blockfile.go) or a sharded text edge list (textsource.go) — and is
-// scanned twice: pass 1 accumulates per-worker degree counts, pass 2
-// scatters straight into the final CSR arrays through conflict-free
-// cursor rows. Peak allocation is O(CSR) plus the fixed block working
-// set, never O(edges) + O(CSR) like the materialize-then-build path.
+// This file is the ingestion pipeline's one CSR builder: a two-pass
+// counting sort over a BlockSource that holds at most workers × blockSize
+// edges in memory. Edge data arrives as blocks from a KMB2 block file
+// (blockfile.go), a sharded text edge list (textsource.go) or in-memory
+// edge columns (columnSource in build.go, behind Builder.Build and
+// BuildSymmetric), and is scanned twice: pass 1 accumulates per-worker
+// degree counts, pass 2 scatters straight into the final CSR arrays
+// through conflict-free cursor rows. Peak allocation is O(CSR) plus the
+// count matrix and the fixed block working set, never O(edges) + O(CSR)
+// like a materialize-then-build path.
 //
 // Determinism and bit-identity: blocks are assigned to workers by static
 // par.Range over the block index — the same assignment in both passes —
 // so the scatter reproduces a fixed insertion order (block-major), and
 // the final per-node (dst, weight) sort is a total order up to fully
-// equal entries. The result is bit-identical to Builder.Build fed the
-// same edge sequence at every worker count and block size; the
-// equivalence tests in stream_test.go enforce exactly that.
+// equal entries. The result is bit-identical to BuildSerial fed the same
+// edge sequence at every worker count and block size; the equivalence
+// tests in stream_test.go and equivalence_test.go enforce exactly that.
 
 // EdgeBlock is a fixed-capacity columnar edge buffer: the unit of IO and
 // parsing in the streaming path. Sources fill the three columns (Weights
@@ -63,33 +63,6 @@ func growCap[T any](s []T, n int) []T {
 		return make([]T, n)
 	}
 	return s[:n]
-}
-
-// blockPool recycles EdgeBlocks (columns and raw scratch) for the
-// block-at-a-time readers and writers outside StreamBuilder (KMB2Writer,
-// graphgen's convert). StreamBuilder does not pool: a text shard's block holds
-// megabytes, and a pooled block stays reachable through the pool's
-// victim cache until the second GC after the build, so the next phase's
-// live heap would depend on how many GCs it had run. Ownership contract
-// (machine-checked by kimbapvet's bufownership analyzer): a block handed
-// to PutBlock may be reissued to another worker immediately — the caller
-// must not write through or retain any of its slices afterwards.
-var blockPool sync.Pool
-
-// GetBlock returns a pooled EdgeBlock. Callers size it with Reset/RawBuf;
-// capacity is retained from previous uses.
-func GetBlock() *EdgeBlock {
-	if b, _ := blockPool.Get().(*EdgeBlock); b != nil {
-		return b
-	}
-	return &EdgeBlock{}
-}
-
-// PutBlock returns a block to the pool. The block and every slice it
-// holds are reissued to later GetBlock callers; writing through or
-// retaining them after the Put is a bufownership violation.
-func PutBlock(b *EdgeBlock) {
-	blockPool.Put(b)
 }
 
 // BlockSource yields a graph's edges as independent blocks. Sources must
@@ -159,9 +132,9 @@ func (sb *StreamBuilder) scan(workers int, blks []EdgeBlock, fn func(w int, blk 
 }
 
 // Build runs the two-scan counting-sort CSR build. The result is
-// bit-identical to Builder.Build over the same edge sequence; peak
-// allocation is the CSR arrays, the pooled (workers × numNodes) cursor
-// matrix, and one block buffer per worker.
+// bit-identical to BuildSerial over the same edge sequence; peak
+// allocation is the CSR arrays, the (workers × numNodes) cursor matrix,
+// and one block buffer per worker, all allocated per build.
 //
 //kimbap:deterministic
 func (sb *StreamBuilder) Build() (*Graph, error) {
@@ -180,7 +153,7 @@ func (sb *StreamBuilder) Build() (*Graph, error) {
 	weighted := sb.src.Weighted()
 	g := &Graph{offsets: make([]int64, n+1)}
 	if nb == 0 {
-		// Match Builder.Build's empty representation bit for bit: non-nil
+		// Match BuildSerial's empty representation bit for bit: non-nil
 		// zero-length columns, weight column present iff the source is
 		// weighted.
 		g.dsts = []NodeID{}
@@ -194,7 +167,7 @@ func (sb *StreamBuilder) Build() (*Graph, error) {
 	// only full-edge validation pass (pass 2 trusts it and only re-checks
 	// totals).
 	blks := make([]EdgeBlock, workers)
-	cnt := getCounts(workers * n)
+	cnt := make([]int64, workers*n)
 	pass1 := make([]int64, workers) // edges seen, for the cross-scan check
 	count := func(w int, blk *EdgeBlock) error {
 		c := cnt[w*n : (w+1)*n]
@@ -206,17 +179,15 @@ func (sb *StreamBuilder) Build() (*Graph, error) {
 			c[s]++
 		}
 		// Empty blocks carry no weight-column information: a text shard
-		// holding only comments leaves a pooled block's nil Weights slice
-		// nil even for a weighted source ([:0] of nil is nil).
+		// holding only comments leaves a block's nil Weights slice nil
+		// even for a weighted source ([:0] of nil is nil).
 		if blk.Len() > 0 && weighted != (blk.Weights != nil) {
 			return fmt.Errorf("graph: block weight column mismatch (source says weighted=%v)", weighted)
 		}
 		pass1[w] += int64(blk.Len())
 		return nil
 	}
-	par.Do(workers, func(w int) { clear(cnt[w*n : (w+1)*n]) })
 	if err := sb.scan(workers, blks, count); err != nil {
-		putCounts(cnt)
 		return nil, err
 	}
 	mergeCounts(workers, n, cnt, g.offsets)
@@ -229,8 +200,7 @@ func (sb *StreamBuilder) Build() (*Graph, error) {
 
 	// Pass 2: conflict-free scatter straight into the final arrays. Every
 	// write lands in a slot reserved by this worker's cursor row, seeded
-	// by mergeCounts with the counts of workers < w — the same invariant
-	// as Builder.Build's scatter.
+	// by mergeCounts with the counts of workers < w.
 	pass2 := make([]int64, workers)
 	scatter := func(w int, blk *EdgeBlock) error {
 		c := cnt[w*n : (w+1)*n]
@@ -272,9 +242,7 @@ func (sb *StreamBuilder) Build() (*Graph, error) {
 		}
 		return nil
 	}
-	err := sb.scan(workers, blks, scatter)
-	putCounts(cnt)
-	if err != nil {
+	if err := sb.scan(workers, blks, scatter); err != nil {
 		return nil, err
 	}
 	for w := range pass2 {
@@ -285,4 +253,33 @@ func (sb *StreamBuilder) Build() (*Graph, error) {
 	}
 	sortAdjacency(g, workers)
 	return g, nil
+}
+
+// mergeCounts stitches a per-worker count matrix into CSR offsets and
+// scatter cursors: column sums into offsets[1..n], a parallel prefix sum,
+// then conversion of each count cell into that worker's write cursor for
+// the node. Cell (w, v) ends up at offsets[v] plus the counts of workers
+// < w for v, which is what makes StreamBuilder's scatter conflict-free
+// and insertion-ordered.
+func mergeCounts(workers, n int, cnt, offsets []int64) {
+	par.Static(workers, n, func(_, lo, hi int) {
+		for v := lo; v < hi; v++ {
+			var s int64
+			for w := 0; w < workers; w++ {
+				s += cnt[w*n+v]
+			}
+			offsets[v+1] = s
+		}
+	})
+	par.PrefixSum(workers, offsets)
+	par.Static(workers, n, func(_, lo, hi int) {
+		for v := lo; v < hi; v++ {
+			pos := offsets[v]
+			for w := 0; w < workers; w++ {
+				c := cnt[w*n+v]
+				cnt[w*n+v] = pos
+				pos += c
+			}
+		}
+	})
 }

@@ -280,9 +280,6 @@ func TestStreamTextBuildAllocBound(t *testing.T) {
 	if ts.NumBlocks() != workers {
 		t.Fatalf("got %d shards, want %d", ts.NumBlocks(), workers)
 	}
-	// Two GCs empty the count pool, so the build below pays for its matrix.
-	runtime.GC()
-	runtime.GC()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	g, err := NewStreamBuilder(ts).SetWorkers(workers).Build()

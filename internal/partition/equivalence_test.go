@@ -265,11 +265,10 @@ func TestParallelPartitionEmptyGraph(t *testing.T) {
 // edges, whose host CSR the reference builds unweighted.
 func TestSingleHostPartitionIsIdentity(t *testing.T) {
 	graphs := map[string]*graph.Graph{
-		"weighted":   multigraph(),
-		"unweighted": gen.RMAT(8, 8, false, 2),
-		"weighted-edgeless": graph.NewBuilderFromArrays(7,
-			[]graph.NodeID{}, []graph.NodeID{}, []float64{}).Build(),
-		"empty": new(graph.Graph),
+		"weighted":          multigraph(),
+		"unweighted":        gen.RMAT(8, 8, false, 2),
+		"weighted-edgeless": graph.AdoptCSR(make([]int64, 8), []graph.NodeID{}, []float64{}, 1),
+		"empty":             new(graph.Graph),
 	}
 	if !graphs["weighted-edgeless"].Weighted() {
 		t.Fatal("the edgeless input graph is not weighted; the case tests nothing")
