@@ -18,7 +18,8 @@
 package algorithms
 
 import (
-	"kimbap/internal/comm"
+	"slices"
+
 	"kimbap/internal/graph"
 	"kimbap/internal/npm"
 	"kimbap/internal/runtime"
@@ -73,6 +74,18 @@ func (c Config) requestActive() bool {
 	return c.Variant != npm.Full && c.Variant != ""
 }
 
+// reads lists maps for a runtime.Phase's Reads: the maps on non-GAR
+// backends, none on GAR (the copy keeps GAR runs from allocating).
+func (c Config) reads(ms ...runtime.SyncMap) []runtime.SyncMap {
+	if !c.requestActive() {
+		return nil
+	}
+	return slices.Clone(ms)
+}
+
+// syncs lists maps for a runtime.Phase's syncs.
+func syncs(ms ...runtime.SyncMap) []runtime.SyncMap { return ms }
+
 // newFrontier attaches a fresh frontier over h's local proxies to m when
 // frontier-driven execution applies: the backend must implement
 // npm.FrontierSink (only the Full variant does) and dense must be off.
@@ -91,45 +104,16 @@ func (c Config) newFrontier(h *runtime.Host, m any) *runtime.Frontier {
 }
 
 // RoundStats is the per-BSP-round activity log filled under
-// Config.LogRounds, one entry per round in execution order: how many local
-// vertices the round visited, how many reduce-sync payload bytes this host
-// sent during it, and whether it was a hook/propagate round (edge work) as
-// opposed to a pointer-jumping shortcut round.
-type RoundStats struct {
-	Active      []int64
-	ReduceBytes []int64
-	Hook        []bool
-}
+// Config.LogRounds (see runtime.RoundStats).
+type RoundStats = runtime.RoundStats
 
-// roundLogger appends one RoundStats entry per record call, charging each
-// round the TagReduce bytes sent since the previous one.
-type roundLogger struct {
-	h    *runtime.Host
-	out  *RoundStats
-	prev int64
-}
-
-func (c Config) roundLogger(h *runtime.Host, out *RoundStats) *roundLogger {
+// roundLog returns the round log of a run filling out, or nil when
+// Config.LogRounds is off.
+func (c Config) roundLog(h *runtime.Host, out *RoundStats) *runtime.RoundLog {
 	if !c.LogRounds {
 		return nil
 	}
-	return &roundLogger{h: h, out: out, prev: reduceBytesSent(h)}
-}
-
-func reduceBytesSent(h *runtime.Host) int64 {
-	_, b := h.EP.StatsByTag()
-	return b[comm.TagReduce]
-}
-
-func (r *roundLogger) record(active int, hook bool) {
-	if r == nil {
-		return
-	}
-	now := reduceBytesSent(r.h)
-	r.out.Active = append(r.out.Active, int64(active))
-	r.out.ReduceBytes = append(r.out.ReduceBytes, now-r.prev)
-	r.out.Hook = append(r.out.Hook, hook)
-	r.prev = now
+	return runtime.NewRoundLog(h, out)
 }
 
 func (c Config) newNodeMap(h *runtime.Host, op npm.ReduceOp[graph.NodeID]) npm.Map[graph.NodeID] {

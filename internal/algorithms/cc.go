@@ -22,10 +22,10 @@ import (
 // dense loops for the equivalence tests; the labels are identical either
 // way (the min-label fixpoint does not depend on evaluation order).
 //
-// Every label round of the three — CC-SV's hook, CC-LP's propagation and
-// CC-SCLP's propagation pass — runs bsp through one loop, labelRun.rounds,
-// which sequences the round; the pointer-jumping shortcut of CC-SV and
-// CC-SCLP (and MSF) is shortcut.run.
+// Every round of the three — CC-SV's hook, CC-LP's propagation, CC-SCLP's
+// propagation pass, the pointer-jumping shortcut of CC-SV and CC-SCLP
+// (and MSF), and the outer rounds around them — runs through the runtime's
+// round driver, runtime.Loop, which sequences it.
 
 // CCStats reports per-run counters.
 type CCStats struct {
@@ -49,7 +49,7 @@ type labelRun struct {
 	cfg Config
 	m   npm.Map[graph.NodeID]
 	fr  *runtime.Frontier
-	rl  *roundLogger
+	rl  *runtime.RoundLog
 }
 
 // newLabelRun builds a min-label map holding every node's own ID, and the
@@ -58,7 +58,7 @@ func (c Config) newLabelRun(h *runtime.Host, stats *CCStats) *labelRun {
 	m := c.newNodeMap(h, npm.MinNodeID())
 	initOwn(h, m)
 	return &labelRun{h: h, cfg: c, m: m, fr: c.newFrontier(h, m),
-		rl: c.roundLogger(h, &stats.PerRound)}
+		rl: c.roundLog(h, &stats.PerRound)}
 }
 
 // finish collects this host's master labels into out.
@@ -67,44 +67,32 @@ func (r *labelRun) finish(out []graph.NodeID) {
 	r.cfg.recordStats(r.m)
 }
 
-// rounds runs bsp label rounds on the pinned map until a round changes no
-// label or limit rounds have run, and returns how many ran and whether the
-// last one changed no label (false: limit cut the phase off). Each round
-// pushes over fr (every local node when fr is nil), then runs ReduceSync
-// and the broadcast, so each round starts on fresh mirrors.
-func (r *labelRun) rounds(fr *runtime.Frontier, limit int, push func(tid int, src graph.NodeID)) (n int, quiet bool) {
-	h, m := r.h, r.m
-	for n = 1; ; n++ {
-		m.ResetUpdated()
-		if r.cfg.requestActive() {
-			requestLocalProxies(h, m)
-		}
-		h.TimeCompute(func() {
-			if fr != nil {
-				h.ParForActive(fr, push)
-			} else {
-				h.ParForNodes(push)
-			}
-		})
-		m.ReduceSync()
-		m.BroadcastSync()
-		endRound(r.rl, fr, true, h.HP.NumLocal())
-		if quiet = !m.IsUpdated(); quiet || n >= limit {
-			return n, quiet
-		}
-	}
+// loop returns the label-round loop on the pinned map: each round push's
+// body runs over fr (every local node when fr is nil), then ReduceSync
+// and the broadcast, so each round starts on fresh mirrors; the loop
+// stops when a round changes no label or after limit rounds. push comes
+// as a Phase literal holding only the body, which marks the body an
+// operator for kimbapvet; loop adds the reads and syncs.
+func (r *labelRun) loop(fr *runtime.Frontier, limit int, push runtime.Phase) runtime.Loop {
+	m := syncs(r.m)
+	push.Reads, push.Reduce, push.Broadcast = r.cfg.reads(r.m), m, m
+	return runtime.Loop{Host: r.h, Frontier: fr, Phases: []runtime.Phase{push},
+		Quiesce: r.m, MaxRounds: limit, Log: r.rl, Hook: true}
 }
 
-// endRound closes a round after its last sync: it advances the frontier
-// and logs the round. dense is the round's visit count when there is no
-// frontier.
-func endRound(rl *roundLogger, fr *runtime.Frontier, hook bool, dense int) {
-	active := dense
-	if fr != nil {
-		active = fr.Count()
-		fr.Advance()
-	}
-	rl.record(active, hook)
+// outer returns the outer-round loop of CC-SV and CC-SCLP: round runs the
+// hook (or propagation) and shortcut phases and raises workDone when a
+// hook did work; the loop stops after a round in which none did.
+func (c Config) outer(h *runtime.Host, workDone *runtime.BoolReducer, round func()) runtime.Loop {
+	return runtime.Loop{Host: h, MaxRounds: c.maxRounds(),
+		Phases: []runtime.Phase{{Before: func() {
+			workDone.Set(false)
+			round()
+		}}},
+		Done: func() bool {
+			workDone.Sync(h.EP)
+			return !workDone.Read()
+		}}
 }
 
 // CCSV runs Shiloach-Vishkin connected components on one host (SPMD).
@@ -124,26 +112,26 @@ func CCSV(h *runtime.Host, cfg Config, out []graph.NodeID) CCStats {
 		acc = par.NewBitset(h.HP.NumLocal())
 	}
 	var workDone runtime.BoolReducer
-	for {
-		stats.OuterRounds++
-		workDone.Set(false)
-		stats.HookRounds += r.hook(&workDone, seed)
-		n, quiet := sc.run(acc)
+	hook := r.hookLoop(&workDone)
+	var quiet bool
+	outer := cfg.outer(h, &workDone, func() {
+		stats.HookRounds += r.hook(&hook, seed)
+		var n int
+		n, quiet = sc.run(acc)
 		stats.ShortcutRounds += n
 		seed = acc
-		workDone.Sync(h.EP)
-		// Converged: no hook did work and the shortcut ran to quiescence.
-		stats.Converged = !workDone.Read() && quiet
-		if !workDone.Read() || stats.OuterRounds >= cfg.maxRounds() {
-			break
-		}
-	}
+	})
+	rounds, done := outer.Run()
+	stats.OuterRounds = rounds
+	// Converged: no hook did work and the shortcut ran to quiescence.
+	stats.Converged = done && quiet
 	r.finish(out)
 	return stats
 }
 
-// hook applies the hook operator until quiescence: for every edge
-// src->dst with parent(src) > parent(dst), min-reduce parent(parent(src))
+// hookLoop returns the hook phase's loop, which applies the hook operator
+// until quiescence and raises workDone on every effective hook: for every
+// edge src->dst with parent(src) > parent(dst), min-reduce parent(parent(src))
 // by parent(dst). Reads touch only the active node and its neighbors, so
 // the compiler pins mirrors and elides requests (§5.2); the reduce target
 // parent(src) is an arbitrary node (trans-vertex).
@@ -163,11 +151,33 @@ func CCSV(h *runtime.Host, cfg Config, out []graph.NodeID) CCStats {
 // dense loop) instead of doubling edge work when both endpoints changed.
 // The extra direction is a no-op for the dense loop's fixpoint (min-reduce
 // is idempotent), so labels stay identical.
-func (r *labelRun) hook(workDone *runtime.BoolReducer, seed *par.Bitset) int {
-	h, parent, fr := r.h, r.m, r.fr
+func (r *labelRun) hookLoop(workDone *runtime.BoolReducer) runtime.Loop {
+	parent, fr := r.m, r.fr
+	local, lv := r.h.HP.Local, npm.Local(parent)
+	return r.loop(fr, r.cfg.maxRounds(), runtime.Phase{Body: func(tid int, src graph.NodeID) {
+		srcParent := lv.Value(src)
+		lo, hi := local.EdgeRange(src)
+		for e := lo; e < hi; e++ {
+			dst := local.Dst(e)
+			dstParent := lv.Value(dst)
+			if srcParent > dstParent {
+				workDone.Reduce(true)
+				parent.Reduce(tid, srcParent, dstParent)
+			} else if fr != nil && dstParent > srcParent && !fr.IsActive(int(dst)) {
+				workDone.Reduce(true)
+				parent.Reduce(tid, dstParent, srcParent)
+			}
+		}
+	}})
+}
+
+// hook runs one hook phase of loop (hookLoop's) from seed and returns its
+// rounds.
+func (r *labelRun) hook(loop *runtime.Loop, seed *par.Bitset) int {
+	parent, fr := r.m, r.fr
 	// Reset before pinning: PinMirrors refreshes mirrors from masters and
 	// activates every mirror whose value changed since the last unpin, and
-	// those activations must land in the next set the seed joins.
+	// those activations must land in the set the seed joins.
 	if fr != nil {
 		fr.Reset()
 	}
@@ -183,24 +193,8 @@ func (r *labelRun) hook(workDone *runtime.BoolReducer, seed *par.Bitset) int {
 			// First hook phase: no prior change record, start dense.
 			fr.ActivateAll()
 		}
-		fr.Advance()
 	}
-	local, lv := h.HP.Local, npm.Local(parent)
-	rounds, _ := r.rounds(fr, r.cfg.maxRounds(), func(tid int, src graph.NodeID) {
-		srcParent := lv.Value(src)
-		lo, hi := local.EdgeRange(src)
-		for e := lo; e < hi; e++ {
-			dst := local.Dst(e)
-			dstParent := lv.Value(dst)
-			if srcParent > dstParent {
-				workDone.Reduce(true)
-				parent.Reduce(tid, srcParent, dstParent)
-			} else if fr != nil && dstParent > srcParent && !fr.IsActive(int(dst)) {
-				workDone.Reduce(true)
-				parent.Reduce(tid, dstParent, srcParent)
-			}
-		}
-	})
+	rounds, _ := loop.Run()
 	parent.UnpinMirrors()
 	return rounds
 }
@@ -224,36 +218,49 @@ func (r *labelRun) hook(workDone *runtime.BoolReducer, seed *par.Bitset) int {
 // still writes only its own parent, which keeps MSF's Overwrite map
 // correct.
 type shortcut struct {
-	h      *runtime.Host
-	cfg    Config
-	parent npm.Map[graph.NodeID]
 	pv     *npm.LocalView[graph.NodeID]
 	fr     *runtime.Frontier
-	rl     *roundLogger
+	loop   runtime.Loop
 	lo, hi graph.NodeID // this host's master range (global IDs)
 	// anc and next are compress's Jacobi buffers, indexed by local master
 	// ID: each iteration reads anc and writes next, then they swap.
 	anc, next []graph.NodeID
 	moved     atomic.Bool // some link moved in compress's current iteration
+	acc       *par.Bitset // run's accumulator (nil: none)
 }
 
 func (c Config) newShortcut(h *runtime.Host, parent npm.Map[graph.NodeID],
-	fr *runtime.Frontier, rl *roundLogger) *shortcut {
+	fr *runtime.Frontier, rl *runtime.RoundLog) *shortcut {
 
 	lo, hi := h.HP.MasterRangeGlobal()
-	return &shortcut{
-		h: h, cfg: c, parent: parent, pv: npm.Local(parent), fr: fr, rl: rl, lo: lo, hi: hi,
+	s := &shortcut{
+		pv: npm.Local(parent), fr: fr, lo: lo, hi: hi,
 		anc: make([]graph.NodeID, h.HP.NumMasters), next: make([]graph.NodeID, h.HP.NumMasters),
 	}
-}
-
-// forMasters runs fn over the masters this round visits.
-func (s *shortcut) forMasters(fn func(tid int, local graph.NodeID)) {
-	if s.fr != nil {
-		s.h.ParForActive(s.fr, fn)
-	} else {
-		s.h.ParForMasters(fn)
+	// Request phase generated by the operator split: request the parent
+	// of the farthest local ancestor.
+	request := func(_ int, local graph.NodeID) {
+		parent.Request(s.anc[local])
 	}
+	jump := func(tid int, local graph.NodeID) {
+		if gp := parent.Read(s.anc[local]); gp != s.pv.Value(local) {
+			s.pv.Reduce(tid, local, gp)
+		}
+	}
+	p := syncs(parent)
+	s.loop = runtime.Loop{Host: h, Frontier: fr, Quiesce: parent, MaxRounds: c.maxRounds(), Log: rl,
+		Phases: []runtime.Phase{
+			{Reads: c.reads(parent), Before: func() { h.TimeCompute(s.compress) },
+				Visit: runtime.ActiveMasters, Body: request, Request: p},
+			{Visit: runtime.ActiveMasters, Body: jump, Reduce: p},
+		},
+		Done: func() bool {
+			if s.acc != nil {
+				fr.OrCurrentInto(s.acc)
+			}
+			return !parent.IsUpdated()
+		}}
+	return s
 }
 
 // run runs the phase and returns the rounds run and whether the last
@@ -267,44 +274,14 @@ func (s *shortcut) forMasters(fn func(tid int, local graph.NodeID)) {
 // keep pointing at themselves within the phase — until its own parent
 // changes again, which re-activates it.
 func (s *shortcut) run(acc *par.Bitset) (rounds int, quiet bool) {
-	h, parent, fr := s.h, s.parent, s.fr
-	if fr != nil {
+	if s.fr != nil {
 		// Reset discards stale activations (e.g. mirror bits from a prior
 		// broadcast); shortcut iterates masters only.
-		fr.Reset()
-		fr.ActivateRange(0, h.HP.NumMasters)
-		fr.Advance()
+		s.fr.Reset()
+		s.fr.ActivateRange(0, len(s.anc))
 	}
-	// Request phase generated by the operator split: request the parent
-	// of the farthest local ancestor.
-	reqBody := func(_ int, local graph.NodeID) {
-		parent.Request(s.anc[local])
-	}
-	body := func(tid int, local graph.NodeID) {
-		if gp := parent.Read(s.anc[local]); gp != s.pv.Value(local) {
-			s.pv.Reduce(tid, local, gp)
-		}
-	}
-	for rounds = 1; ; rounds++ {
-		parent.ResetUpdated()
-		if s.cfg.requestActive() {
-			requestLocalProxies(h, parent)
-		}
-		h.TimeCompute(func() {
-			s.compress()
-			s.forMasters(reqBody)
-		})
-		parent.RequestSync()
-		h.TimeCompute(func() { s.forMasters(body) })
-		parent.ReduceSync()
-		endRound(s.rl, fr, false, h.HP.NumMasters)
-		if acc != nil {
-			fr.OrCurrentInto(acc)
-		}
-		if quiet = !parent.IsUpdated(); quiet || rounds >= s.cfg.maxRounds() {
-			return rounds, quiet
-		}
-	}
+	s.acc = acc
+	return s.loop.Run()
 }
 
 // compress sets anc[l], for every master l this round visits, to the
@@ -322,7 +299,7 @@ func (s *shortcut) compress() {
 	// The first doubling step reads the map itself: parent(parent(l)) when
 	// the parent is a local master.
 	s.moved.Store(false)
-	s.forMasters(func(_ int, l graph.NodeID) {
+	s.loop.ParFor(runtime.ActiveMasters, func(_ int, l graph.NodeID) {
 		p := pv.Value(l)
 		a := p
 		if p >= s.lo && p < s.hi {
@@ -339,7 +316,7 @@ func (s *shortcut) compress() {
 	for s.moved.Load() {
 		s.moved.Store(false)
 		anc, next := s.anc, s.next
-		s.forMasters(func(_ int, l graph.NodeID) {
+		s.loop.ParFor(runtime.ActiveMasters, func(_ int, l graph.NodeID) {
 			a := anc[l]
 			if a >= s.lo && a < s.hi {
 				if m := a - s.lo; all || fr.IsActive(int(m)) {
@@ -373,9 +350,8 @@ func CCLP(h *runtime.Host, cfg Config, out []graph.NodeID) CCStats {
 	comp.PinMirrors()
 	if r.fr != nil {
 		r.fr.ActivateAll()
-		r.fr.Advance()
 	}
-	stats.HookRounds, stats.Converged = r.rounds(r.fr, cfg.maxRounds(), func(tid int, src graph.NodeID) {
+	loop := r.loop(r.fr, cfg.maxRounds(), runtime.Phase{Body: func(tid int, src graph.NodeID) {
 		label := lv.Value(src)
 		lo, hi := local.EdgeRange(src)
 		for e := lo; e < hi; e++ {
@@ -383,7 +359,8 @@ func CCLP(h *runtime.Host, cfg Config, out []graph.NodeID) CCStats {
 				lv.Reduce(tid, dst, label)
 			}
 		}
-	})
+	}})
+	stats.HookRounds, stats.Converged = loop.Run()
 	comp.UnpinMirrors()
 	stats.OuterRounds = 1
 	r.finish(out)
@@ -401,36 +378,33 @@ func CCSCLP(h *runtime.Host, cfg Config, out []graph.NodeID) CCStats {
 	comp, local := r.m, h.HP.Local
 	lv := npm.Local(comp)
 	sc := cfg.newShortcut(h, comp, r.fr, r.rl)
-	for {
-		stats.OuterRounds++
-		var workDone runtime.BoolReducer
-		workDone.Set(false)
-		comp.PinMirrors()
-		// The propagation pass runs without the frontier: it visits every
-		// node.
-		n, _ := r.rounds(nil, 1, func(tid int, src graph.NodeID) {
-			label := lv.Value(src)
-			lo, hi := local.EdgeRange(src)
-			for e := lo; e < hi; e++ {
-				if dst := local.Dst(e); label < lv.Value(dst) {
-					workDone.Reduce(true)
-					lv.Reduce(tid, dst, label)
-				}
+	var workDone runtime.BoolReducer
+	// The propagation pass runs without the frontier: it visits every
+	// node.
+	prop := r.loop(nil, 1, runtime.Phase{Body: func(tid int, src graph.NodeID) {
+		label := lv.Value(src)
+		lo, hi := local.EdgeRange(src)
+		for e := lo; e < hi; e++ {
+			if dst := local.Dst(e); label < lv.Value(dst) {
+				workDone.Reduce(true)
+				lv.Reduce(tid, dst, label)
 			}
-		})
+		}
+	}})
+	var quiet bool
+	outer := cfg.outer(h, &workDone, func() {
+		comp.PinMirrors()
+		n, _ := prop.Run()
 		stats.HookRounds += n
 		comp.UnpinMirrors()
 
 		// Shortcut to collapse label chains.
-		n, quiet := sc.run(nil)
+		n, quiet = sc.run(nil)
 		stats.ShortcutRounds += n
-
-		workDone.Sync(h.EP)
-		stats.Converged = !workDone.Read() && quiet
-		if !workDone.Read() || stats.OuterRounds >= cfg.maxRounds() {
-			break
-		}
-	}
+	})
+	rounds, done := outer.Run()
+	stats.OuterRounds = rounds
+	stats.Converged = done && quiet
 	r.finish(out)
 	return stats
 }

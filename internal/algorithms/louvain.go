@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"kimbap/internal/comm"
-	"kimbap/internal/gen"
 	"kimbap/internal/graph"
 	"kimbap/internal/npm"
 	"kimbap/internal/partition"
@@ -430,10 +429,4 @@ func refineLevel(h *runtime.Host, cfg Config, opts CDOptions, accs []*graph.Accu
 type paddedFloat64 struct {
 	v float64
 	_ [56]byte
-}
-
-// Preset-driven helper so benchmarks and examples can run LV on the
-// paper's graph classes without repeating setup.
-func LouvainOnPreset(p gen.Preset, ccfg runtime.Config, acfg Config) (CDResult, error) {
-	return Louvain(gen.Build(p), ccfg, acfg, CDOptions{})
 }

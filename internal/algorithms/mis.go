@@ -99,7 +99,6 @@ func MIS(h *runtime.Host, cfg Config, out []bool) MISStats {
 	if !cfg.dense {
 		fr = runtime.NewFrontier(h.HP.NumLocal())
 		fr.ActivateAll()
-		fr.Advance()
 	}
 
 	// Minimum priority among each node's undecided neighbors, accumulated
@@ -111,123 +110,82 @@ func MIS(h *runtime.Host, cfg Config, out []bool) MISStats {
 	// Host-local views (DESIGN.md §14): every per-node and per-edge body
 	// below addresses the proxies it iterates by local ID.
 	sv, pv, mv := npm.Local(state), npm.Local(prio), npm.Local(minNbr)
+	nm := h.HP.NumMasters
 
-	var stats MISStats
 	var remaining runtime.CountReducer
-	for {
-		stats.Rounds++
-
-		h.ParForMasters(func(_ int, n graph.NodeID) {
-			minNbr.Set(h.HP.GlobalID(n), math.Inf(1))
-		})
-		minNbr.InitSync()
-		if cfg.requestActive() {
-			requestLocalProxies(h, state)
-			requestLocalProxies(h, prio)
+	resetMin := func(_ int, n graph.NodeID) {
+		minNbr.Set(h.HP.GlobalID(n), math.Inf(1))
+	}
+	acc := func(tid int, n graph.NodeID) {
+		if sv.Value(n) != misUndecided {
+			return
 		}
-		accBody := func(tid int, n graph.NodeID) {
-			if sv.Value(n) != misUndecided {
-				return
-			}
-			if m, ok := minUndecided(local.Neighbors(n), n, sv, pv); ok {
-				mv.Reduce(tid, n, m)
-			}
-		}
-		h.TimeCompute(func() {
-			if fr != nil {
-				h.ParForActive(fr, accBody)
-			} else {
-				h.ParForNodes(accBody)
-			}
-		})
-		minNbr.ReduceSync()
-
-		// Decision: an undecided master with priority below all undecided
-		// neighbors joins the set.
-		if cfg.requestActive() {
-			requestLocalProxies(h, state)
-			requestLocalProxies(h, minNbr)
-			requestLocalProxies(h, prio)
-		}
-		state.ResetUpdated()
-		decBody := func(tid int, n graph.NodeID) {
-			if sv.Value(n) != misUndecided {
-				return
-			}
-			if pv.Value(n) < mv.Value(n) {
-				sv.Reduce(tid, n, misIn)
-			}
-		}
-		h.TimeCompute(func() {
-			nm := h.HP.NumMasters
-			if fr != nil {
-				h.ParForActive(fr, func(tid int, n graph.NodeID) {
-					if int(n) < nm {
-						decBody(tid, n)
-					}
-				})
-			} else {
-				h.ParForMasters(decBody)
-			}
-		})
-		state.ReduceSync()
-		state.BroadcastSync()
-
-		// Knock-out: undecided neighbors of new members drop out. The
-		// frontier holds last round's undecided proxies, so a misIn state
-		// there means the node joined *this* round — exactly the members
-		// whose neighbors still need knocking out.
-		if cfg.requestActive() {
-			requestLocalProxies(h, state)
-		}
-		koBody := func(tid int, n graph.NodeID) {
-			if sv.Value(n) != misIn {
-				return
-			}
-			lo, hi := local.EdgeRange(n)
-			for e := lo; e < hi; e++ {
-				if d := local.Dst(e); d != n && sv.Value(d) == misUndecided {
-					sv.Reduce(tid, d, misOut)
-				}
-			}
-		}
-		h.TimeCompute(func() {
-			if fr != nil {
-				h.ParForActive(fr, koBody)
-			} else {
-				h.ParForNodes(koBody)
-			}
-		})
-		state.ReduceSync()
-		state.BroadcastSync()
-
-		if cfg.requestActive() {
-			requestLocalProxies(h, state)
-		}
-		if fr != nil {
-			// Carry still-undecided proxies into the next round's frontier
-			// and count the undecided masters from it.
-			h.ParForActive(fr, func(_ int, n graph.NodeID) {
-				if sv.Value(n) == misUndecided {
-					fr.Activate(int(n))
-				}
-			})
-			fr.Advance()
-			remaining.Set(int64(fr.CountRange(0, h.HP.NumMasters)))
-		} else {
-			remaining.Set(0)
-			h.ParForMasters(func(_ int, n graph.NodeID) {
-				if sv.Value(n) == misUndecided {
-					remaining.Reduce(1)
-				}
-			})
-		}
-		remaining.Sync(h.EP)
-		stats.Converged = remaining.Read() == 0
-		if stats.Converged || stats.Rounds >= cfg.maxRounds() {
-			break
+		if m, ok := minUndecided(local.Neighbors(n), n, sv, pv); ok {
+			mv.Reduce(tid, n, m)
 		}
 	}
+	// Decision: an undecided master with priority below all undecided
+	// neighbors joins the set.
+	decide := func(tid int, n graph.NodeID) {
+		if sv.Value(n) != misUndecided {
+			return
+		}
+		if pv.Value(n) < mv.Value(n) {
+			sv.Reduce(tid, n, misIn)
+		}
+	}
+	// Knock-out: undecided neighbors of new members drop out. The
+	// frontier holds last round's undecided proxies, so a misIn state
+	// there means the node joined *this* round — exactly the members
+	// whose neighbors still need knocking out.
+	knockOut := func(tid int, n graph.NodeID) {
+		if sv.Value(n) != misIn {
+			return
+		}
+		lo, hi := local.EdgeRange(n)
+		for e := lo; e < hi; e++ {
+			if d := local.Dst(e); d != n && sv.Value(d) == misUndecided {
+				sv.Reduce(tid, d, misOut)
+			}
+		}
+	}
+	// Carry still-undecided proxies into the next round's frontier, or
+	// without one count the undecided masters.
+	carry := func(_ int, n graph.NodeID) {
+		if sv.Value(n) == misUndecided {
+			if fr != nil {
+				fr.Activate(int(n))
+			} else {
+				remaining.Reduce(1)
+			}
+		}
+	}
+	carryVisit := runtime.Active
+	if fr == nil {
+		carryVisit = runtime.Masters
+	}
+	st, readState := syncs(state), cfg.reads(state)
+	var stats MISStats
+	stats.Rounds, stats.Converged = (&runtime.Loop{Host: h, Frontier: fr, MaxRounds: cfg.maxRounds(),
+		Phases: []runtime.Phase{
+			{Before: func() {
+				remaining.Set(0)
+				h.ParForMasters(resetMin)
+				minNbr.InitSync()
+			}},
+			{Reads: cfg.reads(state, prio), Body: acc, Reduce: syncs(minNbr)},
+			{Reads: cfg.reads(state, minNbr, prio), Visit: runtime.ActiveMasters, Body: decide,
+				Reduce: st, Broadcast: st},
+			{Reads: readState, Body: knockOut, Reduce: st, Broadcast: st},
+			{Reads: readState, Visit: carryVisit, Body: carry},
+		},
+		Done: func() bool {
+			if fr != nil {
+				remaining.Set(int64(fr.CountRange(0, nm)))
+			}
+			remaining.Sync(h.EP)
+			return remaining.Read() == 0
+		}}).Run()
 	state.UnpinMirrors()
 	prio.UnpinMirrors()
 

@@ -128,7 +128,6 @@ func MSF(h *runtime.Host, cfg Config, comp []graph.NodeID) MSFStats {
 	if !cfg.dense {
 		frProp = runtime.NewFrontier(h.HP.NumLocal())
 		frProp.ActivateAll()
-		frProp.Advance()
 	}
 
 	// Each root's cheapest crossing edge. One map serves every round: each
@@ -143,148 +142,128 @@ func MSF(h *runtime.Host, cfg Config, comp []graph.NodeID) MSFStats {
 	// nodes — roots and candidate endpoints — go through global IDs.
 	local, pv, cv := h.HP.Local, npm.Local(parent), npm.Local(cand)
 
-	for {
-		stats.Rounds++
-		// 1. Collapse parent chains so parents are component roots.
-		_, quiet := sc.run(nil)
-
-		// 2. Reset the candidates: masters back to the identity.
-		h.ParForMasters(func(_ int, local graph.NodeID) {
-			cand.Set(h.HP.GlobalID(local), infEdge())
-		})
-		cand.InitSync()
-
-		// 3. Candidate selection: every node proposes its cheapest edge
-		// that leaves its component, reduced onto the component root
-		// (an arbitrary node: trans-vertex).
-		parent.PinMirrors()
-		if cfg.requestActive() {
-			requestLocalProxies(h, parent)
-		}
-		propBody := func(tid int, n graph.NodeID) {
-			rs := pv.Value(n)
-			// Every crossing edge of n reduces onto the same root rs, so
-			// the scan folds them — the lightest under the (weight,
-			// endpoints) order stays in best — and reduces once. Min is
-			// associative: the root's combined candidate is the same.
-			best := infEdge()
-			crossing := false
-			lo, hi := local.EdgeRange(n)
-			for e := lo; e < hi; e++ {
-				w := local.Weight(e)
-				if crossing && w > best.W {
-					continue // cannot win: skip the parent read
-				}
-				d := local.Dst(e)
-				if pv.Value(d) == rs {
-					continue
-				}
-				crossing = true
-				ga, gb := h.HP.GlobalID(n), h.HP.GlobalID(d)
-				if edge := (MinEdge{W: w, A: min(ga, gb), B: max(ga, gb)}); edge.less(best) {
-					best = edge
-				}
+	resetCand := func(_ int, local graph.NodeID) {
+		cand.Set(h.HP.GlobalID(local), infEdge())
+	}
+	// Candidate selection: every node proposes its cheapest edge that
+	// leaves its component, reduced onto the component root (an arbitrary
+	// node: trans-vertex).
+	propose := func(tid int, n graph.NodeID) {
+		rs := pv.Value(n)
+		// Every crossing edge of n reduces onto the same root rs, so
+		// the scan folds them — the lightest under the (weight,
+		// endpoints) order stays in best — and reduces once. Min is
+		// associative: the root's combined candidate is the same.
+		best := infEdge()
+		crossing := false
+		lo, hi := local.EdgeRange(n)
+		for e := lo; e < hi; e++ {
+			w := local.Weight(e)
+			if crossing && w > best.W {
+				continue // cannot win: skip the parent read
 			}
-			if !crossing {
-				return
+			d := local.Dst(e)
+			if pv.Value(d) == rs {
+				continue
 			}
-			cand.Reduce(tid, rs, best)
-			if frProp != nil {
-				frProp.Activate(int(n))
+			crossing = true
+			ga, gb := h.HP.GlobalID(n), h.HP.GlobalID(d)
+			if edge := (MinEdge{W: w, A: min(ga, gb), B: max(ga, gb)}); edge.less(best) {
+				best = edge
 			}
 		}
-		h.TimeCompute(func() {
-			if frProp != nil {
-				h.ParForActive(frProp, propBody)
-			} else {
-				h.ParForNodes(propBody)
-			}
-		})
-		cand.ReduceSync()
+		if !crossing {
+			return
+		}
+		cand.Reduce(tid, rs, best)
 		if frProp != nil {
-			frProp.Advance()
-		}
-
-		// 4a. Request phase: roots need the parents of their candidate
-		// edge's endpoints (arbitrary nodes).
-		if cfg.requestActive() {
-			requestLocalProxies(h, cand)
-		}
-		h.TimeCompute(func() {
-			h.ParForMasters(func(_ int, local graph.NodeID) {
-				c := cv.Value(local)
-				if !math.IsInf(c.W, 1) {
-					parent.Request(c.A)
-					parent.Request(c.B)
-				}
-			})
-		})
-		parent.RequestSync()
-
-		// 4b. Request phase: roots need the other root's candidate to
-		// de-duplicate mutually selected edges.
-		h.TimeCompute(func() {
-			h.ParForMasters(func(_ int, local graph.NodeID) {
-				c := cv.Value(local)
-				if math.IsInf(c.W, 1) {
-					return
-				}
-				ra, rb := parent.Read(c.A), parent.Read(c.B)
-				other := ra
-				if ra == h.HP.GlobalID(local) {
-					other = rb
-				}
-				cand.Request(other)
-			})
-		})
-		cand.RequestSync()
-
-		// 4c. Merge: every root attaches itself to the other endpoint's
-		// root and accounts its candidate edge. Mutual picks are always
-		// the identical edge (the total order on edges guarantees it);
-		// the smaller root of a mutual pair stays put so the pointer
-		// graph is acyclic, and the larger side accounts the edge.
-		workDone.Set(false)
-		h.TimeCompute(func() {
-			h.ParForMasters(func(tid int, local graph.NodeID) {
-				c := cv.Value(local)
-				if math.IsInf(c.W, 1) {
-					return
-				}
-				og := h.HP.GlobalID(local)
-				ra, rb := parent.Read(c.A), parent.Read(c.B)
-				other := ra
-				if ra == og {
-					other = rb
-				}
-				if other == og {
-					return // endpoints merged earlier in this round's view
-				}
-				if cand.Read(other) == c && og < other {
-					return // smaller root of a mutual pair: stays the root
-				}
-				pv.Reduce(tid, local, other) // single writer: own pointer
-				workDone.Reduce(true)
-				taken[local] = c.W
-				edges.Reduce(1)
-			})
-			for l, w := range taken {
-				weight += w
-				taken[l] = 0
-			}
-		})
-		parent.ReduceSync()
-		parent.UnpinMirrors()
-
-		workDone.Sync(h.EP)
-		stats.Converged = !workDone.Read() && quiet
-		if !workDone.Read() || stats.Rounds >= cfg.maxRounds() {
-			break
+			frProp.Activate(int(n))
 		}
 	}
+	// Request phase: roots need the parents of their candidate edge's
+	// endpoints (arbitrary nodes).
+	requestEnds := func(_ int, local graph.NodeID) {
+		c := cv.Value(local)
+		if !math.IsInf(c.W, 1) {
+			parent.Request(c.A)
+			parent.Request(c.B)
+		}
+	}
+	// Request phase: roots need the other root's candidate to
+	// de-duplicate mutually selected edges.
+	requestOther := func(_ int, local graph.NodeID) {
+		c := cv.Value(local)
+		if math.IsInf(c.W, 1) {
+			return
+		}
+		ra, rb := parent.Read(c.A), parent.Read(c.B)
+		other := ra
+		if ra == h.HP.GlobalID(local) {
+			other = rb
+		}
+		cand.Request(other)
+	}
+	// Merge: every root attaches itself to the other endpoint's root and
+	// accounts its candidate edge. Mutual picks are always the identical
+	// edge (the total order on edges guarantees it); the smaller root of
+	// a mutual pair stays put so the pointer graph is acyclic, and the
+	// larger side accounts the edge.
+	merge := func(tid int, local graph.NodeID) {
+		c := cv.Value(local)
+		if math.IsInf(c.W, 1) {
+			return
+		}
+		og := h.HP.GlobalID(local)
+		ra, rb := parent.Read(c.A), parent.Read(c.B)
+		other := ra
+		if ra == og {
+			other = rb
+		}
+		if other == og {
+			return // endpoints merged earlier in this round's view
+		}
+		if cand.Read(other) == c && og < other {
+			return // smaller root of a mutual pair: stays the root
+		}
+		pv.Reduce(tid, local, other) // single writer: own pointer
+		workDone.Reduce(true)
+		taken[local] = c.W
+		edges.Reduce(1)
+	}
+
+	var quiet, done bool
+	stats.Rounds, done = (&runtime.Loop{Host: h, Frontier: frProp, MaxRounds: cfg.maxRounds(),
+		Phases: []runtime.Phase{
+			{Before: func() {
+				// Collapse parent chains so parents are component roots,
+				// then reset the candidates: masters back to the identity.
+				_, quiet = sc.run(nil)
+				h.ParForMasters(resetCand)
+				cand.InitSync()
+				parent.PinMirrors()
+				workDone.Set(false)
+			}},
+			{Reads: cfg.reads(parent), Body: propose, Reduce: syncs(cand)},
+			{Reads: cfg.reads(cand), Visit: runtime.Masters, Body: requestEnds, Request: syncs(parent)},
+			{Visit: runtime.Masters, Body: requestOther, Request: syncs(cand)},
+			{Visit: runtime.Masters, Body: merge, Reduce: syncs(parent)},
+			{Before: func() {
+				// Account the round's edges in master order.
+				for l, w := range taken {
+					weight += w
+					taken[l] = 0
+				}
+				parent.UnpinMirrors()
+			}},
+		},
+		Done: func() bool {
+			workDone.Sync(h.EP)
+			return !workDone.Read()
+		}}).Run()
+	stats.Converged = done && quiet
 
 	// Final collapse so labels are roots, then collect.
-	_, quiet := sc.run(nil)
+	_, quiet = sc.run(nil)
 	stats.Converged = stats.Converged && quiet
 	edges.Sync(h.EP)
 	stats.TotalWeight = comm.AllReduceFloat64(h.EP, weight)

@@ -117,23 +117,28 @@ func compressForest(t *testing.T, g *graph.Graph, parent []graph.NodeID, hosts, 
 		})
 		m.InitSync()
 		var fr *runtime.Frontier
+		// Leave out every third master that points at a root.
+		active := func(gid graph.NodeID) bool {
+			p := parent[gid]
+			return !useFrontier || parent[p] != p || gid%3 != 0
+		}
 		if useFrontier {
-			// Leave out every third master that points at a root.
 			fr = runtime.NewFrontier(h.HP.NumLocal())
 			h.ParForMasters(func(_ int, l graph.NodeID) {
-				gid := h.HP.GlobalID(l)
-				if p := parent[gid]; parent[p] != p || gid%3 != 0 {
+				if active(h.HP.GlobalID(l)) {
 					fr.Activate(int(l))
 				}
 			})
-			fr.Advance()
 		}
 		s := cfg.newShortcut(h, m, fr, nil)
-		s.compress()
+		// One round whose only step is compress, over the set above.
+		once := runtime.Loop{Host: h, Frontier: fr, Phases: []runtime.Phase{{Before: s.compress}},
+			Done: func() bool { return true }}
+		once.Run()
 		for l := 0; l < h.HP.NumMasters; l++ {
 			gid := h.HP.GlobalID(graph.NodeID(l))
 			out[gid] = graph.InvalidNode
-			if fr == nil || fr.IsActive(l) {
+			if active(gid) {
 				out[gid] = s.anc[l]
 			}
 		}

@@ -8,24 +8,27 @@
 // the external store immediately) — either way the operator's semantics
 // silently depend on the runtime variant.
 //
-// Operators are the function literals passed to the runtime's parallel
-// apply entry points (Host.ParFor, ParForNodes, ParForMasters). Within a
-// literal the analysis is structured and forward-only: loop back edges are
+// Operators are the closures phaseorder.Operators finds — those handed to
+// the runtime's per-node entry points (Host.ParFor, ParForNodes,
+// ParForMasters, ParForActive, Loop.ParFor) and the round driver's phase
+// bodies (a runtime.Phase's Body), written in place or bound to a local
+// name — so both analyzers check one list of operators. Within a closure
+// the analysis is structured and forward-only: loop back edges are
 // ignored, exactly as the IR validator ignores the edge-loop back edge
 // that separates operator applications, and sibling branches of an
 // if/else do not see each other's reduces. A map is identified by the
 // receiver expression it is called on ("parent", "m.ctot"); any receiver
 // whose method set offers both Read and Reduce is treated as a
 // reducible map (npm.Map variants and the runtime's distributed
-// reducers alike). A local view (`lv := npm.Local(m)`, resolved by
-// phaseorder's resolver) is its map: lv.Value is a Read of m and
-// lv.Reduce a Reduce to m.
+// reducers alike). A local view (`lv := npm.Local(m)`) is its map:
+// lv.Value is a Read of m and lv.Reduce a Reduce to m.
 package cautiousop
 
 import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 
 	"kimbap/internal/analysis/framework"
 	"kimbap/internal/analysis/phaseorder"
@@ -38,52 +41,59 @@ var Analyzer = &framework.Analyzer{
 	Run:  run,
 }
 
-// entryPoints are the runtime methods whose closure argument is an
-// operator applied once per node/index.
-var entryPoints = map[string]bool{
-	"ParFor":        true,
-	"ParForNodes":   true,
-	"ParForMasters": true,
-}
-
 func run(pass *framework.Pass) error {
 	info := pass.Pkg.Info
 	for _, f := range pass.Pkg.Files {
 		for _, d := range f.Decls {
-			var views map[string]string
-			if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
-				views = phaseorder.LocalViews(fd.Body, info)
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok || fd.Body == nil {
+				continue
 			}
-			inspectOperators(pass, d, views)
+			views := localViews(fd.Body, info)
+			for _, lit := range phaseorder.Operators(fd.Body, info) {
+				op := &opAnalysis{pass: pass, info: info, views: views}
+				op.stmts(lit.Body.List, map[string]token.Pos{})
+			}
 		}
 	}
 	return nil
 }
 
-// inspectOperators analyzes every operator literal passed to an apply
-// entry point within decl; views resolves the local views declared in it.
-func inspectOperators(pass *framework.Pass, decl ast.Decl, views map[string]string) {
-	info := pass.Pkg.Info
-	ast.Inspect(decl, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
+// localViews maps local-view locals to the source path of their map:
+// `lv := npm.Local(m)` yields {"lv": "m"}, as does one pair of
+// `local, lv := h.HP.Local, npm.Local(m)`. Views arriving through fields
+// or parameters stay unresolved and are not treated as maps.
+func localViews(body *ast.BlockStmt, info *types.Info) map[string]string {
+	views := map[string]string{}
+	ast.Inspect(body, func(n ast.Node) bool {
+		as, ok := n.(*ast.AssignStmt)
 		if !ok {
 			return true
 		}
-		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-		if !ok || !entryPoints[sel.Sel.Name] || len(call.Args) == 0 {
-			return true
+		for i, rhs := range as.Rhs {
+			call, isCall := ast.Unparen(rhs).(*ast.CallExpr)
+			if !isCall || len(call.Args) != 1 || i >= len(as.Lhs) {
+				continue
+			}
+			sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+			if !isSel || sel.Sel.Name != "Local" {
+				continue
+			}
+			fn, _ := info.Uses[sel.Sel].(*types.Func)
+			if fn == nil || fn.Pkg() == nil || !strings.HasSuffix(fn.Pkg().Path(), "internal/npm") {
+				continue
+			}
+			id, isID := as.Lhs[i].(*ast.Ident)
+			if !isID {
+				continue
+			}
+			if mk, ok := exprKey(call.Args[0]); ok {
+				views[id.Name] = mk
+			}
 		}
-		if _, isMethod := info.Selections[sel]; !isMethod {
-			return true
-		}
-		lit, ok := ast.Unparen(call.Args[len(call.Args)-1]).(*ast.FuncLit)
-		if !ok {
-			return true
-		}
-		op := &opAnalysis{pass: pass, info: info, views: views}
-		op.stmts(lit.Body.List, map[string]token.Pos{})
 		return true
 	})
+	return views
 }
 
 type opAnalysis struct {

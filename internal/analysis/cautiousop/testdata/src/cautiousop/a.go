@@ -100,3 +100,15 @@ func nestedLiteral(h *host, m *propMap, n int) {
 		_ = f
 	})
 }
+
+// A body bound to a local name is followed to its literal (MSF's
+// propBody shape).
+func namedBody(h *host, cand *propMap, n int) {
+	body := func(u int) {
+		cand.Reduce(u, 1)
+		if cand.Read(u) == 1 { // want `Read of "cand" follows a Reduce`
+			return
+		}
+	}
+	h.ParForNodes(n, body)
+}

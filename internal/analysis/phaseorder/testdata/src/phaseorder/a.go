@@ -1,54 +1,15 @@
-// Package phaseorder exercises the §9 phase-discipline analyzer against
-// the real npm/runtime APIs: un-synced Reduce at Advance, and per-node
-// Activate from driver code.
+// Package phaseorder exercises the §9 activation rule against the real
+// runtime APIs: per-node Activate belongs in operators or frontier-owning
+// decoders, never in driver code.
 package phaseorder
 
 import (
 	"kimbap/internal/graph"
-	"kimbap/internal/npm"
 	"kimbap/internal/runtime"
 )
 
-// advanceWithoutSync is the basic misordering: the thread-local deltas
-// are still buffered when the frontier flips.
-func advanceWithoutSync(m npm.Map[uint32], fr *runtime.Frontier, n graph.NodeID) {
-	m.Reduce(0, n, 1)
-	fr.Advance() // want `Frontier\.Advance with an un-synced Reduce on m`
-}
-
-// advanceAfterDispatchedReduce hides the Reduce inside a dispatched
-// operator body named by a local, the usual algorithm shape.
-func advanceAfterDispatchedReduce(h *runtime.Host, m npm.Map[uint32], fr *runtime.Frontier) {
-	body := func(tid int, src graph.NodeID) {
-		m.Reduce(tid, src, 1)
-	}
-	h.TimeCompute(func() {
-		h.ParForActive(fr, body)
-	})
-	fr.Advance() // want `Frontier\.Advance with an un-synced Reduce on m`
-}
-
-// fullRound is the sanctioned superstep: compute, sync, broadcast,
-// advance.
-func fullRound(h *runtime.Host, m npm.Map[uint32], fr *runtime.Frontier) {
-	h.TimeCompute(func() {
-		h.ParForActive(fr, func(tid int, src graph.NodeID) {
-			m.Reduce(tid, src, 1)
-		})
-	})
-	m.ReduceSync()
-	m.BroadcastSync()
-	fr.Advance()
-}
-
-// seedRound: bulk activation before round zero has nothing to sync.
-func seedRound(fr *runtime.Frontier) {
-	fr.ActivateAll()
-	fr.Advance()
-}
-
 // activateFromDriver: sequential per-node activation is a missed
-// ParForActive.
+// operator.
 func activateFromDriver(fr *runtime.Frontier, n graph.NodeID) {
 	fr.Activate(int(n)) // want `Frontier\.Activate outside an operator closure`
 }
@@ -73,26 +34,24 @@ func activateBesideDispatch(h *runtime.Host, fr *runtime.Frontier, ids []int) {
 	}
 }
 
-// branchyLoop is the real label-round shape: whichever branch runs,
-// every pending Reduce is synced before the round's Advance, including
-// across the loop back-edge.
-func branchyLoop(h *runtime.Host, m npm.Map[uint32], fr *runtime.Frontier, dense bool) {
-	m.PinMirrors()
-	for i := 0; i < 4; i++ {
-		if dense {
-			h.ParForNodes(func(tid int, src graph.NodeID) {
-				m.Reduce(tid, src, 1)
-			})
-			m.ReduceSync()
-		} else {
-			h.ParForActive(fr, func(tid int, src graph.NodeID) {
-				m.Reduce(tid, src, 1)
-			})
-			m.ReduceSync()
-		}
-		m.BroadcastSync()
-		fr.Advance()
+// activateFromPhase: the round driver's phase bodies are operators,
+// written in place or bound to a local name, and so is a closure handed
+// to Loop.ParFor; a phase's Before hook is sequential driver code.
+func activateFromPhase(h *runtime.Host, fr *runtime.Frontier, m runtime.SyncMap) {
+	carry := func(tid int, n graph.NodeID) {
+		fr.Activate(int(n))
 	}
+	loop := runtime.Loop{Host: h, Frontier: fr, Quiesce: m, Phases: []runtime.Phase{
+		{Body: carry},
+		{Body: func(tid int, n graph.NodeID) { fr.Activate(int(n)) }},
+		{Before: func() {
+			fr.Activate(0) // want `Frontier\.Activate outside an operator closure`
+		}},
+	}}
+	loop.ParFor(runtime.Masters, func(tid int, n graph.NodeID) {
+		fr.Activate(int(n))
+	})
+	loop.Run()
 }
 
 // decoder owns a frontier (it has SetFrontier): the decode side may
@@ -105,32 +64,6 @@ func (d *decoder) decode(ids []int) {
 	for _, i := range ids {
 		d.fr.Activate(i)
 	}
-}
-
-// viewReduceWithoutSync: a local view's Reduce buffers on its map, so the
-// pending reduce is the map's — and only the map's ReduceSync clears it.
-func viewReduceWithoutSync(h *runtime.Host, m npm.Map[uint32], fr *runtime.Frontier) {
-	local, lv := h.HP.Local, npm.Local(m)
-	h.ParForActive(fr, func(tid int, src graph.NodeID) {
-		lo, hi := local.EdgeRange(src)
-		for e := lo; e < hi; e++ {
-			lv.Reduce(tid, local.Dst(e), 1)
-		}
-	})
-	fr.Advance() // want `Frontier\.Advance with an un-synced Reduce on m`
-}
-
-// viewRound is the sanctioned superstep through a view.
-func viewRound(h *runtime.Host, m npm.Map[uint32], fr *runtime.Frontier) {
-	lv := npm.Local(m)
-	h.ParForActive(fr, func(tid int, src graph.NodeID) {
-		if lv.Value(src) > 0 {
-			lv.Reduce(tid, src, 0)
-		}
-	})
-	m.ReduceSync()
-	m.BroadcastSync()
-	fr.Advance()
 }
 
 // activateWordOwnedFromDriver: the single-writer word activation is held

@@ -1,8 +1,10 @@
 package compiler
 
 import (
+	"fmt"
 	"testing"
 
+	"kimbap/internal/algorithms"
 	"kimbap/internal/gen"
 	"kimbap/internal/graph"
 	"kimbap/internal/kvstore"
@@ -288,6 +290,69 @@ func TestCompiledCCMatchesReference(t *testing.T) {
 				}
 			}
 		}
+	}
+	// Compiled and hand-written CC-LP run on the same round driver, so
+	// they must take the same rounds at every host count.
+	for _, tc := range []struct {
+		name   string
+		g      *graph.Graph
+		rounds int64
+	}{
+		{"grid16", gen.Grid(16, 16, false, 1), 31},
+		{"rmat9", gen.RMAT(9, 6, false, 2), 4},
+	} {
+		for _, hosts := range []int{1, 2, 4} {
+			t.Run(fmt.Sprintf("cc-lp-rounds/%s/%dh", tc.name, hosts), func(t *testing.T) {
+				rounds, converged, hand := runCompiledCCLP(t, tc.g, hosts, 0)
+				if rounds != tc.rounds || int64(hand) != tc.rounds || !converged {
+					t.Errorf("compiled %d rounds (converged %v), hand-written %d, want %d converged",
+						rounds, converged, hand, tc.rounds)
+				}
+			})
+		}
+	}
+}
+
+// runCompiledCCLP runs compiled CC-LP on g over hosts × 2 threads under
+// OEC with a per-loop round cap (0: none) and returns host 0's round count
+// and convergence, and hand-written CC-LP's round count on the same
+// cluster.
+func runCompiledCCLP(t *testing.T, g *graph.Graph, hosts, maxRounds int) (rounds int64, converged bool, hand int) {
+	t.Helper()
+	plan, err := Compile(CCLPProgram(), Options{Optimize: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := runtime.NewCluster(g, runtime.Config{NumHosts: hosts, ThreadsPerHost: 2, Policy: partition.OEC})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.Run(func(h *runtime.Host) {
+		e := NewExec(h, plan, ExecConfig{MaxRoundsPerLoop: maxRounds})
+		e.Run()
+		if h.Rank == 0 {
+			rounds, converged = e.Rounds(), e.Converged()
+		}
+	})
+	out := make([]graph.NodeID, g.NumNodes())
+	c.Run(func(h *runtime.Host) {
+		if st := algorithms.CCLP(h, algorithms.Config{}, out); h.Rank == 0 {
+			hand = st.HookRounds
+		}
+	})
+	return rounds, converged, hand
+}
+
+// TestCompiledConvergedReportsCutoff: a compiled loop stopped by
+// MaxRoundsPerLoop must not report convergence.
+func TestCompiledConvergedReportsCutoff(t *testing.T) {
+	g := gen.Chain(64, false, 1)
+	if rounds, converged, _ := runCompiledCCLP(t, g, 2, 0); !converged || rounds != 64 {
+		t.Errorf("uncapped: %d rounds, converged %v; want 64, true", rounds, converged)
+	}
+	if rounds, converged, _ := runCompiledCCLP(t, g, 2, 8); converged || rounds != 8 {
+		t.Errorf("capped at 8: %d rounds, converged %v; want 8, false", rounds, converged)
 	}
 }
 

@@ -22,43 +22,31 @@ type ExecConfig struct {
 // Exec runs a compiled Plan on one host (SPMD): it instantiates the
 // declared property maps, initializes them, lowers every operator to a
 // slot-indexed instruction tree, and executes the plan's BSP phase
-// sequence. Programs with a Flag statement repeat the whole loop sequence
-// until no flag is raised (the Figure 4 outer do-while).
+// sequence on the runtime's round driver. Programs with a Flag statement
+// repeat the whole loop sequence until no flag is raised (the Figure 4
+// outer do-while).
 type Exec struct {
-	h     *runtime.Host
-	plan  *Plan
-	maps  map[string]npm.Map[graph.NodeID]
-	loops []execLoop
-	work  runtime.BoolReducer
-	// requestActive marks backends without GAR, which must request even
-	// active-node properties (see LoopPlan.ReadMaps).
-	requestActive bool
-	maxRounds     int
-	rounds        int64
+	h         *runtime.Host
+	plan      *Plan
+	maps      map[string]npm.Map[graph.NodeID]
+	loops     []execLoop
+	work      runtime.BoolReducer
+	rounds    int64
+	converged bool
 	// scratch[tid] holds one operator application's variable slots.
 	scratch [][]graph.NodeID
 }
 
 type execLoop struct {
-	lp         *LoopPlan
-	requestOps []loweredReq
-	compute    []lStmt
-}
-
-type loweredReq struct {
-	body []lStmt
-	m    npm.Map[graph.NodeID]
+	pins []npm.Map[graph.NodeID]
+	loop runtime.Loop
 }
 
 // NewExec instantiates and initializes the program's maps on this host and
 // lowers all operators. It panics on malformed hand-built plans (Compile
 // validates programs before they get here).
 func NewExec(h *runtime.Host, plan *Plan, cfg ExecConfig) *Exec {
-	e := &Exec{
-		h: h, plan: plan, maps: map[string]npm.Map[graph.NodeID]{},
-		requestActive: cfg.Variant != npm.Full && cfg.Variant != "",
-		maxRounds:     cfg.MaxRoundsPerLoop,
-	}
+	e := &Exec{h: h, plan: plan, maps: map[string]npm.Map[graph.NodeID]{}}
 	for _, d := range plan.Program.Maps {
 		var op npm.ReduceOp[graph.NodeID]
 		switch d.Kind {
@@ -100,22 +88,39 @@ func NewExec(h *runtime.Host, plan *Plan, cfg ExecConfig) *Exec {
 		e.maps[d.Name] = m
 	}
 
+	// Backends without GAR must request even active-node properties (see
+	// LoopPlan.ReadMaps).
+	requestActive := cfg.Variant != npm.Full && cfg.Variant != ""
 	maxSlots := 0
 	for _, lp := range plan.Loops {
 		st := newSlotTable()
-		el := execLoop{lp: lp}
+		visit := runtime.Active
+		if lp.MastersOnly {
+			visit = runtime.ActiveMasters
+		}
+		var phases []runtime.Phase
 		for _, op := range lp.RequestOps {
 			body, err := lowerOp(op.Body, e.maps, st)
 			if err != nil {
 				panic(err)
 			}
-			el.requestOps = append(el.requestOps, loweredReq{body: body, m: e.maps[op.Map]})
+			phases = append(phases, runtime.Phase{Visit: visit, Body: e.operator(body),
+				Request: []runtime.SyncMap{e.maps[op.Map]}})
 		}
 		body, err := lowerOp(lp.Compute, e.maps, st)
 		if err != nil {
 			panic(err)
 		}
-		el.compute = body
+		phases = append(phases, runtime.Phase{Visit: visit, Body: e.operator(body),
+			Reduce: e.syncMaps(lp.ReduceMaps), Broadcast: e.syncMaps(lp.BroadcastMaps)})
+		if requestActive {
+			phases[0].Reads = e.syncMaps(lp.ReadMaps)
+		}
+		el := execLoop{loop: runtime.Loop{Host: h, Phases: phases, Quiesce: e.maps[lp.Quiesce],
+			MaxRounds: cfg.MaxRoundsPerLoop}}
+		for _, m := range lp.PinMaps {
+			el.pins = append(el.pins, e.maps[m])
+		}
 		e.loops = append(e.loops, el)
 		if st.size() > maxSlots {
 			maxSlots = st.size()
@@ -134,13 +139,27 @@ func (e *Exec) Map(name string) npm.Map[graph.NodeID] { return e.maps[name] }
 // Rounds returns the total BSP rounds executed across all loops.
 func (e *Exec) Rounds() int64 { return e.rounds }
 
+// Converged reports whether the last Run ran every loop to quiescence:
+// false when MaxRoundsPerLoop cut any loop off.
+func (e *Exec) Converged() bool { return e.converged }
+
 // Run executes the program to quiescence. Collective: every host calls it.
 func (e *Exec) Run() {
 	hasFlag := programHasFlag(e.plan.Program)
+	e.converged = true
 	for {
 		e.work.Set(false)
 		for i := range e.loops {
-			e.runLoop(&e.loops[i])
+			el := &e.loops[i]
+			for _, m := range el.pins {
+				m.PinMirrors()
+			}
+			rounds, converged := el.loop.Run()
+			for _, m := range el.pins {
+				m.UnpinMirrors()
+			}
+			e.rounds += int64(rounds)
+			e.converged = e.converged && converged
 		}
 		if !hasFlag {
 			return
@@ -173,49 +192,6 @@ func programHasFlag(p *Program) bool {
 	return found
 }
 
-func (e *Exec) runLoop(el *execLoop) {
-	lp := el.lp
-	for _, m := range lp.PinMaps {
-		e.maps[m].PinMirrors()
-	}
-	quiesce := e.maps[lp.Quiesce]
-	for loopRounds := 0; ; loopRounds++ {
-		if e.maxRounds > 0 && loopRounds >= e.maxRounds {
-			break
-		}
-		e.rounds++
-		quiesce.ResetUpdated()
-		if e.requestActive {
-			for _, name := range lp.ReadMaps {
-				m := e.maps[name]
-				e.h.ParForNodes(func(_ int, local graph.NodeID) {
-					m.Request(e.h.HP.GlobalID(local))
-				})
-				m.RequestSync()
-			}
-		}
-		for _, op := range el.requestOps {
-			e.runOperator(op.body, lp.MastersOnly)
-			op.m.RequestSync()
-		}
-		e.h.TimeCompute(func() {
-			e.runOperator(el.compute, lp.MastersOnly)
-		})
-		for _, m := range lp.ReduceMaps {
-			e.maps[m].ReduceSync()
-		}
-		for _, m := range lp.BroadcastMaps {
-			e.maps[m].BroadcastSync()
-		}
-		if !quiesce.IsUpdated() {
-			break
-		}
-	}
-	for _, m := range lp.PinMaps {
-		e.maps[m].UnpinMirrors()
-	}
-}
-
 // frame is one operator application's state.
 type frame struct {
 	slots  []graph.NodeID
@@ -225,8 +201,18 @@ type frame struct {
 	tid    int
 }
 
-func (e *Exec) runOperator(body []lStmt, mastersOnly bool) {
-	run := func(tid int, local graph.NodeID) {
+// syncMaps resolves map names for a phase's syncs.
+func (e *Exec) syncMaps(names []string) []runtime.SyncMap {
+	var ms []runtime.SyncMap
+	for _, n := range names {
+		ms = append(ms, e.maps[n])
+	}
+	return ms
+}
+
+// operator binds a lowered body as a phase body.
+func (e *Exec) operator(body []lStmt) func(tid int, local graph.NodeID) {
+	return func(tid int, local graph.NodeID) {
 		f := frame{
 			slots:  e.scratch[tid],
 			active: e.h.HP.GlobalID(local),
@@ -234,11 +220,6 @@ func (e *Exec) runOperator(body []lStmt, mastersOnly bool) {
 			tid:    tid,
 		}
 		e.execStmts(body, &f)
-	}
-	if mastersOnly {
-		e.h.ParForMasters(run)
-	} else {
-		e.h.ParForNodes(run)
 	}
 }
 

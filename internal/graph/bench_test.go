@@ -23,7 +23,11 @@ func BenchmarkBuildCSR(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		FromEdges(10000, edges, false)
+		bld := NewBuilder(10000)
+		for _, e := range edges {
+			bld.AddEdge(e.Src, e.Dst)
+		}
+		bld.Build()
 	}
 }
 

@@ -232,7 +232,7 @@ func TestBuildEmptyAndDegenerate(t *testing.T) {
 		b.AddEdge(2, 0)
 		g := buildSymmetric(b)
 		if g.NumEdges() != 2 || !g.HasEdge(0, 2) || !g.HasEdge(2, 0) {
-			t.Fatalf("workers=%d: single-edge pipeline wrong: %v", w, g.Edges())
+			t.Fatalf("workers=%d: single-edge pipeline wrong: %d edges", w, g.NumEdges())
 		}
 	}
 }

@@ -302,29 +302,3 @@ func (b *Builder) BuildSerial() *Graph {
 	}
 	return g
 }
-
-// FromEdges is a convenience constructor that builds a graph directly from
-// an edge slice.
-func FromEdges(numNodes int, edges []Edge, weighted bool) *Graph {
-	b := NewBuilder(numNodes)
-	for _, e := range edges {
-		if weighted {
-			b.AddWeightedEdge(e.Src, e.Dst, e.Weight)
-		} else {
-			b.AddEdge(e.Src, e.Dst)
-		}
-	}
-	return b.Build()
-}
-
-// Edges returns a copy of all edges in the graph in CSR order.
-func (g *Graph) Edges() []Edge {
-	out := make([]Edge, 0, g.NumEdges())
-	for n := 0; n < g.NumNodes(); n++ {
-		lo, hi := g.EdgeRange(NodeID(n))
-		for e := lo; e < hi; e++ {
-			out = append(out, Edge{Src: NodeID(n), Dst: g.Dst(e), Weight: g.Weight(e)})
-		}
-	}
-	return out
-}

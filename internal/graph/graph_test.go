@@ -125,15 +125,6 @@ func TestStats(t *testing.T) {
 	}
 }
 
-func TestEdgesRoundTrip(t *testing.T) {
-	g := mkTriangle(t)
-	edges := g.Edges()
-	g2 := FromEdges(g.NumNodes(), edges, false)
-	if !graphsEqual(g, g2) {
-		t.Fatal("FromEdges(Edges()) != original")
-	}
-}
-
 func graphsEqual(a, b *Graph) bool {
 	if a.NumNodes() != b.NumNodes() || a.NumEdges() != b.NumEdges() {
 		return false

@@ -387,42 +387,54 @@ func TestDenseDrainMatchesSequentialOracle(t *testing.T) {
 				m.PinMirrors()
 				fr.Reset()
 				lv := Local[float64](m)
-				for r := range ops {
-					m.ResetUpdated()
-					h.ParFor(threads, func(_, tid int) {
-						for _, op := range ops[r][h.Rank][tid] {
-							lv.Reduce(tid, op.l, op.v)
+				// One driver round per schedule round: the reduces, then
+				// the master checks between ReduceSync and the broadcast,
+				// then (after the frontier advanced) the proxy checks.
+				r := 0
+				loop := runtime.Loop{Host: h, Frontier: fr, Quiesce: m, MaxRounds: len(ops),
+					Phases: []runtime.Phase{
+						{Before: func() {
+							h.ParFor(threads, func(_, tid int) {
+								for _, op := range ops[r][h.Rank][tid] {
+									lv.Reduce(tid, op.l, op.v)
+								}
+							})
+						}, Reduce: []runtime.SyncMap{m}},
+						{Before: func() {
+							for l := 0; l < hp.NumMasters; l++ {
+								gid := hp.GlobalID(graph.NodeID(l))
+								if got := m.masters[l]; math.Float64bits(got) != math.Float64bits(want[r][gid]) {
+									t.Errorf("host %d round %d: master %d = %v, oracle %v", h.Rank, r, gid, got, want[r][gid])
+								}
+								if m.masterDirty.Test(l) != changed[r][gid] {
+									t.Errorf("host %d round %d: master %d dirty=%v, oracle %v", h.Rank, r, gid, m.masterDirty.Test(l), changed[r][gid])
+								}
+							}
+							if got, exp := m.IsUpdated(), slices.Contains(changed[r], true); got != exp {
+								t.Errorf("host %d round %d: IsUpdated = %v, oracle %v", h.Rank, r, got, exp)
+							}
+						}, Broadcast: []runtime.SyncMap{m}},
+					},
+					Done: func() bool {
+						for l := 0; l < hp.NumLocal(); l++ {
+							gid := hp.GlobalID(graph.NodeID(l))
+							if got := m.Read(gid); math.Float64bits(got) != math.Float64bits(want[r][gid]) {
+								t.Errorf("host %d round %d: local %d (node %d) = %v after broadcast, oracle %v", h.Rank, r, l, gid, got, want[r][gid])
+							}
+							if fr.IsActive(l) != changed[r][gid] {
+								t.Errorf("host %d round %d: local %d active=%v, oracle %v", h.Rank, r, l, fr.IsActive(l), changed[r][gid])
+							}
 						}
-					})
-					m.ReduceSync()
-					for l := 0; l < hp.NumMasters; l++ {
-						gid := hp.GlobalID(graph.NodeID(l))
-						if got := m.masters[l]; math.Float64bits(got) != math.Float64bits(want[r][gid]) {
-							t.Errorf("host %d round %d: master %d = %v, oracle %v", h.Rank, r, gid, got, want[r][gid])
+						for tid, b := range m.dense {
+							if b != nil && slices.ContainsFunc(b.seen, func(w uint64) bool { return w != 0 }) {
+								t.Errorf("host %d round %d: thread %d's buffer keeps seen bits", h.Rank, r, tid)
+							}
 						}
-						if m.masterDirty.Test(l) != changed[r][gid] {
-							t.Errorf("host %d round %d: master %d dirty=%v, oracle %v", h.Rank, r, gid, m.masterDirty.Test(l), changed[r][gid])
-						}
-					}
-					if got, exp := m.IsUpdated(), slices.Contains(changed[r], true); got != exp {
-						t.Errorf("host %d round %d: IsUpdated = %v, oracle %v", h.Rank, r, got, exp)
-					}
-					m.BroadcastSync()
-					fr.Advance()
-					for l := 0; l < hp.NumLocal(); l++ {
-						gid := hp.GlobalID(graph.NodeID(l))
-						if got := m.Read(gid); math.Float64bits(got) != math.Float64bits(want[r][gid]) {
-							t.Errorf("host %d round %d: local %d (node %d) = %v after broadcast, oracle %v", h.Rank, r, l, gid, got, want[r][gid])
-						}
-						if fr.IsActive(l) != changed[r][gid] {
-							t.Errorf("host %d round %d: local %d active=%v, oracle %v", h.Rank, r, l, fr.IsActive(l), changed[r][gid])
-						}
-					}
-					for tid, b := range m.dense {
-						if b != nil && slices.ContainsFunc(b.seen, func(w uint64) bool { return w != 0 }) {
-							t.Errorf("host %d round %d: thread %d's buffer keeps seen bits", h.Rank, r, tid)
-						}
-					}
+						r++
+						return false
+					}}
+				if rounds, _ := loop.Run(); rounds != len(ops) {
+					t.Errorf("host %d: %d rounds, want %d", h.Rank, rounds, len(ops))
 				}
 			})
 		})

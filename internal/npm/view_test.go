@@ -102,28 +102,35 @@ func viewRound(h *runtime.Host, v Variant, store MCStore, pin, view bool) viewRu
 		fr.Reset()
 	}
 
-	msgs0, bytes0 := h.EP.Stats()
-	m.ResetUpdated()
-	for p := 0; p < 2; p++ {
-		h.ParForNodes(func(tid int, l graph.NodeID) {
-			gid := h.HP.GlobalID(l)
-			if view {
-				lv.Reduce(tid, l, viewDelta(gid, p))
-			} else {
-				m.Reduce(tid, gid, viewDelta(gid, p))
-			}
-		})
-	}
-	m.ReduceSync()
+	// One driver round: both reduce passes, ReduceSync, the broadcast
+	// when pinned, then the frontier advance.
+	var bcast []runtime.SyncMap
 	if pin {
-		m.BroadcastSync()
+		bcast = []runtime.SyncMap{m}
 	}
-	msgs1, bytes1 := h.EP.Stats()
-	run.msgs, run.bytes = msgs1-msgs0, bytes1-bytes0
-	run.updated = m.IsUpdated()
+	msgs0, bytes0 := h.EP.Stats()
+	round := runtime.Loop{Host: h, Frontier: fr, Quiesce: m, MaxRounds: 1,
+		Phases: []runtime.Phase{{Before: func() {
+			for p := 0; p < 2; p++ {
+				h.ParForNodes(func(tid int, l graph.NodeID) {
+					gid := h.HP.GlobalID(l)
+					if view {
+						lv.Reduce(tid, l, viewDelta(gid, p))
+					} else {
+						m.Reduce(tid, gid, viewDelta(gid, p))
+					}
+				})
+			}
+		}, Reduce: []runtime.SyncMap{m}, Broadcast: bcast}},
+		Done: func() bool {
+			msgs1, bytes1 := h.EP.Stats()
+			run.msgs, run.bytes = msgs1-msgs0, bytes1-bytes0
+			run.updated = m.IsUpdated()
+			return true
+		}}
+	round.Run()
 	if fr != nil {
 		run.frontierSeen = true
-		fr.Advance()
 		run.active = make([]bool, n)
 		for l := range run.active {
 			run.active[l] = fr.IsActive(l)
@@ -218,31 +225,36 @@ func TestDenseCombineMarksMatchAtomicPath(t *testing.T) {
 				for round := 0; round < 3; round++ {
 					before := append([]graph.NodeID(nil), m.masters...)
 					fr.Reset()
-					m.ResetUpdated()
-					// Every thread reduces into a scattered subset of the
-					// local proxies, masters and mirrors alike.
-					h.ParFor(3*n, func(tid, i int) {
-						l := graph.NodeID((i * 7919) % n)
-						if (i+round)%3 != 0 {
-							lv.Reduce(tid, l, viewDelta(h.HP.GlobalID(l), i+round))
-						}
-					})
-					m.ReduceSync()
 					want := par.NewBitset(nm)
-					for i := range before {
-						if m.masters[i] != before[i] {
-							want.Set(i)
-						}
-					}
-					if want.Count() == 0 {
-						t.Errorf("host %d round %d: no master changed; the test reduces nothing", h.Rank, round)
-					}
-					for w := 0; w < want.Words(); w++ {
-						if got, exp := m.masterDirty.MaskedWord(w), want.MaskedWord(w); got != exp {
-							t.Errorf("host %d round %d: masterDirty word %d = %#x, CAS path %#x", h.Rank, round, w, got, exp)
-						}
-					}
-					fr.Advance()
+					// One driver round that ends at ReduceSync, so the
+					// frontier holds the combine's marks alone.
+					(&runtime.Loop{Host: h, Frontier: fr, Quiesce: m, MaxRounds: 1,
+						Phases: []runtime.Phase{{Before: func() {
+							// Every thread reduces into a scattered subset of
+							// the local proxies, masters and mirrors alike.
+							h.ParFor(3*n, func(tid, i int) {
+								l := graph.NodeID((i * 7919) % n)
+								if (i+round)%3 != 0 {
+									lv.Reduce(tid, l, viewDelta(h.HP.GlobalID(l), i+round))
+								}
+							})
+						}, Reduce: []runtime.SyncMap{m}}},
+						Done: func() bool {
+							for i := range before {
+								if m.masters[i] != before[i] {
+									want.Set(i)
+								}
+							}
+							if want.Count() == 0 {
+								t.Errorf("host %d round %d: no master changed; the test reduces nothing", h.Rank, round)
+							}
+							for w := 0; w < want.Words(); w++ {
+								if got, exp := m.masterDirty.MaskedWord(w), want.MaskedWord(w); got != exp {
+									t.Errorf("host %d round %d: masterDirty word %d = %#x, CAS path %#x", h.Rank, round, w, got, exp)
+								}
+							}
+							return true
+						}}).Run()
 					for l := 0; l < n; l++ {
 						if fr.IsActive(l) != (l < nm && want.Test(l)) {
 							t.Errorf("host %d round %d: local %d active=%v, CAS path %v",

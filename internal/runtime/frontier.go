@@ -10,13 +10,14 @@ import "kimbap/internal/par"
 //
 // Protocol per BSP round: the compute phase iterates the *current* set
 // (Host.ParForActive) while reduce and broadcast callbacks Activate bits in
-// the *next* set; Advance then swaps the buffers between rounds. Activate
+// the *next* set; the round driver (Loop.Run) then swaps the buffers after
+// the round's last sync, and it alone does. Activate
 // is an atomic load/CAS loop on the underlying par.Bitset, so activation
 // from conflict-free reduce paths needs no locks and no per-thread buffers —
 // the //kimbap:conflictfree annotation is checked by kimbapvet.
 type Frontier struct {
 	cur, next *par.Bitset
-	count     int // set bits in cur, computed by Advance
+	count     int // set bits in cur, computed by advance
 	// idx is the compacted list of cur's set bits, built lazily per round
 	// for sparse iteration and reused across rounds.
 	idx      []int32
@@ -61,7 +62,7 @@ func (f *Frontier) ActivateRange(lo, hi int) { f.next.SetRange(lo, hi) }
 
 // ActivateAll adds every vertex to the next set. Phases whose first round
 // must be dense (e.g. after another phase changed values untracked) call
-// ActivateAll followed by Advance.
+// it before running their Loop.
 func (f *Frontier) ActivateAll() { f.next.SetRange(0, f.next.Size()) }
 
 // ActivateSet adds every vertex in b to the next set; used to seed a phase
@@ -69,14 +70,16 @@ func (f *Frontier) ActivateAll() { f.next.SetRange(0, f.next.Size()) }
 func (f *Frontier) ActivateSet(b *par.Bitset) { b.OrInto(f.next) }
 
 // OrCurrentInto ors the current set into dst (same size). A phase that
-// narrows its frontier round by round calls this after each Advance to
-// accumulate every round's changed set for the next phase's seed.
+// narrows its frontier round by round calls this after each round (from
+// its Loop's Done) to accumulate every round's changed set for the next
+// phase's seed.
 func (f *Frontier) OrCurrentInto(dst *par.Bitset) { f.cur.OrInto(dst) }
 
-// Advance makes the next set current, clears the new next set, and returns
-// the new current count. Call between BSP rounds, after all activations
-// for the round have been synchronized (reduce + broadcast).
-func (f *Frontier) Advance() int {
+// advance makes the next set current, clears the new next set, and
+// returns the new current count. Loop.Run calls it between BSP rounds,
+// after all activations for the round have been synchronized (reduce +
+// broadcast).
+func (f *Frontier) advance() int {
 	f.cur, f.next = f.next, f.cur
 	f.next.Clear()
 	f.count = f.cur.Count()

@@ -106,24 +106,24 @@ func TestFrontierDoubleBuffering(t *testing.T) {
 	f.Activate(3)
 	f.Activate(97)
 	if f.Count() != 0 || f.IsActive(3) {
-		t.Fatal("activation visible before Advance")
+		t.Fatal("activation visible before advance")
 	}
-	if n := f.Advance(); n != 2 {
-		t.Fatalf("Advance = %d, want 2", n)
+	if n := f.advance(); n != 2 {
+		t.Fatalf("advance = %d, want 2", n)
 	}
 	if !f.IsActive(3) || !f.IsActive(97) || f.IsActive(4) {
-		t.Fatal("current set wrong after Advance")
+		t.Fatal("current set wrong after advance")
 	}
 	// Activations during a round land in the next set only.
 	f.Activate(50)
 	if f.IsActive(50) {
 		t.Fatal("next-set activation leaked into current set")
 	}
-	if n := f.Advance(); n != 1 || !f.IsActive(50) || f.IsActive(3) {
-		t.Fatalf("second Advance: count %d, active(50)=%v active(3)=%v", n, f.IsActive(50), f.IsActive(3))
+	if n := f.advance(); n != 1 || !f.IsActive(50) || f.IsActive(3) {
+		t.Fatalf("second advance: count %d, active(50)=%v active(3)=%v", n, f.IsActive(50), f.IsActive(3))
 	}
 	f.ActivateRange(10, 20)
-	f.Advance()
+	f.advance()
 	if f.Count() != 10 || f.CountRange(0, 15) != 5 {
 		t.Fatalf("range activation: count %d, countRange %d", f.Count(), f.CountRange(0, 15))
 	}
@@ -132,7 +132,7 @@ func TestFrontierDoubleBuffering(t *testing.T) {
 		t.Fatal("Reset left active bits")
 	}
 	f.ActivateAll()
-	if n := f.Advance(); n != 100 {
+	if n := f.advance(); n != 100 {
 		t.Fatalf("ActivateAll count = %d, want 100", n)
 	}
 	if f.MemoryFootprint() <= 0 {
@@ -152,7 +152,7 @@ func TestParForActiveDenseAndSparse(t *testing.T) {
 		for i := 0; i < active; i++ {
 			f.Activate(i * (n / max(active, 1)) % n)
 		}
-		f.Advance()
+		f.advance()
 		var visits [n]atomic.Int32
 		h.ParForActive(f, func(_ int, node graph.NodeID) {
 			visits[node].Add(1)
@@ -172,7 +172,7 @@ func TestParForActiveDenseAndSparse(t *testing.T) {
 		if got != f.Count() {
 			t.Fatalf("active %d: visited %d, frontier count %d", active, got, f.Count())
 		}
-		if f.Advance() != got {
+		if f.advance() != got {
 			t.Fatal("in-loop activations did not land in next set")
 		}
 	}
@@ -188,63 +188,70 @@ func testHost(threads int) *Host {
 // active count alone under the package thresholds, must show its
 // observable signature: the serial form runs everything on the calling
 // goroutine as tid 0, the sparse form materializes the compacted index,
-// and all three visit the active set exactly once.
+// and all three visit the active set exactly once — or, bounded at hi
+// (a master range) mid-word, exactly its part below hi.
 func TestParForActiveForms(t *testing.T) {
 	const n = 4 * frontierDenseDivisor * frontierSerialCutoff
-	run := func(h *Host, active int) (*Frontier, []int32) {
+	run := func(h *Host, active, hi int) (*Frontier, []int32) {
 		f := NewFrontier(n)
 		for i := 0; i < active; i++ {
 			f.Activate(i * (n / active))
 		}
-		f.Advance()
+		f.advance()
 		visits := make([]int32, n)
-		h.ParForActive(f, func(tid int, node graph.NodeID) {
+		h.parForActive(f, hi, func(tid int, node graph.NodeID) {
 			atomic.AddInt32(&visits[node], int32(1+tid<<8))
 		})
 		return f, visits
 	}
-	check := func(t *testing.T, f *Frontier, visits []int32, wantTid0 bool) {
+	check := func(t *testing.T, f *Frontier, visits []int32, hi int, wantTid0 bool) {
 		t.Helper()
 		for i, v := range visits {
 			count := v & 0xff
 			want := int32(0)
-			if f.IsActive(i) {
+			if f.IsActive(i) && i < hi {
 				want = 1
 			}
 			if count != want {
-				t.Fatalf("node %d visited %d times, want %d", i, count, want)
+				t.Fatalf("hi %d: node %d visited %d times, want %d", hi, i, count, want)
 			}
 			if wantTid0 && v>>8 != 0 {
-				t.Fatalf("node %d ran on tid %d, want serial tid 0", i, v>>8)
+				t.Fatalf("hi %d: node %d ran on tid %d, want serial tid 0", hi, i, v>>8)
 			}
 		}
 	}
 
-	t.Run("serial", func(t *testing.T) {
-		h := testHost(4)
-		defer h.pool.close()
-		f, visits := run(h, frontierSerialCutoff) // at the cutoff: inline
-		check(t, f, visits, true)
-		if f.idxValid {
-			t.Fatal("serial path built the sparse index")
+	for _, hi := range []int{n, n/2 + 37} {
+		suffix := ""
+		if hi < n {
+			suffix = "-bounded"
 		}
-	})
-	t.Run("dense", func(t *testing.T) {
-		h := testHost(4)
-		defer h.pool.close()
-		f, visits := run(h, n/frontierDenseDivisor) // count*divisor == size: bitset scan
-		check(t, f, visits, false)
-		if f.idxValid {
-			t.Fatal("dense path built the sparse index")
-		}
-	})
-	t.Run("sparse", func(t *testing.T) {
-		h := testHost(4)
-		defer h.pool.close()
-		f, visits := run(h, 2*frontierSerialCutoff) // above the cutoff, count*divisor < size
-		check(t, f, visits, false)
-		if !f.idxValid {
-			t.Fatal("sparse path did not build the compacted index")
-		}
-	})
+		t.Run("serial"+suffix, func(t *testing.T) {
+			h := testHost(4)
+			defer h.pool.close()
+			f, visits := run(h, frontierSerialCutoff, hi) // at the cutoff: inline
+			check(t, f, visits, hi, true)
+			if f.idxValid {
+				t.Fatal("serial path built the sparse index")
+			}
+		})
+		t.Run("dense"+suffix, func(t *testing.T) {
+			h := testHost(4)
+			defer h.pool.close()
+			f, visits := run(h, n/frontierDenseDivisor, hi) // count*divisor == size: bitset scan
+			check(t, f, visits, hi, false)
+			if f.idxValid {
+				t.Fatal("dense path built the sparse index")
+			}
+		})
+		t.Run("sparse"+suffix, func(t *testing.T) {
+			h := testHost(4)
+			defer h.pool.close()
+			f, visits := run(h, 2*frontierSerialCutoff, hi) // above the cutoff, count*divisor < size
+			check(t, f, visits, hi, false)
+			if !f.idxValid {
+				t.Fatal("sparse path did not build the compacted index")
+			}
+		})
+	}
 }

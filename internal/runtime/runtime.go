@@ -8,8 +8,9 @@
 // The package also provides the BSP building blocks the generated code in
 // the paper relies on: parallel-for over local nodes with per-thread
 // contexts (for conflict-free thread-local maps), frontiers over par's
-// concurrent bitsets, distributed reducers, and per-phase time accounting
-// that separates computation from communication.
+// concurrent bitsets, distributed reducers, per-phase time accounting
+// that separates computation from communication, and the round driver
+// (Loop) that sequences every BSP round.
 package runtime
 
 import (
@@ -314,6 +315,15 @@ const frontierSerialCutoff = 256
 //
 //kimbap:conflictfree
 func (h *Host) ParForActive(f *Frontier, fn func(tid int, node graph.NodeID)) {
+	h.parForActive(f, f.Size(), fn)
+}
+
+// parForActive is ParForActive restricted to the vertices below hi (a
+// host's masters are its local IDs below NumMasters). The form follows
+// the whole set's size.
+//
+//kimbap:conflictfree
+func (h *Host) parForActive(f *Frontier, hi int, fn func(tid int, node graph.NodeID)) {
 	n := f.Count()
 	if n == 0 {
 		return
@@ -321,21 +331,36 @@ func (h *Host) ParForActive(f *Frontier, fn func(tid int, node graph.NodeID)) {
 	// Small frontiers run inline on the calling goroutine (see
 	// frontierSerialCutoff).
 	if n <= frontierSerialCutoff {
-		f.cur.ForEachSet(func(i int) { fn(0, graph.NodeID(i)) })
+		f.cur.ForEachSetIn(0, hi, func(i int) { fn(0, graph.NodeID(i)) })
 		return
 	}
 	if n*frontierDenseDivisor >= f.Size() {
-		cur := f.cur
-		h.ParFor(cur.Words(), func(tid, w int) {
+		cur, words := f.cur, f.cur.Words()
+		if hi < f.Size() {
+			words = hi / 64
+		}
+		h.ParFor(words, func(tid, w int) {
 			word := cur.MaskedWord(w)
 			for word != 0 {
 				fn(tid, graph.NodeID(w*64+bits.TrailingZeros64(word)))
 				word &= word - 1
 			}
 		})
+		// The word hi cuts runs inline, after the pool is done.
+		if hi < f.Size() && hi%64 != 0 {
+			word := cur.MaskedWord(words) & (1<<(hi%64) - 1)
+			for word != 0 {
+				fn(0, graph.NodeID(words*64+bits.TrailingZeros64(word)))
+				word &= word - 1
+			}
+		}
 		return
 	}
 	idx := f.compact()
+	if hi < f.Size() {
+		cut, _ := slices.BinarySearch(idx, int32(hi))
+		idx = idx[:cut]
+	}
 	h.ParFor(len(idx), func(tid, i int) { fn(tid, graph.NodeID(idx[i])) })
 }
 
