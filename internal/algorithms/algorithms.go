@@ -11,10 +11,12 @@
 //
 // Each implementation is the BSP program the Kimbap compiler would emit
 // (Figure 8): explicit request / reduce / broadcast synchronization with
-// the §5.2 optimizations applied. When the configured map variant lacks
-// GAR (the §6.4 ablation backends), the generated master-elision would
-// read unmaterialized values, so the drivers issue the corresponding
-// requests explicitly; on the Full variant those requests are no-ops.
+// the §5.2 optimizations applied. Every round of every algorithm runs
+// through the runtime's round driver, runtime.Loop. When the configured
+// map variant lacks GAR (the §6.4 ablation backends), the generated
+// master-elision would read unmaterialized values, so each phase lists
+// the maps it reads in its Reads (Config.reads), which the driver
+// requests for every local proxy; on the Full variant the list is empty.
 package algorithms
 
 import (
@@ -68,16 +70,11 @@ func (c Config) maxRounds() int {
 	return 1 << 20
 }
 
-// requestActive reports whether active-node reads must be requested
-// (true for non-GAR backends; see the package comment).
-func (c Config) requestActive() bool {
-	return c.Variant != npm.Full && c.Variant != ""
-}
-
-// reads lists maps for a runtime.Phase's Reads: the maps on non-GAR
-// backends, none on GAR (the copy keeps GAR runs from allocating).
+// reads lists maps for a runtime.Phase's Reads or Host.RequestLocal: the
+// maps on non-GAR backends, none on GAR (the copy keeps GAR runs from
+// allocating).
 func (c Config) reads(ms ...runtime.SyncMap) []runtime.SyncMap {
-	if !c.requestActive() {
+	if c.Variant.GAR() {
 		return nil
 	}
 	return slices.Clone(ms)
@@ -159,18 +156,10 @@ func initOwn(h *runtime.Host, m npm.Map[graph.NodeID]) {
 	m.InitSync()
 }
 
-// requestLocalProxies requests the properties of every local proxy. Non-GAR
-// backends need this before reading active-node properties; it is cheap
-// no-ops on Full.
-func requestLocalProxies[V comparable](h *runtime.Host, m npm.Map[V]) {
-	h.ParForNodes(func(_ int, local graph.NodeID) {
-		m.Request(h.HP.GlobalID(local))
-	})
-	m.RequestSync()
-}
-
-// readAllMasters copies this host's master values into out (indexed by
-// global node ID); entries outside the master range are untouched.
+// readAllMasters runs after an SPMD algorithm: each host copies its
+// master values of m into out (indexed by global node ID, pre-allocated
+// with the global node count); hosts write disjoint ranges and entries
+// outside the master range are untouched. Collective.
 func readAllMasters[V comparable](h *runtime.Host, m npm.Map[V], out []V) {
 	lo, hi := h.HP.MasterRangeGlobal()
 	if hi > lo {
@@ -184,11 +173,4 @@ func readAllMasters[V comparable](h *runtime.Host, m npm.Map[V], out []V) {
 	} else {
 		m.RequestSync()
 	}
-}
-
-// CollectNodeValues runs after an SPMD algorithm: each host fills in its
-// master range of the shared output slice. The slice must be pre-allocated
-// with the global node count; hosts write disjoint ranges.
-func CollectNodeValues[V comparable](h *runtime.Host, m npm.Map[V], out []V) {
-	readAllMasters(h, m, out)
 }

@@ -100,12 +100,15 @@ func TestRoundAllocsDoNotScale(t *testing.T) {
 	for _, tc := range []struct {
 		name        string
 		short, long allocRun
-		// Per-round budgets, cluster-wide; measured 1.2-1.7 KB / 30-33
-		// objects (MIS), 0.3 KB / 5.4 objects (CC-LP), 13.5 KB / 116
-		// objects (Louvain) and 10 KB / 84 objects (Leiden, move rounds
-		// only: refinement runs its own rounds), at least 2x headroom. A
-		// Go map per master cost Louvain 1375 objects and Leiden 1579 a
-		// round here.
+		// Per-round budgets, cluster-wide; measured 0.6 KB / 18 objects
+		// (MIS), 0.3 KB / 5.5 objects (CC-LP), 12.9 KB / 103 objects
+		// (Louvain) and 8.9 KB / 68 objects (Leiden), at least 2x
+		// headroom. Rounds here are the local-moving rounds CDResult
+		// counts; Leiden's refinement, at most four rounds a level on
+		// the same driver, is not counted, so its cost is spread over
+		// them. A Go map
+		// per master cost Louvain 1375 objects and Leiden 1579 a round
+		// here.
 		bytes, objects float64
 	}{
 		{"mis", mis(1), mis(4), 6 << 10, 64},

@@ -63,7 +63,7 @@ func (c Config) newLabelRun(h *runtime.Host, stats *CCStats) *labelRun {
 
 // finish collects this host's master labels into out.
 func (r *labelRun) finish(out []graph.NodeID) {
-	CollectNodeValues(r.h, r.m, out)
+	readAllMasters(r.h, r.m, out)
 	r.cfg.recordStats(r.m)
 }
 

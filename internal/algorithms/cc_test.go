@@ -190,24 +190,25 @@ func TestCCConvergedReportsCutoff(t *testing.T) {
 			}
 		}
 	}
-	// Louvain and Leiden are cut off by levels rather than rounds: on a
-	// planted-partition graph the first level moves nodes, so MaxLevels 1
-	// stops while the level loop still has work, and the default runs on
-	// until a level moves nothing.
+	// Louvain and Leiden are cut off by levels or by local-moving rounds:
+	// on a planted-partition graph the first level moves nodes, so
+	// MaxLevels 1 stops while the level loop still has work, and MaxIters
+	// 1 stops the first level's local moving while its first round still
+	// moved nodes; the default runs on until a level moves nothing.
 	communities := gen.Communities(8, 40, 6, 1, true, 3)
 	for _, cd := range []struct {
 		name string
 		run  func(*graph.Graph, runtime.Config, Config, CDOptions) (CDResult, error)
 	}{{"LV", Louvain}, {"LD", Leiden}} {
-		for _, maxLevels := range []int{1, 0} {
+		for _, opts := range []CDOptions{{MaxLevels: 1}, {MaxIters: 1}, {}} {
 			res, err := cd.run(communities, runtime.Config{NumHosts: 2, ThreadsPerHost: 2},
-				Config{}, CDOptions{MaxLevels: maxLevels})
+				Config{}, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want := maxLevels == 0; res.Converged != want {
-				t.Errorf("%s MaxLevels=%d: Converged = %v after %d levels, want %v",
-					cd.name, maxLevels, res.Converged, res.Levels, want)
+			if want := opts == (CDOptions{}); res.Converged != want {
+				t.Errorf("%s %+v: Converged = %v after %d levels, %d rounds, want %v",
+					cd.name, opts, res.Converged, res.Levels, res.Rounds, want)
 			}
 		}
 	}

@@ -230,12 +230,17 @@ func TestLeidenGammaControlsRefinement(t *testing.T) {
 // must stay exactly as it was. The SGR+CF message counts then fell from
 // 216 to 186 when the round stopped requesting the community map a second
 // time before the modularity sweep; that request asked for nothing new,
-// so the bytes did not move.
+// so the bytes did not move. The app column counts the collectives'
+// messages (twoM, the modularity sums, the moved counts): Leiden's fell
+// from 98 to 96 when it stopped all-reducing twoM a second time per level.
+// The ld/sgr+cf row pins Leiden's refinement without GAR, whose requests
+// the round driver issues.
 func TestCommunityRequestVolumePinned(t *testing.T) {
 	type pin struct {
 		rounds      int
 		moved       int64
 		msgs, bytes [2]int64 // request, response
+		app         int64    // TagApp messages
 	}
 	g := gen.Communities(8, 64, 8, 2, true, 3)
 	for _, tc := range []struct {
@@ -244,9 +249,10 @@ func TestCommunityRequestVolumePinned(t *testing.T) {
 		leiden  bool
 		want    pin
 	}{
-		{"lv/" + string(npm.Full), npm.Full, false, pin{15, 2408, [2]int64{62, 62}, [2]int64{2644, 20912}}},
-		{"lv/" + string(npm.SGRCF), npm.SGRCF, false, pin{15, 2408, [2]int64{186, 186}, [2]int64{18442, 115648}}},
-		{"ld/" + string(npm.Full), npm.Full, true, pin{15, 2408, [2]int64{74, 74}, [2]int64{2644, 20912}}},
+		{"lv/" + string(npm.Full), npm.Full, false, pin{15, 2408, [2]int64{62, 62}, [2]int64{2644, 20912}, 92}},
+		{"lv/" + string(npm.SGRCF), npm.SGRCF, false, pin{15, 2408, [2]int64{186, 186}, [2]int64{18442, 115648}, 92}},
+		{"ld/" + string(npm.Full), npm.Full, true, pin{15, 2408, [2]int64{74, 74}, [2]int64{2644, 20912}, 96}},
+		{"ld/" + string(npm.SGRCF), npm.SGRCF, true, pin{15, 2408, [2]int64{218, 218}, [2]int64{21278, 130368}, 96}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c, err := runtime.NewCluster(g, runtime.Config{NumHosts: 2, ThreadsPerHost: 1, Policy: partition.OEC})
@@ -258,10 +264,10 @@ func TestCommunityRequestVolumePinned(t *testing.T) {
 			assign, sub := make([]graph.NodeID, g.NumNodes()), make([]graph.NodeID, g.NumNodes())
 			var got pin
 			c.Run(func(h *runtime.Host) {
-				accs := graph.NewAccumulators(h.Threads, h.HP.NumGlobalNodes())
-				r, m := refineLevel(h, cfg, opts, accs, nil, assign)
+				lvl := newLevel(h)
+				r, m, _ := refineLevel(h, cfg, opts, lvl, nil, assign)
 				if tc.leiden {
-					leidenRefine(h, cfg, opts, accs, assign, sub)
+					leidenRefine(h, cfg, opts, lvl, assign, sub)
 				}
 				if h.Rank == 0 {
 					got.rounds, got.moved = r, m
@@ -270,6 +276,7 @@ func TestCommunityRequestVolumePinned(t *testing.T) {
 			msgs, bytes := c.CommStatsByTag()
 			got.msgs = [2]int64{msgs[comm.TagRequest], msgs[comm.TagResponse]}
 			got.bytes = [2]int64{bytes[comm.TagRequest], bytes[comm.TagResponse]}
+			got.app = msgs[comm.TagApp]
 			if got != tc.want {
 				t.Errorf("got %+v, want %+v", got, tc.want)
 			}

@@ -1,7 +1,6 @@
 package algorithms
 
 import (
-	"kimbap/internal/comm"
 	"kimbap/internal/graph"
 	"kimbap/internal/npm"
 	"kimbap/internal/runtime"
@@ -27,29 +26,14 @@ func Leiden(g *graph.Graph, ccfg runtime.Config, acfg Config, opts CDOptions) (C
 }
 
 // leidenRefine splits the communities in assignComm into well-connected
-// subcommunities (SPMD). accs holds one link accumulator per worker
-// thread, shared with the local-moving phase. On return, this host's
-// master range of assignSub holds subcommunity labels, which the driver
-// contracts on (community labels in assignComm are what gets reported).
-func leidenRefine(h *runtime.Host, cfg Config, opts CDOptions, accs []*graph.Accumulator,
+// subcommunities (SPMD). lvl is the level's constants, shared with the
+// local-moving phase (twoM > 0). On return, this host's master range of
+// assignSub holds subcommunity labels, which the driver contracts on
+// (community labels in assignComm are what gets reported).
+func leidenRefine(h *runtime.Host, cfg Config, opts CDOptions, lvl *cdLevel,
 	assignComm, assignSub []graph.NodeID) {
-	local := h.HP.Local
+	local, twoM, kdeg := h.HP.Local, lvl.twoM, lvl.kdeg
 	lo, hi := h.HP.MasterRangeGlobal()
-
-	localWeight := 0.0
-	for n := 0; n < local.NumNodes(); n++ {
-		elo, ehi := local.EdgeRange(graph.NodeID(n))
-		for e := elo; e < ehi; e++ {
-			localWeight += local.Weight(e)
-		}
-	}
-	twoM := comm.AllReduceFloat64(h.EP, localWeight)
-	if twoM == 0 {
-		for g := lo; g < hi; g++ {
-			assignSub[g] = g
-		}
-		return
-	}
 
 	// Map 1: community labels from the local-moving phase, republished as
 	// a property map so mirrors are readable.
@@ -59,17 +43,12 @@ func leidenRefine(h *runtime.Host, cfg Config, opts CDOptions, accs []*graph.Acc
 	}
 	cmap.InitSync()
 	cmap.PinMirrors()
-	if cfg.requestActive() {
-		// The seed reduce below reads every master's community; without
-		// GAR a master's value is only readable once requested.
-		requestLocalProxies(h, cmap)
-	}
+	// The seed reduce below reads every master's community; without GAR a
+	// master's value is only readable once requested.
+	h.RequestLocal(cfg.reads(cmap)...)
 	// cmap, and sub below, stay pinned through refinement: every adjacent
 	// read indexes a local proxy by its host-local ID (DESIGN.md §18).
 	cv := npm.Local(cmap)
-
-	// Each master's weighted degree, a level constant computed once.
-	kdeg := make([]float64, h.HP.NumMasters)
 
 	// Map 2: community totals, keyed by community representative.
 	ctot := cfg.newFloatMap(h, npm.SumFloat64())
@@ -77,9 +56,7 @@ func leidenRefine(h *runtime.Host, cfg Config, opts CDOptions, accs []*graph.Acc
 	ctot.InitSync()
 	h.TimeCompute(func() {
 		h.ParForMasters(func(tid int, n graph.NodeID) {
-			k := weightedDegree(local, n)
-			kdeg[n] = k
-			if k != 0 {
+			if k := kdeg[n]; k != 0 {
 				ctot.Reduce(tid, cv.Value(n), k)
 			}
 		})
@@ -98,128 +75,98 @@ func leidenRefine(h *runtime.Host, cfg Config, opts CDOptions, accs []*graph.Acc
 	subtot := cfg.newFloatMap(h, npm.SumFloat64())
 	subsize := cfg.newFloatMap(h, npm.SumFloat64())
 
-	const refineRounds = 4
-	for round := 0; round < refineRounds; round++ {
-		if cfg.requestActive() {
-			requestLocalProxies(h, cmap)
-			requestLocalProxies(h, sub)
-		}
-
-		h.ParForMasters(func(_ int, n graph.NodeID) {
-			gid := h.HP.GlobalID(n)
-			subtot.Set(gid, 0)
-			subsize.Set(gid, 0)
-		})
-		subtot.InitSync()
-		subsize.InitSync()
-		h.TimeCompute(func() {
-			h.ParForMasters(func(tid int, n graph.NodeID) {
-				s := sv.Value(n)
-				subtot.Reduce(tid, s, kdeg[n])
-				subsize.Reduce(tid, s, 1)
+	var moved runtime.CountReducer
+	subs := syncs(sub)
+	// Refinement runs at most four rounds, ending early once a round
+	// merges nothing.
+	(&runtime.Loop{Host: h, MaxRounds: 4, Phases: []runtime.Phase{
+		{Reads: cfg.reads(cmap, sub), Before: func() {
+			h.ParForMasters(func(_ int, n graph.NodeID) {
+				gid := h.HP.GlobalID(n)
+				subtot.Set(gid, 0)
+				subsize.Set(gid, 0)
 			})
-		})
-		subtot.ReduceSync()
-		subsize.ReduceSync()
-
+			subtot.InitSync()
+			subsize.InitSync()
+		}, Visit: runtime.Masters, Body: func(tid int, n graph.NodeID) {
+			s := sv.Value(n)
+			subtot.Reduce(tid, s, kdeg[n])
+			subsize.Reduce(tid, s, 1)
+		}, Reduce: syncs(subtot, subsize)},
 		// Request phase: totals of own community, own subcommunity, and
 		// neighbor subcommunities (dynamically computed IDs).
-		h.TimeCompute(func() {
-			h.ParForMasters(func(_ int, n graph.NodeID) {
-				c := cv.Value(n)
-				ctot.Request(c)
-				s := sv.Value(n)
-				subtot.Request(s)
-				subsize.Request(s)
-				elo, ehi := local.EdgeRange(n)
-				for e := elo; e < ehi; e++ {
-					dst := local.Dst(e)
-					if cv.Value(dst) == c {
-						subtot.Request(sv.Value(dst))
-					}
+		{Visit: runtime.Masters, Body: func(_ int, n graph.NodeID) {
+			c := cv.Value(n)
+			ctot.Request(c)
+			s := sv.Value(n)
+			subtot.Request(s)
+			subsize.Request(s)
+			elo, ehi := local.EdgeRange(n)
+			for e := elo; e < ehi; e++ {
+				dst := local.Dst(e)
+				if cv.Value(dst) == c {
+					subtot.Request(sv.Value(dst))
 				}
-			})
-		})
-		ctot.RequestSync()
-		subtot.RequestSync()
-		subsize.RequestSync()
-
+			}
+		}, Request: syncs(ctot, subtot, subsize)},
 		// Merge phase: a node still alone in its subcommunity and
 		// well-connected to its community joins the best neighbor
 		// subcommunity within its community.
-		var moved runtime.CountReducer
-		h.TimeCompute(func() {
-			h.ParForMasters(func(tid int, n graph.NodeID) {
-				gid := h.HP.GlobalID(n)
-				s := sv.Value(n)
-				if s != gid || subsize.Read(s) != 1 {
-					return // only singleton subcommunities merge
+		{Visit: runtime.Masters, Body: func(tid int, n graph.NodeID) {
+			gid := h.HP.GlobalID(n)
+			s := sv.Value(n)
+			if s != gid || subsize.Read(s) != 1 {
+				return // only singleton subcommunities merge
+			}
+			c := cv.Value(n)
+			kn := kdeg[n]
+			if kn == 0 {
+				return
+			}
+			// Connectivity gate: the node must be sufficiently
+			// linked to the rest of its community (Traag et al.'s
+			// gamma-scaled well-connectedness condition).
+			intoC := 0.0
+			links := lvl.accs[tid]
+			defer links.Reset()
+			elo, ehi := local.EdgeRange(n)
+			for e := elo; e < ehi; e++ {
+				dst := local.Dst(e)
+				if dst == n || cv.Value(dst) != c {
+					continue
 				}
-				c := cv.Value(n)
-				kn := kdeg[n]
-				if kn == 0 {
-					return
+				intoC += local.Weight(e)
+				links.Add(sv.Value(dst), local.Weight(e))
+			}
+			if intoC < opts.Gamma*kn*(ctot.Read(c)-kn)/twoM {
+				return // badly connected: stays singleton
+			}
+			best, bestGain := s, 0.0
+			for i, t := range links.Keys() {
+				if t == s {
+					continue
 				}
-				// Connectivity gate: the node must be sufficiently
-				// linked to the rest of its community (Traag et al.'s
-				// gamma-scaled well-connectedness condition).
-				intoC := 0.0
-				links := accs[tid]
-				defer links.Reset()
-				elo, ehi := local.EdgeRange(n)
-				for e := elo; e < ehi; e++ {
-					dst := local.Dst(e)
-					if dst == n || cv.Value(dst) != c {
-						continue
-					}
-					intoC += local.Weight(e)
-					links.Add(sv.Value(dst), local.Weight(e))
+				gain := links.Vals()[i] - subtot.Read(t)*kn/twoM
+				if gain > bestGain+1e-12 || (gain > bestGain-1e-12 && gain > 0 && t < best) {
+					best, bestGain = t, gain
 				}
-				if intoC < opts.Gamma*kn*(ctot.Read(c)-kn)/twoM {
-					return // badly connected: stays singleton
-				}
-				best, bestGain := s, 0.0
-				for i, t := range links.Keys() {
-					if t == s {
-						continue
-					}
-					gain := links.Vals()[i] - subtot.Read(t)*kn/twoM
-					if gain > bestGain+1e-12 || (gain > bestGain-1e-12 && gain > 0 && t < best) {
-						best, bestGain = t, gain
-					}
-				}
-				if best != s {
-					sub.Reduce(tid, gid, best)
-					moved.Reduce(1)
-				}
-			})
-		})
-		sub.ReduceSync()
-		sub.BroadcastSync()
+			}
+			if best != s {
+				sub.Reduce(tid, gid, best)
+				moved.Reduce(1)
+			}
+		}, Reduce: subs, Broadcast: subs},
+	}, Done: func() bool {
 		moved.Sync(h.EP)
-		if moved.Read() == 0 {
-			break
-		}
-	}
+		n := moved.Read()
+		moved.Set(0)
+		return n == 0
+	}}).Run()
 
-	if cfg.requestActive() {
-		requestLocalProxies(h, sub)
-	}
+	h.RequestLocal(cfg.reads(sub)...)
 	for g := lo; g < hi; g++ {
 		assignSub[g] = sub.Read(g)
 	}
 	sub.UnpinMirrors()
 	cmap.UnpinMirrors()
-}
-
-// weightedDegree sums the weights of n's local out-edges. Under the OEC
-// partitioning LD runs with, masters hold their full adjacency, so this is
-// the global weighted degree.
-func weightedDegree(local *graph.Graph, n graph.NodeID) float64 {
-	sum := 0.0
-	lo, hi := local.EdgeRange(n)
-	for e := lo; e < hi; e++ {
-		sum += local.Weight(e)
-	}
-	return sum
 }

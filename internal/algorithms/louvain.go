@@ -74,9 +74,12 @@ type CDResult struct {
 	Modularity float64
 	Levels     int
 	Rounds     int // total refinement rounds across levels
-	// Converged reports that the level loop stopped on its own: a level
-	// moved no node, or contraction left the graph unchanged. False when
-	// MaxLevels ended the loop while the last level still moved nodes.
+	// Converged reports that the level loop stopped on its own (a level
+	// moved no node, or contraction left the graph unchanged) and that
+	// every level's local moving did too. False when MaxLevels ended the
+	// loop while the last level still moved nodes, or when MaxIters cut a
+	// level's local moving off before a round moved nothing or modularity
+	// stopped improving.
 	Converged bool
 	// Compute and Comm sum the per-host phase timers across all levels;
 	// Request/Reduce/Broadcast split Comm by sync phase.
@@ -111,6 +114,8 @@ func multilevel(g *graph.Graph, ccfg runtime.Config, acfg Config,
 	// and starts the next level from the aggregated communities
 	// (Traag et al.), which initComm carries across the contraction.
 	var initComm []graph.NodeID
+	// cutOff records that MaxIters ended some level's local moving.
+	cutOff := false
 
 	for level := 0; level < opts.MaxLevels; level++ {
 		cluster, err := runtime.NewCluster(cur, ccfg)
@@ -126,19 +131,27 @@ func multilevel(g *graph.Graph, ccfg runtime.Config, acfg Config,
 		if leiden {
 			assignSub = make([]graph.NodeID, cur.NumNodes())
 		}
-		rounds := make([]int, ccfg.NumHosts)
-		moved := make([]int64, ccfg.NumHosts)
+		// The level's rounds, moved nodes and whether its local moving
+		// stopped on its own: global, so rank 0 reports them.
+		var rounds int
+		var moved int64
+		settled := true
 		cluster.Run(func(h *runtime.Host) {
-			// The move phases' k_{n→c} tables, one per worker thread
-			// (indexed by the tid ParForMasters passes), keyed by global
-			// node ID. Built once per level, so a round allocates nothing
-			// per master.
-			accs := graph.NewAccumulators(h.Threads, h.HP.NumGlobalNodes())
-			r, m := refineLevel(h, acfg, opts, accs, initComm, assignComm)
-			rounds[h.Rank] = r
-			moved[h.Rank] = m
+			lvl := newLevel(h)
+			if lvl.twoM == 0 {
+				// No edges: every node stays its own community.
+				lo, hi := h.HP.MasterRangeGlobal()
+				for g := lo; g < hi; g++ {
+					assignComm[g], assignSub[g] = g, g
+				}
+				return
+			}
+			r, m, ok := refineLevel(h, acfg, opts, lvl, initComm, assignComm)
+			if h.Rank == 0 {
+				rounds, moved, settled = r, m, ok
+			}
 			if leiden {
-				leidenRefine(h, acfg, opts, accs, assignComm, assignSub)
+				leidenRefine(h, acfg, opts, lvl, assignComm, assignSub)
 			}
 		})
 		for _, h := range cluster.Hosts() {
@@ -150,12 +163,13 @@ func multilevel(g *graph.Graph, ccfg runtime.Config, acfg Config,
 		}
 		cluster.Close()
 		res.Levels++
-		res.Rounds += rounds[0]
+		res.Rounds += rounds
 
 		for i := range final {
 			final[i] = assignComm[proj[i]]
 		}
-		res.Converged = moved[0] == 0
+		cutOff = cutOff || !settled
+		res.Converged = moved == 0
 		if (res.Converged && level > 0) || level == opts.MaxLevels-1 {
 			break // converged, or no level left to use a contraction
 		}
@@ -175,55 +189,70 @@ func multilevel(g *graph.Graph, ccfg runtime.Config, acfg Config,
 		}
 		cur = coarse
 	}
+	res.Converged = res.Converged && !cutOff
 	res.Assignment = final
 	res.Modularity = graph.Modularity(g, final)
 	return res, nil
 }
 
-// refineLevel runs the synchronous local-moving phase on one host (SPMD)
-// and fills this host's master range of assign. accs holds one link
-// accumulator per worker thread. initComm optionally seeds the
-// starting partition (nil means singletons). Returns the number of rounds
-// and the total nodes moved (global, identical on all hosts).
-func refineLevel(h *runtime.Host, cfg Config, opts CDOptions, accs []*graph.Accumulator,
-	initComm, assign []graph.NodeID) (rounds int, totalMoved int64) {
+// cdLevel is one host's constants for one community-detection level,
+// shared by the local-moving phase and Leiden's refinement.
+type cdLevel struct {
+	// twoM is the total directed edge weight (2m), global.
+	twoM float64
+	// kdeg is each local proxy's weighted degree. LV and LD run on OEC,
+	// where a master holds its whole adjacency, so a master's entry is its
+	// global weighted degree (a mirror's is 0).
+	kdeg []float64
+	// accs are the move phases' k_{n→c} tables, one per worker thread
+	// (indexed by the tid a phase body gets), keyed by global node ID.
+	// Built once per level, so a round allocates nothing per master.
+	accs []*graph.Accumulator
+}
 
+// newLevel computes this host's level constants in one pass over its
+// edges. Collective (twoM is all-reduced).
+func newLevel(h *runtime.Host) *cdLevel {
 	local := h.HP.Local
-
-	// Total directed edge weight (2m) is a level constant.
+	lvl := &cdLevel{kdeg: make([]float64, local.NumNodes()),
+		accs: graph.NewAccumulators(h.Threads, h.HP.NumGlobalNodes())}
 	localWeight := 0.0
-	for n := 0; n < local.NumNodes(); n++ {
-		lo, hi := local.EdgeRange(graph.NodeID(n))
-		for e := lo; e < hi; e++ {
-			localWeight += local.Weight(e)
+	h.TimeCompute(func() {
+		for n := range lvl.kdeg {
+			lo, hi := local.EdgeRange(graph.NodeID(n))
+			sum := 0.0
+			for e := lo; e < hi; e++ {
+				w := local.Weight(e)
+				sum += w
+				localWeight += w
+			}
+			lvl.kdeg[n] = sum
 		}
-	}
-	twoM := comm.AllReduceFloat64(h.EP, localWeight)
-	if twoM == 0 {
-		lo, hi := h.HP.MasterRangeGlobal()
-		for g := lo; g < hi; g++ {
-			assign[g] = g
-		}
-		return 0, 0
-	}
+	})
+	lvl.twoM = comm.AllReduceFloat64(h.EP, localWeight)
+	return lvl
+}
 
-	// Weighted degree per node (global sums; local degrees are partial
-	// only under vertex cuts, but the sum reduction is correct for any
-	// policy).
+// refineLevel runs the synchronous local-moving phase on one host (SPMD)
+// and fills this host's master range of assign. lvl must have edges
+// (twoM > 0). initComm optionally seeds the starting partition (nil means
+// singletons). Returns the number of rounds, the total nodes moved
+// (global, identical on all hosts), and whether the phase stopped on its
+// own rather than by MaxIters.
+func refineLevel(h *runtime.Host, cfg Config, opts CDOptions, lvl *cdLevel,
+	initComm, assign []graph.NodeID) (rounds int, totalMoved int64, converged bool) {
+
+	local, twoM := h.HP.Local, lvl.twoM
+
+	// Weighted degree per node, as a property map so every variant serves
+	// the move phase's reads the way it serves any other map's.
 	wdeg := cfg.newFloatMap(h, npm.SumFloat64())
 	h.ParForNodes(func(_ int, n graph.NodeID) { wdeg.Set(h.HP.GlobalID(n), 0) })
 	wdeg.InitSync()
-	h.TimeCompute(func() {
-		h.ParForNodes(func(tid int, n graph.NodeID) {
-			sum := 0.0
-			lo, hi := local.EdgeRange(n)
-			for e := lo; e < hi; e++ {
-				sum += local.Weight(e)
-			}
-			if sum != 0 {
-				wdeg.Reduce(tid, h.HP.GlobalID(n), sum)
-			}
-		})
+	h.ParForNodes(func(tid int, n graph.NodeID) {
+		if k := lvl.kdeg[n]; k != 0 {
+			wdeg.Reduce(tid, h.HP.GlobalID(n), k)
+		}
 	})
 	wdeg.ReduceSync()
 	wdeg.PinMirrors()
@@ -245,59 +274,41 @@ func refineLevel(h *runtime.Host, cfg Config, opts CDOptions, accs []*graph.Accu
 	// indexes a local proxy by its host-local ID (DESIGN.md §18).
 	cmv, wdv := npm.Local(cm), npm.Local(wdeg)
 
-	// The modularity sweep's intra-community weight, one partial per
-	// worker thread (indexed by the tid ParForNodes passes).
-	intraPart := make([]paddedFloat64, h.Threads)
-
-	// Vite early-termination state: consecutive rounds a master stayed put.
-	var stable []uint8
-	if opts.EarlyTermination {
-		stable = make([]uint8, h.HP.NumMasters)
-	}
-
 	// Community totals and sizes, keyed by representative node. Every
 	// round re-Sets them to 0 before reducing, so one pair of maps serves
 	// the whole level.
 	ctot := cfg.newFloatMap(h, npm.SumFloat64())
 	csize := cfg.newFloatMap(h, npm.SumFloat64())
 
-	prevQ := -1.0
-	for rounds = 0; rounds < opts.MaxIters; rounds++ {
-		if cfg.requestActive() {
-			requestLocalProxies(h, cm)
-			requestLocalProxies(h, wdeg)
-		}
-
-		h.ParForMasters(func(_ int, n graph.NodeID) {
-			gid := h.HP.GlobalID(n)
-			ctot.Set(gid, 0)
-			csize.Set(gid, 0)
-		})
-		ctot.InitSync()
-		csize.InitSync()
-		h.TimeCompute(func() {
-			h.ParForMasters(func(tid int, n graph.NodeID) {
-				c := cmv.Value(n)
-				csize.Reduce(tid, c, 1)
-				k := wdv.Value(n)
-				if k != 0 {
-					ctot.Reduce(tid, c, k)
-				}
+	// The totals pass: community totals and sizes, then the modularity
+	// Q = intra/2m - sum(tot_c^2)/(2m)^2, as one driver round. A local-
+	// moving round needs them between its quiescence test and its moves,
+	// so the move loop below runs rotated: this pass runs once before it
+	// and then from its Done, after each round that still moved nodes.
+	var intra, totSq runtime.SumReducer
+	// The sweep's intra-community weight, one partial per worker thread.
+	intraPart := make([]paddedFloat64, h.Threads)
+	totals := runtime.Loop{Host: h, MaxRounds: 1, Phases: []runtime.Phase{
+		{Reads: cfg.reads(cm, wdeg), Before: func() {
+			h.ParForMasters(func(_ int, n graph.NodeID) {
+				gid := h.HP.GlobalID(n)
+				ctot.Set(gid, 0)
+				csize.Set(gid, 0)
 			})
-		})
-		ctot.ReduceSync()
-		csize.ReduceSync()
-
-		// Round modularity: Q = intra/2m - sum(tot_c^2)/(2m)^2.
-		var intra, totSq runtime.SumReducer
-		// cm is not requested again: the round-start request fetched it
+			ctot.InitSync()
+			csize.InitSync()
+		}, Visit: runtime.Masters, Body: func(tid int, n graph.NodeID) {
+			c := cmv.Value(n)
+			csize.Reduce(tid, c, 1)
+			k := wdv.Value(n)
+			if k != 0 {
+				ctot.Reduce(tid, c, k)
+			}
+		}, Reduce: syncs(ctot, csize)},
+		// cm is not requested again: the pass's first phase fetched it
 		// and nothing has reduced into it since.
-		if cfg.requestActive() {
-			requestLocalProxies(h, ctot)
-		}
-		h.TimeCompute(func() {
-			clear(intraPart)
-			h.ParForNodes(func(tid int, n graph.NodeID) {
+		{Reads: cfg.reads(ctot), Before: func() { clear(intraPart) },
+			Visit: runtime.Active, Body: func(tid int, n graph.NodeID) {
 				cn := cmv.Value(n)
 				sum := intraPart[tid].v
 				lo, hi := local.EdgeRange(n)
@@ -307,121 +318,140 @@ func refineLevel(h *runtime.Host, cfg Config, opts CDOptions, accs []*graph.Accu
 					}
 				}
 				intraPart[tid].v = sum
-			})
+			}},
+		{Before: func() {
 			// Fold in tid order: at one thread per host this is the plain
 			// edge-order sum, bit for bit.
 			sum := 0.0
 			for _, p := range intraPart {
 				sum += p.v
 			}
-			intra.Reduce(sum)
-			h.ParForMasters(func(tid int, n graph.NodeID) {
-				t := ctot.Read(h.HP.GlobalID(n))
-				if t != 0 {
-					totSq.Reduce(t * t)
-				}
-			})
-		})
+			intra.Set(sum)
+			totSq.Set(0)
+		}, Visit: runtime.Masters, Body: func(_ int, n graph.NodeID) {
+			t := ctot.Read(h.HP.GlobalID(n))
+			if t != 0 {
+				totSq.Reduce(t * t)
+			}
+		}},
+	}, Done: func() bool {
 		intra.Sync(h.EP)
 		totSq.Sync(h.EP)
-		q := intra.Read()/twoM - totSq.Read()/(twoM*twoM)
-		if q-prevQ < opts.MinDelta && rounds > 0 {
-			break
-		}
-		prevQ = q
+		return true
+	}}
+	modularity := func() float64 {
+		totals.Run()
+		return intra.Read()/twoM - totSq.Read()/(twoM*twoM)
+	}
 
+	// Vite early-termination state: consecutive rounds a master stayed put.
+	var stable []uint8
+	if opts.EarlyTermination {
+		stable = make([]uint8, h.HP.NumMasters)
+	}
+	// round is the index of the round in progress, from 0.
+	round := 0
+	var moved runtime.CountReducer
+	prevQ := modularity()
+	cms := syncs(cm)
+	rounds, converged = (&runtime.Loop{Host: h, MaxRounds: opts.MaxIters, Phases: []runtime.Phase{
 		// Request phase: each master needs the totals of its own and all
 		// neighbor communities — dynamically computed node IDs. LV runs
 		// on OEC, where a host's mirrors are exactly the destinations of
 		// its masters' edges, so that ID set is the community of every
 		// local proxy.
-		h.TimeCompute(func() {
-			h.ParForNodes(func(_ int, l graph.NodeID) {
-				c := cmv.Value(l)
-				ctot.Request(c)
-				csize.Request(c)
-			})
-		})
-		ctot.RequestSync()
-		csize.RequestSync()
-
+		{Visit: runtime.Active, Body: func(_ int, l graph.NodeID) {
+			c := cmv.Value(l)
+			ctot.Request(c)
+			csize.Request(c)
+		}, Request: syncs(ctot, csize)},
 		// Move phase: greedy best community with deterministic
 		// tie-breaking (highest gain, then smallest community ID; ties
 		// with the current community keep the node put unless the
 		// candidate ID is smaller, damping oscillation).
-		var moved runtime.CountReducer
-		h.TimeCompute(func() {
-			h.ParForMasters(func(tid int, n graph.NodeID) {
-				gid := h.HP.GlobalID(n)
-				if opts.EarlyTermination && stable[n] >= 4 {
-					// Skip with probability 3/4, deterministically.
-					if (uint32(gid)*2654435769+uint32(rounds))&3 != 0 {
-						return
-					}
-				}
-				a := cmv.Value(n)
-				kn := wdv.Value(n)
-				if kn == 0 {
+		{Visit: runtime.Masters, Body: func(tid int, n graph.NodeID) {
+			gid := h.HP.GlobalID(n)
+			if opts.EarlyTermination && stable[n] >= 4 {
+				// Skip with probability 3/4, deterministically.
+				if (uint32(gid)*2654435769+uint32(round))&3 != 0 {
 					return
 				}
-				// Accumulate k_{n->c} per neighbor community; candidates
-				// are visited in first-touch (edge) order.
-				links := accs[tid]
-				lo, hi := local.EdgeRange(n)
-				for e := lo; e < hi; e++ {
-					dst := local.Dst(e)
-					if dst == n {
-						continue
-					}
-					links.Add(cmv.Value(dst), local.Weight(e))
+			}
+			a := cmv.Value(n)
+			kn := wdv.Value(n)
+			if kn == 0 {
+				return
+			}
+			// Accumulate k_{n->c} per neighbor community; candidates
+			// are visited in first-touch (edge) order.
+			links := lvl.accs[tid]
+			lo, hi := local.EdgeRange(n)
+			for e := lo; e < hi; e++ {
+				dst := local.Dst(e)
+				if dst == n {
+					continue
 				}
-				base := links.Get(a) - (ctot.Read(a)-kn)*kn/twoM
-				best, bestGain := a, base
-				for i, c := range links.Keys() {
-					if c == a {
-						continue
-					}
-					gain := links.Vals()[i] - ctot.Read(c)*kn/twoM
-					if gain > bestGain+1e-12 || (gain > bestGain-1e-12 && c < best) {
-						best, bestGain = c, gain
-					}
+				links.Add(cmv.Value(dst), local.Weight(e))
+			}
+			base := links.Get(a) - (ctot.Read(a)-kn)*kn/twoM
+			best, bestGain := a, base
+			for i, c := range links.Keys() {
+				if c == a {
+					continue
 				}
-				links.Reset()
-				if best != a && csize.Read(a) == 1 && csize.Read(best) == 1 && best > a {
-					// Grappolo's swap-breaking rule: between two singleton
-					// communities, only the move toward the smaller ID is
-					// allowed, which makes synchronous rounds converge.
-					best = a
+				gain := links.Vals()[i] - ctot.Read(c)*kn/twoM
+				if gain > bestGain+1e-12 || (gain > bestGain-1e-12 && c < best) {
+					best, bestGain = c, gain
 				}
-				if best != a {
-					cm.Reduce(tid, gid, best)
-					moved.Reduce(1)
-					if opts.EarlyTermination {
-						stable[n] = 0
-					}
-				} else if opts.EarlyTermination && stable[n] < 4 {
-					stable[n]++
+			}
+			links.Reset()
+			if best != a && csize.Read(a) == 1 && csize.Read(best) == 1 && best > a {
+				// Grappolo's swap-breaking rule: between two singleton
+				// communities, only the move toward the smaller ID is
+				// allowed, which makes synchronous rounds converge.
+				best = a
+			}
+			if best != a {
+				cm.Reduce(tid, gid, best)
+				moved.Reduce(1)
+				if opts.EarlyTermination {
+					stable[n] = 0
 				}
-			})
-		})
-		cm.ReduceSync()
-		cm.BroadcastSync()
+			} else if opts.EarlyTermination && stable[n] < 4 {
+				stable[n]++
+			}
+		}, Reduce: cms, Broadcast: cms},
+	}, Done: func() bool {
+		// The level ends when a round moves nothing or modularity stops
+		// improving; a round at the cap skips the totals pass nothing
+		// would read.
 		moved.Sync(h.EP)
-		totalMoved += moved.Read() // global count, identical on all hosts
-		if moved.Read() == 0 {
-			rounds++
-			break
+		n := moved.Read() // global count, identical on all hosts
+		moved.Set(0)
+		totalMoved += n
+		round++
+		if n == 0 {
+			return true
 		}
-	}
+		if round == opts.MaxIters {
+			return false
+		}
+		q := modularity()
+		if q-prevQ < opts.MinDelta {
+			return true
+		}
+		prevQ = q
+		return false
+	}}).Run()
 
 	cm.UnpinMirrors()
 	wdeg.UnpinMirrors()
-	CollectNodeValues(h, cm, assign)
+	readAllMasters(h, cm, assign)
 	cfg.recordStats(cm)
 	cfg.recordStats(wdeg)
 	cfg.recordStats(ctot)
 	cfg.recordStats(csize)
-	return rounds, totalMoved
+	return rounds, totalMoved, converged
 }
 
 // paddedFloat64 is one thread's partial sum, alone on its cache line so

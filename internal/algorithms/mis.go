@@ -65,9 +65,7 @@ func MIS(h *runtime.Host, cfg Config, out []bool) MISStats {
 	degree.ReduceSync()
 
 	prio := cfg.newFloatMap(h, npm.MinFloat64())
-	if cfg.requestActive() {
-		requestLocalProxies(h, degree)
-	}
+	h.RequestLocal(cfg.reads(degree)...)
 	nGlobal := uint64(h.HP.NumGlobalNodes())
 	h.ParForMasters(func(_ int, n graph.NodeID) {
 		gid := h.HP.GlobalID(n)

@@ -268,7 +268,7 @@ func MSF(h *runtime.Host, cfg Config, comp []graph.NodeID) MSFStats {
 	edges.Sync(h.EP)
 	stats.TotalWeight = comm.AllReduceFloat64(h.EP, weight)
 	stats.ForestEdges = edges.Read()
-	CollectNodeValues(h, parent, comp)
+	readAllMasters(h, parent, comp)
 	cfg.recordStats(parent)
 	cfg.recordStats(cand)
 	return stats

@@ -88,9 +88,6 @@ func NewExec(h *runtime.Host, plan *Plan, cfg ExecConfig) *Exec {
 		e.maps[d.Name] = m
 	}
 
-	// Backends without GAR must request even active-node properties (see
-	// LoopPlan.ReadMaps).
-	requestActive := cfg.Variant != npm.Full && cfg.Variant != ""
 	maxSlots := 0
 	for _, lp := range plan.Loops {
 		st := newSlotTable()
@@ -113,7 +110,9 @@ func NewExec(h *runtime.Host, plan *Plan, cfg ExecConfig) *Exec {
 		}
 		phases = append(phases, runtime.Phase{Visit: visit, Body: e.operator(body),
 			Reduce: e.syncMaps(lp.ReduceMaps), Broadcast: e.syncMaps(lp.BroadcastMaps)})
-		if requestActive {
+		// Backends without GAR must request even active-node properties
+		// (see LoopPlan.ReadMaps).
+		if !cfg.Variant.GAR() {
 			phases[0].Reads = e.syncMaps(lp.ReadMaps)
 		}
 		el := execLoop{loop: runtime.Loop{Host: h, Phases: phases, Quiesce: e.maps[lp.Quiesce],

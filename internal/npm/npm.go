@@ -64,6 +64,12 @@ func (v Variant) Known() bool {
 	return v == "" || v == Vite || slices.Contains(Variants, v)
 }
 
+// GAR reports whether v has the partition-aware representation ("" selects
+// Full, the only variant that does). Under GAR a host reads its local
+// proxies' values without requesting them; every other backend must
+// request even active-node reads.
+func (v Variant) GAR() bool { return v == Full || v == "" }
+
 // Map is the node-property map API. Type parameter V is the property type;
 // it must be comparable so the runtime can detect whether a reduction
 // changed a value (the quiescence condition of KimbapWhile loops).

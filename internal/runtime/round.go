@@ -113,10 +113,7 @@ func (l *Loop) Run() (rounds int, converged bool) {
 
 func (l *Loop) phase(p *Phase) {
 	h := l.Host
-	for _, m := range p.Reads {
-		h.ParForNodes(func(_ int, n graph.NodeID) { m.Request(h.HP.GlobalID(n)) })
-		m.RequestSync()
-	}
+	h.RequestLocal(p.Reads...)
 	if p.Before != nil {
 		p.Before()
 	}
@@ -133,6 +130,16 @@ func (l *Loop) phase(p *Phase) {
 	}
 	for _, m := range p.Broadcast {
 		m.BroadcastSync()
+	}
+}
+
+// RequestLocal requests every local proxy of each map, one RequestSync
+// each: what a backend without GAR needs before it reads even its active
+// proxies. Collective.
+func (h *Host) RequestLocal(ms ...SyncMap) {
+	for _, m := range ms {
+		h.ParForNodes(func(_ int, n graph.NodeID) { m.Request(h.HP.GlobalID(n)) })
+		m.RequestSync()
 	}
 }
 
